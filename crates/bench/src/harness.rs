@@ -1,54 +1,48 @@
-//! The experiment-binary harness: one builder wrapping the boilerplate
-//! every `exp_*` binary shares — CLI parsing, enabling the simulator
-//! self-profiler, telemetry capture, and the end-of-run export fan
-//! (`prof_*.json` merged into `telemetry_*.json`, plus optional
-//! `timeseries_*`, `audit_*` and `BENCH_*` documents).
+//! The experiment harness: one builder wrapping the boilerplate every
+//! registry entry shares — enabling the simulator self-profiler,
+//! telemetry capture, and the end-of-run export fan (`prof_*.json` merged
+//! into `telemetry_*.json`, plus optional `timeseries_*` and `audit_*`
+//! documents), all under [`ExpOptions::out_dir`].
 //!
-//! The canonical shape of a binary becomes:
+//! The canonical shape of an experiment is:
 //!
 //! ```no_run
-//! use gcopss_bench::ExpHarness;
-//! let mut h = ExpHarness::new("fig4").with_sampled_capture();
+//! use gcopss_bench::{ExpHarness, ExpOptions};
+//! let mut h = ExpHarness::new("fig4", ExpOptions::default()).with_sampled_capture();
 //! let seed = h.opts.seed;
 //! // ... run experiments, passing `h.cap()` to the `run_with` driver ...
 //! h.finish();
 //! ```
 //!
-//! [`ExpHarness::finish`] preserves the invariants the binaries relied on:
-//! the profile is written (and merged as a pseudo-run) *before* the
-//! telemetry document, so the prof trace lands in the merged Perfetto
-//! file, and audit/bench documents are written before the profile table
-//! prints.
+//! [`ExpHarness::finish`] keeps two orderings the exports rely on: the
+//! profile is written (and merged as a pseudo-run) *before* the telemetry
+//! document, so the prof trace lands in the merged Perfetto file, and
+//! audit documents are written before the profile table prints.
 
 use gcopss_core::experiments::TelemetryCapture;
 use gcopss_sim::json::Json;
 use gcopss_sim::{TelemetryConfig, TelemetryReport, TimeSeriesConfig};
 
-use crate::{
-    write_audit, write_bench, write_prof, write_telemetry, write_timeseries, BenchEntry,
-    ExpOptions,
-};
+use crate::{write_prof, write_runs, write_telemetry, ExpOptions};
 
-/// Shared lifecycle of one experiment binary. Construct with
+/// Shared lifecycle of one experiment run. Construct with
 /// [`ExpHarness::new`], run the experiment body, then call
 /// [`ExpHarness::finish`] exactly once.
 pub struct ExpHarness {
     /// Experiment label: the suffix of every `results/` file written.
     pub exp: String,
-    /// Parsed CLI options (`--full`, `--scale`, `--seed`).
+    /// The run's options (`--full`, `--scale`, `--seed`, output directory).
     pub opts: ExpOptions,
     capture: Option<TelemetryCapture>,
     audits: Vec<(String, Json)>,
     series: Vec<(String, Json)>,
-    bench_entries: Vec<BenchEntry>,
 }
 
 impl ExpHarness {
-    /// Parses the process arguments and enables the simulator
-    /// self-profiler (every binary profiles its own hot loop).
+    /// Enables the simulator self-profiler (every experiment profiles its
+    /// own hot loop).
     #[must_use]
-    pub fn new(exp: &str) -> Self {
-        let opts = ExpOptions::from_args();
+    pub fn new(exp: &str, opts: ExpOptions) -> Self {
         gcopss_sim::prof::enable();
         Self {
             exp: exp.to_string(),
@@ -56,7 +50,6 @@ impl ExpHarness {
             capture: None,
             audits: Vec::new(),
             series: Vec::new(),
-            bench_entries: Vec::new(),
         }
     }
 
@@ -122,42 +115,33 @@ impl ExpHarness {
         self.series.push((label.into(), series));
     }
 
-    /// Queues one benchmark entry for `results/BENCH_<exp>.json`.
-    pub fn add_bench(&mut self, entry: BenchEntry) {
-        self.bench_entries.push(entry);
-    }
-
     /// Writes every queued export and the self-profile. Call once, at the
-    /// end of `main`.
+    /// end of the run.
     ///
     /// # Panics
     ///
-    /// Panics if any `results/` file cannot be written.
+    /// Panics if any file under the output directory cannot be written.
     pub fn finish(mut self) {
         let prof = gcopss_sim::prof::take_report();
-        let seed = self.opts.seed;
+        let dir = self.opts.out_dir.as_path();
+        let (exp, seed) = (self.exp.as_str(), self.opts.seed);
         if !self.audits.is_empty() {
-            write_audit(&self.exp, seed, &self.audits).expect("write audit");
+            write_runs(dir, "audit", "audit", exp, seed, &self.audits).expect("write audit");
         }
-        if !self.bench_entries.is_empty() {
-            write_bench(&self.exp, seed, &self.bench_entries).expect("write bench trajectory");
-        }
+        let mut series = Vec::new();
         match self.capture.as_mut() {
             Some(cap) => {
-                write_prof(&self.exp, seed, &prof, Some(&mut cap.reports)).expect("write prof");
-                write_telemetry(&self.exp, seed, &cap.reports).expect("write telemetry");
-                let mut series = std::mem::take(&mut cap.series);
-                series.append(&mut self.series);
-                if !series.is_empty() {
-                    write_timeseries(&self.exp, seed, &series).expect("write timeseries");
-                }
+                write_prof(dir, exp, seed, &prof, Some(&mut cap.reports)).expect("write prof");
+                write_telemetry(dir, exp, seed, &cap.reports).expect("write telemetry");
+                series.append(&mut cap.series);
             }
             None => {
-                write_prof(&self.exp, seed, &prof, None).expect("write prof");
-                if !self.series.is_empty() {
-                    write_timeseries(&self.exp, seed, &self.series).expect("write timeseries");
-                }
+                write_prof(dir, exp, seed, &prof, None).expect("write prof");
             }
+        }
+        series.append(&mut self.series);
+        if !series.is_empty() {
+            write_runs(dir, "timeseries", "series", exp, seed, &series).expect("write timeseries");
         }
     }
 }

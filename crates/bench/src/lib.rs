@@ -1,17 +1,22 @@
-//! Shared helpers for the experiment binaries and benchmarks.
+//! The experiment runner behind `gcopss-exp`: the [`EXPERIMENTS`] registry
+//! (one entry per table/figure of the paper), the [`ExpHarness`] every
+//! entry shares, and the `results/` document writers.
 
+pub mod exp;
 pub mod harness;
-pub mod trend;
 
+pub use exp::{Experiment, EXPERIMENTS};
 pub use harness::ExpHarness;
 
-use std::env;
+use std::iter::Peekable;
+use std::path::{Path, PathBuf};
+use std::slice::Iter;
 
 use gcopss_sim::json::{results_doc, write_results, Json};
 use gcopss_sim::prof::ProfReport;
 use gcopss_sim::TelemetryReport;
 
-/// Simple CLI options shared by every experiment binary.
+/// Options shared by every experiment.
 ///
 /// * `--full` — run at the paper's full scale (slow).
 /// * `--scale <f>` — scale the workload size by `f` (default varies per
@@ -25,37 +30,42 @@ pub struct ExpOptions {
     pub scale: f64,
     /// Master seed.
     pub seed: u64,
+    /// Directory every export lands in. No CLI flag: the default is the
+    /// tracked `results/`, and in-process callers (the schema test) point
+    /// it at a scratch directory instead.
+    pub out_dir: PathBuf,
 }
 
-impl ExpOptions {
-    /// Parses the process arguments (ignores unknown flags).
-    #[must_use]
-    pub fn from_args() -> Self {
-        let mut out = Self {
+impl Default for ExpOptions {
+    fn default() -> Self {
+        Self {
             full: false,
             scale: 1.0,
             seed: 42,
-        };
-        let args: Vec<String> = env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+            out_dir: PathBuf::from("results"),
+        }
+    }
+}
+
+impl ExpOptions {
+    /// Parses `[--full] [--scale f] [--seed n]` (ignores unknown flags).
+    #[must_use]
+    pub fn parse(args: &[String]) -> Self {
+        /// Consumes the next argument iff it parses as the flag's value.
+        fn value<T: std::str::FromStr>(args: &mut Peekable<Iter<'_, String>>) -> Option<T> {
+            let v = args.peek()?.parse().ok()?;
+            args.next();
+            Some(v)
+        }
+        let mut out = Self::default();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--full" => out.full = true,
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.scale = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.seed = v;
-                        i += 1;
-                    }
-                }
+                "--scale" => out.scale = value(&mut args).unwrap_or(out.scale),
+                "--seed" => out.seed = value(&mut args).unwrap_or(out.seed),
                 _ => {}
             }
-            i += 1;
         }
         out
     }
@@ -71,6 +81,13 @@ impl ExpOptions {
     }
 }
 
+/// Serializes `doc` to `<dir>/<file>` and returns the path written.
+pub(crate) fn write_doc(dir: &Path, file: &str, doc: &Json) -> std::io::Result<String> {
+    let path = dir.join(file).display().to_string();
+    write_results(&path, doc)?;
+    Ok(path)
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
@@ -79,8 +96,7 @@ pub fn header(title: &str) {
 /// Assembles the unified telemetry document for one experiment: per-run
 /// summaries plus a merged Chrome trace-event stream (one trace "process"
 /// per run, named by its label — open the file directly in Perfetto).
-#[must_use]
-pub fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> Json {
+fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> Json {
     let mut trace_events: Vec<Json> = Vec::new();
     for (pid, r) in reports.iter().enumerate() {
         if r.trace_events.is_empty() {
@@ -111,141 +127,45 @@ pub fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> Json
 
 /// Writes `results/telemetry_<exp>.json` and prints one line per run with
 /// its journal fingerprint (the determinism witness: equal seeds must
-/// produce equal fingerprints). Returns the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (`results/` not creatable, disk full, …).
-pub fn write_telemetry(
+/// produce equal fingerprints).
+pub(crate) fn write_telemetry(
+    dir: &Path,
     exp: &str,
     seed: u64,
     reports: &[TelemetryReport],
-) -> std::io::Result<String> {
-    let path = format!("results/telemetry_{exp}.json");
+) -> std::io::Result<()> {
     let doc = telemetry_json(exp, seed, reports);
-    write_results(&path, &doc)?;
+    let path = write_doc(dir, &format!("telemetry_{exp}.json"), &doc)?;
     println!();
     for r in reports {
         println!("telemetry run {:<14} journal fingerprint {:016x}", r.label, r.fingerprint);
     }
     println!("telemetry written to {path}");
-    Ok(path)
+    Ok(())
 }
 
-/// Writes `results/timeseries_<exp>.json`: one entry per run label, each
-/// carrying the run's captured time-series frames
-/// (see [`gcopss_sim::TimeSeries::to_json`]). Returns the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (`results/` not creatable, disk full, …).
-pub fn write_timeseries(
+/// Writes `results/<kind>_<exp>.json` (schema `gcopss-<kind>-v1`): one
+/// `{label, <key>: payload}` entry per run. Two documents have this shape:
+/// `timeseries` (key `series`: the run's captured frames, see
+/// [`gcopss_sim::TimeSeries::to_json`]) and `audit` (key `audit`: the
+/// delivery auditor's per-class accounting plus the lineage fingerprint).
+pub(crate) fn write_runs(
+    dir: &Path,
+    kind: &str,
+    key: &'static str,
     exp: &str,
     seed: u64,
-    series: &[(String, Json)],
-) -> std::io::Result<String> {
-    let path = format!("results/timeseries_{exp}.json");
-    let doc = results_doc(
-        "gcopss-timeseries-v1",
-        exp,
-        seed,
-        [(
-            "runs",
-            Json::arr(series.iter().map(|(label, s)| {
-                Json::obj([("label", Json::str(label.clone())), ("series", s.clone())])
-            })),
-        )],
-    );
-    write_results(&path, &doc)?;
-    println!("timeseries written to {path} ({} runs)", series.len());
-    Ok(path)
-}
-
-/// Writes `results/audit_<exp>.json`: the delivery auditor's per-class
-/// accounting plus the lineage fingerprint per run. Returns the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (`results/` not creatable, disk full, …).
-pub fn write_audit(exp: &str, seed: u64, runs: &[(String, Json)]) -> std::io::Result<String> {
-    let path = format!("results/audit_{exp}.json");
-    let doc = results_doc(
-        "gcopss-audit-v1",
-        exp,
-        seed,
-        [(
-            "runs",
-            Json::arr(runs.iter().map(|(label, a)| {
-                Json::obj([("label", Json::str(label.clone())), ("audit", a.clone())])
-            })),
-        )],
-    );
-    write_results(&path, &doc)?;
-    println!("audit written to {path} ({} runs)", runs.len());
-    Ok(path)
-}
-
-/// One measured benchmark for the `BENCH_*.json` perf trajectory.
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    /// Stable benchmark id (`structure/operation[/size]`).
-    pub id: String,
-    /// Median per-iteration cost in nanoseconds.
-    pub median_ns: f64,
-    /// Iterations the median was computed over.
-    pub iters: u64,
-}
-
-impl BenchEntry {
-    /// Convenience constructor.
-    #[must_use]
-    pub fn new(id: impl Into<String>, median_ns: f64, iters: u64) -> Self {
-        Self {
-            id: id.into(),
-            median_ns,
-            iters,
-        }
-    }
-}
-
-/// Writes `results/BENCH_<label>.json`: the machine-readable perf
-/// trajectory — per-benchmark median nanoseconds plus a fingerprint over
-/// the benchmark *identities* (FNV-1a of the newline-joined ids). The
-/// fingerprint pins the benchmark set, so two files are comparable iff
-/// their fingerprints match; timings are expected to vary run to run.
-/// Returns the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (`results/` not creatable, disk full, …).
-pub fn write_bench(label: &str, seed: u64, entries: &[BenchEntry]) -> std::io::Result<String> {
-    let path = format!("results/BENCH_{label}.json");
-    let ids: Vec<&str> = entries.iter().map(|e| e.id.as_str()).collect();
-    let fingerprint = gcopss_names::fnv1a(ids.join("\n").as_bytes());
-    let doc = results_doc(
-        "gcopss-bench-v1",
-        label,
-        seed,
-        [
-            (
-                "entries",
-                Json::arr(entries.iter().map(|e| {
-                    Json::obj([
-                        ("id", Json::str(e.id.clone())),
-                        ("median_ns", Json::Float(e.median_ns)),
-                        ("iters", Json::UInt(e.iters)),
-                    ])
-                })),
-            ),
-            ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-        ],
-    );
-    write_results(&path, &doc)?;
-    println!(
-        "bench trajectory written to {path} ({} entries, fingerprint {fingerprint:016x})",
-        entries.len()
-    );
-    Ok(path)
+    runs: &[(String, Json)],
+) -> std::io::Result<()> {
+    let entry = |(label, payload): &(String, Json)| {
+        Json::obj([("label", Json::str(label.clone())), (key, payload.clone())])
+    };
+    let schema = format!("gcopss-{kind}-v1");
+    let entries = Json::arr(runs.iter().map(entry));
+    let doc = results_doc(&schema, exp, seed, [("runs", entries)]);
+    let path = write_doc(dir, &format!("{kind}_{exp}.json"), &doc)?;
+    println!("{kind} written to {path} ({} runs)", runs.len());
+    Ok(())
 }
 
 /// Prints the hot-loop time-attribution table and writes
@@ -253,30 +173,25 @@ pub fn write_bench(label: &str, seed: u64, entries: &[BenchEntry]) -> std::io::R
 /// self-profile of this experiment run. When `merge_into` is given, the
 /// profile is also appended as a pseudo-run labeled `"prof"` whose Chrome
 /// trace spans land in the experiment's merged Perfetto file (pass the
-/// capture's report vector *before* `write_telemetry`). Returns the path
-/// written.
+/// capture's report vector *before* `write_telemetry`).
 ///
 /// The `count_fingerprint` in the file covers phase paths, call counts and
 /// deterministic counters only — never wall-clock times — so same-seed
 /// runs produce byte-identical `counts` sections.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (`results/` not creatable, disk full, …).
-pub fn write_prof(
+pub(crate) fn write_prof(
+    dir: &Path,
     exp: &str,
     seed: u64,
     report: &ProfReport,
     merge_into: Option<&mut Vec<TelemetryReport>>,
-) -> std::io::Result<String> {
+) -> std::io::Result<()> {
     header("Hot-loop time attribution (simulator self-profile)");
     print!("{}", report.table());
-    let path = format!("results/prof_{exp}.json");
     let mut doc = results_doc("gcopss-prof-v1", exp, seed, []);
     if let (Json::Object(pairs), Json::Object(fields)) = (&mut doc, report.to_json()) {
         pairs.extend(fields);
     }
-    write_results(&path, &doc)?;
+    let path = write_doc(dir, &format!("prof_{exp}.json"), &doc)?;
     println!(
         "prof written to {path} ({} phases, count fingerprint {:016x})",
         report.phases.len(),
@@ -300,7 +215,16 @@ pub fn write_prof(
             fingerprint: report.count_fingerprint(),
         });
     }
-    Ok(path)
+    Ok(())
+}
+
+/// Prints one line per automatic RP split (Table I and Fig. 5c).
+pub(crate) fn print_splits(splits: &[gcopss_core::SplitRecord]) {
+    for s in splits {
+        let moved: Vec<String> = s.moved.iter().map(ToString::to_string).collect();
+        let (at, from, to) = (s.at.as_secs_f64(), s.from_rp, s.to_rp);
+        println!("t={at:.2}s rp{from} -> rp{to}: moved {moved:?}");
+    }
 }
 
 /// Formats bytes as the paper's GB unit.
@@ -309,41 +233,15 @@ pub fn gb(bytes: u64) -> f64 {
     bytes as f64 / 1e9
 }
 
-/// Looks up a key in a JSON object (`None` for non-objects and missing
-/// keys).
-#[must_use]
-pub fn json_get<'a>(j: &'a Json, key: &str) -> Option<&'a Json> {
-    match j {
-        Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(j: &Json) -> u64 {
-    match j {
-        Json::UInt(v) => *v,
-        Json::Int(v) if *v >= 0 => *v as u64,
-        _ => 0,
-    }
-}
-
 /// Sums both directions of every per-link byte counter in a report's
 /// summary. `None` when the report carries no link table (e.g. the
 /// trace-characterization pseudo-run, which has no simulator).
 #[must_use]
 pub fn per_link_byte_sum(r: &TelemetryReport) -> Option<u64> {
-    let Json::Array(items) = json_get(&r.summary, "links")? else {
-        return None;
-    };
-    Some(
-        items
-            .iter()
-            .map(|l| {
-                as_u64(json_get(l, "bytes_ab").unwrap_or(&Json::Null))
-                    + as_u64(json_get(l, "bytes_ba").unwrap_or(&Json::Null))
-            })
-            .sum(),
-    )
+    let bytes = |l: &Json, key| l.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let links = r.summary.get("links")?.as_array()?;
+    let both_ways = |l: &Json| bytes(l, "bytes_ab") + bytes(l, "bytes_ba");
+    Some(links.iter().map(both_ways).sum())
 }
 
 #[cfg(test)]
@@ -353,17 +251,24 @@ mod tests {
     #[test]
     fn scaled_math() {
         let o = ExpOptions {
-            full: false,
             scale: 0.5,
-            seed: 1,
+            ..ExpOptions::default()
         };
         assert_eq!(o.scaled(100, 1000), 50);
-        let o = ExpOptions {
-            full: true,
-            scale: 0.5,
-            seed: 1,
-        };
+        let o = ExpOptions { full: true, ..o };
         assert_eq!(o.scaled(100, 1000), 1000);
         assert_eq!(gb(2_000_000_000), 2.0);
+    }
+
+    #[test]
+    fn parse_takes_values_only_when_they_parse() {
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let o = ExpOptions::parse(&args("--scale 0.2 --unknown --seed 7 --full"));
+        assert!(o.full && o.scale == 0.2 && o.seed == 7);
+        assert_eq!(o.out_dir, std::path::Path::new("results"));
+        // A flag whose value is missing or malformed keeps the default and
+        // does not swallow the next flag.
+        let o = ExpOptions::parse(&args("--scale --full --seed x"));
+        assert!(o.full && o.scale == 1.0 && o.seed == 42);
     }
 }

@@ -185,18 +185,6 @@ impl CopssEngine {
         self.st.matching_faces(cd, arrival, tree)
     }
 
-    /// Ground-truth variant of [`CopssEngine::multicast_faces`] (exact
-    /// sets, no Bloom false positives).
-    #[must_use]
-    pub fn multicast_faces_exact(
-        &self,
-        cd: &Cd,
-        arrival: Option<FaceId>,
-        tree: Option<RpId>,
-    ) -> Vec<FaceId> {
-        self.st.matching_faces_exact(cd, arrival, tree)
-    }
-
     /// The RP a publication to `cd` must be sent to (unique by
     /// prefix-freeness).
     #[must_use]

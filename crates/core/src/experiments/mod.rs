@@ -1,7 +1,7 @@
 //! Experiment drivers: one per table/figure of the paper's §V.
 //!
 //! Every driver is a pure function from a (scalable) configuration to
-//! structured results; the `gcopss-bench` binaries print them in the
+//! structured results; the `gcopss-exp` runner prints them in the
 //! paper's row/series format. All drivers are deterministic given their
 //! seeds.
 //!

@@ -4,9 +4,10 @@
 //! `DESIGN.md`), so there is no serde. Experiment results that need a
 //! machine-readable form use this module instead: a small value tree with
 //! a spec-compliant serializer. A matching recursive-descent parser
-//! ([`Json::parse`]) exists for the one consumer in the workspace —
-//! `bench_trend` reading archived `BENCH_*.json` files back — and accepts
-//! exactly the documents this writer produces plus ordinary whitespace.
+//! ([`Json::parse`]) reads exported documents back — for the export-schema
+//! gate (`crates/bench/tests/export_schemas.rs`) and the `benchmark/`
+//! package — and accepts exactly the documents this writer produces plus
+//! ordinary whitespace.
 //!
 //! # Example
 //!
@@ -550,7 +551,7 @@ mod tests {
     #[test]
     fn parse_round_trips_writer_output() {
         let j = Json::obj([
-            ("schema", Json::str("gcopss-bench-v1")),
+            ("schema", Json::str("gcopss-test-v1")),
             ("neg", Json::Int(-42)),
             ("big", Json::UInt(u64::MAX)),
             ("f", Json::Float(8.51)),
@@ -584,6 +585,36 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse(r#""\q""#).is_err());
         assert!(Json::parse(r#""\ud800""#).is_err(), "lone high surrogate");
+    }
+
+    #[test]
+    fn parse_reads_export_document_shapes() {
+        // The shapes the export-schema gate walks: objects nested inside
+        // arrays inside objects (runs -> series -> frames -> streams), empty
+        // containers, and floats in either notation.
+        let text = r#"{"runs":[{"label":"rp-adaptive","series":{"tick_ns":250000000,
+            "frames":[{"t_ns":1,"counters":{},"per_node":[],
+                       "streams":{"rolls":2,"windowed":{"rate":1e-9},"sketches":[]}}]}}],
+            "coverage":9.5E-1,"big":2.5e+3,"neg":-1.5e-3}"#;
+        let j = Json::parse(text).unwrap();
+        let run = &j.get("runs").unwrap().as_array().unwrap()[0];
+        let frames = run.get("series").unwrap().get("frames").unwrap();
+        let frame = &frames.as_array().unwrap()[0];
+        assert_eq!(frame.get("counters"), Some(&Json::Object(vec![])));
+        assert_eq!(frame.get("per_node"), Some(&Json::arr([])));
+        let streams = frame.get("streams").unwrap();
+        assert_eq!(streams.get("rolls").unwrap().as_u64(), Some(2));
+        let windowed = streams.get("windowed").unwrap();
+        assert_eq!(windowed.get("rate"), Some(&Json::Float(1e-9)));
+        assert_eq!(j.get("coverage").unwrap().as_f64(), Some(0.95));
+        assert_eq!(j.get("big").unwrap().as_u64(), Some(2500));
+        assert_eq!(j.get("neg").unwrap().as_f64(), Some(-0.0015));
+        // The writer never emits an exponent (tiny floats come back as
+        // plain decimals) and prints whole floats without a fraction (2.5e+3
+        // comes back as the integer 2500), so the text is the fixed point.
+        assert_eq!(Json::Float(1e-9).to_string(), "0.000000001");
+        let written = j.to_string();
+        assert_eq!(Json::parse(&written).unwrap().to_string(), written);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! the same seed produce byte-identical exports (fingerprints included).
 //!
 //! Telemetry is off by default and the disabled path is a single branch on
-//! [`Telemetry::is_enabled`]; `crates/bench/benches/microbenchmarks.rs` has
-//! a `telemetry/` group demonstrating the overhead is negligible.
+//! [`Telemetry::is_enabled`]; the benchmark's `sim.telemetry.added_s` layer
+//! probe (`benchmark/README.md`) measures what switching it on costs.
 
 use crate::json::Json;
 use crate::{SimDuration, SimTime, Topology};

@@ -18,28 +18,16 @@ fi
 
 mkdir -p results
 ARGS="${1:-}"
-for exp in trace_stats fig4 table1 fig5 fig6 table2 table3 ablation failover audit scale rejoin overload adaptive; do
-    echo ">>> exp_${exp} ${ARGS}"
-    cargo run --release --offline -p gcopss-bench --bin "exp_${exp}" -- ${ARGS} \
-        | tee "results/exp_${exp}.txt"
+exp() { cargo run --release --offline -q -p gcopss-bench --bin gcopss-exp -- "$@"; }
+for name in $(exp --list); do
+    echo ">>> gcopss-exp ${name} ${ARGS}"
+    exp "${name}" ${ARGS} | tee "results/exp_${name}.txt"
 done
-echo ">>> bench_trend"
-cargo run --release --offline -p gcopss-bench --bin bench_trend || {
-    echo "error: bench_trend reports a median regression past threshold;" >&2
-    echo "see results/BENCH_TREND.json (EXPERIMENTS.md \"Bench trend\")." >&2
-    exit 1
-}
-
-# Surface the perf trajectory at the tracked repo-root path: the canonical
-# copies land in results/ (and the append-only archive in
-# results/bench_history/); the root copies are what external trackers read.
-cp results/BENCH_*.json .
 
 echo "All experiment outputs written to results/"
-echo "Perf-trajectory documents (BENCH_*.json) synced to the repo root."
 echo "Telemetry (per-run counters, histograms and Chrome trace journals)"
 echo "is in results/telemetry_*.json — open in https://ui.perfetto.dev;"
 echo "see EXPERIMENTS.md \"Telemetry outputs\"."
-echo "Self-profiles (hot-loop time attribution) are in results/prof_*.json;"
-echo "bench history + trend gate output in results/bench_history/ and"
-echo "results/BENCH_TREND.json — see EXPERIMENTS.md \"Profile outputs\"."
+echo "Self-profiles (hot-loop time attribution) are in results/prof_*.json"
+echo "— see EXPERIMENTS.md \"Profile outputs\". Host-time and exact-cost"
+echo "regression numbers come from the benchmark: see benchmark/README.md."
