@@ -122,7 +122,7 @@ impl RpTable {
     /// is prefix-free, at most one served prefix covers `cd`.
     #[must_use]
     pub fn rp_for(&self, cd: &Name) -> Option<RpId> {
-        self.served.longest_prefix(cd).map(|(_, rp)| *rp)
+        self.served.longest_prefix_level(cd).map(|(_, rp)| *rp)
     }
 
     /// The served prefix covering `cd`, with its RP.

@@ -70,7 +70,7 @@ impl SubEntry {
 ///
 /// * a **shared match index** — one [`NameTreeBitmap`] over all faces'
 ///   subscription names, each node holding the per-face anchor entries for
-///   that exact name. [`SubscriptionTable::matching_faces`] walks the
+///   that exact name. [`SubscriptionTable::matching_faces_into`] walks the
 ///   packet's CD down this index using the precomputed per-level hashes it
 ///   carries (§III-C), so the cost of a match is `O(depth)` regardless of
 ///   how many faces or subscriptions the table holds;
@@ -246,20 +246,24 @@ impl SubscriptionTable {
         }
     }
 
-    /// The faces a multicast with CD `cd` travelling tree `tree` must be
-    /// forwarded to, excluding `arrival`. Walks the shared index down the
-    /// packet's precomputed per-level hashes — `O(depth)` bitmap descents,
-    /// independent of table size — and applies the exact tree-membership
-    /// check at each stored prefix. `tree = None` matches any tree
-    /// (host-side and hybrid tables).
-    #[must_use]
-    pub fn matching_faces(
+    /// Writes the faces a multicast with CD `cd` travelling tree `tree` must
+    /// be forwarded to, excluding `arrival`, into `out` — sorted, without
+    /// duplicates, replacing whatever `out` held. Walks the shared index
+    /// down the packet's precomputed per-level hashes — `O(depth)` bitmap
+    /// descents, independent of table size — and applies the exact
+    /// tree-membership check at each stored prefix. `tree = None` matches
+    /// any tree (host-side and hybrid tables).
+    ///
+    /// Allocates only while `out` grows: a forwarder that keeps its buffer
+    /// across packets matches without touching the heap.
+    pub fn matching_faces_into(
         &self,
         cd: &Cd,
         arrival: Option<FaceId>,
         tree: Option<RpId>,
-    ) -> Vec<FaceId> {
-        let mut out: Vec<FaceId> = Vec::new();
+        out: &mut Vec<FaceId>,
+    ) {
+        out.clear();
         for (_, face_map) in self
             .index
             .prefix_values_hashed(cd.name(), cd.hashes().as_slice())
@@ -272,6 +276,18 @@ impl SubscriptionTable {
         }
         out.sort_unstable();
         out.dedup();
+    }
+
+    /// [`SubscriptionTable::matching_faces_into`] a fresh vector.
+    #[must_use]
+    pub fn matching_faces(
+        &self,
+        cd: &Cd,
+        arrival: Option<FaceId>,
+        tree: Option<RpId>,
+    ) -> Vec<FaceId> {
+        let mut out = Vec::new();
+        self.matching_faces_into(cd, arrival, tree, &mut out);
         out
     }
 
@@ -383,7 +399,6 @@ impl SubscriptionTable {
     pub fn any_subscriber_covering(&self, cd: &Name, excluding: Option<FaceId>) -> bool {
         self.index
             .prefix_values(cd)
-            .iter()
             .any(|(_, m)| m.keys().any(|f| Some(*f) != excluding))
     }
 

@@ -53,7 +53,13 @@ impl TrafficWindow {
                 }
             }
         }
-        *self.counts.entry(cd.clone()).or_insert(0) += 1;
+        // Not `entry(cd.clone())`: a CD already in the window costs no copy.
+        match self.counts.get_mut(&cd) {
+            Some(c) => *c += 1,
+            None => {
+                self.counts.insert(cd.clone(), 1);
+            }
+        }
         self.window.push_back(cd);
     }
 

@@ -144,6 +144,9 @@ fn index_match_identical_to_exact_under_churn() {
                 .map(|p| p.child(Component::new("x").unwrap()))
                 .collect();
             probes.extend(deeper);
+            // The forwarder's buffer, reused across every probe and dirty on
+            // first use: the in-place matcher must replace, not append.
+            let mut reused = vec![FaceId(77), FaceId(3), FaceId(77)];
             for probe in &probes {
                 let cd = Cd::new(probe.clone());
                 for tree in [None, Some(RpId(0)), Some(RpId(1)), Some(RpId(2))] {
@@ -153,6 +156,11 @@ fn index_match_identical_to_exact_under_churn() {
                             st.matching_faces(&cd, arrival, tree),
                             exact,
                             "index path diverged at cd={probe} tree={tree:?} arrival={arrival:?}"
+                        );
+                        st.matching_faces_into(&cd, arrival, tree, &mut reused);
+                        assert_eq!(
+                            reused, exact,
+                            "in-place path diverged at cd={probe} tree={tree:?} arrival={arrival:?}"
                         );
                         assert_eq!(
                             st.matching_faces_bloom(&cd, arrival, tree),

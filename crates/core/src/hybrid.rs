@@ -26,8 +26,8 @@ use crate::router::FaceMap;
 /// extra machinery.
 #[must_use]
 pub fn group_of(cd: &Name, group_count: u32) -> u32 {
-    let level1 = if cd.is_empty() { cd.clone() } else { cd.prefix(1) };
-    (level1.stable_hash() % u64::from(group_count.max(1))) as u32
+    let level1 = cd.prefix_hash(cd.len().min(1));
+    (level1 % u64::from(group_count.max(1))) as u32
 }
 
 /// The groups a *subscription* to `cd` must join: one group for a
@@ -77,35 +77,23 @@ impl McastGroups {
 /// shortest paths; multicast packets are forwarded along the implicit
 /// shortest-path tree, duplicating only where next hops diverge.
 pub fn route_ip_at_router(ctx: &mut Ctx<'_, GPacket, GameWorld>, ip: IpPacket) {
-    match ip {
-        IpPacket::ToServer { server, .. } => {
-            let g = GPacket::Ip(ip.clone());
-            let size = g.wire_size();
-            if ctx.send_toward(server, g, size).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
-            }
-            let _ = ip;
-        }
-        IpPacket::ToClient { client, .. } => {
-            let g = GPacket::Ip(ip.clone());
-            let size = g.wire_size();
-            if ctx.send_toward(client, g, size).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
-            }
-        }
-        IpPacket::Hello { server, .. } => {
-            let g = GPacket::Ip(ip.clone());
-            let size = g.wire_size();
-            if ctx.send_toward(server, g, size).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
-            }
-        }
+    let dst = match ip {
+        IpPacket::ToServer { server, .. } | IpPacket::Hello { server, .. } => server,
+        IpPacket::ToClient { client, .. } => client,
         IpPacket::Mcast { group, dsts, inner } => {
             forward_mcast(ctx, group, &dsts, inner);
+            return;
         }
+    };
+    let g = GPacket::Ip(ip);
+    let size = g.wire_size();
+    if ctx.send_toward(dst, g, size).is_none() {
+        ctx.emit(
+            gcopss_sim::TraceEvent::Drop,
+            crate::drops::IP_NO_ROUTE,
+            size,
+        );
+        ctx.world().bump(crate::drops::IP_NO_ROUTE);
     }
 }
 

@@ -307,7 +307,11 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
         ctx.world().metrics.publish(id, self.player, now);
         let g = GPacket::Ip(IpPacket::ToServer {
             server,
-            update: IpUpdate { id, cd, size },
+            update: IpUpdate {
+                id,
+                cd: Arc::new(cd),
+                size,
+            },
         });
         let wire = g.wire_size();
         ctx.send(self.edge, g, wire);

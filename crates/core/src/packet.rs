@@ -29,8 +29,9 @@ pub struct IpUpdate {
     /// Publication id (same id space as G-COPSS multicasts).
     pub id: u64,
     /// The leaf CD (area) the update pertains to; the server uses it to
-    /// find the interested players.
-    pub cd: gcopss_names::Name,
+    /// find the interested players. Shared, so the server's per-recipient
+    /// copy and every router hop cost a refcount, not a name.
+    pub cd: Arc<gcopss_names::Name>,
     /// Update payload size in bytes.
     pub size: u32,
 }
@@ -295,7 +296,7 @@ mod tests {
                 server: NodeId(0),
                 update: IpUpdate {
                     id: 1,
-                    cd: Name::parse_lit("/1/2"),
+                    cd: Name::parse_lit("/1/2").into(),
                     size: 100,
                 },
             }),
@@ -331,7 +332,11 @@ mod tests {
             .lineage_id(),
             Some(77)
         );
-        let u = IpUpdate { id: 9, cd: Name::parse_lit("/1"), size: 4 };
+        let u = IpUpdate {
+            id: 9,
+            cd: Name::parse_lit("/1").into(),
+            size: 4,
+        };
         assert_eq!(
             GPacket::Ip(IpPacket::ToServer { server: NodeId(0), update: u.clone() })
                 .lineage_id(),

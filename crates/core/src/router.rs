@@ -163,6 +163,13 @@ pub struct GCopssRouter {
     /// Hysteresis state of stream-driven RP balancing; inert unless
     /// `SimParams::rp_adaptive` is set *and* the stream hub is enabled.
     adaptive: AdaptiveTrigger,
+    /// The `/rp/<id>` FIB key of every RP this router has forwarded toward,
+    /// built once per RP instead of once per `ToRp` hop.
+    rp_prefixes: BTreeMap<RpId, Name>,
+    /// [`GCopssRouter::multicast`]'s face buffers (tree-matched and
+    /// name-matched), kept so a multicast hop reuses their capacity.
+    tree_faces: Vec<FaceId>,
+    named_faces: Vec<FaceId>,
 }
 
 /// Per-router state of the adaptive split trigger (see
@@ -203,7 +210,7 @@ const CS_PREFIX_DEPTH: usize = 3;
 /// with the broker so producer-side popularity and router-side hit-rate
 /// streams key the same prefix identically.
 pub(crate) fn cs_prefix_key(name: &Name) -> u64 {
-    name.prefix(name.len().min(CS_PREFIX_DEPTH)).stable_hash()
+    name.prefix_hash(name.len().min(CS_PREFIX_DEPTH))
 }
 
 impl GCopssRouter {
@@ -248,6 +255,9 @@ impl GCopssRouter {
             sweep_armed: false,
             refresh_rng: None,
             adaptive: AdaptiveTrigger::default(),
+            rp_prefixes: BTreeMap::new(),
+            tree_faces: Vec::new(),
+            named_faces: Vec::new(),
         }
     }
 
@@ -292,11 +302,15 @@ impl GCopssRouter {
     }
 
     /// The next-hop face toward an RP, via the NDN FIB entry `/rp/<id>`.
-    fn face_toward_rp(&self, rp: RpId) -> Option<FaceId> {
+    fn face_toward_rp(&mut self, rp: RpId) -> Option<FaceId> {
         let _lpm = prof::scope("ndn/fib_lpm");
+        let prefix = self
+            .rp_prefixes
+            .entry(rp)
+            .or_insert_with(|| rp.ndn_prefix());
         self.ndn
             .fib()
-            .lookup(&rp.ndn_prefix())
+            .lookup(prefix)
             .and_then(|faces| faces.first().copied())
     }
 
@@ -380,15 +394,20 @@ impl GCopssRouter {
     /// faces are leaves and are matched by name alone, so subscribers keep
     /// receiving from a draining old tree during RP moves.
     fn multicast(
-        &self,
+        &mut self,
         ctx: &mut Ctx<'_, GPacket, GameWorld>,
         m: &MulticastPacket,
         arrival: Option<FaceId>,
     ) {
-        let st = prof::scope("copss/st_match");
-        let mut faces = self.copss.multicast_faces(&m.cd, arrival, m.tree);
+        let st_scope = prof::scope("copss/st_match");
+        // Taken for the call (the sends below borrow `self`), put back after.
+        let mut faces = std::mem::take(&mut self.tree_faces);
+        let mut named = std::mem::take(&mut self.named_faces);
+        let st = self.copss.st();
+        st.matching_faces_into(&m.cd, arrival, m.tree, &mut faces);
         if m.tree.is_some() {
-            for face in self.copss.multicast_faces(&m.cd, arrival, None) {
+            st.matching_faces_into(&m.cd, arrival, None, &mut named);
+            for &face in &named {
                 if faces.contains(&face) {
                     continue;
                 }
@@ -400,10 +419,12 @@ impl GCopssRouter {
                 }
             }
         }
-        drop(st);
-        for face in faces {
+        drop(st_scope);
+        for &face in &faces {
             self.send_copss(ctx, face, CopssPacket::Multicast(m.clone()));
         }
+        self.tree_faces = faces;
+        self.named_faces = named;
     }
 
     /// Serves a publication as the responsible RP: decapsulate, tag with

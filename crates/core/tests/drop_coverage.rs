@@ -333,7 +333,7 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
         client: dead,
         update: IpUpdate {
             id: INJECT_ID,
-            cd: Name::parse_lit("/1/1"),
+            cd: Name::parse_lit("/1/1").into(),
             size: 64,
         },
     });

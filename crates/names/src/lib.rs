@@ -62,7 +62,7 @@ pub use component::Component;
 pub use error::ParseNameError;
 pub use name::{Name, Prefixes};
 pub use tree::NameTree;
-pub use tree_bitmap::NameTreeBitmap;
+pub use tree_bitmap::{NameTreeBitmap, PrefixValues};
 
 /// Stable 64-bit FNV-1a hash used everywhere a deterministic, seed-free hash
 /// of name data is required (Bloom filters, CD hash chains, hybrid

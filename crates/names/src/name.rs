@@ -1,8 +1,8 @@
 //! NDN-style hierarchical names.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
-
 
 use crate::{fnv1a, fnv1a_extend, Component, ParseNameError};
 
@@ -208,11 +208,20 @@ impl Name {
     /// [`Name::hash_chain`]).
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
-        let mut h = fnv1a(b"");
-        for c in &self.components {
-            h = fnv1a_extend(h, c.as_bytes());
-        }
-        h
+        self.prefix_hash(self.components.len())
+    }
+
+    /// Returns the stable hash of the prefix with `levels` components
+    /// (element `levels` of [`Name::hash_chain`]) without building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels > self.len()`.
+    #[must_use]
+    pub fn prefix_hash(&self, levels: usize) -> u64 {
+        self.components[..levels]
+            .iter()
+            .fold(fnv1a(b""), |h, c| fnv1a_extend(h, c.as_bytes()))
     }
 
     /// Approximate encoded size of this name on the wire, in bytes (one byte
@@ -261,6 +270,16 @@ impl FromStr for Name {
             .map(Component::new)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { components })
+    }
+}
+
+/// A name hashes, compares and orders exactly like its component slice (the
+/// derives above go through the one `Vec<Component>` field), so a map keyed
+/// by `Name` can be probed with any `&name.components()[..k]` — every prefix
+/// of a name, without building a `Name` per level.
+impl Borrow<[Component]> for Name {
+    fn borrow(&self) -> &[Component] {
+        &self.components
     }
 }
 
@@ -405,7 +424,27 @@ mod tests {
         assert_eq!(chain.len(), 4);
         for (i, p) in n.prefixes().enumerate() {
             assert_eq!(chain[i], p.stable_hash());
+            assert_eq!(chain[i], n.prefix_hash(i));
         }
+    }
+
+    #[test]
+    fn borrowed_component_slices_key_like_names() {
+        use std::collections::hash_map::{DefaultHasher, HashMap};
+        use std::hash::{Hash, Hasher};
+        fn h<T: Hash + ?Sized>(t: &T) -> u64 {
+            let mut s = DefaultHasher::new();
+            t.hash(&mut s);
+            s.finish()
+        }
+        let n = Name::parse_lit("/snapshot/1/3/obj");
+        let map: HashMap<Name, usize> = n.prefixes().map(|p| (p.clone(), p.len())).collect();
+        for k in 0..=n.len() {
+            let slice = &n.components()[..k];
+            assert_eq!(h(&n.prefix(k)), h(slice));
+            assert_eq!(map.get(slice), Some(&k));
+        }
+        assert_eq!(map.get(Name::parse_lit("/snapshot/2").components()), None);
     }
 
     #[test]

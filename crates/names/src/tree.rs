@@ -146,6 +146,15 @@ impl<T> NameTree<T> {
     /// This is the FIB lookup operation of NDN.
     #[must_use]
     pub fn longest_prefix(&self, name: &Name) -> Option<(Name, &T)> {
+        self.longest_prefix_level(name)
+            .map(|(level, v)| (name.prefix(level), v))
+    }
+
+    /// [`NameTree::longest_prefix`] reporting the matched prefix by its
+    /// number of components instead of materializing it — the form for
+    /// per-packet lookups, which allocates nothing.
+    #[must_use]
+    pub fn longest_prefix_level(&self, name: &Name) -> Option<(usize, &T)> {
         let mut best: Option<(usize, &T)> = None;
         let mut node = &self.root;
         if let Some(v) = &node.value {
@@ -162,7 +171,7 @@ impl<T> NameTree<T> {
                 None => break,
             }
         }
-        best.map(|(depth, v)| (name.prefix(depth), v))
+        best
     }
 
     /// Returns every `(prefix, value)` along the path from the root to

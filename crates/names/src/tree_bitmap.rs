@@ -408,27 +408,14 @@ impl<T> NameTreeBitmap<T> {
 
     /// Longest-prefix match: the deepest `(prefix, value)` such that
     /// `prefix.is_prefix_of(name)` and a value is stored at `prefix`.
+    ///
+    /// Materializes the matched prefix; a caller that only wants the value
+    /// takes `prefix_values(name).last()` and allocates nothing.
     #[must_use]
     pub fn longest_prefix(&self, name: &Name) -> Option<(Name, &T)> {
-        let mut best: Option<(usize, &T)> = None;
-        let mut node = &self.root;
-        let mut hash = fnv1a(b"");
-        if let Some(v) = &node.value {
-            best = Some((0, v));
-        }
-        for (depth, c) in name.components().iter().enumerate() {
-            hash = fnv1a_extend(hash, c.as_bytes());
-            match node.children.child(hash, 0, c) {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = &node.value {
-                        best = Some((depth + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(depth, v)| (name.prefix(depth), v))
+        self.prefix_values(name)
+            .last()
+            .map(|(level, v)| (name.prefix(level), v))
     }
 
     /// [`NameTreeBitmap::longest_prefix`] with the hash chain precomputed by
@@ -440,50 +427,19 @@ impl<T> NameTreeBitmap<T> {
     /// Panics if `chain` is shorter than `name.len() + 1`.
     #[must_use]
     pub fn longest_prefix_hashed(&self, name: &Name, chain: &[u64]) -> Option<(Name, &T)> {
-        assert!(chain.len() > name.len(), "hash chain shorter than name");
-        let mut best: Option<(usize, &T)> = None;
-        let mut node = &self.root;
-        if let Some(v) = &node.value {
-            best = Some((0, v));
-        }
-        for (depth, c) in name.components().iter().enumerate() {
-            match node.children.child(chain[depth + 1], 0, c) {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = &node.value {
-                        best = Some((depth + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(depth, v)| (name.prefix(depth), v))
+        self.prefix_values_hashed(name, chain)
+            .last()
+            .map(|(level, v)| (name.prefix(level), v))
     }
 
     /// Every stored `(level, value)` along the path from the root to `name`,
-    /// shallowest first. `level` is the number of components of the stored
-    /// prefix; materialize it with `name.prefix(level)` when needed.
+    /// shallowest first, walked lazily: nothing is collected, and the walk
+    /// stops descending as soon as the iterator is dropped. `level` is the
+    /// number of components of the stored prefix; materialize it with
+    /// `name.prefix(level)` when needed.
     #[must_use]
-    pub fn prefix_values<'a>(&'a self, name: &Name) -> Vec<(usize, &'a T)> {
-        let mut out = Vec::new();
-        let mut node = &self.root;
-        let mut hash = fnv1a(b"");
-        if let Some(v) = &node.value {
-            out.push((0, v));
-        }
-        for (depth, c) in name.components().iter().enumerate() {
-            hash = fnv1a_extend(hash, c.as_bytes());
-            match node.children.child(hash, 0, c) {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = &node.value {
-                        out.push((depth + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        out
+    pub fn prefix_values<'t, 'n>(&'t self, name: &'n Name) -> PrefixValues<'t, 'n, T> {
+        self.walk(name, LevelHash::Running(fnv1a(b"")))
     }
 
     /// [`NameTreeBitmap::prefix_values`] with a precomputed hash chain — the
@@ -493,25 +449,22 @@ impl<T> NameTreeBitmap<T> {
     ///
     /// Panics if `chain` is shorter than `name.len() + 1`.
     #[must_use]
-    pub fn prefix_values_hashed<'a>(&'a self, name: &Name, chain: &[u64]) -> Vec<(usize, &'a T)> {
+    pub fn prefix_values_hashed<'t, 'n>(
+        &'t self,
+        name: &'n Name,
+        chain: &'n [u64],
+    ) -> PrefixValues<'t, 'n, T> {
         assert!(chain.len() > name.len(), "hash chain shorter than name");
-        let mut out = Vec::new();
-        let mut node = &self.root;
-        if let Some(v) = &node.value {
-            out.push((0, v));
+        self.walk(name, LevelHash::Chain(chain))
+    }
+
+    fn walk<'t, 'n>(&'t self, name: &'n Name, hash: LevelHash<'n>) -> PrefixValues<'t, 'n, T> {
+        PrefixValues {
+            node: Some(&self.root),
+            level: 0,
+            components: name.components(),
+            hash,
         }
-        for (depth, c) in name.components().iter().enumerate() {
-            match node.children.child(chain[depth + 1], 0, c) {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = &node.value {
-                        out.push((depth + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        out
     }
 
     /// Every stored `(prefix, value)` along the path from the root to
@@ -520,7 +473,6 @@ impl<T> NameTreeBitmap<T> {
     #[must_use]
     pub fn all_prefixes(&self, name: &Name) -> Vec<(Name, &T)> {
         self.prefix_values(name)
-            .into_iter()
             .map(|(level, v)| (name.prefix(level), v))
             .collect()
     }
@@ -578,6 +530,57 @@ impl<T> NameTreeBitmap<T> {
             });
         }
         rec(&mut self.root, &Name::root(), &mut f);
+    }
+}
+
+/// Where a [`PrefixValues`] walk takes each level's cumulative prefix hash
+/// from.
+#[derive(Debug, Clone)]
+enum LevelHash<'n> {
+    /// Extended component by component as the walk descends; holds the
+    /// hash of the prefix reached so far.
+    Running(u64),
+    /// Precomputed by the first-hop router: `chain[i]` is the hash of the
+    /// prefix with `i` components.
+    Chain(&'n [u64]),
+}
+
+/// The lazy walk over every stored prefix of a name, shallowest first.
+///
+/// Produced by [`NameTreeBitmap::prefix_values`] and
+/// [`NameTreeBitmap::prefix_values_hashed`]; yields `(level, value)`.
+#[derive(Debug, Clone)]
+pub struct PrefixValues<'t, 'n, T> {
+    /// The node at `level`, not yet inspected; `None` once the name ran out
+    /// or left the tree.
+    node: Option<&'t Node<T>>,
+    level: usize,
+    components: &'n [Component],
+    hash: LevelHash<'n>,
+}
+
+impl<'t, T> Iterator for PrefixValues<'t, '_, T> {
+    type Item = (usize, &'t T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let node = self.node?;
+            let level = self.level;
+            self.node = self.components.get(level).and_then(|c| {
+                let hash = match &mut self.hash {
+                    LevelHash::Running(h) => {
+                        *h = fnv1a_extend(*h, c.as_bytes());
+                        *h
+                    }
+                    LevelHash::Chain(chain) => chain[level + 1],
+                };
+                node.children.child(hash, 0, c)
+            });
+            self.level += 1;
+            if let Some(v) = &node.value {
+                return Some((level, v));
+            }
+        }
     }
 }
 
@@ -666,10 +669,9 @@ mod tests {
                 t.longest_prefix(&probe),
                 t.longest_prefix_hashed(&probe, &chain)
             );
-            assert_eq!(
-                t.prefix_values(&probe),
-                t.prefix_values_hashed(&probe, &chain)
-            );
+            assert!(t
+                .prefix_values(&probe)
+                .eq(t.prefix_values_hashed(&probe, &chain)));
         }
     }
 

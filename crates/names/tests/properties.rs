@@ -207,7 +207,7 @@ fn tree_bitmap_agrees_with_nametree_under_churn() {
         );
         assert_eq!(
             bitmap.all_prefixes(&probe).len(),
-            bitmap.prefix_values_hashed(&probe, &chain).len()
+            bitmap.prefix_values_hashed(&probe, &chain).count()
         );
 
         let d_ref: Vec<(Name, u32)> = reference
@@ -223,6 +223,52 @@ fn tree_bitmap_agrees_with_nametree_under_churn() {
         assert_eq!(d_bitmap, d_ref, "descendant order of {probe} diverged");
         assert_eq!(bitmap.count_under(&probe), d_ref.len());
     });
+}
+
+/// Raw name of 0–4 one- or two-character components over four symbols, so
+/// stored names nest, share prefixes and collide on whole components
+/// constantly ("1" vs "12" vs "1/2"). Length 0 generates the root name.
+fn tricky_name_strategy() -> impl Strategy<Value = Vec<String>> {
+    prop::vec(prop::string("ab12", 1..=2), 0..=4)
+}
+
+/// The lazy prefix walk yields exactly what the collecting walk it replaced
+/// returned — every stored prefix of the probe with its level, shallowest
+/// first — with and without the precomputed chain, and stopping early
+/// yields a prefix of that list.
+#[test]
+fn lazy_prefix_walk_equals_collected_result() {
+    let entries = prop::vec(
+        (tricky_name_strategy(), prop::range(0u32..=u32::MAX)),
+        0..=31,
+    );
+    prop::check(
+        0x6f0e,
+        CASES,
+        &(entries, tricky_name_strategy()),
+        |(raw, probe_parts)| {
+            let bitmap: NameTreeBitmap<u32> = raw.iter().map(|(k, v)| (name(k), *v)).collect();
+            let probe = name(probe_parts);
+            let chain = probe.hash_chain();
+            let collected: Vec<(usize, u32)> = (0..=probe.len())
+                .filter_map(|level| bitmap.get(&probe.prefix(level)).map(|v| (level, *v)))
+                .collect();
+            let walk = || bitmap.prefix_values(&probe).map(|(l, v)| (l, *v));
+            let hashed = || {
+                bitmap
+                    .prefix_values_hashed(&probe, &chain)
+                    .map(|(l, v)| (l, *v))
+            };
+            assert_eq!(walk().collect::<Vec<_>>(), collected, "probe {probe}");
+            assert_eq!(hashed().collect::<Vec<_>>(), collected, "probe {probe}");
+            for k in 0..=collected.len() {
+                assert_eq!(walk().take(k).collect::<Vec<_>>(), collected[..k]);
+                assert_eq!(hashed().take(k).collect::<Vec<_>>(), collected[..k]);
+            }
+            let deepest = collected.last().map(|&(l, v)| (probe.prefix(l), v));
+            assert_eq!(bitmap.longest_prefix(&probe).map(|(p, v)| (p, *v)), deepest);
+        },
+    );
 }
 
 #[test]

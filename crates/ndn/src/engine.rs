@@ -129,15 +129,10 @@ impl NdnEngine {
             self.dropped_interests += 1;
             return Vec::new();
         };
-        faces
-            .iter()
-            .copied()
-            .filter(|f| *f != face)
-            .map(|f| NdnAction::SendInterest {
-                face: f,
-                interest: interest.clone(),
-            })
-            .collect()
+        let upstream = faces.iter().copied().filter(|f| *f != face);
+        fan_out(upstream, interest, |face, interest| {
+            NdnAction::SendInterest { face, interest }
+        })
     }
 
     /// Processes a Data packet arriving on `face` at `now_ns`.
@@ -154,14 +149,11 @@ impl NdnEngine {
             return Vec::new();
         }
         self.cs.insert(now_ns, data.clone());
-        downstream
-            .into_iter()
-            .filter(|f| *f != face)
-            .map(|f| NdnAction::SendData {
-                face: f,
-                data: data.clone(),
-            })
-            .collect()
+        let downstream = downstream.into_iter().filter(|f| *f != face);
+        fan_out(downstream, data, |face, data| NdnAction::SendData {
+            face,
+            data,
+        })
     }
 
     /// Registers content produced locally (e.g. by a broker application
@@ -170,13 +162,9 @@ impl NdnEngine {
     pub fn publish_local(&mut self, now_ns: u64, data: Data) -> Vec<NdnAction> {
         let downstream = self.pit.consume(now_ns, &data.name);
         self.cs.insert(now_ns, data.clone());
-        downstream
-            .into_iter()
-            .map(|f| NdnAction::SendData {
-                face: f,
-                data: data.clone(),
-            })
-            .collect()
+        fan_out(downstream.into_iter(), data, |face, data| {
+            NdnAction::SendData { face, data }
+        })
     }
 
     /// Garbage-collects expired PIT entries.
@@ -189,6 +177,25 @@ impl NdnEngine {
     pub fn has_route(&self, name: &Name) -> bool {
         self.fib.lookup(name).is_some()
     }
+}
+
+/// One action per face, each carrying `pkt`: every face but the last gets a
+/// clone, the last takes the packet itself.
+fn fan_out<P: Clone>(
+    faces: impl Iterator<Item = FaceId>,
+    pkt: P,
+    action: impl Fn(FaceId, P) -> NdnAction,
+) -> Vec<NdnAction> {
+    let mut faces = faces.peekable();
+    let mut out = Vec::new();
+    while let Some(face) = faces.next() {
+        if faces.peek().is_none() {
+            out.push(action(face, pkt));
+            break;
+        }
+        out.push(action(face, pkt.clone()));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -78,7 +78,8 @@ impl Fib {
     #[must_use]
     pub fn lookup(&self, name: &Name) -> Option<&[FaceId]> {
         self.entries
-            .longest_prefix(name)
+            .prefix_values(name)
+            .last()
             .map(|(_, faces)| faces.as_slice())
     }
 
@@ -93,7 +94,8 @@ impl Fib {
     #[must_use]
     pub fn lookup_hashed(&self, name: &Name, chain: &[u64]) -> Option<&[FaceId]> {
         self.entries
-            .longest_prefix_hashed(name, chain)
+            .prefix_values_hashed(name, chain)
+            .last()
             .map(|(_, faces)| faces.as_slice())
     }
 

@@ -98,8 +98,10 @@ impl Pit {
     /// deterministic order).
     pub fn consume(&mut self, now_ns: u64, data_name: &Name) -> Vec<FaceId> {
         let mut faces = Vec::new();
-        for prefix in data_name.prefixes() {
-            if let Some(e) = self.entries.remove(&prefix) {
+        let components = data_name.components();
+        for level in 0..=components.len() {
+            // `Name: Borrow<[Component]>`: each prefix is probed as a slice.
+            if let Some(e) = self.entries.remove(&components[..level]) {
                 if e.expires_ns >= now_ns {
                     for f in e.faces {
                         if !faces.contains(&f) {

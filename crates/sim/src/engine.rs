@@ -428,6 +428,17 @@ struct NodeState<P> {
     epoch: u32,
 }
 
+impl<P> NodeState<P> {
+    /// Index of the first *waiting* packet: 1 while the front is in service.
+    fn waiting_start(&self) -> usize {
+        debug_assert!(
+            !self.serving || (self.busy && !self.queue.is_empty()),
+            "serving implies busy with the in-service packet at the queue front"
+        );
+        usize::from(self.serving)
+    }
+}
+
 impl<P> Default for NodeState<P> {
     fn default() -> Self {
         Self {
@@ -495,6 +506,13 @@ pub struct Simulator<P, W> {
     supersede_keys: Option<fn(&P) -> Option<u64>>,
     /// Congestion mark of the packet currently being serviced.
     cur_marked: bool,
+    /// The effect buffers lent to each [`Ctx`] for the duration of one
+    /// behavior callback and drained straight after it. Empty between
+    /// callbacks; their capacity is the largest fan-out seen so far, so
+    /// [`Ctx::send`]/[`Ctx::schedule`] allocate only when a callback
+    /// exceeds it.
+    send_buf: Vec<(NodeId, P, u32)>,
+    timer_buf: Vec<(SimDuration, u64)>,
 }
 
 impl<P, W> Simulator<P, W> {
@@ -538,6 +556,8 @@ impl<P, W> Simulator<P, W> {
             priorities: None,
             supersede_keys: None,
             cur_marked: false,
+            send_buf: Vec::new(),
+            timer_buf: Vec::new(),
             topology,
             routing,
         }
@@ -1089,7 +1109,7 @@ impl<P, W> Simulator<P, W> {
                     // back over strictly-worse classes, never past the
                     // in-service front.
                     let class = self.priorities.map_or(0, |f| f(&q.pkt));
-                    let start = usize::from(st.serving);
+                    let start = st.waiting_start();
                     let mut pos = st.queue.len();
                     while pos > start
                         && self.priorities.map_or(0, |f| f(&st.queue[pos - 1].pkt)) > class
@@ -1108,6 +1128,10 @@ impl<P, W> Simulator<P, W> {
                 if epoch != self.nodes[node.index()].epoch {
                     return; // the node crashed since this service started
                 }
+                debug_assert!(
+                    self.nodes[node.index()].serving,
+                    "live EndService at a node that is not serving"
+                );
                 let Queued { from, pkt, size, at: enq, span, mut marked } =
                     self.nodes[node.index()]
                         .queue
@@ -1343,7 +1367,7 @@ impl<P, W> Simulator<P, W> {
             return true;
         };
         let st = &self.nodes[node.index()];
-        let start = usize::from(st.serving);
+        let start = st.waiting_start();
         let waiting = st.queue.len() - start;
         if waiting < cap {
             return true;
@@ -1539,6 +1563,9 @@ impl<P, W> Simulator<P, W> {
         let Some(mut behavior) = self.behaviors[node.index()].take() else {
             return SimDuration::ZERO;
         };
+        // Not re-entrant: applying effects below never runs a behavior, so
+        // the previous callback gave both buffers back drained.
+        debug_assert!(self.send_buf.is_empty() && self.timer_buf.is_empty());
         let mut ctx = Ctx {
             now: self.now,
             node,
@@ -1551,15 +1578,15 @@ impl<P, W> Simulator<P, W> {
             lineage: &mut self.lineage,
             cur_span: self.cur_span,
             marked: self.cur_marked,
-            sends: Vec::new(),
-            timers: Vec::new(),
+            sends: std::mem::take(&mut self.send_buf),
+            timers: std::mem::take(&mut self.timer_buf),
             extra_busy: SimDuration::ZERO,
             stop: false,
         };
         f(behavior.as_mut(), &mut ctx);
         let Ctx {
-            sends,
-            timers,
+            mut sends,
+            mut timers,
             extra_busy,
             stop,
             ..
@@ -1568,14 +1595,16 @@ impl<P, W> Simulator<P, W> {
         if stop {
             self.stopped = true;
         }
-        for (to, pkt, size) in sends {
+        for (to, pkt, size) in sends.drain(..) {
             self.transmit(node, to, pkt, size);
         }
         let epoch = self.nodes[node.index()].epoch;
-        for (delay, key) in timers {
+        for (delay, key) in timers.drain(..) {
             let at = self.now + delay;
             self.push_event(at, Event::Timer { node, key, epoch });
         }
+        self.send_buf = sends;
+        self.timer_buf = timers;
         extra_busy
     }
 
