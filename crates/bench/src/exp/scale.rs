@@ -1,6 +1,6 @@
 //! ST match + FIB LPM scaling sweep: per-lookup cost from 1k to 1M
 //! subscriptions (10M under `--full`) on the stride-based tree-bitmap
-//! paths, against the Bloom-scan and `NameTree` baselines.
+//! paths, against the Bloom-scan baseline.
 //!
 //! Writes `results/exp_scale.json` (the sweep points). `--full` adds the
 //! 10M point — budget several GB of RAM for it.
@@ -27,18 +27,17 @@ pub fn run(opts: ExpOptions) {
 
     header("ST match + FIB LPM scaling (median ns per lookup)");
     println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "entries", "st_match", "st_bloom", "fib_lpm", "fib_tree", "st_build", "fib_build"
+        "{:>10} {:>12} {:>12} {:>12} {:>10} {:>10}",
+        "entries", "st_match", "st_bloom", "fib_lpm", "st_build", "fib_build"
     );
     let points = scale::run(&params);
     for pt in &points {
         println!(
-            "{:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>9.0}ms {:>9.0}ms",
+            "{:>10} {:>12.1} {:>12.1} {:>12.1} {:>9.0}ms {:>9.0}ms",
             pt.entries,
             pt.st_match_ns,
             pt.st_bloom_ns,
             pt.fib_lpm_ns,
-            pt.fib_nametree_ns,
             pt.st_build_ms,
             pt.fib_build_ms
         );
@@ -59,7 +58,7 @@ pub fn run(opts: ExpOptions) {
     println!("fib_lpm   max/min = {fib_ratio:.2}x over {}x size growth", size_growth(&points));
 
     let doc = results_doc(
-        "gcopss-scale-v1",
+        "gcopss-scale-v2",
         "scale",
         h.opts.seed,
         [(
@@ -70,7 +69,6 @@ pub fn run(opts: ExpOptions) {
                     ("st_match_ns", Json::Float(pt.st_match_ns)),
                     ("st_bloom_ns", Json::Float(pt.st_bloom_ns)),
                     ("fib_lpm_ns", Json::Float(pt.fib_lpm_ns)),
-                    ("fib_nametree_ns", Json::Float(pt.fib_nametree_ns)),
                     ("st_build_ms", Json::Float(pt.st_build_ms)),
                     ("fib_build_ms", Json::Float(pt.fib_build_ms)),
                 ])

@@ -59,7 +59,7 @@
 //!
 //! `scale` (`--scale 0.2`):
 //! - at least two points with `entries` ascending
-//! - all six measurements are positive at every point
+//! - all five measurements are positive at every point
 //! - `st_match_ns` and `fib_lpm_ns` each stay within 20x across the sweep
 
 use std::collections::BTreeSet;
@@ -391,14 +391,14 @@ fn adaptive_sweep() {
 fn scale_sweep() {
     let dir = run("scale", &[("scale", 0.2)]);
 
-    let doc = load_file(&dir, "exp_scale.json", "gcopss-scale-v1", "scale");
+    let doc = load_file(&dir, "exp_scale.json", "gcopss-scale-v2", "scale");
     let points = doc.items("points");
     let sizes: Vec<u64> = points.iter().map(|p| p.num("entries")).collect();
     assert!(sizes.len() >= 2 && sizes.is_sorted(), "{sizes:?}");
     assert!(sizes.first() < sizes.last(), "{sizes:?}");
     let series = |k: &'static str| points.iter().map(move |p| p.float(k));
-    let lookups = "st_match_ns st_bloom_ns fib_lpm_ns fib_nametree_ns";
-    for k in lookups.split(' ').chain(["st_build_ms", "fib_build_ms"]) {
+    let measurements = "st_match_ns st_bloom_ns fib_lpm_ns st_build_ms fib_build_ms";
+    for k in measurements.split(' ') {
         assert!(series(k).all(|v| v > 0.0), "{k} not positive");
     }
     // The tree-bitmap paths stay near-flat (20x is a loose ceiling: measured

@@ -286,7 +286,7 @@ pub fn vec<S: Strategy>(element: S, len: RangeInclusive<usize>) -> VecStrategy<S
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use gcopss_names::{Name, NameTree};
+use gcopss_names::{Name, NameTreeBitmap};
 
 use crate::RpId;
 
@@ -52,7 +52,7 @@ impl Error for RpAssignError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RpTable {
-    served: NameTree<RpId>,
+    served: NameTreeBitmap<RpId>,
 }
 
 impl RpTable {
@@ -122,7 +122,7 @@ impl RpTable {
     /// is prefix-free, at most one served prefix covers `cd`.
     #[must_use]
     pub fn rp_for(&self, cd: &Name) -> Option<RpId> {
-        self.served.longest_prefix_level(cd).map(|(_, rp)| *rp)
+        self.served.prefix_values(cd).last().map(|(_, rp)| *rp)
     }
 
     /// The served prefix covering `cd`, with its RP.
@@ -140,9 +140,7 @@ impl RpTable {
     #[must_use]
     pub fn rps_for_subscription(&self, name: &Name) -> Vec<RpId> {
         let mut out: Vec<RpId> = Vec::new();
-        if let Some((_, rp)) = self.served.longest_prefix(name) {
-            out.push(*rp);
-        }
+        out.extend(self.rp_for(name));
         for (_, rp) in self.served.descendants(name) {
             if !out.contains(rp) {
                 out.push(*rp);

@@ -97,7 +97,7 @@ const OBJECT_DIRTY_WINDOW: usize = 64;
 
 /// Deterministic synthetic content of one object's snapshot, `len` bytes
 /// long: a stable FNV-1a base stream keyed by the object id alone, with a
-/// small [`OBJECT_DIRTY_WINDOW`]-byte region (at a version-keyed offset)
+/// small `OBJECT_DIRTY_WINDOW`-byte region (at a version-keyed offset)
 /// rewritten per version. Unchanged objects reproduce identical bytes on
 /// every call, a growing object extends its tail without disturbing earlier
 /// bytes, and an update perturbs only a field-sized window — so

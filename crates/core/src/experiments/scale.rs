@@ -1,7 +1,7 @@
 //! Million-entry scaling sweep of the two hot lookup structures
 //! (`exp_scale`): Subscription Table matching and FIB longest-prefix match
-//! on the stride-based tree-bitmap, against the `O(faces)` Bloom-scan and
-//! pointer-chasing `NameTree` baselines they replaced.
+//! on the stride-based tree-bitmap, against the `O(faces)` Bloom-scan
+//! baseline the Subscription Table replaced.
 //!
 //! The claim under test (ROADMAP item 1): per-lookup cost on the
 //! tree-bitmap paths is a function of name *depth*, not of table *size* —
@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_copss::{RpId, SubscriptionTable};
-use gcopss_names::{Cd, Name, NameTree};
+use gcopss_names::{Cd, Name};
 use gcopss_ndn::{FaceId, Fib};
 use gcopss_sim::prof;
 
@@ -60,9 +60,6 @@ pub struct ScalePoint {
     pub st_bloom_ns: f64,
     /// `Fib::lookup_hashed` — tree-bitmap LPM on the precomputed chain.
     pub fib_lpm_ns: f64,
-    /// `NameTree::longest_prefix` on the same routes — the pointer-chasing
-    /// baseline the FIB migrated off.
-    pub fib_nametree_ns: f64,
     /// Wall time to build the Subscription Table, in milliseconds.
     pub st_build_ms: f64,
     /// Wall time to build the FIB, in milliseconds.
@@ -136,17 +133,13 @@ fn run_point(p: &ScaleParams, n: usize) -> ScalePoint {
     }
     let st_build_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Build the FIB and the NameTree baseline over the same universe.
+    // Build the FIB over the same universe.
     let t = Instant::now();
     let mut fib = Fib::new();
     for i in 0..n {
         fib.add(universe_name(i, branch), face_of(i));
     }
     let fib_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let mut nametree: NameTree<FaceId> = NameTree::new();
-    for i in 0..n {
-        nametree.insert(universe_name(i, branch), face_of(i));
-    }
     drop(build);
 
     // Probes: one level below a subscribed leaf (publications land *in* a
@@ -195,21 +188,12 @@ fn run_point(p: &ScaleParams, n: usize) -> ScalePoint {
             fib.lookup_hashed(name, chain).map(<[FaceId]>::len)
         })
     };
-    let fib_nametree_ns = {
-        let _m = prof::scope("scale/baselines");
-        let mut k = 0usize;
-        measure(p.rounds, 20_000, || {
-            k = (k + 1) % chains.len();
-            nametree.longest_prefix(&chains[k].0).map(|(_, f)| *f)
-        })
-    };
 
     ScalePoint {
         entries: n,
         st_match_ns,
         st_bloom_ns,
         fib_lpm_ns,
-        fib_nametree_ns,
         st_build_ms,
         fib_build_ms,
     }

@@ -143,6 +143,8 @@ pub struct HybridEdgeRouter {
     group_count: u32,
     /// Level-1 prefixes this edge has joined groups for, with refcounts.
     joined: BTreeMap<u32, u32>,
+    /// Reused ST match output, so a forwarded packet allocates no face list.
+    host_faces: Vec<FaceId>,
 }
 
 impl HybridEdgeRouter {
@@ -156,22 +158,28 @@ impl HybridEdgeRouter {
             st: SubscriptionTable::default(),
             group_count,
             joined: BTreeMap::new(),
+            host_faces: Vec::new(),
         }
     }
 
+    /// Sends `m` to every host face whose subscriptions match it; returns
+    /// whether any face matched.
     fn deliver_to_hosts(
-        &self,
+        &mut self,
         ctx: &mut Ctx<'_, GPacket, GameWorld>,
         m: &MulticastPacket,
         arrival: Option<FaceId>,
-    ) {
-        for face in self.st.matching_faces(&m.cd, arrival, None) {
+    ) -> bool {
+        self.st
+            .matching_faces_into(&m.cd, arrival, None, &mut self.host_faces);
+        for &face in &self.host_faces {
             if let Some(node) = self.faces.node_of(face) {
                 let g = GPacket::Copss(CopssPacket::Multicast(m.clone()));
                 let size = g.wire_size();
                 ctx.send(node, g, size);
             }
         }
+        !self.host_faces.is_empty()
     }
 }
 
@@ -284,15 +292,13 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                 let me = ctx.node();
                 if dsts.contains(&me) {
                     // Filter: only actually-subscribed hosts receive it.
-                    if self.st.matching_faces(&inner.cd, None, None).is_empty() {
+                    if !self.deliver_to_hosts(ctx, &inner, None) {
                         ctx.emit(
                             gcopss_sim::TraceEvent::Drop,
                             crate::drops::HYBRID_FILTERED_UNWANTED,
                             inner.encoded_len() as u32,
                         );
                         ctx.world().bump(crate::drops::HYBRID_FILTERED_UNWANTED);
-                    } else {
-                        self.deliver_to_hosts(ctx, &inner, None);
                     }
                 }
                 forward_mcast(ctx, group, &dsts, inner);

@@ -552,6 +552,31 @@ fn default_gcopss_factory<'a>(
     })
 }
 
+/// The simulator every scenario starts from: a [`GameWorld`] over
+/// `topology`, the four [`GPacket`] classifiers registered, and engine
+/// overload control installed when configured.
+fn new_sim(
+    topology: Topology,
+    routing: RoutingTable,
+    metrics_mode: MetricsMode,
+    delivery_log: bool,
+    overload: Option<OverloadConfig>,
+) -> Simulator<GPacket, GameWorld> {
+    let mut world = GameWorld::new(metrics_mode);
+    if delivery_log {
+        world = world.with_delivery_log();
+    }
+    let mut sim = Simulator::with_routing(topology, routing, world);
+    sim.set_packet_kinds(GPacket::kind);
+    sim.set_lineage_ids(GPacket::lineage_id);
+    sim.set_priorities(GPacket::priority);
+    sim.set_supersede_keys(GPacket::supersede_key);
+    if let Some(ov) = overload {
+        sim.install_overload(ov);
+    }
+    sim
+}
+
 fn assemble_gcopss(
     cfg: GcopssConfig,
     net: &NetworkSpec,
@@ -612,22 +637,17 @@ fn assemble_gcopss(
         rp_nodes.insert(rp, *node);
     }
 
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        routing,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.clone(),
+    );
+    let world = sim.world_mut();
     world.next_rp_id = cfg.rp_count as u32;
     for (rp, node) in &rp_nodes {
         world.rp_locations.insert(rp.0, node.0);
-    }
-
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
     }
     sim.install_streams(cfg.stream.clone());
 
@@ -779,18 +799,13 @@ fn assemble_ip_server(
     }
     let routing = RoutingTable::shortest_paths(&bn.topology);
 
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        routing,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.clone(),
+    );
 
     // Plain IP routers (a G-COPSS router with no RPs forwards IP packets).
     for &r in &bn.routers {
@@ -904,18 +919,13 @@ fn assemble_hybrid(
         "player",
     );
     let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        routing,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.clone(),
+    );
 
     for &r in &bn.routers {
         let faces = FaceMap::new(sim.topology(), r);
@@ -1021,18 +1031,13 @@ fn assemble_ndn_baseline(
         "player",
     );
     let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        routing,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.clone(),
+    );
 
     // NDN routers with /player/<id> routes toward every player host.
     for &r in &bn.routers {

@@ -10,11 +10,10 @@
 //!   a precomputed per-level hash chain ([`CdHashes`]) so that routers can
 //!   match Bloom filters with plain integer comparisons (the first-hop hash
 //!   optimization of §III-C of the paper).
-//! * [`NameTree`] — a prefix trie keyed by names, used for subscription
-//!   bookkeeping, content stores and RP tables.
-//! * [`NameTreeBitmap`] — a stride-based tree-bitmap prefix map keyed on the
-//!   per-level hash chain, used on the million-entry lookup paths (FIB
-//!   longest-prefix match, Subscription Table matching).
+//! * [`NameTreeBitmap`] — the one prefix trie: a stride-based tree-bitmap
+//!   keyed on the per-level hash chain, under every name-keyed table (FIB
+//!   longest-prefix match, Subscription Table matching, Content Store, RP
+//!   table).
 //! * [`BloomFilter`] / [`CountingBloomFilter`] — the per-face CD set
 //!   representation used by the COPSS Subscription Table.
 //!
@@ -53,7 +52,6 @@ pub mod chunk;
 mod component;
 mod error;
 mod name;
-mod tree;
 mod tree_bitmap;
 
 pub use bloom::{BloomFilter, BloomParams, CountingBloomFilter};
@@ -61,7 +59,6 @@ pub use cd::{Cd, CdHashes, CdSet};
 pub use component::Component;
 pub use error::ParseNameError;
 pub use name::{Name, Prefixes};
-pub use tree::NameTree;
 pub use tree_bitmap::{NameTreeBitmap, PrefixValues};
 
 /// Stable 64-bit FNV-1a hash used everywhere a deterministic, seed-free hash

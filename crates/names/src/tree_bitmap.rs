@@ -1,9 +1,8 @@
 //! A stride-based tree-bitmap prefix map keyed by per-level name hashes.
 //!
-//! [`NameTreeBitmap`] replaces the pointer-chasing [`NameTree`](crate::NameTree)
-//! on the million-entry lookup paths (Subscription Table, FIB). The layout is
-//! the one BGP-scale engines use for prefix tables, adapted to hierarchical
-//! names:
+//! [`NameTreeBitmap`] is the trie under every name-keyed table (Subscription
+//! Table, FIB, Content Store, RP table). The layout is the one BGP-scale
+//! engines use for prefix tables, adapted to hierarchical names:
 //!
 //! * One *name node* per stored name prefix, arranged in the name hierarchy
 //!   (a node's children are its one-component extensions).
@@ -247,9 +246,8 @@ impl<T> Default for Node<T> {
 /// A prefix map over [`Name`]s on a stride-based tree-bitmap, keyed by the
 /// per-level FNV-1a hash chain (see the module docs for the layout).
 ///
-/// The API mirrors [`NameTree`](crate::NameTree); the `_hashed` lookup
-/// variants additionally accept a precomputed hash chain (as carried by
-/// [`Cd`](crate::Cd) packets) so the hot forwarding path never re-hashes.
+/// The `_hashed` lookup variants accept a precomputed hash chain (as carried
+/// by [`Cd`](crate::Cd) packets) so the hot forwarding path never re-hashes.
 ///
 /// # Example
 ///
@@ -722,6 +720,16 @@ mod tests {
     }
 
     #[test]
+    fn any_under_checks_subtree() {
+        let mut t = NameTreeBitmap::new();
+        t.insert(n("/1/2/3"), ());
+        assert!(t.any_under(&n("/1")));
+        assert!(t.any_under(&n("/1/2/3")));
+        assert!(!t.any_under(&n("/2")));
+        assert!(!t.any_under(&n("/1/2/3/4")));
+    }
+
+    #[test]
     fn remove_prunes_branches() {
         let mut t = NameTreeBitmap::new();
         t.insert(n("/1/2/3"), ());
@@ -782,6 +790,12 @@ mod tests {
         t.insert(n("/3"), 0u32);
         t.for_each_mut(|_, v| *v += 1);
         assert!(t.iter().iter().all(|(_, v)| **v == 1));
+    }
+
+    #[test]
+    fn from_iterator() {
+        let t: NameTreeBitmap<u32> = [(n("/1"), 1), (n("/2"), 2)].into_iter().collect();
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

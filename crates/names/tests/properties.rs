@@ -3,8 +3,10 @@
 //! strings; names are built inside each property so shrinking stays
 //! structural.
 
+use std::collections::BTreeMap;
+
 use gcopss_compat::prop::{self, Strategy};
-use gcopss_names::{BloomFilter, BloomParams, Cd, CdSet, Component, Name, NameTree, NameTreeBitmap};
+use gcopss_names::{BloomFilter, BloomParams, Cd, CdSet, Component, Name, NameTreeBitmap};
 
 const CASES: u32 = 128;
 
@@ -99,7 +101,7 @@ fn entries_strategy() -> impl Strategy<Value = Vec<(Vec<String>, u32)>> {
     prop::vec((name_strategy(), prop::range(0u32..=u32::MAX)), 0..=23)
 }
 
-fn entry_map(raw: &[(Vec<String>, u32)]) -> std::collections::BTreeMap<Name, u32> {
+fn entry_map(raw: &[(Vec<String>, u32)]) -> BTreeMap<Name, u32> {
     raw.iter().map(|(k, v)| (name(k), *v)).collect()
 }
 
@@ -112,7 +114,7 @@ fn tree_longest_prefix_matches_naive_scan() {
         |(raw, probe_parts)| {
             let entries = entry_map(raw);
             let probe = name(probe_parts);
-            let tree: NameTree<u32> = entries.clone().into_iter().collect();
+            let tree: NameTreeBitmap<u32> = entries.clone().into_iter().collect();
             let naive = entries
                 .iter()
                 .filter(|(k, _)| k.is_prefix_of(&probe))
@@ -128,7 +130,7 @@ fn tree_longest_prefix_matches_naive_scan() {
 fn tree_insert_remove_round_trip() {
     prop::check(0x6f08, CASES, &entries_strategy(), |raw| {
         let entries = entry_map(raw);
-        let mut tree: NameTree<u32> = entries.clone().into_iter().collect();
+        let mut tree: NameTreeBitmap<u32> = entries.clone().into_iter().collect();
         assert_eq!(tree.len(), entries.len());
         for (k, v) in &entries {
             assert_eq!(tree.get(k), Some(v));
@@ -149,7 +151,7 @@ fn tree_descendants_agree_with_filter() {
         |(raw, prefix_parts)| {
             let entries = entry_map(raw);
             let prefix = name(prefix_parts);
-            let tree: NameTree<u32> = entries.clone().into_iter().collect();
+            let tree: NameTreeBitmap<u32> = entries.clone().into_iter().collect();
             let mut naive: Vec<Name> = entries
                 .keys()
                 .filter(|k| prefix.is_prefix_of(k))
@@ -166,62 +168,78 @@ fn tree_descendants_agree_with_filter() {
     );
 }
 
-/// The tree-bitmap is a drop-in replacement for `NameTree`: every operation
-/// agrees under arbitrary insert/remove churn, including the hashed lookup
-/// variants fed by the precomputed per-level chain.
+/// The tree-bitmap behaves as a plain sorted map under arbitrary
+/// insert/remove churn: every operation, including the hashed lookup
+/// variants fed by the precomputed per-level chain, agrees with a
+/// `BTreeMap<Name, u32>` scanned by brute force.
 #[test]
-fn tree_bitmap_agrees_with_nametree_under_churn() {
+fn tree_bitmap_agrees_with_btreemap_model_under_churn() {
     let ops = prop::vec(
         (prop::bools(), name_strategy(), prop::range(0u32..=u32::MAX)),
         0..=31,
     );
     prop::check(0x6f0d, CASES, &(ops, name_strategy()), |(ops, probe_parts)| {
-        let mut reference: NameTree<u32> = NameTree::new();
+        let mut model: BTreeMap<Name, u32> = BTreeMap::new();
         let mut bitmap: NameTreeBitmap<u32> = NameTreeBitmap::new();
         for (insert, parts, v) in ops {
             let k = name(parts);
             if *insert {
-                assert_eq!(reference.insert(k.clone(), *v), bitmap.insert(k, *v));
+                assert_eq!(model.insert(k.clone(), *v), bitmap.insert(k, *v));
             } else {
-                assert_eq!(reference.remove(&k), bitmap.remove(&k));
+                assert_eq!(model.remove(&k), bitmap.remove(&k));
             }
         }
-        assert_eq!(reference.len(), bitmap.len());
+        assert_eq!(model.len(), bitmap.len());
 
         let probe = name(probe_parts);
         let chain = probe.hash_chain();
-        let lpm_ref = reference.longest_prefix(&probe).map(|(k, v)| (k, *v));
-        assert_eq!(bitmap.longest_prefix(&probe).map(|(k, v)| (k, *v)), lpm_ref);
+        // Stored prefixes of the probe, shallowest first.
+        let ancestors: Vec<(Name, u32)> = (0..=probe.len())
+            .map(|level| probe.prefix(level))
+            .filter_map(|p| model.get(&p).map(|v| (p, *v)))
+            .collect();
+        let owned = |(k, v): (Name, &u32)| (k, *v);
+        assert_eq!(
+            bitmap.longest_prefix(&probe).map(owned),
+            ancestors.last().cloned()
+        );
+        assert_eq!(
+            bitmap.longest_prefix_hashed(&probe, &chain).map(owned),
+            ancestors.last().cloned()
+        );
+        assert_eq!(bitmap.get(&probe), model.get(&probe));
         assert_eq!(
             bitmap
-                .longest_prefix_hashed(&probe, &chain)
-                .map(|(k, v)| (k, *v)),
-            lpm_ref
-        );
-        assert_eq!(reference.get(&probe), bitmap.get(&probe));
-        assert_eq!(reference.any_under(&probe), bitmap.any_under(&probe));
-        assert_eq!(
-            reference.all_prefixes(&probe),
-            bitmap.all_prefixes(&probe),
+                .all_prefixes(&probe)
+                .into_iter()
+                .map(owned)
+                .collect::<Vec<_>>(),
+            ancestors,
             "stored ancestors of {probe} diverged"
         );
         assert_eq!(
-            bitmap.all_prefixes(&probe).len(),
-            bitmap.prefix_values_hashed(&probe, &chain).count()
+            bitmap.prefix_values_hashed(&probe, &chain).count(),
+            ancestors.len()
         );
 
-        let d_ref: Vec<(Name, u32)> = reference
-            .descendants(&probe)
-            .into_iter()
-            .map(|(k, v)| (k, *v))
+        // `BTreeMap` iterates in `Name` order — the order `descendants`
+        // promises.
+        let below: Vec<(Name, u32)> = model
+            .iter()
+            .filter(|(k, _)| probe.is_prefix_of(k))
+            .map(|(k, v)| (k.clone(), *v))
             .collect();
-        let d_bitmap: Vec<(Name, u32)> = bitmap
-            .descendants(&probe)
-            .into_iter()
-            .map(|(k, v)| (k, *v))
-            .collect();
-        assert_eq!(d_bitmap, d_ref, "descendant order of {probe} diverged");
-        assert_eq!(bitmap.count_under(&probe), d_ref.len());
+        assert_eq!(
+            bitmap
+                .descendants(&probe)
+                .into_iter()
+                .map(owned)
+                .collect::<Vec<_>>(),
+            below,
+            "descendant order of {probe} diverged"
+        );
+        assert_eq!(bitmap.count_under(&probe), below.len());
+        assert_eq!(bitmap.any_under(&probe), !below.is_empty());
     });
 }
 

@@ -1,8 +1,8 @@
 //! The Content Store: an LRU cache of Data packets with freshness expiry.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
-use gcopss_names::{Name, NameTree};
+use gcopss_names::{Name, NameTreeBitmap};
 
 use crate::Data;
 
@@ -43,12 +43,12 @@ impl Default for ContentStoreConfig {
 pub struct ContentStore {
     config: ContentStoreConfig,
     /// name -> (data, absolute expiry ns, lru stamp)
-    by_name: NameTree<Entry>,
-    /// lru stamp -> name (sparse; stale stamps skipped on eviction)
-    stamps: HashMap<u64, Name>,
+    by_name: NameTreeBitmap<Entry>,
+    /// The use log, oldest first: one `(stamp, name)` per insert or hit.
+    /// A pair is *current* while the entry's stamp still equals it; stale
+    /// pairs are skipped on eviction and swept by `log_use`.
+    uses: VecDeque<(u64, Name)>,
     next_stamp: u64,
-    oldest_stamp: u64,
-    len: usize,
     hits: u64,
     misses: u64,
 }
@@ -66,11 +66,9 @@ impl ContentStore {
     pub fn new(config: ContentStoreConfig) -> Self {
         Self {
             config,
-            by_name: NameTree::new(),
-            stamps: HashMap::new(),
+            by_name: NameTreeBitmap::new(),
+            uses: VecDeque::new(),
             next_stamp: 0,
-            oldest_stamp: 0,
-            len: 0,
             hits: 0,
             misses: 0,
         }
@@ -85,25 +83,20 @@ impl ContentStore {
             return;
         }
         let name = data.name.clone();
-        let stamp = self.bump_stamp(&name);
         let expires_ns = now_ns.saturating_add(data.freshness_ns);
-        let was_new = self
-            .by_name
-            .insert(
-                name,
-                Entry {
-                    data,
-                    expires_ns,
-                    stamp,
-                },
-            )
-            .is_none();
-        if was_new {
-            self.len += 1;
-            while self.len > self.config.capacity {
+        let entry = Entry {
+            data,
+            expires_ns,
+            stamp: self.next_stamp,
+        };
+        if self.by_name.insert(name.clone(), entry).is_none() {
+            // The new entry has no pair in the log yet, so it is never the
+            // victim — and a full store's log does not grow by the insert.
+            while self.by_name.len() > self.config.capacity {
                 self.evict_lru();
             }
         }
+        self.log_use(name);
     }
 
     /// Looks up fresh Data matching `interest_name` (exact, or leftmost
@@ -123,11 +116,12 @@ impl ContentStore {
         };
         match matched {
             Some(name) => {
-                let stamp = self.bump_stamp(&name);
                 let e = self.by_name.get_mut(&name).expect("entry just matched");
-                e.stamp = stamp;
+                e.stamp = self.next_stamp;
+                let data = e.data.clone();
+                self.log_use(name);
                 self.hits += 1;
-                Some(e.data.clone())
+                Some(data)
             }
             None => {
                 self.misses += 1;
@@ -140,13 +134,13 @@ impl ContentStore {
     /// lazy eviction).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.by_name.len()
     }
 
     /// Returns `true` if the store is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.by_name.is_empty()
     }
 
     /// Cache hits so far.
@@ -161,25 +155,31 @@ impl ContentStore {
         self.misses
     }
 
-    fn bump_stamp(&mut self, name: &Name) -> u64 {
-        let stamp = self.next_stamp;
+    /// Whether `(stamp, name)` is the latest use of an entry of `by_name`.
+    fn is_current(by_name: &NameTreeBitmap<Entry>, stamp: u64, name: &Name) -> bool {
+        by_name.get(name).is_some_and(|e| e.stamp == stamp)
+    }
+
+    /// Appends the use `(next_stamp, name)`; the caller has already written
+    /// that stamp into the entry. Hits on a store below capacity never reach
+    /// `evict_lru`, so a full log is swept of its stale pairs instead of
+    /// grown whenever they are at least half of it: the log stays within
+    /// four times the entries at an amortised two trie probes per use.
+    fn log_use(&mut self, name: Name) {
+        if self.uses.len() == self.uses.capacity() && self.uses.len() >= 2 * self.by_name.len() {
+            let by_name = &self.by_name;
+            self.uses
+                .retain(|(stamp, name)| Self::is_current(by_name, *stamp, name));
+        }
+        self.uses.push_back((self.next_stamp, name));
         self.next_stamp += 1;
-        self.stamps.insert(stamp, name.clone());
-        stamp
     }
 
     fn evict_lru(&mut self) {
-        while self.oldest_stamp < self.next_stamp {
-            let s = self.oldest_stamp;
-            self.oldest_stamp += 1;
-            if let Some(name) = self.stamps.remove(&s) {
-                // Only evict if this stamp is still the entry's current one.
-                let is_current = self.by_name.get(&name).is_some_and(|e| e.stamp == s);
-                if is_current {
-                    self.by_name.remove(&name);
-                    self.len -= 1;
-                    return;
-                }
+        while let Some((stamp, name)) = self.uses.pop_front() {
+            if Self::is_current(&self.by_name, stamp, &name) {
+                self.by_name.remove(&name);
+                return;
             }
         }
     }
@@ -256,6 +256,25 @@ mod tests {
         assert!(cs.lookup(3, &Name::parse_lit("/b")).is_none(), "/b evicted");
         assert!(cs.lookup(3, &Name::parse_lit("/a")).is_some());
         assert!(cs.lookup(3, &Name::parse_lit("/c")).is_some());
+    }
+
+    #[test]
+    fn use_log_stays_bounded_under_hits() {
+        // A full-but-not-overfull store never evicts, so only the sweep in
+        // `log_use` keeps the log from growing by one name per hit.
+        let mut cs = ContentStore::new(ContentStoreConfig { capacity: 4 });
+        for name in ["/a", "/b", "/c", "/d"] {
+            cs.insert(0, d(name, b"x"));
+        }
+        for i in 0..100_000usize {
+            let name = ["/a", "/b", "/c"][i % 3];
+            assert!(cs.lookup(1, &Name::parse_lit(name)).is_some());
+        }
+        assert!(cs.uses.len() <= 4 * cs.len());
+        // LRU order survived the sweeps: /d is still the oldest use.
+        cs.insert(2, d("/e", b"x"));
+        assert!(cs.lookup(3, &Name::parse_lit("/d")).is_none(), "/d evicted");
+        assert!(cs.lookup(3, &Name::parse_lit("/a")).is_some());
     }
 
     #[test]

@@ -7,7 +7,9 @@ use gcopss_compat::bytes::Bytes;
 use gcopss_compat::prop::{self, Strategy};
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_names::{Component, Name};
-use gcopss_ndn::{Data, Fib, FaceId, Interest, NdnAction, NdnConfig, NdnEngine};
+use gcopss_ndn::{
+    ContentStore, ContentStoreConfig, Data, Fib, FaceId, Interest, NdnAction, NdnConfig, NdnEngine,
+};
 
 const CASES: u32 = 64;
 
@@ -274,5 +276,101 @@ fn at_most_one_upstream_forward_per_name() {
             forwards += fwd;
         }
         assert!(forwards >= 1);
+    });
+}
+
+/// A brute-force Content Store: a sorted map scanned linearly, LRU by a
+/// use counter.
+struct CsModel {
+    capacity: usize,
+    /// name -> (payload, absolute expiry ns, last use)
+    entries: BTreeMap<Name, (Bytes, u64, u64)>,
+    uses: u64,
+}
+
+impl CsModel {
+    fn insert(&mut self, now: u64, name: Name, payload: Bytes, freshness: u64) {
+        if freshness == 0 {
+            return;
+        }
+        self.uses += 1;
+        let entry = (payload, now + freshness, self.uses);
+        if self.entries.insert(name, entry).is_none() && self.entries.len() > self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, _, used))| *used)
+                .map(|(n, _)| n.clone())
+                .expect("over capacity, so non-empty");
+            self.entries.remove(&lru);
+        }
+    }
+
+    /// Exact fresh match, else the leftmost fresh entry below `name`.
+    fn lookup(&mut self, now: u64, name: &Name) -> Option<(Name, Bytes)> {
+        let fresh = |e: &(Bytes, u64, u64)| e.1 > now;
+        let hit = match self.entries.get(name) {
+            Some(e) if fresh(e) => name.clone(),
+            _ => self
+                .entries
+                .iter()
+                .find(|(n, e)| name.is_prefix_of(n) && fresh(e))
+                .map(|(n, _)| n.clone())?,
+        };
+        self.uses += 1;
+        let e = self.entries.get_mut(&hit).expect("just found");
+        e.2 = self.uses;
+        Some((hit, e.0.clone()))
+    }
+}
+
+/// Insert / exact and leftmost-fresh-descendant lookup / freshness expiry /
+/// LRU eviction agree with the brute-force model under churn, at
+/// capacities small enough that eviction and the use-log sweep both run.
+#[test]
+fn content_store_churn_agrees_with_model() {
+    let ops = prop::vec(
+        (
+            prop::bools(),
+            prop::vec(prop::string("abc", 1..=2), 0..=3),
+            prop::range(0u64..40),
+            prop::range(0u64..12),
+        ),
+        1..=200,
+    );
+    let input = (prop::range(1usize..7), ops);
+    prop::check(0xAD05, CASES, &input, |(capacity, ops)| {
+        let mut cs = ContentStore::new(ContentStoreConfig {
+            capacity: *capacity,
+        });
+        let mut model = CsModel {
+            capacity: *capacity,
+            entries: BTreeMap::new(),
+            uses: 0,
+        };
+        let (mut now, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        for (i, (insert, parts, freshness, dt)) in ops.iter().enumerate() {
+            now += dt;
+            let n = name(parts);
+            if *insert {
+                let payload = Bytes::from(i.to_le_bytes().to_vec());
+                cs.insert(
+                    now,
+                    Data::with_freshness(n.clone(), payload.clone(), *freshness),
+                );
+                model.insert(now, n, payload, *freshness);
+            } else {
+                let got = cs.lookup(now, &n).map(|d| (d.name, d.payload));
+                let want = model.lookup(now, &n);
+                assert_eq!(got, want, "lookup of {n} at {now} ns diverged (op {i})");
+                if want.is_some() {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+            assert_eq!(cs.len(), model.entries.len(), "size diverged at op {i}");
+        }
+        assert_eq!((cs.hits(), cs.misses()), (hits, misses));
     });
 }
