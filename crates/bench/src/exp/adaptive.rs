@@ -5,6 +5,7 @@
 //! the cache arm (fixed freshness / popularity-promoted).
 
 use crate::{header, ExpHarness, ExpOptions};
+use gcopss_core::drops;
 use gcopss_core::experiments::adaptive::{self, AdaptiveSweepConfig, RpPolicy};
 use gcopss_core::experiments::WorkloadParams;
 use gcopss_sim::{SimDuration, TimeSeriesConfig};
@@ -20,7 +21,7 @@ pub fn run(opts: ExpOptions) {
             counters: vec![
                 "delivered",
                 "drop",
-                "queue-full",
+                drops::QUEUE_FULL,
                 "cs-hit",
                 "cs-miss",
                 "rp-move-triggered",

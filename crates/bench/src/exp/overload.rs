@@ -5,6 +5,7 @@
 //! G-COPSS runs.
 
 use crate::{header, ExpHarness, ExpOptions};
+use gcopss_core::drops;
 use gcopss_core::experiments::overload::{self, OverloadSweepConfig, QueueRegime};
 use gcopss_core::experiments::WorkloadParams;
 use gcopss_sim::{SimDuration, TimeSeriesConfig};
@@ -19,10 +20,10 @@ pub fn run(opts: ExpOptions) {
             counters: vec![
                 "delivered",
                 "drop",
-                "queue-full",
-                "aqm-shed",
-                "stale-superseded",
-                "rate-limited",
+                drops::QUEUE_FULL,
+                drops::AQM_SHED,
+                drops::STALE_SUPERSEDED,
+                drops::RATE_LIMITED,
                 "mark",
             ],
             ..TimeSeriesConfig::default()

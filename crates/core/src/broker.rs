@@ -355,16 +355,12 @@ impl SnapshotBroker {
             if count * den * 2 < monitored * num {
                 self.hot.remove(&key);
                 ctx.world().bump("cache-class-demotions");
-                if ctx.telemetry_enabled() {
-                    ctx.counter("cache-class-demotions", 1);
-                }
+                ctx.counter("cache-class-demotions", 1);
             }
         } else if monitored >= ac.min_window && count * den >= monitored * num {
             self.hot.insert(key);
             ctx.world().bump("cache-class-promotions");
-            if ctx.telemetry_enabled() {
-                ctx.counter("cache-class-promotions", 1);
-            }
+            ctx.counter("cache-class-promotions", 1);
         }
     }
 
@@ -492,9 +488,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                             self.send_data(ctx, i.name, payload);
                         }
                     }
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("broker-qr-served", 1);
-                    }
+                    ctx.counter("broker-qr-served", 1);
                     ctx.world().bump("broker-qr-served");
                 } else if let Some((idx, join)) = self.parse_ctl_name(&i.name) {
                     if join {
@@ -521,37 +515,23 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                     let cd = self.serving[idx].clone();
                     let wire = self.chunks.manifest_of(&self.objects, &cd, idx).encode();
                     self.send_data(ctx, i.name, Bytes::from(wire));
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("broker-manifest-served", 1);
-                    }
+                    ctx.counter("broker-manifest-served", 1);
                     ctx.world().bump("broker-manifest-served");
                 } else if let Some(id) = parse_chunk_name(&i.name) {
                     let held = self.chunks.store.get(id).map(|b| Bytes::from(b.to_vec()));
                     if let Some(payload) = held {
                         ctx.consume(self.params.broker_per_object);
                         self.send_chunk(ctx, i.name, payload);
-                        if ctx.telemetry_enabled() {
-                            ctx.counter("broker-chunk-served", 1);
-                        }
+                        ctx.counter("broker-chunk-served", 1);
                         ctx.world().bump("broker-chunk-served");
                     } else {
                         // /chunk routes to every broker and chunk names
                         // carry no CD: the fan-out is expected to miss at
                         // every broker but the holder.
-                        ctx.emit(
-                            gcopss_sim::TraceEvent::Drop,
-                            crate::drops::BROKER_CHUNK_MISS,
-                            i.encoded_len() as u32,
-                        );
-                        ctx.world().bump(crate::drops::BROKER_CHUNK_MISS);
+                        crate::drops::record(ctx, crate::drops::BROKER_CHUNK_MISS, i.encoded_len() as u32);
                     }
                 } else {
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::BROKER_UNKNOWN_INTEREST,
-                        i.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::BROKER_UNKNOWN_INTEREST);
+                    crate::drops::record(ctx, crate::drops::BROKER_UNKNOWN_INTEREST, i.encoded_len() as u32);
                 }
             }
             _ => {}
@@ -1004,23 +984,13 @@ impl NodeBehavior<GPacket, GameWorld> for MovingPlayerClient {
         match pkt {
             GPacket::Copss(CopssPacket::Multicast(m)) => {
                 if !self.dedup.insert(m.id) {
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::CLIENT_DUPLICATE_DROPPED,
-                        m.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::CLIENT_DUPLICATE_DROPPED);
+                    crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
                     return;
                 }
                 if m.cd.name().get(0).map(Component::as_str) == Some("snapcast") {
                     self.on_snapcast(ctx, &m);
                 } else {
-                    let now = ctx.now();
-                    ctx.world().record_delivery(m.id, self.player, now);
-                    ctx.lineage_deliver(self.player.0);
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("delivered", 1);
-                    }
+                    GameWorld::deliver(ctx, m.id, self.player);
                 }
             }
             GPacket::Data(d) => self.on_snapshot_data(ctx, &d),

@@ -434,13 +434,8 @@ impl GamePlayerClient {
                 // auditor sees it as unpublished, not lost), but the trace
                 // keeps advancing — position updates are superseded by the
                 // next one, not worth queueing.
-                ctx.emit(
-                    gcopss_sim::TraceEvent::Drop,
-                    crate::drops::RATE_LIMITED,
-                    size,
-                );
+                crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
                 ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
-                ctx.world().bump(crate::drops::RATE_LIMITED);
                 self.schedule_next(ctx);
                 return;
             }
@@ -540,24 +535,14 @@ impl GamePlayerClient {
             r.last_activity = now;
         }
         let late = |ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data| {
-            ctx.emit(
-                gcopss_sim::TraceEvent::Drop,
-                crate::drops::CLIENT_LATE_CATCHUP,
-                d.encoded_len() as u32,
-            );
-            ctx.world().bump(crate::drops::CLIENT_LATE_CATCHUP);
+            crate::drops::record(ctx, crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
         };
         // Content-addressed integrity: a chunk whose bytes do not hash to
         // its name is rejected before any state is touched.
         let chunk_id = parse_chunk_name(&d.name);
         if let Some(id) = chunk_id {
             if ChunkId::of(&d.payload) != id {
-                ctx.emit(
-                    gcopss_sim::TraceEvent::Drop,
-                    crate::drops::CLIENT_CHUNK_CORRUPT,
-                    d.encoded_len() as u32,
-                );
-                ctx.world().bump(crate::drops::CLIENT_CHUNK_CORRUPT);
+                crate::drops::record(ctx, crate::drops::CLIENT_CHUNK_CORRUPT, d.encoded_len() as u32);
                 return;
             }
         }
@@ -814,19 +799,9 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     p.on_delivery(ctx.congestion_marked());
                 }
                 if self.dedup.insert(m.id) {
-                    let now = ctx.now();
-                    ctx.world().record_delivery(m.id, self.player, now);
-                    ctx.lineage_deliver(self.player.0);
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("delivered", 1);
-                    }
+                    GameWorld::deliver(ctx, m.id, self.player);
                 } else {
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::CLIENT_DUPLICATE_DROPPED,
-                        m.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::CLIENT_DUPLICATE_DROPPED);
+                    crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
                 }
             }
             GPacket::Data(d) => self.on_catchup_data(ctx, &d),

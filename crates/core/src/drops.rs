@@ -1,9 +1,9 @@
 //! Registry of every drop-reason tag the engines emit.
 //!
 //! Each intentional packet drop in the workspace is tagged with one of the
-//! constants below (behavior-level drops via `Ctx::emit`, engine-level
-//! fault drops with the two `gcopss_sim` tags). Centralizing the strings
-//! does two things:
+//! constants below: behavior-level drops go through [`record`], and the
+//! engine's own five reasons are [`EngineDrop`]'s tags, re-exported here so
+//! the string is spelled once. Centralizing the strings does two things:
 //!
 //! * emit sites can't typo a tag into a new, untracked bucket;
 //! * the drop-reason coverage test walks [`ALL`] and asserts every tag
@@ -15,6 +15,19 @@
 //! a counter named by the tag alongside the aggregate `"drop"`), and the
 //! same strings tag lineage drop records, so the delivery auditor's
 //! explanations use this vocabulary too.
+
+use gcopss_sim::{Ctx, EngineDrop, TraceEvent};
+
+use crate::{GPacket, GameWorld};
+
+/// The one way a behavior records a drop of `size` bytes for `reason`: a
+/// journal record plus the `"drop"` and per-reason telemetry counters and
+/// the serviced packet's lineage (all through [`Ctx::emit`]), and the
+/// world's per-reason counter, which counts even with telemetry off.
+pub fn record(ctx: &mut Ctx<'_, GPacket, GameWorld>, reason: &'static str, size: u32) {
+    ctx.emit(TraceEvent::Drop, reason, size);
+    ctx.world().bump(reason);
+}
 
 /// A COPSS `ToRp` packet reached a router with no FIB route toward the RP.
 pub const TORP_NO_ROUTE: &str = "torp-no-route";
@@ -61,19 +74,19 @@ pub const CLIENT_LATE_CATCHUP: &str = "client-late-catchup";
 pub const CLIENT_CHUNK_CORRUPT: &str = "client-chunk-corrupt";
 /// Engine fault injection: the packet died on a down/lossy link
 /// (tagged by `gcopss_sim`'s transmit path, listed here for coverage).
-pub const LINK_LOST: &str = "link-lost";
+pub const LINK_LOST: &str = EngineDrop::LinkLost.as_str();
 /// Engine fault injection: the packet was queued at (or destined to) a
 /// crashed node (tagged by `gcopss_sim`, listed here for coverage).
-pub const NODE_LOST: &str = "node-lost";
+pub const NODE_LOST: &str = EngineDrop::NodeLost.as_str();
 /// Engine overload control: an arrival was rejected by (or a queued packet
 /// evicted from) a full bounded service queue (tagged by `gcopss_sim`).
-pub const QUEUE_FULL: &str = "queue-full";
+pub const QUEUE_FULL: &str = EngineDrop::QueueFull.as_str();
 /// Engine overload control: the CoDel-style AQM shed a packet whose
 /// head-of-queue sojourn proved a standing queue (tagged by `gcopss_sim`).
-pub const AQM_SHED: &str = "aqm-shed";
+pub const AQM_SHED: &str = EngineDrop::AqmShed.as_str();
 /// Engine overload control: a queued position update was evicted in favor
 /// of a newer arrival with the same supersede key (tagged by `gcopss_sim`).
-pub const STALE_SUPERSEDED: &str = "stale-superseded";
+pub const STALE_SUPERSEDED: &str = EngineDrop::StaleSuperseded.as_str();
 /// A client shed a publish at the source because congestion feedback
 /// stretched its allowed cadence (capped multiplicative rate reduction).
 pub const RATE_LIMITED: &str = "rate-limited";
@@ -123,5 +136,12 @@ mod tests {
             assert!(seen.insert(tag), "duplicate tag {tag:?}");
         }
         assert_eq!(ALL.len(), 24);
+    }
+
+    #[test]
+    fn every_engine_drop_tag_is_registered() {
+        for why in gcopss_sim::EngineDrop::ALL {
+            assert!(ALL.contains(&why.as_str()), "{why:?} is not in drops::ALL");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! * the QR pipelining window (§V-B: "no further benefit for a higher
 //!   window size beyond 15").
 
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::broker::SnapshotMode;
 use crate::ndn_baseline::NdnClientConfig;
@@ -52,14 +52,9 @@ pub fn hybrid_group_sweep_with(
                 .hybrid(cfg)
                 .build()
                 .into_hybrid();
-            if let Some(cap) = telemetry.as_mut() {
-                cap.arm(&mut built.sim);
-            }
-            built.sim.run();
+            let (cap, label) = (telemetry.as_deref_mut(), format!("hybrid-{g}g"));
+            TelemetryCapture::observe(cap, &mut built.sim, &label, Simulator::run);
             let bytes = built.sim.total_link_bytes();
-            if let Some(cap) = telemetry.as_mut() {
-                cap.collect(&built.sim, &format!("hybrid-{g}g"));
-            }
             (
                 g,
                 summarize(format!("hybrid {g} groups"), &built.sim.into_world(), bytes),
@@ -144,15 +139,12 @@ pub fn ndn_accumulation_sweep_with(
                 .ndn_baseline(cfg)
                 .build()
                 .into_ndn_baseline();
-            if let Some(cap) = telemetry.as_mut() {
-                cap.arm(&mut built.sim);
-            }
             let horizon = SimTime::ZERO + warmup + duration + SimDuration::from_secs(120);
-            built.sim.run_until(horizon);
+            let label = format!("ndn-t{:.0}ms", t.as_millis_f64());
+            TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
+                sim.run_until(horizon);
+            });
             let bytes = built.sim.total_link_bytes();
-            if let Some(cap) = telemetry.as_mut() {
-                cap.collect(&built.sim, &format!("ndn-t{:.0}ms", t.as_millis_f64()));
-            }
             (
                 t,
                 summarize(

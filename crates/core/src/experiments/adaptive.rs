@@ -35,7 +35,7 @@ use std::sync::Arc;
 use gcopss_game::{MoveEvent, PlayerId};
 use gcopss_names::Name;
 use gcopss_sim::{
-    AdmissionPolicy, LineageConfig, OverloadConfig, SimDuration, SimTime, StreamConfig,
+    AdmissionPolicy, EngineDrop, LineageConfig, OverloadConfig, SimDuration, SimTime, StreamConfig,
     TelemetryConfig,
 };
 
@@ -48,7 +48,7 @@ use crate::scenario::{
 };
 use crate::{AdaptiveCacheConfig, AdaptiveRpConfig, MetricsMode, SimParams};
 
-use super::audit::register_expectations;
+use super::audit::{audit_without_damage, register_expectations};
 use super::{TelemetryCapture, Workload, WorkloadParams};
 
 /// RP-balancing policy of one run arm.
@@ -424,33 +424,22 @@ fn run_rp_arm(
             .gcopss(sys)
             .build()
             .into_gcopss();
-        match telemetry.as_mut() {
-            Some(cap) => cap.arm(&mut built.sim),
-            None => built.sim.enable_telemetry(TelemetryConfig {
-                journal_capacity: 0,
-                journal_sample: 1,
-            }),
+        if telemetry.is_none() {
+            built.sim.enable_telemetry(TelemetryConfig::counters_only());
         }
-        if let Some(lineage) = &cfg.lineage {
-            built.sim.enable_lineage(lineage.clone());
-            register_expectations(&mut built.sim, &w, cfg.warmup);
-        }
-        built.sim.run_until(horizon);
-        let audit = cfg.lineage.as_ref().map(|_| {
-            // No faults are injected: every miss must be explained by an
-            // overload drop record, so no damage window is granted.
-            let report = built.sim.lineage().audit(horizon, None);
-            (
-                report.to_json(),
-                built.sim.lineage().fingerprint(),
-                report.is_clean(),
-            )
+        TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
+            if let Some(lineage) = &cfg.lineage {
+                sim.enable_lineage(lineage.clone());
+                register_expectations(sim, &w, cfg.warmup);
+            }
+            sim.run_until(horizon);
         });
-        let (queue_full, _, _) = built.sim.overload_drops();
+        let audit = cfg
+            .lineage
+            .as_ref()
+            .map(|_| audit_without_damage(&built.sim, horizon));
+        let queue_full = built.sim.dropped(EngineDrop::QueueFull);
         let network_bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, &label);
-        }
         let world = built.sim.into_world();
         let hist = world.metrics.latency_hist();
         let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
@@ -613,9 +602,6 @@ fn run_cache_arm(
             .client_factory(factory)
             .build()
             .into_gcopss();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.arm(&mut built.sim);
-        }
         // Sample the live sketches at the crowd peak, not the horizon: the
         // space-saving sketches are recency-biased (halved every window),
         // so by the end of the drain the flash crowd has decayed out of
@@ -625,31 +611,24 @@ fn run_cache_arm(
             + SimDuration::from_nanos(crowd_end)
             + SimDuration::from_secs(2))
         .min(horizon);
-        built.sim.run_until(peak);
-        let hot_hit_rate = built.sim.streams_active().then(|| {
-            let req = built
-                .sim
-                .streams()
-                .sketch("cs-req-pop")
-                .and_then(|s| s.count_of(hot_key))
-                .map_or(0, |(c, _)| c);
-            let hit = built
-                .sim
-                .streams()
-                .sketch("cs-hit-pop")
-                .and_then(|s| s.count_of(hot_key))
-                .map_or(0, |(c, _)| c);
-            if req == 0 {
-                0.0
-            } else {
-                hit as f64 / req as f64
-            }
+        let mut hot_hit_rate = None;
+        TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
+            sim.run_until(peak);
+            hot_hit_rate = sim.streams_active().then(|| {
+                let pop = |sketch| {
+                    sim.streams()
+                        .sketch(sketch)
+                        .and_then(|s| s.count_of(hot_key))
+                        .map_or(0, |(c, _)| c)
+                };
+                match (pop("cs-req-pop"), pop("cs-hit-pop")) {
+                    (0, _) => 0.0,
+                    (req, hit) => hit as f64 / req as f64,
+                }
+            });
+            sim.run_until(horizon);
         });
-        built.sim.run_until(horizon);
         let network_bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, &label);
-        }
         let world = built.sim.into_world();
         let done: Vec<SimDuration> = world
             .convergence

@@ -119,6 +119,23 @@ pub fn register_expectations(
     }
 }
 
+/// What the fault-free sweeps (`overload`, `adaptive`) export of an audited
+/// run: `(report JSON, span fingerprint, clean?)`. With no fault injected
+/// every miss must be explained by a drop record (overload drops and source
+/// sheds land on the lineage), so no damage window is granted.
+#[must_use]
+pub fn audit_without_damage(
+    sim: &Simulator<GPacket, GameWorld>,
+    horizon: SimTime,
+) -> (Json, u64, bool) {
+    let report = sim.lineage().audit(horizon, None);
+    (
+        report.to_json(),
+        sim.lineage().fingerprint(),
+        report.is_clean(),
+    )
+}
+
 /// The fault damage window for a loss-free chaos plan: from just before
 /// the first scheduled fault to the last repair plus the settle margin.
 /// The window opens one second *before* the first fault because a message
@@ -175,10 +192,7 @@ pub fn run(cfg: &AuditConfig) -> AuditOutput {
         if let Some(ts) = &cfg.timeseries {
             // The sampler reads the metrics registry, so telemetry must be
             // on; the journal is not needed here.
-            built.sim.enable_telemetry(TelemetryConfig {
-                journal_capacity: 0,
-                journal_sample: 1,
-            });
+            built.sim.enable_telemetry(TelemetryConfig::counters_only());
             built.sim.enable_timeseries(ts.clone());
         }
         built.sim.install_faults(plan);

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use gcopss_names::Name;
 use gcopss_game::PlayerId;
-use gcopss_sim::{FaultPlan, NodeId, SimDuration, SimTime, Simulator};
+use gcopss_sim::{EngineDrop, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
     GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
@@ -177,23 +177,17 @@ fn run_chaos(
     horizon: SimTime,
     telemetry: Option<(&mut TelemetryCapture, &str)>,
 ) -> ChaosRun {
-    if let Some((cap, _)) = &telemetry {
-        cap.arm(&mut sim);
-    }
-    sim.install_faults(plan.clone());
-    sim.run_until(horizon);
-    let bytes = sim.total_link_bytes();
-    let (link_lost, node_lost) = sim.fault_drops();
-    let last_repair = sim.last_repair_time();
-    if let Some((cap, label)) = telemetry {
-        cap.collect(&sim, label);
-    }
+    let (cap, label) = telemetry.unzip();
+    TelemetryCapture::observe(cap, &mut sim, label.unwrap_or_default(), |sim| {
+        sim.install_faults(plan.clone());
+        sim.run_until(horizon);
+    });
     ChaosRun {
+        bytes: sim.total_link_bytes(),
+        link_lost: sim.dropped(EngineDrop::LinkLost),
+        node_lost: sim.dropped(EngineDrop::NodeLost),
+        last_repair: sim.last_repair_time(),
         world: sim.into_world(),
-        bytes,
-        link_lost,
-        node_lost,
-        last_repair,
     }
 }
 

@@ -1,6 +1,8 @@
 //! Table II: the whole event trace on IP (6 servers), G-COPSS (6 RPs) and
 //! hybrid-G-COPSS (6 IP multicast groups), when there is no congestion.
 
+use gcopss_sim::Simulator;
+
 use crate::scenario::{HybridConfig, NetworkSpec, ScenarioSpec};
 use crate::MetricsMode;
 
@@ -77,14 +79,8 @@ pub fn run_with(
             .hybrid(c)
             .build()
             .into_hybrid();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.arm(&mut built.sim);
-        }
-        built.sim.run();
+        TelemetryCapture::observe(telemetry, &mut built.sim, "hybrid", Simulator::run);
         let bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, "hybrid");
-        }
         summarize(
             format!("hybrid-G-COPSS {} groups", cfg.cores),
             &built.sim.into_world(),

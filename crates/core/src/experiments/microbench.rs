@@ -1,7 +1,7 @@
 //! Fig. 4: microbenchmark latency CDFs of G-COPSS, the NDN baseline, and
 //! the IP server, on the 6-router testbed with 62 players.
 
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::ndn_baseline::NdnClientConfig;
 use crate::scenario::{
@@ -110,14 +110,9 @@ pub fn run_with(
             .gcopss(c)
             .build()
             .into_gcopss();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.arm(&mut built.sim);
-        }
-        built.sim.run();
+        let cap = telemetry.as_deref_mut();
+        TelemetryCapture::observe(cap, &mut built.sim, "gcopss", Simulator::run);
         let bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, "gcopss");
-        }
         system_result("G-COPSS", built.sim.into_world(), bytes, cfg.cdf_points)
     };
 
@@ -133,14 +128,9 @@ pub fn run_with(
             .ip_server(c)
             .build()
             .into_ip_server();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.arm(&mut built.sim);
-        }
-        built.sim.run();
+        let cap = telemetry.as_deref_mut();
+        TelemetryCapture::observe(cap, &mut built.sim, "ip", Simulator::run);
         let bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, "ip");
-        }
         system_result("IP server", built.sim.into_world(), bytes, cfg.cdf_points)
     };
 
@@ -161,15 +151,9 @@ pub fn run_with(
             .ndn_baseline(c)
             .build()
             .into_ndn_baseline();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.arm(&mut built.sim);
-        }
         let horizon = SimTime::ZERO + warmup + cfg.duration + SimDuration::from_secs(120);
-        built.sim.run_until(horizon);
+        TelemetryCapture::observe(telemetry, &mut built.sim, "ndn", |sim| sim.run_until(horizon));
         let bytes = built.sim.total_link_bytes();
-        if let Some(cap) = telemetry.as_mut() {
-            cap.collect(&built.sim, "ndn");
-        }
         system_result("NDN", built.sim.into_world(), bytes, cfg.cdf_points)
     };
 

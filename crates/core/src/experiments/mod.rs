@@ -46,9 +46,10 @@ use crate::{GPacket, GameWorld};
 
 /// Collects one [`TelemetryReport`] per simulator run of a driver.
 ///
-/// Drivers take `Option<&mut TelemetryCapture>`: `None` keeps telemetry off
-/// (zero cost), `Some` arms every simulator before it runs and harvests a
-/// report after. Reports are numbered in run order; the index becomes the
+/// Drivers take `Option<&mut TelemetryCapture>` and run every simulator
+/// through [`TelemetryCapture::observe`]: `None` keeps telemetry off (zero
+/// cost), `Some` arms the simulator before it runs and harvests a report
+/// after. Reports are numbered in run order; the index becomes the
 /// Chrome-trace process id, so all runs of one experiment share a single
 /// trace file with one "process" lane per run.
 #[derive(Debug, Default)]
@@ -82,20 +83,28 @@ impl TelemetryCapture {
         self
     }
 
-    /// Enables telemetry on a simulator about to run.
-    pub fn arm(&self, sim: &mut Simulator<GPacket, GameWorld>) {
-        sim.enable_telemetry(self.cfg.clone());
-        if let Some(ts) = &self.timeseries {
-            sim.enable_timeseries(ts.clone());
+    /// Runs `run` on `sim` under an optional capture: arms telemetry before
+    /// it and harvests the run's report as `label` after it. With `None`
+    /// this is just `run(sim)` and `label` is unused.
+    pub fn observe(
+        cap: Option<&mut Self>,
+        sim: &mut Simulator<GPacket, GameWorld>,
+        label: &str,
+        run: impl FnOnce(&mut Simulator<GPacket, GameWorld>),
+    ) {
+        if let Some(cap) = &cap {
+            sim.enable_telemetry(cap.cfg.clone());
+            if let Some(ts) = &cap.timeseries {
+                sim.enable_timeseries(ts.clone());
+            }
         }
-    }
-
-    /// Harvests the report of a finished run (call before `into_world`).
-    pub fn collect(&mut self, sim: &Simulator<GPacket, GameWorld>, label: &str) {
-        let pid = self.reports.len() as u64;
-        self.reports.push(sim.telemetry_report(label, pid));
-        if let Some(frames) = sim.timeseries_json() {
-            self.series.push((label.to_string(), frames));
+        run(sim);
+        if let Some(cap) = cap {
+            let pid = cap.reports.len() as u64;
+            cap.reports.push(sim.telemetry_report(label, pid));
+            if let Some(frames) = sim.timeseries_json() {
+                cap.series.push((label.to_string(), frames));
+            }
         }
     }
 }

@@ -129,7 +129,7 @@ pub fn run_mode(cfg: &MovementConfig, mode: SnapshotMode) -> MovementOutput {
 pub fn run_mode_with(
     cfg: &MovementConfig,
     mode: SnapshotMode,
-    mut telemetry: Option<&mut TelemetryCapture>,
+    telemetry: Option<&mut TelemetryCapture>,
 ) -> MovementOutput {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(cfg.net_seed);
@@ -216,19 +216,15 @@ pub fn run_mode_with(
         .client_factory(factory)
         .build()
         .into_gcopss();
-    if let Some(cap) = telemetry.as_mut() {
-        cap.arm(&mut built.sim);
-    }
     let horizon = SimTime::ZERO + warmup + SimDuration::from_nanos(trace_span) + cfg.drain;
-    built.sim.run_until(horizon);
-    let network_bytes = built.sim.total_link_bytes();
     let label = match mode {
         SnapshotMode::QueryResponse { window } => format!("qr-w{window}"),
         SnapshotMode::CyclicMulticast => "cyclic".to_string(),
     };
-    if let Some(cap) = telemetry.as_mut() {
-        cap.collect(&built.sim, &label);
-    }
+    TelemetryCapture::observe(telemetry, &mut built.sim, &label, |sim| {
+        sim.run_until(horizon);
+    });
+    let network_bytes = built.sim.total_link_bytes();
     let world = built.sim.into_world();
 
     // Group records by movement type.

@@ -27,7 +27,7 @@
 //! *gracefully*, never *silently*.
 
 use gcopss_sim::{
-    AdmissionPolicy, LineageConfig, OverloadConfig, SimDuration, SimTime, Simulator,
+    AdmissionPolicy, EngineDrop, LineageConfig, OverloadConfig, SimDuration, SimTime, Simulator,
     TelemetryConfig,
 };
 
@@ -36,7 +36,7 @@ use crate::scenario::{
 };
 use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig};
 
-use super::audit::register_expectations;
+use super::audit::{audit_without_damage, register_expectations};
 use super::{TelemetryCapture, Workload, WorkloadParams};
 
 /// The queue regime of one run arm.
@@ -281,47 +281,31 @@ fn run_one(
     audited: Option<(&LineageConfig, &Workload, SimDuration)>,
     telemetry: Option<(&mut TelemetryCapture, &str)>,
 ) -> RunHarvest {
-    match &telemetry {
-        Some((cap, _)) => cap.arm(&mut sim),
-        // The per-class control counters live in telemetry; arm the
-        // journal-free minimal config so captureless runs still count.
-        None => sim.enable_telemetry(TelemetryConfig {
-            journal_capacity: 0,
-            journal_sample: 1,
-        }),
+    let (cap, label) = telemetry.unzip();
+    if cap.is_none() {
+        // The per-class control counters live in telemetry, so captureless
+        // runs still count.
+        sim.enable_telemetry(TelemetryConfig::counters_only());
     }
-    if let Some((lineage, w, warmup)) = audited {
-        sim.enable_lineage(lineage.clone());
-        register_expectations(&mut sim, w, warmup);
-    }
-    sim.run_until(horizon);
-    let audit = audited.map(|_| {
-        // No faults are injected: every miss must be explained by a drop
-        // record (overload drops and source sheds land on the lineage), so
-        // no damage window is granted.
-        let report = sim.lineage().audit(horizon, None);
-        (
-            report.to_json(),
-            sim.lineage().fingerprint(),
-            report.is_clean(),
-        )
+    TelemetryCapture::observe(cap, &mut sim, label.unwrap_or_default(), |sim| {
+        if let Some((lineage, w, warmup)) = audited {
+            sim.enable_lineage(lineage.clone());
+            register_expectations(sim, w, warmup);
+        }
+        sim.run_until(horizon);
     });
-    let ctl_in = sim.telemetry().counter_total("ctl-in");
-    let ctl_drop = sim.telemetry().counter_total("ctl-drop");
-    let bytes = sim.total_link_bytes();
-    let drops = sim.overload_drops();
-    let marks = sim.congestion_marks();
-    if let Some((cap, label)) = telemetry {
-        cap.collect(&sim, label);
-    }
     RunHarvest {
+        bytes: sim.total_link_bytes(),
+        drops: (
+            sim.dropped(EngineDrop::QueueFull),
+            sim.dropped(EngineDrop::AqmShed),
+            sim.dropped(EngineDrop::StaleSuperseded),
+        ),
+        marks: sim.congestion_marks(),
+        ctl_in: sim.telemetry().counter_total("ctl-in"),
+        ctl_drop: sim.telemetry().counter_total("ctl-drop"),
+        audit: audited.map(|_| audit_without_damage(&sim, horizon)),
         world: sim.into_world(),
-        bytes,
-        drops,
-        marks,
-        ctl_in,
-        ctl_drop,
-        audit,
     }
 }
 

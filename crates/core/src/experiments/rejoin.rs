@@ -310,15 +310,12 @@ fn run_mode(
         .build()
         .into_gcopss();
 
-    if let Some((cap, _)) = &telemetry {
-        cap.arm(&mut built.sim);
-    }
     let horizon = SimTime::ZERO + cfg.warmup + span + cfg.drain;
-    built.sim.run_until(horizon);
+    let (cap, tlabel) = telemetry.unzip();
+    TelemetryCapture::observe(cap, &mut built.sim, tlabel.unwrap_or_default(), |sim| {
+        sim.run_until(horizon);
+    });
     let bytes = built.sim.total_link_bytes();
-    if let Some((cap, tlabel)) = telemetry {
-        cap.collect(&built.sim, tlabel);
-    }
     summarize_mode(label, mode, &built.sim.into_world(), bytes)
 }
 

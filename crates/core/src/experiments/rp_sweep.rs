@@ -2,7 +2,7 @@
 //! numbers of RPs/servers, congestion timelines, and automatic RP
 //! balancing.
 
-use gcopss_sim::SimDuration;
+use gcopss_sim::{SimDuration, Simulator};
 
 use crate::scenario::{GcopssConfig, IpConfig, NetworkSpec, ScenarioSpec};
 use crate::{GameWorld, MetricsMode, SimParams, SplitRecord};
@@ -137,14 +137,9 @@ pub fn run_gcopss_once_with(
         .gcopss(cfg)
         .build()
         .into_gcopss();
-    if let Some((cap, _)) = &telemetry {
-        cap.arm(&mut built.sim);
-    }
-    built.sim.run();
+    let (cap, label) = telemetry.unzip();
+    TelemetryCapture::observe(cap, &mut built.sim, label.unwrap_or_default(), Simulator::run);
     let bytes = built.sim.total_link_bytes();
-    if let Some((cap, label)) = telemetry {
-        cap.collect(&built.sim, label);
-    }
     (built.sim.into_world(), bytes)
 }
 
@@ -177,14 +172,9 @@ pub fn run_ip_once_with(
         .ip_server(cfg)
         .build()
         .into_ip_server();
-    if let Some((cap, _)) = &telemetry {
-        cap.arm(&mut built.sim);
-    }
-    built.sim.run();
+    let (cap, label) = telemetry.unzip();
+    TelemetryCapture::observe(cap, &mut built.sim, label.unwrap_or_default(), Simulator::run);
     let bytes = built.sim.total_link_bytes();
-    if let Some((cap, label)) = telemetry {
-        cap.collect(&built.sim, label);
-    }
     (built.sim.into_world(), bytes)
 }
 

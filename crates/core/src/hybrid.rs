@@ -88,12 +88,7 @@ pub fn route_ip_at_router(ctx: &mut Ctx<'_, GPacket, GameWorld>, ip: IpPacket) {
     let g = GPacket::Ip(ip);
     let size = g.wire_size();
     if ctx.send_toward(dst, g, size).is_none() {
-        ctx.emit(
-            gcopss_sim::TraceEvent::Drop,
-            crate::drops::IP_NO_ROUTE,
-            size,
-        );
-        ctx.world().bump(crate::drops::IP_NO_ROUTE);
+        crate::drops::record(ctx, crate::drops::IP_NO_ROUTE, size);
     }
 }
 
@@ -293,20 +288,14 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                 if dsts.contains(&me) {
                     // Filter: only actually-subscribed hosts receive it.
                     if !self.deliver_to_hosts(ctx, &inner, None) {
-                        ctx.emit(
-                            gcopss_sim::TraceEvent::Drop,
-                            crate::drops::HYBRID_FILTERED_UNWANTED,
-                            inner.encoded_len() as u32,
-                        );
-                        ctx.world().bump(crate::drops::HYBRID_FILTERED_UNWANTED);
+                        crate::drops::record(ctx, crate::drops::HYBRID_FILTERED_UNWANTED, inner.encoded_len() as u32);
                     }
                 }
                 forward_mcast(ctx, group, &dsts, inner);
             }
             GPacket::Ip(other) => route_ip_at_router(ctx, other),
             _ => {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
-                ctx.world().bump(crate::drops::HYBRID_UNEXPECTED_PACKET);
+                crate::drops::record(ctx, crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
             }
         }
     }

@@ -126,8 +126,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
                 return;
             }
             _ => {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::SERVER_UNEXPECTED_PACKET, 0);
-                ctx.world().bump(crate::drops::SERVER_UNEXPECTED_PACKET);
+                crate::drops::record(ctx, crate::drops::SERVER_UNEXPECTED_PACKET, 0);
                 return;
             }
         };
@@ -140,12 +139,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
             // Connection model: a player whose session was lost in a server
             // crash gets nothing until it re-hellos.
             if self.recovery.is_some() && !self.connected.contains(&p) {
-                ctx.emit(
-                    gcopss_sim::TraceEvent::Drop,
-                    crate::drops::SERVER_DISCONNECTED_PLAYER,
-                    update.encoded_len() as u32,
-                );
-                ctx.world().bump(crate::drops::SERVER_DISCONNECTED_PLAYER);
+                crate::drops::record(ctx, crate::drops::SERVER_DISCONNECTED_PLAYER, update.encoded_len() as u32);
                 continue;
             }
             let client = self.roster.player_nodes[p.index()];
@@ -291,16 +285,14 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
                 // Shed at the source (never published — the auditor sees
                 // an unpublished trace event, not a lost packet); the
                 // trace keeps advancing.
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::RATE_LIMITED, size);
+                crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
                 ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
-                ctx.world().bump(crate::drops::RATE_LIMITED);
                 self.schedule_next(ctx);
                 return;
             }
         }
         let Some(&server) = self.server_of.get(&cd) else {
-            ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_CLIENT_NO_SERVER, e.size);
-            ctx.world().bump(crate::drops::IP_CLIENT_NO_SERVER);
+            crate::drops::record(ctx, crate::drops::IP_CLIENT_NO_SERVER, e.size);
             return;
         };
         let now = ctx.now();
@@ -333,11 +325,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             if let Some(p) = &mut self.pacer {
                 p.on_delivery(ctx.congestion_marked());
             }
-            ctx.world().record_delivery(update.id, self.player, now);
-            ctx.lineage_deliver(self.player.0);
-            if ctx.telemetry_enabled() {
-                ctx.counter("delivered", 1);
-            }
+            GameWorld::deliver(ctx, update.id, self.player);
         }
     }
 

@@ -179,9 +179,7 @@ impl NdnPlayerClient {
         let g = GPacket::Interest(Interest::new(name, nonce));
         let size = g.wire_size();
         ctx.send(self.edge, g, size);
-        if ctx.telemetry_enabled() {
-            ctx.counter("ndn-interests-expressed", 1);
-        }
+        ctx.counter("ndn-interests-expressed", 1);
         let now = ctx.now();
         self.consumer[producer_idx].outstanding.insert(seq, now);
     }
@@ -319,12 +317,7 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
                     self.pending_seqs.insert(seq);
                 } else {
                     // Aged out of history.
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::NDN_BATCH_EXPIRED,
-                        i.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::NDN_BATCH_EXPIRED);
+                    crate::drops::record(ctx, crate::drops::NDN_BATCH_EXPIRED, i.encoded_len() as u32);
                 }
             }
             // Consumer role: a producer's batch arrived.
@@ -348,15 +341,8 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
                 if !st.received.insert(seq) {
                     return; // duplicate batch
                 }
-                let now = ctx.now();
-                let mut delivered = 0u64;
                 for id in ids {
-                    ctx.world().record_delivery(id, self.player, now);
-                    ctx.lineage_deliver(self.player.0);
-                    delivered += 1;
-                }
-                if delivered > 0 && ctx.telemetry_enabled() {
-                    ctx.counter("delivered", delivered);
+                    GameWorld::deliver(ctx, id, self.player);
                 }
                 // Slide the pipeline window.
                 let next = self.consumer[pi].next_to_request;

@@ -734,8 +734,7 @@ impl GCopssRouter {
                                 ctx.send(node, g, size);
                             }
                         } else {
-                            ctx.emit(TraceEvent::Drop, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                            ctx.world().bump(crate::drops::TORP_NO_ROUTE);
+                            crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
                         }
                     }
                     // Keep the old tree warm during the grace period (both
@@ -752,8 +751,7 @@ impl GCopssRouter {
                     }
                 }
                 None => {
-                    ctx.emit(TraceEvent::Drop, crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
-                    ctx.world().bump(crate::drops::TORP_UNSERVED_CD);
+                    crate::drops::record(ctx, crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
                 }
             }
         } else {
@@ -767,8 +765,7 @@ impl GCopssRouter {
                     }
                 }
                 None => {
-                    ctx.emit(TraceEvent::Drop, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                    ctx.world().bump(crate::drops::TORP_NO_ROUTE);
+                    crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
                 }
             }
         }
@@ -1191,12 +1188,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                         }
                         Some(rp) => self.on_to_rp(ctx, rp, m),
                         None => {
-                            ctx.emit(
-                                TraceEvent::Drop,
-                                crate::drops::PUBLICATION_UNSERVED_CD,
-                                m.encoded_len() as u32,
-                            );
-                            ctx.world().bump(crate::drops::PUBLICATION_UNSERVED_CD);
+                            crate::drops::record(ctx, crate::drops::PUBLICATION_UNSERVED_CD, m.encoded_len() as u32);
                         }
                     }
                 } else {

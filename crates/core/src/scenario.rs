@@ -11,8 +11,8 @@ use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::generators::{attach_hosts, benchmark_testbed, rocketfuel_like, BackboneParams};
 use gcopss_sim::{
-    FaultPlan, NodeBehavior, NodeId, OverloadConfig, RoutingTable, SimDuration, Simulator,
-    StreamConfig, Topology,
+    FaultPlan, NodeBehavior, NodeId, OverloadConfig, PacketMeta, RoutingTable, SimDuration,
+    Simulator, StreamConfig, Topology,
 };
 
 use crate::client::{CatchUpConfig, GamePlayerClient, TraceCursor};
@@ -553,8 +553,8 @@ fn default_gcopss_factory<'a>(
 }
 
 /// The simulator every scenario starts from: a [`GameWorld`] over
-/// `topology`, the four [`GPacket`] classifiers registered, and engine
-/// overload control installed when configured.
+/// `topology`, the [`GPacket`] classifiers registered as its
+/// [`PacketMeta`], and engine overload control installed when configured.
 fn new_sim(
     topology: Topology,
     routing: RoutingTable,
@@ -567,10 +567,12 @@ fn new_sim(
         world = world.with_delivery_log();
     }
     let mut sim = Simulator::with_routing(topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
+    sim.set_packet_meta(PacketMeta {
+        kind: GPacket::kind,
+        lineage_id: GPacket::lineage_id,
+        priority: GPacket::priority,
+        supersede_key: GPacket::supersede_key,
+    });
     if let Some(ov) = overload {
         sim.install_overload(ov);
     }

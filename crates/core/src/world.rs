@@ -5,7 +5,9 @@ use std::collections::{BTreeMap, HashSet};
 use gcopss_game::{MoveType, PlayerId};
 use gcopss_names::Name;
 use gcopss_sim::metrics::{LatencySamples, OnlineStats};
-use gcopss_sim::{LogHistogram, SimDuration, SimTime};
+use gcopss_sim::{Ctx, LogHistogram, SimDuration, SimTime};
+
+use crate::GPacket;
 
 /// How much per-delivery detail to keep. Large traces (1.7M publications ×
 /// tens of receivers) cannot afford full sample retention.
@@ -382,6 +384,17 @@ impl GameWorld {
             }
         }
         self.metrics.deliver(id, receiver, at);
+    }
+
+    /// The one way a client records that the packet it is servicing
+    /// delivered publication `id` to `receiver`: the world's metrics
+    /// ([`GameWorld::record_delivery`]), the packet's lineage, and the
+    /// node's `"delivered"` telemetry counter.
+    pub(crate) fn deliver(ctx: &mut Ctx<'_, GPacket, GameWorld>, id: u64, receiver: PlayerId) {
+        let now = ctx.now();
+        ctx.world().record_delivery(id, receiver, now);
+        ctx.lineage_deliver(receiver.0);
+        ctx.counter("delivered", 1);
     }
 
     /// Bumps a named counter.

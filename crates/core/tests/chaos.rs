@@ -21,7 +21,7 @@ use gcopss_game::PlayerId;
 use gcopss_names::Name;
 use gcopss_sim::generators::BackboneParams;
 use gcopss_sim::{
-    AdmissionPolicy, FaultPlan, LineageConfig, OverloadConfig, SimDuration, SimTime,
+    AdmissionPolicy, EngineDrop, FaultPlan, LineageConfig, OverloadConfig, SimDuration, SimTime,
     TelemetryConfig, TimeSeriesConfig,
 };
 
@@ -41,7 +41,8 @@ struct SoakOutcome {
     prof_count_fingerprint: u64,
     last_repair: SimTime,
     rp_failovers: u64,
-    fault_drops: u64,
+    /// Packets lost to fault injection (`link-lost` + `node-lost`).
+    lost: u64,
     post_expected: u64,
     post_delivered: u64,
     audit: gcopss_sim::AuditReport,
@@ -50,7 +51,8 @@ struct SoakOutcome {
     spans_json: String,
     timeseries_json: String,
     overload_active: bool,
-    overload_drops: (u64, u64, u64),
+    /// Packets shed by overload control, all three reasons.
+    shed: u64,
 }
 
 fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
@@ -138,9 +140,14 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
         .timeseries_json()
         .expect("sampler was armed")
         .to_string();
-    let (link_lost, node_lost) = built.sim.fault_drops();
+    let dropped = |reasons: &[EngineDrop]| reasons.iter().map(|&why| built.sim.dropped(why)).sum();
+    let lost = dropped(&[EngineDrop::LinkLost, EngineDrop::NodeLost]);
+    let shed = dropped(&[
+        EngineDrop::QueueFull,
+        EngineDrop::AqmShed,
+        EngineDrop::StaleSuperseded,
+    ]);
     let overload_active = built.sim.overload_active();
-    let overload_drops = built.sim.overload_drops();
     let world = built.sim.into_world();
 
     // Expected fan-out per leaf CD under the AoI model.
@@ -178,7 +185,7 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
         prof_count_fingerprint,
         last_repair,
         rp_failovers: world.counters.get("rp-failovers").copied().unwrap_or(0),
-        fault_drops: link_lost + node_lost,
+        lost,
         post_expected,
         post_delivered,
         audit,
@@ -187,14 +194,14 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
         spans_json,
         timeseries_json,
         overload_active,
-        overload_drops,
+        shed,
     }
 }
 
 #[test]
 fn soak_recovers_fully_and_is_reproducible() {
     let a = run_soak(33, None);
-    assert!(a.fault_drops > 0, "chaos never dropped a packet");
+    assert!(a.lost > 0, "chaos never dropped a packet");
     assert!(a.rp_failovers >= 1, "RP crash did not trigger failover");
     assert!(a.post_expected > 0, "post-repair window is vacuous");
     assert_eq!(
@@ -264,12 +271,8 @@ fn soak_with_overload_management_still_heals() {
     assert!(!overload.is_vacuous());
     let a = run_soak(33, Some(overload));
     assert!(a.overload_active, "overload layer was not installed");
-    assert_eq!(
-        a.overload_drops,
-        (0, 0, 0),
-        "a generous queue must not shed at soak load"
-    );
-    assert!(a.fault_drops > 0, "chaos never dropped a packet");
+    assert_eq!(a.shed, 0, "a generous queue must not shed at soak load");
+    assert!(a.lost > 0, "chaos never dropped a packet");
     assert!(a.rp_failovers >= 1, "RP crash did not trigger failover");
     assert!(a.post_expected > 0, "post-repair window is vacuous");
     assert_eq!(

@@ -6,7 +6,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::fault::FaultState;
 use crate::json::Json;
 use crate::lineage::{LineageConfig, LineageLog, NO_SPAN};
-use crate::overload::{AdmissionPolicy, OverloadConfig, OverloadState};
+use crate::overload::{Admission, OverloadConfig, OverloadState};
 use crate::prof;
 use crate::stream::{MetricStreams, StreamConfig};
 use crate::telemetry::{
@@ -17,6 +17,81 @@ use crate::{
     FaultEvent, FaultNotice, FaultPlan, LinkId, NodeId, RoutingTable, SimDuration, SimTime,
     Topology,
 };
+
+/// What the engine can ask about a packet of the protocol layer's type `P`:
+/// the one description telemetry, lineage and overload control all read,
+/// registered with [`Simulator::set_packet_meta`] (e.g. from the four
+/// `GPacket` classifiers).
+///
+/// The default is inert: every packet is class `"pkt"`, untraced, control
+/// priority and supersedes nothing, so an unregistered simulator records no
+/// span and reorders nothing even with lineage or priorities switched on.
+pub struct PacketMeta<P> {
+    /// Stable class name tagging the packet's telemetry records.
+    pub kind: fn(&P) -> &'static str,
+    /// The packet's lineage id; `None` for traffic that is not traced.
+    pub lineage_id: fn(&P) -> Option<u64>,
+    /// Priority class for overload control: 0 = control plane, larger =
+    /// bulk.
+    pub priority: fn(&P) -> u8,
+    /// Supersede key: an arrival makes queued packets with an equal key
+    /// stale (a newer position update of the same object).
+    pub supersede_key: fn(&P) -> Option<u64>,
+}
+
+impl<P> Default for PacketMeta<P> {
+    fn default() -> Self {
+        Self {
+            kind: |_| "pkt",
+            lineage_id: |_| None,
+            priority: |_| 0,
+            supersede_key: |_| None,
+        }
+    }
+}
+
+/// Why the engine itself (not a behavior) dropped a packet. The tag
+/// ([`EngineDrop::as_str`]) names the per-reason telemetry counter, the
+/// journal record's class and the lineage drop reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineDrop {
+    /// Fault injection: the packet died on a down or lossy link.
+    LinkLost,
+    /// Fault injection: the packet was queued at, or arrived at, a crashed
+    /// node.
+    NodeLost,
+    /// Overload control: rejected by, or evicted from, a full bounded
+    /// service queue.
+    QueueFull,
+    /// Overload control: shed by the CoDel AQM at dequeue.
+    AqmShed,
+    /// Overload control: a queued update evicted by a newer arrival with
+    /// the same supersede key.
+    StaleSuperseded,
+}
+
+impl EngineDrop {
+    /// Every reason, in tally order.
+    pub const ALL: [Self; 5] = [
+        Self::LinkLost,
+        Self::NodeLost,
+        Self::QueueFull,
+        Self::AqmShed,
+        Self::StaleSuperseded,
+    ];
+
+    /// The drop-reason tag.
+    #[must_use]
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Self::LinkLost => "link-lost",
+            Self::NodeLost => "node-lost",
+            Self::QueueFull => "queue-full",
+            Self::AqmShed => "aqm-shed",
+            Self::StaleSuperseded => "stale-superseded",
+        }
+    }
+}
 
 /// The behavior of one node in the simulated network.
 ///
@@ -265,12 +340,6 @@ impl<P, W> Ctx<'_, P, W> {
         self.streams.queue_ewma_q8(node.0)
     }
 
-    /// The `k` heaviest keys of the named sketch as `(key, count, err)`.
-    #[must_use]
-    pub fn stream_top(&self, stream: &'static str, k: usize) -> Vec<(u64, u64, u64)> {
-        self.streams.top(stream, k)
-    }
-
     /// The named sketch's estimate for `key`, when monitored.
     #[must_use]
     #[inline]
@@ -302,13 +371,6 @@ impl<P, W> Ctx<'_, P, W> {
     pub fn lineage_deliver(&mut self, entity: u32) {
         self.lineage
             .deliver_from(self.cur_span, self.node.0, entity, self.now);
-    }
-
-    /// Whether lineage tracing is recording.
-    #[must_use]
-    #[inline]
-    pub fn lineage_enabled(&self) -> bool {
-        self.lineage.is_enabled()
     }
 
     /// Records a source-side shed: message `lid` was never handed to the
@@ -399,12 +461,12 @@ enum Event<P> {
 /// arrival stamp feeds the telemetry queueing-delay histogram and the
 /// overload layer's sojourn decisions; the span ties the queued copy to its
 /// lineage.
-struct Queued<P> {
+pub(crate) struct Queued<P> {
     from: Option<NodeId>,
-    pkt: P,
+    pub(crate) pkt: P,
     size: u32,
     /// When the packet entered this queue.
-    at: SimTime,
+    pub(crate) at: SimTime,
     span: u32,
     /// Congestion mark inherited from upstream hops.
     marked: bool,
@@ -476,13 +538,11 @@ pub struct Simulator<P, W> {
     stopped: bool,
     on_start_done: bool,
     telemetry: Telemetry,
-    /// Maps packets to a stable class name for telemetry records.
-    packet_kinds: Option<fn(&P) -> &'static str>,
+    /// How telemetry, lineage and overload control read a packet.
+    meta: PacketMeta<P>,
     /// Per-message causal span log; disabled (one branch per hook) by
     /// default.
     lineage: LineageLog,
-    /// Maps packets to their lineage id (`None` for control traffic).
-    lineage_ids: Option<fn(&P) -> Option<u64>>,
     /// Span of the packet currently being serviced; the causal parent of
     /// transmissions requested by the running behavior.
     cur_span: u32,
@@ -498,12 +558,8 @@ pub struct Simulator<P, W> {
     /// Live overload-control state; `None` unless a non-vacuous
     /// [`OverloadConfig`] was installed (same rule as `faults`).
     overload: Option<OverloadState>,
-    /// Maps packets to a priority class (0 = control plane, higher = bulk)
-    /// for the overload layer. Registering it alone is inert.
-    priorities: Option<fn(&P) -> u8>,
-    /// Maps packets to a supersede key: a newer arrival with the same key
-    /// makes queued older ones stale (position updates). Inert alone.
-    supersede_keys: Option<fn(&P) -> Option<u64>>,
+    /// Packets dropped by the engine so far, indexed by [`EngineDrop`].
+    drops: [u64; EngineDrop::ALL.len()],
     /// Congestion mark of the packet currently being serviced.
     cur_marked: bool,
     /// The effect buffers lent to each [`Ctx`] for the duration of one
@@ -545,16 +601,14 @@ impl<P, W> Simulator<P, W> {
             stopped: false,
             on_start_done: false,
             telemetry: Telemetry::disabled(n, l),
-            packet_kinds: None,
+            meta: PacketMeta::default(),
             lineage: LineageLog::disabled(),
-            lineage_ids: None,
             cur_span: NO_SPAN,
             timeseries: None,
             streams: MetricStreams::disabled(),
             faults: None,
             overload: None,
-            priorities: None,
-            supersede_keys: None,
+            drops: [0; EngineDrop::ALL.len()],
             cur_marked: false,
             send_buf: Vec::new(),
             timer_buf: Vec::new(),
@@ -660,66 +714,44 @@ impl<P, W> Simulator<P, W> {
         &self.streams
     }
 
-    /// Packets shed by overload control so far, as
-    /// `(queue_full, aqm_shed, stale_superseded)`. All zero when overload
-    /// control is not active.
+    /// Packets the engine dropped for reason `why` so far: the fault
+    /// reasons stay zero without an installed fault plan, the overload
+    /// reasons without installed overload control.
     #[must_use]
-    pub fn overload_drops(&self) -> (u64, u64, u64) {
-        self.overload
-            .as_ref()
-            .map_or((0, 0, 0), |o| (o.queue_full, o.aqm_shed, o.stale_superseded))
+    pub fn dropped(&self, why: EngineDrop) -> u64 {
+        self.drops[why as usize]
     }
 
     /// Packets congestion-marked so far (zero without overload control).
     #[must_use]
     pub fn congestion_marks(&self) -> u64 {
-        self.overload.as_ref().map_or(0, |o| o.marks)
+        self.overload.as_ref().map_or(0, OverloadState::marks)
     }
 
-    /// Registers the priority classifier used by overload control
-    /// (0 = control plane, larger = bulk; e.g. `GPacket::priority`).
-    /// Without an installed overload config this is inert.
-    pub fn set_priorities(&mut self, f: fn(&P) -> u8) {
-        self.priorities = Some(f);
-    }
-
-    /// Registers the supersede-key classifier used by overload control: an
-    /// arrival whose key equals a queued packet's key may evict the stale
-    /// one when the queue is full (e.g. `GPacket::supersede_key`). Inert
-    /// without an installed overload config.
-    pub fn set_supersede_keys(&mut self, f: fn(&P) -> Option<u64>) {
-        self.supersede_keys = Some(f);
-    }
-
-    /// Packets dropped by fault injection so far, as
-    /// `(link_lost, node_lost)`. Both zero when faults are not active.
-    #[must_use]
-    pub fn fault_drops(&self) -> (u64, u64) {
-        self.faults
-            .as_ref()
-            .map_or((0, 0), |f| (f.link_lost, f.node_lost))
+    /// Registers how the engine reads a packet: its telemetry class, its
+    /// lineage id, and its priority class and supersede key for overload
+    /// control (see [`PacketMeta`]). Each part is inert until the
+    /// subsystem reading it is switched on.
+    pub fn set_packet_meta(&mut self, meta: PacketMeta<P>) {
+        self.meta = meta;
     }
 
     /// The time the last repair event (`LinkUp`/`NodeUp`) was applied.
     #[must_use]
     pub fn last_repair_time(&self) -> Option<SimTime> {
-        self.faults.as_ref().and_then(|f| f.last_repair)
+        self.faults.as_ref().and_then(FaultState::last_repair)
     }
 
     /// Whether a node is currently up (always `true` without faults).
     #[must_use]
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.faults
-            .as_ref()
-            .is_none_or(|f| f.node_up[node.index()])
+        self.faults.as_ref().is_none_or(|f| f.node_is_up(node))
     }
 
     /// Whether a link is currently up (always `true` without faults).
     #[must_use]
     pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.faults
-            .as_ref()
-            .is_none_or(|f| f.link_up[link.index()])
+        self.faults.as_ref().is_none_or(|f| f.link_is_up(link))
     }
 
     /// Switches the telemetry registry + journal on. Until called, every
@@ -729,23 +761,11 @@ impl<P, W> Simulator<P, W> {
         self.telemetry.enable(cfg);
     }
 
-    /// Registers the packet classifier used to tag telemetry records (e.g.
-    /// `GPacket::kind`). Unclassified packets are tagged `"pkt"`.
-    pub fn set_packet_kinds(&mut self, f: fn(&P) -> &'static str) {
-        self.packet_kinds = Some(f);
-    }
-
-    /// Switches per-message lineage tracing on. Requires a lineage-id
-    /// classifier ([`Simulator::set_lineage_ids`]) to have any effect;
-    /// until both are set every lineage hook reduces to a single branch.
+    /// Switches per-message lineage tracing on. Only packets the
+    /// registered [`PacketMeta::lineage_id`] gives an id are traced; until
+    /// enabled every lineage hook reduces to a single branch.
     pub fn enable_lineage(&mut self, cfg: LineageConfig) {
         self.lineage.enable(cfg);
-    }
-
-    /// Registers the classifier mapping packets to their lineage id
-    /// (`None` for control traffic that should not be traced).
-    pub fn set_lineage_ids(&mut self, f: fn(&P) -> Option<u64>) {
-        self.lineage_ids = Some(f);
     }
 
     /// Read access to the lineage span log.
@@ -770,11 +790,6 @@ impl<P, W> Simulator<P, W> {
     #[must_use]
     pub fn timeseries_json(&self) -> Option<Json> {
         self.timeseries.as_ref().map(TimeSeries::to_json)
-    }
-
-    #[inline]
-    fn lineage_id_of(&self, pkt: &P) -> Option<u64> {
-        self.lineage_ids.and_then(|f| f(pkt))
     }
 
     /// Runs every due periodic sampler pass with timestamp before `upto`
@@ -851,11 +866,6 @@ impl<P, W> Simulator<P, W> {
             trace_events: self.telemetry.trace_events_json(&self.topology, pid),
             fingerprint: self.telemetry.journal_fingerprint(),
         }
-    }
-
-    #[inline]
-    fn classify(&self, pkt: &P) -> &'static str {
-        self.packet_kinds.map_or("pkt", |f| f(pkt))
     }
 
     /// Installs the behavior of a node.
@@ -960,6 +970,12 @@ impl<P, W> Simulator<P, W> {
         self.events_processed
     }
 
+    /// Returns `true` if there are no pending events.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.events.is_empty()
+    }
+
     /// Runs every node's [`NodeBehavior::on_start`] hook, then processes
     /// events until the queue drains or a behavior calls [`Ctx::stop`].
     pub fn run(&mut self) {
@@ -972,25 +988,7 @@ impl<P, W> Simulator<P, W> {
         let _run = prof::scope("engine/run");
         let events_before = self.events_processed;
         self.start_all();
-        while let Some(&Reverse((t, _, _))) = self.events.peek() {
-            if t > limit || self.stopped {
-                break;
-            }
-            if self.timeseries.is_some() || self.streams.is_enabled() {
-                let _ts = prof::scope("engine/timeseries");
-                self.flush_samplers(t, false);
-            }
-            let ev = {
-                let _pop = prof::scope("engine/pop");
-                let Reverse((t, _, slot)) = self.events.pop().expect("peeked");
-                self.now = t;
-                let ev = self.payloads[slot as usize]
-                    .take()
-                    .expect("event payload present");
-                self.free_slots.push(slot as usize);
-                ev
-            };
-            self.events_processed += 1;
+        while let Some(ev) = self.next_event(limit) {
             self.dispatch(ev);
         }
         if limit < SimTime::MAX && !self.stopped {
@@ -1007,29 +1005,39 @@ impl<P, W> Simulator<P, W> {
         let events_before = self.events_processed;
         self.start_all();
         let mut done = 0;
-        while done < n && !self.stopped {
-            let popped = {
-                let _pop = prof::scope("engine/pop");
-                self.events.pop()
-            };
-            let Some(Reverse((t, _, slot))) = popped else {
+        while done < n {
+            let Some(ev) = self.next_event(SimTime::MAX) else {
                 break;
             };
-            if self.timeseries.is_some() || self.streams.is_enabled() {
-                let _ts = prof::scope("engine/timeseries");
-                self.flush_samplers(t, false);
-            }
-            self.now = t;
-            let ev = self.payloads[slot as usize]
-                .take()
-                .expect("event payload present");
-            self.free_slots.push(slot as usize);
-            self.events_processed += 1;
             self.dispatch(ev);
             done += 1;
         }
         self.prof_throughput(events_before);
         done
+    }
+
+    /// Takes the earliest pending event off the heap and advances the clock
+    /// to it, after running every sampler pass due before it. `None` when
+    /// the queue is empty, the event lies beyond `limit`, or a behavior
+    /// called [`Ctx::stop`].
+    fn next_event(&mut self, limit: SimTime) -> Option<Event<P>> {
+        let &Reverse((t, _, _)) = self.events.peek()?;
+        if t > limit || self.stopped {
+            return None;
+        }
+        if self.timeseries.is_some() || self.streams.is_enabled() {
+            let _ts = prof::scope("engine/timeseries");
+            self.flush_samplers(t, false);
+        }
+        let _pop = prof::scope("engine/pop");
+        let Reverse((t, _, slot)) = self.events.pop().expect("peeked");
+        self.now = t;
+        let ev = self.payloads[slot as usize]
+            .take()
+            .expect("event payload present");
+        self.free_slots.push(slot as usize);
+        self.events_processed += 1;
+        Some(ev)
     }
 
     /// Records the run's deterministic throughput inputs: events executed
@@ -1067,15 +1075,14 @@ impl<P, W> Simulator<P, W> {
                     // An injected packet enters the network here: open its
                     // root span (hops carry their span from `transmit`).
                     let _lin = prof::scope("engine/lineage");
-                    if let Some(lid) = self.lineage_id_of(&pkt) {
+                    if let Some(lid) = (self.meta.lineage_id)(&pkt) {
                         span = self.lineage.origin(lid, node.0, self.now);
                     }
                 }
-                if self.faults.as_ref().is_some_and(|f| !f.node_up[node.index()]) {
+                if self.faults.as_ref().is_some_and(|f| !f.node_is_up(node)) {
                     // The destination is down: the packet is blackholed.
                     let _flt = prof::scope("engine/fault");
-                    self.lineage.mark_dropped(span, "node-lost", self.now);
-                    self.fault_drop(node, from, size, "node-lost");
+                    self.drop_packet(node, from, size, span, EngineDrop::NodeLost, None);
                     return;
                 }
                 if self.overload.is_some() && !self.admit(node, from, &pkt, size, span) {
@@ -1083,42 +1090,23 @@ impl<P, W> Simulator<P, W> {
                 }
                 if self.telemetry.is_enabled() {
                     let _tel = prof::scope("engine/telemetry");
-                    let class = self.classify(&pkt);
                     self.telemetry.packet_in(node.0, size);
                     if self.overload.is_some() {
-                        let ctl = self.priority_of(&pkt) == 0;
+                        let ctl = (self.meta.priority)(&pkt) == 0;
                         self.telemetry
                             .counter(node.0, if ctl { "ctl-in" } else { "bulk-in" }, 1);
                     }
-                    self.telemetry.journal(TraceRecord {
-                        ts: self.now,
-                        node: node.0,
-                        event: TraceEvent::Enqueue,
-                        class,
-                        size,
-                        peer: u32::MAX,
-                        dur_ns: 0,
-                    });
+                    let class = (self.meta.kind)(&pkt);
+                    self.journal(node, TraceEvent::Enqueue, class, size, u32::MAX, 0);
                 }
-                let q = Queued { from, pkt, size, at: self.now, span, marked };
-                let priority_on =
-                    self.overload.as_ref().is_some_and(|o| o.cfg.priority);
                 let st = &mut self.nodes[node.index()];
-                if priority_on {
-                    // Class-ordered insertion, FIFO within a class: scan
-                    // back over strictly-worse classes, never past the
-                    // in-service front.
-                    let class = self.priorities.map_or(0, |f| f(&q.pkt));
-                    let start = st.waiting_start();
-                    let mut pos = st.queue.len();
-                    while pos > start
-                        && self.priorities.map_or(0, |f| f(&st.queue[pos - 1].pkt)) > class
-                    {
-                        pos -= 1;
+                let q = Queued { from, pkt, size, at: self.now, span, marked };
+                match &self.overload {
+                    Some(o) => {
+                        let pos = o.insert_pos(&st.queue, st.waiting_start(), &q.pkt, &self.meta);
+                        st.queue.insert(pos, q);
                     }
-                    st.queue.insert(pos, q);
-                } else {
-                    st.queue.push_back(q);
+                    None => st.queue.push_back(q),
                 }
                 st.max_queue = st.max_queue.max(st.queue.len());
                 self.try_start_service(node);
@@ -1142,41 +1130,21 @@ impl<P, W> Simulator<P, W> {
                 // Congestion marking: a packet whose total sojourn through
                 // this node (queueing + service) overran the threshold is
                 // marked, and the mark travels with every downstream copy.
-                let mark_th = self.overload.as_ref().and_then(|o| o.cfg.mark_sojourn);
-                if let Some(th) = mark_th {
-                    if !marked && self.now.saturating_duration_since(enq) > th {
-                        marked = true;
-                        if let Some(o) = self.overload.as_mut() {
-                            o.marks += 1;
-                        }
-                        if self.telemetry.is_enabled() {
-                            let _tel = prof::scope("engine/telemetry");
-                            self.telemetry.counter(node.0, "mark", 1);
-                            self.telemetry.counter(node.0, "congestion-marked", 1);
-                            self.telemetry.journal(TraceRecord {
-                                ts: self.now,
-                                node: node.0,
-                                event: TraceEvent::Mark,
-                                class: self.classify(&pkt),
-                                size,
-                                peer: u32::MAX,
-                                dur_ns: 0,
-                            });
-                        }
+                let sojourn = self.now.saturating_duration_since(enq);
+                if !marked && self.overload.as_mut().is_some_and(|o| o.mark(sojourn)) {
+                    marked = true;
+                    if self.telemetry.is_enabled() {
+                        let _tel = prof::scope("engine/telemetry");
+                        self.telemetry.counter(node.0, "mark", 1);
+                        self.telemetry.counter(node.0, "congestion-marked", 1);
+                        let class = (self.meta.kind)(&pkt);
+                        self.journal(node, TraceEvent::Mark, class, size, u32::MAX, 0);
                     }
                 }
                 if self.telemetry.is_enabled() {
                     let _tel = prof::scope("engine/telemetry");
-                    let class = self.classify(&pkt);
-                    self.telemetry.journal(TraceRecord {
-                        ts: self.now,
-                        node: node.0,
-                        event: TraceEvent::Deliver,
-                        class,
-                        size,
-                        peer: u32::MAX,
-                        dur_ns: 0,
-                    });
+                    let class = (self.meta.kind)(&pkt);
+                    self.journal(node, TraceEvent::Deliver, class, size, u32::MAX, 0);
                 }
                 self.cur_span = span;
                 self.cur_marked = marked;
@@ -1211,7 +1179,7 @@ impl<P, W> Simulator<P, W> {
                 if epoch != self.nodes[node.index()].epoch {
                     return; // armed before a crash; the process that set it died
                 }
-                self.with_behavior_timer(node, key);
+                self.with_behavior(node, |b, ctx| b.on_timer(ctx, key));
             }
             Event::Fault(ev) => {
                 let _flt = prof::scope("engine/fault");
@@ -1225,46 +1193,41 @@ impl<P, W> Simulator<P, W> {
     /// subgraph, then notify affected live behaviors (which see the new
     /// routing table and can immediately start recovery).
     fn apply_fault(&mut self, ev: FaultEvent) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
+        let now = self.now;
+        if !self.faults.as_mut().is_some_and(|f| f.set_up(ev, now)) {
+            return; // no fault plan, or already in that state
+        }
+        let up = ev.is_repair();
+        let adjacency = |peer| {
+            if up {
+                FaultNotice::LinkUp { peer }
+            } else {
+                FaultNotice::LinkDown { peer }
+            }
         };
         match ev {
-            FaultEvent::LinkDown(l) => {
-                if !f.link_up[l.index()] {
-                    return;
-                }
-                f.link_up[l.index()] = false;
+            FaultEvent::LinkDown(l) | FaultEvent::LinkUp(l) => {
                 self.recompute_routing();
                 let (a, b) = self.topology.link_endpoints(l);
-                self.notify_fault(a, FaultNotice::LinkDown { peer: b });
-                self.notify_fault(b, FaultNotice::LinkDown { peer: a });
+                self.notify_fault(a, adjacency(b));
+                self.notify_fault(b, adjacency(a));
             }
-            FaultEvent::LinkUp(l) => {
-                if f.link_up[l.index()] {
-                    return;
-                }
-                f.link_up[l.index()] = true;
-                f.last_repair = Some(self.now);
-                self.recompute_routing();
-                let (a, b) = self.topology.link_endpoints(l);
-                self.notify_fault(a, FaultNotice::LinkUp { peer: b });
-                self.notify_fault(b, FaultNotice::LinkUp { peer: a });
-            }
-            FaultEvent::NodeDown(n) => {
-                if !f.node_up[n.index()] {
-                    return;
-                }
-                f.node_up[n.index()] = false;
-                let st = &mut self.nodes[n.index()];
-                st.epoch += 1;
-                st.busy = false;
-                st.serving = false;
-                let flushed: Vec<Queued<P>> = st.queue.drain(..).collect();
-                for q in flushed {
-                    self.lineage.mark_dropped(q.span, "node-lost", self.now);
-                    self.fault_drop(n, q.from, q.size, "node-lost");
+            FaultEvent::NodeDown(n) | FaultEvent::NodeUp(n) => {
+                if !up {
+                    // The crash kills whatever the node held: in-flight
+                    // service and timers (by epoch) and every queued packet.
+                    let st = &mut self.nodes[n.index()];
+                    st.epoch += 1;
+                    st.busy = false;
+                    st.serving = false;
+                    while let Some(q) = self.nodes[n.index()].queue.pop_front() {
+                        self.drop_packet(n, q.from, q.size, q.span, EngineDrop::NodeLost, None);
+                    }
                 }
                 self.recompute_routing();
+                if up {
+                    self.notify_fault(n, FaultNotice::Restarted);
+                }
                 let peers: Vec<NodeId> = self
                     .topology
                     .neighbors(n)
@@ -1272,25 +1235,7 @@ impl<P, W> Simulator<P, W> {
                     .map(|(m, _)| m)
                     .collect();
                 for m in peers {
-                    self.notify_fault(m, FaultNotice::LinkDown { peer: n });
-                }
-            }
-            FaultEvent::NodeUp(n) => {
-                if f.node_up[n.index()] {
-                    return;
-                }
-                f.node_up[n.index()] = true;
-                f.last_repair = Some(self.now);
-                self.recompute_routing();
-                self.notify_fault(n, FaultNotice::Restarted);
-                let peers: Vec<NodeId> = self
-                    .topology
-                    .neighbors(n)
-                    .filter(|&(_, l)| self.link_is_up(l))
-                    .map(|(m, _)| m)
-                    .collect();
-                for m in peers {
-                    self.notify_fault(m, FaultNotice::LinkUp { peer: n });
+                    self.notify_fault(m, adjacency(n));
                 }
             }
         }
@@ -1303,8 +1248,8 @@ impl<P, W> Simulator<P, W> {
         };
         self.routing = RoutingTable::shortest_paths_filtered(
             &self.topology,
-            |l| f.link_up[l.index()],
-            |n| f.node_up[n.index()],
+            |l| f.link_is_up(l),
+            |n| f.node_is_up(n),
         );
     }
 
@@ -1316,164 +1261,83 @@ impl<P, W> Simulator<P, W> {
         self.with_behavior(node, |b, ctx| b.on_fault(ctx, notice));
     }
 
-    /// Records a packet dropped by fault injection at `node`.
-    fn fault_drop(&mut self, node: NodeId, from: Option<NodeId>, size: u32, reason: &'static str) {
-        if let Some(f) = self.faults.as_mut() {
-            match reason {
-                "link-lost" => f.link_lost += 1,
-                _ => f.node_lost += 1,
-            }
-        }
+    /// Appends one engine-side record to the packet-trace journal.
+    #[inline]
+    fn journal(
+        &mut self,
+        node: NodeId,
+        event: TraceEvent,
+        class: &'static str,
+        size: u32,
+        peer: u32,
+        dur_ns: u64,
+    ) {
+        self.telemetry.journal(TraceRecord {
+            ts: self.now,
+            node: node.0,
+            event,
+            class,
+            size,
+            peer,
+            dur_ns,
+        });
+    }
+
+    /// The one place an engine-side drop is accounted. The packet of `size`
+    /// bytes, sent by `from`, dies at `node` for reason `why`: its open
+    /// lineage `span` (if any) closes as a drop, the reason's tally and the
+    /// `"drop"` + per-reason counters are bumped, and the journal gets a
+    /// drop record whose class field carries the reason (like
+    /// [`Ctx::emit`]). Overload sheds pass `ctl` — whether the victim was
+    /// control-class — and are also counted as `"ctl-drop"`/`"bulk-drop"`.
+    fn drop_packet(
+        &mut self,
+        node: NodeId,
+        from: Option<NodeId>,
+        size: u32,
+        span: u32,
+        why: EngineDrop,
+        ctl: Option<bool>,
+    ) {
+        let reason = why.as_str();
+        self.lineage.mark_dropped(span, reason, self.now);
+        self.drops[why as usize] += 1;
         self.telemetry.counter(node.0, "drop", 1);
         self.telemetry.counter(node.0, reason, 1);
-        if self.telemetry.is_enabled() {
-            // Like `Ctx::emit`, the journal's class field carries the drop
-            // reason.
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: node.0,
-                event: TraceEvent::Drop,
-                class: reason,
-                size,
-                peer: from.map_or(u32::MAX, |n| n.0),
-                dur_ns: 0,
-            });
+        if let Some(ctl) = ctl {
+            self.telemetry
+                .counter(node.0, if ctl { "ctl-drop" } else { "bulk-drop" }, 1);
         }
+        let peer = from.map_or(u32::MAX, |n| n.0);
+        self.journal(node, TraceEvent::Drop, reason, size, peer, 0);
     }
 
-    /// The arriving/queued packet's priority class (0 when no classifier
-    /// is registered — everything is control, i.e. nothing outranks).
-    #[inline]
-    fn priority_of(&self, pkt: &P) -> u8 {
-        self.priorities.map_or(0, |f| f(pkt))
-    }
-
-    /// Admission control for an arrival at a bounded queue. Returns `true`
-    /// when the arrival should be enqueued (possibly after evicting a
-    /// queued victim); `false` when it was rejected (fully accounted here:
-    /// lineage, telemetry counters, journal).
-    ///
-    /// Overflow resolution order: (1) a queued *stale* packet the arrival
-    /// supersedes sheds first; (2) head-drop evicts the oldest waiting
-    /// packet of the worst class; (3) drop-tail/CoDel evict the worst
-    /// queued packet only if the arrival outranks it, else reject the
-    /// arrival. The in-service front (index 0 while `serving`) is never
-    /// touched.
+    /// Asks overload control whether the arrival may join `node`'s queue
+    /// and applies the answer. Returns `false` when the arrival itself was
+    /// dropped; an evicted victim or the rejected arrival is accounted here.
     fn admit(&mut self, node: NodeId, from: Option<NodeId>, pkt: &P, size: u32, span: u32) -> bool {
-        let Some(ov) = self.overload.as_ref() else {
+        let Some(ov) = &self.overload else {
             return true;
         };
-        let Some(cap) = ov.cfg.queue_capacity else {
-            return true;
-        };
-        let st = &self.nodes[node.index()];
-        let start = st.waiting_start();
-        let waiting = st.queue.len() - start;
-        if waiting < cap {
-            return true;
-        }
-        let _ovp = prof::scope("engine/overload");
-        let priority_on = ov.cfg.priority;
-        let policy = ov.cfg.policy;
-        let arriving_class = self.priority_of(pkt);
-        // (1) Stale-superseded: the arrival carries a newer version of a
-        // queued update — evict the stale copy, admit the fresh one.
-        let mut victim: Option<(usize, &'static str)> = None;
-        if priority_on {
-            if let Some(key) = self.supersede_keys.and_then(|f| f(pkt)) {
-                victim = (start..st.queue.len())
-                    .find(|&i| {
-                        self.supersede_keys.and_then(|f| f(&st.queue[i].pkt)) == Some(key)
-                    })
-                    .map(|i| (i, "stale-superseded"));
-            }
-        }
-        // (2)/(3) Policy-driven overflow. With priorities on, the victim is
-        // in the worst (highest-numbered) class present; among equals
-        // head-drop evicts the oldest, drop-tail the newest.
-        if victim.is_none() {
-            let worst = (start..st.queue.len())
-                .map(|i| self.priority_of(&st.queue[i].pkt))
-                .max()
-                .expect("full queue has a waiting packet");
-            victim = match policy {
-                AdmissionPolicy::HeadDrop => {
-                    let idx = if priority_on {
-                        (start..st.queue.len())
-                            .find(|&i| self.priority_of(&st.queue[i].pkt) == worst)
-                            .expect("worst class present")
-                    } else {
-                        start
-                    };
-                    Some((idx, "queue-full"))
-                }
-                AdmissionPolicy::DropTail | AdmissionPolicy::CoDel { .. } => {
-                    if priority_on && worst > arriving_class {
-                        (start..st.queue.len())
-                            .rfind(|&i| self.priority_of(&st.queue[i].pkt) == worst)
-                            .map(|i| (i, "queue-full"))
-                    } else {
-                        None
-                    }
-                }
-            };
-        }
-        match victim {
-            Some((i, reason)) => {
-                let q = self.nodes[node.index()]
-                    .queue
-                    .remove(i)
-                    .expect("victim index in range");
-                let ctl = self.priority_of(&q.pkt) == 0;
-                self.lineage.mark_dropped(q.span, reason, self.now);
-                self.overload_drop(node, q.from, q.size, reason, ctl);
+        let st = &mut self.nodes[node.index()];
+        match ov.admit(&st.queue, st.waiting_start(), pkt, &self.meta) {
+            Admission::Admit => true,
+            Admission::Evict(i, why) => {
+                let q = st.queue.remove(i).expect("victim index in range");
+                let ctl = (self.meta.priority)(&q.pkt) == 0;
+                self.drop_packet(node, q.from, q.size, q.span, why, Some(ctl));
                 true
             }
-            None => {
-                self.lineage.mark_dropped(span, "queue-full", self.now);
-                self.overload_drop(node, from, size, "queue-full", arriving_class == 0);
+            Admission::Reject => {
+                let ctl = (self.meta.priority)(pkt) == 0;
+                self.drop_packet(node, from, size, span, EngineDrop::QueueFull, Some(ctl));
                 false
             }
         }
     }
 
-    /// Records a packet shed by overload control at `node`: same telemetry
-    /// and journal shape as [`Simulator::fault_drop`], but accounted
-    /// against the overload counters (never the fault-injection ones).
-    fn overload_drop(
-        &mut self,
-        node: NodeId,
-        from: Option<NodeId>,
-        size: u32,
-        reason: &'static str,
-        ctl: bool,
-    ) {
-        if let Some(o) = self.overload.as_mut() {
-            match reason {
-                "queue-full" => o.queue_full += 1,
-                "aqm-shed" => o.aqm_shed += 1,
-                _ => o.stale_superseded += 1,
-            }
-        }
-        self.telemetry.counter(node.0, "drop", 1);
-        self.telemetry.counter(node.0, reason, 1);
-        self.telemetry
-            .counter(node.0, if ctl { "ctl-drop" } else { "bulk-drop" }, 1);
-        if self.telemetry.is_enabled() {
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: node.0,
-                event: TraceEvent::Drop,
-                class: reason,
-                size,
-                peer: from.map_or(u32::MAX, |n| n.0),
-                dur_ns: 0,
-            });
-        }
-    }
-
     fn try_start_service(&mut self, node: NodeId) {
-        if self.overload.is_some() {
+        if self.overload.as_ref().is_some_and(OverloadState::sheds_at_dequeue) {
             self.aqm_dequeue(node);
         }
         let st = &self.nodes[node.index()];
@@ -1484,23 +1348,16 @@ impl<P, W> Simulator<P, W> {
         let service = self.behaviors[node.index()]
             .as_ref()
             .map_or(SimDuration::ZERO, |b| b.service_time(&front.pkt));
+        let span = front.span;
         if self.telemetry.is_enabled() {
             let _tel = prof::scope("engine/telemetry");
-            let class = self.classify(&front.pkt);
+            let class = (self.meta.kind)(&front.pkt);
             let size = front.size;
             let wait = self.now.saturating_duration_since(front.at);
             self.telemetry.service_started(node.0, wait, service);
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: node.0,
-                event: TraceEvent::Dequeue,
-                class,
-                size,
-                peer: u32::MAX,
-                dur_ns: service.as_nanos(),
-            });
+            self.journal(node, TraceEvent::Dequeue, class, size, u32::MAX, service.as_nanos());
         }
-        self.lineage.service_start(front.span, self.now);
+        self.lineage.service_start(span, self.now);
         self.nodes[node.index()].busy = true;
         self.nodes[node.index()].serving = true;
         self.nodes[node.index()].busy_time += service;
@@ -1509,46 +1366,21 @@ impl<P, W> Simulator<P, W> {
         self.push_event(at, Event::EndService { node, epoch });
     }
 
-    /// CoDel dequeue-time shedding: before the next packet starts service,
-    /// shed heads whose queueing delay proves a standing queue (see
-    /// `overload::CoDelState`). Never sheds the last waiting packet, and —
-    /// with priorities on — never a control-class head.
+    /// Dequeue-time shedding: before the next packet starts service at an
+    /// idle node, drop every head overload control says to shed.
     fn aqm_dequeue(&mut self, node: NodeId) {
-        let Some(ov) = self.overload.as_ref() else {
-            return;
-        };
-        let AdmissionPolicy::CoDel { target, interval } = ov.cfg.policy else {
-            return;
-        };
-        let priority_on = ov.cfg.priority;
         let _ovp = prof::scope("engine/overload");
         loop {
-            let st = &self.nodes[node.index()];
-            if st.busy {
-                return;
-            }
-            let Some(front) = st.queue.front() else {
+            let st = &mut self.nodes[node.index()];
+            let Some(ov) = self.overload.as_mut() else {
                 return;
             };
-            let can_drop = st.queue.len() > 1
-                && !(priority_on && self.priorities.map_or(0, |f| f(&front.pkt)) == 0);
-            let sojourn = self.now.saturating_duration_since(front.at);
-            let shed = self
-                .overload
-                .as_mut()
-                .expect("checked above")
-                .codel[node.index()]
-                .on_dequeue(self.now, sojourn, target, interval, can_drop);
-            if !shed {
+            if st.busy || !ov.shed_head(node.index(), &st.queue, self.now, &self.meta) {
                 return;
             }
-            let q = self.nodes[node.index()]
-                .queue
-                .pop_front()
-                .expect("non-empty");
-            let ctl = self.priority_of(&q.pkt) == 0;
-            self.lineage.mark_dropped(q.span, "aqm-shed", self.now);
-            self.overload_drop(node, q.from, q.size, "aqm-shed", ctl);
+            let q = st.queue.pop_front().expect("shed_head saw a head");
+            let ctl = (self.meta.priority)(&q.pkt) == 0;
+            self.drop_packet(node, q.from, q.size, q.span, EngineDrop::AqmShed, Some(ctl));
         }
     }
 
@@ -1566,13 +1398,15 @@ impl<P, W> Simulator<P, W> {
         // Not re-entrant: applying effects below never runs a behavior, so
         // the previous callback gave both buffers back drained.
         debug_assert!(self.send_buf.is_empty() && self.timer_buf.is_empty());
+        let st = &self.nodes[node.index()];
+        let queue_len = st.queue.len() - st.waiting_start();
         let mut ctx = Ctx {
             now: self.now,
             node,
             world: &mut self.world,
             topology: &self.topology,
             routing: &self.routing,
-            queue_len: self.nodes[node.index()].queue.len(),
+            queue_len,
             telemetry: &mut self.telemetry,
             streams: &mut self.streams,
             lineage: &mut self.lineage,
@@ -1608,10 +1442,6 @@ impl<P, W> Simulator<P, W> {
         extra_busy
     }
 
-    fn with_behavior_timer(&mut self, node: NodeId, key: u64) {
-        self.with_behavior(node, |b, ctx| b.on_timer(ctx, key));
-    }
-
     fn transmit(&mut self, from: NodeId, to: NodeId, pkt: P, size: u32) {
         let _tx = prof::scope("engine/transmit");
         let link = self
@@ -1620,7 +1450,7 @@ impl<P, W> Simulator<P, W> {
             .unwrap_or_else(|| panic!("{from} is not adjacent to {to}"));
         let mut cause = self.cur_span;
         let lid = if self.lineage.is_enabled() {
-            self.lineage_id_of(&pkt)
+            (self.meta.lineage_id)(&pkt)
         } else {
             None
         };
@@ -1633,21 +1463,15 @@ impl<P, W> Simulator<P, W> {
                 cause = origin;
             }
         }
-        if let Some(f) = self.faults.as_mut() {
-            if !f.link_up[link.index()] {
-                if let Some(l) = lid {
-                    self.lineage.drop_at(l, cause, from.0, "link-lost", self.now);
-                }
-                self.fault_drop(from, Some(to), size, "link-lost");
-                return;
+        if self.faults.as_mut().is_some_and(|f| f.loses(link)) {
+            // The copy never reaches a queue, so it has no span of its own
+            // to mark: its lineage gets an already-closed drop record.
+            let why = EngineDrop::LinkLost;
+            if let Some(l) = lid {
+                self.lineage.drop_at(l, cause, from.0, why.as_str(), self.now);
             }
-            if f.drop_on_link() {
-                if let Some(l) = lid {
-                    self.lineage.drop_at(l, cause, from.0, "link-lost", self.now);
-                }
-                self.fault_drop(from, Some(to), size, "link-lost");
-                return;
-            }
+            self.drop_packet(from, Some(to), size, NO_SPAN, why, None);
+            return;
         }
         let (a, _) = self.topology.link_endpoints(link);
         let dir = usize::from(from != a);
@@ -1655,17 +1479,9 @@ impl<P, W> Simulator<P, W> {
         self.link_bytes[idx] += u64::from(size);
         if self.telemetry.is_enabled() {
             let _tel = prof::scope("engine/telemetry");
-            let class = self.classify(&pkt);
+            let class = (self.meta.kind)(&pkt);
             self.telemetry.packet_out(from.0, idx, size);
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: from.0,
-                event: TraceEvent::Send,
-                class,
-                size,
-                peer: to.0,
-                dur_ns: 0,
-            });
+            self.journal(from, TraceEvent::Send, class, size, to.0, 0);
         }
         let prop = self.topology.link_delay(link);
         let arrival = match self.topology.link_bandwidth(link) {
@@ -1717,19 +1533,10 @@ impl<P, W> Simulator<P, W> {
     }
 }
 
-// `on_start_done` lives outside the main struct body above for readability;
-// define it here.
-impl<P, W> Simulator<P, W> {
-    /// Returns `true` if there are no pending events.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdmissionPolicy;
 
     #[derive(Default)]
     struct World {
@@ -1963,7 +1770,10 @@ mod tests {
 
     fn telemetry_sim() -> (Simulator<u32, World>, NodeId, NodeId) {
         let (mut sim, a, b) = two_node_sim(SimDuration::from_millis(10), None);
-        sim.set_packet_kinds(|p| if *p % 2 == 0 { "even" } else { "odd" });
+        sim.set_packet_meta(PacketMeta {
+            kind: |p| if *p % 2 == 0 { "even" } else { "odd" },
+            ..PacketMeta::default()
+        });
         sim.enable_telemetry(TelemetryConfig::default());
         sim.inject(SimTime::ZERO, a, 1, 100);
         sim.inject(SimTime::ZERO, a, 2, 100);
@@ -2079,7 +1889,8 @@ mod tests {
             .map(|&(_, p)| p)
             .collect();
         assert_eq!(b_pkts, vec![1, 3]);
-        assert_eq!(sim.fault_drops(), (1, 0));
+        assert_eq!(sim.dropped(EngineDrop::LinkLost), 1);
+        assert_eq!(sim.dropped(EngineDrop::NodeLost), 0);
         assert_eq!(sim.last_repair_time(), Some(SimTime::from_millis(30)));
     }
 
@@ -2100,16 +1911,16 @@ mod tests {
             let mut delivered: Vec<u32> =
                 seen.iter().filter(|&(_, &c)| c == 2).map(|(&p, _)| p).collect();
             delivered.sort_unstable();
-            (delivered, sim.fault_drops())
+            (delivered, sim.dropped(EngineDrop::LinkLost))
         };
         let (d1, drops1) = run(42);
         let (d2, drops2) = run(42);
         assert_eq!(d1, d2);
         assert_eq!(drops1, drops2);
         // p=0.5 over 100 packets: some lost, some delivered.
-        assert!(drops1.0 > 10, "{drops1:?}");
+        assert!(drops1 > 10, "{drops1}");
         assert!(d1.len() > 10, "{d1:?}");
-        assert_eq!(d1.len() + drops1.0 as usize, 100);
+        assert_eq!(d1.len() + drops1 as usize, 100);
         // A different seed picks a different loss pattern.
         let (d3, _) = run(43);
         assert_ne!(d1, d3);
@@ -2180,8 +1991,7 @@ mod tests {
         assert!(tags.contains(&9_003), "{tags:?}");
         assert!(tags.contains(&1) && tags.contains(&7), "{tags:?}");
         assert!(!tags.contains(&2) && !tags.contains(&3), "{tags:?}");
-        let (_, node_lost) = sim.fault_drops();
-        assert_eq!(node_lost, 2);
+        assert_eq!(sim.dropped(EngineDrop::NodeLost), 2);
         assert!(sim.node_is_up(b));
     }
 
@@ -2250,7 +2060,7 @@ mod tests {
         assert!(sim.world().arrivals.contains(&(2_000_000, 1)));
         assert!(sim.world().arrivals.contains(&(25_000_000, 2)));
         assert!(!sim.link_is_up(ab));
-        assert_eq!(sim.fault_drops(), (0, 0));
+        assert_eq!(EngineDrop::ALL.map(|why| sim.dropped(why)), [0; 5]);
     }
 
     #[test]
@@ -2303,7 +2113,10 @@ mod tests {
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Relay { to: Some(b), service: SimDuration::ZERO }));
         sim.set_behavior(b, Box::new(Deliverer { entity: 77 }));
-        sim.set_lineage_ids(|p| if *p < 1000 { Some(u64::from(*p)) } else { None });
+        sim.set_packet_meta(PacketMeta {
+            lineage_id: |p| (*p < 1000).then(|| u64::from(*p)),
+            ..PacketMeta::default()
+        });
         sim.enable_lineage(crate::lineage::LineageConfig::default());
         (sim, a, b)
     }
@@ -2409,7 +2222,10 @@ mod tests {
     #[test]
     fn lineage_disabled_records_nothing() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.set_lineage_ids(|p| Some(u64::from(*p)));
+        sim.set_packet_meta(PacketMeta {
+            lineage_id: |p| Some(u64::from(*p)),
+            ..PacketMeta::default()
+        });
         sim.inject(SimTime::ZERO, a, 1, 100);
         sim.run();
         assert!(!sim.lineage().is_enabled());
@@ -2508,17 +2324,62 @@ mod tests {
                 service: SimDuration::from_millis(10),
             }),
         );
-        sim.set_priorities(test_prio);
-        sim.set_supersede_keys(test_key);
+        sim.set_packet_meta(PacketMeta {
+            priority: test_prio,
+            supersede_key: test_key,
+            ..PacketMeta::default()
+        });
         sim.install_overload(cfg);
         (sim, a)
+    }
+
+    /// `(queue-full, aqm-shed, stale-superseded)` drops so far.
+    fn shed(sim: &Simulator<u32, World>) -> (u64, u64, u64) {
+        (
+            sim.dropped(EngineDrop::QueueFull),
+            sim.dropped(EngineDrop::AqmShed),
+            sim.dropped(EngineDrop::StaleSuperseded),
+        )
+    }
+
+    #[test]
+    fn default_packet_meta_is_inert() {
+        // No `set_packet_meta`: with telemetry, lineage and a priority
+        // config all switched on, every packet is class "pkt", untraced and
+        // control priority.
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let mut sim = Simulator::new(t, World::default());
+        sim.set_behavior(
+            a,
+            Box::new(Relay {
+                to: None,
+                service: SimDuration::from_millis(10),
+            }),
+        );
+        sim.enable_telemetry(TelemetryConfig::default());
+        sim.enable_lineage(LineageConfig::default());
+        sim.install_overload(OverloadConfig {
+            priority: true,
+            ..OverloadConfig::default()
+        });
+        // The arrival order `control_preempts_bulk_and_sheds_last` reorders.
+        for p in [200, 201, 1] {
+            sim.inject(SimTime::ZERO, a, p, 50);
+        }
+        sim.run();
+        let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
+        assert_eq!(served, vec![200, 201, 1], "one class: arrival order is service order");
+        let journal = sim.telemetry().journal_records();
+        assert!(!journal.is_empty() && journal.iter().all(|r| r.class == "pkt"));
+        assert!(sim.lineage().spans().is_empty());
     }
 
     #[test]
     fn vacuous_overload_config_never_installs() {
         let (sim, _) = one_node_overloaded(OverloadConfig::default());
         assert!(!sim.overload_active());
-        assert_eq!(sim.overload_drops(), (0, 0, 0));
+        assert_eq!(shed(&sim), (0, 0, 0));
         assert_eq!(sim.congestion_marks(), 0);
     }
 
@@ -2536,7 +2397,7 @@ mod tests {
         // One in service + two waiting admitted; three tail-dropped.
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![100, 101, 102]);
-        assert_eq!(sim.overload_drops(), (3, 0, 0));
+        assert_eq!(shed(&sim), (3, 0, 0));
         assert_eq!(sim.node_max_queue(NodeId(0)), 3);
     }
 
@@ -2555,7 +2416,7 @@ mod tests {
         // oldest *waiting* packet, so the freshest two survive.
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![100, 104, 105]);
-        assert_eq!(sim.overload_drops(), (3, 0, 0));
+        assert_eq!(shed(&sim), (3, 0, 0));
     }
 
     #[test]
@@ -2590,7 +2451,7 @@ mod tests {
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![200, 1, 201], "202 evicted, control admitted");
-        assert_eq!(sim.overload_drops(), (1, 0, 0));
+        assert_eq!(shed(&sim), (1, 0, 0));
     }
 
     #[test]
@@ -2608,7 +2469,7 @@ mod tests {
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![100, 102, 111], "stale 101 evicted for 111");
-        assert_eq!(sim.overload_drops(), (0, 0, 1));
+        assert_eq!(shed(&sim), (0, 0, 1));
     }
 
     #[test]
@@ -2624,7 +2485,7 @@ mod tests {
             sim.inject(SimTime::ZERO, a, 100 + i, 50);
         }
         sim.run();
-        let (qf, aqm, stale) = sim.overload_drops();
+        let (qf, aqm, stale) = shed(&sim);
         assert_eq!((qf, stale), (0, 0));
         assert!(aqm > 0, "standing 10x overload must shed");
         let served = sim.world().arrivals.len() as u64;
@@ -2652,7 +2513,7 @@ mod tests {
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         let ctl = served.iter().filter(|&&p| p < 100).count();
         assert_eq!(ctl, 25, "control is never AQM-shed");
-        assert!(sim.overload_drops().1 > 0, "bulk is shed");
+        assert!(shed(&sim).1 > 0, "bulk is shed");
     }
 
     #[test]
@@ -2718,7 +2579,7 @@ mod tests {
             }
             sim.run();
             let fp = sim.telemetry().journal_fingerprint();
-            (fp, sim.overload_drops(), sim.congestion_marks())
+            (fp, shed(&sim), sim.congestion_marks())
         };
         let a = run();
         let b = run();

@@ -41,6 +41,13 @@ pub enum FaultEvent {
     NodeUp(NodeId),
 }
 
+impl FaultEvent {
+    /// Whether the event brings a link or node back up.
+    pub(crate) fn is_repair(self) -> bool {
+        matches!(self, Self::LinkUp(_) | Self::NodeUp(_))
+    }
+}
+
 /// What a [`crate::NodeBehavior`] is told when a fault touches it.
 ///
 /// Notices are delivered only to *live* nodes, after routing has been
@@ -198,13 +205,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The time of the last scheduled event, if any. Useful for "after the
-    /// last repair" assertions in recovery tests.
-    #[must_use]
-    pub fn last_event_time(&self) -> Option<SimTime> {
-        self.events.iter().map(|&(t, _)| t).max()
-    }
-
     pub(crate) fn into_parts(mut self) -> (Vec<(SimTime, FaultEvent)>, f64, u64) {
         // Stable sort: same-time events keep insertion order.
         self.events.sort_by_key(|&(t, _)| t);
@@ -212,36 +212,70 @@ impl FaultPlan {
     }
 }
 
-/// The engine's live fault state (only allocated for non-vacuous plans).
+/// The engine's live fault state (only allocated for non-vacuous plans):
+/// the link/node up-down tables and the loss PRNG. The engine asks it
+/// questions and applies [`FaultEvent`]s through [`FaultState::set_up`]; it
+/// never touches the tables itself.
 pub(crate) struct FaultState {
-    pub link_up: Vec<bool>,
-    pub node_up: Vec<bool>,
-    pub loss: f64,
-    pub rng: StdRng,
-    pub link_lost: u64,
-    pub node_lost: u64,
-    pub last_repair: Option<SimTime>,
+    link_up: Vec<bool>,
+    node_up: Vec<bool>,
+    loss: f64,
+    rng: StdRng,
+    last_repair: Option<SimTime>,
 }
 
 impl FaultState {
-    pub fn new(nodes: usize, links: usize, loss: f64, seed: u64) -> Self {
+    pub(crate) fn new(nodes: usize, links: usize, loss: f64, seed: u64) -> Self {
         Self {
             link_up: vec![true; links],
             node_up: vec![true; nodes],
             loss,
             rng: StdRng::seed_from_u64(seed),
-            link_lost: 0,
-            node_lost: 0,
             last_repair: None,
         }
     }
 
-    /// Draws the Bernoulli loss for one transmission. Never touches the PRNG
-    /// when the plan is lossless, so loss-free chaos schedules stay
+    #[inline]
+    pub(crate) fn link_is_up(&self, link: LinkId) -> bool {
+        self.link_up[link.index()]
+    }
+
+    #[inline]
+    pub(crate) fn node_is_up(&self, node: NodeId) -> bool {
+        self.node_up[node.index()]
+    }
+
+    /// When the last repair (`LinkUp`/`NodeUp`) took effect.
+    pub(crate) fn last_repair(&self) -> Option<SimTime> {
+        self.last_repair
+    }
+
+    /// Whether a transmission over `link` is lost: the link is down, or the
+    /// Bernoulli loss draw says so. Never touches the PRNG when the link is
+    /// down or the plan is lossless, so loss-free chaos schedules stay
     /// draw-for-draw identical regardless of traffic volume.
     #[inline]
-    pub fn drop_on_link(&mut self) -> bool {
-        self.loss > 0.0 && self.rng.gen_bool(self.loss)
+    pub(crate) fn loses(&mut self, link: LinkId) -> bool {
+        !self.link_is_up(link) || (self.loss > 0.0 && self.rng.gen_bool(self.loss))
+    }
+
+    /// Applies a scheduled event to the up/down tables; a repair stamps
+    /// [`FaultState::last_repair`]. Returns `false` when the link or node
+    /// already was in that state, i.e. the event changes nothing.
+    pub(crate) fn set_up(&mut self, ev: FaultEvent, now: SimTime) -> bool {
+        let up = ev.is_repair();
+        let slot = match ev {
+            FaultEvent::LinkDown(l) | FaultEvent::LinkUp(l) => &mut self.link_up[l.index()],
+            FaultEvent::NodeDown(n) | FaultEvent::NodeUp(n) => &mut self.node_up[n.index()],
+        };
+        if *slot == up {
+            return false;
+        }
+        *slot = up;
+        if up {
+            self.last_repair = Some(now);
+        }
+        true
     }
 }
 

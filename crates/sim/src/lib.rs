@@ -15,7 +15,10 @@
 //!   are single-server FIFO queues (per-packet service time), links add
 //!   propagation delay plus serialization time when bandwidth is finite —
 //!   exactly the two latency sources the paper measures (processing and
-//!   queueing).
+//!   queueing). The loop is generic over the packet type: what telemetry,
+//!   lineage and overload control need to know about a packet comes from
+//!   one registered [`PacketMeta`], and every packet the engine itself
+//!   drops is accounted on one path, tallied per [`EngineDrop`] reason.
 //! * [`fault`] — deterministic fault injection: a seeded chaos schedule of
 //!   link/node failures and repairs plus per-hop Bernoulli loss, with
 //!   routing recomputed over the surviving subgraph after every change and
@@ -106,7 +109,7 @@ pub mod telemetry;
 mod time;
 mod topology;
 
-pub use engine::{Ctx, NodeBehavior, Simulator};
+pub use engine::{Ctx, EngineDrop, NodeBehavior, PacketMeta, Simulator};
 pub use fault::{FaultEvent, FaultNotice, FaultPlan};
 pub use overload::{AdmissionPolicy, OverloadConfig};
 pub use lineage::{AuditReport, LineageConfig, LineageLog, SpanEvent, SpanRecord, NO_SPAN};
@@ -118,3 +121,34 @@ pub use telemetry::{
 pub use routing::RoutingTable;
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkId, NodeId, NodeKind, Topology, TopologyError};
+
+/// The FNV-1a 64-bit offset basis: the hash of the empty input, and where
+/// every fingerprint starts.
+pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a 64-bit hash `h` — the one hash
+/// behind the journal, lineage and prof-count fingerprints.
+pub(crate) fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{fnv1a, FNV1A_OFFSET};
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        for (input, want) in [
+            ("", 0xcbf2_9ce4_8422_2325_u64),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = FNV1A_OFFSET;
+            fnv1a(&mut h, input.as_bytes());
+            assert_eq!(h, want, "{input:?}");
+        }
+    }
+}

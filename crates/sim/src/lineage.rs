@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::SimTime;
+use crate::{fnv1a, SimTime, FNV1A_OFFSET};
 
 /// Sentinel span index meaning "no causal parent" / "not traced".
 pub const NO_SPAN: u32 = u32::MAX;
@@ -343,13 +343,8 @@ impl LineageLog {
     /// for the lineage export, mirroring the journal fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
         for r in &self.spans {
             eat(&r.lineage.to_le_bytes());
             eat(&r.node.to_le_bytes());

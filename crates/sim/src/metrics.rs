@@ -1,9 +1,7 @@
 //! Measurement utilities: latency recorders, summary statistics and CDFs.
 
-use std::collections::HashMap;
-
 use crate::json::Json;
-use crate::{SimDuration, SimTime};
+use crate::SimDuration;
 
 /// Incremental summary statistics over a stream of durations.
 ///
@@ -253,90 +251,6 @@ impl LatencySamples {
     }
 }
 
-/// Tracks in-flight publications so receivers can compute end-to-end update
-/// latency, plus a per-event timeline for Fig. 5-style plots.
-///
-/// Publications are identified by a `u64` id assigned by the publisher
-/// (carried in the packet). [`LatencyTracker::publish`] stamps the send
-/// time; each [`LatencyTracker::deliver`] records one receiver latency.
-#[derive(Debug, Default)]
-pub struct LatencyTracker {
-    sent: HashMap<u64, SimTime>,
-    /// (publication id, per-delivery latency)
-    all: LatencySamples,
-    /// publication id -> (min, max, sum, count) across its receivers
-    per_publication: HashMap<u64, (SimDuration, SimDuration, SimDuration, u32)>,
-}
-
-impl LatencyTracker {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that publication `id` was sent at `at`.
-    pub fn publish(&mut self, id: u64, at: SimTime) {
-        self.sent.insert(id, at);
-    }
-
-    /// Records a delivery of publication `id` at `at`. Unknown ids are
-    /// ignored (e.g. deliveries of pre-warm traffic).
-    pub fn deliver(&mut self, id: u64, at: SimTime) {
-        let Some(&t0) = self.sent.get(&id) else {
-            return;
-        };
-        let lat = at.saturating_duration_since(t0);
-        self.all.record(lat);
-        let e = self
-            .per_publication
-            .entry(id)
-            .or_insert((lat, lat, SimDuration::ZERO, 0));
-        e.0 = e.0.min(lat);
-        e.1 = e.1.max(lat);
-        e.2 += lat;
-        e.3 += 1;
-    }
-
-    /// Number of publications stamped.
-    #[must_use]
-    pub fn published_count(&self) -> usize {
-        self.sent.len()
-    }
-
-    /// Number of individual deliveries recorded.
-    #[must_use]
-    pub fn delivered_count(&self) -> usize {
-        self.all.len()
-    }
-
-    /// All per-delivery latencies.
-    pub fn samples_mut(&mut self) -> &mut LatencySamples {
-        &mut self.all
-    }
-
-    /// All per-delivery latencies (read-only).
-    #[must_use]
-    pub fn samples(&self) -> &LatencySamples {
-        &self.all
-    }
-
-    /// Per-publication `(id, min, mean, max)` rows ordered by id — the
-    /// series plotted in Fig. 5.
-    #[must_use]
-    pub fn per_publication_rows(&self) -> Vec<(u64, SimDuration, SimDuration, SimDuration)> {
-        let mut rows: Vec<_> = self
-            .per_publication
-            .iter()
-            .map(|(&id, &(min, max, sum, count))| {
-                (id, min, sum / u64::from(count.max(1)), max)
-            })
-            .collect();
-        rows.sort_by_key(|r| r.0);
-        rows
-    }
-}
-
 /// Formats a byte count as gigabytes with two decimals, the unit used by the
 /// paper's network-load tables.
 #[must_use]
@@ -506,36 +420,6 @@ mod tests {
         assert_eq!(l.fraction_at_most(ms(5)), 0.5);
         assert_eq!(l.fraction_at_most(ms(0)), 0.0);
         assert_eq!(l.fraction_at_most(ms(10)), 1.0);
-    }
-
-    #[test]
-    fn latency_tracker_end_to_end() {
-        let mut t = LatencyTracker::new();
-        t.publish(1, SimTime::from_millis(10));
-        t.deliver(1, SimTime::from_millis(14));
-        t.deliver(1, SimTime::from_millis(18));
-        t.deliver(99, SimTime::from_millis(20)); // unknown id ignored
-        assert_eq!(t.delivered_count(), 2);
-        assert_eq!(t.samples().raw(), &[ms(4), ms(8)]);
-        let rows = t.per_publication_rows();
-        assert_eq!(rows, vec![(1, ms(4), ms(6), ms(8))]);
-    }
-
-    #[test]
-    fn latency_tracker_duplicate_delivery_counts_twice() {
-        // The tracker has no per-receiver identity: a duplicate deliver()
-        // for the same publication is accounted as an extra delivery, so
-        // duplicate suppression is the caller's job (receivers keep a dedup
-        // window, and GameWorld's optional delivery log drops exact
-        // (id, receiver) repeats before calling deliver).
-        let mut t = LatencyTracker::new();
-        t.publish(1, SimTime::from_millis(0));
-        t.deliver(1, SimTime::from_millis(4));
-        t.deliver(1, SimTime::from_millis(4)); // same receiver, again
-        assert_eq!(t.delivered_count(), 2);
-        assert_eq!(t.samples().raw(), &[ms(4), ms(4)]);
-        let rows = t.per_publication_rows();
-        assert_eq!(rows, vec![(1, ms(4), ms(4), ms(4))]);
     }
 
     #[test]

@@ -19,13 +19,12 @@
 //!   increases with the square root of the drop count. Bounded by the same
 //!   hard `queue_capacity` (tail behavior) like a real router.
 //!
-//! With `priority: true` the engine consults the registered priority
-//! classifier (`Simulator::set_priorities`; class 0 = control plane,
-//! higher = bulk): control traffic is inserted ahead of bulk (FIFO within
-//! a class), is never AQM-shed, and on overflow the lowest-priority
-//! packet loses. A registered supersede-key classifier
-//! (`Simulator::set_supersede_keys`) additionally lets a full queue evict
-//! a *stale* queued update that the arrival supersedes
+//! With `priority: true` the policy consults the registered
+//! [`PacketMeta`] (`Simulator::set_packet_meta`): by `priority` (class 0 =
+//! control plane, higher = bulk) control traffic is inserted ahead of bulk
+//! (FIFO within a class), is never AQM-shed, and on overflow the
+//! lowest-priority packet loses; by `supersede_key` a full queue first
+//! evicts a *stale* queued update that the arrival supersedes
 //! (`"stale-superseded"`) — position updates are only ever useful in
 //! their latest version.
 //!
@@ -40,8 +39,17 @@
 //! byte-identical, and a vacuous config (see [`OverloadConfig::is_vacuous`])
 //! is never installed, so unconfigured runs are bit-identical to pre-overload
 //! builds.
+//!
+//! The whole policy lives here, beside its state: the engine asks the
+//! crate-private `OverloadState` what to do with an arrival (`admit`,
+//! `insert_pos`), with the head of a queue (`shed_head`) and with a
+//! finished packet (`mark`), then applies and accounts the answer. It never
+//! looks at the config.
 
-use crate::{SimDuration, SimTime};
+use std::collections::VecDeque;
+
+use crate::engine::{EngineDrop, PacketMeta, Queued};
+use crate::{prof, SimDuration, SimTime};
 
 /// How a bounded service queue sheds load (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,20 +179,31 @@ impl CoDelState {
     }
 }
 
+/// What to do with an arrival at a bounded queue (see
+/// [`OverloadState::admit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Enqueue the arrival.
+    Admit,
+    /// Enqueue the arrival after evicting the queued packet at this index,
+    /// which is dropped for this reason.
+    Evict(usize, EngineDrop),
+    /// Drop the arrival (`"queue-full"`).
+    Reject,
+}
+
 /// Live overload state of a simulator (installed by a non-vacuous config).
+///
+/// Every method takes a node's service queue plus `start`, the index of its
+/// first *waiting* packet: the in-service front (index 0 while the node is
+/// serving) is never reordered, evicted or shed.
 #[derive(Debug)]
 pub(crate) struct OverloadState {
-    pub(crate) cfg: OverloadConfig,
+    cfg: OverloadConfig,
     /// Per-node CoDel control state (empty unless the policy is CoDel).
-    pub(crate) codel: Vec<CoDelState>,
-    /// Arrivals rejected / queued packets evicted on overflow.
-    pub(crate) queue_full: u64,
-    /// Packets shed by the CoDel AQM at dequeue.
-    pub(crate) aqm_shed: u64,
-    /// Stale queued updates evicted in favor of a superseding arrival.
-    pub(crate) stale_superseded: u64,
+    codel: Vec<CoDelState>,
     /// Packets congestion-marked on sojourn overrun.
-    pub(crate) marks: u64,
+    marks: u64,
 }
 
 impl OverloadState {
@@ -197,20 +216,131 @@ impl OverloadState {
         } else {
             Vec::new()
         };
-        Self {
-            cfg,
-            codel,
-            queue_full: 0,
-            aqm_shed: 0,
-            stale_superseded: 0,
-            marks: 0,
+        Self { cfg, codel, marks: 0 }
+    }
+
+    /// Packets congestion-marked so far.
+    pub(crate) fn marks(&self) -> u64 {
+        self.marks
+    }
+
+    /// Admission control for `pkt` arriving at `queue`.
+    ///
+    /// Overflow resolution order: (1) a queued *stale* packet the arrival
+    /// supersedes sheds first; (2) head-drop evicts the oldest waiting
+    /// packet of the worst class; (3) drop-tail/CoDel evict the newest
+    /// packet of the worst class only if the arrival outranks it, else
+    /// reject the arrival. Without priorities there are no classes: (2)
+    /// evicts the oldest waiting packet and (3) always rejects.
+    pub(crate) fn admit<P>(
+        &self,
+        queue: &VecDeque<Queued<P>>,
+        start: usize,
+        pkt: &P,
+        meta: &PacketMeta<P>,
+    ) -> Admission {
+        let Some(cap) = self.cfg.queue_capacity else {
+            return Admission::Admit;
+        };
+        if queue.len() - start < cap {
+            return Admission::Admit;
         }
+        let _ovp = prof::scope("engine/overload");
+        let head_drop = self.cfg.policy == AdmissionPolicy::HeadDrop;
+        if !self.cfg.priority {
+            return if head_drop {
+                Admission::Evict(start, EngineDrop::QueueFull)
+            } else {
+                Admission::Reject
+            };
+        }
+        let waiting = || start..queue.len();
+        if let Some(key) = (meta.supersede_key)(pkt) {
+            let stale = |&i: &usize| (meta.supersede_key)(&queue[i].pkt) == Some(key);
+            if let Some(i) = waiting().find(stale) {
+                return Admission::Evict(i, EngineDrop::StaleSuperseded);
+            }
+        }
+        let class = |i: usize| (meta.priority)(&queue[i].pkt);
+        let worst = waiting()
+            .map(class)
+            .max()
+            .expect("full queue has a waiting packet");
+        let victim = if head_drop {
+            waiting().find(|&i| class(i) == worst)
+        } else if worst > (meta.priority)(pkt) {
+            waiting().rfind(|&i| class(i) == worst)
+        } else {
+            None
+        };
+        victim.map_or(Admission::Reject, |i| {
+            Admission::Evict(i, EngineDrop::QueueFull)
+        })
+    }
+
+    /// Where an admitted `pkt` joins `queue`: at the back, or — with
+    /// priorities on — ahead of every waiting packet of a strictly worse
+    /// class (FIFO within a class).
+    pub(crate) fn insert_pos<P>(
+        &self,
+        queue: &VecDeque<Queued<P>>,
+        start: usize,
+        pkt: &P,
+        meta: &PacketMeta<P>,
+    ) -> usize {
+        let mut pos = queue.len();
+        if self.cfg.priority {
+            let class = (meta.priority)(pkt);
+            while pos > start && (meta.priority)(&queue[pos - 1].pkt) > class {
+                pos -= 1;
+            }
+        }
+        pos
+    }
+
+    /// Whether the policy sheds at dequeue time at all (CoDel): only then
+    /// does the engine ask [`OverloadState::shed_head`].
+    pub(crate) fn sheds_at_dequeue(&self) -> bool {
+        !self.codel.is_empty()
+    }
+
+    /// CoDel dequeue-time decision for idle `node`, about to serve the head
+    /// of `queue`: `true` when that head's queueing delay proves a standing
+    /// queue and it must be shed instead (see [`CoDelState`]). Never sheds
+    /// the last waiting packet, and — with priorities on — never a
+    /// control-class head.
+    pub(crate) fn shed_head<P>(
+        &mut self,
+        node: usize,
+        queue: &VecDeque<Queued<P>>,
+        now: SimTime,
+        meta: &PacketMeta<P>,
+    ) -> bool {
+        let AdmissionPolicy::CoDel { target, interval } = self.cfg.policy else {
+            return false;
+        };
+        let Some(front) = queue.front() else {
+            return false;
+        };
+        let can_drop =
+            queue.len() > 1 && !(self.cfg.priority && (meta.priority)(&front.pkt) == 0);
+        let sojourn = now.saturating_duration_since(front.at);
+        self.codel[node].on_dequeue(now, sojourn, target, interval, can_drop)
+    }
+
+    /// Congestion marking: whether a so-far unmarked packet whose total
+    /// sojourn through a node (queueing + service) was `sojourn` gets
+    /// marked. Counts the mark.
+    pub(crate) fn mark(&mut self, sojourn: SimDuration) -> bool {
+        let marked = self.cfg.mark_sojourn.is_some_and(|th| sojourn > th);
+        self.marks += u64::from(marked);
+        marked
     }
 }
 
 /// Integer square root (Newton's method), used by the CoDel control law.
 /// `isqrt(0) == 0`.
-pub(crate) fn isqrt(n: u64) -> u64 {
+fn isqrt(n: u64) -> u64 {
     if n < 2 {
         return n;
     }

@@ -68,6 +68,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::{fnv1a, FNV1A_OFFSET};
 
 thread_local! {
     /// Fast-path flag: read on every hook, so it must be a const-init
@@ -357,13 +358,6 @@ pub struct ProfReport {
     pub wall_ns: u64,
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 impl ProfReport {
     /// Sum of exclusive times across every phase. For a single-rooted tree
     /// this equals [`ProfReport::wall_ns`] exactly; the attribution table
@@ -418,7 +412,7 @@ impl ProfReport {
     /// determinism witness the chaos soak gates.
     #[must_use]
     pub fn count_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV1A_OFFSET;
         for p in &self.phases {
             fnv1a(&mut h, p.path.as_bytes());
             fnv1a(&mut h, &p.calls.to_le_bytes());

@@ -29,7 +29,7 @@
 //! probe (`benchmark/README.md`) measures what switching it on costs.
 
 use crate::json::Json;
-use crate::{SimDuration, SimTime, Topology};
+use crate::{fnv1a, SimDuration, SimTime, Topology, FNV1A_OFFSET};
 use std::collections::BTreeMap;
 
 /// Number of buckets in a [`LogHistogram`]: one for zero plus one per
@@ -302,6 +302,19 @@ impl Default for TelemetryConfig {
     }
 }
 
+impl TelemetryConfig {
+    /// The metrics registry without the journal: counters, gauges and
+    /// histograms count, no packet-trace record is kept — for runs that
+    /// only read counters or feed the time-series sampler.
+    #[must_use]
+    pub fn counters_only() -> Self {
+        Self {
+            journal_capacity: 0,
+            journal_sample: 1,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct NodeStats {
     pkts_in: u64,
@@ -492,13 +505,8 @@ impl Telemetry {
     /// used by tests and experiment binaries.
     #[must_use]
     pub fn journal_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
         for r in &self.journal {
             eat(&r.ts.as_nanos().to_le_bytes());
             eat(&r.node.to_le_bytes());
@@ -743,22 +751,11 @@ impl TimeSeries {
     }
 
     /// Captures one frame at `at` from the registry plus the engine's
-    /// per-node service-queue depths.
-    pub fn capture(
-        &mut self,
-        at: SimTime,
-        telemetry: &Telemetry,
-        queue_depths: impl Iterator<Item = usize>,
-    ) {
-        self.capture_with(at, telemetry, queue_depths, None);
-    }
-
-    /// Like [`TimeSeries::capture`], additionally embedding a `"streams"`
-    /// section (a [`crate::MetricStreams`] snapshot) when given one — the
-    /// engine's unified sampler pass routes live stream windows into the
-    /// same frames instead of a second export path. Frames without a
-    /// snapshot keep the exact pre-stream key set, so stream-less runs
-    /// stay byte-identical.
+    /// per-node service-queue depths, embedding a `"streams"` section (a
+    /// [`crate::MetricStreams`] snapshot) when given one — the engine's
+    /// unified sampler pass routes live stream windows into the same frames
+    /// instead of a second export path. Frames without a snapshot keep the
+    /// exact pre-stream key set, so stream-less runs stay byte-identical.
     pub fn capture_with(
         &mut self,
         at: SimTime,
@@ -809,12 +806,6 @@ impl TimeSeries {
         }
         self.frames.push(Json::Object(frame));
         self.next = at + self.cfg.tick;
-    }
-
-    /// Number of frames captured so far.
-    #[must_use]
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
     }
 
     /// The whole series as ordered JSON: tick, frame bound, frames.

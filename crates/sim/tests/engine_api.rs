@@ -123,8 +123,8 @@ fn online_stats_merging_matches_bulk() {
 /// arrival at a dead node (blackhole), and the queue flush of a crashing
 /// node.
 #[test]
-fn fault_drops_have_journal_parity() {
-    use gcopss_sim::{FaultPlan, LinkId, TelemetryConfig, TraceEvent};
+fn engine_drops_have_journal_parity() {
+    use gcopss_sim::{EngineDrop, FaultPlan, LinkId, TelemetryConfig, TraceEvent};
 
     let mut t = Topology::new();
     let a = t.add_node("a");
@@ -169,7 +169,8 @@ fn fault_drops_have_journal_parity() {
     }
     sim.run();
 
-    let (link_lost, node_lost) = sim.fault_drops();
+    let link_lost = sim.dropped(EngineDrop::LinkLost);
+    let node_lost = sim.dropped(EngineDrop::NodeLost);
     assert!(link_lost >= 2, "dead link + loss draws: {link_lost}");
     assert!(node_lost >= 2, "flush + blackhole: {node_lost}");
     let tele = sim.telemetry();
@@ -226,4 +227,45 @@ fn backbone_hosts_reach_each_other_through_sim() {
     let direct = sim.routing().distance(hosts[0], dst).unwrap();
     assert_eq!(arrival, SimTime::ZERO + direct, "shortest-path delay");
     assert!(sim.total_link_bytes() >= 100 * 2, "multiple hops accounted");
+}
+
+/// `Ctx::queue_len` counts waiting packets only, also from a callback that
+/// runs while a packet is in service (a timer here).
+#[test]
+fn queue_len_excludes_the_packet_in_service() {
+    type Samples = Vec<(u64, usize)>; // (time ns, queue_len)
+    struct Probe;
+    impl Probe {
+        fn sample(ctx: &mut Ctx<'_, u32, Samples>) {
+            let sample = (ctx.now().as_nanos(), ctx.queue_len());
+            ctx.world().push(sample);
+        }
+    }
+    impl NodeBehavior<u32, Samples> for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32, Samples>) {
+            ctx.schedule(SimDuration::from_millis(5), 0);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, Samples>, _from: Option<NodeId>, _pkt: u32) {
+            Self::sample(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, Samples>, _key: u64) {
+            Self::sample(ctx);
+        }
+        fn service_time(&self, _pkt: &u32) -> SimDuration {
+            SimDuration::from_millis(10)
+        }
+    }
+    let mut t = Topology::new();
+    let a = t.add_node("a");
+    let mut sim = Simulator::new(t, Samples::new());
+    sim.set_behavior(a, Box::new(Probe));
+    sim.inject(SimTime::ZERO, a, 1, 10);
+    sim.inject(SimTime::ZERO, a, 2, 10);
+    sim.run();
+    // At 5 ms the timer finds packet 1 in service and packet 2 waiting;
+    // packet 1's own callback at 10 ms still sees packet 2 waiting.
+    assert_eq!(
+        sim.world(),
+        &vec![(5_000_000, 1), (10_000_000, 1), (20_000_000, 0)]
+    );
 }
