@@ -87,7 +87,6 @@ pub fn run(opts: ExpOptions) {
         move_interval: (SimDuration::from_secs(4), SimDuration::from_secs(10)),
         mover_count: 12,
         drain: SimDuration::from_secs(120),
-        ..MovementConfig::default()
     };
     for (w, mean) in ablation::qr_window_sweep_with(&mcfg, &[1, 5, 10, 15, 20, 30], h.cap()) {
         println!("{:>8} {:>16.1}", w, mean.as_millis_f64());

@@ -47,13 +47,12 @@ pub fn run(opts: ExpOptions) {
         } else {
             SimDuration::from_secs(10)
         },
-        ..AdaptiveSweepConfig::default()
     };
     let out = adaptive::run_with(&cfg, h.cap());
 
     header(&format!(
         "Adaptive RP balancing — {updates} updates, {players} players, hotspot {}/{} of load onto zone {} after {}/{} of the trace, queue cap {}",
-        cfg.hot_share.0, cfg.hot_share.1, cfg.hot_top, cfg.hot_onset.0, cfg.hot_onset.1, cfg.queue_capacity
+        adaptive::HOT_SHARE.0, adaptive::HOT_SHARE.1, adaptive::HOT_TOP, adaptive::HOT_ONSET.0, adaptive::HOT_ONSET.1, adaptive::QUEUE_CAPACITY
     ));
     println!(
         "{:<14} {:>8} {:>9} {:>9} {:>8} {:>4} {:>4}",
@@ -85,7 +84,7 @@ pub fn run(opts: ExpOptions) {
 
     header(&format!(
         "Adaptive cache classes — flash crowd of {crowd} movers into the hot area, QR window {}",
-        cfg.qr_window
+        adaptive::QR_WINDOW
     ));
     println!(
         "{:<16} {:>5} {:>9} {:>8} {:>8} {:>8} {:>4} {:>4}",

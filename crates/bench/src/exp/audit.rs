@@ -5,7 +5,7 @@
 //! unexplained losses abort the run.
 
 use crate::{header, ExpHarness, ExpOptions};
-use gcopss_core::experiments::audit::{self, AuditConfig};
+use gcopss_core::experiments::audit;
 use gcopss_core::experiments::failover::FailoverConfig;
 use gcopss_core::experiments::WorkloadParams;
 
@@ -13,23 +13,20 @@ pub fn run(opts: ExpOptions) {
     let mut h = ExpHarness::new("exp_audit", opts);
     let updates = h.opts.scaled(6_000, 50_000);
     let players = h.opts.scaled(100, 414);
-    let cfg = AuditConfig {
-        failover: FailoverConfig {
-            workload: WorkloadParams {
-                seed: h.opts.seed,
-                updates,
-                players,
-                ..WorkloadParams::default()
-            },
-            ..FailoverConfig::default()
+    let cfg = FailoverConfig {
+        workload: WorkloadParams {
+            seed: h.opts.seed,
+            updates,
+            players,
+            ..WorkloadParams::default()
         },
-        ..AuditConfig::default()
+        ..FailoverConfig::default()
     };
     let out = audit::run(&cfg);
 
     header(&format!(
         "Delivery audit — {updates} updates, {players} players, {} link flaps + RP crash/restart, loss {:?}",
-        cfg.failover.flaps, cfg.failover.loss_rates
+        cfg.flaps, cfg.loss_rates
     ));
     let mut dirty = false;
     for r in &out.runs {

@@ -16,7 +16,6 @@ pub fn run(opts: ExpOptions) {
         &MicrobenchConfig {
             seed,
             duration: SimDuration::from_secs(secs),
-            ..MicrobenchConfig::default()
         },
         h.cap(),
     );

@@ -34,7 +34,6 @@ pub fn run(opts: ExpOptions) {
             server_counts: vec![],
             fig5_detail: true,
             fig5_points: 60,
-            ..RpSweepConfig::default()
         },
         h.cap(),
     );

@@ -20,7 +20,6 @@ pub fn run(opts: ExpOptions) {
             seed,
             player_counts,
             updates_per_player,
-            ..PlayerSweepConfig::default()
         },
         h.cap(),
     );

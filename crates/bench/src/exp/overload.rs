@@ -44,7 +44,7 @@ pub fn run(opts: ExpOptions) {
     header(&format!(
         "Overload sweep — {updates} updates, {players} players, loads {:?} × capacity ({} µs interarrival at 1×)",
         cfg.loads,
-        cfg.capacity_interarrival.as_nanos() / 1_000
+        overload::CAPACITY_INTERARRIVAL.as_nanos() / 1_000
     ));
     println!(
         "{:<22} {:>4} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8} {:>7} {:>8} {:>7}",

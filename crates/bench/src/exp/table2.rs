@@ -5,7 +5,7 @@
 //! G-COPSS < hybrid < IP server (IP roughly 2x G-COPSS).
 
 use crate::{header, ExpHarness, ExpOptions};
-use gcopss_core::experiments::full_trace::{self, FullTraceConfig};
+use gcopss_core::experiments::full_trace;
 use gcopss_core::experiments::WorkloadParams;
 
 pub fn run(opts: ExpOptions) {
@@ -13,13 +13,10 @@ pub fn run(opts: ExpOptions) {
     let updates = h.opts.scaled(60_000, 1_686_905);
     let seed = h.opts.seed;
     let out = full_trace::run_with(
-        &FullTraceConfig {
-            workload: WorkloadParams {
-                seed,
-                updates,
-                ..WorkloadParams::default()
-            },
-            ..FullTraceConfig::default()
+        &WorkloadParams {
+            seed,
+            updates,
+            ..WorkloadParams::default()
         },
         h.cap(),
     );

@@ -34,7 +34,6 @@ pub fn run(opts: ExpOptions) {
         move_interval: (lo, hi),
         mover_count: movers,
         drain: SimDuration::from_secs(120),
-        ..MovementConfig::default()
     };
     let outputs = movement::run_all_with(&cfg, h.cap());
 

@@ -409,3 +409,32 @@ fn scale_sweep() {
         assert!(hi / lo <= 20.0, "{k}: max/min = {:.1}x", hi / lo);
     }
 }
+
+#[test]
+#[ignore = "minutes of simulation; run by scripts/check_hermetic.sh in release"]
+fn tables_and_figures() {
+    let exps = [
+        ("table2", 0.05),
+        ("table3", 0.2),
+        ("ablation", 0.1),
+        ("fig6", 0.05),
+        ("fig5", 0.2),
+    ];
+    let dir = run("tables_figures", &exps);
+
+    for (exp, _) in exps {
+        let tel = load(&dir, "telemetry", exp);
+        let (prof, runs) = tel.items("runs").split_last().expect("runs");
+        assert_eq!(prof.text("kind"), "self-profile");
+        assert!(!runs.is_empty(), "{exp} captured no system run");
+        for r in runs {
+            println!("checking run {}", r.text("label"));
+            assert!(!r.items("counters").is_empty());
+            assert_hex16(r.at("journal").text("fingerprint"));
+        }
+        let prof = load(&dir, "prof", exp);
+        assert_prof(&prof);
+        assert_hex16(prof.text("count_fingerprint"));
+    }
+    assert_frames(&load(&dir, "timeseries", "fig5"), |_| false);
+}

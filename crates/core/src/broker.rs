@@ -37,7 +37,9 @@ use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SimTime};
 
 use crate::client::{DedupWindow, TraceCursor};
+use crate::params::{adaptive_cache, BROKER_PER_OBJECT, CYCLIC_GAP};
 use crate::router::cs_prefix_key;
+use crate::scenario::ExtraHost;
 use crate::{payload_of, ConvergenceRecord, GPacket, GameWorld, SimParams};
 
 /// The `/snapshot` QR namespace root.
@@ -195,7 +197,7 @@ struct BrokerChunkCache {
 impl BrokerChunkCache {
     fn new() -> Self {
         Self {
-            chunker: Chunker::default(),
+            chunker: Chunker,
             manifests: BTreeMap::new(),
             store: ChunkStore::new(),
         }
@@ -248,6 +250,37 @@ impl SnapshotBroker {
             chunks: BrokerChunkCache::new(),
             hot: BTreeSet::new(),
         }
+    }
+
+    /// One broker host per entry of `serving` (a
+    /// [`partition_cds_to_brokers`] result), broker `i` hanging off router
+    /// `attach_at(i)`: each routes its snapshot QR namespaces — plus the
+    /// chunked-delta namespaces when `chunked` — and starts from a copy of
+    /// `objects`.
+    #[must_use]
+    pub fn hosts(
+        serving: Vec<Vec<Name>>,
+        attach_at: impl Fn(usize) -> NodeId,
+        chunked: bool,
+        params: &SimParams,
+        objects: &ObjectModel,
+        trace: &Arc<Vec<TraceEvent>>,
+    ) -> Vec<ExtraHost> {
+        let host = |(i, cds): (usize, Vec<Name>)| {
+            let mut routes = Self::fib_prefixes(&cds);
+            if chunked {
+                routes.extend(Self::chunk_fib_prefixes(&cds));
+            }
+            let (p, objects, trace) = (params.clone(), objects.clone(), Arc::clone(trace));
+            ExtraHost {
+                attach_to: attach_at(i),
+                routes,
+                make: Box::new(move |_node, edge| {
+                    Box::new(Self::new(p, edge, cds, objects, trace))
+                }),
+            }
+        };
+        serving.into_iter().enumerate().map(host).collect()
     }
 
     /// The FIB prefixes the network must route toward this broker.
@@ -324,10 +357,8 @@ impl SnapshotBroker {
         // prefixes the popularity stream classifies hot get a longer
         // freshness so path content stores absorb flash crowds.
         let mut freshness: u64 = 50_000_000;
-        if let Some(ac) = &self.params.cache_adaptive {
-            if self.hot.contains(&cs_prefix_key(&name)) {
-                freshness = freshness.saturating_mul(u64::from(ac.hot_freshness_mul));
-            }
+        if self.params.cache_adaptive && self.hot.contains(&cs_prefix_key(&name)) {
+            freshness *= adaptive_cache::HOT_FRESHNESS_MUL;
         }
         let data = Data::with_freshness(name, payload, freshness);
         let g = GPacket::Data(data);
@@ -337,27 +368,23 @@ impl SnapshotBroker {
 
     /// Re-classifies `key` as hot/cold from the live `qr-pop` popularity
     /// sketch. Entry requires the sketch to have seen a full warm-up window
-    /// and the key to hold at least `hot_num/hot_den` of the monitored mass;
-    /// exit fires at half that share (hysteresis, so a prefix straddling the
-    /// threshold does not flap its cache class every request).
+    /// and the key to hold at least [`adaptive_cache::HOT`] of the monitored
+    /// mass; exit fires at half that share (hysteresis, so a prefix
+    /// straddling the threshold does not flap its cache class every request).
     fn update_hot(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
-        let Some(ac) = self.params.cache_adaptive.clone() else {
-            return;
-        };
-        if !ctx.streams_enabled() {
+        if !self.params.cache_adaptive || !ctx.streams_enabled() {
             return;
         }
         let (monitored, _offered) = ctx.stream_mass("qr-pop");
         let count = ctx.stream_count("qr-pop", key).map_or(0, |(c, _)| c);
-        let num = ac.hot_num;
-        let den = ac.hot_den;
+        let (num, den) = adaptive_cache::HOT;
         if self.hot.contains(&key) {
             if count * den * 2 < monitored * num {
                 self.hot.remove(&key);
                 ctx.world().bump("cache-class-demotions");
                 ctx.counter("cache-class-demotions", 1);
             }
-        } else if monitored >= ac.min_window && count * den >= monitored * num {
+        } else if monitored >= adaptive_cache::MIN_WINDOW && count * den >= monitored * num {
             self.hot.insert(key);
             ctx.world().bump("cache-class-promotions");
             ctx.counter("cache-class-promotions", 1);
@@ -421,7 +448,7 @@ impl SnapshotBroker {
             ctx.observe("broker-snapshot-bytes", u64::from(size));
         }
         ctx.world().bump("broker-cyclic-sent");
-        ctx.schedule(self.params.cyclic_gap, idx as u64);
+        ctx.schedule(CYCLIC_GAP, idx as u64);
     }
 }
 
@@ -470,7 +497,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
             }
             GPacket::Interest(i) => {
                 if let Some((idx, req)) = self.parse_snapshot_name(&i.name) {
-                    ctx.consume(self.params.broker_per_object);
+                    ctx.consume(BROKER_PER_OBJECT);
                     let key = cs_prefix_key(&i.name);
                     ctx.stream_offer("qr-pop", key, 1);
                     self.update_hot(ctx, key);
@@ -499,7 +526,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                         });
                         s.subscribers += 1;
                         if starting {
-                            ctx.schedule(self.params.cyclic_gap, idx as u64);
+                            ctx.schedule(CYCLIC_GAP, idx as u64);
                         }
                         ctx.world().bump("broker-cyclic-joins");
                     } else if let Some(s) = self.cyclic.get_mut(&idx) {
@@ -511,7 +538,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                     // Acknowledge so the PIT breadcrumbs are consumed.
                     self.send_data(ctx, i.name, payload_of(1));
                 } else if let Some(idx) = self.parse_manifest_name(&i.name) {
-                    ctx.consume(self.params.broker_per_object);
+                    ctx.consume(BROKER_PER_OBJECT);
                     let cd = self.serving[idx].clone();
                     let wire = self.chunks.manifest_of(&self.objects, &cd, idx).encode();
                     self.send_data(ctx, i.name, Bytes::from(wire));
@@ -520,7 +547,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                 } else if let Some(id) = parse_chunk_name(&i.name) {
                     let held = self.chunks.store.get(id).map(|b| Bytes::from(b.to_vec()));
                     if let Some(payload) = held {
-                        ctx.consume(self.params.broker_per_object);
+                        ctx.consume(BROKER_PER_OBJECT);
                         self.send_chunk(ctx, i.name, payload);
                         ctx.counter("broker-chunk-served", 1);
                         ctx.world().bump("broker-chunk-served");
@@ -1126,7 +1153,7 @@ mod tests {
         assert!(e2 > e1);
         assert_ne!(b1, b2);
         // The chunker should reuse most chunks of the old blob.
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let mut store = ChunkStore::new();
         for c in chunker.chunks(&b1) {
             store.insert(c);

@@ -13,6 +13,7 @@ use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
 use crate::broker::{chunk_name, parse_chunk_name, snapmani_ns, snapshot_ns};
+use crate::params::recovery;
 use crate::{
     payload_of, CatchUpMode, CatchUpRecord, GPacket, GameWorld, RateAdaptConfig, RecoveryConfig,
 };
@@ -41,23 +42,16 @@ pub(crate) struct ClientRecovery {
 
 impl ClientRecovery {
     pub(crate) fn new(cfg: RecoveryConfig, player: PlayerId) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed ^ u64::from(player.0));
-        let backoff = cfg.backoff_base;
         Self {
             cfg,
-            rng,
+            rng: SmallRng::seed_from_u64(recovery::SEED ^ u64::from(player.0)),
             last_activity: SimTime::ZERO,
-            backoff,
+            backoff: recovery::BACKOFF_BASE,
         }
     }
 
     pub(crate) fn jitter(&mut self) -> SimDuration {
-        let max = self.cfg.jitter.as_nanos();
-        if max == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.rng.gen_range(0..=max))
-        }
+        SimDuration::from_nanos(self.rng.gen_range(0..=recovery::JITTER.as_nanos()))
     }
 }
 
@@ -729,7 +723,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 let next = if silent {
                     // Still deaf: re-express the subscription and back off.
                     let delay = r.backoff + r.jitter();
-                    r.backoff = (r.backoff + r.backoff).min(r.cfg.backoff_cap);
+                    r.backoff = (r.backoff + r.backoff).min(recovery::BACKOFF_CAP);
                     self.resubscribe(ctx);
                     // Silence after traffic was flowing means state is
                     // being missed; the resync itself waits for the rejoin
@@ -741,7 +735,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     delay
                 } else {
                     let r = self.recovery.as_mut().expect("recovery enabled");
-                    r.backoff = r.cfg.backoff_base;
+                    r.backoff = recovery::BACKOFF_BASE;
                     r.cfg.watchdog + r.jitter()
                 };
                 ctx.schedule(next, TIMER_WATCHDOG);
@@ -825,7 +819,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
                 let now = ctx.now();
                 let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = recovery::BACKOFF_BASE;
                 r.last_activity = now;
                 self.resubscribe(ctx);
                 if matches!(notice, FaultNotice::Restarted) {

@@ -12,7 +12,7 @@ use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::broker::SnapshotMode;
 use crate::ndn_baseline::NdnClientConfig;
-use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec};
+use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{MetricsMode, SimParams};
 
 use super::movement::{run_mode_with, MovementConfig};
@@ -134,12 +134,11 @@ pub fn ndn_accumulation_sweep_with(
                 },
                 ..NdnBaselineConfig::default()
             };
-            let warmup = cfg.warmup;
             let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
                 .ndn_baseline(cfg)
                 .build()
                 .into_ndn_baseline();
-            let horizon = SimTime::ZERO + warmup + duration + SimDuration::from_secs(120);
+            let horizon = SimTime::ZERO + WARMUP + duration + SimDuration::from_secs(120);
             let label = format!("ndn-t{:.0}ms", t.as_millis_f64());
             TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
                 sim.run_until(horizon);

@@ -9,7 +9,7 @@
 //!   updates is remapped onto the leaf CDs of one level-1 zone, so one RP's
 //!   queue saturates while the others idle. The static policy splits when
 //!   the instantaneous queue length crosses a hand-tuned threshold; the
-//!   adaptive policy ([`crate::AdaptiveRpConfig`]) watches the queue-depth
+//!   adaptive policy ([`crate::params::adaptive_rp`]) watches the queue-depth
 //!   EWMA and the per-RP served-rate skew from the metric streams and fires
 //!   with hysteresis — earlier, and only when the load is actually
 //!   *skewed* (a uniformly overloaded system gains nothing from moving
@@ -21,7 +21,7 @@
 //!   linger), so concurrent movers stampede the broker. Adaptively, the
 //!   broker watches the live per-prefix popularity sketch and promotes the
 //!   crowd's prefix to a long-freshness cache class
-//!   ([`crate::AdaptiveCacheConfig`]), letting on-path content stores
+//!   ([`crate::params::adaptive_cache`]), letting on-path content stores
 //!   absorb the crowd. Headline: router CS hit-rate and broker load,
 //!   adaptive ≫ static.
 //!
@@ -44,12 +44,12 @@ use crate::broker::{
 };
 use crate::router::cs_prefix_key;
 use crate::scenario::{
-    expected_deliveries, ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec,
+    expected_deliveries, ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP,
 };
-use crate::{AdaptiveCacheConfig, AdaptiveRpConfig, MetricsMode, SimParams};
+use crate::{MetricsMode, SimParams};
 
 use super::audit::{audit_without_damage, register_expectations};
-use super::{TelemetryCapture, Workload, WorkloadParams};
+use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RP-balancing policy of one run arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub enum RpPolicy {
     /// ([`SimParams::rp_split_queue_threshold`]).
     Static,
     /// Telemetry-driven trigger: queue EWMA + served-rate skew with
-    /// hysteresis ([`crate::AdaptiveRpConfig`]).
+    /// hysteresis ([`crate::params::adaptive_rp`]).
     Adaptive,
 }
 
@@ -82,7 +82,7 @@ pub enum CachePolicy {
     /// One fixed short freshness for all snapshot Data.
     Static,
     /// Popularity-driven per-prefix promotion
-    /// ([`crate::AdaptiveCacheConfig`]).
+    /// ([`crate::params::adaptive_cache`]).
     Adaptive,
 }
 
@@ -97,55 +97,54 @@ impl CachePolicy {
     }
 }
 
+/// Initial RPs.
+const RP_COUNT: usize = 3;
+/// Index of the hot level-1 zone (into the sorted level-1 prefixes).
+pub const HOT_TOP: usize = 1;
+/// Hotspot onset as a fraction (num, den) of the trace span.
+pub const HOT_ONSET: (u64, u64) = (1, 4);
+/// Fraction (num, den) of post-onset events remapped onto the hot zone's
+/// leaf CDs.
+pub const HOT_SHARE: (u32, u32) = (3, 4);
+/// Network-wide mean update inter-arrival of the RP arm — fast enough that
+/// the concentrated hotspot saturates one RP: with the 3.3 ms RP service,
+/// concentrating 3/4 of this on one RP runs it at ρ ≈ 2 while the aggregate
+/// stays near capacity.
+const RP_INTERARRIVAL: SimDuration = SimDuration::from_micros(1_200);
+/// Network-wide mean update inter-arrival of the cache arm — benign, so
+/// snapshot traffic dominates the router content stores.
+const CACHE_INTERARRIVAL: SimDuration = SimDuration::from_micros(2_400);
+/// Bounded queue depth of the RP arm (drop-tail with control-class
+/// priority: overflow sheds data, never the split protocol).
+pub const QUEUE_CAPACITY: usize = 64;
+/// The static policy's split threshold (instantaneous queue length). Below
+/// the drop point but deep: the static trigger only fires once the queue is
+/// already 3/4 full.
+const STATIC_THRESHOLD: usize = 48;
+/// Roll period of the adaptive arms' metric streams. 25 ms rolls: the EWMA
+/// tracks a saturating queue within a few service times instead of lagging
+/// a 50 ms grid.
+const STREAM_TICK: SimDuration = SimDuration::from_millis(25);
+/// Spacing between consecutive crowd arrivals.
+const CROWD_GAP: SimDuration = SimDuration::from_millis(150);
+/// QR pipelining window of the movers.
+pub const QR_WINDOW: u32 = 5;
+/// Span capacity of the lineage tracer every RP-arm run replays under (the
+/// delivery auditor must account for every owed pair). The full-scale RP
+/// arm emits ~3.7M spans per run (hotspot fan-out × 150 players); the
+/// default 2M capacity would truncate the log and fail the audit.
+const LINEAGE_CAPACITY: usize = 1 << 23;
+
 /// Configuration of the adaptive-control sweep.
 #[derive(Debug, Clone)]
 pub struct AdaptiveSweepConfig {
     /// Workload shape (players, updates, seed). `mean_interarrival` is
-    /// overridden per arm ([`Self::rp_interarrival`] /
-    /// [`Self::cache_interarrival`]).
+    /// overridden per arm.
     pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
-    /// Initial RPs.
-    pub rp_count: usize,
-    /// Index of the hot level-1 zone (into the sorted level-1 prefixes).
-    pub hot_top: usize,
-    /// Hotspot onset as a fraction (num, den) of the trace span.
-    pub hot_onset: (u64, u64),
-    /// Fraction (num, den) of post-onset events remapped onto the hot
-    /// zone's leaf CDs.
-    pub hot_share: (u32, u32),
-    /// Network-wide mean update inter-arrival of the RP arm — fast enough
-    /// that the concentrated hotspot saturates one RP.
-    pub rp_interarrival: SimDuration,
-    /// Network-wide mean update inter-arrival of the cache arm — benign,
-    /// so snapshot traffic dominates the router content stores.
-    pub cache_interarrival: SimDuration,
-    /// Bounded queue depth of the RP arm (drop-tail with control-class
-    /// priority: overflow sheds data, never the split protocol).
-    pub queue_capacity: usize,
-    /// The static policy's split threshold (instantaneous queue length).
-    pub static_threshold: usize,
-    /// Adaptive RP trigger tunables.
-    pub rp_adaptive: AdaptiveRpConfig,
-    /// Adaptive cache-class tunables.
-    pub cache_adaptive: AdaptiveCacheConfig,
-    /// Metric-stream pipeline config of the adaptive arms (a vacuous
-    /// config would blind every adaptive consumer).
-    pub stream: StreamConfig,
     /// Flash-crowd size (movers entering the hot area).
     pub crowd_size: usize,
-    /// Spacing between consecutive crowd arrivals.
-    pub crowd_gap: SimDuration,
-    /// QR pipelining window of the movers.
-    pub qr_window: u32,
-    /// Settling period before the first trace event.
-    pub warmup: SimDuration,
     /// Extra simulated time after the last trace event.
     pub drain: SimDuration,
-    /// When `Some`, RP-arm runs replay under the lineage tracer and the
-    /// delivery auditor must account for every owed pair.
-    pub lineage: Option<LineageConfig>,
 }
 
 impl Default for AdaptiveSweepConfig {
@@ -156,41 +155,8 @@ impl Default for AdaptiveSweepConfig {
                 updates: 20_000,
                 ..WorkloadParams::default()
             },
-            net_seed: 7,
-            rp_count: 3,
-            hot_top: 1,
-            hot_onset: (1, 4),
-            hot_share: (3, 4),
-            // 3.3 ms RP service; concentrating 3/4 of this on one RP runs
-            // it at ρ ≈ 2 while the aggregate stays near capacity.
-            rp_interarrival: SimDuration::from_micros(1_200),
-            cache_interarrival: SimDuration::from_micros(2_400),
-            queue_capacity: 64,
-            // Below the drop point but deep: the static trigger only fires
-            // once the queue is already 3/4 full.
-            static_threshold: 48,
-            rp_adaptive: AdaptiveRpConfig {
-                // ≈1 s of fresh window at the hot RP's service rate — the
-                // escalation hysteresis does the pacing.
-                cooldown_packets: 300,
-                ..AdaptiveRpConfig::default()
-            },
-            cache_adaptive: AdaptiveCacheConfig::default(),
-            // 25 ms rolls: the EWMA tracks a saturating queue within a few
-            // service times instead of lagging a 50 ms grid.
-            stream: StreamConfig::every(SimDuration::from_millis(25)),
             crowd_size: 36,
-            crowd_gap: SimDuration::from_millis(150),
-            qr_window: 5,
-            warmup: SimDuration::from_secs(2),
             drain: SimDuration::from_secs(15),
-            // The full-scale RP arm emits ~3.7M spans per run (hotspot
-            // fan-out × 150 players); the default 2M capacity would
-            // truncate the log and fail the audit.
-            lineage: Some(LineageConfig {
-                capacity: 1 << 23,
-                ..LineageConfig::default()
-            }),
         }
     }
 }
@@ -306,24 +272,24 @@ pub struct AdaptiveOutput {
     pub cache_rows: Vec<CacheRow>,
 }
 
-/// The sorted level-1 prefixes of the map, and the chosen hot one.
-fn hot_prefix(map: &gcopss_game::GameMap, hot_top: usize) -> Name {
+/// The hot one ([`HOT_TOP`]) of the map's sorted level-1 prefixes.
+fn hot_prefix(map: &gcopss_game::GameMap) -> Name {
     let mut tops: Vec<Name> = map.leaf_cds().iter().map(|cd| cd.prefix(1)).collect();
     tops.sort();
     tops.dedup();
-    tops[hot_top % tops.len()].clone()
+    tops[HOT_TOP % tops.len()].clone()
 }
 
 /// Builds the RP arm's workload: a counter-strike trace whose post-onset
 /// events are partially remapped onto the hot zone's leaf CDs (publishers
 /// are remapped with them, onto viewers of the target CD, so the AoI
 /// delivery model stays exact).
-fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> (Workload, Name) {
+fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> Workload {
     let mut w = Workload::counter_strike(&WorkloadParams {
-        mean_interarrival: cfg.rp_interarrival,
+        mean_interarrival: RP_INTERARRIVAL,
         ..cfg.workload.clone()
     });
-    let hot = hot_prefix(&w.map, cfg.hot_top);
+    let hot = hot_prefix(&w.map);
     let hot_cds: Vec<Name> = w
         .map
         .leaf_cds()
@@ -341,9 +307,8 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> (Workload, Name) {
                 .collect()
         })
         .collect();
-    let span = w.trace.last().map_or(0, |e| e.time_ns);
-    let onset = span / cfg.hot_onset.1 * cfg.hot_onset.0;
-    let (num, den) = cfg.hot_share;
+    let onset = w.span().as_nanos() / HOT_ONSET.1 * HOT_ONSET.0;
+    let (num, den) = HOT_SHARE;
     let mut trace = (*w.trace).clone();
     for (i, e) in trace.iter_mut().enumerate() {
         if e.time_ns < onset || (i as u32) % den >= num {
@@ -357,7 +322,7 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> (Workload, Name) {
         e.player = viewers[k][i % viewers[k].len()];
     }
     w.trace = Arc::new(trace);
-    (w, hot)
+    w
 }
 
 /// Runs the full sweep.
@@ -383,16 +348,15 @@ fn run_rp_arm(
     cfg: &AdaptiveSweepConfig,
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> Vec<RpRow> {
-    let (w, _hot) = hotspot_workload(cfg);
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
-    let span = SimDuration::from_nanos(w.trace.last().map_or(0, |e| e.time_ns));
-    let horizon = SimTime::ZERO + cfg.warmup + span + cfg.drain;
+    let w = hotspot_workload(cfg);
+    let net = NetworkSpec::default_backbone(NET_SEED);
+    let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     // Bounded queues with control-class priority: overflow sheds data
     // (recorded on the lineage), never the Subscribe/split protocol — so
     // the ablation compares balancing policies, not control-plane luck.
     let overload = OverloadConfig {
-        queue_capacity: Some(cfg.queue_capacity),
+        queue_capacity: Some(QUEUE_CAPACITY),
         policy: AdmissionPolicy::DropTail,
         priority: true,
         mark_sojourn: None,
@@ -402,22 +366,21 @@ fn run_rp_arm(
     for policy in [RpPolicy::Off, RpPolicy::Static, RpPolicy::Adaptive] {
         let label = format!("rp-{}", policy.as_str());
         let mut params = SimParams::default();
+        let mut stream = StreamConfig::default();
         match policy {
             RpPolicy::Off => {}
-            RpPolicy::Static => params = params.with_auto_balancing(cfg.static_threshold),
-            RpPolicy::Adaptive => params = params.with_adaptive_rp(cfg.rp_adaptive.clone()),
+            RpPolicy::Static => params = params.with_auto_balancing(STATIC_THRESHOLD),
+            RpPolicy::Adaptive => {
+                params.rp_adaptive = true;
+                stream = StreamConfig::every(STREAM_TICK);
+            }
         }
         let sys = GcopssConfig {
             params,
             metrics_mode: MetricsMode::StatsOnly,
-            rp_count: cfg.rp_count,
-            warmup: cfg.warmup,
+            rp_count: RP_COUNT,
             overload: Some(overload.clone()),
-            stream: if policy == RpPolicy::Adaptive {
-                cfg.stream.clone()
-            } else {
-                StreamConfig::default()
-            },
+            stream,
             ..GcopssConfig::default()
         };
         let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -428,16 +391,14 @@ fn run_rp_arm(
             built.sim.enable_telemetry(TelemetryConfig::counters_only());
         }
         TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
-            if let Some(lineage) = &cfg.lineage {
-                sim.enable_lineage(lineage.clone());
-                register_expectations(sim, &w, cfg.warmup);
-            }
+            sim.enable_lineage(LineageConfig {
+                capacity: LINEAGE_CAPACITY,
+                ..LineageConfig::default()
+            });
+            register_expectations(sim, &w, WARMUP);
             sim.run_until(horizon);
         });
-        let audit = cfg
-            .lineage
-            .as_ref()
-            .map(|_| audit_without_damage(&built.sim, horizon));
+        let (audit, fingerprint, clean) = audit_without_damage(&built.sim, horizon);
         let queue_full = built.sim.dropped(EngineDrop::QueueFull);
         let network_bytes = built.sim.total_link_bytes();
         let world = built.sim.into_world();
@@ -461,8 +422,8 @@ fn run_rp_arm(
             split_times: world.splits.iter().map(|s| s.at).collect(),
             triggered: world.counter("rp-move-triggered"),
             network_bytes,
-            audit_clean: audit.as_ref().map(|&(_, _, clean)| clean),
-            audit: audit.map(|(json, fp, _)| (json, fp)),
+            audit_clean: Some(clean),
+            audit: Some((audit, fingerprint)),
             label,
         });
     }
@@ -476,12 +437,12 @@ fn run_cache_arm(
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> Vec<CacheRow> {
     let w = Workload::counter_strike(&WorkloadParams {
-        mean_interarrival: cfg.cache_interarrival,
+        mean_interarrival: CACHE_INTERARRIVAL,
         ..cfg.workload.clone()
     });
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
-    let span_ns = w.trace.last().map_or(0, |e| e.time_ns);
-    let hot = hot_prefix(&w.map, cfg.hot_top);
+    let net = NetworkSpec::default_backbone(NET_SEED);
+    let span_ns = w.span().as_nanos();
+    let hot = hot_prefix(&w.map);
     let hot_cd = w
         .map
         .leaf_cds()
@@ -520,65 +481,47 @@ fn run_cache_arm(
             move_type,
             snapshot_cds,
         });
-        t += cfg.crowd_gap.as_nanos();
+        t += CROWD_GAP.as_nanos();
     }
     let crowd_end = moves.last().map_or(span_ns, |m| m.time_ns);
-    let horizon = SimTime::ZERO
-        + cfg.warmup
-        + SimDuration::from_nanos(span_ns.max(crowd_end))
-        + cfg.drain;
+    let horizon =
+        SimTime::ZERO + WARMUP + SimDuration::from_nanos(span_ns.max(crowd_end)) + cfg.drain;
+    // Brokers with prewarmed object models (snapshot sizes in the
+    // end-of-trace regime from the first move).
+    let broker_objects = w.converged_objects();
+    let pool = net.rp_pool_preview();
 
     let mut rows = Vec::new();
     for policy in [CachePolicy::Static, CachePolicy::Adaptive] {
         let label = format!("cache-{}", policy.as_str());
-        let mut params = SimParams::default();
-        if policy == CachePolicy::Adaptive {
-            params = params.with_adaptive_cache(cfg.cache_adaptive.clone());
-        }
-
-        // Brokers with prewarmed object models (snapshot sizes in the
-        // end-of-trace regime from the first move).
-        let mut broker_objects = w.objects.clone();
-        for e in w.trace.iter() {
-            broker_objects.apply_update(e.object, e.size);
-        }
-        let serving = partition_cds_to_brokers(&w.map, 3);
-        let pool = net.rp_pool_preview();
-        let mut extra_hosts = Vec::new();
-        for (i, cds) in serving.into_iter().enumerate() {
-            let routes = SnapshotBroker::fib_prefixes(&cds);
-            let attach = pool[(cfg.rp_count + i) % pool.len()];
-            let objects = broker_objects.clone();
-            let trace = Arc::clone(&w.trace);
-            let p = params.clone();
-            extra_hosts.push(ExtraHost {
-                attach_to: attach,
-                routes,
-                make: Box::new(move |_node, edge| {
-                    Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-                }),
-            });
-        }
-
+        let adaptive = policy == CachePolicy::Adaptive;
+        let params = SimParams {
+            cache_adaptive: adaptive,
+            ..SimParams::default()
+        };
+        let extra_hosts = SnapshotBroker::hosts(
+            partition_cds_to_brokers(&w.map, 3),
+            |i| pool[(RP_COUNT + i) % pool.len()],
+            false,
+            &params,
+            &broker_objects,
+            &w.trace,
+        );
         let gcfg = GcopssConfig {
-            params: params.clone(),
+            params,
             metrics_mode: MetricsMode::StatsOnly,
-            rp_count: cfg.rp_count,
-            warmup: cfg.warmup,
-            stream: if policy == CachePolicy::Adaptive {
-                cfg.stream.clone()
+            rp_count: RP_COUNT,
+            stream: if adaptive {
+                StreamConfig::every(STREAM_TICK)
             } else {
                 StreamConfig::default()
             },
             ..GcopssConfig::default()
         };
-        let warmup = gcfg.warmup;
         let map = Arc::clone(&w.map);
         let pop = &w.population;
         let moves_ref = &moves;
-        let mode = SnapshotMode::QueryResponse {
-            window: cfg.qr_window,
-        };
+        let mode = SnapshotMode::QueryResponse { window: QR_WINDOW };
         let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
             let my_moves: Vec<_> = moves_ref
                 .iter()
@@ -592,7 +535,7 @@ fn run_cache_arm(
                 Arc::clone(&map),
                 cursor,
                 my_moves,
-                warmup,
+                WARMUP,
                 mode,
             ))
         });
@@ -607,7 +550,7 @@ fn run_cache_arm(
         // so by the end of the drain the flash crowd has decayed out of
         // them — which is the point. Pausing to read them is pure.
         let peak = (SimTime::ZERO
-            + cfg.warmup
+            + WARMUP
             + SimDuration::from_nanos(crowd_end)
             + SimDuration::from_secs(2))
         .min(horizon);
@@ -680,7 +623,6 @@ mod tests {
             },
             crowd_size: 16,
             drain: SimDuration::from_secs(10),
-            ..AdaptiveSweepConfig::default()
         }
     }
 
@@ -778,7 +720,6 @@ mod tests {
             },
             crowd_size: 10,
             drain: SimDuration::from_secs(8),
-            ..AdaptiveSweepConfig::default()
         };
         let a = run(&cfg);
         let b = run(&cfg);

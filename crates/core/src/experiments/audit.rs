@@ -27,39 +27,20 @@ use gcopss_sim::{
     TimeSeriesConfig,
 };
 
-use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use crate::{GPacket, GameWorld, MetricsMode};
+use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
 
-use super::failover::{chaos_plan, FailoverConfig};
-use super::Workload;
+use super::failover::{chaos_plan, FailoverConfig, RP_COUNT};
+use super::{Workload, NET_SEED};
 
-/// Configuration of the delivery audit.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// The chaos scenario to audit (same knobs as the failure sweep; only
-    /// the G-COPSS runs are audited — the baselines have no span hooks for
-    /// their server/producer application state).
-    pub failover: FailoverConfig,
-    /// Lineage tracer settings (sampling keeps whole causal trees, but an
-    /// audit over a sampled trace only accounts for the sampled lineages).
-    pub lineage: LineageConfig,
-    /// Optional periodic time-series sampler armed on every run.
-    pub timeseries: Option<TimeSeriesConfig>,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            failover: FailoverConfig::default(),
-            lineage: LineageConfig::default(),
-            timeseries: Some(TimeSeriesConfig {
-                tick: SimDuration::from_millis(500),
-                counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
-                gauges: vec!["st-entries"],
-                per_node: vec!["rp-served"],
-                ..TimeSeriesConfig::default()
-            }),
-        }
+/// The periodic time-series sampler armed on every audited run.
+fn timeseries_config() -> TimeSeriesConfig {
+    TimeSeriesConfig {
+        tick: SimDuration::from_millis(500),
+        counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
+        gauges: vec!["st-entries"],
+        per_node: vec!["rp-served"],
+        ..TimeSeriesConfig::default()
     }
 }
 
@@ -77,7 +58,7 @@ pub struct AuditRun {
     pub fingerprint: u64,
     /// Span records captured.
     pub spans: usize,
-    /// Captured time-series frames, when the sampler was armed.
+    /// Captured time-series frames.
     pub timeseries: Option<Json>,
 }
 
@@ -156,21 +137,20 @@ pub fn damage_window(
     Some((open, repair + settle))
 }
 
-/// Runs the audited sweep.
+/// Runs the audited sweep over the chaos scenario `f` (same knobs as the
+/// failure sweep; only the G-COPSS runs are audited — the baselines have no
+/// span hooks for their server/producer application state). The lineage
+/// tracer keeps every span: an audit over a sampled trace would only
+/// account for the sampled lineages.
 #[must_use]
-pub fn run(cfg: &AuditConfig) -> AuditOutput {
-    let f = &cfg.failover;
+pub fn run(f: &FailoverConfig) -> AuditOutput {
     let w = Workload::counter_strike(&f.workload);
-    let net = NetworkSpec::default_backbone(f.net_seed);
+    let net = NetworkSpec::default_backbone(NET_SEED);
     let links = net.core_links_preview();
     let pool = net.rp_pool_preview();
-    let crash = if f.crash_infra {
-        Some(pool[(f.rp_count.max(1) - 1) % pool.len()])
-    } else {
-        None
-    };
-    let span = SimDuration::from_nanos(w.trace.last().map_or(0, |e| e.time_ns));
-    let horizon = SimTime::ZERO + f.warmup + span + f.drain;
+    let crash = pool[(RP_COUNT - 1) % pool.len()];
+    let span = w.span();
+    let horizon = SimTime::ZERO + WARMUP + span + f.drain;
 
     let mut runs = Vec::new();
     for &loss in &f.loss_rates {
@@ -178,23 +158,20 @@ pub fn run(cfg: &AuditConfig) -> AuditOutput {
         let first_fault = plan.schedule().iter().map(|&(t, _)| t).min();
         let sys = GcopssConfig {
             metrics_mode: MetricsMode::StatsOnly,
-            rp_count: f.rp_count,
-            warmup: f.warmup,
-            recovery: Some(f.recovery.clone()),
+            rp_count: RP_COUNT,
+            recovery: Some(RecoveryConfig::default()),
             ..GcopssConfig::default()
         };
         let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
             .gcopss(sys)
             .build()
             .into_gcopss();
-        built.sim.enable_lineage(cfg.lineage.clone());
-        register_expectations(&mut built.sim, &w, f.warmup);
-        if let Some(ts) = &cfg.timeseries {
-            // The sampler reads the metrics registry, so telemetry must be
-            // on; the journal is not needed here.
-            built.sim.enable_telemetry(TelemetryConfig::counters_only());
-            built.sim.enable_timeseries(ts.clone());
-        }
+        built.sim.enable_lineage(LineageConfig::default());
+        register_expectations(&mut built.sim, &w, WARMUP);
+        // The sampler reads the metrics registry, so telemetry must be on;
+        // the journal is not needed here.
+        built.sim.enable_telemetry(TelemetryConfig::counters_only());
+        built.sim.enable_timeseries(timeseries_config());
         built.sim.install_faults(plan);
         built.sim.run_until(horizon);
 
@@ -226,21 +203,17 @@ mod tests {
     /// span log must be same-seed reproducible.
     #[test]
     fn mini_audit_is_clean_and_reproducible() {
-        let cfg = AuditConfig {
-            failover: FailoverConfig {
-                workload: super::super::WorkloadParams {
-                    players: 60,
-                    updates: 3_000,
-                    ..super::super::WorkloadParams::default()
-                },
-                loss_rates: vec![0.0, 0.02],
-                flaps: 2,
-                outage: SimDuration::from_millis(500),
-                settle: SimDuration::from_secs(2),
-                drain: SimDuration::from_secs(10),
-                ..FailoverConfig::default()
+        let cfg = FailoverConfig {
+            workload: super::super::WorkloadParams {
+                players: 60,
+                updates: 3_000,
+                ..super::super::WorkloadParams::default()
             },
-            ..AuditConfig::default()
+            loss_rates: vec![0.0, 0.02],
+            flaps: 2,
+            outage: SimDuration::from_millis(500),
+            settle: SimDuration::from_secs(2),
+            drain: SimDuration::from_secs(10),
         };
         let out = run(&cfg);
         assert_eq!(out.runs.len(), 2);

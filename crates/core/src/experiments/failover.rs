@@ -23,11 +23,17 @@ use gcopss_game::PlayerId;
 use gcopss_sim::{EngineDrop, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
+    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
 };
 use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
 
-use super::{TelemetryCapture, Workload, WorkloadParams};
+use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+
+/// Chaos-schedule seed (flap times and loss draws).
+const CHAOS_SEED: u64 = 0x00c4_a055;
+/// Initial RPs (G-COPSS) and game servers (IP baseline). The router hosting
+/// the last RP crashes at 30 % of the trace span and restarts at 50 %.
+pub(crate) const RP_COUNT: usize = 3;
 
 /// Configuration of the failure sweep.
 #[derive(Debug, Clone)]
@@ -35,12 +41,6 @@ pub struct FailoverConfig {
     /// Workload (smaller than Table I by default: chaos runs use
     /// [`Simulator::run_until`] horizons, so event counts matter).
     pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
-    /// Chaos-schedule seed (flap times and loss draws).
-    pub chaos_seed: u64,
-    /// Initial RPs (G-COPSS) and game servers (IP baseline).
-    pub rp_count: usize,
     /// Per-transmission Bernoulli loss rates to sweep.
     pub loss_rates: Vec<f64>,
     /// Random core-link flaps per run, drawn in the 20–60 % window of the
@@ -48,13 +48,6 @@ pub struct FailoverConfig {
     pub flaps: usize,
     /// Outage length of each link flap.
     pub outage: SimDuration,
-    /// Crash the router hosting the last RP at 30 % of the trace span and
-    /// restart it at 50 %.
-    pub crash_infra: bool,
-    /// Recovery tunables applied to every system.
-    pub recovery: RecoveryConfig,
-    /// Settling period before the first trace event.
-    pub warmup: SimDuration,
     /// Margin after the last repair before the post-repair window opens:
     /// publications racing the join/reconnect re-propagation right after a
     /// repair are charged to the outage, not to steady state. Must cover
@@ -72,15 +65,9 @@ impl Default for FailoverConfig {
                 updates: 10_000,
                 ..WorkloadParams::default()
             },
-            net_seed: 7,
-            chaos_seed: 0x00c4_a055,
-            rp_count: 3,
             loss_rates: vec![0.0, 0.01, 0.05],
             flaps: 6,
             outage: SimDuration::from_secs(2),
-            crash_infra: true,
-            recovery: RecoveryConfig::default(),
-            warmup: SimDuration::from_secs(2),
             settle: SimDuration::from_secs(5),
             drain: SimDuration::from_secs(30),
         }
@@ -199,20 +186,17 @@ pub(crate) fn chaos_plan(
     cfg: &FailoverConfig,
     loss: f64,
     links: &[gcopss_sim::LinkId],
-    crash: Option<NodeId>,
+    crash: NodeId,
     span: SimDuration,
 ) -> FaultPlan {
     let at = |num: u64, den: u64| {
-        SimTime::ZERO + cfg.warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
+        SimTime::ZERO + WARMUP + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
-    let mut plan = FaultPlan::new(cfg.chaos_seed).with_loss(loss);
+    let mut plan = FaultPlan::new(CHAOS_SEED).with_loss(loss);
     if cfg.flaps > 0 && !links.is_empty() && span > SimDuration::ZERO {
         plan = plan.random_link_flaps(links, cfg.flaps, at(2, 10), at(6, 10), cfg.outage);
     }
-    if let Some(node) = crash {
-        plan = plan.node_down(at(3, 10), node).node_up(at(5, 10), node);
-    }
-    plan
+    plan.node_down(at(3, 10), crash).node_up(at(5, 10), crash)
 }
 
 struct Deliverability {
@@ -225,12 +209,7 @@ struct Deliverability {
 }
 
 /// Per-publication delivery accounting against the AoI model.
-fn deliverability(
-    run: &ChaosRun,
-    w: &Workload,
-    warmup: SimDuration,
-    settle: SimDuration,
-) -> Deliverability {
+fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Deliverability {
     let mut viewers: BTreeMap<&Name, u64> = BTreeMap::new();
     for cd in w.map.leaf_cds() {
         let area = w.map.area_of_leaf_cd(cd).expect("leaf CD");
@@ -272,7 +251,7 @@ fn deliverability(
                 last_bad = Some(i);
             }
         }
-        let sent = SimTime::ZERO + warmup + SimDuration::from_nanos(e.time_ns);
+        let sent = SimTime::ZERO + WARMUP + SimDuration::from_nanos(e.time_ns);
         if run.last_repair.is_none_or(|r| sent > r + settle) {
             post_expected += want;
             post_delivered += got;
@@ -283,7 +262,7 @@ fn deliverability(
         (None, _) => Some(SimDuration::ZERO),
         // Settled only if some later publication did reach full fan-out.
         (Some(i), Some(repair)) if last_bad != last_with_fanout => {
-            let sent = SimTime::ZERO + warmup + SimDuration::from_nanos(w.trace[i].time_ns);
+            let sent = SimTime::ZERO + WARMUP + SimDuration::from_nanos(w.trace[i].time_ns);
             Some(sent.saturating_duration_since(repair))
         }
         _ => None,
@@ -299,7 +278,7 @@ fn deliverability(
 }
 
 fn make_row(label: String, loss: f64, run: &ChaosRun, w: &Workload, cfg: &FailoverConfig) -> FailoverRow {
-    let d = deliverability(run, w, cfg.warmup, cfg.settle);
+    let d = deliverability(run, w, cfg.settle);
     let counter = |k: &str| run.world.counters.get(k).copied().unwrap_or(0);
     FailoverRow {
         label,
@@ -334,16 +313,12 @@ pub fn run_with(
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> FailoverOutput {
     let w = Workload::counter_strike(&cfg.workload);
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
+    let net = NetworkSpec::default_backbone(NET_SEED);
     let links = net.core_links_preview();
     let pool = net.rp_pool_preview();
-    let crash = if cfg.crash_infra {
-        Some(pool[(cfg.rp_count.max(1) - 1) % pool.len()])
-    } else {
-        None
-    };
-    let span = SimDuration::from_nanos(w.trace.last().map_or(0, |e| e.time_ns));
-    let horizon = SimTime::ZERO + cfg.warmup + span + cfg.drain;
+    let crash = pool[(RP_COUNT - 1) % pool.len()];
+    let span = w.span();
+    let horizon = SimTime::ZERO + WARMUP + span + cfg.drain;
 
     let mut rows = Vec::new();
     for &loss in &cfg.loss_rates {
@@ -352,9 +327,8 @@ pub fn run_with(
         let sys = GcopssConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: true,
-            rp_count: cfg.rp_count,
-            warmup: cfg.warmup,
-            recovery: Some(cfg.recovery.clone()),
+            rp_count: RP_COUNT,
+            recovery: Some(RecoveryConfig::default()),
             ..GcopssConfig::default()
         };
         let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -372,9 +346,8 @@ pub fn run_with(
         let sys = IpConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: true,
-            server_count: cfg.rp_count,
-            warmup: cfg.warmup,
-            recovery: Some(cfg.recovery.clone()),
+            server_count: RP_COUNT,
+            recovery: Some(RecoveryConfig::default()),
             ..IpConfig::default()
         };
         let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -392,8 +365,7 @@ pub fn run_with(
         let sys = NdnBaselineConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: true,
-            warmup: cfg.warmup,
-            recovery: Some(cfg.recovery.clone()),
+            recovery: Some(RecoveryConfig::default()),
             ..NdnBaselineConfig::default()
         };
         let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -431,7 +403,6 @@ mod tests {
             outage: SimDuration::from_millis(500),
             settle: SimDuration::from_secs(2),
             drain: SimDuration::from_secs(10),
-            ..FailoverConfig::default()
         };
         let out = run(&cfg);
         assert_eq!(out.rows.len(), 3);

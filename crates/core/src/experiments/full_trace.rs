@@ -7,32 +7,10 @@ use crate::scenario::{HybridConfig, NetworkSpec, ScenarioSpec};
 use crate::MetricsMode;
 
 use super::rp_sweep::{run_gcopss_once_with, run_ip_once_with, summarize};
-use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
+use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
-/// Configuration of the Table II run.
-#[derive(Debug, Clone)]
-pub struct FullTraceConfig {
-    /// Workload; the paper uses the full 1,686,905-update trace — set
-    /// `updates` accordingly, or smaller for quick runs.
-    pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
-    /// RPs / servers / IP multicast groups (paper: 6 of each).
-    pub cores: usize,
-}
-
-impl Default for FullTraceConfig {
-    fn default() -> Self {
-        Self {
-            workload: WorkloadParams {
-                updates: 1_686_905,
-                ..WorkloadParams::default()
-            },
-            net_seed: 7,
-            cores: 6,
-        }
-    }
-}
+/// RPs / servers / IP multicast groups (paper: 6 of each).
+const CORES: usize = 6;
 
 /// Table II output: one row per system.
 #[derive(Debug, Clone)]
@@ -45,34 +23,36 @@ pub struct FullTraceOutput {
     pub hybrid: RunSummary,
 }
 
-/// Runs the three systems over the same workload.
+/// Runs the three systems over the same workload; the paper uses the full
+/// 1,686,905-update trace — set `updates` accordingly, or smaller for quick
+/// runs.
 #[must_use]
-pub fn run(cfg: &FullTraceConfig) -> FullTraceOutput {
-    run_with(cfg, None)
+pub fn run(workload: &WorkloadParams) -> FullTraceOutput {
+    run_with(workload, None)
 }
 
 /// Runs the three systems, optionally harvesting one telemetry report per
 /// system run.
 #[must_use]
 pub fn run_with(
-    cfg: &FullTraceConfig,
+    workload: &WorkloadParams,
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> FullTraceOutput {
-    let w = Workload::counter_strike(&cfg.workload);
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
+    let w = Workload::counter_strike(workload);
+    let net = NetworkSpec::default_backbone(NET_SEED);
 
     let t = telemetry.as_mut().map(|c| (&mut **c, "ip"));
-    let (world, bytes) = run_ip_once_with(&w, &net, cfg.cores, MetricsMode::StatsOnly, t);
-    let ip = summarize(format!("IP server x{}", cfg.cores), &world, bytes);
+    let (world, bytes) = run_ip_once_with(&w, &net, CORES, MetricsMode::StatsOnly, t);
+    let ip = summarize(format!("IP server x{CORES}"), &world, bytes);
 
     let t = telemetry.as_mut().map(|c| (&mut **c, "gcopss"));
-    let (world, bytes) = run_gcopss_once_with(&w, &net, cfg.cores, None, MetricsMode::StatsOnly, t);
-    let gcopss = summarize(format!("G-COPSS {} RPs", cfg.cores), &world, bytes);
+    let (world, bytes) = run_gcopss_once_with(&w, &net, CORES, None, MetricsMode::StatsOnly, t);
+    let gcopss = summarize(format!("G-COPSS {CORES} RPs"), &world, bytes);
 
     let hybrid = {
         let c = HybridConfig {
             metrics_mode: MetricsMode::StatsOnly,
-            group_count: cfg.cores as u32,
+            group_count: CORES as u32,
             ..HybridConfig::default()
         };
         let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -82,7 +62,7 @@ pub fn run_with(
         TelemetryCapture::observe(telemetry, &mut built.sim, "hybrid", Simulator::run);
         let bytes = built.sim.total_link_bytes();
         summarize(
-            format!("hybrid-G-COPSS {} groups", cfg.cores),
+            format!("hybrid-G-COPSS {CORES} groups"),
             &built.sim.into_world(),
             bytes,
         )
@@ -99,15 +79,11 @@ mod tests {
     /// latency: hybrid ≤ G-COPSS < IP; load: G-COPSS < hybrid < IP.
     #[test]
     fn mini_full_trace_orderings() {
-        let cfg = FullTraceConfig {
-            workload: WorkloadParams {
-                updates: 6_000,
-                players: 150,
-                ..WorkloadParams::default()
-            },
-            ..FullTraceConfig::default()
-        };
-        let out = run(&cfg);
+        let out = run(&WorkloadParams {
+            updates: 6_000,
+            players: 150,
+            ..WorkloadParams::default()
+        });
         // Latency: hybrid best (fast IP core, no RP detour), IP worst.
         assert!(
             out.hybrid.mean_latency <= out.gcopss.mean_latency,

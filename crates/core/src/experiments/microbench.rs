@@ -3,9 +3,8 @@
 
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
-use crate::ndn_baseline::NdnClientConfig;
 use crate::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
+    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
 };
 use crate::{MetricsMode, SimParams};
 
@@ -19,22 +18,16 @@ pub struct MicrobenchConfig {
     pub seed: u64,
     /// Trace duration (paper: 60 s).
     pub duration: SimDuration,
-    /// NDN baseline pipelining window (paper: 3).
-    pub ndn_window: u32,
-    /// NDN baseline accumulation interval `t`.
-    pub ndn_accum: SimDuration,
-    /// CDF resolution.
-    pub cdf_points: usize,
 }
+
+/// CDF resolution.
+const CDF_POINTS: usize = 100;
 
 impl Default for MicrobenchConfig {
     fn default() -> Self {
         Self {
             seed: 1,
             duration: SimDuration::from_secs(60),
-            ndn_window: 3,
-            ndn_accum: SimDuration::from_millis(100),
-            cdf_points: 100,
         }
     }
 }
@@ -61,7 +54,7 @@ pub struct MicrobenchOutput {
     pub ndn: SystemResult,
 }
 
-fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64, points: usize) -> SystemResult {
+fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64) -> SystemResult {
     let summary = summarize(label.to_string(), &world, bytes);
     let over = 1.0
         - world
@@ -71,7 +64,7 @@ fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64, points: u
     let cdf = world
         .metrics
         .samples_mut()
-        .cdf(points)
+        .cdf(CDF_POINTS)
         .into_iter()
         .map(|(d, f)| (d.as_millis_f64(), f))
         .collect();
@@ -113,7 +106,7 @@ pub fn run_with(
         let cap = telemetry.as_deref_mut();
         TelemetryCapture::observe(cap, &mut built.sim, "gcopss", Simulator::run);
         let bytes = built.sim.total_link_bytes();
-        system_result("G-COPSS", built.sim.into_world(), bytes, cfg.cdf_points)
+        system_result("G-COPSS", built.sim.into_world(), bytes)
     };
 
     // IP server at R1.
@@ -131,30 +124,26 @@ pub fn run_with(
         let cap = telemetry.as_deref_mut();
         TelemetryCapture::observe(cap, &mut built.sim, "ip", Simulator::run);
         let bytes = built.sim.total_link_bytes();
-        system_result("IP server", built.sim.into_world(), bytes, cfg.cdf_points)
+        system_result("IP server", built.sim.into_world(), bytes)
     };
 
-    // NDN baseline: bounded horizon because consumers poll forever.
+    // NDN baseline (the paper's pipelining window of 3, a 100 ms
+    // accumulation interval): bounded horizon because consumers poll
+    // forever.
     let ndn = {
         let c = NdnBaselineConfig {
             params: SimParams::microbenchmark(),
             metrics_mode: MetricsMode::Full,
-            client: NdnClientConfig {
-                window: cfg.ndn_window,
-                accum_interval: cfg.ndn_accum,
-                ..NdnClientConfig::default()
-            },
             ..NdnBaselineConfig::default()
         };
-        let warmup = c.warmup;
         let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
             .ndn_baseline(c)
             .build()
             .into_ndn_baseline();
-        let horizon = SimTime::ZERO + warmup + cfg.duration + SimDuration::from_secs(120);
+        let horizon = SimTime::ZERO + WARMUP + cfg.duration + SimDuration::from_secs(120);
         TelemetryCapture::observe(telemetry, &mut built.sim, "ndn", |sim| sim.run_until(horizon));
         let bytes = built.sim.total_link_bytes();
-        system_result("NDN", built.sim.into_world(), bytes, cfg.cdf_points)
+        system_result("NDN", built.sim.into_world(), bytes)
     };
 
     MicrobenchOutput { gcopss, ip, ndn }

@@ -44,6 +44,9 @@ use gcopss_sim::{SimDuration, Simulator, TelemetryConfig, TelemetryReport, TimeS
 
 use crate::{GPacket, GameWorld};
 
+/// Topology seed of the backbone every large-scale driver runs on.
+pub const NET_SEED: u64 = 7;
+
 /// Collects one [`TelemetryReport`] per simulator run of a driver.
 ///
 /// Drivers take `Option<&mut TelemetryCapture>` and run every simulator
@@ -147,6 +150,24 @@ impl Default for WorkloadParams {
 }
 
 impl Workload {
+    /// Time of the last trace event, from trace start.
+    #[must_use]
+    pub fn span(&self) -> SimDuration {
+        SimDuration::from_nanos(self.trace.last().map_or(0, |e| e.time_ns))
+    }
+
+    /// The object model with the whole trace applied: brokers prewarmed
+    /// with it serve snapshot sizes in the paper's end-of-trace regime
+    /// (579–1,740 B) from the first request.
+    #[must_use]
+    pub fn converged_objects(&self) -> ObjectModel {
+        let mut objects = self.objects.clone();
+        for e in self.trace.iter() {
+            objects.apply_update(e.object, e.size);
+        }
+        objects
+    }
+
     /// Builds the §V-B workload: 414 players (4–20 per area), heavy-tailed
     /// per-player update rates, objects 80–120 per area.
     #[must_use]
@@ -161,7 +182,6 @@ impl Workload {
             CsTraceParams {
                 total_updates: p.updates,
                 mean_interarrival_ns: p.mean_interarrival.as_nanos(),
-                ..CsTraceParams::default()
             },
         );
         let trace = Arc::new(gen.generate(p.seed ^ 0x31, &map, &objects, &population));
@@ -177,7 +197,7 @@ impl Workload {
     /// `duration` of publishing at 100–500 ms intervals.
     #[must_use]
     pub fn microbenchmark(seed: u64, duration: SimDuration) -> Self {
-        use gcopss_game::trace::{microbenchmark_trace, MicrobenchParams};
+        use gcopss_game::trace::microbenchmark_trace;
         let map = Arc::new(GameMap::paper_map());
         let objects = ObjectModel::generate(seed ^ 0x0b, &map, &ObjectModelParams::default());
         let population = PlayerPopulation::uniform_per_area(&map, 2);
@@ -186,10 +206,7 @@ impl Workload {
             &map,
             &objects,
             &population,
-            &MicrobenchParams {
-                duration_ns: duration.as_nanos(),
-                ..MicrobenchParams::default()
-            },
+            duration.as_nanos(),
         ));
         Self {
             map,

@@ -4,27 +4,28 @@
 
 use std::sync::Arc;
 
-use gcopss_game::{MoveType, MovementModel, MovementParams};
+use gcopss_game::{MoveType, MovementModel};
 use gcopss_names::Name;
 use gcopss_sim::{SimDuration, SimTime};
 
-use crate::broker::{partition_cds_to_brokers, MovingPlayerClient, SnapshotBroker, SnapshotMode};
-use crate::scenario::{ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec};
+use crate::broker::{
+    partition_cds_to_brokers, snapcast_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
+};
+use crate::scenario::{ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{MetricsMode, SimParams};
 
-use super::{TelemetryCapture, Workload, WorkloadParams};
+use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+
+/// RPs for the update plane (paper: 3).
+const RP_COUNT: usize = 3;
+/// Snapshot brokers (paper: 3).
+const BROKER_COUNT: usize = 3;
 
 /// Configuration of the movement experiment.
 #[derive(Debug, Clone)]
 pub struct MovementConfig {
     /// The update workload running underneath the movements.
     pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
-    /// RPs for the update plane (paper: 3).
-    pub rp_count: usize,
-    /// Snapshot brokers (paper: 3).
-    pub broker_count: usize,
     /// Per-player interval between moves. The paper uses 5–35 min over a
     /// 7-hour trace; scale this with the trace length so every run sees
     /// enough moves.
@@ -35,10 +36,6 @@ pub struct MovementConfig {
     /// all 414 through a 40 s trace would melt the brokers' access links
     /// instead of measuring dissemination.
     pub mover_count: usize,
-    /// Pre-apply the whole trace to the brokers' object models so snapshot
-    /// sizes are in the paper's end-of-trace regime (579–1,740 B) from the
-    /// first move.
-    pub prewarm: bool,
     /// Extra simulated time after the last trace event for fetches to
     /// finish.
     pub drain: SimDuration,
@@ -48,15 +45,11 @@ impl Default for MovementConfig {
     fn default() -> Self {
         Self {
             workload: WorkloadParams::default(),
-            net_seed: 7,
-            rp_count: 3,
-            broker_count: 3,
             move_interval: (
                 SimDuration::from_secs(300),
                 SimDuration::from_secs(2_100),
             ),
             mover_count: 80,
-            prewarm: true,
             drain: SimDuration::from_secs(60),
         }
     }
@@ -132,64 +125,50 @@ pub fn run_mode_with(
     telemetry: Option<&mut TelemetryCapture>,
 ) -> MovementOutput {
     let w = Workload::counter_strike(&cfg.workload);
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
-    let trace_span = w.trace.last().map_or(0, |e| e.time_ns);
+    let net = NetworkSpec::default_backbone(NET_SEED);
+    let trace_span = w.span();
 
     // Movement schedule for every player.
-    let model = MovementModel::new(MovementParams {
-        interval_ns: (cfg.move_interval.0.as_nanos(), cfg.move_interval.1.as_nanos()),
-        ..MovementParams::default()
-    });
-    let mut moves = model.generate(cfg.workload.seed ^ 0x77, &w.map, &w.population, trace_span);
+    let model = MovementModel::new((
+        cfg.move_interval.0.as_nanos(),
+        cfg.move_interval.1.as_nanos(),
+    ));
+    let mut moves =
+        model.generate(cfg.workload.seed ^ 0x77, &w.map, &w.population, trace_span.as_nanos());
     // Spread the movers across the whole population (player ids are
     // assigned area by area, so a prefix would bias toward upper layers).
     let stride = (w.population.len() / cfg.mover_count.max(1)).max(1);
     moves.retain(|m| m.player.index() % stride == 0);
 
-    // Brokers with (optionally prewarmed) object models.
-    let mut broker_objects = w.objects.clone();
-    if cfg.prewarm {
-        for e in w.trace.iter() {
-            broker_objects.apply_update(e.object, e.size);
-        }
-    }
-    let serving = partition_cds_to_brokers(&w.map, cfg.broker_count);
+    // Brokers with prewarmed object models, offset past the game-RP
+    // placements so they get their own cores. Each broker's /snapcast
+    // groups are anchored at a dedicated RP on that same core: bulk
+    // snapshot streams never queue behind the latency-critical game RPs.
+    let serving = partition_cds_to_brokers(&w.map, BROKER_COUNT);
     let pool = net.rp_pool_preview();
+    let attach_at = |i: usize| pool[(RP_COUNT + i) % pool.len()];
+    let snapcast_rp = |(i, cds): (usize, &Vec<Name>)| {
+        let prefixes = cds.iter().map(|cd| snapcast_ns().join(cd)).collect();
+        (prefixes, attach_at(i))
+    };
+    let extra_rps = serving.iter().enumerate().map(snapcast_rp).collect();
     let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    let mut extra_rps = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        // Offset past the game-RP placements so brokers get their own
-        // cores, and anchor each broker's /snapcast groups at a dedicated
-        // RP on that same core: bulk snapshot streams never queue behind
-        // the latency-critical game RPs.
-        let attach = pool[(cfg.rp_count + i) % pool.len()];
-        let snapcast_prefixes: Vec<Name> = cds
-            .iter()
-            .map(|cd| crate::broker::snapcast_ns().join(cd))
-            .collect();
-        extra_rps.push((snapcast_prefixes, attach));
-        let objects = broker_objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: attach,
-            routes,
-            make: Box::new(move |_node, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let extra_hosts = SnapshotBroker::hosts(
+        serving,
+        attach_at,
+        false,
+        &params,
+        &w.converged_objects(),
+        &w.trace,
+    );
 
     let gcfg = GcopssConfig {
-        params: params.clone(),
+        params,
         metrics_mode: MetricsMode::StatsOnly,
-        rp_count: cfg.rp_count,
+        rp_count: RP_COUNT,
         extra_rps,
         ..GcopssConfig::default()
     };
-    let warmup = gcfg.warmup;
     let map = Arc::clone(&w.map);
     let pop = &w.population;
     let moves_ref = &moves;
@@ -206,7 +185,7 @@ pub fn run_mode_with(
             Arc::clone(&map),
             cursor,
             my_moves,
-            warmup,
+            WARMUP,
             mode,
         ))
     });
@@ -216,7 +195,7 @@ pub fn run_mode_with(
         .client_factory(factory)
         .build()
         .into_gcopss();
-    let horizon = SimTime::ZERO + warmup + SimDuration::from_nanos(trace_span) + cfg.drain;
+    let horizon = SimTime::ZERO + WARMUP + trace_span + cfg.drain;
     let label = match mode {
         SnapshotMode::QueryResponse { window } => format!("qr-w{window}"),
         SnapshotMode::CyclicMulticast => "cyclic".to_string(),
@@ -319,7 +298,6 @@ mod tests {
             move_interval: (SimDuration::from_secs(2), SimDuration::from_secs(4)),
             mover_count: 12,
             drain: SimDuration::from_secs(120),
-            ..MovementConfig::default()
         }
     }
 

@@ -33,11 +33,12 @@ use gcopss_sim::{
 
 use crate::scenario::{
     expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
+    WARMUP,
 };
 use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig};
 
 use super::audit::{audit_without_damage, register_expectations};
-use super::{TelemetryCapture, Workload, WorkloadParams};
+use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// The queue regime of one run arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,49 +64,41 @@ impl QueueRegime {
     }
 }
 
+/// Initial RPs (G-COPSS) and game servers (IP baseline).
+const RP_COUNT: usize = 3;
+/// The network-wide mean update inter-arrival that saturates the aggregate
+/// RP service rate — offered load 1×. From the §V-B calibration,
+/// `rp_proc / RP_COUNT`: 3.3 ms RP service / 3 RPs.
+pub const CAPACITY_INTERARRIVAL: SimDuration = SimDuration::from_micros(1_100);
+/// Bounded queue depth (waiting packets) of the droptail and aqm regimes.
+const QUEUE_CAPACITY: usize = 64;
+/// CoDel target sojourn (aqm regime). ≈4.5 RP service times: transient
+/// bursts at ρ≤0.5 stay under it, a standing queue (ρ>1 pins sojourn at
+/// cap × service ≈ 210 ms) overruns it immediately.
+const CODEL_TARGET: SimDuration = SimDuration::from_millis(15);
+/// CoDel control interval (aqm regime).
+const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Sojourn above which delivered packets carry a congestion mark (aqm
+/// regime). ≈9 service times: essentially never reached below capacity,
+/// saturated above it — marks are an overload signal, not a burst detector.
+const MARK_SOJOURN: SimDuration = SimDuration::from_millis(30);
+/// Soft-state Subscribe refresh of every system's recovery: real control
+/// traffic keeps contending with bulk data *during* overload — which is
+/// exactly what the priority lattice must protect (and what plain drop-tail
+/// loses).
+const SUBSCRIBE_REFRESH: SimDuration = SimDuration::from_millis(200);
+
 /// Configuration of the overload sweep.
 #[derive(Debug, Clone)]
 pub struct OverloadSweepConfig {
     /// Workload shape (players, updates, seed). `mean_interarrival` is
-    /// overridden per run: offered load × [`Self::capacity_interarrival`].
+    /// overridden per run: [`CAPACITY_INTERARRIVAL`] / offered load.
     pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
-    /// Initial RPs (G-COPSS) and game servers (IP baseline).
-    pub rp_count: usize,
     /// Offered loads as multiples of service capacity (paper-style sweep:
     /// 0.5×, 1×, 2×, 4×).
     pub loads: Vec<f64>,
-    /// The network-wide mean update inter-arrival that saturates the
-    /// aggregate RP service rate — offered load 1×. The default derives
-    /// from the §V-B calibration: `rp_proc / rp_count`.
-    pub capacity_interarrival: SimDuration,
-    /// Bounded queue depth (waiting packets) of the droptail and aqm
-    /// regimes.
-    pub queue_capacity: usize,
-    /// CoDel target sojourn (aqm regime).
-    pub codel_target: SimDuration,
-    /// CoDel control interval (aqm regime).
-    pub codel_interval: SimDuration,
-    /// Sojourn above which delivered packets carry a congestion mark (aqm
-    /// regime).
-    pub mark_sojourn: SimDuration,
-    /// Client-side rate adaptation, applied in the aqm regime to systems
-    /// whose clients push (G-COPSS, IP; the NDN baseline's consumers pull
-    /// and need no pacer).
-    pub rate_adapt: RateAdaptConfig,
-    /// Recovery tunables applied to every system. The default enables the
-    /// periodic soft-state Subscribe refresh so real control traffic keeps
-    /// contending with bulk data *during* overload — which is exactly what
-    /// the priority lattice must protect (and what plain drop-tail loses).
-    pub recovery: RecoveryConfig,
-    /// Settling period before the first trace event.
-    pub warmup: SimDuration,
     /// Extra simulated time after the last trace event before the horizon.
     pub drain: SimDuration,
-    /// When `Some`, G-COPSS aqm runs replay under the lineage tracer and
-    /// the delivery auditor must account for every owed pair.
-    pub lineage: Option<LineageConfig>,
 }
 
 impl Default for OverloadSweepConfig {
@@ -116,62 +109,37 @@ impl Default for OverloadSweepConfig {
                 updates: 10_000,
                 ..WorkloadParams::default()
             },
-            net_seed: 7,
-            rp_count: 3,
             loads: vec![0.5, 1.0, 2.0, 4.0],
-            // 3.3 ms RP service / 3 RPs.
-            capacity_interarrival: SimDuration::from_micros(1_100),
-            queue_capacity: 64,
-            // ≈4.5 RP service times: transient bursts at ρ≤0.5 stay under
-            // it, a standing queue (ρ>1 pins sojourn at cap × service ≈
-            // 210 ms) overruns it immediately.
-            codel_target: SimDuration::from_millis(15),
-            codel_interval: SimDuration::from_millis(100),
-            // ≈9 service times: essentially never reached below capacity,
-            // saturated above it — marks are an overload signal, not a
-            // burst detector.
-            mark_sojourn: SimDuration::from_millis(30),
-            rate_adapt: RateAdaptConfig::default(),
-            recovery: RecoveryConfig {
-                subscribe_refresh: Some(SimDuration::from_millis(200)),
-                ..RecoveryConfig::default()
-            },
-            warmup: SimDuration::from_secs(2),
             drain: SimDuration::from_secs(10),
-            lineage: Some(LineageConfig::default()),
         }
     }
 }
 
-impl OverloadSweepConfig {
-    /// The per-run mean inter-arrival at offered load `load`.
-    #[must_use]
-    pub fn interarrival_at(&self, load: f64) -> SimDuration {
-        let ns = (self.capacity_interarrival.as_nanos() as f64 / load).round() as u64;
-        SimDuration::from_nanos(ns.max(1))
-    }
+/// The per-run mean inter-arrival at offered load `load`.
+fn interarrival_at(load: f64) -> SimDuration {
+    let ns = (CAPACITY_INTERARRIVAL.as_nanos() as f64 / load).round() as u64;
+    SimDuration::from_nanos(ns.max(1))
+}
 
-    /// The engine overload config of one regime, or `None` for unbounded.
-    #[must_use]
-    pub fn engine_config(&self, regime: QueueRegime) -> Option<OverloadConfig> {
-        match regime {
-            QueueRegime::Unbounded => None,
-            QueueRegime::DropTail => Some(OverloadConfig {
-                queue_capacity: Some(self.queue_capacity),
-                policy: AdmissionPolicy::DropTail,
-                priority: false,
-                mark_sojourn: None,
-            }),
-            QueueRegime::Aqm => Some(OverloadConfig {
-                queue_capacity: Some(self.queue_capacity),
-                policy: AdmissionPolicy::CoDel {
-                    target: self.codel_target,
-                    interval: self.codel_interval,
-                },
-                priority: true,
-                mark_sojourn: Some(self.mark_sojourn),
-            }),
-        }
+/// The engine overload config of one regime, or `None` for unbounded.
+fn engine_config(regime: QueueRegime) -> Option<OverloadConfig> {
+    match regime {
+        QueueRegime::Unbounded => None,
+        QueueRegime::DropTail => Some(OverloadConfig {
+            queue_capacity: Some(QUEUE_CAPACITY),
+            policy: AdmissionPolicy::DropTail,
+            priority: false,
+            mark_sojourn: None,
+        }),
+        QueueRegime::Aqm => Some(OverloadConfig {
+            queue_capacity: Some(QUEUE_CAPACITY),
+            policy: AdmissionPolicy::CoDel {
+                target: CODEL_TARGET,
+                interval: CODEL_INTERVAL,
+            },
+            priority: true,
+            mark_sojourn: Some(MARK_SOJOURN),
+        }),
     }
 }
 
@@ -274,11 +242,13 @@ struct RunHarvest {
     audit: Option<(gcopss_sim::json::Json, u64, bool)>,
 }
 
-/// Runs one assembled simulator to the horizon and harvests everything.
+/// Runs one assembled simulator to the horizon and harvests everything;
+/// with `audited`, under the lineage tracer, and the delivery auditor must
+/// account for every pair that workload owes.
 fn run_one(
     mut sim: Simulator<GPacket, GameWorld>,
     horizon: SimTime,
-    audited: Option<(&LineageConfig, &Workload, SimDuration)>,
+    audited: Option<&Workload>,
     telemetry: Option<(&mut TelemetryCapture, &str)>,
 ) -> RunHarvest {
     let (cap, label) = telemetry.unzip();
@@ -288,9 +258,9 @@ fn run_one(
         sim.enable_telemetry(TelemetryConfig::counters_only());
     }
     TelemetryCapture::observe(cap, &mut sim, label.unwrap_or_default(), |sim| {
-        if let Some((lineage, w, warmup)) = audited {
-            sim.enable_lineage(lineage.clone());
-            register_expectations(sim, w, warmup);
+        if let Some(w) = audited {
+            sim.enable_lineage(LineageConfig::default());
+            register_expectations(sim, w, WARMUP);
         }
         sim.run_until(horizon);
     });
@@ -364,37 +334,36 @@ pub fn run_with(
     cfg: &OverloadSweepConfig,
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> OverloadOutput {
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
+    let net = NetworkSpec::default_backbone(NET_SEED);
+    let recovery = RecoveryConfig {
+        subscribe_refresh: Some(SUBSCRIBE_REFRESH),
+        ..RecoveryConfig::default()
+    };
     let mut rows = Vec::new();
 
     for &load in &cfg.loads {
         let w = Workload::counter_strike(&WorkloadParams {
-            mean_interarrival: cfg.interarrival_at(load),
+            mean_interarrival: interarrival_at(load),
             ..cfg.workload.clone()
         });
-        let span = SimDuration::from_nanos(w.trace.last().map_or(0, |e| e.time_ns));
-        let horizon = SimTime::ZERO + cfg.warmup + span + cfg.drain;
+        let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
 
         // G-COPSS under all three regimes.
         for regime in [QueueRegime::Aqm, QueueRegime::Unbounded, QueueRegime::DropTail] {
             let label = format!("gcopss-{}-x{load:.1}", regime.as_str());
             let sys = GcopssConfig {
                 metrics_mode: MetricsMode::StatsOnly,
-                rp_count: cfg.rp_count,
-                warmup: cfg.warmup,
-                recovery: Some(cfg.recovery.clone()),
-                overload: cfg.engine_config(regime),
-                rate_adapt: (regime == QueueRegime::Aqm).then(|| cfg.rate_adapt.clone()),
+                rp_count: RP_COUNT,
+                recovery: Some(recovery.clone()),
+                overload: engine_config(regime),
+                rate_adapt: (regime == QueueRegime::Aqm).then(RateAdaptConfig::default),
                 ..GcopssConfig::default()
             };
             let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
                 .gcopss(sys)
                 .build()
                 .into_gcopss();
-            let audited = (regime == QueueRegime::Aqm)
-                .then_some(())
-                .and(cfg.lineage.as_ref())
-                .map(|l| (l, &w, cfg.warmup));
+            let audited = (regime == QueueRegime::Aqm).then_some(&w);
             let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
             let h = run_one(built.sim, horizon, audited, t);
             rows.push(make_row(label, "gcopss", regime, load, h, &w));
@@ -405,11 +374,10 @@ pub fn run_with(
             let label = format!("ip-aqm-x{load:.1}");
             let sys = IpConfig {
                 metrics_mode: MetricsMode::StatsOnly,
-                server_count: cfg.rp_count,
-                warmup: cfg.warmup,
-                recovery: Some(cfg.recovery.clone()),
-                overload: cfg.engine_config(QueueRegime::Aqm),
-                rate_adapt: Some(cfg.rate_adapt.clone()),
+                server_count: RP_COUNT,
+                recovery: Some(recovery.clone()),
+                overload: engine_config(QueueRegime::Aqm),
+                rate_adapt: Some(RateAdaptConfig::default()),
                 ..IpConfig::default()
             };
             let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -426,9 +394,8 @@ pub fn run_with(
             let label = format!("ndn-aqm-x{load:.1}");
             let sys = NdnBaselineConfig {
                 metrics_mode: MetricsMode::StatsOnly,
-                warmup: cfg.warmup,
-                recovery: Some(cfg.recovery.clone()),
-                overload: cfg.engine_config(QueueRegime::Aqm),
+                recovery: Some(recovery.clone()),
+                overload: engine_config(QueueRegime::Aqm),
                 ..NdnBaselineConfig::default()
             };
             let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -462,7 +429,6 @@ mod tests {
             },
             loads: vec![0.5, 4.0],
             drain: SimDuration::from_secs(5),
-            ..OverloadSweepConfig::default()
         };
         let out = run(&cfg);
         assert_eq!(out.rows.len(), 10);
@@ -557,7 +523,6 @@ mod tests {
             },
             loads: vec![4.0],
             drain: SimDuration::from_secs(5),
-            ..OverloadSweepConfig::default()
         };
         let a = run(&cfg);
         let b = run(&cfg);

@@ -7,36 +7,32 @@ use crate::scenario::NetworkSpec;
 use crate::MetricsMode;
 
 use super::rp_sweep::{run_gcopss_once_with, run_ip_once_with, summarize};
-use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
+use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+
+/// Mean inter-arrival at the 414-player reference point; scaled inversely
+/// with the player count so the per-player rate is constant.
+const REFERENCE_INTERARRIVAL: SimDuration = SimDuration::from_micros(2_400);
+/// RPs for the G-COPSS series / servers for the IP series (paper: 3).
+const CORES: usize = 3;
 
 /// Configuration of the player sweep.
 #[derive(Debug, Clone)]
 pub struct PlayerSweepConfig {
     /// Master seed.
     pub seed: u64,
-    /// Topology seed.
-    pub net_seed: u64,
     /// Player counts to evaluate (paper: 50 … 400).
     pub player_counts: Vec<usize>,
     /// Updates generated per player (total updates scale with players, so
     /// the aggregate rate grows — the source of the server knee).
     pub updates_per_player: usize,
-    /// Mean inter-arrival at the 414-player reference point; scaled
-    /// inversely with the player count so the per-player rate is constant.
-    pub reference_interarrival: SimDuration,
-    /// RPs for the G-COPSS series / servers for the IP series (paper: 3).
-    pub cores: usize,
 }
 
 impl Default for PlayerSweepConfig {
     fn default() -> Self {
         Self {
             seed: 3,
-            net_seed: 7,
             player_counts: vec![50, 100, 150, 200, 250, 300, 350, 400],
             updates_per_player: 120,
-            reference_interarrival: SimDuration::from_micros(2_400),
-            cores: 3,
         }
     }
 }
@@ -71,15 +67,14 @@ pub fn run_with(
     cfg: &PlayerSweepConfig,
     mut telemetry: Option<&mut TelemetryCapture>,
 ) -> PlayerSweepOutput {
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
+    let net = NetworkSpec::default_backbone(NET_SEED);
     let mut gcopss = Vec::new();
     let mut ip = Vec::new();
     for &n in &cfg.player_counts {
         // Constant per-player rate: aggregate inter-arrival shrinks as the
         // population grows.
-        let interarrival = SimDuration::from_nanos(
-            cfg.reference_interarrival.as_nanos() * 414 / n.max(1) as u64,
-        );
+        let interarrival =
+            SimDuration::from_nanos(REFERENCE_INTERARRIVAL.as_nanos() * 414 / n.max(1) as u64);
         let w = Workload::counter_strike(&WorkloadParams {
             seed: cfg.seed,
             players: n,
@@ -89,14 +84,14 @@ pub fn run_with(
         let label = format!("gcopss-{n}p");
         let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
         let (world, bytes) =
-            run_gcopss_once_with(&w, &net, cfg.cores, None, MetricsMode::StatsOnly, t);
+            run_gcopss_once_with(&w, &net, CORES, None, MetricsMode::StatsOnly, t);
         gcopss.push(SweepPoint {
             players: n,
             summary: summarize(format!("G-COPSS {n}p"), &world, bytes),
         });
         let label = format!("ip-{n}p");
         let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let (world, bytes) = run_ip_once_with(&w, &net, cfg.cores, MetricsMode::StatsOnly, t);
+        let (world, bytes) = run_ip_once_with(&w, &net, CORES, MetricsMode::StatsOnly, t);
         ip.push(SweepPoint {
             players: n,
             summary: summarize(format!("IP {n}p"), &world, bytes),

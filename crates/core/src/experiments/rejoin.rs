@@ -16,12 +16,10 @@
 //! exactly-once guarantee the network-level lineage auditor cannot provide
 //! for this path (Content-Store hits break causal lineage).
 
-use std::sync::Arc;
-
 use gcopss_sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::broker::{partition_cds_to_brokers, SnapshotBroker};
-use crate::scenario::{ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec};
+use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
 use crate::{
     CatchUpAudit, CatchUpConfig, CatchUpMode, GameWorld, MetricsMode, RecoveryConfig, SimParams,
 };
@@ -230,7 +228,7 @@ fn run_mode(
     label: &str,
     telemetry: Option<(&mut TelemetryCapture, &str)>,
 ) -> RejoinRow {
-    let span = SimDuration::from_nanos(w.trace.last().map_or(0, |e| e.time_ns));
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + cfg.warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
@@ -239,31 +237,16 @@ fn run_mode(
     // game-RP placements, routing the snapshot QR namespaces plus the
     // chunked-delta namespaces (`/snapmani/<cd>` per broker, `/chunk` to
     // every broker).
-    let mut broker_objects = w.objects.clone();
-    for e in w.trace.iter() {
-        broker_objects.apply_update(e.object, e.size);
-    }
     let pool = net.rp_pool_preview();
     let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    for (i, cds) in partition_cds_to_brokers(&w.map, cfg.broker_count)
-        .into_iter()
-        .enumerate()
-    {
-        let mut routes = SnapshotBroker::fib_prefixes(&cds);
-        routes.extend(SnapshotBroker::chunk_fib_prefixes(&cds));
-        let attach = pool[(cfg.rp_count + i) % pool.len()];
-        let objects = broker_objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: attach,
-            routes,
-            make: Box::new(move |_node, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let extra_hosts = SnapshotBroker::hosts(
+        partition_cds_to_brokers(&w.map, cfg.broker_count),
+        |i| pool[(cfg.rp_count + i) % pool.len()],
+        true,
+        &params,
+        &w.converged_objects(),
+        &w.trace,
+    );
 
     // The crash node hosts the last RP (the failover target set is the same
     // preview pool the scenario allocates from). At the crash instant the
@@ -408,16 +391,13 @@ mod content_model {
         });
         // Broker state model: full trace pre-applied (converged sizes),
         // then live events re-applied — exactly what run_mode sets up.
-        let mut objects = w.objects.clone();
-        for e in w.trace.iter() {
-            objects.apply_update(e.object, e.size);
-        }
+        let mut objects = w.converged_objects();
         let n25 = w.trace.len() * 25 / 100;
         let n35 = w.trace.len() * 35 / 100;
         for e in w.trace.iter().take(n25) {
             objects.apply_update(e.object, e.size);
         }
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let cds = w.map.leaf_cds();
         let mut store = ChunkStore::new();
         for cd in cds {

@@ -7,21 +7,20 @@ use gcopss_sim::{SimDuration, Simulator};
 use crate::scenario::{GcopssConfig, IpConfig, NetworkSpec, ScenarioSpec};
 use crate::{GameWorld, MetricsMode, SimParams, SplitRecord};
 
-use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
+use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+
+/// RP queue-length threshold that triggers a split in the auto row.
+const AUTO_THRESHOLD: usize = 50;
 
 /// Configuration of the RP/server sweep.
 #[derive(Debug, Clone)]
 pub struct RpSweepConfig {
     /// Workload (Table I uses the first 100,000 trace updates).
     pub workload: WorkloadParams,
-    /// Topology seed.
-    pub net_seed: u64,
     /// RP counts for the G-COPSS rows (paper: 1, 2, 3, 6).
     pub rp_counts: Vec<usize>,
     /// Include the automatic-balancing row (starts from 1 RP).
     pub include_auto: bool,
-    /// RP queue-length threshold that triggers a split in the auto row.
-    pub auto_threshold: usize,
     /// Server counts for the IP rows (paper: 1, 2, 3, 6).
     pub server_counts: Vec<usize>,
     /// Capture downsampled per-publication latency series (Fig. 5) for the
@@ -35,10 +34,8 @@ impl Default for RpSweepConfig {
     fn default() -> Self {
         Self {
             workload: WorkloadParams::default(),
-            net_seed: 7,
             rp_counts: vec![1, 2, 3, 6],
             include_auto: true,
-            auto_threshold: 50,
             server_counts: vec![1, 2, 3, 6],
             fig5_detail: true,
             fig5_points: 400,
@@ -188,7 +185,7 @@ pub fn run(cfg: &RpSweepConfig) -> RpSweepOutput {
 #[must_use]
 pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture>) -> RpSweepOutput {
     let w = Workload::counter_strike(&cfg.workload);
-    let net = NetworkSpec::default_backbone(cfg.net_seed);
+    let net = NetworkSpec::default_backbone(NET_SEED);
 
     let mut gcopss_rows = Vec::new();
     let mut fig5 = Vec::new();
@@ -219,7 +216,7 @@ pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture
             MetricsMode::StatsOnly
         };
         let t = telemetry.as_mut().map(|c| (&mut **c, "gcopss-auto"));
-        let (world, bytes) = run_gcopss_once_with(&w, &net, 1, Some(cfg.auto_threshold), mode, t);
+        let (world, bytes) = run_gcopss_once_with(&w, &net, 1, Some(AUTO_THRESHOLD), mode, t);
         auto_splits = world.splits.clone();
         gcopss_rows.push(summarize(
             format!("G-COPSS auto ({} splits)", world.splits.len()),

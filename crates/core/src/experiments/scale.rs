@@ -19,6 +19,10 @@ use gcopss_names::{Cd, Name};
 use gcopss_ndn::{FaceId, Fib};
 use gcopss_sim::prof;
 
+/// Number of distinct faces subscriptions are spread over (a router's
+/// degree, not its subscriber count — stays bounded while tables grow).
+const FACES: u32 = 256;
+
 /// Parameters of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleParams {
@@ -26,9 +30,6 @@ pub struct ScaleParams {
     pub seed: u64,
     /// Table sizes to measure, in entries.
     pub sizes: Vec<usize>,
-    /// Number of distinct faces subscriptions are spread over (a router's
-    /// degree, not its subscriber count — stays bounded while tables grow).
-    pub faces: u32,
     /// Number of distinct probe CDs per size.
     pub probes: usize,
     /// Timing rounds per benchmark; the reported figure is the median.
@@ -40,7 +41,6 @@ impl Default for ScaleParams {
         Self {
             seed: 42,
             sizes: vec![1_000, 10_000, 100_000, 1_000_000],
-            faces: 256,
             probes: 512,
             rounds: 5,
         }
@@ -112,7 +112,7 @@ fn run_point(p: &ScaleParams, n: usize) -> ScalePoint {
     let _pt = prof::scope("scale/point");
     let branch = branching(n);
     let anchors: BTreeSet<RpId> = [RpId(0)].into();
-    let face_of = |i: usize| FaceId((i as u64).wrapping_mul(0x9e37_79b9) as u32 % p.faces);
+    let face_of = |i: usize| FaceId((i as u64).wrapping_mul(0x9e37_79b9) as u32 % FACES);
 
     // Build the Subscription Table: n leaf subscriptions spread over the
     // faces, plus one shallow subscription per top-level region on face 0

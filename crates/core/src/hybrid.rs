@@ -16,7 +16,8 @@ use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
-use crate::{GPacket, GameWorld, IpPacket, SimParams};
+use crate::params::{CONTROL_PROC, COPSS_MULTICAST_PROC, IP_PROC};
+use crate::{GPacket, GameWorld, IpPacket};
 use crate::router::FaceMap;
 
 /// The IP multicast group a CD maps to, among `group_count` groups.
@@ -132,7 +133,6 @@ pub(crate) fn forward_mcast(
 ///   destination, *filter* — deliver only to host faces whose ST actually
 ///   matches the CD (unwanted messages caused by group sharing stop here).
 pub struct HybridEdgeRouter {
-    params: SimParams,
     faces: FaceMap,
     st: SubscriptionTable,
     group_count: u32,
@@ -146,9 +146,8 @@ impl HybridEdgeRouter {
     /// Creates a hybrid edge router with `group_count` available IP
     /// multicast groups (the paper's Table II uses 6).
     #[must_use]
-    pub fn new(params: SimParams, faces: FaceMap, group_count: u32) -> Self {
+    pub fn new(faces: FaceMap, group_count: u32) -> Self {
         Self {
-            params,
             faces,
             st: SubscriptionTable::default(),
             group_count,
@@ -222,10 +221,10 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
         match pkt {
             // Edge does COPSS work: mapping/filtering on multicasts.
             GPacket::Copss(CopssPacket::Multicast(_)) | GPacket::Ip(IpPacket::Mcast { .. }) => {
-                self.params.copss_multicast_proc
+                COPSS_MULTICAST_PROC
             }
-            GPacket::Copss(_) => self.params.control_proc,
-            _ => self.params.ip_proc,
+            GPacket::Copss(_) => CONTROL_PROC,
+            _ => IP_PROC,
         }
     }
 

@@ -10,6 +10,7 @@ use gcopss_names::Name;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
 use crate::client::{ClientRecovery, RatePacer, TraceCursor};
+use crate::params::{recovery, IP_PROC};
 use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig, SimParams};
 
 /// Timer key of trace-driven publishing (IP client).
@@ -107,7 +108,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
     fn service_time(&self, pkt: &GPacket) -> SimDuration {
         match pkt {
             GPacket::Ip(IpPacket::ToServer { .. }) => self.params.server_proc,
-            _ => self.params.ip_proc,
+            _ => IP_PROC,
         }
     }
 
@@ -266,11 +267,11 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             let silent = now.saturating_duration_since(r.last_activity) >= r.cfg.watchdog;
             let next = if silent {
                 let delay = r.backoff + r.jitter();
-                r.backoff = (r.backoff + r.backoff).min(r.cfg.backoff_cap);
+                r.backoff = (r.backoff + r.backoff).min(recovery::BACKOFF_CAP);
                 self.hello_servers(ctx);
                 delay
             } else {
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = recovery::BACKOFF_BASE;
                 r.cfg.watchdog + r.jitter()
             };
             ctx.schedule(next, TIMER_WATCHDOG);
@@ -292,7 +293,8 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             }
         }
         let Some(&server) = self.server_of.get(&cd) else {
-            crate::drops::record(ctx, crate::drops::IP_CLIENT_NO_SERVER, e.size);
+            crate::drops::record(ctx, crate::drops::IP_CLIENT_NO_SERVER, size);
+            self.schedule_next(ctx);
             return;
         };
         let now = ctx.now();
@@ -338,7 +340,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
                 let now = ctx.now();
                 let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = recovery::BACKOFF_BASE;
                 r.last_activity = now;
                 self.hello_servers(ctx);
                 if notice == FaultNotice::Restarted {
@@ -429,6 +431,37 @@ mod tests {
             *counts.entry(part[cd]).or_default() += 1;
         }
         assert_eq!(counts.len(), 3);
+    }
+
+    /// A publication whose CD maps to no server is dropped at the source,
+    /// and the trace keeps advancing: every event of the client's slice is
+    /// booked, not only the first.
+    #[test]
+    fn no_server_drop_keeps_the_trace_advancing() {
+        use gcopss_game::trace::TraceEvent;
+
+        let mut topology = gcopss_sim::Topology::new();
+        let (host, edge) = (topology.add_node("player"), topology.add_node("edge"));
+        topology
+            .try_add_link(host, edge, SimDuration::from_millis(1), None)
+            .expect("two known nodes");
+        let event = |k: u64| TraceEvent {
+            time_ns: k * 1_000_000,
+            player: PlayerId(0),
+            cd: Name::parse_lit("/1/1"),
+            object: gcopss_game::ObjectId(0),
+            size: 100,
+        };
+        let trace: Arc<Vec<TraceEvent>> = Arc::new((0..5).map(event).collect());
+        let cursor = TraceCursor::for_player(Arc::clone(&trace), PlayerId(0), SimDuration::ZERO);
+        let client = IpClient::new(PlayerId(0), edge, Arc::new(BTreeMap::new()), cursor);
+
+        let world = GameWorld::new(crate::MetricsMode::StatsOnly);
+        let mut sim = gcopss_sim::Simulator::new(topology, world);
+        sim.set_behavior(host, Box::new(client));
+        sim.run();
+        assert_eq!(sim.world().counter(crate::drops::IP_CLIENT_NO_SERVER), trace.len() as u64);
+        assert_eq!(sim.world().metrics.published(), 0);
     }
 
     #[test]

@@ -27,16 +27,14 @@ pub mod hybrid;
 pub mod ip_server;
 pub mod ndn_baseline;
 mod packet;
-mod params;
+pub mod params;
 mod router;
 pub mod scenario;
 mod world;
 
 pub use client::{CatchUpConfig, DedupWindow, GamePlayerClient, TraceCursor};
 pub use packet::{payload_of, GPacket, IpPacket, IpUpdate};
-pub use params::{
-    AdaptiveCacheConfig, AdaptiveRpConfig, RateAdaptConfig, RecoveryConfig, SimParams,
-};
+pub use params::{RateAdaptConfig, RecoveryConfig, SimParams};
 pub use router::{FaceMap, GCopssRouter, RpSelection, SplitConfig};
 pub use world::{
     CatchUpAudit, CatchUpLedger, CatchUpMode, CatchUpRecord, ConvergenceRecord, GameWorld,

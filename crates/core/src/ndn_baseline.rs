@@ -35,15 +35,17 @@ pub fn player_prefix(player: PlayerId) -> Name {
     Name::parse_lit("/player").child_index(player.0)
 }
 
+/// Outstanding Interests per producer (paper: 3).
+pub(crate) const WINDOW: u64 = 3;
+
+/// Re-express outstanding Interests older than this.
+pub(crate) const RETRY_AFTER: SimDuration = SimDuration::from_secs(4);
+
 /// Configuration of the VoCCN-style client.
 #[derive(Debug, Clone)]
 pub struct NdnClientConfig {
-    /// Outstanding Interests per producer (paper: 3).
-    pub window: u32,
     /// Update-accumulation interval `t`.
     pub accum_interval: SimDuration,
-    /// Re-express outstanding Interests older than this.
-    pub retry_after: SimDuration,
     /// Keep the retry timer armed even after the trace ends and no retries
     /// are due. Required under fault injection — an Interest lost to a link
     /// failure after the last publish would otherwise never be re-expressed
@@ -55,9 +57,7 @@ pub struct NdnClientConfig {
 impl Default for NdnClientConfig {
     fn default() -> Self {
         Self {
-            window: 3,
             accum_interval: SimDuration::from_millis(100),
-            retry_after: SimDuration::from_secs(4),
             retry_forever: false,
         }
     }
@@ -223,11 +223,10 @@ impl NdnPlayerClient {
 
     fn retry_stale(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let now = ctx.now();
-        let retry = self.cfg.retry_after;
         let mut to_retry = Vec::new();
         for (pi, st) in self.consumer.iter().enumerate() {
             for (&seq, &at) in &st.outstanding {
-                if now.saturating_duration_since(at) >= retry {
+                if now.saturating_duration_since(at) >= RETRY_AFTER {
                     to_retry.push((pi, seq));
                 }
             }
@@ -239,7 +238,7 @@ impl NdnPlayerClient {
         // Re-arm while the game is live (or forever, under fault
         // injection).
         if had_work || !self.trace_done || self.cfg.retry_forever {
-            ctx.schedule(self.cfg.retry_after, TIMER_RETRY);
+            ctx.schedule(RETRY_AFTER, TIMER_RETRY);
         }
     }
 
@@ -272,14 +271,14 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
         let _p = gcopss_sim::prof::scope("ndn_client/start");
         // Prime the pipelines toward every producer.
         for pi in 0..self.producers.len() {
-            for seq in 0..u64::from(self.cfg.window) {
+            for seq in 0..WINDOW {
                 self.express(ctx, pi, seq);
             }
-            self.consumer[pi].next_to_request = u64::from(self.cfg.window);
+            self.consumer[pi].next_to_request = WINDOW;
         }
         self.schedule_publish(ctx);
         ctx.schedule(self.cfg.accum_interval, TIMER_FLUSH);
-        ctx.schedule(self.cfg.retry_after, TIMER_RETRY);
+        ctx.schedule(RETRY_AFTER, TIMER_RETRY);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
@@ -364,7 +363,7 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
             // epoch went stale): re-arm them so the client resumes.
             self.schedule_publish(ctx);
             ctx.schedule(self.cfg.accum_interval, TIMER_FLUSH);
-            ctx.schedule(self.cfg.retry_after, TIMER_RETRY);
+            ctx.schedule(RETRY_AFTER, TIMER_RETRY);
         }
     }
 }

@@ -9,178 +9,161 @@
 
 use gcopss_sim::SimDuration;
 
-/// Per-packet service times and related constants of every simulated node
-/// type. All experiments take a `SimParams`; the defaults reproduce §V-B,
-/// and the microbenchmark overrides a few (see
-/// [`SimParams::microbenchmark`]).
+/// Native COPSS multicast forwarding at a transit router (Bloom-filter ST
+/// check on precomputed hashes — cheap).
+pub const COPSS_MULTICAST_PROC: SimDuration = SimDuration::from_micros(300);
+
+/// Forwarding an RP-encapsulated publication (an Interest through the NDN
+/// engine).
+pub const ENCAP_PROC: SimDuration = SimDuration::from_millis(1);
+
+/// COPSS control packets (Subscribe/Unsubscribe/FIB/RP updates).
+pub const CONTROL_PROC: SimDuration = SimDuration::from_micros(200);
+
+/// NDN Interest/Data forwarding at a router (the paper's CCNx v0.4.0
+/// measurements make this the heaviest per-packet path).
+pub const NDN_PROC: SimDuration = SimDuration::from_micros(1_500);
+
+/// IP forwarding at a router.
+pub const IP_PROC: SimDuration = SimDuration::from_micros(20);
+
+/// Broker cost per snapshot object served (QR response or cyclic multicast
+/// emission).
+pub const BROKER_PER_OBJECT: SimDuration = SimDuration::from_micros(300);
+
+/// Pacing gap between consecutive cyclic-multicast object emissions.
+pub const CYCLIC_GAP: SimDuration = SimDuration::from_millis(8);
+
+/// Sliding-window size (packets) for RP traffic monitoring.
+pub const RP_WINDOW: usize = 2_000;
+
+/// The calibration values a run can change: the three service times the
+/// testbed calibration re-measures (see [`SimParams::microbenchmark`]) and
+/// the RP-balancing policy. Every other per-packet cost is a constant of
+/// this module. All experiments take a `SimParams`; the defaults reproduce
+/// §V-B.
 #[derive(Debug, Clone)]
 pub struct SimParams {
-    /// Native COPSS multicast forwarding at a transit router (Bloom-filter
-    /// ST check on precomputed hashes — cheap).
-    pub copss_multicast_proc: SimDuration,
-    /// Forwarding an RP-encapsulated publication (an Interest through the
-    /// NDN engine).
-    pub encap_proc: SimDuration,
     /// Full RP processing: FIB lookup + decapsulation + ST lookup
     /// (paper: ≈3.3 ms).
     pub rp_proc: SimDuration,
-    /// COPSS control packets (Subscribe/Unsubscribe/FIB/RP updates).
-    pub control_proc: SimDuration,
-    /// NDN Interest/Data forwarding at a router (the paper's CCNx v0.4.0
-    /// measurements make this the heaviest per-packet path).
-    pub ndn_proc: SimDuration,
-    /// IP forwarding at a router.
-    pub ip_proc: SimDuration,
     /// Game-server base processing per update (paper: ≈6 ms, including
     /// location translation and collision detection).
     pub server_proc: SimDuration,
     /// Additional server cost per unicast recipient of an update.
     pub server_per_recipient: SimDuration,
-    /// Broker cost per snapshot object served (QR response or cyclic
-    /// multicast emission).
-    pub broker_per_object: SimDuration,
-    /// Pacing gap between consecutive cyclic-multicast object emissions.
-    pub cyclic_gap: SimDuration,
     /// RP queue-length threshold that triggers automatic RP splitting
     /// (§IV-B). `None` disables auto-balancing.
     pub rp_split_queue_threshold: Option<usize>,
-    /// Sliding-window size (packets) for RP traffic monitoring.
-    pub rp_window: usize,
     /// Minimum packets an RP must serve between consecutive splits
     /// (prevents split storms while the first split takes effect).
     pub rp_split_cooldown_packets: u64,
-    /// Stream-driven RP balancing (§IV-B closed over live telemetry):
-    /// `Some` makes RPs trigger splits from observed queue-depth EWMAs and
-    /// served-load skew instead of the fixed
-    /// [`SimParams::rp_split_queue_threshold`]. Strictly opt-in — `None`
+    /// Stream-driven RP balancing (§IV-B closed over live telemetry, see
+    /// [`adaptive_rp`]): RPs trigger splits from observed queue-depth EWMAs
+    /// and served-load skew instead of the fixed
+    /// [`SimParams::rp_split_queue_threshold`]. Strictly opt-in — `false`
     /// is byte-identical to builds that predate adaptive control; enabling
     /// it additionally requires the engine's stream hub (a non-vacuous
     /// `StreamConfig`), without which the trigger never evaluates.
-    pub rp_adaptive: Option<AdaptiveRpConfig>,
-    /// Stream-driven per-prefix caching: `Some` makes brokers promote the
-    /// freshness class of snapshot Data for content descriptors the live
-    /// popularity sketch reports as hot, so NDN content stores along the
-    /// path absorb flash crowds. Strictly opt-in like
+    pub rp_adaptive: bool,
+    /// Stream-driven per-prefix caching (see [`adaptive_cache`]): brokers
+    /// promote the freshness class of snapshot Data for content descriptors
+    /// the live popularity sketch reports as hot, so NDN content stores
+    /// along the path absorb flash crowds. Strictly opt-in like
     /// [`SimParams::rp_adaptive`].
-    pub cache_adaptive: Option<AdaptiveCacheConfig>,
+    pub cache_adaptive: bool,
 }
 
 impl Default for SimParams {
     /// The §V-B large-scale simulation calibration.
     fn default() -> Self {
         Self {
-            copss_multicast_proc: SimDuration::from_micros(300),
-            encap_proc: SimDuration::from_millis(1),
             rp_proc: SimDuration::from_micros(3_300),
-            control_proc: SimDuration::from_micros(200),
-            ndn_proc: SimDuration::from_micros(1_500),
-            ip_proc: SimDuration::from_micros(20),
             server_proc: SimDuration::from_millis(6),
             server_per_recipient: SimDuration::from_micros(50),
-            broker_per_object: SimDuration::from_micros(300),
-            cyclic_gap: SimDuration::from_millis(8),
             rp_split_queue_threshold: None,
-            rp_window: 2_000,
             rp_split_cooldown_packets: 5_000,
-            rp_adaptive: None,
-            cache_adaptive: None,
+            rp_adaptive: false,
+            cache_adaptive: false,
         }
     }
 }
 
-/// Tunables of stream-driven RP auto-balancing.
+/// Constants of stream-driven RP auto-balancing ([`SimParams::rp_adaptive`]).
 ///
 /// An RP evaluates the trigger at most once per stream roll: it fires when
-/// its own service-queue EWMA has stayed at or above `min_queue_ewma` *and*
-/// its windowed served rate at or above `skew_num/skew_den` times the mean
-/// over all RP nodes (skew is waived while it is the only RP) for `sustain`
+/// its own service-queue EWMA has stayed at or above [`MIN_QUEUE_EWMA`]
+/// *and* its windowed served rate at or above [`SKEW`] times the mean over
+/// all RP nodes (skew is waived while it is the only RP) for [`SUSTAIN`]
 /// consecutive rolls. After a triggered split the trigger disarms and
-/// re-arms either once the queue EWMA falls below
-/// `release_num/release_den` of the floor (load resolved — the anti-flap
-/// half of the hysteresis) or after `escalate_rolls` further rolls of
-/// unbroken pressure (load *not* resolved — one move was not enough, keep
-/// shedding). Triggered splits use their own `cooldown_packets` floor
-/// instead of [`SimParams::rp_split_cooldown_packets`]: the stream trigger
-/// paces itself through the hysteresis, so the packet cooldown only needs
-/// to guarantee the traffic window has enough fresh samples to plan a
-/// meaningful split. All comparisons are integer Q8 arithmetic; no PRNG
-/// draws.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveRpConfig {
-    /// Queue-depth EWMA floor (whole packets) below which the trigger
-    /// never fires.
-    pub min_queue_ewma: u64,
-    /// Skew ratio numerator: fire when `own_rate ≥ mean_rate ·
-    /// skew_num/skew_den` across RP nodes.
-    pub skew_num: u64,
-    /// Skew ratio denominator.
-    pub skew_den: u64,
+/// re-arms either once the queue EWMA falls below [`RELEASE`] of the floor
+/// (load resolved — the anti-flap half of the hysteresis) or after
+/// [`ESCALATE_ROLLS`] further rolls of unbroken pressure (load *not*
+/// resolved — one move was not enough, keep shedding). Triggered splits use
+/// their own [`COOLDOWN_PACKETS`] floor instead of
+/// [`SimParams::rp_split_cooldown_packets`]: the stream trigger paces itself
+/// through the hysteresis, so the packet cooldown only needs to guarantee
+/// the traffic window has enough fresh samples to plan a meaningful split.
+/// All comparisons are integer Q8 arithmetic; no PRNG draws.
+///
+/// [`MIN_QUEUE_EWMA`]: crate::params::adaptive_rp::MIN_QUEUE_EWMA
+/// [`SKEW`]: crate::params::adaptive_rp::SKEW
+/// [`SUSTAIN`]: crate::params::adaptive_rp::SUSTAIN
+/// [`RELEASE`]: crate::params::adaptive_rp::RELEASE
+/// [`ESCALATE_ROLLS`]: crate::params::adaptive_rp::ESCALATE_ROLLS
+/// [`COOLDOWN_PACKETS`]: crate::params::adaptive_rp::COOLDOWN_PACKETS
+/// [`SimParams::rp_adaptive`]: crate::params::SimParams::rp_adaptive
+/// [`SimParams::rp_split_cooldown_packets`]: crate::params::SimParams::rp_split_cooldown_packets
+pub mod adaptive_rp {
+    /// Queue-depth EWMA floor (whole packets) below which the trigger never
+    /// fires.
+    pub const MIN_QUEUE_EWMA: u64 = 8;
+    /// Skew ratio `(num, den)`: fire when `own_rate ≥ mean_rate · num/den`
+    /// across RP nodes.
+    pub const SKEW: (u64, u64) = (3, 2);
     /// Consecutive rolls the trigger condition must hold.
-    pub sustain: u32,
-    /// Re-arm watermark numerator: after a split, re-arm once the queue
-    /// EWMA drops below `min_queue_ewma · release_num/release_den`.
-    pub release_num: u64,
-    /// Re-arm watermark denominator.
-    pub release_den: u64,
-    /// Escalation: while disarmed, this many consecutive rolls of
-    /// unbroken pressure re-arm the trigger anyway — sustained overload
-    /// means the last move was not enough.
-    pub escalate_rolls: u32,
+    pub const SUSTAIN: u32 = 2;
+    /// Re-arm watermark `(num, den)`: after a split, re-arm once the queue
+    /// EWMA drops below `MIN_QUEUE_EWMA · num/den`.
+    pub const RELEASE: (u64, u64) = (1, 2);
+    /// Escalation: while disarmed, this many consecutive rolls of unbroken
+    /// pressure re-arm the trigger anyway — sustained overload means the
+    /// last move was not enough.
+    pub const ESCALATE_ROLLS: u32 = 8;
     /// Minimum packets served between stream-triggered splits (keeps the
-    /// traffic window meaningful; the hysteresis does the pacing).
-    pub cooldown_packets: u64,
+    /// traffic window meaningful; the hysteresis does the pacing): ≈1 s of
+    /// fresh window at a saturated RP's service rate.
+    pub const COOLDOWN_PACKETS: u64 = 300;
 }
 
-impl Default for AdaptiveRpConfig {
-    fn default() -> Self {
-        Self {
-            min_queue_ewma: 8,
-            skew_num: 3,
-            skew_den: 2,
-            sustain: 2,
-            release_num: 1,
-            release_den: 2,
-            escalate_rolls: 8,
-            cooldown_packets: 1_000,
-        }
-    }
-}
-
-/// Tunables of stream-driven per-prefix cache/freshness promotion.
+/// Constants of stream-driven per-prefix cache/freshness promotion
+/// ([`SimParams::cache_adaptive`]).
 ///
 /// Brokers feed every query-response serve into the `"qr-pop"` popularity
 /// sketch keyed by content descriptor. A descriptor becomes *hot* once the
-/// sketch has seen at least `min_window` total recent mass and the
-/// descriptor's share of it reaches `hot_num/hot_den`; it cools once its
-/// share falls below half that (enter/exit hysteresis, so the class
-/// doesn't flap at the boundary). Data published under a hot descriptor
-/// carries `freshness · hot_freshness_mul`, letting NDN content stores
-/// along the path serve the flash crowd instead of the broker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveCacheConfig {
-    /// Hot-share threshold numerator.
-    pub hot_num: u64,
-    /// Hot-share threshold denominator.
-    pub hot_den: u64,
+/// sketch has seen at least [`MIN_WINDOW`] total recent mass and the
+/// descriptor's share of it reaches [`HOT`]; it cools once its share falls
+/// below half that (enter/exit hysteresis, so the class doesn't flap at the
+/// boundary). Data published under a hot descriptor carries `freshness ·`
+/// [`HOT_FRESHNESS_MUL`], letting NDN content stores along the path serve
+/// the flash crowd instead of the broker.
+///
+/// [`MIN_WINDOW`]: crate::params::adaptive_cache::MIN_WINDOW
+/// [`HOT`]: crate::params::adaptive_cache::HOT
+/// [`HOT_FRESHNESS_MUL`]: crate::params::adaptive_cache::HOT_FRESHNESS_MUL
+/// [`SimParams::cache_adaptive`]: crate::params::SimParams::cache_adaptive
+pub mod adaptive_cache {
+    /// Hot-share threshold `(num, den)`.
+    pub const HOT: (u64, u64) = (1, 4);
     /// Minimum recent sketch mass before anything can be classified hot
     /// (avoids promoting the first lonely request).
-    pub min_window: u64,
+    pub const MIN_WINDOW: u64 = 32;
     /// Freshness multiplier applied to Data under hot descriptors.
-    pub hot_freshness_mul: u32,
+    pub const HOT_FRESHNESS_MUL: u64 = 100;
 }
 
-impl Default for AdaptiveCacheConfig {
-    fn default() -> Self {
-        Self {
-            hot_num: 1,
-            hot_den: 4,
-            min_window: 32,
-            hot_freshness_mul: 100,
-        }
-    }
-}
-
-/// Tunables of the failure-recovery half of the protocol stack.
+/// Tunables of the failure-recovery half of the protocol stack; the
+/// constants no run varies live in [`recovery`].
 ///
 /// Recovery is strictly opt-in: every scenario config carries an
 /// `Option<RecoveryConfig>` defaulting to `None`, and with `None` the
@@ -195,15 +178,6 @@ pub struct RecoveryConfig {
     /// long, the client assumes its subscription state was lost upstream
     /// and re-Subscribes.
     pub watchdog: SimDuration,
-    /// Initial re-Subscribe backoff after a watchdog firing.
-    pub backoff_base: SimDuration,
-    /// Cap on the exponential re-Subscribe backoff.
-    pub backoff_cap: SimDuration,
-    /// Maximum seeded jitter added to each watchdog re-arm (decorrelates
-    /// the re-Subscribe storm after a repair).
-    pub jitter: SimDuration,
-    /// Period of the router-side expired-PIT sweep.
-    pub pit_sweep: SimDuration,
     /// Periodic soft-state Subscribe refresh (COPSS only): every interval
     /// (plus jitter) a client re-expresses its subscriptions and a router
     /// re-expresses its upstream joins (one batched Subscribe per RP tree,
@@ -213,22 +187,35 @@ pub struct RecoveryConfig {
     /// bulk data. `None` disables the refresh and is byte-identical to
     /// builds that predate it.
     pub subscribe_refresh: Option<SimDuration>,
-    /// Seed for the per-client jitter PRNG (mixed with the player id).
-    pub seed: u64,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             watchdog: SimDuration::from_millis(2_000),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_millis(8_000),
-            jitter: SimDuration::from_millis(100),
-            pit_sweep: SimDuration::from_millis(1_000),
             subscribe_refresh: None,
-            seed: 0x9e37_79b9_7f4a_7c15,
         }
     }
+}
+
+/// Constants of the failure-recovery machinery ([`RecoveryConfig`] holds the
+/// two values runs do vary).
+///
+/// [`RecoveryConfig`]: crate::params::RecoveryConfig
+pub mod recovery {
+    use gcopss_sim::SimDuration;
+
+    /// Initial re-Subscribe backoff after a watchdog firing.
+    pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+    /// Cap on the exponential re-Subscribe backoff.
+    pub const BACKOFF_CAP: SimDuration = SimDuration::from_millis(8_000);
+    /// Maximum seeded jitter added to each watchdog re-arm (decorrelates
+    /// the re-Subscribe storm after a repair).
+    pub const JITTER: SimDuration = SimDuration::from_millis(100);
+    /// Period of the router-side expired-PIT sweep.
+    pub const PIT_SWEEP: SimDuration = SimDuration::from_millis(1_000);
+    /// Seed for the per-client jitter PRNG (mixed with the player id).
+    pub const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 }
 
 /// Tunables of client-side congestion-feedback rate adaptation.
@@ -283,22 +270,6 @@ impl SimParams {
         self.rp_split_queue_threshold = Some(queue_threshold);
         self
     }
-
-    /// Enables stream-driven adaptive RP balancing (requires the engine's
-    /// stream hub to be installed to have any effect).
-    #[must_use]
-    pub fn with_adaptive_rp(mut self, cfg: AdaptiveRpConfig) -> Self {
-        self.rp_adaptive = Some(cfg);
-        self
-    }
-
-    /// Enables stream-driven per-prefix cache/freshness promotion at
-    /// brokers (requires the engine's stream hub to have any effect).
-    #[must_use]
-    pub fn with_adaptive_cache(mut self, cfg: AdaptiveCacheConfig) -> Self {
-        self.cache_adaptive = Some(cfg);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -307,10 +278,73 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_calibration() {
+        let (us, ms) = (SimDuration::from_micros, SimDuration::from_millis);
         let p = SimParams::default();
-        assert_eq!(p.rp_proc, SimDuration::from_micros(3_300));
-        assert_eq!(p.server_proc, SimDuration::from_millis(6));
+        assert_eq!(p.rp_proc, us(3_300));
+        assert_eq!(p.server_proc, ms(6));
+        assert_eq!(p.server_per_recipient, us(50));
         assert!(p.rp_split_queue_threshold.is_none());
+        assert_eq!(p.rp_split_cooldown_packets, 5_000);
+
+        // Every constant that used to be a defaulted config field keeps the
+        // default it had.
+        assert_eq!(COPSS_MULTICAST_PROC, us(300));
+        assert_eq!((ENCAP_PROC, CONTROL_PROC), (ms(1), us(200)));
+        assert_eq!((NDN_PROC, IP_PROC), (us(1_500), us(20)));
+        assert_eq!((BROKER_PER_OBJECT, CYCLIC_GAP), (us(300), ms(8)));
+        assert_eq!(RP_WINDOW, 2_000);
+        {
+            use adaptive_rp::*;
+            assert_eq!((MIN_QUEUE_EWMA, SKEW, SUSTAIN), (8, (3, 2), 2));
+            assert_eq!((RELEASE, ESCALATE_ROLLS), ((1, 2), 8));
+            // Not the documented default of 1,000, which no simulation ever
+            // ran with: the adaptive sweep's 300.
+            assert_eq!(COOLDOWN_PACKETS, 300);
+        }
+        {
+            use adaptive_cache::*;
+            assert_eq!((HOT, MIN_WINDOW, HOT_FRESHNESS_MUL), ((1, 4), 32, 100));
+        }
+        {
+            use recovery::*;
+            assert_eq!((BACKOFF_BASE, BACKOFF_CAP), (ms(500), ms(8_000)));
+            assert_eq!((JITTER, PIT_SWEEP), (ms(100), ms(1_000)));
+            assert_eq!(SEED, 0x9e37_79b9_7f4a_7c15);
+        }
+        assert_eq!(crate::router::SPLIT_GRACE, ms(2_000));
+        assert_eq!(crate::scenario::WARMUP, ms(2_000));
+        assert_eq!(crate::ndn_baseline::RETRY_AFTER, ms(4_000));
+        assert_eq!(crate::ndn_baseline::WINDOW, 3);
+        {
+            use gcopss_names::chunk::*;
+            assert_eq!((MIN_CHUNK, BOUNDARY_MASK, MAX_CHUNK), (128, 0xff, 1024));
+        }
+        {
+            use gcopss_sim::stream::*;
+            assert_eq!((WINDOW_TICKS, EWMA_SHIFT, SKETCH_CAPACITY), (8, 3, 32));
+        }
+        {
+            use gcopss_sim::generators::*;
+            assert_eq!(EXTRA_LINK_FRACTION, 0.75);
+            assert_eq!((CORE_DELAY_MS, EDGE_DELAY), ((1, 6), ms(5)));
+        }
+        {
+            use gcopss_game::trace::*;
+            assert_eq!(UPDATE_SIZE, (50, 350));
+            assert_eq!(MICROBENCH_INTERVAL_NS, (100_000_000, 500_000_000));
+            assert_eq!((WEIGHT_SIGMA, RAMP), (1.5, (1.35, 0.65)));
+        }
+
+        // What the deleted install-time clamps and `2^k - 1` doc contracts
+        // used to guarantee now holds by construction.
+        const {
+            use gcopss_names::chunk::{BOUNDARY_MASK, MAX_CHUNK, MIN_CHUNK};
+            use gcopss_sim::stream::{SKETCH_CAPACITY, WINDOW_TICKS};
+            assert!(adaptive_rp::RELEASE.0 < adaptive_rp::RELEASE.1);
+            assert!(MIN_CHUNK <= MAX_CHUNK);
+            assert!((BOUNDARY_MASK + 1).is_power_of_two());
+            assert!(WINDOW_TICKS >= 1 && SKETCH_CAPACITY >= 1 && RP_WINDOW >= 1);
+        }
     }
 
     #[test]
@@ -330,12 +364,6 @@ mod tests {
     #[test]
     fn adaptive_configs_default_off() {
         let p = SimParams::default();
-        assert!(p.rp_adaptive.is_none());
-        assert!(p.cache_adaptive.is_none());
-        let p = p
-            .with_adaptive_rp(AdaptiveRpConfig::default())
-            .with_adaptive_cache(AdaptiveCacheConfig::default());
-        assert_eq!(p.rp_adaptive, Some(AdaptiveRpConfig::default()));
-        assert_eq!(p.cache_adaptive, Some(AdaptiveCacheConfig::default()));
+        assert!(!p.rp_adaptive && !p.cache_adaptive);
     }
 }

@@ -7,10 +7,14 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_copss::{CopssEngine, CopssPacket, JoinRequest, MulticastPacket, PruneRequest, RpId, TrafficWindow};
 use gcopss_names::Name;
-use gcopss_ndn::{FaceId, NdnAction, NdnConfig, NdnEngine};
+use gcopss_ndn::{ContentStoreConfig, FaceId, NdnAction, NdnEngine};
 use gcopss_sim::prof;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology, TraceEvent};
 
+use crate::params::{
+    adaptive_rp, recovery, CONTROL_PROC, COPSS_MULTICAST_PROC, ENCAP_PROC, IP_PROC, NDN_PROC,
+    RP_WINDOW,
+};
 use crate::{GPacket, GameWorld, RecoveryConfig, SimParams, SplitRecord};
 
 /// Maps between the simulator's neighbor [`NodeId`]s and the engines'
@@ -95,12 +99,12 @@ pub struct SplitConfig {
     pub candidates: Vec<NodeId>,
     /// Placement strategy over the candidates.
     pub strategy: RpSelection,
-    /// Grace period during which the old RP keeps multicasting moved CDs
-    /// down its existing tree while the new tree forms (the paper's
-    /// "R continues to act as the core till the complete network is aware
-    /// of the new RP").
-    pub grace: SimDuration,
 }
+
+/// Grace period during which the old RP keeps multicasting moved CDs down
+/// its existing tree while the new tree forms (the paper's "R continues to
+/// act as the core till the complete network is aware of the new RP").
+pub const SPLIT_GRACE: SimDuration = SimDuration::from_secs(2);
 
 /// Timer key used to flush deferred prunes after the split grace period.
 const PRUNE_TIMER: u64 = 0x00de_fe55;
@@ -173,7 +177,7 @@ pub struct GCopssRouter {
 }
 
 /// Per-router state of the adaptive split trigger (see
-/// [`crate::AdaptiveRpConfig`]): once-per-roll evaluation, the sustain
+/// [`crate::params::adaptive_rp`]): once-per-roll evaluation, the sustain
 /// streak, and the armed/released hysteresis latch.
 #[derive(Debug, Clone)]
 struct AdaptiveTrigger {
@@ -228,11 +232,10 @@ impl GCopssRouter {
         local_rps: BTreeSet<RpId>,
         split: SplitConfig,
     ) -> Self {
-        let mut ndn = NdnEngine::new(NdnConfig::default());
+        let mut ndn = NdnEngine::new(ContentStoreConfig::default());
         for (prefix, face) in fib_routes {
             ndn.fib_mut().add(prefix, face);
         }
-        let window = params.rp_window;
         // The cooldown spaces out *successive* splits; the first split may
         // fire as soon as the queue threshold is crossed.
         let served_since_split = params.rp_split_cooldown_packets;
@@ -242,7 +245,7 @@ impl GCopssRouter {
             copss,
             ndn,
             local_rps,
-            traffic: TrafficWindow::new(window.max(1)),
+            traffic: TrafficWindow::new(RP_WINDOW),
             served_since_split,
             split,
             next_candidate: 0,
@@ -332,10 +335,9 @@ impl GCopssRouter {
     /// Seeded jitter added to each join-refresh re-arm (decorrelates the
     /// per-router refresh phases). Zero when the refresh is disabled.
     fn refresh_jitter(&mut self) -> SimDuration {
-        let max = self.recovery.as_ref().map_or(0, |c| c.jitter.as_nanos());
-        match (&mut self.refresh_rng, max) {
-            (Some(rng), 1..) => SimDuration::from_nanos(rng.gen_range(0..=max)),
-            _ => SimDuration::ZERO,
+        match &mut self.refresh_rng {
+            Some(rng) => SimDuration::from_nanos(rng.gen_range(0..=recovery::JITTER.as_nanos())),
+            None => SimDuration::ZERO,
         }
     }
 
@@ -499,12 +501,9 @@ impl GCopssRouter {
     /// After a triggered split the latch disarms until the queue EWMA
     /// drains below the release watermark — the hysteresis that keeps the
     /// balancer from flapping. Evaluated at most once per stream roll;
-    /// inert without [`crate::AdaptiveRpConfig`] or without the stream hub.
+    /// inert without [`SimParams::rp_adaptive`] or without the stream hub.
     fn maybe_adaptive_split(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(cfg) = self.params.rp_adaptive.clone() else {
-            return;
-        };
-        if !ctx.streams_enabled() {
+        if !self.params.rp_adaptive || !ctx.streams_enabled() {
             return;
         }
         let roll = ctx.stream_rolls();
@@ -514,19 +513,19 @@ impl GCopssRouter {
         self.adaptive.last_roll = roll;
         let me = ctx.node();
         let q8 = ctx.stream_queue_ewma_q8(me);
-        let floor_q8 = cfg.min_queue_ewma << 8;
+        let floor_q8 = adaptive_rp::MIN_QUEUE_EWMA << 8;
         let pressure = q8 >= floor_q8;
         if !self.adaptive.armed {
             // Released: re-arm when the queue drains below the watermark
             // (the move worked) — or when pressure holds unbroken for the
             // escalation span (it did not; one move was not enough).
-            if q8 * cfg.release_den < floor_q8 * cfg.release_num {
+            if q8 * adaptive_rp::RELEASE.1 < floor_q8 * adaptive_rp::RELEASE.0 {
                 self.adaptive.armed = true;
                 self.adaptive.streak = 0;
                 self.adaptive.hot_rolls = 0;
             } else if pressure {
                 self.adaptive.hot_rolls += 1;
-                if self.adaptive.hot_rolls >= cfg.escalate_rolls {
+                if self.adaptive.hot_rolls >= adaptive_rp::ESCALATE_ROLLS {
                     self.adaptive.armed = true;
                     self.adaptive.streak = 0;
                     self.adaptive.hot_rolls = 0;
@@ -548,7 +547,7 @@ impl GCopssRouter {
                     .iter()
                     .map(|&n| ctx.stream_rate_of("rp-served", NodeId(n)))
                     .sum();
-                mine * cfg.skew_den * rp_nodes.len() as u64 >= sum * cfg.skew_num
+                mine * adaptive_rp::SKEW.1 * rp_nodes.len() as u64 >= sum * adaptive_rp::SKEW.0
             }
         };
         if !(pressure && skew) {
@@ -556,10 +555,10 @@ impl GCopssRouter {
             return;
         }
         self.adaptive.streak += 1;
-        if self.adaptive.streak < cfg.sustain {
+        if self.adaptive.streak < adaptive_rp::SUSTAIN {
             return;
         }
-        if self.try_split(ctx, cfg.cooldown_packets) {
+        if self.try_split(ctx, adaptive_rp::COOLDOWN_PACKETS) {
             ctx.counter("rp-move-triggered", 1);
             ctx.world().bump("rp-move-triggered");
             self.adaptive.armed = false;
@@ -664,7 +663,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
 
@@ -689,7 +688,7 @@ impl GCopssRouter {
 
         // Old-tree grace: keep multicasting the moved CDs ourselves until
         // the new tree has formed.
-        let until = ctx.now() + self.split.grace;
+        let until = ctx.now() + SPLIT_GRACE;
         for cd in &plan.moved {
             self.legacy.push((cd.clone(), until));
         }
@@ -801,7 +800,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
         // A route to the new RP may unblock pending joins.
@@ -837,7 +836,7 @@ impl GCopssRouter {
         // again before serving a full cooldown's worth of traffic.
         self.local_rps.insert(new_rp);
         self.served_since_split = 0;
-        let until = ctx.now() + self.split.grace;
+        let until = ctx.now() + SPLIT_GRACE;
         for cd in &cds {
             self.tunnel_back.push((cd.clone(), old_rp, until));
         }
@@ -847,7 +846,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
         // Stage 3: announce network-wide (journaled so partitioned routers
@@ -1001,11 +1000,10 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
         let Some(iv) = self.recovery.as_ref().and_then(|c| c.subscribe_refresh) else {
             return;
         };
-        let seed = self.recovery.as_ref().map_or(0, |c| c.seed);
         // A distinct stream from the clients' (which seed with the raw
         // player id): multiply the node id by an odd constant first.
         let mix = (ctx.node().index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.refresh_rng = Some(SmallRng::seed_from_u64(seed ^ mix));
+        self.refresh_rng = Some(SmallRng::seed_from_u64(recovery::SEED ^ mix));
         let delay = iv + self.refresh_jitter();
         ctx.schedule(delay, JOIN_REFRESH_TIMER);
     }
@@ -1048,9 +1046,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 .collect();
             self.send_prunes(ctx, still_stale);
         } else if key == PIT_SWEEP_TIMER {
-            let Some(period) = self.recovery.as_ref().map(|c| c.pit_sweep) else {
+            if self.recovery.is_none() {
                 return;
-            };
+            }
             let swept = self.ndn.pit_mut().expire(ctx.now().as_nanos());
             if swept > 0 {
                 ctx.world().bump_by(crate::drops::PIT_EXPIRED, swept as u64);
@@ -1064,7 +1062,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
             if self.ndn.pit().is_empty() {
                 self.sweep_armed = false;
             } else {
-                ctx.schedule(period, PIT_SWEEP_TIMER);
+                ctx.schedule(recovery::PIT_SWEEP, PIT_SWEEP_TIMER);
             }
         }
     }
@@ -1127,7 +1125,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 self.deferred_prunes.clear();
                 self.legacy.clear();
                 self.tunnel_back.clear();
-                self.traffic = TrafficWindow::new(self.params.rp_window.max(1));
+                self.traffic = TrafficWindow::new(RP_WINDOW);
                 self.served_since_split = self.params.rp_split_cooldown_packets;
                 self.sweep_armed = false;
                 ctx.world().bump("router-restarts");
@@ -1139,17 +1137,17 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
 
     fn service_time(&self, pkt: &GPacket) -> SimDuration {
         match pkt {
-            GPacket::Copss(CopssPacket::Multicast(_)) => self.params.copss_multicast_proc,
-            GPacket::Copss(_) | GPacket::Control { .. } => self.params.control_proc,
+            GPacket::Copss(CopssPacket::Multicast(_)) => COPSS_MULTICAST_PROC,
+            GPacket::Copss(_) | GPacket::Control { .. } => CONTROL_PROC,
             GPacket::ToRp { rp, .. } => {
                 if self.local_rps.contains(rp) {
                     self.params.rp_proc
                 } else {
-                    self.params.encap_proc
+                    ENCAP_PROC
                 }
             }
-            GPacket::Interest(_) | GPacket::Data(_) => self.params.ndn_proc,
-            GPacket::Ip(_) => self.params.ip_proc,
+            GPacket::Interest(_) | GPacket::Data(_) => NDN_PROC,
+            GPacket::Ip(_) => IP_PROC,
         }
     }
 
@@ -1268,11 +1266,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 // breadcrumbs exist, so orphaned entries (satellite of the
                 // fault model — Data lost on a dead link never consumes
                 // them) are reclaimed and counted.
-                if let Some(cfg) = &self.recovery {
-                    if !self.sweep_armed && !self.ndn.pit().is_empty() {
-                        self.sweep_armed = true;
-                        ctx.schedule(cfg.pit_sweep, PIT_SWEEP_TIMER);
-                    }
+                if self.recovery.is_some() && !self.sweep_armed && !self.ndn.pit().is_empty() {
+                    self.sweep_armed = true;
+                    ctx.schedule(recovery::PIT_SWEEP, PIT_SWEEP_TIMER);
                 }
             }
             GPacket::Data(d) => {

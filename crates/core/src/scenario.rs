@@ -165,6 +165,10 @@ pub fn rp_prefix_partition(map: &GameMap, n: usize) -> Vec<Vec<Name>> {
     groups
 }
 
+/// Time before the first trace event (lets subscriptions settle) in every
+/// scenario.
+pub const WARMUP: SimDuration = SimDuration::from_secs(2);
+
 /// Configuration of a G-COPSS simulation.
 #[derive(Debug, Clone)]
 pub struct GcopssConfig {
@@ -178,8 +182,6 @@ pub struct GcopssConfig {
     pub rp_count: usize,
     /// Time before the first trace event (lets subscriptions settle).
     pub warmup: SimDuration,
-    /// Grace period for old-tree multicast during RP splits.
-    pub split_grace: SimDuration,
     /// Extra CD prefixes anchored at RP 0 (e.g. `/snapcast` for movement
     /// scenarios).
     pub extra_rp_prefixes: Vec<Name>,
@@ -219,8 +221,7 @@ impl Default for GcopssConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: false,
             rp_count: 3,
-            warmup: SimDuration::from_secs(2),
-            split_grace: SimDuration::from_secs(2),
+            warmup: WARMUP,
             extra_rp_prefixes: Vec::new(),
             extra_rps: Vec::new(),
             rp_selection: crate::RpSelection::default(),
@@ -579,6 +580,45 @@ fn new_sim(
     sim
 }
 
+/// A router hosting no RP (the IP, hybrid-core and NDN-baseline routers):
+/// it forwards IP packets, and NDN packets along `fib_routes`.
+fn plain_router(
+    params: &SimParams,
+    faces: FaceMap,
+    fib_routes: Vec<(Name, FaceId)>,
+    recovery: Option<&RecoveryConfig>,
+) -> Box<GCopssRouter> {
+    let mut router = GCopssRouter::new(
+        params.clone(),
+        faces,
+        CopssEngine::new(),
+        fib_routes,
+        std::collections::BTreeSet::new(),
+        SplitConfig::default(),
+    );
+    if let Some(rc) = recovery {
+        router = router.with_recovery(rc.clone());
+    }
+    Box::new(router)
+}
+
+/// Where the behavior of player `p` (host `node`) plugs in: its edge router
+/// and its cursor over the shared trace, offset by `warmup`.
+fn player_seat(
+    sim: &Simulator<GPacket, GameWorld>,
+    node: NodeId,
+    trace: &Arc<Vec<TraceEvent>>,
+    p: gcopss_game::PlayerId,
+    warmup: SimDuration,
+) -> (NodeId, TraceCursor) {
+    let (edge, _) = sim
+        .topology()
+        .neighbors(node)
+        .next()
+        .expect("player attached");
+    (edge, TraceCursor::for_player(Arc::clone(trace), p, warmup))
+}
+
 fn assemble_gcopss(
     cfg: GcopssConfig,
     net: &NetworkSpec,
@@ -686,7 +726,6 @@ fn assemble_gcopss(
         let split = SplitConfig {
             candidates: bn.rp_pool.clone(),
             strategy: cfg.rp_selection,
-            grace: cfg.split_grace,
         };
         let mut router =
             GCopssRouter::new(cfg.params.clone(), faces, copss, fib_routes, local_rps, split);
@@ -699,12 +738,7 @@ fn assemble_gcopss(
     // Players.
     for p in population.players() {
         let node = player_nodes[p.index()];
-        let (edge, _) = sim
-            .topology()
-            .neighbors(node)
-            .next()
-            .expect("player attached");
-        let cursor = TraceCursor::for_player(Arc::clone(trace), p, cfg.warmup);
+        let (edge, cursor) = player_seat(&sim, node, trace, p, cfg.warmup);
         sim.set_behavior(node, client_factory(p, edge, cursor));
     }
 
@@ -734,8 +768,6 @@ pub struct IpConfig {
     pub delivery_log: bool,
     /// Number of game servers.
     pub server_count: usize,
-    /// Time before the first trace event.
-    pub warmup: SimDuration,
     /// Failure-recovery tunables: `Some` enables the session model
     /// (client `Hello`s, server connection table, reconnect watchdogs).
     pub recovery: Option<RecoveryConfig>,
@@ -754,7 +786,6 @@ impl Default for IpConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: false,
             server_count: 3,
-            warmup: SimDuration::from_secs(2),
             recovery: None,
             overload: None,
             rate_adapt: None,
@@ -812,18 +843,7 @@ fn assemble_ip_server(
     // Plain IP routers (a G-COPSS router with no RPs forwards IP packets).
     for &r in &bn.routers {
         let faces = FaceMap::new(sim.topology(), r);
-        let mut router = GCopssRouter::new(
-            cfg.params.clone(),
-            faces,
-            CopssEngine::new(),
-            Vec::new(),
-            std::collections::BTreeSet::new(),
-            SplitConfig::default(),
-        );
-        if let Some(rc) = &cfg.recovery {
-            router = router.with_recovery(rc.clone());
-        }
-        sim.set_behavior(r, Box::new(router));
+        sim.set_behavior(r, plain_router(&cfg.params, faces, Vec::new(), cfg.recovery.as_ref()));
     }
 
     let areas: Vec<_> = population.players().map(|p| population.area_of(p)).collect();
@@ -839,12 +859,7 @@ fn assemble_ip_server(
     let server_of = Arc::new(partition_cds_to_servers(map, &server_nodes));
     for p in population.players() {
         let node = player_nodes[p.index()];
-        let (edge, _) = sim
-            .topology()
-            .neighbors(node)
-            .next()
-            .expect("player attached");
-        let cursor = TraceCursor::for_player(Arc::clone(trace), p, cfg.warmup);
+        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
         let mut client = IpClient::new(p, edge, Arc::clone(&server_of), cursor);
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
@@ -865,34 +880,20 @@ fn assemble_ip_server(
 /// Configuration of a hybrid-G-COPSS simulation (§III-D).
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
-    /// Calibration constants.
-    pub params: SimParams,
     /// Latency-metrics retention.
     pub metrics_mode: MetricsMode,
     /// Exact delivery log (small runs only).
     pub delivery_log: bool,
     /// Available IP multicast groups (Table II uses 6).
     pub group_count: u32,
-    /// Time before the first trace event.
-    pub warmup: SimDuration,
-    /// Engine overload control; `None` (or a vacuous config) is
-    /// byte-identical to pre-overload builds.
-    pub overload: Option<OverloadConfig>,
-    /// Client-side congestion-feedback rate adaptation (see
-    /// [`GcopssConfig::rate_adapt`]).
-    pub rate_adapt: Option<RateAdaptConfig>,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
         Self {
-            params: SimParams::default(),
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: false,
             group_count: 6,
-            warmup: SimDuration::from_secs(2),
-            overload: None,
-            rate_adapt: None,
         }
     }
 }
@@ -921,49 +922,22 @@ fn assemble_hybrid(
         "player",
     );
     let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut sim = new_sim(
-        bn.topology,
-        routing,
-        cfg.metrics_mode,
-        cfg.delivery_log,
-        cfg.overload.clone(),
-    );
+    let mut sim = new_sim(bn.topology, routing, cfg.metrics_mode, cfg.delivery_log, None);
 
+    let params = SimParams::default();
     for &r in &bn.routers {
         let faces = FaceMap::new(sim.topology(), r);
         if bn.attach_points.contains(&r) {
-            sim.set_behavior(
-                r,
-                Box::new(HybridEdgeRouter::new(cfg.params.clone(), faces, cfg.group_count)),
-            );
+            sim.set_behavior(r, Box::new(HybridEdgeRouter::new(faces, cfg.group_count)));
         } else {
-            sim.set_behavior(
-                r,
-                Box::new(GCopssRouter::new(
-                    cfg.params.clone(),
-                    faces,
-                    CopssEngine::new(),
-                    Vec::new(),
-                    std::collections::BTreeSet::new(),
-                    SplitConfig::default(),
-                )),
-            );
+            sim.set_behavior(r, plain_router(&params, faces, Vec::new(), None));
         }
     }
 
     for p in population.players() {
         let node = player_nodes[p.index()];
-        let (edge, _) = sim
-            .topology()
-            .neighbors(node)
-            .next()
-            .expect("player attached");
-        let cursor = TraceCursor::for_player(Arc::clone(trace), p, cfg.warmup);
-        let mut client =
-            GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
-        if let Some(ra) = &cfg.rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
-        }
+        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
+        let client = GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
         sim.set_behavior(node, Box::new(client));
     }
 
@@ -981,8 +955,6 @@ pub struct NdnBaselineConfig {
     pub delivery_log: bool,
     /// Client pipelining/accumulation settings.
     pub client: NdnClientConfig,
-    /// Time before the first trace event.
-    pub warmup: SimDuration,
     /// Failure-recovery tunables: `Some` enables the router PIT sweep and
     /// forces `client.retry_forever` so lost Interests are always
     /// re-expressed eventually.
@@ -1001,7 +973,6 @@ impl Default for NdnBaselineConfig {
             metrics_mode: MetricsMode::StatsOnly,
             delivery_log: false,
             client: NdnClientConfig::default(),
-            warmup: SimDuration::from_secs(2),
             recovery: None,
             overload: None,
         }
@@ -1053,18 +1024,7 @@ fn assemble_ndn_baseline(
                 }
             }
         }
-        let mut router = GCopssRouter::new(
-            cfg.params.clone(),
-            faces,
-            CopssEngine::new(),
-            fib_routes,
-            std::collections::BTreeSet::new(),
-            SplitConfig::default(),
-        );
-        if let Some(rc) = &cfg.recovery {
-            router = router.with_recovery(rc.clone());
-        }
-        sim.set_behavior(r, Box::new(router));
+        sim.set_behavior(r, plain_router(&cfg.params, faces, fib_routes, cfg.recovery.as_ref()));
     }
 
     let mut client_cfg = cfg.client.clone();
@@ -1075,12 +1035,7 @@ fn assemble_ndn_baseline(
     let rosters = NdnPlayerClient::rosters(map, &areas);
     for p in population.players() {
         let node = player_nodes[p.index()];
-        let (edge, _) = sim
-            .topology()
-            .neighbors(node)
-            .next()
-            .expect("player attached");
-        let cursor = TraceCursor::for_player(Arc::clone(trace), p, cfg.warmup);
+        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
         sim.set_behavior(
             node,
             Box::new(NdnPlayerClient::new(

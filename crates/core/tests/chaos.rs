@@ -89,7 +89,7 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
         .values()
         .next_back()
         .expect("two RPs were placed");
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };

@@ -9,10 +9,10 @@ use gcopss_core::broker::{
     SnapshotMode,
 };
 use gcopss_core::scenario::{
-    expected_deliveries, ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec,
+    expected_deliveries, ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec,
 };
 use gcopss_core::{MetricsMode, SimParams};
-use gcopss_game::{MovementModel, MovementParams};
+use gcopss_game::MovementModel;
 use gcopss_sim::{SimDuration, SimTime};
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
@@ -105,12 +105,9 @@ fn split_mid_traffic_is_loss_free() {
 #[test]
 fn movement_churn_keeps_control_plane_consistent() {
     let w = workload(1_500, 80, 31);
-    let trace_span = w.trace.last().map_or(0, |e| e.time_ns);
-    let model = MovementModel::new(MovementParams {
-        interval_ns: (1_000_000_000, 3_000_000_000), // move every 1–3 s
-        ..MovementParams::default()
-    });
-    let mut moves = model.generate(5, &w.map, &w.population, trace_span);
+    let trace_span = w.span();
+    let model = MovementModel::new((1_000_000_000, 3_000_000_000)); // move every 1–3 s
+    let mut moves = model.generate(5, &w.map, &w.population, trace_span.as_nanos());
     moves.retain(|m| m.player.index() % 8 == 0); // 10 movers keep brokers sane
     assert!(!moves.is_empty());
 
@@ -118,20 +115,9 @@ fn movement_churn_keeps_control_plane_consistent() {
     let net = NetworkSpec::default_backbone(37);
     let pool = net.rp_pool_preview();
     let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: pool[(3 + i) % pool.len()],
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+    let extra_hosts =
+        SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
 
     let cfg = GcopssConfig {
         params,
@@ -167,8 +153,7 @@ fn movement_churn_keeps_control_plane_consistent() {
         .client_factory(factory)
         .build()
         .into_gcopss();
-    let horizon =
-        SimTime::ZERO + warmup + SimDuration::from_nanos(trace_span) + SimDuration::from_secs(60);
+    let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(60);
     b.sim.run_until(horizon);
     let world = b.sim.world();
 
@@ -189,13 +174,10 @@ fn movement_churn_keeps_control_plane_consistent() {
 #[test]
 fn movement_churn_cyclic_mode() {
     let w = workload(2_000, 60, 41);
-    let trace_span = w.trace.last().map_or(0, |e| e.time_ns);
+    let trace_span = w.span();
     // Trace spans ~4.8 s; 8 movers, each moving once after 1-2 s.
-    let model = MovementModel::new(MovementParams {
-        interval_ns: (1_000_000_000, 2_000_000_000),
-        ..MovementParams::default()
-    });
-    let mut moves = model.generate(6, &w.map, &w.population, trace_span);
+    let model = MovementModel::new((1_000_000_000, 2_000_000_000));
+    let mut moves = model.generate(6, &w.map, &w.population, trace_span.as_nanos());
     moves.retain(|m| m.player.index() % 8 == 0);
     assert!(!moves.is_empty(), "movement schedule must not be empty");
 
@@ -203,20 +185,9 @@ fn movement_churn_cyclic_mode() {
     let net = NetworkSpec::default_backbone(43);
     let pool = net.rp_pool_preview();
     let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: pool[(3 + i) % pool.len()],
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+    let extra_hosts =
+        SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
     let cfg = GcopssConfig {
         params,
         rp_count: 3,
@@ -250,8 +221,7 @@ fn movement_churn_cyclic_mode() {
         .client_factory(factory)
         .build()
         .into_gcopss();
-    let horizon =
-        SimTime::ZERO + warmup + SimDuration::from_nanos(trace_span) + SimDuration::from_secs(90);
+    let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(90);
     b.sim.run_until(horizon);
     let world = b.sim.world();
     assert!(world.counter("broker-cyclic-joins") > 0, "no cyclic joins");
@@ -268,33 +238,20 @@ fn movement_churn_cyclic_mode() {
 #[test]
 fn offline_player_comes_online() {
     let w = workload(2_000, 60, 53);
-    let trace_span = w.trace.last().map_or(0, |e| e.time_ns);
+    let trace_span = w.span();
 
     let serving = partition_cds_to_brokers(&w.map, 3);
     let net = NetworkSpec::default_backbone(47);
     let pool = net.rp_pool_preview();
     let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    let mut extra_rps = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let attach = pool[(3 + i) % pool.len()];
-        let snapcast: Vec<_> = cds
-            .iter()
-            .map(|cd| gcopss_core::broker::snapcast_ns().join(cd))
-            .collect();
-        extra_rps.push((snapcast, attach));
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: attach,
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+    let snapcast_rp = |(i, cds): (usize, &Vec<_>)| {
+        let snapcast = cds.iter().map(|cd| gcopss_core::broker::snapcast_ns().join(cd));
+        (snapcast.collect(), attach_at(i))
+    };
+    let extra_rps = serving.iter().enumerate().map(snapcast_rp).collect();
+    let extra_hosts =
+        SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
 
     let cfg = GcopssConfig {
         params,
@@ -332,8 +289,7 @@ fn offline_player_comes_online() {
         .client_factory(factory)
         .build()
         .into_gcopss();
-    let horizon =
-        SimTime::ZERO + warmup + SimDuration::from_nanos(trace_span) + SimDuration::from_secs(60);
+    let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(60);
     b.sim.run_until(horizon);
     let world = b.sim.world();
 

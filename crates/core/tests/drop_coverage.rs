@@ -21,7 +21,7 @@ use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::ip_server::IpClient;
 use gcopss_core::ndn_baseline::player_prefix;
 use gcopss_core::scenario::{
-    ExtraHost, GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
+    GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
 };
 use gcopss_core::{
     drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, MetricsMode, RateAdaptConfig,
@@ -79,29 +79,18 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
     let warmup = cfg.warmup;
     let serving: Vec<Name> = w.map.leaf_cds().iter().take(2).cloned().collect();
     let objects = ObjectModel::generate(7, &w.map, &ObjectModelParams::default());
-    let broker_trace = Arc::clone(&w.trace);
-    let broker = ExtraHost {
-        attach_to: broker_at,
-        routes: SnapshotBroker::fib_prefixes(&serving),
-        make: Box::new(move |_node, edge| {
-            Box::new(SnapshotBroker::new(
-                gcopss_core::SimParams::default(),
-                edge,
-                serving,
-                objects,
-                broker_trace,
-            ))
-        }),
-    };
+    let params = gcopss_core::SimParams::default();
+    let broker =
+        SnapshotBroker::hosts(vec![serving], |_| broker_at, false, &params, &objects, &w.trace);
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
-        .extra_host(broker)
+        .extra_hosts(broker)
         .build()
         .into_gcopss();
 
     let crash = *built.rp_nodes.values().next_back().expect("two RPs");
     let rp0_node = built.rp_nodes[&RpId(0)];
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
@@ -197,13 +186,13 @@ fn ndn_faults(seen: &mut BTreeSet<&'static str>) {
     // Flush often enough that the 128-batch history window rolls over
     // within the trace span, so an early seq is genuinely aged out.
     cfg.client.accum_interval = SimDuration::from_millis(10);
-    let warmup = cfg.warmup;
+    let warmup = WARMUP;
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ndn_baseline(cfg)
         .build()
         .into_ndn_baseline();
 
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
@@ -247,14 +236,14 @@ fn ip_server_crash(seen: &mut BTreeSet<&'static str>) {
         recovery: Some(RecoveryConfig::default()),
         ..IpConfig::default()
     };
-    let warmup = cfg.warmup;
+    let warmup = WARMUP;
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ip_server(cfg)
         .build()
         .into_ip_server();
     let server = built.server_nodes[0];
 
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
@@ -305,13 +294,13 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
         group_count: 2,
         ..HybridConfig::default()
     };
-    let warmup = cfg.warmup;
+    let warmup = WARMUP;
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .hybrid(cfg)
         .build()
         .into_hybrid();
 
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let at = |num: u64, den: u64| {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
@@ -384,7 +373,7 @@ fn overload_shedding(seen: &mut BTreeSet<&'static str>) {
         .into_gcopss();
     built.sim.enable_telemetry(TelemetryConfig::default());
 
-    let span = SimDuration::from_nanos(w.trace.last().expect("trace").time_ns);
+    let span = w.span();
     let horizon = SimTime::ZERO + warmup + span + SimDuration::from_secs(5);
     built.sim.run_until(horizon);
     harvest(&built.sim, seen);

@@ -8,7 +8,7 @@ use gcopss_core::scenario::{
     expected_deliveries, GcopssConfig, HybridConfig, IpConfig, NetworkSpec, ScenarioSpec,
 };
 use gcopss_core::{MetricsMode, SimParams};
-use gcopss_game::trace::{microbenchmark_trace, MicrobenchParams};
+use gcopss_game::trace::microbenchmark_trace;
 use gcopss_game::{GameMap, ObjectModel, ObjectModelParams, PlayerPopulation};
 use gcopss_sim::SimDuration;
 
@@ -23,11 +23,8 @@ fn small_setup(seed: u64, duration_ms: u64) -> Setup {
     let map = Arc::new(GameMap::paper_map());
     let objects = ObjectModel::generate(seed, &map, &ObjectModelParams::default());
     let pop = PlayerPopulation::uniform_per_area(&map, 2);
-    let params = MicrobenchParams {
-        duration_ns: duration_ms * 1_000_000,
-        ..MicrobenchParams::default()
-    };
-    let trace = Arc::new(microbenchmark_trace(seed, &map, &objects, &pop, &params));
+    let duration_ns = duration_ms * 1_000_000;
+    let trace = Arc::new(microbenchmark_trace(seed, &map, &objects, &pop, duration_ns));
     let expected = expected_deliveries(&map, &pop, &trace);
     Setup {
         map,
@@ -154,7 +151,6 @@ fn hybrid_delivers_exactly_the_aoi() {
         metrics_mode: MetricsMode::Full,
         delivery_log: true,
         group_count: 6,
-        ..HybridConfig::default()
     };
     let net = NetworkSpec::default_backbone(13);
     let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)

@@ -57,6 +57,6 @@ pub mod stats;
 pub mod trace;
 
 pub use map::{AreaId, GameMap, MoveType};
-pub use movement::{MoveEvent, MovementModel, MovementParams};
+pub use movement::{MoveEvent, MovementModel};
 pub use objects::{ObjectId, ObjectModel, ObjectModelParams, ObjectState};
 pub use players::{PlayerId, PlayerPopulation};

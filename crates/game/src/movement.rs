@@ -7,29 +7,13 @@ use gcopss_compat::{Rng, SeedableRng};
 
 use crate::{AreaId, GameMap, MoveType, PlayerId, PlayerPopulation};
 
-/// Parameters of the movement model. The paper's defaults: every player
-/// moves after an interval of 5–35 minutes; each move goes up with
-/// probability 10%, down with 10% (when possible) and laterally otherwise.
-#[derive(Debug, Clone)]
-pub struct MovementParams {
-    /// Per-player interval between moves, in nanoseconds (paper:
-    /// 5–35 min).
-    pub interval_ns: (u64, u64),
-    /// Probability of moving one layer up (if not already at the world).
-    pub p_up: f64,
-    /// Probability of moving one layer down (if not at a zone).
-    pub p_down: f64,
-}
+/// Probability of moving one layer up (if not already at the world);
+/// paper: 10%.
+const P_UP: f64 = 0.10;
 
-impl Default for MovementParams {
-    fn default() -> Self {
-        Self {
-            interval_ns: (300_000_000_000, 2_100_000_000_000),
-            p_up: 0.10,
-            p_down: 0.10,
-        }
-    }
-}
+/// Probability of moving one layer down (if not at a zone); paper: 10%.
+/// Every other move is lateral.
+const P_DOWN: f64 = 0.10;
 
 /// One movement of one player, with the snapshots it requires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,17 +32,19 @@ pub struct MoveEvent {
     pub snapshot_cds: Vec<Name>,
 }
 
-/// Generates movement traces over a [`GameMap`].
+/// Generates movement traces over a [`GameMap`]: each move goes up with
+/// probability 10%, down with 10% (when possible) and laterally otherwise.
 #[derive(Debug, Clone)]
 pub struct MovementModel {
-    params: MovementParams,
+    interval_ns: (u64, u64),
 }
 
 impl MovementModel {
-    /// Creates a model with the given parameters.
+    /// Creates a model whose players each move after an interval drawn
+    /// uniformly from `interval_ns` (nanoseconds).
     #[must_use]
-    pub fn new(params: MovementParams) -> Self {
-        Self { params }
+    pub fn new(interval_ns: (u64, u64)) -> Self {
+        Self { interval_ns }
     }
 
     /// Generates all moves up to `duration_ns`, sorted by time. Players
@@ -76,7 +62,7 @@ impl MovementModel {
         let mut events = Vec::new();
         for player in population.players() {
             let mut area = population.area_of(player);
-            let mut t = rng.gen_range(self.params.interval_ns.0..=self.params.interval_ns.1);
+            let mut t = rng.gen_range(self.interval_ns.0..=self.interval_ns.1);
             while t < duration_ns {
                 let to = self.next_area(&mut rng, map, area);
                 if to != area {
@@ -93,22 +79,22 @@ impl MovementModel {
                     });
                     area = to;
                 }
-                t += rng.gen_range(self.params.interval_ns.0..=self.params.interval_ns.1);
+                t += rng.gen_range(self.interval_ns.0..=self.interval_ns.1);
             }
         }
         events.sort_by_key(|e| e.time_ns);
         events
     }
 
-    /// Picks the next area: up / down / lateral per the configured
-    /// probabilities, falling back to lateral when up/down is impossible.
+    /// Picks the next area: up / down / lateral per `P_UP` / `P_DOWN`,
+    /// falling back to lateral when up/down is impossible.
     fn next_area(&self, rng: &mut StdRng, map: &GameMap, from: AreaId) -> AreaId {
         let roll: f64 = rng.gen();
-        if roll < self.params.p_up {
+        if roll < P_UP {
             if let Some(parent) = map.parent(from) {
                 return parent;
             }
-        } else if roll < self.params.p_up + self.params.p_down {
+        } else if roll < P_UP + P_DOWN {
             let children = map.children(from);
             if !children.is_empty() {
                 return children[rng.gen_range(0..children.len())];
@@ -133,8 +119,9 @@ impl MovementModel {
 }
 
 impl Default for MovementModel {
+    /// The paper's schedule: every player moves after 5–35 minutes.
     fn default() -> Self {
-        Self::new(MovementParams::default())
+        Self::new((300_000_000_000, 2_100_000_000_000))
     }
 }
 
@@ -195,6 +182,7 @@ mod tests {
 
     #[test]
     fn lateral_moves_dominate() {
+        assert_eq!((P_UP, P_DOWN), (0.10, 0.10), "the paper's 10% / 10%");
         let (map, pop) = setup();
         let events = MovementModel::default().generate(9, &map, &pop, 36_000_000_000_000);
         let lateral = events

@@ -74,6 +74,14 @@ impl Default for ObjectState {
     }
 }
 
+/// Geometric decay of update contributions to the snapshot size. The paper
+/// sets α = 0.95; with its update sizes (50–350 B) and counts the reported
+/// final sizes (579–1,740 B) correspond to objects re-created periodically,
+/// which we reproduce by resetting long-lived objects is unnecessary — the
+/// steady state `mean_update/(1-α)` is simply capped by
+/// [`ObjectModelParams::max_size`].
+const ALPHA: f64 = 0.95;
+
 /// Parameters of the object distribution.
 #[derive(Debug, Clone)]
 pub struct ObjectModelParams {
@@ -81,13 +89,6 @@ pub struct ObjectModelParams {
     /// (the paper's Fig. 3d shows 80–120 per area; the trace totals 3,197
     /// objects over 31 areas).
     pub objects_per_area: (u32, u32),
-    /// Geometric decay of update contributions to the snapshot size. The
-    /// paper sets α = 0.95; with its update sizes (50–350 B) and counts the
-    /// reported final sizes (579–1,740 B) correspond to objects re-created
-    /// periodically, which we reproduce by resetting long-lived objects is
-    /// unnecessary — the steady state `mean_update/(1-α)` is simply capped
-    /// by `max_size`.
-    pub alpha: f64,
     /// Cap on the snapshot size of a single object (bytes). The paper
     /// reports final object sizes of 579–1,740 bytes; the cap keeps
     /// heavily-updated objects in that regime.
@@ -98,7 +99,6 @@ impl Default for ObjectModelParams {
     fn default() -> Self {
         Self {
             objects_per_area: (80, 120),
-            alpha: 0.95,
             max_size: 1_740,
         }
     }
@@ -200,7 +200,7 @@ impl ObjectModel {
     /// Panics if `obj` is unknown.
     pub fn apply_update(&mut self, obj: ObjectId, size: u32) {
         let s = &mut self.states[obj.index()];
-        s.apply_update(self.params.alpha, size);
+        s.apply_update(ALPHA, size);
         if s.size > f64::from(self.params.max_size) {
             s.size = f64::from(self.params.max_size);
         }
@@ -243,7 +243,8 @@ mod tests {
 
     #[test]
     fn size_recurrence_matches_closed_form() {
-        let alpha = 0.95;
+        assert_eq!(ALPHA, 0.95, "the paper's α");
+        let alpha = ALPHA;
         let updates = [100u32, 200, 300, 150];
         let mut s = ObjectState::pristine();
         for &u in &updates {

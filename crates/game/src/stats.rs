@@ -94,14 +94,14 @@ pub fn updates_per_layer(map: &GameMap, events: &[TraceEvent]) -> BTreeMap<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{microbenchmark_trace, MicrobenchParams};
+    use crate::trace::microbenchmark_trace;
     use crate::ObjectModelParams;
 
     fn setup() -> (GameMap, ObjectModel, PlayerPopulation, Vec<TraceEvent>) {
         let map = GameMap::paper_map();
         let objects = ObjectModel::generate(1, &map, &ObjectModelParams::default());
         let pop = PlayerPopulation::uniform_per_area(&map, 2);
-        let events = microbenchmark_trace(4, &map, &objects, &pop, &MicrobenchParams::default());
+        let events = microbenchmark_trace(4, &map, &objects, &pop, 60_000_000_000);
         (map, objects, pop, events)
     }
 

@@ -36,30 +36,18 @@ pub struct TraceEvent {
     pub size: u32,
 }
 
-/// Parameters of the microbenchmark trace (§V-A defaults).
-#[derive(Debug, Clone)]
-pub struct MicrobenchParams {
-    /// Trace duration in nanoseconds (paper: 1 minute).
-    pub duration_ns: u64,
-    /// Per-player publish interval range in nanoseconds (paper:
-    /// 100–500 ms).
-    pub interval_ns: (u64, u64),
-    /// Publication size range in bytes (paper: 50–350).
-    pub size: (u32, u32),
-}
+/// Publication size range in bytes (Feng et al.: game packets are almost
+/// all under 200 B; the paper uses 50–350 for both traces).
+pub const UPDATE_SIZE: (u32, u32) = (50, 350);
 
-impl Default for MicrobenchParams {
-    fn default() -> Self {
-        Self {
-            duration_ns: 60_000_000_000,
-            interval_ns: (100_000_000, 500_000_000),
-            size: (50, 350),
-        }
-    }
-}
+/// Per-player publish interval range of the microbenchmark trace in
+/// nanoseconds (paper: 100–500 ms).
+pub const MICROBENCH_INTERVAL_NS: (u64, u64) = (100_000_000, 500_000_000);
 
-/// Generates the microbenchmark trace: every player publishes periodically
-/// (uniform random interval) to an object drawn uniformly from its AoI.
+/// Generates the microbenchmark trace (§V-A; the paper runs 1 minute):
+/// for `duration_ns`, every player publishes periodically (uniform random
+/// interval from [`MICROBENCH_INTERVAL_NS`]) to an object drawn uniformly
+/// from its AoI.
 ///
 /// Events are returned sorted by time.
 #[must_use]
@@ -68,28 +56,39 @@ pub fn microbenchmark_trace(
     map: &GameMap,
     objects: &ObjectModel,
     population: &PlayerPopulation,
-    params: &MicrobenchParams,
+    duration_ns: u64,
 ) -> Vec<TraceEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
     let visible = VisibleObjects::build(map, objects, population);
     let mut events = Vec::new();
     for player in population.players() {
-        let mut t = rng.gen_range(0..=params.interval_ns.1);
-        while t < params.duration_ns {
+        let mut t = rng.gen_range(0..=MICROBENCH_INTERVAL_NS.1);
+        while t < duration_ns {
             let (cd, object) = visible.pick(&mut rng, player);
             events.push(TraceEvent {
                 time_ns: t,
                 player,
                 cd,
                 object,
-                size: rng.gen_range(params.size.0..=params.size.1),
+                size: rng.gen_range(UPDATE_SIZE.0..=UPDATE_SIZE.1),
             });
-            t += rng.gen_range(params.interval_ns.0..=params.interval_ns.1);
+            t += rng.gen_range(MICROBENCH_INTERVAL_NS.0..=MICROBENCH_INTERVAL_NS.1);
         }
     }
     events.sort_by_key(|e| e.time_ns);
     events
 }
+
+/// Log-normal σ of the per-player update-rate weights; ≈1.5 produces the
+/// heavy tail of Fig. 3c.
+pub const WEIGHT_SIGMA: f64 = 1.5;
+
+/// Linear ramp of the arrival rate across the trace, as multipliers of the
+/// mean inter-arrival at the start and end. The real capture grows busier
+/// toward its peak — the paper's 2-RP run only congests "after 70,000
+/// packets" — so the trace starts ~35% slower and ends ~35% faster than the
+/// mean (averaging to the configured mean).
+pub const RAMP: (f64, f64) = (1.35, 0.65);
 
 /// Parameters of the synthetic Counter-Strike trace (§V-B defaults).
 #[derive(Debug, Clone)]
@@ -100,18 +99,6 @@ pub struct CsTraceParams {
     /// Mean inter-arrival time between consecutive updates, network-wide
     /// (paper: ≈2.4 ms in the evaluated window).
     pub mean_interarrival_ns: u64,
-    /// Log-normal σ of the per-player update-rate weights; ≈1.5 produces
-    /// the heavy tail of Fig. 3c.
-    pub weight_sigma: f64,
-    /// Linear ramp of the arrival rate across the trace, as multipliers of
-    /// the mean inter-arrival at the start and end. The real capture grows
-    /// busier toward its peak — the paper's 2-RP run only congests "after
-    /// 70,000 packets" — so the default starts ~35% slower and ends ~35%
-    /// faster than the mean (averaging to the configured mean).
-    pub ramp: (f64, f64),
-    /// Publication size range in bytes (Feng et al.: game packets are
-    /// almost all under 200 B; the paper uses 50–350).
-    pub size: (u32, u32),
 }
 
 impl Default for CsTraceParams {
@@ -119,9 +106,6 @@ impl Default for CsTraceParams {
         Self {
             total_updates: 1_686_905,
             mean_interarrival_ns: 2_400_000,
-            weight_sigma: 1.5,
-            ramp: (1.35, 0.65),
-            size: (50, 350),
         }
     }
 }
@@ -147,7 +131,7 @@ impl CsTraceGenerator {
             .map(|_| {
                 // ln N(0, sigma^2)
                 let z: f64 = sample_standard_normal(&mut rng);
-                (params.weight_sigma * z).exp()
+                (WEIGHT_SIGMA * z).exp()
             })
             .collect();
         Self { params, weights }
@@ -178,7 +162,7 @@ impl CsTraceGenerator {
         let pick_player =
             WeightedIndex::new(&self.weights).expect("weights are positive and finite");
         let mean = self.params.mean_interarrival_ns as f64;
-        let (r0, r1) = self.params.ramp;
+        let (r0, r1) = RAMP;
         let n = self.params.total_updates.max(1) as f64;
         let mut t = 0u64;
         let mut events = Vec::with_capacity(self.params.total_updates);
@@ -195,7 +179,7 @@ impl CsTraceGenerator {
                 player,
                 cd,
                 object,
-                size: rng.gen_range(self.params.size.0..=self.params.size.1),
+                size: rng.gen_range(UPDATE_SIZE.0..=UPDATE_SIZE.1),
             });
         }
         events
@@ -255,6 +239,9 @@ mod tests {
     use super::*;
     use crate::ObjectModelParams;
 
+    /// The paper's microbenchmark duration: 1 minute.
+    const MINUTE_NS: u64 = 60_000_000_000;
+
     fn setup() -> (GameMap, ObjectModel, PlayerPopulation) {
         let map = GameMap::paper_map();
         let objects = ObjectModel::generate(1, &map, &ObjectModelParams::default());
@@ -265,8 +252,7 @@ mod tests {
     #[test]
     fn microbenchmark_event_count_matches_paper() {
         let (map, objects, pop) = setup();
-        let events =
-            microbenchmark_trace(7, &map, &objects, &pop, &MicrobenchParams::default());
+        let events = microbenchmark_trace(7, &map, &objects, &pop, MINUTE_NS);
         // 62 players, 60 s, mean interval 300 ms -> ~12,400 events;
         // the paper reports 12,440.
         assert!(
@@ -279,7 +265,7 @@ mod tests {
             assert!(w[0].time_ns <= w[1].time_ns);
         }
         for e in &events {
-            assert!(e.time_ns < 60_000_000_000);
+            assert!(e.time_ns < MINUTE_NS);
             assert!((50..=350).contains(&e.size));
             assert!(map.leaf_cds().contains(&e.cd));
         }
@@ -288,19 +274,17 @@ mod tests {
     #[test]
     fn microbenchmark_is_deterministic() {
         let (map, objects, pop) = setup();
-        let p = MicrobenchParams::default();
-        let a = microbenchmark_trace(7, &map, &objects, &pop, &p);
-        let b = microbenchmark_trace(7, &map, &objects, &pop, &p);
+        let a = microbenchmark_trace(7, &map, &objects, &pop, MINUTE_NS);
+        let b = microbenchmark_trace(7, &map, &objects, &pop, MINUTE_NS);
         assert_eq!(a, b);
-        let c = microbenchmark_trace(8, &map, &objects, &pop, &p);
+        let c = microbenchmark_trace(8, &map, &objects, &pop, MINUTE_NS);
         assert_ne!(a, c);
     }
 
     #[test]
     fn events_target_objects_in_aoi() {
         let (map, objects, pop) = setup();
-        let events =
-            microbenchmark_trace(3, &map, &objects, &pop, &MicrobenchParams::default());
+        let events = microbenchmark_trace(3, &map, &objects, &pop, MINUTE_NS);
         for e in events.iter().take(500) {
             let area = pop.area_of(e.player);
             let visible = map.visible_leaf_cds(area);

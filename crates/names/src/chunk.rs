@@ -60,37 +60,25 @@ impl fmt::Display for ChunkId {
     }
 }
 
-/// Content-defined chunking parameters.
+/// No boundary before this many bytes of the current chunk.
 ///
 /// Boundaries are cut where a rolling hash of the last bytes matches
-/// `boundary_mask` (expected chunk size ≈ `mask + 1` bytes), clamped to
-/// `[min_size, max_size]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkingConfig {
-    /// No boundary before this many bytes of the current chunk.
-    pub min_size: usize,
-    /// Boundary when `rolling_hash & boundary_mask == boundary_mask`;
-    /// must be `2^k - 1`. Average chunk ≈ `min_size + boundary_mask + 1`.
-    pub boundary_mask: u64,
-    /// Force a boundary at this many bytes even without a hash match.
-    pub max_size: usize,
-}
+/// [`BOUNDARY_MASK`], clamped to `[MIN_CHUNK, MAX_CHUNK]`. The three are
+/// sized so the chunk grain sits *below* the typical game-object snapshot
+/// (~0.5–1.7 KB): an update that rewrites a field-sized window of one object
+/// then dirties one or two chunks, and the rest of the object — let alone
+/// the CD blob — keeps its chunk ids. Much coarser chunks would erase the
+/// delta resolution; much finer ones would turn a catch-up into a
+/// per-packet Interest flood.
+pub const MIN_CHUNK: usize = 128;
 
-impl Default for ChunkingConfig {
-    fn default() -> Self {
-        // Sized so the chunk grain sits *below* the typical game-object
-        // snapshot (~0.5–1.7 KB): an update that rewrites a field-sized
-        // window of one object then dirties one or two chunks, and the rest
-        // of the object — let alone the CD blob — keeps its chunk ids. Much
-        // coarser chunks would erase the delta resolution; much finer ones
-        // would turn a catch-up into a per-packet Interest flood.
-        Self {
-            min_size: 128,
-            boundary_mask: 0xff, // ~256 B average past the minimum
-            max_size: 1024,
-        }
-    }
-}
+/// Boundary when `rolling_hash & BOUNDARY_MASK == BOUNDARY_MASK`; must be
+/// `2^k - 1`. Average chunk ≈ `MIN_CHUNK + BOUNDARY_MASK + 1` (~256 B past
+/// the minimum).
+pub const BOUNDARY_MASK: u64 = 0xff;
+
+/// Force a boundary at this many bytes even without a hash match.
+pub const MAX_CHUNK: usize = 1024;
 
 /// The per-byte mixing table of the gear rolling hash, derived
 /// deterministically from FNV-1a so no random seed is needed.
@@ -98,34 +86,25 @@ fn gear(b: u8) -> u64 {
     fnv1a(&[b, 0x9e, 0x37, 0x79, 0xb9])
 }
 
-/// Content-defined chunker over [`ChunkingConfig`].
+/// Content-defined chunker cutting at [`MIN_CHUNK`] / [`BOUNDARY_MASK`] /
+/// [`MAX_CHUNK`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Chunker {
-    /// Boundary-cutting parameters.
-    pub config: ChunkingConfig,
-}
+pub struct Chunker;
 
 impl Chunker {
-    /// Creates a chunker with the given parameters.
-    #[must_use]
-    pub fn new(config: ChunkingConfig) -> Self {
-        Self { config }
-    }
-
     /// Splits `data` into content-defined chunks. Every byte lands in
     /// exactly one chunk and chunks concatenate back to `data`; an empty
     /// input yields no chunks.
     #[must_use]
     pub fn chunks<'d>(&self, data: &'d [u8]) -> Vec<&'d [u8]> {
-        let cfg = &self.config;
         let mut out = Vec::new();
         let mut start = 0usize;
         let mut h = 0u64;
         for (i, &b) in data.iter().enumerate() {
             let len = i - start + 1;
             h = (h << 1).wrapping_add(gear(b));
-            let hash_cut = len >= cfg.min_size && (h & cfg.boundary_mask) == cfg.boundary_mask;
-            if hash_cut || len >= cfg.max_size {
+            let hash_cut = len >= MIN_CHUNK && (h & BOUNDARY_MASK) == BOUNDARY_MASK;
+            if hash_cut || len >= MAX_CHUNK {
                 out.push(&data[start..=i]);
                 start = i + 1;
                 h = 0;
@@ -441,19 +420,19 @@ mod tests {
 
     #[test]
     fn chunks_cover_input_exactly() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         for len in [0usize, 1, 63, 64, 100, 1024, 5000, 40_000] {
             let data = synth(len as u64 + 7, len);
             let chunks = chunker.chunks(&data);
             let rejoined: Vec<u8> = chunks.concat();
             assert_eq!(rejoined, data, "len {len}");
             for c in &chunks {
-                assert!(c.len() <= chunker.config.max_size);
+                assert!(c.len() <= MAX_CHUNK);
                 assert!(!c.is_empty());
             }
             // All chunks but the last respect the minimum size.
             for c in chunks.iter().rev().skip(1) {
-                assert!(c.len() >= chunker.config.min_size, "len {len}");
+                assert!(c.len() >= MIN_CHUNK, "len {len}");
             }
         }
     }
@@ -462,7 +441,7 @@ mod tests {
     fn boundaries_are_content_defined() {
         // Prepending bytes shifts offsets but the tail re-synchronizes:
         // most chunks of the shifted input match chunks of the original.
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let data = synth(3, 20_000);
         let mut shifted = synth(99, 17);
         shifted.extend_from_slice(&data);
@@ -485,7 +464,7 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip_and_reassembly() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let data = synth(11, 9_137);
         let manifest = chunker.manifest(42, &data);
         assert_eq!(manifest.total_len, data.len() as u64);
@@ -504,7 +483,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed() {
-        let manifest = Chunker::default().manifest(1, &synth(5, 3000));
+        let manifest = Chunker.manifest(1, &synth(5, 3000));
         let wire = manifest.encode();
         assert_eq!(Manifest::decode(&wire[..10]), Err(ChunkError::Truncated));
         let mut extra = wire.clone();
@@ -526,7 +505,7 @@ mod tests {
 
     #[test]
     fn store_verifies_and_diffs() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let data = synth(21, 4_096);
         let manifest = chunker.manifest(1, &data);
         let mut store = ChunkStore::new();
@@ -572,7 +551,7 @@ mod tests {
     fn small_delta_dedups_most_chunks() {
         // Flip a small region of a large blob: the new manifest should
         // reuse the overwhelming majority of the old chunks.
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         let mut data = synth(31, 50_000);
         let mut store = ChunkStore::new();
         for c in chunker.chunks(&data) {
@@ -607,7 +586,7 @@ mod tests {
     /// a warm store re-fetches nothing.
     #[test]
     fn prop_roundtrip_over_random_blobs() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         for seed in 0..40u64 {
             let len = (fnv1a(&seed.to_le_bytes()) % 20_000) as usize;
             let data = synth(seed, len);
@@ -636,7 +615,7 @@ mod tests {
     /// delta (nothing more) closes reassembly.
     #[test]
     fn prop_missing_is_exact_complement() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         for seed in 0..20u64 {
             let data = synth(seed ^ 0xdead, 12_000);
             let chunks = chunker.chunks(&data);
@@ -673,7 +652,7 @@ mod tests {
     /// deliveries of the delta are always rejected.
     #[test]
     fn prop_random_edits_stay_local() {
-        let chunker = Chunker::default();
+        let chunker = Chunker;
         for seed in 0..20u64 {
             let mut data = synth(seed ^ 0xbeef, 30_000);
             let mut store = ChunkStore::new();

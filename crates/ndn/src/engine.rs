@@ -4,13 +4,6 @@ use gcopss_names::Name;
 
 use crate::{ContentStore, ContentStoreConfig, Data, FaceId, Fib, Interest, Pit, PitInsert};
 
-/// Configuration for an [`NdnEngine`].
-#[derive(Debug, Clone, Default)]
-pub struct NdnConfig {
-    /// Content store sizing.
-    pub content_store: ContentStoreConfig,
-}
-
 /// An action the host must carry out after the engine processed a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NdnAction {
@@ -51,13 +44,14 @@ pub struct NdnEngine {
 }
 
 impl NdnEngine {
-    /// Creates an engine with empty tables.
+    /// Creates an engine with empty tables and a Content Store sized by
+    /// `content_store`.
     #[must_use]
-    pub fn new(config: NdnConfig) -> Self {
+    pub fn new(content_store: ContentStoreConfig) -> Self {
         Self {
             fib: Fib::new(),
             pit: Pit::new(),
-            cs: ContentStore::new(config.content_store),
+            cs: ContentStore::new(content_store),
             dropped_interests: 0,
             unsolicited_data: 0,
         }
@@ -213,7 +207,7 @@ mod tests {
 
     #[test]
     fn interest_forwarded_along_fib() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a/b"), 1));
         assert_eq!(acts.len(), 1);
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn interest_without_route_dropped() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
         assert!(acts.is_empty());
         assert_eq!(e.dropped_interests(), 1);
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn interest_not_reflected_to_arrival_face() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(1));
         e.fib_mut().add(n("/a"), FaceId(2));
         let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
@@ -240,7 +234,7 @@ mod tests {
 
     #[test]
     fn aggregation_suppresses_second_forward() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         let a1 = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
         let a2 = e.process_interest(0, FaceId(2), Interest::new(n("/a"), 2));
@@ -261,7 +255,7 @@ mod tests {
 
     #[test]
     fn content_store_short_circuits() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
         e.process_data(1, FaceId(5), data("/a"));
@@ -274,7 +268,7 @@ mod tests {
 
     #[test]
     fn unsolicited_data_dropped() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         let acts = e.process_data(0, FaceId(5), data("/nobody/asked"));
         assert!(acts.is_empty());
         assert_eq!(e.unsolicited_data(), 1);
@@ -282,7 +276,7 @@ mod tests {
 
     #[test]
     fn data_satisfies_prefix_interest() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
         // Producer answers with a more specific name.
@@ -293,7 +287,7 @@ mod tests {
 
     #[test]
     fn publish_local_satisfies_pending() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/snapshot"), FaceId(9));
         e.process_interest(0, FaceId(1), Interest::new(n("/snapshot/1"), 1));
         let acts = e.publish_local(1, data("/snapshot/1"));
@@ -305,7 +299,7 @@ mod tests {
 
     #[test]
     fn duplicate_nonce_counted() {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         let i = Interest::new(n("/a"), 42);
         e.process_interest(0, FaceId(1), i.clone());

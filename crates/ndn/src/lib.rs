@@ -53,7 +53,7 @@ mod packet;
 mod pit;
 
 pub use cs::{ContentStore, ContentStoreConfig};
-pub use engine::{NdnAction, NdnConfig, NdnEngine};
+pub use engine::{NdnAction, NdnEngine};
 pub use fib::Fib;
 pub use packet::{Data, FaceId, Interest};
 pub use pit::{Pit, PitInsert};

@@ -2,7 +2,7 @@
 //! engines, cache interaction, and PIT expiry under load.
 
 use gcopss_compat::bytes::Bytes;
-use gcopss_ndn::{ContentStoreConfig, Data, FaceId, Interest, NdnAction, NdnConfig, NdnEngine};
+use gcopss_ndn::{ContentStoreConfig, Data, FaceId, Interest, NdnAction, NdnEngine};
 use gcopss_names::Name;
 
 /// A chain of engines r0 - r1 - r2, consumer behind r0, producer behind r2.
@@ -10,7 +10,7 @@ use gcopss_names::Name;
 fn chain() -> Vec<NdnEngine> {
     (0..3)
         .map(|_| {
-            let mut e = NdnEngine::new(NdnConfig::default());
+            let mut e = NdnEngine::new(ContentStoreConfig::default());
             e.fib_mut().add(Name::parse_lit("/p"), FaceId(1));
             e
         })
@@ -84,7 +84,7 @@ fn distinct_names_travel_independently() {
 
 #[test]
 fn pit_expiry_under_unanswered_load() {
-    let mut e = NdnEngine::new(NdnConfig::default());
+    let mut e = NdnEngine::new(ContentStoreConfig::default());
     e.fib_mut().add(Name::parse_lit("/p"), FaceId(1));
     for k in 0..50u64 {
         let i = Interest::with_lifetime(Name::parse_lit(&format!("/p/{k}")), k, 1_000);
@@ -98,9 +98,7 @@ fn pit_expiry_under_unanswered_load() {
 
 #[test]
 fn zero_capacity_store_never_caches() {
-    let mut e = NdnEngine::new(NdnConfig {
-        content_store: ContentStoreConfig { capacity: 0 },
-    });
+    let mut e = NdnEngine::new(ContentStoreConfig { capacity: 0 });
     e.fib_mut().add(Name::parse_lit("/p"), FaceId(1));
     e.process_interest(0, FaceId(0), Interest::new(Name::parse_lit("/p/x"), 1));
     e.process_data(1, FaceId(1), Data::new(Name::parse_lit("/p/x"), Bytes::new()));

@@ -8,7 +8,7 @@ use gcopss_compat::prop::{self, Strategy};
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_names::{Component, Name};
 use gcopss_ndn::{
-    ContentStore, ContentStoreConfig, Data, Fib, FaceId, Interest, NdnAction, NdnConfig, NdnEngine,
+    ContentStore, ContentStoreConfig, Data, Fib, FaceId, Interest, NdnAction, NdnEngine,
 };
 
 const CASES: u32 = 64;
@@ -29,7 +29,7 @@ fn name(parts: &[String]) -> Name {
 fn data_reaches_every_pending_face() {
     let consumers = prop::vec((prop::range(1u32..8), name_strategy()), 1..=15);
     prop::check(0xAD01, CASES, &consumers, |consumers| {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         let upstream = FaceId(99);
         e.fib_mut().add(Name::root(), upstream);
 
@@ -230,7 +230,7 @@ fn no_reflection() {
         prop::range(0u32..6),
     );
     prop::check(0xAD02, CASES, &input, |(routes, probe, arrival)| {
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         for (parts, f) in routes {
             e.fib_mut().add(name(parts), FaceId(*f));
         }
@@ -251,7 +251,7 @@ fn at_most_one_upstream_forward_per_name() {
     let input = (prop::vec(prop::range(1u32..8), 2..=11), name_strategy());
     prop::check(0xAD03, CASES, &input, |(faces, parts)| {
         let n = name(parts);
-        let mut e = NdnEngine::new(NdnConfig::default());
+        let mut e = NdnEngine::new(ContentStoreConfig::default());
         let upstream = FaceId(99);
         e.fib_mut().add(Name::root(), upstream);
         let mut forwards = 0;

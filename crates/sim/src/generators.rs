@@ -28,6 +28,17 @@ pub fn benchmark_testbed() -> (Topology, Vec<NodeId>) {
     (t, r)
 }
 
+/// Extra random core links beyond the spanning tree, as a fraction of the
+/// core size (controls mesh density).
+pub const EXTRA_LINK_FRACTION: f64 = 0.75;
+
+/// Core link delay range in milliseconds (Rocketfuel link weights are
+/// interpreted as delays).
+pub const CORE_DELAY_MS: (u64, u64) = (1, 6);
+
+/// Delay between an edge router and its core router (paper: 5 ms).
+pub const EDGE_DELAY: SimDuration = SimDuration::from_millis(5);
+
 /// Parameters for [`rocketfuel_like`].
 #[derive(Debug, Clone)]
 pub struct BackboneParams {
@@ -36,14 +47,6 @@ pub struct BackboneParams {
     /// Edge routers attached per core router (the paper attaches 1–3; we
     /// use a fixed count for determinism, default 2, ≈160 edge routers).
     pub edge_per_core: usize,
-    /// Extra random core links beyond the spanning tree, as a fraction of
-    /// the core size (controls mesh density).
-    pub extra_link_fraction: f64,
-    /// Core link delay range in milliseconds (Rocketfuel link weights are
-    /// interpreted as delays).
-    pub core_delay_ms: (u64, u64),
-    /// Delay between an edge router and its core router (paper: 5 ms).
-    pub edge_delay: SimDuration,
 }
 
 impl Default for BackboneParams {
@@ -51,9 +54,6 @@ impl Default for BackboneParams {
         Self {
             core_routers: 79,
             edge_per_core: 2,
-            extra_link_fraction: 0.75,
-            core_delay_ms: (1, 6),
-            edge_delay: SimDuration::from_millis(5),
         }
     }
 }
@@ -73,8 +73,8 @@ pub struct Backbone {
 /// Generates a connected random backbone with the shape the paper takes
 /// from Rocketfuel (AS 3967): `core_routers` core nodes joined by a random
 /// spanning tree plus extra shortcut links, with link weights (delays) drawn
-/// uniformly from `core_delay_ms`, and `edge_per_core` edge routers hanging
-/// off every core router at `edge_delay`.
+/// uniformly from [`CORE_DELAY_MS`], and `edge_per_core` edge routers hanging
+/// off every core router at [`EDGE_DELAY`].
 ///
 /// Deterministic for a given `seed`.
 ///
@@ -92,7 +92,7 @@ pub fn rocketfuel_like(seed: u64, params: &BackboneParams) -> Backbone {
         .collect();
 
     let delay = |rng: &mut StdRng| {
-        let (lo, hi) = params.core_delay_ms;
+        let (lo, hi) = CORE_DELAY_MS;
         SimDuration::from_millis(rng.gen_range(lo..=hi))
     };
 
@@ -108,7 +108,7 @@ pub fn rocketfuel_like(seed: u64, params: &BackboneParams) -> Backbone {
     }
 
     // Extra shortcut links for mesh-like density.
-    let extra = (params.core_routers as f64 * params.extra_link_fraction) as usize;
+    let extra = (params.core_routers as f64 * EXTRA_LINK_FRACTION) as usize;
     let mut added = 0;
     let mut attempts = 0;
     while added < extra && attempts < extra * 20 {
@@ -128,7 +128,7 @@ pub fn rocketfuel_like(seed: u64, params: &BackboneParams) -> Backbone {
     for (ci, &c) in core.iter().enumerate() {
         for j in 0..params.edge_per_core {
             let e = t.add_node_kind(format!("edge{ci}_{j}"), NodeKind::Edge);
-            t.try_add_link(c, e, params.edge_delay, None).expect("generated links are valid");
+            t.try_add_link(c, e, EDGE_DELAY, None).expect("generated links are valid");
             edge.push(e);
         }
     }
@@ -249,7 +249,6 @@ mod tests {
         let p = BackboneParams {
             core_routers: 4,
             edge_per_core: 1,
-            ..BackboneParams::default()
         };
         let mut b = rocketfuel_like(3, &p);
         let hosts = attach_hosts(

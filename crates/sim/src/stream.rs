@@ -16,7 +16,7 @@
 //! Three primitives, all integer-only:
 //!
 //! * **Windowed counters** — per `(metric, node)`: a ring of the last
-//!   `window_ticks` closed tick buckets plus the current partial bucket;
+//!   [`WINDOW_TICKS`] closed tick buckets plus the current partial bucket;
 //!   [`MetricStreams::rate`] is the sum over that sliding window.
 //! * **EWMA gauges** — Q8 fixed point, `ewma += (sample·2⁸ − ewma) ≫
 //!   shift`; the engine feeds every node's service-queue depth at each
@@ -28,7 +28,7 @@
 //!   map is ordered, so eviction is deterministic) and the newcomer
 //!   inherits `min+w` with error bound `min`. Estimates overcount by at
 //!   most `err ≤ N/m`; every key with true count `> N/m` is monitored.
-//!   Sketches are halved every `window_ticks` rolls so old hotspots decay.
+//!   Sketches are halved every [`WINDOW_TICKS`] rolls so old hotspots decay.
 //!
 //! Determinism: no PRNG draws at all, no wall clock, and every map is a
 //! `BTreeMap` — same-seed runs produce byte-identical stream snapshots. A
@@ -43,41 +43,33 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::json::Json;
 use crate::{SimDuration, SimTime};
 
+/// Sliding-window length in closed tick buckets; also the sketch half-life
+/// in rolls.
+pub const WINDOW_TICKS: usize = 8;
+
+/// EWMA smoothing: weight of one sample is `2^-EWMA_SHIFT`.
+pub const EWMA_SHIFT: u32 = 3;
+
+/// Monitored keys per space-saving sketch.
+pub const SKETCH_CAPACITY: usize = 32;
+
 /// Configuration of the in-simulation metric streams
 /// ([`crate::Simulator::install_streams`]).
 ///
 /// The default config is vacuous (zero tick) and installing it is a no-op,
 /// mirroring the vacuous `FaultPlan`/`OverloadConfig` rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Roll period in simulated time. [`SimDuration::ZERO`] = vacuous:
     /// nothing is installed and every hook stays a single branch.
     pub tick: SimDuration,
-    /// Sliding-window length in closed tick buckets; also the sketch
-    /// half-life in rolls. Clamped to ≥ 1 at install.
-    pub window_ticks: usize,
-    /// EWMA smoothing: weight of one sample is `2^-shift`.
-    pub ewma_shift: u32,
-    /// Monitored keys per space-saving sketch. Clamped to ≥ 1 at install.
-    pub sketch_capacity: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            tick: SimDuration::ZERO,
-            window_ticks: 8,
-            ewma_shift: 3,
-            sketch_capacity: 32,
-        }
-    }
 }
 
 impl StreamConfig {
-    /// A non-vacuous config rolling every `tick`, other knobs default.
+    /// A non-vacuous config rolling every `tick`.
     #[must_use]
     pub fn every(tick: SimDuration) -> Self {
-        Self { tick, ..Self::default() }
+        Self { tick }
     }
 
     /// `true` when installing this config could not change any run: with a
@@ -93,7 +85,7 @@ impl StreamConfig {
 /// plus the current partial bucket.
 #[derive(Debug, Clone, Default)]
 struct WindowedCounter {
-    /// Closed buckets, oldest first; bounded by `window_ticks`.
+    /// Closed buckets, oldest first; bounded by [`WINDOW_TICKS`].
     closed: VecDeque<u64>,
     /// The bucket currently filling (closed at the next roll).
     current: u64,
@@ -112,10 +104,10 @@ impl WindowedCounter {
         self.closed.iter().sum::<u64>() + self.current
     }
 
-    fn roll(&mut self, window_ticks: usize) {
+    fn roll(&mut self, window: usize) {
         self.closed.push_back(self.current);
         self.current = 0;
-        while self.closed.len() > window_ticks {
+        while self.closed.len() > window {
             self.closed.pop_front();
         }
     }
@@ -252,7 +244,7 @@ impl SpaceSaving {
 /// read back through `Ctx::stream_rate` and friends.
 #[derive(Debug)]
 pub struct MetricStreams {
-    cfg: StreamConfig,
+    tick: SimDuration,
     enabled: bool,
     /// When the next roll is due (`enabled` only).
     next_roll: SimTime,
@@ -272,7 +264,7 @@ impl MetricStreams {
     #[must_use]
     pub fn disabled() -> Self {
         Self {
-            cfg: StreamConfig::default(),
+            tick: SimDuration::ZERO,
             enabled: false,
             next_roll: SimTime::ZERO,
             rolls: 0,
@@ -285,14 +277,11 @@ impl MetricStreams {
     /// An enabled hub over `node_count` nodes. `cfg` must be non-vacuous
     /// (the engine's install refuses vacuous configs before this).
     #[must_use]
-    pub fn new(mut cfg: StreamConfig, node_count: usize) -> Self {
-        cfg.window_ticks = cfg.window_ticks.max(1);
-        cfg.sketch_capacity = cfg.sketch_capacity.max(1);
-        let next_roll = SimTime::ZERO + cfg.tick;
+    pub fn new(cfg: StreamConfig, node_count: usize) -> Self {
         Self {
-            cfg,
+            tick: cfg.tick,
             enabled: true,
-            next_roll,
+            next_roll: SimTime::ZERO + cfg.tick,
             rolls: 0,
             counters: BTreeMap::new(),
             sketches: BTreeMap::new(),
@@ -322,7 +311,7 @@ impl MetricStreams {
     /// The configured roll period.
     #[must_use]
     pub fn tick(&self) -> SimDuration {
-        self.cfg.tick
+        self.tick
     }
 
     /// Bumps the windowed counter `metric` at `node`. No-op while disabled.
@@ -340,10 +329,9 @@ impl MetricStreams {
         if !self.enabled {
             return;
         }
-        let cap = self.cfg.sketch_capacity;
         self.sketches
             .entry(stream)
-            .or_insert_with(|| SpaceSaving::new(cap))
+            .or_insert_with(|| SpaceSaving::new(SKETCH_CAPACITY))
             .offer(key, weight);
     }
 
@@ -381,24 +369,24 @@ impl MetricStreams {
     }
 
     /// One roll at `at`: closes every counter's current bucket, feeds the
-    /// queue-depth EWMAs, and halves the sketches every `window_ticks`
+    /// queue-depth EWMAs, and halves the sketches every [`WINDOW_TICKS`]
     /// rolls. Called by the engine, interleaved with event dispatch in
     /// timestamp order.
     pub fn roll(&mut self, at: SimTime, queue_depths: impl Iterator<Item = usize>) {
         debug_assert!(self.enabled, "rolling a disabled hub");
         for c in self.counters.values_mut() {
-            c.roll(self.cfg.window_ticks);
+            c.roll(WINDOW_TICKS);
         }
         for (e, q) in self.queue_ewma.iter_mut().zip(queue_depths) {
-            e.feed(q as u64, self.cfg.ewma_shift);
+            e.feed(q as u64, EWMA_SHIFT);
         }
         self.rolls += 1;
-        if self.rolls.is_multiple_of(self.cfg.window_ticks as u64) {
+        if self.rolls.is_multiple_of(WINDOW_TICKS as u64) {
             for s in self.sketches.values_mut() {
                 s.halve();
             }
         }
-        self.next_roll = at + self.cfg.tick;
+        self.next_roll = at + self.tick;
     }
 
     /// A compact snapshot for the time-series sampler's `"streams"` frame
@@ -457,32 +445,19 @@ mod tests {
 
     #[test]
     fn windowed_counter_slides() {
-        let mut s = MetricStreams::new(
-            StreamConfig {
-                tick: SimDuration::from_secs(1),
-                window_ticks: 2,
-                ..StreamConfig::default()
-            },
-            1,
-        );
-        let mut t = SimTime::ZERO;
-        s.bump("m", 0, 5);
-        assert_eq!(s.rate("m", 0), 5);
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
-        s.bump("m", 0, 3);
-        assert_eq!(s.rate("m", 0), 8); // closed 5 + partial 3
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
+        let mut c = WindowedCounter::default();
+        c.bump(5);
+        assert_eq!(c.windowed(), 5);
+        c.roll(2);
+        c.bump(3);
+        assert_eq!(c.windowed(), 8); // closed 5 + partial 3
+        c.roll(2);
+        c.roll(2);
         // Window of 2 closed buckets: [3, 0]; the 5 slid out.
-        assert_eq!(s.rate("m", 0), 3);
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
-        assert_eq!(s.rate("m", 0), 0);
-        assert_eq!(s.total("m", 0), 8);
-        assert_eq!(s.rolls(), 4);
+        assert_eq!(c.windowed(), 3);
+        c.roll(2);
+        assert_eq!(c.windowed(), 0);
+        assert_eq!(c.total, 8);
     }
 
     #[test]

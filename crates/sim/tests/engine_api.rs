@@ -197,7 +197,6 @@ fn backbone_hosts_reach_each_other_through_sim() {
     let b = generators::rocketfuel_like(5, &generators::BackboneParams {
         core_routers: 12,
         edge_per_core: 1,
-        ..Default::default()
     });
     let mut topo = b.topology;
     let hosts = generators::attach_hosts(&mut topo, &b.edge, 2, SimDuration::from_millis(1), "h");

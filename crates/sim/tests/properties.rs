@@ -53,7 +53,6 @@ fn time_is_monotonic() {
         let params = generators::BackboneParams {
             core_routers: 6,
             edge_per_core: 1,
-            ..Default::default()
         };
         let mut b = generators::rocketfuel_like(*seed, &params);
         let hs = generators::attach_hosts(
@@ -88,7 +87,6 @@ fn simulation_is_deterministic() {
             let params = generators::BackboneParams {
                 core_routers: 8,
                 edge_per_core: 1,
-                ..Default::default()
             };
             let b = generators::rocketfuel_like(*seed, &params);
             let topo = b.topology;
@@ -162,7 +160,6 @@ fn packets_and_bytes_are_conserved() {
         let params = generators::BackboneParams {
             core_routers,
             edge_per_core: 1,
-            ..Default::default()
         };
         let mut b = generators::rocketfuel_like(seed, &params);
         let hosts = generators::attach_hosts(
@@ -257,7 +254,6 @@ fn routing_distances_are_metric() {
         let params = generators::BackboneParams {
             core_routers: 10,
             edge_per_core: 1,
-            ..Default::default()
         };
         let b = generators::rocketfuel_like(*seed, &params);
         let rt = RoutingTable::shortest_paths(&b.topology);
@@ -373,7 +369,6 @@ fn path_delay_equals_distance() {
         let params = generators::BackboneParams {
             core_routers: 12,
             edge_per_core: 1,
-            ..Default::default()
         };
         let b = generators::rocketfuel_like(*seed, &params);
         let rt = RoutingTable::shortest_paths(&b.topology);

@@ -22,7 +22,7 @@ fn main() {
         updates,
         ..WorkloadParams::default()
     });
-    let span = w.trace.last().map_or(0.0, |e| e.time_ns as f64 / 1e9);
+    let span = w.span().as_secs_f64();
     println!(
         "trace spans {span:.1}s of game time; mean inter-arrival {:.2} ms",
         span * 1e3 / updates as f64

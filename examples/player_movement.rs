@@ -21,7 +21,6 @@ fn main() {
         move_interval: (SimDuration::from_secs(8), SimDuration::from_secs(20)),
         mover_count: 25,
         drain: SimDuration::from_secs(120),
-        ..MovementConfig::default()
     };
 
     for mode in [

@@ -152,7 +152,7 @@ fn microbenchmark_workload_shape() {
 /// layering) disseminates exactly.
 #[test]
 fn deep_hierarchy_dissemination() {
-    use gcopss::game::trace::{microbenchmark_trace, MicrobenchParams};
+    use gcopss::game::trace::microbenchmark_trace;
     use gcopss::game::{GameMap, ObjectModel, ObjectModelParams, PlayerPopulation};
 
     let map = Arc::new(GameMap::uniform(&[2, 2, 2]));
@@ -165,16 +165,7 @@ fn deep_hierarchy_dissemination() {
         },
     );
     let pop = PlayerPopulation::uniform_per_area(&map, 1);
-    let trace = Arc::new(microbenchmark_trace(
-        4,
-        &map,
-        &objects,
-        &pop,
-        &MicrobenchParams {
-            duration_ns: 2_000_000_000,
-            ..MicrobenchParams::default()
-        },
-    ));
+    let trace = Arc::new(microbenchmark_trace(4, &map, &objects, &pop, 2_000_000_000));
     let expected = expected_deliveries(&map, &pop, &trace);
     let cfg = GcopssConfig {
         delivery_log: true,
