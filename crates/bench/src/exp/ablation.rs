@@ -24,7 +24,7 @@ pub fn run(opts: ExpOptions) {
         updates,
         ..WorkloadParams::default()
     };
-    for (g, s) in ablation::hybrid_group_sweep_with(&wl, 7, &[1, 2, 4, 6, 12, 31], h.cap()) {
+    for (g, s) in ablation::hybrid_group_sweep(&wl, 7, &[1, 2, 4, 6, 12, 31], h.cap()) {
         println!(
             "{:>8} {:>14.2} {:>12.4}",
             g,
@@ -38,7 +38,7 @@ pub fn run(opts: ExpOptions) {
         "{:>10} {:>8} {:>14} {:>12}",
         "threshold", "splits", "latency (ms)", "load (GB)"
     );
-    for (t, splits, s) in ablation::split_threshold_sweep_with(&wl, 7, &[20, 50, 100, 250], h.cap()) {
+    for (t, splits, s) in ablation::split_threshold_sweep(&wl, 7, &[20, 50, 100, 250], h.cap()) {
         println!(
             "{:>10} {:>8} {:>14.2} {:>12.4}",
             t,
@@ -54,7 +54,7 @@ pub fn run(opts: ExpOptions) {
         "t (ms)", "latency (ms)", "load (GB)"
     );
     let dur = SimDuration::from_secs(h.opts.scaled(6, 30) as u64);
-    for (t, s) in ablation::ndn_accumulation_sweep_with(
+    for (t, s) in ablation::ndn_accumulation_sweep(
         seed,
         dur,
         &[
@@ -88,7 +88,7 @@ pub fn run(opts: ExpOptions) {
         mover_count: 12,
         drain: SimDuration::from_secs(120),
     };
-    for (w, mean) in ablation::qr_window_sweep_with(&mcfg, &[1, 5, 10, 15, 20, 30], h.cap()) {
+    for (w, mean) in ablation::qr_window_sweep(&mcfg, &[1, 5, 10, 15, 20, 30], h.cap()) {
         println!("{:>8} {:>16.1}", w, mean.as_millis_f64());
     }
 

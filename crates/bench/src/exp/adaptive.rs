@@ -48,7 +48,7 @@ pub fn run(opts: ExpOptions) {
             SimDuration::from_secs(10)
         },
     };
-    let out = adaptive::run_with(&cfg, h.cap());
+    let out = adaptive::run(&cfg, h.cap());
 
     header(&format!(
         "Adaptive RP balancing — {updates} updates, {players} players, hotspot {}/{} of load onto zone {} after {}/{} of the trace, queue cap {}",

@@ -5,20 +5,13 @@
 
 use crate::{header, ExpHarness, ExpOptions};
 use gcopss_core::experiments::failover::{self, FailoverConfig};
-use gcopss_core::experiments::WorkloadParams;
-use gcopss_sim::{SimDuration, TimeSeriesConfig};
+use gcopss_core::experiments::{audit, WorkloadParams};
 
 pub fn run(opts: ExpOptions) {
     // Nine chaotic runs; sample the journal to bound the merged document.
     let mut h = ExpHarness::new("exp_failover", opts)
         .with_sampled_capture()
-        .with_timeseries(TimeSeriesConfig {
-            tick: SimDuration::from_millis(500),
-            counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
-            gauges: vec!["st-entries"],
-            per_node: vec!["rp-served"],
-            ..TimeSeriesConfig::default()
-        });
+        .with_timeseries(audit::timeseries_config());
     let updates = h.opts.scaled(10_000, 50_000);
     let players = h.opts.scaled(120, 414);
     let cfg = FailoverConfig {
@@ -30,7 +23,7 @@ pub fn run(opts: ExpOptions) {
         },
         ..FailoverConfig::default()
     };
-    let out = failover::run_with(&cfg, h.cap());
+    let out = failover::run(&cfg, h.cap());
 
     header(&format!(
         "Failure sweep — {updates} updates, {players} players, {} link flaps + RP crash/restart, loss {:?}",

@@ -12,7 +12,7 @@ pub fn run(opts: ExpOptions) {
     let mut h = ExpHarness::new("fig4", opts).with_capture(TelemetryConfig::default());
     let secs = h.opts.scaled(10, 60) as u64;
     let seed = h.opts.seed;
-    let out = microbench::run_with(
+    let out = microbench::run(
         &MicrobenchConfig {
             seed,
             duration: SimDuration::from_secs(secs),

@@ -22,7 +22,7 @@ pub fn run(opts: ExpOptions) {
         });
     let updates = h.opts.scaled(20_000, 100_000);
     let seed = h.opts.seed;
-    let out = rp_sweep::run_with(
+    let out = rp_sweep::run(
         &RpSweepConfig {
             workload: WorkloadParams {
                 seed,

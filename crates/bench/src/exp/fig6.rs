@@ -15,7 +15,7 @@ pub fn run(opts: ExpOptions) {
         vec![50, 100, 200, 300, 400]
     };
     let seed = h.opts.seed;
-    let out = player_sweep::run_with(
+    let out = player_sweep::run(
         &PlayerSweepConfig {
             seed,
             player_counts,

@@ -39,7 +39,7 @@ pub fn run(opts: ExpOptions) {
         },
         ..OverloadSweepConfig::default()
     };
-    let out = overload::run_with(&cfg, h.cap());
+    let out = overload::run(&cfg, h.cap());
 
     header(&format!(
         "Overload sweep — {updates} updates, {players} players, loads {:?} × capacity ({} µs interarrival at 1×)",

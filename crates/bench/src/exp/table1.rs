@@ -12,7 +12,7 @@ pub fn run(opts: ExpOptions) {
     let mut h = ExpHarness::new("table1", opts).with_sampled_capture();
     let updates = h.opts.scaled(20_000, 100_000);
     let seed = h.opts.seed;
-    let out = rp_sweep::run_with(
+    let out = rp_sweep::run(
         &RpSweepConfig {
             workload: WorkloadParams {
                 seed,
@@ -72,8 +72,7 @@ pub fn run(opts: ExpOptions) {
     // fills the table above.
     header("Telemetry reconciliation (per-link byte sum vs aggregate load)");
     let rows = out.gcopss_rows.iter().chain(&out.server_rows);
-    let cap = h.cap().expect("table1 runs captured");
-    for (report, row) in cap.reports.iter().zip(rows) {
+    for (report, row) in h.cap().reports.iter().zip(rows) {
         let link_sum = per_link_byte_sum(report).expect("run summary has a link table");
         assert_eq!(
             link_sum, row.network_bytes,

@@ -12,7 +12,7 @@ pub fn run(opts: ExpOptions) {
     let mut h = ExpHarness::new("table2", opts).with_sampled_capture();
     let updates = h.opts.scaled(60_000, 1_686_905);
     let seed = h.opts.seed;
-    let out = full_trace::run_with(
+    let out = full_trace::run(
         &WorkloadParams {
             seed,
             updates,

@@ -35,7 +35,7 @@ pub fn run(opts: ExpOptions) {
         mover_count: movers,
         drain: SimDuration::from_secs(120),
     };
-    let outputs = movement::run_all_with(&cfg, h.cap());
+    let outputs = movement::run_all(&cfg, h.cap());
 
     for out in &outputs {
         header(&format!(

@@ -10,7 +10,7 @@
 //! use gcopss_bench::{ExpHarness, ExpOptions};
 //! let mut h = ExpHarness::new("fig4", ExpOptions::default()).with_sampled_capture();
 //! let seed = h.opts.seed;
-//! // ... run experiments, passing `h.cap()` to the `run_with` driver ...
+//! // ... run experiments, passing `h.cap()` to the driver's `run` ...
 //! h.finish();
 //! ```
 //!
@@ -33,7 +33,7 @@ pub struct ExpHarness {
     pub exp: String,
     /// The run's options (`--full`, `--scale`, `--seed`, output directory).
     pub opts: ExpOptions,
-    capture: Option<TelemetryCapture>,
+    capture: TelemetryCapture,
     audits: Vec<(String, Json)>,
     series: Vec<(String, Json)>,
 }
@@ -47,7 +47,7 @@ impl ExpHarness {
         Self {
             exp: exp.to_string(),
             opts,
-            capture: None,
+            capture: TelemetryCapture::off(),
             audits: Vec::new(),
             series: Vec::new(),
         }
@@ -56,7 +56,7 @@ impl ExpHarness {
     /// Arms a telemetry capture with an explicit configuration.
     #[must_use]
     pub fn with_capture(mut self, cfg: TelemetryConfig) -> Self {
-        self.capture = Some(TelemetryCapture::new(cfg));
+        self.capture = TelemetryCapture::new(cfg);
         self
     }
 
@@ -79,28 +79,25 @@ impl ExpHarness {
     /// Panics if no capture was configured yet.
     #[must_use]
     pub fn with_timeseries(mut self, ts: TimeSeriesConfig) -> Self {
-        let cap = self
-            .capture
-            .take()
-            .expect("configure a capture before the time-series sampler");
-        self.capture = Some(cap.with_timeseries(ts));
+        assert!(
+            self.capture.is_on(),
+            "configure a capture before the time-series sampler"
+        );
+        self.capture = self.capture.with_timeseries(ts);
         self
     }
 
-    /// The capture to hand to a driver's `run_with(…)` telemetry argument
-    /// (`None` when the harness runs captureless).
-    pub fn cap(&mut self) -> Option<&mut TelemetryCapture> {
-        self.capture.as_mut()
+    /// The capture to hand to a driver's `run(…)` (off when the harness
+    /// runs captureless).
+    pub fn cap(&mut self) -> &mut TelemetryCapture {
+        &mut self.capture
     }
 
     /// Appends a hand-built report (for characterization passes that never
-    /// run a simulator, e.g. `trace_stats`). Creates an otherwise-unused
-    /// capture if none was configured.
+    /// run a simulator, e.g. `trace_stats`). The telemetry document is
+    /// written even if no capture was configured.
     pub fn push_report(&mut self, report: TelemetryReport) {
-        self.capture
-            .get_or_insert_with(|| TelemetryCapture::new(TelemetryConfig::default()))
-            .reports
-            .push(report);
+        self.capture.reports.push(report);
     }
 
     /// Queues one run's audit document for `results/audit_<exp>.json`.
@@ -128,17 +125,14 @@ impl ExpHarness {
         if !self.audits.is_empty() {
             write_runs(dir, "audit", "audit", exp, seed, &self.audits).expect("write audit");
         }
-        let mut series = Vec::new();
-        match self.capture.as_mut() {
-            Some(cap) => {
-                write_prof(dir, exp, seed, &prof, Some(&mut cap.reports)).expect("write prof");
-                write_telemetry(dir, exp, seed, &cap.reports).expect("write telemetry");
-                series.append(&mut cap.series);
-            }
-            None => {
-                write_prof(dir, exp, seed, &prof, None).expect("write prof");
-            }
+        let cap = &mut self.capture;
+        let documented = cap.is_on() || !cap.reports.is_empty();
+        write_prof(dir, exp, seed, &prof, documented.then_some(&mut cap.reports))
+            .expect("write prof");
+        if documented {
+            write_telemetry(dir, exp, seed, &cap.reports).expect("write telemetry");
         }
+        let mut series = std::mem::take(&mut cap.series);
         series.append(&mut self.series);
         if !series.is_empty() {
             write_runs(dir, "timeseries", "series", exp, seed, &series).expect("write timeseries");

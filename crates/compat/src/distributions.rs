@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::rng::{Rng, RngCore};
+use crate::rng::RngCore;
 
 /// A distribution over values of type `T`.
 pub trait Distribution<T> {
@@ -87,16 +87,6 @@ impl Distribution<usize> for WeightedIndex {
         // entries have cumulative == predecessor and are never selected.
         let i = self.cumulative.partition_point(|&c| c <= x);
         i.min(self.cumulative.len() - 1)
-    }
-}
-
-// Allow `rng.gen_range(..)`-style use of `sample` through the Rng trait
-// without importing RngCore at call sites.
-impl WeightedIndex {
-    /// Convenience wrapper over [`Distribution::sample`] for call sites
-    /// that have an [`Rng`] but did not import the trait.
-    pub fn sample_with<R: Rng>(&self, rng: &mut R) -> usize {
-        Distribution::sample(self, rng)
     }
 }
 

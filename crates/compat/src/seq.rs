@@ -1,6 +1,6 @@
 //! Slice sampling and shuffling, mirroring `rand::seq`.
 
-use crate::rng::{Rng, RngCore};
+use crate::rng::Rng;
 
 /// Random operations on slices.
 pub trait SliceRandom {
@@ -30,16 +30,6 @@ impl<T> SliceRandom for [T] {
             self.swap(i, rng.gen_range(0..=i));
         }
     }
-}
-
-/// Draws a uniform index into a slice of length `len` — the free-function
-/// form, for call sites that only need an index.
-///
-/// # Panics
-///
-/// Panics if `len` is zero.
-pub fn index<R: RngCore>(rng: &mut R, len: usize) -> usize {
-    Rng::gen_range(rng, 0..len)
 }
 
 #[cfg(test)]

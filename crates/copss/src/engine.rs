@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gcopss_names::{Cd, CdSet, Name};
+use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 
 use crate::{RpId, RpTable, SubscriptionTable};
@@ -50,9 +50,7 @@ pub struct CopssEngine {
     st: SubscriptionTable,
     rp_table: RpTable,
     /// Joins currently propagated upstream, per RP.
-    joined: BTreeMap<RpId, CdSet>,
-    /// CDs subscribed by this node itself (brokers, monitors).
-    local_subscriptions: CdSet,
+    joined: BTreeMap<RpId, BTreeSet<Name>>,
 }
 
 impl CopssEngine {
@@ -135,29 +133,6 @@ impl CopssEngine {
         (purged, joins, prunes)
     }
 
-    /// Registers interest of the local node itself (a broker subscribing to
-    /// its serving area).
-    pub fn subscribe_local(&mut self, cds: &[Name]) -> Vec<JoinRequest> {
-        for cd in cds {
-            self.local_subscriptions.insert(cd.clone());
-        }
-        self.reconcile().0
-    }
-
-    /// Withdraws local interest.
-    pub fn unsubscribe_local(&mut self, cds: &[Name]) -> (Vec<JoinRequest>, Vec<PruneRequest>) {
-        for cd in cds {
-            self.local_subscriptions.remove(cd);
-        }
-        self.reconcile()
-    }
-
-    /// Returns `true` if the local node itself wants publications to `cd`.
-    #[must_use]
-    pub fn local_wants(&self, cd: &Cd) -> bool {
-        self.local_subscriptions.matches_publication(cd.name())
-    }
-
     /// Applies an `RpUpdate` (CDs moved to a new RP): updates the RP table,
     /// re-derives the anchors of host subscriptions, and returns the joins
     /// and prunes needed to re-anchor this router's upstream state.
@@ -171,18 +146,6 @@ impl CopssEngine {
         self.st
             .retag_auto(|name| table.rps_for_subscription(name).into_iter().collect());
         self.reconcile()
-    }
-
-    /// The faces a multicast travelling `tree` must be forwarded to
-    /// (Bloom-filter path), excluding the arrival face.
-    #[must_use]
-    pub fn multicast_faces(
-        &self,
-        cd: &Cd,
-        arrival: Option<FaceId>,
-        tree: Option<RpId>,
-    ) -> Vec<FaceId> {
-        self.st.matching_faces(cd, arrival, tree)
     }
 
     /// The RP a publication to `cd` must be sent to (unique by
@@ -222,31 +185,22 @@ impl CopssEngine {
         out
     }
 
-    /// Discards all soft state — the ST, local subscriptions and the
-    /// upstream-join record — as happens when the hosting router crashes
-    /// and restarts. The RP table survives (it is configuration, rebuilt
+    /// Discards all soft state — the ST and the upstream-join record — as
+    /// happens when the hosting router crashes and restarts. The RP table survives (it is configuration, rebuilt
     /// from floods, not per-subscriber state).
     pub fn clear_soft_state(&mut self) {
         self.st = SubscriptionTable::default();
-        self.local_subscriptions = CdSet::default();
         self.joined.clear();
     }
 
     /// Recomputes the needed `(rp, name)` joins from the current ST and
-    /// local subscriptions, and diffs them against the joins already
-    /// propagated. Returns `(new joins, stale prunes)` and updates the
-    /// internal record.
+    /// diffs them against the joins already propagated. Returns
+    /// `(new joins, stale prunes)` and updates the internal record.
     pub fn reconcile(&mut self) -> (Vec<JoinRequest>, Vec<PruneRequest>) {
-        // 1. Collect every (name, anchor RP) pair the ST and local
-        //    subscriptions require.
-        let mut needed: BTreeMap<RpId, CdSet> = BTreeMap::new();
+        // 1. Collect every (name, anchor RP) pair the ST requires.
+        let mut needed: BTreeMap<RpId, BTreeSet<Name>> = BTreeMap::new();
         for (name, rps) in self.st.all_subscriptions_tagged() {
             for rp in rps {
-                needed.entry(rp).or_default().insert(name.clone());
-            }
-        }
-        for name in self.local_subscriptions.iter() {
-            for rp in self.rp_table.rps_for_subscription(name) {
                 needed.entry(rp).or_default().insert(name.clone());
             }
         }
@@ -299,6 +253,7 @@ impl CopssEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcopss_names::Cd;
 
     fn n(s: &str) -> Name {
         Name::parse_lit(s)
@@ -341,9 +296,9 @@ mod tests {
         assert!(e.joined_toward(RpId(0)).is_empty());
         // Tree scoping: RP 0's publications do not use this face.
         let cd = Cd::parse_lit("/1/5");
-        assert!(e.multicast_faces(&cd, None, Some(RpId(0))).is_empty());
+        assert!(e.st().matching_faces(&cd, None, Some(RpId(0))).is_empty());
         assert_eq!(
-            e.multicast_faces(&Cd::parse_lit("/2/5"), None, Some(RpId(1))),
+            e.st().matching_faces(&Cd::parse_lit("/2/5"), None, Some(RpId(1))),
             vec![FaceId(1)]
         );
     }
@@ -354,7 +309,7 @@ mod tests {
         e.handle_subscribe(FaceId(1), &[n("/1")], None);
         let joins = e.handle_subscribe(FaceId(2), &[n("/1")], None);
         assert!(joins.is_empty(), "aggregated at this router");
-        let faces = e.multicast_faces(&Cd::parse_lit("/1/5"), None, Some(RpId(0)));
+        let faces = e.st().matching_faces(&Cd::parse_lit("/1/5"), None, Some(RpId(0)));
         assert_eq!(faces, vec![FaceId(1), FaceId(2)]);
     }
 
@@ -413,8 +368,8 @@ mod tests {
         );
         // Tree scoping: the host face receives from both trees.
         let cd = Cd::parse_lit("/1/1/7");
-        assert_eq!(e.multicast_faces(&cd, None, Some(RpId(0))), vec![FaceId(1)]);
-        assert!(e.multicast_faces(&cd, None, Some(RpId(2))).is_empty());
+        assert_eq!(e.st().matching_faces(&cd, None, Some(RpId(0))), vec![FaceId(1)]);
+        assert!(e.st().matching_faces(&cd, None, Some(RpId(2))).is_empty());
     }
 
     #[test]
@@ -442,20 +397,8 @@ mod tests {
         );
         // The host face entry now lives on RP 1's tree.
         let cd = Cd::parse_lit("/2/3");
-        assert_eq!(e.multicast_faces(&cd, None, Some(RpId(1))), vec![FaceId(1)]);
-        assert!(e.multicast_faces(&cd, None, Some(RpId(0))).is_empty());
-    }
-
-    #[test]
-    fn local_subscriptions_join_and_match() {
-        let mut e = engine_with_root_rp();
-        let joins = e.subscribe_local(&[n("/1")]);
-        assert_eq!(joins.len(), 1);
-        assert!(e.local_wants(&Cd::parse_lit("/1/2")));
-        assert!(!e.local_wants(&Cd::parse_lit("/2")));
-        let (_, p) = e.unsubscribe_local(&[n("/1")]);
-        assert_eq!(p.len(), 1);
-        assert!(!e.local_wants(&Cd::parse_lit("/1/2")));
+        assert_eq!(e.st().matching_faces(&cd, None, Some(RpId(1))), vec![FaceId(1)]);
+        assert!(e.st().matching_faces(&cd, None, Some(RpId(0))).is_empty());
     }
 
     #[test]
@@ -483,7 +426,7 @@ mod tests {
         assert!(joins.is_empty());
         // Subscription is still recorded for untagged matching.
         assert_eq!(
-            e.multicast_faces(&Cd::parse_lit("/1/1"), None, None),
+            e.st().matching_faces(&Cd::parse_lit("/1/1"), None, None),
             vec![FaceId(1)]
         );
     }

@@ -18,7 +18,7 @@
 //!   face subscribed to any prefix of *c*.
 //! * [`RpTable`] — the prefix-free CD-prefix → RP assignment (§III-B
 //!   "Rendezvous Point Setup"), with the overlap queries subscription
-//!   propagation needs and a split operation for hot-spot offloading.
+//!   propagation needs and the move operation behind hot-spot offloading.
 //! * [`TrafficWindow`] — the sliding window of recent per-CD traffic an RP
 //!   monitors, and the load-balancing split planner (§IV-B).
 //! * [`CopssEngine`] — ties ST + RP table + upstream-join bookkeeping into
@@ -41,7 +41,7 @@
 //!
 //! // A publication to /1/2 travelling RP 0's tree leaves through that face.
 //! let cd = Cd::parse_lit("/1/2");
-//! assert_eq!(e.multicast_faces(&cd, None, Some(RpId(0))), vec![FaceId(3)]);
+//! assert_eq!(e.st().matching_faces(&cd, None, Some(RpId(0))), vec![FaceId(3)]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -92,43 +92,11 @@ impl RpTable {
         Ok(())
     }
 
-    /// Removes the assignment for exactly `prefix`, returning its RP.
-    pub fn unassign(&mut self, prefix: &Name) -> Option<RpId> {
-        self.served.remove(prefix)
-    }
-
-    /// Replaces the single served prefix `prefix` by `children` (all direct
-    /// or indirect extensions of it), keeping the same RP. This is the
-    /// refinement step before a split can offload part of a served prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` is not served or some child does not extend it.
-    pub fn refine(&mut self, prefix: &Name, children: &[Name]) {
-        let rp = self
-            .served
-            .remove(prefix)
-            .unwrap_or_else(|| panic!("prefix {prefix} not served"));
-        for c in children {
-            assert!(
-                prefix.is_strict_prefix_of(c),
-                "{c} does not refine {prefix}"
-            );
-            self.served.insert(c.clone(), rp);
-        }
-    }
-
     /// The unique RP serving publication CD `cd`, if any. Because the table
     /// is prefix-free, at most one served prefix covers `cd`.
     #[must_use]
     pub fn rp_for(&self, cd: &Name) -> Option<RpId> {
         self.served.prefix_values(cd).last().map(|(_, rp)| *rp)
-    }
-
-    /// The served prefix covering `cd`, with its RP.
-    #[must_use]
-    pub fn serving_prefix(&self, cd: &Name) -> Option<(Name, RpId)> {
-        self.served.longest_prefix(cd).map(|(p, rp)| (p, *rp))
     }
 
     /// All RPs a *subscription* to `name` must join: RPs whose served
@@ -147,22 +115,6 @@ impl RpTable {
             }
         }
         out.sort_unstable();
-        out
-    }
-
-    /// The served prefixes (with RPs) relevant to a subscription to `name`:
-    /// the covering prefix and/or all served prefixes below `name`.
-    #[must_use]
-    pub fn prefixes_for_subscription(&self, name: &Name) -> Vec<(Name, RpId)> {
-        let mut out: Vec<(Name, RpId)> = Vec::new();
-        if let Some((p, rp)) = self.served.longest_prefix(name) {
-            out.push((p, *rp));
-        }
-        for (p, rp) in self.served.descendants(name) {
-            if !out.iter().any(|(q, _)| *q == p) {
-                out.push((p, *rp));
-            }
-        }
         out
     }
 
@@ -185,15 +137,6 @@ impl RpTable {
             .into_iter()
             .map(|(p, rp)| (p, *rp))
             .collect()
-    }
-
-    /// All distinct RPs in the table.
-    #[must_use]
-    pub fn rps(&self) -> Vec<RpId> {
-        let mut out: Vec<RpId> = self.assignments().into_iter().map(|(_, rp)| rp).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Number of served prefixes.
@@ -222,24 +165,16 @@ impl RpTable {
         true
     }
 
-    /// Applies an `RpUpdate`: the given CD prefixes move to `new_rp`. The
-    /// moved prefixes may refine existing served prefixes (e.g. moving
-    /// `/1/2` out of a served `/1` splits `/1` into its retained children),
-    /// so callers provide the full retained refinement too.
+    /// Applies an `RpUpdate`: the given CD prefixes move to `new_rp`.
     ///
-    /// For the common case where `moved` are exactly existing served
-    /// prefixes, this is a plain re-assignment.
+    /// A moved prefix that is exactly served is re-assigned. One that lies
+    /// below a coarser served prefix (moving `/1/2` out of a served `/1`)
+    /// is inserted alongside it and shadows the ancestor for everything
+    /// under it: [`RpTable::rp_for`] resolves by longest prefix, so routing
+    /// stays consistent even though the table is not strictly prefix-free
+    /// during the transition.
     pub fn apply_move(&mut self, moved: &[Name], new_rp: RpId) {
         for m in moved {
-            // If m is exactly served, re-assign. Otherwise it refines a
-            // served ancestor; the caller must have refined already, but be
-            // forgiving: refine on the fly using the moved name itself.
-            // Either re-assign an exactly-served prefix, or insert the
-            // moved prefix alongside a coarser served ancestor. The latter
-            // shadows the ancestor for everything under `m` — `rp_for`
-            // resolves by longest prefix, so routing stays consistent even
-            // though the table is no longer strictly prefix-free during
-            // the transition.
             self.served.insert(m.clone(), new_rp);
         }
     }
@@ -261,7 +196,6 @@ mod tests {
         assert_eq!(t.rp_for(&n("/1/1/1")), Some(RpId(0)));
         assert_eq!(t.rp_for(&n("/2")), Some(RpId(1)));
         assert_eq!(t.rp_for(&n("/3")), None);
-        assert_eq!(t.serving_prefix(&n("/1/4")), Some((n("/1"), RpId(0))));
     }
 
     #[test]
@@ -301,27 +235,6 @@ mod tests {
             t.rps_for_subscription(&Name::root()),
             vec![RpId(0), RpId(1), RpId(2)]
         );
-        let pfx = t.prefixes_for_subscription(&n("/1"));
-        assert_eq!(pfx.len(), 2);
-    }
-
-    #[test]
-    fn refine_splits_prefix_in_place() {
-        let mut t = RpTable::new();
-        t.assign(Name::root(), RpId(0)).unwrap();
-        t.refine(&Name::root(), &[n("/0"), n("/1"), n("/2")]);
-        assert_eq!(t.len(), 3);
-        assert!(t.is_prefix_free());
-        assert_eq!(t.rp_for(&n("/1/5")), Some(RpId(0)));
-        assert_eq!(t.rp_for(&n("/9")), None, "refinement narrows coverage");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not refine")]
-    fn refine_rejects_non_descendants() {
-        let mut t = RpTable::new();
-        t.assign(n("/1"), RpId(0)).unwrap();
-        t.refine(&n("/1"), &[n("/2/1")]);
     }
 
     #[test]
@@ -332,7 +245,6 @@ mod tests {
         t.apply_move(&[n("/2")], RpId(1));
         assert_eq!(t.rp_for(&n("/2/3")), Some(RpId(1)));
         assert_eq!(t.rp_for(&n("/1/3")), Some(RpId(0)));
-        assert_eq!(t.rps(), vec![RpId(0), RpId(1)]);
     }
 
     #[test]

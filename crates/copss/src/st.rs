@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gcopss_names::{BloomParams, Cd, CdSet, CountingBloomFilter, Name, NameTreeBitmap};
+use gcopss_names::{BloomParams, Cd, CountingBloomFilter, Name, NameTreeBitmap};
 use gcopss_ndn::FaceId;
 
 use crate::RpId;
@@ -79,7 +79,7 @@ impl SubEntry {
 ///   [`SubscriptionTable::matching_faces_exact`] (the brute-force oracle the
 ///   differential tests compare against) independent of the index; the
 ///   Bloom filters remain the wire-representable per-face CD summary
-///   ([`SubscriptionTable::bloom_prematch`]).
+///   behind [`SubscriptionTable::matching_faces_bloom`].
 ///
 /// # Example
 ///
@@ -332,89 +332,9 @@ impl SubscriptionTable {
             .collect()
     }
 
-    /// The §III-C wire-level prematch: would `face`'s counting Bloom filter
-    /// admit a packet carrying these per-level CD hashes? May err toward
-    /// `true` (false positives), never toward `false` for a subscribed CD.
-    #[must_use]
-    pub fn bloom_prematch(&self, face: FaceId, hashes: &[u64]) -> bool {
-        self.faces
-            .get(&face)
-            .is_some_and(|ft| ft.bloom.contains_any(hashes))
-    }
-
     fn face_matches(ft: &FaceTable, cd: &Name, tree: Option<RpId>) -> bool {
         cd.prefixes()
             .any(|p| ft.entries.get(&p).is_some_and(|e| e.matches_tree(tree)))
-    }
-
-    /// Returns `true` if any face other than `excluding` holds a
-    /// subscription at or below `prefix`.
-    ///
-    /// Answered from the index's subtree counters where possible: with no
-    /// exclusion this is a single `O(depth)` descent. With an excluded face
-    /// it falls back to comparing against that face's own entries — still
-    /// bounded by the excluded face's subscriptions under `prefix`, not by
-    /// table size.
-    #[must_use]
-    pub fn any_subscriber_under(&self, prefix: &Name, excluding: Option<FaceId>) -> bool {
-        let total = self.index.count_under(prefix);
-        if total == 0 {
-            return false;
-        }
-        let Some(excluded) = excluding else {
-            return true;
-        };
-        let Some(ft) = self.faces.get(&excluded) else {
-            return true;
-        };
-        // Under the derived Name ordering, descendants of `prefix` form a
-        // contiguous initial run of `range(prefix..)`: any non-descendant
-        // name ≥ prefix differs from it at some component index before
-        // prefix's end and therefore sorts after every descendant.
-        let mine = ft
-            .entries
-            .range(prefix.clone()..)
-            .take_while(|(n, _)| prefix.is_prefix_of(n));
-        let mut mine_count = 0usize;
-        for (name, _) in mine.clone() {
-            mine_count += 1;
-            // A name the excluded face shares with any other face counts.
-            if self
-                .index
-                .get(name)
-                .is_some_and(|m| m.keys().any(|f| *f != excluded))
-            {
-                return true;
-            }
-        }
-        // More subscribed names under the prefix than the excluded face
-        // holds ⇒ some other face subscribed a name of its own.
-        total > mine_count
-    }
-
-    /// Returns `true` if any face other than `excluding` holds a
-    /// subscription that covers `cd` (is a prefix of it) — one `O(depth)`
-    /// walk of the shared index.
-    #[must_use]
-    pub fn any_subscriber_covering(&self, cd: &Name, excluding: Option<FaceId>) -> bool {
-        self.index
-            .prefix_values(cd)
-            .any(|(_, m)| m.keys().any(|f| Some(*f) != excluding))
-    }
-
-    /// The exact CDs subscribed through `face`.
-    #[must_use]
-    pub fn face_subscriptions(&self, face: FaceId) -> Vec<Name> {
-        self.faces
-            .get(&face)
-            .map(|ft| ft.entries.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// All faces with at least one subscription.
-    #[must_use]
-    pub fn faces(&self) -> Vec<FaceId> {
-        self.faces.keys().copied().collect()
     }
 
     /// Every `(name, anchor RPs)` subscription across all faces, merged
@@ -428,15 +348,6 @@ impl SubscriptionTable {
             }
         }
         out
-    }
-
-    /// The union of all subscribed CD names across faces (untagged view).
-    #[must_use]
-    pub fn all_subscriptions(&self) -> CdSet {
-        self.faces
-            .values()
-            .flat_map(|ft| ft.entries.keys().cloned())
-            .collect()
     }
 
     /// Total number of (face, CD) subscription pairs.
@@ -528,12 +439,6 @@ mod tests {
                 let exact = st.matching_faces_exact(&cd, None, Some(RpId(0)));
                 let bloom = st.matching_faces_bloom(&cd, None, Some(RpId(0)));
                 assert_eq!(bloom, exact, "bloom path diverged from exact");
-                for f in &exact {
-                    assert!(
-                        st.bloom_prematch(*f, cd.hashes().as_slice()),
-                        "bloom prematch missed subscribed face"
-                    );
-                }
             }
         }
     }
@@ -669,29 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn any_subscriber_queries() {
-        let mut st = SubscriptionTable::default();
-        st.subscribe(FaceId(1), n("/1/2"), rps(&[0]), true);
-        st.subscribe(FaceId(2), n("/3"), rps(&[0]), true);
-        assert!(st.any_subscriber_under(&n("/1"), None));
-        assert!(!st.any_subscriber_under(&n("/1"), Some(FaceId(1))));
-        assert!(st.any_subscriber_covering(&n("/3/4"), None));
-        assert!(!st.any_subscriber_covering(&n("/1"), None));
-    }
-
-    #[test]
-    fn any_subscriber_under_sees_shared_names() {
-        // Faces 1 and 2 subscribe the *same* name: excluding face 1 must
-        // still report a subscriber (face 2 shares the name).
-        let mut st = SubscriptionTable::default();
-        st.subscribe(FaceId(1), n("/1/2"), rps(&[0]), true);
-        st.subscribe(FaceId(2), n("/1/2"), rps(&[0]), true);
-        assert!(st.any_subscriber_under(&n("/1"), Some(FaceId(1))));
-        assert!(st.any_subscriber_under(&n("/1"), Some(FaceId(2))));
-        assert!(!st.any_subscriber_under(&n("/2"), None));
-    }
-
-    #[test]
     fn remove_face_returns_cds() {
         let mut st = SubscriptionTable::default();
         st.subscribe(FaceId(1), n("/a"), rps(&[0]), true);
@@ -710,9 +592,6 @@ mod tests {
         st.subscribe(FaceId(1), n("/a"), rps(&[0]), true);
         st.subscribe(FaceId(2), n("/a"), rps(&[1]), true);
         st.subscribe(FaceId(2), n("/b"), rps(&[0]), true);
-        assert_eq!(st.faces(), vec![FaceId(1), FaceId(2)]);
-        assert_eq!(st.face_subscriptions(FaceId(2)).len(), 2);
-        assert_eq!(st.all_subscriptions().len(), 2);
         let tagged = st.all_subscriptions_tagged();
         assert_eq!(tagged[&n("/a")], rps(&[0, 1]));
         assert_eq!(st.len(), 3);

@@ -91,18 +91,6 @@ impl TrafficWindow {
             .sum()
     }
 
-    /// Per-CD counts (exact publication CDs), descending by count.
-    #[must_use]
-    pub fn hottest(&self) -> Vec<(Name, u64)> {
-        let mut v: Vec<(Name, u64)> = self
-            .counts
-            .iter()
-            .map(|(n, c)| (n.clone(), *c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
     /// Plans a load split of the served prefixes: returns the set of
     /// "atoms" to move to a new RP so that roughly `target_fraction` of the
     /// observed window traffic moves (§IV-B: "the CD selection function
@@ -115,17 +103,12 @@ impl TrafficWindow {
     /// cannot be refined). The returned plan keeps both sides non-empty and
     /// prefix-free; returns `None` if the traffic cannot be split (all load
     /// on a single indivisible atom, or an empty window).
+    ///
+    /// Only window CDs for which `eligible` returns `true` are considered —
+    /// an RP uses this to exclude CDs it no longer owns or that are still
+    /// settling from a previous handoff.
     #[must_use]
-    pub fn plan_split(&self, served: &[Name], target_fraction: f64) -> Option<SplitPlan> {
-        self.plan_split_where(served, target_fraction, |_| true)
-    }
-
-    /// Like [`TrafficWindow::plan_split`] but only considering window CDs
-    /// for which `eligible` returns `true` — an RP uses this to exclude
-    /// CDs it no longer owns or that are still settling from a previous
-    /// handoff.
-    #[must_use]
-    pub fn plan_split_where(
+    pub fn plan_split(
         &self,
         served: &[Name],
         target_fraction: f64,
@@ -223,18 +206,6 @@ pub struct SplitPlan {
     pub total_load: u64,
 }
 
-impl SplitPlan {
-    /// Fraction of observed load that moves.
-    #[must_use]
-    pub fn moved_fraction(&self) -> f64 {
-        if self.total_load == 0 {
-            0.0
-        } else {
-            self.moved_load as f64 / self.total_load as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn hottest_sorted_descending() {
-        let mut w = TrafficWindow::new(10);
-        for _ in 0..3 {
-            w.record(n("/b"));
-        }
-        w.record(n("/a"));
-        let h = w.hottest();
-        assert_eq!(h[0], (n("/b"), 3));
-        assert_eq!(h[1], (n("/a"), 1));
-    }
-
-    #[test]
     fn split_balances_roughly_half() {
         let mut w = TrafficWindow::new(1000);
         // Root served; traffic to 5 regions with skewed load.
@@ -289,10 +248,11 @@ mod tests {
                 w.record(Name::root().child_index(region).child_index(1));
             }
         }
-        let plan = w.plan_split(&[Name::root()], 0.5).unwrap();
+        let plan = w.plan_split(&[Name::root()], 0.5, |_| true).unwrap();
         // The hottest region (/1 with 50%) moves.
         assert!(plan.moved.contains(&n("/1")));
-        assert!((0.3..=0.7).contains(&plan.moved_fraction()));
+        let moved_fraction = plan.moved_load as f64 / plan.total_load as f64;
+        assert!((0.3..=0.7).contains(&moved_fraction));
         // Both sides non-empty, atoms disjoint.
         assert!(!plan.retained.is_empty());
         for m in &plan.moved {
@@ -305,7 +265,7 @@ mod tests {
         let mut w = TrafficWindow::new(100);
         w.record(n("/1/1"));
         w.record(n("/1/2"));
-        let plan = w.plan_split(&[n("/1")], 0.5).unwrap();
+        let plan = w.plan_split(&[n("/1")], 0.5, |_| true).unwrap();
         let mut all: Vec<Name> = plan.moved.clone();
         all.extend(plan.retained.clone());
         all.sort();
@@ -319,13 +279,13 @@ mod tests {
             w.record(n("/1"));
         }
         // All traffic directly to the only served prefix: indivisible.
-        assert!(w.plan_split(&[n("/1")], 0.5).is_none());
+        assert!(w.plan_split(&[n("/1")], 0.5, |_| true).is_none());
     }
 
     #[test]
     fn split_empty_window_is_none() {
         let w = TrafficWindow::new(10);
-        assert!(w.plan_split(&[Name::root()], 0.5).is_none());
+        assert!(w.plan_split(&[Name::root()], 0.5, |_| true).is_none());
     }
 
     #[test]
@@ -340,7 +300,7 @@ mod tests {
         for _ in 0..5 {
             w.record(n("/2/1"));
         }
-        let plan = w.plan_split(&[n("/1"), n("/2")], 0.5).unwrap();
+        let plan = w.plan_split(&[n("/1"), n("/2")], 0.5, |_| true).unwrap();
         let mut all = plan.moved.clone();
         all.extend(plan.retained.clone());
         all.sort();

@@ -174,62 +174,6 @@ fn index_match_identical_to_exact_under_churn() {
     );
 }
 
-/// Satellite (ISSUE 6): `any_subscriber_under` / `any_subscriber_covering`
-/// differenced against a brute-force scan of the per-face subscription
-/// lists, over arbitrary (lexicographically tricky) name orderings and with
-/// every exclusion choice.
-#[test]
-fn any_subscriber_queries_agree_with_brute_force() {
-    prop::check(
-        0xC0506,
-        CASES,
-        &(churn_ops(), tricky_name_strategy()),
-        |(ops, probe_parts)| {
-            let mut st = SubscriptionTable::default();
-            for op in ops {
-                apply_op(&mut st, op);
-            }
-            let mut probes: Vec<Name> = ops.iter().map(|(_, _, p, _)| tricky_name(p)).collect();
-            probes.push(tricky_name(probe_parts));
-            probes.push(Name::root());
-            let faces = st.faces();
-            let exclusions: Vec<Option<FaceId>> = std::iter::once(None)
-                .chain((0..5).map(|f| Some(FaceId(f))))
-                .collect();
-            for probe in &probes {
-                for &excluding in &exclusions {
-                    let brute_under = faces
-                        .iter()
-                        .filter(|f| Some(**f) != excluding)
-                        .any(|f| {
-                            st.face_subscriptions(*f)
-                                .iter()
-                                .any(|n| probe.is_prefix_of(n))
-                        });
-                    assert_eq!(
-                        st.any_subscriber_under(probe, excluding),
-                        brute_under,
-                        "any_subscriber_under diverged at prefix={probe} excluding={excluding:?}"
-                    );
-                    let brute_covering = faces
-                        .iter()
-                        .filter(|f| Some(**f) != excluding)
-                        .any(|f| {
-                            st.face_subscriptions(*f)
-                                .iter()
-                                .any(|n| n.is_prefix_of(probe))
-                        });
-                    assert_eq!(
-                        st.any_subscriber_covering(probe, excluding),
-                        brute_covering,
-                        "any_subscriber_covering diverged at cd={probe} excluding={excluding:?}"
-                    );
-                }
-            }
-        },
-    );
-}
-
 /// The RP table stays prefix-free under random valid assignment and
 /// splitting, and publication coverage is unique.
 #[test]
@@ -309,7 +253,7 @@ fn split_plan_partitions_load() {
         for cd in &cds {
             w.record(cd.clone());
         }
-        if let Some(plan) = w.plan_split(&[Name::root()], 0.5) {
+        if let Some(plan) = w.plan_split(&[Name::root()], 0.5, |_| true) {
             assert!(!plan.moved.is_empty());
             assert!(!plan.retained.is_empty());
             let mut all = plan.moved.clone();

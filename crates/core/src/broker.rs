@@ -1041,13 +1041,6 @@ pub fn partition_cds_to_brokers(map: &GameMap, broker_count: usize) -> Vec<Vec<N
     out
 }
 
-/// The extra RP-table prefixes a movement scenario needs: the whole
-/// `/snapcast` namespace, anchored at one RP.
-#[must_use]
-pub fn snapcast_rp_prefixes() -> Vec<Name> {
-    vec![snapcast_ns()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

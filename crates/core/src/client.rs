@@ -214,12 +214,6 @@ impl TraceCursor {
         self.next += 1;
         Some((u64::from(i), &self.trace[i as usize]))
     }
-
-    /// Remaining events.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.indices.len() - self.next
-    }
 }
 
 /// Client-side catch-up tunables (snapshot refresh on join/recovery).
@@ -930,7 +924,6 @@ mod tests {
         };
         let trace = Arc::new(vec![mk(10, 0), mk(20, 1), mk(30, 0)]);
         let mut c = TraceCursor::for_player(trace, PlayerId(0), SimDuration::from_millis(1));
-        assert_eq!(c.remaining(), 2);
         assert_eq!(
             c.next_time(),
             Some(SimTime::from_nanos(10) + SimDuration::from_millis(1))

@@ -7,6 +7,8 @@
 //!   longer"),
 //! * the QR pipelining window (§V-B: "no further benefit for a higher
 //!   window size beyond 15").
+//!
+//! Every sweep harvests one telemetry report per run when its `cap` is on.
 
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
@@ -15,8 +17,8 @@ use crate::ndn_baseline::NdnClientConfig;
 use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{MetricsMode, SimParams};
 
-use super::movement::{run_mode_with, MovementConfig};
-use super::rp_sweep::{run_gcopss_once_with, summarize};
+use super::movement::{run_mode, MovementConfig};
+use super::rp_sweep::{run_gcopss_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
 
 /// Hybrid group-count sweep: fewer groups = more CD sharing = more
@@ -26,17 +28,7 @@ pub fn hybrid_group_sweep(
     workload: &WorkloadParams,
     net_seed: u64,
     group_counts: &[u32],
-) -> Vec<(u32, RunSummary)> {
-    hybrid_group_sweep_with(workload, net_seed, group_counts, None)
-}
-
-/// [`hybrid_group_sweep`] with optional telemetry capture.
-#[must_use]
-pub fn hybrid_group_sweep_with(
-    workload: &WorkloadParams,
-    net_seed: u64,
-    group_counts: &[u32],
-    mut telemetry: Option<&mut TelemetryCapture>,
+    cap: &mut TelemetryCapture,
 ) -> Vec<(u32, RunSummary)> {
     let w = Workload::counter_strike(workload);
     let net = NetworkSpec::default_backbone(net_seed);
@@ -52,8 +44,7 @@ pub fn hybrid_group_sweep_with(
                 .hybrid(cfg)
                 .build()
                 .into_hybrid();
-            let (cap, label) = (telemetry.as_deref_mut(), format!("hybrid-{g}g"));
-            TelemetryCapture::observe(cap, &mut built.sim, &label, Simulator::run);
+            cap.observe(&mut built.sim, &format!("hybrid-{g}g"), Simulator::run);
             let bytes = built.sim.total_link_bytes();
             (
                 g,
@@ -70,17 +61,7 @@ pub fn split_threshold_sweep(
     workload: &WorkloadParams,
     net_seed: u64,
     thresholds: &[usize],
-) -> Vec<(usize, usize, RunSummary)> {
-    split_threshold_sweep_with(workload, net_seed, thresholds, None)
-}
-
-/// [`split_threshold_sweep`] with optional telemetry capture.
-#[must_use]
-pub fn split_threshold_sweep_with(
-    workload: &WorkloadParams,
-    net_seed: u64,
-    thresholds: &[usize],
-    mut telemetry: Option<&mut TelemetryCapture>,
+    cap: &mut TelemetryCapture,
 ) -> Vec<(usize, usize, RunSummary)> {
     let w = Workload::counter_strike(workload);
     let net = NetworkSpec::default_backbone(net_seed);
@@ -88,9 +69,8 @@ pub fn split_threshold_sweep_with(
         .iter()
         .map(|&t| {
             let label = format!("auto-thr{t}");
-            let cap = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
             let (world, bytes) =
-                run_gcopss_once_with(&w, &net, 1, Some(t), MetricsMode::StatsOnly, cap);
+                run_gcopss_once(&w, &net, 1, Some(t), MetricsMode::StatsOnly, cap, &label);
             let splits = world.splits.len();
             (
                 t,
@@ -108,17 +88,7 @@ pub fn ndn_accumulation_sweep(
     seed: u64,
     duration: SimDuration,
     intervals: &[SimDuration],
-) -> Vec<(SimDuration, RunSummary)> {
-    ndn_accumulation_sweep_with(seed, duration, intervals, None)
-}
-
-/// [`ndn_accumulation_sweep`] with optional telemetry capture.
-#[must_use]
-pub fn ndn_accumulation_sweep_with(
-    seed: u64,
-    duration: SimDuration,
-    intervals: &[SimDuration],
-    mut telemetry: Option<&mut TelemetryCapture>,
+    cap: &mut TelemetryCapture,
 ) -> Vec<(SimDuration, RunSummary)> {
     let w = Workload::microbenchmark(seed, duration);
     let net = NetworkSpec::Testbed;
@@ -140,9 +110,7 @@ pub fn ndn_accumulation_sweep_with(
                 .into_ndn_baseline();
             let horizon = SimTime::ZERO + WARMUP + duration + SimDuration::from_secs(120);
             let label = format!("ndn-t{:.0}ms", t.as_millis_f64());
-            TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
-                sim.run_until(horizon);
-            });
+            cap.observe(&mut built.sim, &label, |sim| sim.run_until(horizon));
             let bytes = built.sim.total_link_bytes();
             (
                 t,
@@ -161,25 +129,12 @@ pub fn ndn_accumulation_sweep_with(
 pub fn qr_window_sweep(
     base: &MovementConfig,
     windows: &[u32],
-) -> Vec<(u32, SimDuration)> {
-    qr_window_sweep_with(base, windows, None)
-}
-
-/// [`qr_window_sweep`] with optional telemetry capture.
-#[must_use]
-pub fn qr_window_sweep_with(
-    base: &MovementConfig,
-    windows: &[u32],
-    mut telemetry: Option<&mut TelemetryCapture>,
+    cap: &mut TelemetryCapture,
 ) -> Vec<(u32, SimDuration)> {
     windows
         .iter()
         .map(|&win| {
-            let out = run_mode_with(
-                base,
-                SnapshotMode::QueryResponse { window: win },
-                telemetry.as_deref_mut(),
-            );
+            let out = run_mode(base, SnapshotMode::QueryResponse { window: win }, cap);
             (win, out.total_mean)
         })
         .collect()
@@ -199,6 +154,7 @@ mod tests {
             },
             5,
             &[1, 6],
+            &mut TelemetryCapture::off(),
         );
         assert_eq!(rows.len(), 2);
         // 1 group must carry at least as much traffic as 6 groups.
@@ -215,6 +171,7 @@ mod tests {
             },
             5,
             &[30],
+            &mut TelemetryCapture::off(),
         );
         assert_eq!(rows.len(), 1);
         assert!(rows[0].1 >= 1, "a low threshold must trigger a split");

@@ -325,29 +325,17 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> Workload {
     w
 }
 
-/// Runs the full sweep.
+/// Runs the full sweep, harvesting one telemetry report per run when `cap`
+/// is on.
 #[must_use]
-pub fn run(cfg: &AdaptiveSweepConfig) -> AdaptiveOutput {
-    run_with(cfg, None)
-}
-
-/// Runs the full sweep, optionally harvesting one telemetry report per
-/// run.
-#[must_use]
-pub fn run_with(
-    cfg: &AdaptiveSweepConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> AdaptiveOutput {
-    let rp_rows = run_rp_arm(cfg, telemetry.as_deref_mut());
-    let cache_rows = run_cache_arm(cfg, telemetry);
+pub fn run(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> AdaptiveOutput {
+    let rp_rows = run_rp_arm(cfg, cap);
+    let cache_rows = run_cache_arm(cfg, cap);
     AdaptiveOutput { rp_rows, cache_rows }
 }
 
 /// The RP arm: hotspot trace, bounded queues, three balancing policies.
-fn run_rp_arm(
-    cfg: &AdaptiveSweepConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> Vec<RpRow> {
+fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRow> {
     let w = hotspot_workload(cfg);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
@@ -387,10 +375,10 @@ fn run_rp_arm(
             .gcopss(sys)
             .build()
             .into_gcopss();
-        if telemetry.is_none() {
+        if !cap.is_on() {
             built.sim.enable_telemetry(TelemetryConfig::counters_only());
         }
-        TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
+        cap.observe(&mut built.sim, &label, |sim| {
             sim.enable_lineage(LineageConfig {
                 capacity: LINEAGE_CAPACITY,
                 ..LineageConfig::default()
@@ -432,10 +420,7 @@ fn run_rp_arm(
 
 /// The cache arm: flash crowd into one area, QR snapshots, two cache
 /// policies.
-fn run_cache_arm(
-    cfg: &AdaptiveSweepConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> Vec<CacheRow> {
+fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<CacheRow> {
     let w = Workload::counter_strike(&WorkloadParams {
         mean_interarrival: CACHE_INTERARRIVAL,
         ..cfg.workload.clone()
@@ -555,7 +540,7 @@ fn run_cache_arm(
             + SimDuration::from_secs(2))
         .min(horizon);
         let mut hot_hit_rate = None;
-        TelemetryCapture::observe(telemetry.as_deref_mut(), &mut built.sim, &label, |sim| {
+        cap.observe(&mut built.sim, &label, |sim| {
             sim.run_until(peak);
             hot_hit_rate = sim.streams_active().then(|| {
                 let pop = |sketch| {
@@ -632,7 +617,7 @@ mod tests {
     /// flash crowd in the routers' content stores.
     #[test]
     fn adaptive_beats_static_under_hotspot() {
-        let out = run(&mini_cfg());
+        let out = run(&mini_cfg(), &mut TelemetryCapture::off());
         for r in &out.rp_rows {
             eprintln!("{} splits_at={:?}", r.row(), r.split_times);
         }
@@ -721,8 +706,8 @@ mod tests {
             crowd_size: 10,
             drain: SimDuration::from_secs(8),
         };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = run(&cfg, &mut TelemetryCapture::off());
+        let b = run(&cfg, &mut TelemetryCapture::off());
         for (x, y) in a.rp_rows.iter().zip(&b.rp_rows) {
             assert_eq!(x.label, y.label);
             assert_eq!(x.delivered, y.delivered, "{}", x.label);

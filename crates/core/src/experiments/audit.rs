@@ -18,23 +18,23 @@
 //! failure sweep tolerates under-delivery; with Bernoulli loss the whole
 //! run is damaged, because loss draws are not confined to a window.
 
-use std::collections::BTreeMap;
-
-use gcopss_names::Name;
 use gcopss_sim::json::Json;
 use gcopss_sim::{
     AuditReport, LineageConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
     TimeSeriesConfig,
 };
 
-use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
 
 use super::failover::{chaos_plan, FailoverConfig, RP_COUNT};
 use super::{Workload, NET_SEED};
 
-/// The periodic time-series sampler armed on every audited run.
-fn timeseries_config() -> TimeSeriesConfig {
+/// The periodic time-series sampler armed on every audited run (and by the
+/// runner on the failure sweep's captured runs, which replay the same
+/// chaos scenario).
+#[must_use]
+pub fn timeseries_config() -> TimeSeriesConfig {
     TimeSeriesConfig {
         tick: SimDuration::from_millis(500),
         counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
@@ -78,22 +78,12 @@ pub fn register_expectations(
     w: &Workload,
     warmup: SimDuration,
 ) {
-    let mut viewers: BTreeMap<&Name, Vec<u32>> = BTreeMap::new();
-    for cd in w.map.leaf_cds() {
-        let area = w.map.area_of_leaf_cd(cd).expect("leaf CD");
-        let who: Vec<u32> = w
-            .population
-            .players()
-            .filter(|p| w.map.can_see(w.population.area_of(*p), area))
-            .map(|p| p.0)
-            .collect();
-        viewers.insert(cd, who);
-    }
+    let viewers = viewers_by_cd(&w.map, &w.population);
     for (i, e) in w.trace.iter().enumerate() {
         let t_publish = SimTime::ZERO + warmup + SimDuration::from_nanos(e.time_ns);
         let entities: Vec<u32> = viewers
             .get(&e.cd)
-            .map(|v| v.iter().copied().filter(|&p| p != e.player.0).collect())
+            .map(|v| v.iter().filter(|&&p| p != e.player).map(|p| p.0).collect())
             .unwrap_or_default();
         sim.lineage_mut()
             .expect(i as u64, t_publish, e.player.0, &entities);

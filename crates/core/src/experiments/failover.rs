@@ -16,14 +16,11 @@
 //! recovers, absent residual loss), and the time from the last repair to
 //! the last under-delivered publication.
 
-use std::collections::BTreeMap;
-
-use gcopss_names::Name;
 use gcopss_game::PlayerId;
 use gcopss_sim::{EngineDrop, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
+    viewers_by_cd, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
 };
 use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
 
@@ -162,10 +159,10 @@ fn run_chaos(
     mut sim: Simulator<GPacket, GameWorld>,
     plan: &FaultPlan,
     horizon: SimTime,
-    telemetry: Option<(&mut TelemetryCapture, &str)>,
+    cap: &mut TelemetryCapture,
+    label: &str,
 ) -> ChaosRun {
-    let (cap, label) = telemetry.unzip();
-    TelemetryCapture::observe(cap, &mut sim, label.unwrap_or_default(), |sim| {
+    cap.observe(&mut sim, label, |sim| {
         sim.install_faults(plan.clone());
         sim.run_until(horizon);
     });
@@ -210,16 +207,7 @@ struct Deliverability {
 
 /// Per-publication delivery accounting against the AoI model.
 fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Deliverability {
-    let mut viewers: BTreeMap<&Name, u64> = BTreeMap::new();
-    for cd in w.map.leaf_cds() {
-        let area = w.map.area_of_leaf_cd(cd).expect("leaf CD");
-        let count = w
-            .population
-            .players()
-            .filter(|p| w.map.can_see(w.population.area_of(*p), area))
-            .count() as u64;
-        viewers.insert(cd, count);
-    }
+    let viewers = viewers_by_cd(&w.map, &w.population);
     let log = run
         .world
         .delivery_log
@@ -241,7 +229,7 @@ fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Delivera
     let mut last_bad: Option<usize> = None;
     let mut last_with_fanout: Option<usize> = None;
     for (i, e) in w.trace.iter().enumerate() {
-        let want = viewers.get(&e.cd).copied().unwrap_or(0).saturating_sub(1);
+        let want = (viewers.get(&e.cd).map_or(0, Vec::len) as u64).saturating_sub(1);
         let got = per_id[i].min(want);
         expected += want;
         delivered += got;
@@ -300,18 +288,10 @@ fn make_row(label: String, loss: f64, run: &ChaosRun, w: &Workload, cfg: &Failov
     }
 }
 
-/// Runs the full sweep.
+/// Runs the full sweep, harvesting one telemetry report per run when `cap`
+/// is on.
 #[must_use]
-pub fn run(cfg: &FailoverConfig) -> FailoverOutput {
-    run_with(cfg, None)
-}
-
-/// Runs the full sweep, optionally harvesting one telemetry report per run.
-#[must_use]
-pub fn run_with(
-    cfg: &FailoverConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> FailoverOutput {
+pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let links = net.core_links_preview();
@@ -335,8 +315,7 @@ pub fn run_with(
             .gcopss(sys)
             .build()
             .into_gcopss();
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let run = run_chaos(built.sim, &plan, horizon, t);
+        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
         rows.push(make_row(label, loss, &run, &w, cfg));
     }
 
@@ -354,8 +333,7 @@ pub fn run_with(
             .ip_server(sys)
             .build()
             .into_ip_server();
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let run = run_chaos(built.sim, &plan, horizon, t);
+        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
         rows.push(make_row(label, loss, &run, &w, cfg));
     }
 
@@ -372,8 +350,7 @@ pub fn run_with(
             .ndn_baseline(sys)
             .build()
             .into_ndn_baseline();
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let run = run_chaos(built.sim, &plan, horizon, t);
+        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
         rows.push(make_row(label, loss, &run, &w, cfg));
     }
 
@@ -404,7 +381,7 @@ mod tests {
             settle: SimDuration::from_secs(2),
             drain: SimDuration::from_secs(10),
         };
-        let out = run(&cfg);
+        let out = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(out.rows.len(), 3);
         for r in &out.rows {
             assert!(r.delivered > 0, "{}: nothing delivered", r.label);

@@ -6,7 +6,7 @@ use gcopss_sim::Simulator;
 use crate::scenario::{HybridConfig, NetworkSpec, ScenarioSpec};
 use crate::MetricsMode;
 
-use super::rp_sweep::{run_gcopss_once_with, run_ip_once_with, summarize};
+use super::rp_sweep::{run_gcopss_once, run_ip_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RPs / servers / IP multicast groups (paper: 6 of each).
@@ -25,28 +25,17 @@ pub struct FullTraceOutput {
 
 /// Runs the three systems over the same workload; the paper uses the full
 /// 1,686,905-update trace — set `updates` accordingly, or smaller for quick
-/// runs.
+/// runs. Harvests one telemetry report per system run when `cap` is on.
 #[must_use]
-pub fn run(workload: &WorkloadParams) -> FullTraceOutput {
-    run_with(workload, None)
-}
-
-/// Runs the three systems, optionally harvesting one telemetry report per
-/// system run.
-#[must_use]
-pub fn run_with(
-    workload: &WorkloadParams,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> FullTraceOutput {
+pub fn run(workload: &WorkloadParams, cap: &mut TelemetryCapture) -> FullTraceOutput {
     let w = Workload::counter_strike(workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
 
-    let t = telemetry.as_mut().map(|c| (&mut **c, "ip"));
-    let (world, bytes) = run_ip_once_with(&w, &net, CORES, MetricsMode::StatsOnly, t);
+    let (world, bytes) = run_ip_once(&w, &net, CORES, MetricsMode::StatsOnly, cap, "ip");
     let ip = summarize(format!("IP server x{CORES}"), &world, bytes);
 
-    let t = telemetry.as_mut().map(|c| (&mut **c, "gcopss"));
-    let (world, bytes) = run_gcopss_once_with(&w, &net, CORES, None, MetricsMode::StatsOnly, t);
+    let (world, bytes) =
+        run_gcopss_once(&w, &net, CORES, None, MetricsMode::StatsOnly, cap, "gcopss");
     let gcopss = summarize(format!("G-COPSS {CORES} RPs"), &world, bytes);
 
     let hybrid = {
@@ -59,7 +48,7 @@ pub fn run_with(
             .hybrid(c)
             .build()
             .into_hybrid();
-        TelemetryCapture::observe(telemetry, &mut built.sim, "hybrid", Simulator::run);
+        cap.observe(&mut built.sim, "hybrid", Simulator::run);
         let bytes = built.sim.total_link_bytes();
         summarize(
             format!("hybrid-G-COPSS {CORES} groups"),
@@ -79,11 +68,12 @@ mod tests {
     /// latency: hybrid ≤ G-COPSS < IP; load: G-COPSS < hybrid < IP.
     #[test]
     fn mini_full_trace_orderings() {
-        let out = run(&WorkloadParams {
+        let workload = WorkloadParams {
             updates: 6_000,
             players: 150,
             ..WorkloadParams::default()
-        });
+        };
+        let out = run(&workload, &mut TelemetryCapture::off());
         // Latency: hybrid best (fast IP core, no RP detour), IP worst.
         assert!(
             out.hybrid.mean_latency <= out.gcopss.mean_latency,

@@ -75,19 +75,10 @@ fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64) -> System
     }
 }
 
-/// Runs all three systems on the testbed and returns their CDFs.
+/// Runs all three systems on the testbed and returns their CDFs,
+/// harvesting one telemetry report per system run when `cap` is on.
 #[must_use]
-pub fn run(cfg: &MicrobenchConfig) -> MicrobenchOutput {
-    run_with(cfg, None)
-}
-
-/// Runs all three systems, optionally harvesting one telemetry report per
-/// system run.
-#[must_use]
-pub fn run_with(
-    cfg: &MicrobenchConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> MicrobenchOutput {
+pub fn run(cfg: &MicrobenchConfig, cap: &mut TelemetryCapture) -> MicrobenchOutput {
     let w = Workload::microbenchmark(cfg.seed, cfg.duration);
     let net = NetworkSpec::Testbed;
 
@@ -103,8 +94,7 @@ pub fn run_with(
             .gcopss(c)
             .build()
             .into_gcopss();
-        let cap = telemetry.as_deref_mut();
-        TelemetryCapture::observe(cap, &mut built.sim, "gcopss", Simulator::run);
+        cap.observe(&mut built.sim, "gcopss", Simulator::run);
         let bytes = built.sim.total_link_bytes();
         system_result("G-COPSS", built.sim.into_world(), bytes)
     };
@@ -121,8 +111,7 @@ pub fn run_with(
             .ip_server(c)
             .build()
             .into_ip_server();
-        let cap = telemetry.as_deref_mut();
-        TelemetryCapture::observe(cap, &mut built.sim, "ip", Simulator::run);
+        cap.observe(&mut built.sim, "ip", Simulator::run);
         let bytes = built.sim.total_link_bytes();
         system_result("IP server", built.sim.into_world(), bytes)
     };
@@ -141,7 +130,7 @@ pub fn run_with(
             .build()
             .into_ndn_baseline();
         let horizon = SimTime::ZERO + WARMUP + cfg.duration + SimDuration::from_secs(120);
-        TelemetryCapture::observe(telemetry, &mut built.sim, "ndn", |sim| sim.run_until(horizon));
+        cap.observe(&mut built.sim, "ndn", |sim| sim.run_until(horizon));
         let bytes = built.sim.total_link_bytes();
         system_result("NDN", built.sim.into_world(), bytes)
     };
@@ -160,7 +149,7 @@ mod tests {
             duration: SimDuration::from_secs(4),
             ..MicrobenchConfig::default()
         };
-        let out = run(&cfg);
+        let out = run(&cfg, &mut TelemetryCapture::off());
         let g = out.gcopss.summary.mean_latency;
         let i = out.ip.summary.mean_latency;
         let n = out.ndn.summary.mean_latency;

@@ -49,15 +49,17 @@ pub const NET_SEED: u64 = 7;
 
 /// Collects one [`TelemetryReport`] per simulator run of a driver.
 ///
-/// Drivers take `Option<&mut TelemetryCapture>` and run every simulator
-/// through [`TelemetryCapture::observe`]: `None` keeps telemetry off (zero
-/// cost), `Some` arms the simulator before it runs and harvests a report
-/// after. Reports are numbered in run order; the index becomes the
-/// Chrome-trace process id, so all runs of one experiment share a single
-/// trace file with one "process" lane per run.
-#[derive(Debug, Default)]
+/// Drivers take `&mut TelemetryCapture` and run every simulator through
+/// [`TelemetryCapture::observe`]: a capture that is off
+/// ([`TelemetryCapture::off`]) keeps telemetry off (zero cost), one that is
+/// on arms the simulator before it runs and harvests a report after.
+/// Reports are numbered in run order; the index becomes the Chrome-trace
+/// process id, so all runs of one experiment share a single trace file
+/// with one "process" lane per run.
+#[derive(Debug)]
 pub struct TelemetryCapture {
-    cfg: TelemetryConfig,
+    /// Applied to every run; `None` while the capture is off.
+    cfg: Option<TelemetryConfig>,
     timeseries: Option<TimeSeriesConfig>,
     /// Harvested reports, in run order.
     pub reports: Vec<TelemetryReport>,
@@ -67,15 +69,31 @@ pub struct TelemetryCapture {
 }
 
 impl TelemetryCapture {
-    /// Creates a capture applying `cfg` to every run.
+    /// A capture that observes nothing: runs stay uninstrumented and no
+    /// report is harvested.
     #[must_use]
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    pub fn off() -> Self {
         Self {
-            cfg,
+            cfg: None,
             timeseries: None,
             reports: Vec::new(),
             series: Vec::new(),
         }
+    }
+
+    /// Creates a capture applying `cfg` to every run.
+    #[must_use]
+    pub fn new(cfg: TelemetryConfig) -> Self {
+        Self {
+            cfg: Some(cfg),
+            ..Self::off()
+        }
+    }
+
+    /// Whether runs under this capture are instrumented.
+    #[must_use]
+    pub fn is_on(&self) -> bool {
+        self.cfg.is_some()
     }
 
     /// Additionally arms the periodic time-series sampler on every run;
@@ -86,28 +104,27 @@ impl TelemetryCapture {
         self
     }
 
-    /// Runs `run` on `sim` under an optional capture: arms telemetry before
-    /// it and harvests the run's report as `label` after it. With `None`
-    /// this is just `run(sim)` and `label` is unused.
+    /// Runs `run` on `sim` under the capture: arms telemetry before it and
+    /// harvests the run's report as `label` after it. While the capture is
+    /// off this is just `run(sim)` and `label` is unused.
     pub fn observe(
-        cap: Option<&mut Self>,
+        &mut self,
         sim: &mut Simulator<GPacket, GameWorld>,
         label: &str,
         run: impl FnOnce(&mut Simulator<GPacket, GameWorld>),
     ) {
-        if let Some(cap) = &cap {
-            sim.enable_telemetry(cap.cfg.clone());
-            if let Some(ts) = &cap.timeseries {
-                sim.enable_timeseries(ts.clone());
-            }
+        let Some(cfg) = &self.cfg else {
+            return run(sim);
+        };
+        sim.enable_telemetry(cfg.clone());
+        if let Some(ts) = &self.timeseries {
+            sim.enable_timeseries(ts.clone());
         }
         run(sim);
-        if let Some(cap) = cap {
-            let pid = cap.reports.len() as u64;
-            cap.reports.push(sim.telemetry_report(label, pid));
-            if let Some(frames) = sim.timeseries_json() {
-                cap.series.push((label.to_string(), frames));
-            }
+        let pid = self.reports.len() as u64;
+        self.reports.push(sim.telemetry_report(label, pid));
+        if let Some(frames) = sim.timeseries_json() {
+            self.series.push((label.to_string(), frames));
         }
     }
 }

@@ -111,18 +111,12 @@ fn mean_ci(samples: &[SimDuration]) -> (SimDuration, SimDuration) {
     )
 }
 
-/// Runs one snapshot mode.
+/// Runs one snapshot mode, harvesting a telemetry report when `cap` is on.
 #[must_use]
-pub fn run_mode(cfg: &MovementConfig, mode: SnapshotMode) -> MovementOutput {
-    run_mode_with(cfg, mode, None)
-}
-
-/// Runs one snapshot mode, optionally harvesting a telemetry report.
-#[must_use]
-pub fn run_mode_with(
+pub fn run_mode(
     cfg: &MovementConfig,
     mode: SnapshotMode,
-    telemetry: Option<&mut TelemetryCapture>,
+    cap: &mut TelemetryCapture,
 ) -> MovementOutput {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
@@ -200,9 +194,7 @@ pub fn run_mode_with(
         SnapshotMode::QueryResponse { window } => format!("qr-w{window}"),
         SnapshotMode::CyclicMulticast => "cyclic".to_string(),
     };
-    TelemetryCapture::observe(telemetry, &mut built.sim, &label, |sim| {
-        sim.run_until(horizon);
-    });
+    cap.observe(&mut built.sim, &label, |sim| sim.run_until(horizon));
     let network_bytes = built.sim.total_link_bytes();
     let world = built.sim.into_world();
 
@@ -255,32 +247,18 @@ pub fn run_mode_with(
     }
 }
 
-/// Runs the paper's three modes: QR window 5, QR window 15, cyclic.
+/// Runs the paper's three modes: QR window 5, QR window 15, cyclic (one
+/// telemetry report per mode when `cap` is on).
 #[must_use]
-pub fn run_all(cfg: &MovementConfig) -> Vec<MovementOutput> {
-    run_all_with(cfg, None)
-}
-
-/// [`run_all`] with optional telemetry capture (one report per mode).
-#[must_use]
-pub fn run_all_with(
-    cfg: &MovementConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> Vec<MovementOutput> {
+pub fn run_all(cfg: &MovementConfig, cap: &mut TelemetryCapture) -> Vec<MovementOutput> {
     [
         SnapshotMode::QueryResponse { window: 5 },
         SnapshotMode::QueryResponse { window: 15 },
         SnapshotMode::CyclicMulticast,
     ]
     .into_iter()
-    .map(|mode| run_mode_with(cfg, mode, telemetry.as_deref_mut()))
+    .map(|mode| run_mode(cfg, mode, cap))
     .collect()
-}
-
-/// The extra CD namespaces the movement scenario anchors at RP 0.
-#[must_use]
-pub fn extra_namespaces() -> Vec<Name> {
-    crate::broker::snapcast_rp_prefixes()
 }
 
 #[cfg(test)]
@@ -303,7 +281,8 @@ mod tests {
 
     #[test]
     fn qr_mode_completes_moves() {
-        let out = run_mode(&mini_cfg(), SnapshotMode::QueryResponse { window: 15 });
+        let mode = SnapshotMode::QueryResponse { window: 15 };
+        let out = run_mode(&mini_cfg(), mode, &mut TelemetryCapture::off());
         assert!(out.moves > 0, "no moves completed");
         assert!(out.snapshot_bytes > 0);
         assert!(out.total_mean > SimDuration::ZERO);
@@ -317,7 +296,8 @@ mod tests {
 
     #[test]
     fn cyclic_mode_completes_moves() {
-        let out = run_mode(&mini_cfg(), SnapshotMode::CyclicMulticast);
+        let mode = SnapshotMode::CyclicMulticast;
+        let out = run_mode(&mini_cfg(), mode, &mut TelemetryCapture::off());
         assert!(out.moves > 0, "no moves completed");
         assert!(out.snapshot_bytes > 0);
         assert!(out.total_mean > SimDuration::ZERO);
@@ -326,8 +306,9 @@ mod tests {
     #[test]
     fn wider_qr_window_is_faster() {
         let cfg = mini_cfg();
-        let qr5 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 5 });
-        let qr15 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 15 });
+        let cap = &mut TelemetryCapture::off();
+        let qr5 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 5 }, cap);
+        let qr15 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 15 }, cap);
         assert!(
             qr15.total_mean < qr5.total_mean,
             "window 15 ({}) should beat window 5 ({})",

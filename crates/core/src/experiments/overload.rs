@@ -225,12 +225,6 @@ pub struct OverloadOutput {
     pub rows: Vec<OverloadRow>,
 }
 
-/// Runs the full sweep.
-#[must_use]
-pub fn run(cfg: &OverloadSweepConfig) -> OverloadOutput {
-    run_with(cfg, None)
-}
-
 /// Harvest of one finished run.
 struct RunHarvest {
     world: GameWorld,
@@ -249,15 +243,15 @@ fn run_one(
     mut sim: Simulator<GPacket, GameWorld>,
     horizon: SimTime,
     audited: Option<&Workload>,
-    telemetry: Option<(&mut TelemetryCapture, &str)>,
+    cap: &mut TelemetryCapture,
+    label: &str,
 ) -> RunHarvest {
-    let (cap, label) = telemetry.unzip();
-    if cap.is_none() {
+    if !cap.is_on() {
         // The per-class control counters live in telemetry, so captureless
         // runs still count.
         sim.enable_telemetry(TelemetryConfig::counters_only());
     }
-    TelemetryCapture::observe(cap, &mut sim, label.unwrap_or_default(), |sim| {
+    cap.observe(&mut sim, label, |sim| {
         if let Some(w) = audited {
             sim.enable_lineage(LineageConfig::default());
             register_expectations(sim, w, WARMUP);
@@ -328,12 +322,10 @@ fn make_row(
     }
 }
 
-/// Runs the full sweep, optionally harvesting one telemetry report per run.
+/// Runs the full sweep, harvesting one telemetry report per run when `cap`
+/// is on.
 #[must_use]
-pub fn run_with(
-    cfg: &OverloadSweepConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> OverloadOutput {
+pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOutput {
     let net = NetworkSpec::default_backbone(NET_SEED);
     let recovery = RecoveryConfig {
         subscribe_refresh: Some(SUBSCRIBE_REFRESH),
@@ -364,8 +356,7 @@ pub fn run_with(
                 .build()
                 .into_gcopss();
             let audited = (regime == QueueRegime::Aqm).then_some(&w);
-            let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-            let h = run_one(built.sim, horizon, audited, t);
+            let h = run_one(built.sim, horizon, audited, cap, &label);
             rows.push(make_row(label, "gcopss", regime, load, h, &w));
         }
 
@@ -384,8 +375,7 @@ pub fn run_with(
                 .ip_server(sys)
                 .build()
                 .into_ip_server();
-            let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-            let h = run_one(built.sim, horizon, None, t);
+            let h = run_one(built.sim, horizon, None, cap, &label);
             rows.push(make_row(label, "ip", QueueRegime::Aqm, load, h, &w));
         }
 
@@ -402,8 +392,7 @@ pub fn run_with(
                 .ndn_baseline(sys)
                 .build()
                 .into_ndn_baseline();
-            let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-            let h = run_one(built.sim, horizon, None, t);
+            let h = run_one(built.sim, horizon, None, cap, &label);
             rows.push(make_row(label, "ndn", QueueRegime::Aqm, load, h, &w));
         }
     }
@@ -430,7 +419,7 @@ mod tests {
             loads: vec![0.5, 4.0],
             drain: SimDuration::from_secs(5),
         };
-        let out = run(&cfg);
+        let out = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(out.rows.len(), 10);
         let find = |label: &str| {
             out.rows
@@ -524,8 +513,8 @@ mod tests {
             loads: vec![4.0],
             drain: SimDuration::from_secs(5),
         };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = run(&cfg, &mut TelemetryCapture::off());
+        let b = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(a.rows.len(), b.rows.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.label, y.label);

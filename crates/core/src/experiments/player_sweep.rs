@@ -6,7 +6,7 @@ use gcopss_sim::SimDuration;
 use crate::scenario::NetworkSpec;
 use crate::MetricsMode;
 
-use super::rp_sweep::{run_gcopss_once_with, run_ip_once_with, summarize};
+use super::rp_sweep::{run_gcopss_once, run_ip_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// Mean inter-arrival at the 414-player reference point; scaled inversely
@@ -55,18 +55,10 @@ pub struct PlayerSweepOutput {
     pub ip: Vec<SweepPoint>,
 }
 
-/// Runs the sweep.
+/// Runs the sweep, harvesting one telemetry report per run when `cap` is
+/// on.
 #[must_use]
-pub fn run(cfg: &PlayerSweepConfig) -> PlayerSweepOutput {
-    run_with(cfg, None)
-}
-
-/// Runs the sweep, optionally harvesting one telemetry report per run.
-#[must_use]
-pub fn run_with(
-    cfg: &PlayerSweepConfig,
-    mut telemetry: Option<&mut TelemetryCapture>,
-) -> PlayerSweepOutput {
+pub fn run(cfg: &PlayerSweepConfig, cap: &mut TelemetryCapture) -> PlayerSweepOutput {
     let net = NetworkSpec::default_backbone(NET_SEED);
     let mut gcopss = Vec::new();
     let mut ip = Vec::new();
@@ -82,16 +74,14 @@ pub fn run_with(
             mean_interarrival: interarrival,
         });
         let label = format!("gcopss-{n}p");
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
         let (world, bytes) =
-            run_gcopss_once_with(&w, &net, CORES, None, MetricsMode::StatsOnly, t);
+            run_gcopss_once(&w, &net, CORES, None, MetricsMode::StatsOnly, cap, &label);
         gcopss.push(SweepPoint {
             players: n,
             summary: summarize(format!("G-COPSS {n}p"), &world, bytes),
         });
         let label = format!("ip-{n}p");
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let (world, bytes) = run_ip_once_with(&w, &net, CORES, MetricsMode::StatsOnly, t);
+        let (world, bytes) = run_ip_once(&w, &net, CORES, MetricsMode::StatsOnly, cap, &label);
         ip.push(SweepPoint {
             players: n,
             summary: summarize(format!("IP {n}p"), &world, bytes),
@@ -113,7 +103,7 @@ mod tests {
             updates_per_player: 25,
             ..PlayerSweepConfig::default()
         };
-        let out = run(&cfg);
+        let out = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(out.gcopss.len(), 2);
         assert_eq!(out.ip.len(), 2);
 

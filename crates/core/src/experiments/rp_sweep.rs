@@ -96,7 +96,8 @@ fn downsample(
 }
 
 /// Runs one G-COPSS configuration over the workload; returns the world and
-/// total link bytes.
+/// total link bytes. When `cap` is on, the run is fully instrumented and a
+/// report is harvested under `label`.
 #[must_use]
 pub fn run_gcopss_once(
     w: &Workload,
@@ -104,21 +105,8 @@ pub fn run_gcopss_once(
     rp_count: usize,
     auto_threshold: Option<usize>,
     mode: MetricsMode,
-) -> (GameWorld, u64) {
-    run_gcopss_once_with(w, net, rp_count, auto_threshold, mode, None)
-}
-
-/// [`run_gcopss_once`] with optional telemetry capture: when `telemetry` is
-/// `Some((capture, label))`, the run is fully instrumented and a report is
-/// harvested under `label`.
-#[must_use]
-pub fn run_gcopss_once_with(
-    w: &Workload,
-    net: &NetworkSpec,
-    rp_count: usize,
-    auto_threshold: Option<usize>,
-    mode: MetricsMode,
-    telemetry: Option<(&mut TelemetryCapture, &str)>,
+    cap: &mut TelemetryCapture,
+    label: &str,
 ) -> (GameWorld, u64) {
     let mut params = SimParams::default();
     if let Some(t) = auto_threshold {
@@ -134,31 +122,21 @@ pub fn run_gcopss_once_with(
         .gcopss(cfg)
         .build()
         .into_gcopss();
-    let (cap, label) = telemetry.unzip();
-    TelemetryCapture::observe(cap, &mut built.sim, label.unwrap_or_default(), Simulator::run);
+    cap.observe(&mut built.sim, label, Simulator::run);
     let bytes = built.sim.total_link_bytes();
     (built.sim.into_world(), bytes)
 }
 
-/// Runs one IP-server configuration over the workload.
+/// Runs one IP-server configuration over the workload, harvesting a report
+/// under `label` when `cap` is on.
 #[must_use]
 pub fn run_ip_once(
     w: &Workload,
     net: &NetworkSpec,
     server_count: usize,
     mode: MetricsMode,
-) -> (GameWorld, u64) {
-    run_ip_once_with(w, net, server_count, mode, None)
-}
-
-/// [`run_ip_once`] with optional telemetry capture.
-#[must_use]
-pub fn run_ip_once_with(
-    w: &Workload,
-    net: &NetworkSpec,
-    server_count: usize,
-    mode: MetricsMode,
-    telemetry: Option<(&mut TelemetryCapture, &str)>,
+    cap: &mut TelemetryCapture,
+    label: &str,
 ) -> (GameWorld, u64) {
     let cfg = IpConfig {
         metrics_mode: mode,
@@ -169,21 +147,15 @@ pub fn run_ip_once_with(
         .ip_server(cfg)
         .build()
         .into_ip_server();
-    let (cap, label) = telemetry.unzip();
-    TelemetryCapture::observe(cap, &mut built.sim, label.unwrap_or_default(), Simulator::run);
+    cap.observe(&mut built.sim, label, Simulator::run);
     let bytes = built.sim.total_link_bytes();
     (built.sim.into_world(), bytes)
 }
 
-/// Runs the full sweep.
+/// Runs the full sweep, harvesting one telemetry report per run when `cap`
+/// is on.
 #[must_use]
-pub fn run(cfg: &RpSweepConfig) -> RpSweepOutput {
-    run_with(cfg, None)
-}
-
-/// Runs the full sweep, optionally harvesting one telemetry report per run.
-#[must_use]
-pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture>) -> RpSweepOutput {
+pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
 
@@ -197,8 +169,7 @@ pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture
             MetricsMode::StatsOnly
         };
         let label = format!("gcopss-{n}rp");
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let (world, bytes) = run_gcopss_once_with(&w, &net, n, None, mode, t);
+        let (world, bytes) = run_gcopss_once(&w, &net, n, None, mode, cap, &label);
         gcopss_rows.push(summarize(format!("G-COPSS {n} RP"), &world, bytes));
         if want_detail {
             fig5.push(Fig5Series {
@@ -215,8 +186,8 @@ pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture
         } else {
             MetricsMode::StatsOnly
         };
-        let t = telemetry.as_mut().map(|c| (&mut **c, "gcopss-auto"));
-        let (world, bytes) = run_gcopss_once_with(&w, &net, 1, Some(AUTO_THRESHOLD), mode, t);
+        let (world, bytes) =
+            run_gcopss_once(&w, &net, 1, Some(AUTO_THRESHOLD), mode, cap, "gcopss-auto");
         auto_splits = world.splits.clone();
         gcopss_rows.push(summarize(
             format!("G-COPSS auto ({} splits)", world.splits.len()),
@@ -234,8 +205,7 @@ pub fn run_with(cfg: &RpSweepConfig, mut telemetry: Option<&mut TelemetryCapture
     let mut server_rows = Vec::new();
     for &n in &cfg.server_counts {
         let label = format!("ip-{n}srv");
-        let t = telemetry.as_mut().map(|c| (&mut **c, label.as_str()));
-        let (world, bytes) = run_ip_once_with(&w, &net, n, MetricsMode::StatsOnly, t);
+        let (world, bytes) = run_ip_once(&w, &net, n, MetricsMode::StatsOnly, cap, &label);
         server_rows.push(summarize(format!("IP server x{n}"), &world, bytes));
     }
 
@@ -266,7 +236,7 @@ mod tests {
             fig5_detail: false,
             ..RpSweepConfig::default()
         };
-        let out = run(&cfg);
+        let out = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(out.gcopss_rows.len(), 2);
         assert_eq!(out.server_rows.len(), 1);
         let rp1 = &out.gcopss_rows[0];

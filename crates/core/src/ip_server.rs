@@ -56,18 +56,6 @@ impl Roster {
     pub fn viewers_of(&self, cd: &Name) -> &[PlayerId] {
         self.viewers.get(cd).map_or(&[], Vec::as_slice)
     }
-
-    /// Number of players.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.player_nodes.len()
-    }
-
-    /// Returns `true` if there are no players.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.player_nodes.is_empty()
-    }
 }
 
 /// The game server: receives one update, spends `server_proc` on game
@@ -399,7 +387,6 @@ mod tests {
         let areas: Vec<AreaId> = pop.players().map(|p| pop.area_of(p)).collect();
         let nodes: Vec<NodeId> = (0..pop.len() as u32).map(NodeId).collect();
         let roster = Roster::new(&map, nodes, areas.clone());
-        assert_eq!(roster.len(), 62);
         // Everyone sees the world layer: /0 has 62 viewers.
         assert_eq!(roster.viewers_of(&Name::parse_lit("/0")).len(), 62);
         // A zone is seen by its 2 soldiers + 2 region flyers + 2 satellites.

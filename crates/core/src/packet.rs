@@ -229,14 +229,12 @@ impl GPacket {
             Self::Ip(IpPacket::Mcast { group, inner, .. }) => {
                 Some(mix(inner.cd.hashes().full(), u64::from(*group)))
             }
-            Self::Ip(IpPacket::ToServer { server, update }) => Some(mix(
-                gcopss_names::CdHashes::compute(&update.cd).full(),
-                u64::from(server.0) << 1,
-            )),
-            Self::Ip(IpPacket::ToClient { client, update }) => Some(mix(
-                gcopss_names::CdHashes::compute(&update.cd).full(),
-                (u64::from(client.0) << 1) | 1,
-            )),
+            Self::Ip(IpPacket::ToServer { server, update }) => {
+                Some(mix(update.cd.stable_hash(), u64::from(server.0) << 1))
+            }
+            Self::Ip(IpPacket::ToClient { client, update }) => {
+                Some(mix(update.cd.stable_hash(), (u64::from(client.0) << 1) | 1))
+            }
             Self::Copss(_)
             | Self::Interest(_)
             | Self::Data(_)

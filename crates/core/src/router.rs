@@ -59,18 +59,6 @@ impl FaceMap {
             .enumerate()
             .map(|(i, &n)| (FaceId(i as u32), n))
     }
-
-    /// Number of faces.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if the node has no neighbors.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// How a new RP's node is chosen when a split fires. The paper uses a
@@ -271,24 +259,6 @@ impl GCopssRouter {
     pub fn with_recovery(mut self, cfg: RecoveryConfig) -> Self {
         self.recovery = Some(cfg);
         self
-    }
-
-    /// The COPSS engine (for inspection in tests).
-    #[must_use]
-    pub fn copss(&self) -> &CopssEngine {
-        &self.copss
-    }
-
-    /// The NDN engine (for inspection in tests).
-    #[must_use]
-    pub fn ndn(&self) -> &NdnEngine {
-        &self.ndn
-    }
-
-    /// The RPs hosted here.
-    #[must_use]
-    pub fn local_rps(&self) -> &BTreeSet<RpId> {
-        &self.local_rps
     }
 
     fn face_of(&self, node: Option<NodeId>) -> Option<FaceId> {
@@ -598,7 +568,7 @@ impl GCopssRouter {
                     .iter()
                     .any(|(p, _, until)| *until >= now && p.is_prefix_of(cd))
         };
-        let Some(plan) = self.traffic.plan_split_where(&served, 0.5, eligible) else {
+        let Some(plan) = self.traffic.plan_split(&served, 0.5, eligible) else {
             return false;
         };
         // Pick the new RP node per the configured strategy, skipping self
@@ -1221,16 +1191,11 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
             GPacket::Control { dst, inner } => {
                 let _p = prof::scope("copss/control");
                 if dst == ctx.node() {
-                    match inner {
-                        CopssPacket::RpHandoff { cds, new_rp, old_rp } => {
-                            self.on_rp_handoff(ctx, cds, new_rp, old_rp);
-                        }
-                        other => {
-                            let Some(face) = arrival else { return };
-                            // Delegate any other control packet locally.
-                            let g = GPacket::Copss(other);
-                            let _ = (face, g);
-                        }
+                    // `Control` is only ever built around an `RpHandoff`
+                    // (by the split above) and re-wrapped unchanged when
+                    // forwarded, so nothing else can arrive here.
+                    if let CopssPacket::RpHandoff { cds, new_rp, old_rp } = inner {
+                        self.on_rp_handoff(ctx, cds, new_rp, old_rp);
                     }
                 } else {
                     // Route onward; if it is a handoff, install the FIB
@@ -1303,12 +1268,11 @@ mod tests {
         t.try_add_link(b, a, SimDuration::from_millis(1), None).unwrap();
         t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
         let fm = FaceMap::new(&t, b);
-        assert_eq!(fm.len(), 2);
+        assert_eq!(fm.iter().count(), 2);
         assert_eq!(fm.face_of(a), Some(FaceId(0)));
         assert_eq!(fm.face_of(c), Some(FaceId(1)));
         assert_eq!(fm.node_of(FaceId(0)), Some(a));
         assert_eq!(fm.node_of(FaceId(9)), None);
         assert_eq!(fm.face_of(b), None);
-        assert!(!fm.is_empty());
     }
 }

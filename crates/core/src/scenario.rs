@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gcopss_copss::{CopssEngine, RpId, RpTable};
 use gcopss_game::trace::TraceEvent;
-use gcopss_game::{GameMap, PlayerPopulation};
+use gcopss_game::{GameMap, PlayerId, PlayerPopulation};
 use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::generators::{attach_hosts, benchmark_testbed, rocketfuel_like, BackboneParams};
@@ -26,7 +26,7 @@ use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig, Si
 /// its trace cursor (used by movement scenarios to substitute
 /// [`crate::broker::MovingPlayerClient`]s).
 pub type ClientFactory<'a> = Box<
-    dyn FnMut(gcopss_game::PlayerId, NodeId, TraceCursor) -> Box<dyn NodeBehavior<GPacket, GameWorld>>
+    dyn FnMut(PlayerId, NodeId, TraceCursor) -> Box<dyn NodeBehavior<GPacket, GameWorld>>
         + 'a,
 >;
 
@@ -361,15 +361,8 @@ impl<'a> ScenarioSpec<'a> {
         self.protocol(Protocol::NdnBaseline(cfg))
     }
 
-    /// Attaches one extra host (broker, monitor, …). G-COPSS only; other
-    /// protocols ignore extra hosts.
-    #[must_use]
-    pub fn extra_host(mut self, host: ExtraHost) -> Self {
-        self.extra_hosts.push(host);
-        self
-    }
-
-    /// Attaches several extra hosts, in order. G-COPSS only.
+    /// Attaches extra hosts (brokers, monitors, …), in order. G-COPSS only;
+    /// other protocols ignore extra hosts.
     #[must_use]
     pub fn extra_hosts(mut self, hosts: Vec<ExtraHost>) -> Self {
         self.extra_hosts.extend(hosts);
@@ -608,7 +601,7 @@ fn player_seat(
     sim: &Simulator<GPacket, GameWorld>,
     node: NodeId,
     trace: &Arc<Vec<TraceEvent>>,
-    p: gcopss_game::PlayerId,
+    p: PlayerId,
     warmup: SimDuration,
 ) -> (NodeId, TraceCursor) {
     let (edge, _) = sim
@@ -628,7 +621,6 @@ fn assemble_gcopss(
     extra_hosts: Vec<ExtraHost>,
     mut client_factory: ClientFactory<'_>,
 ) -> GcopssSim {
-    let _ = map;
     let mut bn = net.build();
     let player_nodes = attach_hosts(
         &mut bn.topology,
@@ -1051,6 +1043,23 @@ fn assemble_ndn_baseline(
     NdnSim { sim, player_nodes }
 }
 
+/// For every leaf CD of `map`, the players who can see it (their AoI
+/// covers its area) under static placements.
+pub(crate) fn viewers_by_cd<'m>(
+    map: &'m GameMap,
+    population: &PlayerPopulation,
+) -> BTreeMap<&'m Name, Vec<PlayerId>> {
+    let viewers_of = |cd: &'m Name| {
+        let area = map.area_of_leaf_cd(cd).expect("leaf CD");
+        let who = population
+            .players()
+            .filter(|p| map.can_see(population.area_of(*p), area))
+            .collect();
+        (cd, who)
+    };
+    map.leaf_cds().iter().map(viewers_of).collect()
+}
+
 /// The number of deliveries a correct dissemination must produce for
 /// `trace` with static player placements: for every event, every player
 /// that can see the event's area, minus the publisher.
@@ -1060,25 +1069,16 @@ pub fn expected_deliveries(
     population: &PlayerPopulation,
     trace: &[TraceEvent],
 ) -> u64 {
-    let mut viewers: BTreeMap<&Name, u64> = BTreeMap::new();
-    for cd in map.leaf_cds() {
-        let area = map.area_of_leaf_cd(cd).expect("leaf CD");
-        let count = population
-            .players()
-            .filter(|p| map.can_see(population.area_of(*p), area))
-            .count() as u64;
-        viewers.insert(cd, count);
-    }
+    let viewers = viewers_by_cd(map, population);
     trace
         .iter()
-        .map(|e| viewers.get(&e.cd).copied().unwrap_or(0).saturating_sub(1))
+        .map(|e| (viewers.get(&e.cd).map_or(0, Vec::len) as u64).saturating_sub(1))
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcopss_game::PlayerId;
 
     #[test]
     fn rp_partition_shapes() {

@@ -152,12 +152,6 @@ impl UpdateMetrics {
             .collect()
     }
 
-    /// The send time of a publication, if registered.
-    #[must_use]
-    pub fn sent_at(&self, id: u64) -> Option<SimTime> {
-        self.sent.get(id as usize).copied().flatten().map(|(t, _)| t)
-    }
-
     /// The publisher of a publication, if registered.
     #[must_use]
     pub fn publisher_of(&self, id: u64) -> Option<PlayerId> {
@@ -442,7 +436,6 @@ mod tests {
         assert_eq!(m.stats().mean(), SimDuration::from_millis(4));
         assert_eq!(m.samples_mut().len(), 1);
         assert_eq!(m.publisher_of(0), Some(PlayerId(1)));
-        assert_eq!(m.sent_at(0), Some(SimTime::from_millis(10)));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use gcopss_core::broker::{
-    partition_cds_to_brokers, snapcast_rp_prefixes, MovingPlayerClient, SnapshotBroker,
-    SnapshotMode,
+    partition_cds_to_brokers, snapcast_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
 };
 use gcopss_core::scenario::{
     expected_deliveries, ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec,
@@ -123,7 +122,7 @@ fn movement_churn_keeps_control_plane_consistent() {
         params,
         delivery_log: true,
         rp_count: 3,
-        extra_rp_prefixes: snapcast_rp_prefixes(),
+        extra_rp_prefixes: vec![snapcast_ns()],
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
@@ -191,7 +190,7 @@ fn movement_churn_cyclic_mode() {
     let cfg = GcopssConfig {
         params,
         rp_count: 3,
-        extra_rp_prefixes: snapcast_rp_prefixes(),
+        extra_rp_prefixes: vec![snapcast_ns()],
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
@@ -246,7 +245,7 @@ fn offline_player_comes_online() {
     let params = SimParams::default();
     let attach_at = |i: usize| pool[(3 + i) % pool.len()];
     let snapcast_rp = |(i, cds): (usize, &Vec<_>)| {
-        let snapcast = cds.iter().map(|cd| gcopss_core::broker::snapcast_ns().join(cd));
+        let snapcast = cds.iter().map(|cd| snapcast_ns().join(cd));
         (snapcast.collect(), attach_at(i))
     };
     let extra_rps = serving.iter().enumerate().map(snapcast_rp).collect();

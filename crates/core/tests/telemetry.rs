@@ -6,10 +6,12 @@
 
 use gcopss_core::experiments::rp_sweep::{self, RpSweepConfig};
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
-use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
+use gcopss_core::scenario::{GcopssConfig, GcopssSim, NetworkSpec, ScenarioSpec};
 use gcopss_core::{MetricsMode, RecoveryConfig, SimParams};
 use gcopss_sim::json::Json;
-use gcopss_sim::{FaultPlan, SimDuration, SimTime, TelemetryConfig, TelemetryReport};
+use gcopss_sim::{
+    FaultPlan, SimDuration, SimTime, TelemetryConfig, TelemetryReport, TimeSeriesConfig,
+};
 
 fn small_cfg(seed: u64) -> RpSweepConfig {
     RpSweepConfig {
@@ -29,7 +31,7 @@ fn small_cfg(seed: u64) -> RpSweepConfig {
 
 fn capture(seed: u64, tcfg: TelemetryConfig) -> (TelemetryCapture, Vec<u64>) {
     let mut cap = TelemetryCapture::new(tcfg);
-    let out = rp_sweep::run_with(&small_cfg(seed), Some(&mut cap));
+    let out = rp_sweep::run(&small_cfg(seed), &mut cap);
     let loads = out
         .gcopss_rows
         .iter()
@@ -121,10 +123,9 @@ fn journal_can_be_disabled_and_sampled() {
     );
 }
 
-/// One instrumented microbenchmark run on the testbed, optionally with a
-/// chaos plan installed and recovery armed. A fixed horizon (instead of
-/// run-to-quiescence) keeps the run method identical across modes.
-fn chaos_report(plan: Option<FaultPlan>, recovery: Option<RecoveryConfig>) -> TelemetryReport {
+/// The 10 s microbenchmark on the testbed with one RP, assembled and not
+/// yet run.
+fn testbed_microbenchmark(recovery: Option<RecoveryConfig>) -> GcopssSim {
     let w = Workload::microbenchmark(3, SimDuration::from_secs(10));
     let cfg = GcopssConfig {
         params: SimParams::microbenchmark(),
@@ -133,10 +134,38 @@ fn chaos_report(plan: Option<FaultPlan>, recovery: Option<RecoveryConfig>) -> Te
         recovery,
         ..GcopssConfig::default()
     };
-    let mut built = ScenarioSpec::new(&NetworkSpec::Testbed, &w.map, &w.population, &w.trace)
+    ScenarioSpec::new(&NetworkSpec::Testbed, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .build()
-        .into_gcopss();
+        .into_gcopss()
+}
+
+/// A capture that is off is `run(sim)` and nothing else: the closure runs,
+/// the simulator stays uninstrumented (even with a sampler configured on
+/// the capture), and nothing is harvested.
+#[test]
+fn a_capture_that_is_off_runs_the_closure_and_observes_nothing() {
+    let mut built = testbed_microbenchmark(None);
+    let mut cap = TelemetryCapture::off().with_timeseries(TimeSeriesConfig::default());
+    assert!(!cap.is_on());
+    let mut ran = false;
+    cap.observe(&mut built.sim, "unused", |sim| {
+        ran = true;
+        sim.run();
+    });
+    assert!(ran, "the closure must run");
+    assert!(built.sim.world().metrics.delivered() > 0);
+    assert!(!built.sim.telemetry().is_enabled());
+    assert!(built.sim.timeseries_json().is_none());
+    assert!(cap.reports.is_empty() && cap.series.is_empty());
+    assert!(TelemetryCapture::new(TelemetryConfig::default()).is_on());
+}
+
+/// One instrumented microbenchmark run on the testbed, optionally with a
+/// chaos plan installed and recovery armed. A fixed horizon (instead of
+/// run-to-quiescence) keeps the run method identical across modes.
+fn chaos_report(plan: Option<FaultPlan>, recovery: Option<RecoveryConfig>) -> TelemetryReport {
+    let mut built = testbed_microbenchmark(recovery);
     built.sim.enable_telemetry(TelemetryConfig::default());
     if let Some(p) = plan {
         built.sim.install_faults(p);

@@ -150,12 +150,6 @@ impl GameMap {
         Self::uniform(&[5, 5])
     }
 
-    /// The small example map of Fig. 1: 2 regions × 4 zones.
-    #[must_use]
-    pub fn figure1_map() -> Self {
-        Self::uniform(&[2, 4])
-    }
-
     fn finish(areas: Vec<AreaNode>) -> Self {
         let by_path = areas
             .iter()
@@ -298,18 +292,6 @@ impl GameMap {
             .collect()
     }
 
-    /// Areas whose publications a player at `viewer` receives.
-    #[must_use]
-    pub fn visible_areas(&self, viewer: AreaId) -> Vec<AreaId> {
-        let subs = self.subscription_cds(viewer);
-        self.areas()
-            .filter(|&a| {
-                let p = self.publication_cd(a);
-                subs.iter().any(|s| s.is_prefix_of(p.name()))
-            })
-            .collect()
-    }
-
     /// Returns `true` if a player at `viewer` receives publications made at
     /// `publisher`'s location.
     #[must_use]
@@ -391,13 +373,6 @@ mod tests {
         assert!(leaves.contains(&n("/3/0")));
         assert!(leaves.contains(&n("/5/5")));
         assert!(!leaves.contains(&n("/1")));
-    }
-
-    #[test]
-    fn figure1_map_matches_paper_example() {
-        let m = GameMap::figure1_map();
-        assert_eq!(m.area_count(), 1 + 2 + 8);
-        assert_eq!(m.leaf_cds().len(), 1 + 2 + 8);
     }
 
     #[test]

@@ -215,26 +215,6 @@ impl ObjectModel {
     pub fn state(&self, obj: ObjectId) -> ObjectState {
         self.states[obj.index()]
     }
-
-    /// Total snapshot bytes for one leaf CD: the sum of the snapshot sizes
-    /// of its modified objects (pristine objects cost nothing). This is
-    /// what a broker ships when a player moves into the area.
-    #[must_use]
-    pub fn snapshot_bytes_of(&self, leaf_cd: &Name) -> u64 {
-        self.objects_in(leaf_cd)
-            .iter()
-            .map(|o| u64::from(self.states[o.index()].snapshot_bytes()))
-            .sum()
-    }
-
-    /// Count of modified (version > 0) objects in a leaf CD.
-    #[must_use]
-    pub fn modified_objects_in(&self, leaf_cd: &Name) -> usize {
-        self.objects_in(leaf_cd)
-            .iter()
-            .filter(|o| self.states[o.index()].version > 0)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -300,8 +280,6 @@ mod tests {
         let s = m.state(obj);
         assert_eq!(s.snapshot_bytes(), 1000, "capped");
         assert_eq!(s.version, 200);
-        assert!(m.snapshot_bytes_of(&cd) >= 1000);
-        assert_eq!(m.modified_objects_in(&cd), 1);
     }
 
     #[test]

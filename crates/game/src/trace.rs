@@ -137,12 +137,6 @@ impl CsTraceGenerator {
         Self { params, weights }
     }
 
-    /// The relative update-rate weight of each player.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Generates the trace (sorted by time).
     ///
     /// # Panics

@@ -5,11 +5,9 @@
 //! precomputed per-level hashes carried by multicast packets, so a router
 //! only does "simple bit comparison".
 //!
-//! Two variants are provided:
-//!
-//! * [`BloomFilter`] — the classic insert-only filter.
-//! * [`CountingBloomFilter`] — 16-bit counters so that `Unsubscribe` can
-//!   delete entries, which the COPSS subscription table needs.
+//! [`CountingBloomFilter`] keeps 16-bit counters rather than bits so that
+//! `Unsubscribe` can delete entries, which the COPSS subscription table
+//! needs.
 
 use std::fmt;
 
@@ -65,110 +63,6 @@ fn bit_index(element_hash: u64, i: u32, bits: usize) -> usize {
     ((h1.wrapping_add(u64::from(i).wrapping_mul(h2))) % bits as u64) as usize
 }
 
-/// A classic insert-only Bloom filter keyed by precomputed 64-bit hashes.
-///
-/// Guarantees no false negatives; false positives occur with a probability
-/// controlled by [`BloomParams`].
-///
-/// # Example
-///
-/// ```
-/// # use gcopss_names::{BloomFilter, Name};
-/// let mut f = BloomFilter::default();
-/// let h = Name::parse_lit("/1/2").stable_hash();
-/// f.insert(h);
-/// assert!(f.contains(h));
-/// ```
-#[derive(Clone, PartialEq, Eq)]
-pub struct BloomFilter {
-    params: BloomParams,
-    bits: Vec<u64>,
-    items: usize,
-}
-
-impl BloomFilter {
-    /// Creates an empty filter with the given parameters.
-    #[must_use]
-    pub fn new(params: BloomParams) -> Self {
-        let words = params.bits.div_ceil(64);
-        Self {
-            params,
-            bits: vec![0; words],
-            items: 0,
-        }
-    }
-
-    /// The sizing parameters.
-    #[must_use]
-    pub fn params(&self) -> BloomParams {
-        self.params
-    }
-
-    /// Number of `insert` calls so far (not distinct elements).
-    #[must_use]
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// Inserts an element by its 64-bit hash.
-    pub fn insert(&mut self, element_hash: u64) {
-        for i in 0..self.params.hashes {
-            let b = bit_index(element_hash, i, self.params.bits);
-            self.bits[b / 64] |= 1 << (b % 64);
-        }
-        self.items += 1;
-    }
-
-    /// Tests membership by 64-bit hash. May return false positives, never
-    /// false negatives.
-    #[must_use]
-    pub fn contains(&self, element_hash: u64) -> bool {
-        (0..self.params.hashes).all(|i| {
-            let b = bit_index(element_hash, i, self.params.bits);
-            self.bits[b / 64] & (1 << (b % 64)) != 0
-        })
-    }
-
-    /// Tests whether any of the given hashes is (probably) present — the ST
-    /// lookup for a multicast packet, which checks every prefix level of its
-    /// CD.
-    #[must_use]
-    pub fn contains_any(&self, hashes: &[u64]) -> bool {
-        hashes.iter().any(|&h| self.contains(h))
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.items = 0;
-    }
-
-    /// Estimated false-positive probability at the current fill level.
-    #[must_use]
-    pub fn estimated_fp_rate(&self) -> f64 {
-        let m = self.params.bits as f64;
-        let k = f64::from(self.params.hashes);
-        let n = self.items as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
-    }
-}
-
-impl Default for BloomFilter {
-    fn default() -> Self {
-        Self::new(BloomParams::default())
-    }
-}
-
-impl fmt::Debug for BloomFilter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BloomFilter")
-            .field("bits", &self.params.bits)
-            .field("hashes", &self.params.hashes)
-            .field("items", &self.items)
-            .finish()
-    }
-}
-
 /// A counting Bloom filter (16-bit saturating counters) supporting removal.
 ///
 /// Used by the COPSS subscription table so that `Unsubscribe` packets can
@@ -210,12 +104,6 @@ impl CountingBloomFilter {
             params,
             items: 0,
         }
-    }
-
-    /// The sizing parameters.
-    #[must_use]
-    pub fn params(&self) -> BloomParams {
-        self.params
     }
 
     /// Net number of elements (inserts minus removes).
@@ -328,7 +216,7 @@ mod tests {
 
     #[test]
     fn no_false_negatives() {
-        let mut f = BloomFilter::new(BloomParams::for_items(64, 0.01));
+        let mut f = CountingBloomFilter::new(BloomParams::for_items(64, 0.01));
         let hashes: Vec<u64> = (0..64u64)
             .map(|i| Name::parse_lit(&format!("/a/{i}")).stable_hash())
             .collect();
@@ -342,7 +230,7 @@ mod tests {
 
     #[test]
     fn fp_rate_is_bounded() {
-        let mut f = BloomFilter::new(BloomParams::for_items(128, 0.01));
+        let mut f = CountingBloomFilter::new(BloomParams::for_items(128, 0.01));
         for i in 0..128u64 {
             f.insert(Name::parse_lit(&format!("/in/{i}")).stable_hash());
         }
@@ -355,12 +243,11 @@ mod tests {
         }
         // 1% nominal; allow generous slack.
         assert!(fps < probes / 20, "false positives: {fps}/{probes}");
-        assert!(f.estimated_fp_rate() < 0.05);
     }
 
     #[test]
     fn contains_any_checks_all_levels() {
-        let mut f = BloomFilter::default();
+        let mut f = CountingBloomFilter::default();
         f.insert(Name::parse_lit("/1").stable_hash());
         let cd = Name::parse_lit("/1/2/3");
         assert!(f.contains_any(&cd.hash_chain()));
@@ -370,7 +257,7 @@ mod tests {
 
     #[test]
     fn clear_empties_filter() {
-        let mut f = BloomFilter::default();
+        let mut f = CountingBloomFilter::default();
         f.insert(7);
         f.clear();
         assert!(!f.contains(7));

@@ -1,6 +1,5 @@
 //! Content Descriptors: names used as pub/sub topics.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -21,12 +20,6 @@ impl CdHashes {
     #[must_use]
     pub fn compute(name: &Name) -> Self {
         Self(name.hash_chain())
-    }
-
-    /// Returns the hash of the prefix with `levels` components.
-    #[must_use]
-    pub fn level(&self, levels: usize) -> Option<u64> {
-        self.0.get(levels).copied()
     }
 
     /// Returns the hash of the full CD.
@@ -110,12 +103,6 @@ impl Cd {
     pub fn hashes(&self) -> &CdHashes {
         &self.inner.hashes
     }
-
-    /// Number of name components.
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.inner.name.len()
-    }
 }
 
 impl fmt::Display for Cd {
@@ -170,97 +157,6 @@ impl std::str::FromStr for Cd {
     }
 }
 
-/// An ordered set of subscription names, with the prefix-closure queries the
-/// COPSS layer needs.
-///
-/// `CdSet` is the exact (non-probabilistic) ground truth that sits next to
-/// the Bloom filter in a subscription table entry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CdSet {
-    names: BTreeSet<Name>,
-}
-
-impl CdSet {
-    /// Creates an empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts a subscription name; returns `true` if newly inserted.
-    pub fn insert(&mut self, name: Name) -> bool {
-        self.names.insert(name)
-    }
-
-    /// Removes a subscription name; returns `true` if it was present.
-    pub fn remove(&mut self, name: &Name) -> bool {
-        self.names.remove(name)
-    }
-
-    /// Returns `true` if the exact name is present.
-    #[must_use]
-    pub fn contains(&self, name: &Name) -> bool {
-        self.names.contains(name)
-    }
-
-    /// Returns `true` if any stored subscription is a prefix of `cd` —
-    /// i.e. whether a publication to `cd` must be delivered here.
-    #[must_use]
-    pub fn matches_publication(&self, cd: &Name) -> bool {
-        cd.prefixes().any(|p| self.names.contains(&p))
-    }
-
-    /// Returns `true` if any stored subscription has `prefix` as a prefix
-    /// (i.e. the set contains subscriptions at or below `prefix`).
-    #[must_use]
-    pub fn any_under(&self, prefix: &Name) -> bool {
-        self.names
-            .range(prefix.clone()..)
-            .next()
-            .is_some_and(|n| prefix.is_prefix_of(n))
-    }
-
-    /// Number of stored names.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Returns `true` if no names are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates the stored names in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Name> {
-        self.names.iter()
-    }
-}
-
-impl FromIterator<Name> for CdSet {
-    fn from_iter<I: IntoIterator<Item = Name>>(iter: I) -> Self {
-        Self {
-            names: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Name> for CdSet {
-    fn extend<I: IntoIterator<Item = Name>>(&mut self, iter: I) {
-        self.names.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a CdSet {
-    type Item = &'a Name;
-    type IntoIter = std::collections::btree_set::Iter<'a, Name>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.names.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,11 +166,7 @@ mod tests {
         let cd = Cd::parse_lit("/1/2");
         assert_eq!(cd.name(), &Name::parse_lit("/1/2"));
         assert_eq!(cd.hashes().len(), 3);
-        assert_eq!(cd.level_count(), 2);
-        assert_eq!(
-            cd.hashes().level(1).unwrap(),
-            Name::parse_lit("/1").stable_hash()
-        );
+        assert_eq!(cd.hashes().as_slice()[1], Name::parse_lit("/1").stable_hash());
         assert_eq!(cd.hashes().full(), Name::parse_lit("/1/2").stable_hash());
     }
 
@@ -292,46 +184,5 @@ mod tests {
         let a = Cd::parse_lit("/1/2/3");
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.inner, &b.inner));
-    }
-
-    #[test]
-    fn cdset_matches_publication_via_prefix() {
-        let mut s = CdSet::new();
-        s.insert(Name::parse_lit("/1"));
-        assert!(s.matches_publication(&Name::parse_lit("/1/2")));
-        assert!(s.matches_publication(&Name::parse_lit("/1")));
-        assert!(!s.matches_publication(&Name::parse_lit("/2/1")));
-        assert!(!s.matches_publication(&Name::root()));
-    }
-
-    #[test]
-    fn cdset_root_subscription_matches_everything() {
-        let mut s = CdSet::new();
-        s.insert(Name::root());
-        assert!(s.matches_publication(&Name::parse_lit("/9/9/9")));
-        assert!(s.matches_publication(&Name::root()));
-    }
-
-    #[test]
-    fn cdset_any_under() {
-        let mut s = CdSet::new();
-        s.insert(Name::parse_lit("/1/2"));
-        s.insert(Name::parse_lit("/3"));
-        assert!(s.any_under(&Name::parse_lit("/1")));
-        assert!(s.any_under(&Name::parse_lit("/1/2")));
-        assert!(s.any_under(&Name::root()));
-        assert!(!s.any_under(&Name::parse_lit("/2")));
-        assert!(!s.any_under(&Name::parse_lit("/1/2/3")));
-    }
-
-    #[test]
-    fn cdset_insert_remove() {
-        let mut s = CdSet::new();
-        assert!(s.insert(Name::parse_lit("/1")));
-        assert!(!s.insert(Name::parse_lit("/1")));
-        assert_eq!(s.len(), 1);
-        assert!(s.remove(&Name::parse_lit("/1")));
-        assert!(!s.remove(&Name::parse_lit("/1")));
-        assert!(s.is_empty());
     }
 }

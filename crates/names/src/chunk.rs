@@ -297,7 +297,6 @@ impl std::error::Error for ChunkError {}
 #[derive(Debug, Clone, Default)]
 pub struct ChunkStore {
     by_id: BTreeMap<u64, Vec<u8>>,
-    bytes: u64,
 }
 
 impl ChunkStore {
@@ -311,9 +310,7 @@ impl ChunkStore {
     /// bytes dedup onto one entry.
     pub fn insert(&mut self, bytes: &[u8]) -> ChunkId {
         let id = ChunkId::of(bytes);
-        if self.by_id.insert(id.0, bytes.to_vec()).is_none() {
-            self.bytes += bytes.len() as u64;
-        }
+        self.by_id.insert(id.0, bytes.to_vec());
         id
     }
 
@@ -354,12 +351,6 @@ impl ChunkStore {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.by_id.is_empty()
-    }
-
-    /// Total bytes held (after dedup).
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// The manifest entries this store does *not* hold — the delta a

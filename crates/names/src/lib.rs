@@ -14,8 +14,8 @@
 //!   keyed on the per-level hash chain, under every name-keyed table (FIB
 //!   longest-prefix match, Subscription Table matching, Content Store, RP
 //!   table).
-//! * [`BloomFilter`] / [`CountingBloomFilter`] — the per-face CD set
-//!   representation used by the COPSS Subscription Table.
+//! * [`CountingBloomFilter`] — the per-face CD set representation used by
+//!   the COPSS Subscription Table.
 //!
 //! # Naming convention for hierarchical game maps
 //!
@@ -54,8 +54,8 @@ mod error;
 mod name;
 mod tree_bitmap;
 
-pub use bloom::{BloomFilter, BloomParams, CountingBloomFilter};
-pub use cd::{Cd, CdHashes, CdSet};
+pub use bloom::{BloomParams, CountingBloomFilter};
+pub use cd::{Cd, CdHashes};
 pub use component::Component;
 pub use error::ParseNameError;
 pub use name::{Name, Prefixes};

@@ -157,11 +157,6 @@ impl Name {
         self.child(Component::own_area())
     }
 
-    /// Appends a component in place.
-    pub fn push(&mut self, component: Component) {
-        self.components.push(component);
-    }
-
     /// Returns the concatenation `self + suffix`.
     #[must_use]
     pub fn join(&self, suffix: &Name) -> Name {

@@ -209,19 +209,6 @@ impl<T> AmtNode<T> {
             }
         }
     }
-
-    fn for_each_mut(&mut self, f: &mut impl FnMut(&Component, &mut Node<T>)) {
-        for slot in &mut self.slots {
-            match slot {
-                AmtSlot::Branch(b) => b.for_each_mut(f),
-                AmtSlot::Leaf(l) => {
-                    for (c, n) in &mut l.entries {
-                        f(c, n);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// One name node: the value stored at this exact prefix, the number of
@@ -290,11 +277,6 @@ impl<T> NameTreeBitmap<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.root.subtree == 0
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.root = Node::default();
     }
 
     /// Walks to the node storing `name`, if it exists.
@@ -475,20 +457,6 @@ impl<T> NameTreeBitmap<T> {
             .collect()
     }
 
-    /// Returns `true` if any value is stored at `prefix` or below it —
-    /// answered from the subtree counters on the lookup path, without
-    /// walking descendants.
-    #[must_use]
-    pub fn any_under(&self, prefix: &Name) -> bool {
-        self.count_under(prefix) > 0
-    }
-
-    /// Number of values stored at `prefix` or below it.
-    #[must_use]
-    pub fn count_under(&self, prefix: &Name) -> usize {
-        self.node(prefix).map_or(0, |n| n.subtree)
-    }
-
     /// Collects every `(name, value)` stored at `prefix` or below it, in
     /// deterministic lexicographic order.
     #[must_use]
@@ -516,19 +484,6 @@ impl<T> NameTreeBitmap<T> {
         self.descendants(&Name::root())
     }
 
-    /// Visits every `(name, value)` pair mutably. Visit order follows hash
-    /// chunks — deterministic for a given set of names, but not name order.
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&Name, &mut T)) {
-        fn rec<T>(node: &mut Node<T>, name: &Name, f: &mut impl FnMut(&Name, &mut T)) {
-            if let Some(v) = &mut node.value {
-                f(name, v);
-            }
-            node.children.for_each_mut(&mut |c, child| {
-                rec(child, &name.child(c.clone()), f);
-            });
-        }
-        rec(&mut self.root, &Name::root(), &mut f);
-    }
 }
 
 /// Where a [`PrefixValues`] walk takes each level's cumulative prefix hash
@@ -709,13 +664,13 @@ mod tests {
         t.insert(n("/1/2/3"), ());
         t.insert(n("/1/2"), ());
         t.insert(n("/2"), ());
-        assert_eq!(t.count_under(&n("/1")), 2);
-        assert!(t.any_under(&n("/1")));
-        assert!(!t.any_under(&n("/1/2/3/4")));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.node(&n("/1")).map(|node| node.subtree), Some(2));
+        assert!(t.node(&n("/1/2/3/4")).is_none());
         t.remove(&n("/1/2/3"));
-        assert_eq!(t.count_under(&n("/1")), 1);
+        assert_eq!(t.node(&n("/1")).map(|node| node.subtree), Some(1));
         t.remove(&n("/1/2"));
-        assert!(!t.any_under(&n("/1")));
+        assert!(t.node(&n("/1")).is_none());
         assert_eq!(t.len(), 1);
     }
 
@@ -723,10 +678,10 @@ mod tests {
     fn any_under_checks_subtree() {
         let mut t = NameTreeBitmap::new();
         t.insert(n("/1/2/3"), ());
-        assert!(t.any_under(&n("/1")));
-        assert!(t.any_under(&n("/1/2/3")));
-        assert!(!t.any_under(&n("/2")));
-        assert!(!t.any_under(&n("/1/2/3/4")));
+        assert_eq!(t.descendants(&n("/1")).len(), 1);
+        assert_eq!(t.descendants(&n("/1/2/3")).len(), 1);
+        assert!(t.descendants(&n("/2")).is_empty());
+        assert!(t.descendants(&n("/1/2/3/4")).is_empty());
     }
 
     #[test]
@@ -734,7 +689,7 @@ mod tests {
         let mut t = NameTreeBitmap::new();
         t.insert(n("/1/2/3"), ());
         t.remove(&n("/1/2/3"));
-        assert!(!t.any_under(&n("/1")));
+        assert!(t.node(&n("/1")).is_none());
         assert!(t.is_empty());
     }
 
@@ -755,7 +710,6 @@ mod tests {
         t.get_or_insert_with(&n("/1"), Vec::new).push(8);
         assert_eq!(t.get(&n("/1")), Some(&vec![7, 8]));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.count_under(&Name::root()), 1);
     }
 
     #[test]
@@ -780,16 +734,6 @@ mod tests {
             let want = (i % 2 == 1).then_some(i);
             assert_eq!(t.get(&Name::root().child_index(i)).copied(), want);
         }
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_value() {
-        let mut t = NameTreeBitmap::new();
-        t.insert(n("/1"), 0u32);
-        t.insert(n("/1/2"), 0u32);
-        t.insert(n("/3"), 0u32);
-        t.for_each_mut(|_, v| *v += 1);
-        assert!(t.iter().iter().all(|(_, v)| **v == 1));
     }
 
     #[test]

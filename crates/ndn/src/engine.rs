@@ -1,7 +1,5 @@
 //! The NDN forwarding pipeline.
 
-use gcopss_names::Name;
-
 use crate::{ContentStore, ContentStoreConfig, Data, FaceId, Fib, Interest, Pit, PitInsert};
 
 /// An action the host must carry out after the engine processed a packet.
@@ -149,28 +147,6 @@ impl NdnEngine {
             data,
         })
     }
-
-    /// Registers content produced locally (e.g. by a broker application
-    /// co-located with the router), satisfying pending Interests and
-    /// caching.
-    pub fn publish_local(&mut self, now_ns: u64, data: Data) -> Vec<NdnAction> {
-        let downstream = self.pit.consume(now_ns, &data.name);
-        self.cs.insert(now_ns, data.clone());
-        fan_out(downstream.into_iter(), data, |face, data| {
-            NdnAction::SendData { face, data }
-        })
-    }
-
-    /// Garbage-collects expired PIT entries.
-    pub fn expire(&mut self, now_ns: u64) -> usize {
-        self.pit.expire(now_ns)
-    }
-
-    /// Convenience: does the FIB know a route for `name`?
-    #[must_use]
-    pub fn has_route(&self, name: &Name) -> bool {
-        self.fib.lookup(name).is_some()
-    }
 }
 
 /// One action per face, each carrying `pkt`: every face but the last gets a
@@ -196,6 +172,7 @@ fn fan_out<P: Clone>(
 mod tests {
     use super::*;
     use gcopss_compat::bytes::Bytes;
+    use gcopss_names::Name;
 
     fn n(s: &str) -> Name {
         Name::parse_lit(s)
@@ -283,18 +260,6 @@ mod tests {
         let acts = e.process_data(1, FaceId(5), data("/a/v1"));
         assert_eq!(acts.len(), 1);
         assert!(matches!(&acts[0], NdnAction::SendData { face: FaceId(1), .. }));
-    }
-
-    #[test]
-    fn publish_local_satisfies_pending() {
-        let mut e = NdnEngine::new(ContentStoreConfig::default());
-        e.fib_mut().add(n("/snapshot"), FaceId(9));
-        e.process_interest(0, FaceId(1), Interest::new(n("/snapshot/1"), 1));
-        let acts = e.publish_local(1, data("/snapshot/1"));
-        assert_eq!(acts.len(), 1);
-        // And it is cached for the next consumer.
-        let acts = e.process_interest(2, FaceId(2), Interest::new(n("/snapshot/1"), 2));
-        assert!(matches!(&acts[0], NdnAction::SendData { .. }));
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl Fib {
             .map(|(_, faces)| faces.as_slice())
     }
 
-    /// Like [`Fib::lookup`] but also reports which prefix matched.
-    #[must_use]
-    pub fn lookup_with_prefix(&self, name: &Name) -> Option<(Name, &[FaceId])> {
-        self.entries
-            .longest_prefix(name)
-            .map(|(p, faces)| (p, faces.as_slice()))
-    }
-
     /// The faces registered for exactly `prefix`, if any.
     #[must_use]
     pub fn exact(&self, prefix: &Name) -> Option<&[FaceId]> {
@@ -151,8 +143,6 @@ mod tests {
         assert_eq!(fib.lookup(&n("/a/x")).unwrap(), &[FaceId(1), FaceId(3)]);
         assert_eq!(fib.lookup(&n("/a/b/c")).unwrap(), &[FaceId(2)]);
         assert!(fib.lookup(&n("/z")).is_none());
-        let (p, _) = fib.lookup_with_prefix(&n("/a/b")).unwrap();
-        assert_eq!(p, n("/a/b"));
     }
 
     #[test]

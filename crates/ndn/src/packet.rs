@@ -3,7 +3,7 @@
 use std::fmt;
 
 use gcopss_compat::bytes::Bytes;
-use gcopss_names::{CdHashes, Name};
+use gcopss_names::Name;
 
 /// A local face (interface) identifier of one NDN node.
 ///
@@ -71,7 +71,7 @@ impl Interest {
     /// dense publication ids used by the COPSS/IP data path.
     #[must_use]
     pub fn lineage_id(&self) -> u64 {
-        let h = CdHashes::compute(&self.name).full() ^ self.nonce.rotate_left(17);
+        let h = self.name.stable_hash() ^ self.nonce.rotate_left(17);
         (h >> 2) | (0b10 << 62)
     }
 }
@@ -131,7 +131,7 @@ impl Data {
     /// linked by their cause spans).
     #[must_use]
     pub fn lineage_id(&self) -> u64 {
-        (CdHashes::compute(&self.name).full() >> 2) | (0b11 << 62)
+        (self.name.stable_hash() >> 2) | (0b11 << 62)
     }
 }
 

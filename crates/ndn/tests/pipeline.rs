@@ -91,8 +91,8 @@ fn pit_expiry_under_unanswered_load() {
         e.process_interest(0, FaceId(0), i);
     }
     assert_eq!(e.pit().len(), 50);
-    assert_eq!(e.expire(500), 0, "still alive");
-    assert_eq!(e.expire(2_000), 50, "all lapsed");
+    assert_eq!(e.pit_mut().expire(500), 0, "still alive");
+    assert_eq!(e.pit_mut().expire(2_000), 50, "all lapsed");
     assert_eq!(e.pit().len(), 0);
 }
 

@@ -316,15 +316,8 @@ impl<P, W> Ctx<'_, P, W> {
         self.streams.offer(stream, key, weight);
     }
 
-    /// This node's sliding-window sum of stream counter `metric`.
-    #[must_use]
-    #[inline]
-    pub fn stream_rate(&self, metric: &'static str) -> u64 {
-        self.streams.rate(metric, self.node.0)
-    }
-
-    /// Another node's sliding-window sum of stream counter `metric` — the
-    /// hub is global, so behaviors can compare their load against peers
+    /// A node's sliding-window sum of stream counter `metric` — the hub is
+    /// global, so behaviors can compare their own load against peers'
     /// (the skew signal of adaptive RP balancing).
     #[must_use]
     #[inline]

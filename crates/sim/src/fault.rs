@@ -193,18 +193,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// The per-transmission loss probability.
-    #[must_use]
-    pub fn loss(&self) -> f64 {
-        self.loss
-    }
-
-    /// The PRNG seed for loss draws.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     pub(crate) fn into_parts(mut self) -> (Vec<(SimTime, FaultEvent)>, f64, u64) {
         // Stable sort: same-time events keep insertion order.
         self.events.sort_by_key(|&(t, _)| t);

@@ -163,33 +163,6 @@ pub fn attach_hosts(
         .collect()
 }
 
-/// A simple line topology `n0 - n1 - … - n{k-1}` with uniform link delay;
-/// useful in tests.
-#[must_use]
-pub fn line(k: usize, delay: SimDuration) -> (Topology, Vec<NodeId>) {
-    let mut t = Topology::new();
-    let nodes: Vec<NodeId> = (0..k).map(|i| t.add_node(format!("n{i}"))).collect();
-    for w in nodes.windows(2) {
-        t.try_add_link(w[0], w[1], delay, None).expect("generated links are valid");
-    }
-    (t, nodes)
-}
-
-/// A star topology: `center` connected to `k` leaves with uniform delay.
-#[must_use]
-pub fn star(k: usize, delay: SimDuration) -> (Topology, NodeId, Vec<NodeId>) {
-    let mut t = Topology::new();
-    let center = t.add_node("center");
-    let leaves: Vec<NodeId> = (0..k)
-        .map(|i| {
-            let n = t.add_node(format!("leaf{i}"));
-            t.try_add_link(center, n, delay, None).expect("generated links are valid");
-            n
-        })
-        .collect();
-    (t, center, leaves)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,20 +243,6 @@ mod tests {
         let (e0, _) = b.topology.neighbors(hosts[0]).next().unwrap();
         let (e4, _) = b.topology.neighbors(hosts[4]).next().unwrap();
         assert_eq!(e0, e4);
-    }
-
-    #[test]
-    fn line_and_star() {
-        let (t, nodes) = line(4, SimDuration::from_millis(1));
-        assert_eq!(t.link_count(), 3);
-        let rt = RoutingTable::shortest_paths(&t);
-        assert_eq!(rt.hop_count(nodes[0], nodes[3]), Some(3));
-
-        let (t, center, leaves) = star(5, SimDuration::from_millis(1));
-        assert_eq!(t.link_count(), 5);
-        let rt = RoutingTable::shortest_paths(&t);
-        assert_eq!(rt.hop_count(leaves[0], leaves[4]), Some(2));
-        assert_eq!(rt.next_hop(leaves[0], leaves[4]), Some(center));
     }
 
     #[test]

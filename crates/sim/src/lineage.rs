@@ -333,12 +333,6 @@ impl LineageLog {
         &self.spans
     }
 
-    /// Number of spans rejected at capacity. Non-zero fails the audit.
-    #[must_use]
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
     /// FNV-1a 64-bit fingerprint over every span. The determinism witness
     /// for the lineage export, mirroring the journal fingerprint.
     #[must_use]
@@ -775,8 +769,8 @@ mod tests {
         let o = log.origin(1, 0, at(0));
         log.close(o, at(0));
         assert_eq!(log.hop(1, o, 1, at(1)), NO_SPAN);
-        assert_eq!(log.truncated(), 1);
         let report = log.audit(at(100), None);
+        assert_eq!(report.truncated, 1);
         assert!(!report.is_clean());
     }
 

@@ -79,26 +79,10 @@ impl OnlineStats {
 
     /// Sum of all samples, saturating at [`SimDuration::MAX`] when the
     /// true `u128` total exceeds `u64::MAX` nanoseconds (~584 years of
-    /// simulated latency). Use [`OnlineStats::checked_sum`] or
-    /// [`OnlineStats::sum_nanos`] when saturation must be detected.
+    /// simulated latency).
     #[must_use]
     pub fn sum(&self) -> SimDuration {
         SimDuration::from_nanos(u64::try_from(self.sum_ns).unwrap_or(u64::MAX))
-    }
-
-    /// Sum of all samples, or `None` if it does not fit in a
-    /// [`SimDuration`] (more than `u64::MAX` nanoseconds).
-    #[must_use]
-    pub fn checked_sum(&self) -> Option<SimDuration> {
-        u64::try_from(self.sum_ns).ok().map(SimDuration::from_nanos)
-    }
-
-    /// The exact sum of all samples in nanoseconds — never overflows
-    /// (recording `u64::MAX` ns at every nanosecond tick for the age of
-    /// the universe stays within `u128`).
-    #[must_use]
-    pub fn sum_nanos(&self) -> u128 {
-        self.sum_ns
     }
 
     /// Renders as a JSON object with latencies in milliseconds
@@ -214,25 +198,6 @@ impl LatencySamples {
             .collect()
     }
 
-    /// Read-only access to the raw samples, in recording order only if no
-    /// quantile/CDF call has sorted them yet.
-    #[must_use]
-    pub fn raw(&self) -> &[SimDuration] {
-        &self.samples
-    }
-
-    /// Renders the `points`-point CDF as a JSON array of
-    /// `{"ms": latency, "frac": cumulative}` rows — the machine-readable
-    /// form of the Fig. 4 curves.
-    pub fn cdf_json(&mut self, points: usize) -> Json {
-        Json::arr(self.cdf(points).into_iter().map(|(d, frac)| {
-            Json::obj([
-                ("ms", Json::from(d.as_millis_f64())),
-                ("frac", Json::from(frac)),
-            ])
-        }))
-    }
-
     /// Converts to [`OnlineStats`].
     #[must_use]
     pub fn stats(&self) -> OnlineStats {
@@ -249,13 +214,6 @@ impl LatencySamples {
             self.sorted = true;
         }
     }
-}
-
-/// Formats a byte count as gigabytes with two decimals, the unit used by the
-/// paper's network-load tables.
-#[must_use]
-pub fn bytes_to_gb(bytes: u64) -> f64 {
-    bytes as f64 / 1e9
 }
 
 #[cfg(test)]
@@ -316,16 +274,11 @@ mod tests {
     fn online_stats_sum_boundary() {
         let mut s = OnlineStats::new();
         s.record(SimDuration::from_nanos(u64::MAX));
-        // Exactly representable: all three accessors agree.
+        // Exactly representable.
         assert_eq!(s.sum(), SimDuration::from_nanos(u64::MAX));
-        assert_eq!(s.checked_sum(), Some(SimDuration::from_nanos(u64::MAX)));
-        assert_eq!(s.sum_nanos(), u128::from(u64::MAX));
-        // One more nanosecond: sum() saturates, checked_sum() reports it,
-        // sum_nanos() stays exact.
+        // One more nanosecond: sum() saturates.
         s.record(SimDuration::from_nanos(1));
         assert_eq!(s.sum(), SimDuration::MAX);
-        assert_eq!(s.checked_sum(), None);
-        assert_eq!(s.sum_nanos(), u128::from(u64::MAX) + 1);
         // The mean is computed from the exact u128 sum, not the saturated
         // value.
         assert_eq!(s.mean(), SimDuration::from_nanos(u64::MAX / 2 + 1));
@@ -380,7 +333,6 @@ mod tests {
         let mut empty = LatencySamples::new();
         assert!(empty.cdf(10).is_empty());
         assert!(empty.cdf(0).is_empty());
-        assert_eq!(empty.cdf_json(10).to_string(), "[]");
         let mut one = LatencySamples::new();
         one.record(ms(3));
         assert!(one.cdf(0).is_empty());
@@ -423,11 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_to_gb_conversion() {
-        assert_eq!(bytes_to_gb(2_500_000_000), 2.5);
-    }
-
-    #[test]
     fn online_stats_to_json() {
         let mut s = OnlineStats::new();
         s.record(ms(2));
@@ -439,17 +386,6 @@ mod tests {
         assert_eq!(
             OnlineStats::new().to_json().to_string(),
             r#"{"count":0,"mean_ms":0,"min_ms":null,"max_ms":null,"sum_ms":0}"#
-        );
-    }
-
-    #[test]
-    fn cdf_json_rows() {
-        let mut l = LatencySamples::new();
-        l.record(ms(10));
-        l.record(ms(20));
-        assert_eq!(
-            l.cdf_json(2).to_string(),
-            r#"[{"ms":10,"frac":0.5},{"ms":20,"frac":1}]"#
         );
     }
 }

@@ -89,14 +89,11 @@ struct WindowedCounter {
     closed: VecDeque<u64>,
     /// The bucket currently filling (closed at the next roll).
     current: u64,
-    /// All-time total, never windowed away.
-    total: u64,
 }
 
 impl WindowedCounter {
     fn bump(&mut self, delta: u64) {
         self.current += delta;
-        self.total += delta;
     }
 
     /// Sum over the sliding window (closed buckets + current partial).
@@ -241,7 +238,7 @@ impl SpaceSaving {
 /// [`crate::Simulator::install_streams`] with a non-vacuous
 /// [`StreamConfig`]; fed by behaviors through `Ctx::stream_bump` /
 /// `Ctx::stream_offer` and by the engine (queue depths, at each roll);
-/// read back through `Ctx::stream_rate` and friends.
+/// read back through `Ctx::stream_rate_of` and friends.
 #[derive(Debug)]
 pub struct MetricStreams {
     tick: SimDuration,
@@ -308,12 +305,6 @@ impl MetricStreams {
         self.rolls
     }
 
-    /// The configured roll period.
-    #[must_use]
-    pub fn tick(&self) -> SimDuration {
-        self.tick
-    }
-
     /// Bumps the windowed counter `metric` at `node`. No-op while disabled.
     #[inline]
     pub fn bump(&mut self, metric: &'static str, node: u32, delta: u64) {
@@ -343,12 +334,6 @@ impl MetricStreams {
             .map_or(0, WindowedCounter::windowed)
     }
 
-    /// The all-time total of `metric` at `node`.
-    #[must_use]
-    pub fn total(&self, metric: &'static str, node: u32) -> u64 {
-        self.counters.get(&(metric, node)).map_or(0, |c| c.total)
-    }
-
     /// The node's service-queue-depth EWMA in Q8 fixed point (0 before the
     /// first roll or while disabled).
     #[must_use]
@@ -360,12 +345,6 @@ impl MetricStreams {
     #[must_use]
     pub fn sketch(&self, stream: &'static str) -> Option<&SpaceSaving> {
         self.sketches.get(stream)
-    }
-
-    /// The `k` heaviest keys of the named sketch (empty when absent).
-    #[must_use]
-    pub fn top(&self, stream: &'static str, k: usize) -> Vec<(u64, u64, u64)> {
-        self.sketches.get(stream).map_or_else(Vec::new, |s| s.top(k))
     }
 
     /// One roll at `at`: closes every counter's current bucket, feeds the
@@ -457,7 +436,6 @@ mod tests {
         assert_eq!(c.windowed(), 3);
         c.roll(2);
         assert_eq!(c.windowed(), 0);
-        assert_eq!(c.total, 8);
     }
 
     #[test]

@@ -152,17 +152,6 @@ impl SimDuration {
         Self((secs * 1e9).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or not finite.
-    #[must_use]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms.is_finite() && ms >= 0.0, "invalid milliseconds: {ms}");
-        Self((ms * 1e6).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
@@ -283,10 +272,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
         assert_eq!(SimTime::from_secs_f64(0.001), SimTime::from_millis(1));
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
-        assert_eq!(
-            SimDuration::from_millis_f64(2.5),
-            SimDuration::from_micros(2_500)
-        );
     }
 
     #[test]

@@ -222,11 +222,6 @@ impl Topology {
         self.nodes[node.index()].kind
     }
 
-    /// All nodes of the given kind.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_ids().filter(move |n| self.node_kind(*n) == kind)
-    }
-
     /// Iterates over `(neighbor, link)` pairs of a node.
     ///
     /// # Panics
@@ -323,7 +318,6 @@ mod tests {
         assert_eq!(t.link_bandwidth(l), None);
         assert_eq!(t.link_endpoints(l), (a, b));
         assert_eq!(t.neighbors(b).count(), 2);
-        assert_eq!(t.nodes_of_kind(NodeKind::Host).count(), 1);
         assert!(t.is_connected());
     }
 

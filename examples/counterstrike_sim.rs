@@ -7,7 +7,7 @@
 //! ```
 
 use gcopss::core::experiments::rp_sweep::{run_gcopss_once, run_ip_once};
-use gcopss::core::experiments::{Workload, WorkloadParams};
+use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::NetworkSpec;
 use gcopss::core::MetricsMode;
 
@@ -29,9 +29,10 @@ fn main() {
     );
 
     let net = NetworkSpec::default_backbone(7);
+    let off = &mut TelemetryCapture::off();
 
     println!("\nrunning G-COPSS with 3 RPs...");
-    let (world, bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly);
+    let (world, bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
     println!(
         "  G-COPSS : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
         world.metrics.stats().mean().as_millis_f64(),
@@ -42,7 +43,7 @@ fn main() {
     let g_load = bytes;
 
     println!("running the IP server baseline with 3 servers...");
-    let (world, bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly);
+    let (world, bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly, off, "");
     println!(
         "  IP x3   : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
         world.metrics.stats().mean().as_millis_f64(),

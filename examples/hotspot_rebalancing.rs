@@ -7,7 +7,7 @@
 //! ```
 
 use gcopss::core::experiments::rp_sweep::run_gcopss_once;
-use gcopss::core::experiments::{Workload, WorkloadParams};
+use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::NetworkSpec;
 use gcopss::core::MetricsMode;
 
@@ -17,9 +17,10 @@ fn main() {
         ..WorkloadParams::default()
     });
     let net = NetworkSpec::default_backbone(7);
+    let off = &mut TelemetryCapture::off();
 
     println!("one RP, no balancing: every publication funnels through a single core router...");
-    let (world, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly);
+    let (world, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly, off, "");
     println!(
         "  mean latency {:.0} ms, max {:.0} ms  <- traffic concentration",
         world.metrics.stats().mean().as_millis_f64(),
@@ -31,7 +32,7 @@ fn main() {
     );
 
     println!("\nsame workload with automatic balancing (queue threshold 50):");
-    let (world, _) = run_gcopss_once(&w, &net, 1, Some(50), MetricsMode::StatsOnly);
+    let (world, _) = run_gcopss_once(&w, &net, 1, Some(50), MetricsMode::StatsOnly, off, "");
     println!(
         "  mean latency {:.0} ms, max {:.0} ms",
         world.metrics.stats().mean().as_millis_f64(),
@@ -53,7 +54,7 @@ fn main() {
     }
 
     println!("\nfor comparison, a manually provisioned 3-RP deployment:");
-    let (world, _) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly);
+    let (world, _) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
     println!(
         "  mean latency {:.0} ms (the paper: auto-balancing converges close to this)",
         world.metrics.stats().mean().as_millis_f64()

@@ -8,7 +8,7 @@
 
 use gcopss::core::broker::SnapshotMode;
 use gcopss::core::experiments::movement::{run_mode, MovementConfig};
-use gcopss::core::experiments::WorkloadParams;
+use gcopss::core::experiments::{TelemetryCapture, WorkloadParams};
 use gcopss::sim::SimDuration;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         SnapshotMode::QueryResponse { window: 15 },
         SnapshotMode::CyclicMulticast,
     ] {
-        let out = run_mode(&cfg, mode);
+        let out = run_mode(&cfg, mode, &mut TelemetryCapture::off());
         println!("\n--- {} ---", out.label);
         println!(
             "{} moves completed; broker served {} snapshot objects",

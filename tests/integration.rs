@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use gcopss::core::experiments::rp_sweep::{run_gcopss_once, run_ip_once};
-use gcopss::core::experiments::{Workload, WorkloadParams};
+use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::{
     expected_deliveries, GcopssConfig, HybridConfig, NetworkSpec, ScenarioSpec,
 };
@@ -29,8 +29,9 @@ fn small_cs_workload(updates: usize, players: usize, seed: u64) -> Workload {
 fn gcopss_beats_ip_server_on_latency_and_load() {
     let w = small_cs_workload(2_500, 100, 11);
     let net = NetworkSpec::default_backbone(5);
-    let (gw, g_bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly);
-    let (iw, i_bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly);
+    let off = &mut TelemetryCapture::off();
+    let (gw, g_bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
+    let (iw, i_bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly, off, "");
     assert!(
         gw.metrics.stats().mean() < iw.metrics.stats().mean(),
         "latency: gcopss {} vs ip {}",
@@ -85,9 +86,10 @@ fn auto_balancing_splits_without_loss() {
     let w = small_cs_workload(3_000, 100, 17);
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     let net = NetworkSpec::default_backbone(3);
+    let off = &mut TelemetryCapture::off();
 
     // Unbalanced single RP: congested.
-    let (un, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly);
+    let (un, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly, off, "");
 
     // Balanced: splits must fire and help.
     let cfg = GcopssConfig {
