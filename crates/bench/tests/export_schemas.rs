@@ -414,6 +414,7 @@ fn scale_sweep() {
 #[ignore = "minutes of simulation; run by scripts/check_hermetic.sh in release"]
 fn tables_and_figures() {
     let exps = [
+        ("table1", 0.05),
         ("table2", 0.05),
         ("table3", 0.2),
         ("ablation", 0.1),

@@ -16,31 +16,32 @@
 //!
 //! Modeling notes (documented deviations):
 //! * The "first Subscribe / last Unsubscribe" signal that starts/stops a
-//!   cyclic stream is carried by explicit `/snapcastctl/<cd>/join|leave`
-//!   Interests addressed to the broker (in COPSS the Subscribe itself would
-//!   reach the broker's first-hop router).
+//!   cyclic stream is carried by explicit
+//!   `/snapcastctl/<cd>/{join,leave}/<nonce>` command Interests addressed to
+//!   the broker (in COPSS the Subscribe itself would reach the broker's
+//!   first-hop router).
 //! * Update events keep following the trace's static placement while a
 //!   player moves; movement drives subscriptions and snapshot retrieval.
 //!   Convergence time depends on object counts/sizes, which the trace's
 //!   updates fully determine.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gcopss_compat::bytes::Bytes;
 use gcopss_copss::{CopssPacket, MulticastPacket};
 use gcopss_game::trace::TraceEvent;
-use gcopss_game::{AreaId, GameMap, MoveEvent, ObjectId, ObjectModel, PlayerId};
+use gcopss_game::{GameMap, ObjectId, ObjectModel};
 use gcopss_names::chunk::{ChunkId, ChunkStore, Chunker, Manifest};
 use gcopss_names::{Cd, Component, Name};
-use gcopss_ndn::{Data, Interest};
-use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SimTime};
+use gcopss_ndn::Data;
+use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration};
 
-use crate::client::{DedupWindow, TraceCursor};
+use crate::client::DedupWindow;
 use crate::params::{adaptive_cache, BROKER_PER_OBJECT, CYCLIC_GAP};
 use crate::router::cs_prefix_key;
 use crate::scenario::ExtraHost;
-use crate::{payload_of, ConvergenceRecord, GPacket, GameWorld, SimParams};
+use crate::{payload_of, GPacket, GameWorld, SimParams};
 
 /// The `/snapshot` QR namespace root.
 #[must_use]
@@ -171,8 +172,10 @@ pub struct SnapshotBroker {
     dedup: DedupWindow,
     /// Active cyclic streams: cd index → (subscriber count, next object).
     cyclic: BTreeMap<usize, CyclicStream>,
-    /// Monotonic id source for snapshot multicasts (distinct from update
-    /// publication ids).
+    /// Monotonic id source for snapshot multicasts: above every update
+    /// publication id (trace indices) and, once `on_start` has folded the
+    /// broker's own node into the base, disjoint from every other broker's
+    /// — receivers dedup and lineage keys on [`MulticastPacket::id`] alone.
     next_snap_id: u64,
     /// Content-addressed chunk cache for the manifest/chunk serve path.
     chunks: BrokerChunkCache,
@@ -336,17 +339,29 @@ impl SnapshotBroker {
         self.serving_index(&cd)
     }
 
+    /// Parses `/snapcastctl/<cd>/{join,leave}/<nonce>`, returning the
+    /// serving index and whether the command is a join.
+    ///
+    /// Why command Interests carry a nonce component: a join or a leave is
+    /// a *command*, not a request for content — each one must reach the
+    /// broker and be counted. Under one shared name per CD and verb, a CCN
+    /// forwarder does what it does for any Interest: the PIT aggregates a
+    /// second mover's join into the pending first, and the Content Store
+    /// answers a third with the cached ack — joins vanish (the stream stops
+    /// under a mover still fetching) and leaves vanish (the stream never
+    /// stops). The sender's nonce as the last component makes every command
+    /// its own name.
     fn parse_ctl_name(&self, name: &Name) -> Option<(usize, bool)> {
         let comps = name.components();
-        if comps.first()?.as_str() != "snapcastctl" {
+        if comps.len() < 4 || comps[0].as_str() != "snapcastctl" {
             return None;
         }
-        let join = match comps.last()?.as_str() {
+        let join = match comps[comps.len() - 2].as_str() {
             "join" => true,
             "leave" => false,
             _ => return None,
         };
-        let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
+        let cd = Name::from_components(comps[1..comps.len() - 2].iter().cloned());
         Some((self.serving_index(&cd)?, join))
     }
 
@@ -461,6 +476,7 @@ enum SnapshotRequest {
 impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let _p = gcopss_sim::prof::scope("broker/start");
+        self.next_snap_id |= u64::from(ctx.node().0) << 32;
         // Subscribe to the serving areas to keep snapshots current (§IV-A:
         // "it only subscribes to the leaf CDs representing its serving
         // area").
@@ -529,11 +545,14 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                             ctx.schedule(CYCLIC_GAP, idx as u64);
                         }
                         ctx.world().bump("broker-cyclic-joins");
-                    } else if let Some(s) = self.cyclic.get_mut(&idx) {
-                        s.subscribers = s.subscribers.saturating_sub(1);
-                        // The stream stops at the next tick when empty; the
-                        // packets sent meanwhile are the paper's "wasted"
-                        // tail transmissions.
+                    } else {
+                        if let Some(s) = self.cyclic.get_mut(&idx) {
+                            s.subscribers = s.subscribers.saturating_sub(1);
+                            // The stream stops at the next tick when empty;
+                            // the packets sent meanwhile are the paper's
+                            // "wasted" tail transmissions.
+                        }
+                        ctx.world().bump("broker-cyclic-leaves");
                     }
                     // Acknowledge so the PIT breadcrumbs are consumed.
                     self.send_data(ctx, i.name, payload_of(1));
@@ -561,466 +580,6 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                     crate::drops::record(ctx, crate::drops::BROKER_UNKNOWN_INTEREST, i.encoded_len() as u32);
                 }
             }
-            _ => {}
-        }
-    }
-
-    fn service_time(&self, _pkt: &GPacket) -> SimDuration {
-        SimDuration::ZERO
-    }
-}
-
-/// Per-CD progress of an in-flight snapshot fetch.
-#[derive(Debug)]
-enum CdFetch {
-    Qr {
-        total: Option<u32>,
-        received: u32,
-    },
-    Cyclic {
-        total: Option<u32>,
-        received: HashSet<u32>,
-    },
-}
-
-impl CdFetch {
-    fn done(&self) -> bool {
-        match self {
-            Self::Qr {
-                total: Some(t),
-                received,
-            } => received >= t,
-            Self::Cyclic {
-                total: Some(t),
-                received,
-            } => received.len() as u32 >= *t,
-            _ => false,
-        }
-    }
-}
-
-/// An in-flight post-move snapshot fetch.
-struct FetchState {
-    move_type: gcopss_game::MoveType,
-    started: SimTime,
-    per_cd: BTreeMap<Name, CdFetch>,
-    bytes: u64,
-    outstanding: u32,
-    /// (cd, k) object queries not yet issued (QR mode).
-    queue: VecDeque<(Name, u32)>,
-}
-
-/// A player client that additionally executes a movement schedule,
-/// re-subscribing and fetching snapshots of newly visible areas; records a
-/// [`ConvergenceRecord`] per move (Table III).
-pub struct MovingPlayerClient {
-    player: PlayerId,
-    edge: NodeId,
-    area: AreaId,
-    map: Arc<GameMap>,
-    cursor: TraceCursor,
-    moves: Vec<MoveEvent>,
-    next_move: usize,
-    warmup: SimDuration,
-    mode: SnapshotMode,
-    dedup: DedupWindow,
-    fetch: Option<FetchState>,
-    next_nonce: u64,
-    /// §IV-A offline support: until this instant the player is offline —
-    /// not subscribed, not publishing. Coming online subscribes and fetches
-    /// the snapshot of the entire current view.
-    online_at: Option<SimTime>,
-    fetch_is_join: bool,
-}
-
-/// Timer keys: publications use 0 (like the base client), moves use 1,
-/// coming online uses 2.
-const TIMER_PUBLISH: u64 = 0;
-const TIMER_MOVE: u64 = 1;
-const TIMER_ONLINE: u64 = 2;
-
-impl MovingPlayerClient {
-    /// Creates a moving client. `moves` is this player's movement schedule
-    /// (trace-relative times).
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn new(
-        player: PlayerId,
-        edge: NodeId,
-        area: AreaId,
-        map: Arc<GameMap>,
-        cursor: TraceCursor,
-        moves: Vec<MoveEvent>,
-        warmup: SimDuration,
-        mode: SnapshotMode,
-    ) -> Self {
-        Self {
-            player,
-            edge,
-            area,
-            map,
-            cursor,
-            moves,
-            next_move: 0,
-            warmup,
-            mode,
-            dedup: DedupWindow::new(1024),
-            fetch: None,
-            next_nonce: u64::from(player.0) << 32,
-            online_at: None,
-            fetch_is_join: false,
-        }
-    }
-
-    /// Makes this player start *offline*: it neither subscribes nor
-    /// publishes until `online_at`, then joins the game at its area —
-    /// subscribing, fetching the snapshot of everything it can see, and
-    /// starting to publish (§IV-A: "besides the general pub/sub support
-    /// provided in COPSS for offline users").
-    #[must_use]
-    pub fn offline_until(mut self, online_at: SimTime) -> Self {
-        self.online_at = Some(online_at);
-        self
-    }
-
-    fn send(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, g: GPacket) {
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
-    }
-
-    fn nonce(&mut self) -> u64 {
-        self.next_nonce += 1;
-        self.next_nonce
-    }
-
-    fn schedule_publish(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if let Some(at) = self.cursor.next_time() {
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_PUBLISH);
-        }
-    }
-
-    fn schedule_move(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if let Some(m) = self.moves.get(self.next_move) {
-            let at = SimTime::from_nanos(m.time_ns) + self.warmup;
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_MOVE);
-        }
-    }
-
-    fn begin_move(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(mv) = self.moves.get(self.next_move).cloned() else {
-            return;
-        };
-        self.next_move += 1;
-        // Re-subscribe for the new location.
-        let old = self.map.subscription_cds(self.area);
-        let new = self.map.subscription_cds(mv.to);
-        self.area = mv.to;
-        self.send(ctx, GPacket::Copss(CopssPacket::Unsubscribe { cds: old, rp: None }));
-        self.send(
-            ctx,
-            GPacket::Copss(CopssPacket::Subscribe { cds: new, rp: None }),
-        );
-
-        // Abort any unfinished fetch (superseded by the new move); leave
-        // any cyclic groups it was still draining.
-        if let Some(old_fetch) = self.fetch.take() {
-            if self.mode == SnapshotMode::CyclicMulticast {
-                for cd in old_fetch.per_cd.keys() {
-                    self.send(
-                        ctx,
-                        GPacket::Copss(CopssPacket::Unsubscribe {
-                            cds: vec![snapcast_ns().join(cd)],
-                            rp: None,
-                        }),
-                    );
-                    let name = snapcastctl_ns()
-                        .join(cd)
-                        .child(Component::new("leave").expect("valid"));
-                    let nonce = self.nonce();
-                    self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
-                }
-            }
-            ctx.world().bump("mover-fetch-superseded");
-            if ctx.telemetry_enabled() {
-                ctx.emit(gcopss_sim::TraceEvent::Mark, "mover-fetch-superseded", 0);
-            }
-        }
-
-        if mv.snapshot_cds.is_empty() {
-            // Descending: the view only narrows, nothing to download.
-            ctx.world().convergence.push(ConvergenceRecord {
-                player: self.player,
-                move_type: mv.move_type,
-                leaf_cds: 0,
-                convergence: SimDuration::ZERO,
-                bytes: 0,
-                online_join: false,
-            });
-            self.schedule_move(ctx);
-            return;
-        }
-
-        self.start_fetch(ctx, mv.move_type, &mv.snapshot_cds, false);
-        self.schedule_move(ctx);
-    }
-
-    /// Begins fetching the snapshots of `cds`, recording completion under
-    /// `move_type` (and the `online_join` flag).
-    fn start_fetch(
-        &mut self,
-        ctx: &mut Ctx<'_, GPacket, GameWorld>,
-        move_type: gcopss_game::MoveType,
-        cds: &[Name],
-        is_join: bool,
-    ) {
-        self.fetch_is_join = is_join;
-        let mut st = FetchState {
-            move_type,
-            started: ctx.now(),
-            per_cd: BTreeMap::new(),
-            bytes: 0,
-            outstanding: 0,
-            queue: VecDeque::new(),
-        };
-        for cd in cds {
-            match self.mode {
-                SnapshotMode::QueryResponse { .. } => {
-                    st.per_cd.insert(
-                        cd.clone(),
-                        CdFetch::Qr {
-                            total: None,
-                            received: 0,
-                        },
-                    );
-                    let name = snapshot_ns()
-                        .join(cd)
-                        .child(Component::new("meta").expect("valid"));
-                    let nonce = self.nonce();
-                    st.outstanding += 1;
-                    self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
-                }
-                SnapshotMode::CyclicMulticast => {
-                    st.per_cd.insert(
-                        cd.clone(),
-                        CdFetch::Cyclic {
-                            total: None,
-                            received: HashSet::new(),
-                        },
-                    );
-                    self.send(
-                        ctx,
-                        GPacket::Copss(CopssPacket::Subscribe {
-                            cds: vec![snapcast_ns().join(cd)],
-                            rp: None,
-                        }),
-                    );
-                    let name = snapcastctl_ns()
-                        .join(cd)
-                        .child(Component::new("join").expect("valid"));
-                    let nonce = self.nonce();
-                    self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
-                }
-            }
-        }
-        self.fetch = Some(st);
-    }
-
-    /// Pipelines further QR object queries up to the window.
-    fn refill_qr_window(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let SnapshotMode::QueryResponse { window } = self.mode else {
-            return;
-        };
-        let mut to_send = Vec::new();
-        if let Some(st) = self.fetch.as_mut() {
-            while st.outstanding < window {
-                let Some((cd, k)) = st.queue.pop_front() else {
-                    break;
-                };
-                st.outstanding += 1;
-                to_send.push((cd, k));
-            }
-        }
-        for (cd, k) in to_send {
-            let name = snapshot_ns()
-                .join(&cd)
-                .child(Component::new("obj").expect("valid"))
-                .child_index(k);
-            let nonce = self.nonce();
-            self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
-        }
-    }
-
-    fn finish_if_done(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let done = self
-            .fetch
-            .as_ref()
-            .is_some_and(|st| st.per_cd.values().all(CdFetch::done) && st.outstanding == 0);
-        if !done {
-            return;
-        }
-        let st = self.fetch.take().expect("fetch present");
-        // Cyclic mode: leave the groups now that the snapshot is complete.
-        if self.mode == SnapshotMode::CyclicMulticast {
-            for cd in st.per_cd.keys() {
-                self.send(
-                    ctx,
-                    GPacket::Copss(CopssPacket::Unsubscribe {
-                        cds: vec![snapcast_ns().join(cd)],
-                        rp: None,
-                    }),
-                );
-                let name = snapcastctl_ns()
-                    .join(cd)
-                    .child(Component::new("leave").expect("valid"));
-                let nonce = self.nonce();
-                self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
-            }
-        }
-        let now = ctx.now();
-        let online_join = self.fetch_is_join;
-        self.fetch_is_join = false;
-        ctx.world().convergence.push(ConvergenceRecord {
-            player: self.player,
-            move_type: st.move_type,
-            leaf_cds: st.per_cd.len(),
-            convergence: now.saturating_duration_since(st.started),
-            bytes: st.bytes,
-            online_join,
-        });
-    }
-
-    fn come_online(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let cds = self.map.subscription_cds(self.area);
-        self.send(ctx, GPacket::Copss(CopssPacket::Subscribe { cds, rp: None }));
-        self.schedule_publish(ctx);
-        self.schedule_move(ctx);
-        // A joining player has no prior view: fetch every visible leaf CD
-        // (classified as the broadest movement type for reporting).
-        let visible = self.map.visible_leaf_cds(self.area);
-        ctx.world().bump("online-joins");
-        self.start_fetch(ctx, gcopss_game::MoveType::RegionToWorld, &visible, true);
-    }
-
-    fn on_snapshot_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
-        let comps = d.name.components();
-        if comps.first().map(Component::as_str) != Some("snapshot") {
-            return;
-        }
-        let Some(st) = self.fetch.as_mut() else {
-            return;
-        };
-        if comps.last().map(Component::as_str) == Some("meta") {
-            let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
-            st.bytes += d.payload.len() as u64;
-            st.outstanding = st.outstanding.saturating_sub(1);
-            let total = d
-                .payload
-                .get(..4)
-                .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            if let Some(CdFetch::Qr { total: t, .. }) = st.per_cd.get_mut(&cd) {
-                if t.is_none() {
-                    *t = Some(total);
-                    for k in 0..total {
-                        st.queue.push_back((cd.clone(), k));
-                    }
-                }
-            }
-        } else if comps.len() >= 3 && comps[comps.len() - 2].as_str() == "obj" {
-            let cd = Name::from_components(comps[1..comps.len() - 2].iter().cloned());
-            st.bytes += d.payload.len() as u64;
-            st.outstanding = st.outstanding.saturating_sub(1);
-            if let Some(CdFetch::Qr { received, .. }) = st.per_cd.get_mut(&cd) {
-                *received += 1;
-            }
-        }
-        self.refill_qr_window(ctx);
-        self.finish_if_done(ctx);
-    }
-
-    fn on_snapcast(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, m: &MulticastPacket) {
-        let comps = m.cd.name().components();
-        let cd = Name::from_components(comps[1..].iter().cloned());
-        let Some(st) = self.fetch.as_mut() else {
-            return;
-        };
-        let Some(CdFetch::Cyclic { total, received }) = st.per_cd.get_mut(&cd) else {
-            return;
-        };
-        let k = m
-            .payload
-            .get(..4)
-            .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        let t = m
-            .payload
-            .get(4..8)
-            .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        if total.is_none() {
-            *total = Some(t);
-        }
-        if received.insert(k) {
-            st.bytes += m.payload.len() as u64;
-        }
-        self.finish_if_done(ctx);
-    }
-
-    fn publish(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some((id, e)) = self.cursor.pop() else {
-            return;
-        };
-        let (cd, size) = (e.cd.clone(), e.size);
-        let now = ctx.now();
-        ctx.world().metrics.publish(id, self.player, now);
-        self.dedup.insert(id);
-        let m = MulticastPacket::new(Cd::new(cd), payload_of(size as usize), id);
-        self.send(ctx, GPacket::Copss(CopssPacket::Multicast(m)));
-        self.schedule_publish(ctx);
-    }
-}
-
-impl NodeBehavior<GPacket, GameWorld> for MovingPlayerClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let _p = gcopss_sim::prof::scope("moving_client/start");
-        if let Some(at) = self.online_at {
-            // Offline: stay silent until the join instant.
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_ONLINE);
-            return;
-        }
-        let cds = self.map.subscription_cds(self.area);
-        self.send(ctx, GPacket::Copss(CopssPacket::Subscribe { cds, rp: None }));
-        self.schedule_publish(ctx);
-        self.schedule_move(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
-        let _p = gcopss_sim::prof::scope("moving_client/timer");
-        match key {
-            TIMER_PUBLISH => self.publish(ctx),
-            TIMER_MOVE => self.begin_move(ctx),
-            TIMER_ONLINE => self.come_online(ctx),
-            _ => {}
-        }
-    }
-
-    fn on_packet(
-        &mut self,
-        ctx: &mut Ctx<'_, GPacket, GameWorld>,
-        _from: Option<NodeId>,
-        pkt: GPacket,
-    ) {
-        let _p = gcopss_sim::prof::scope("moving_client/packet");
-        match pkt {
-            GPacket::Copss(CopssPacket::Multicast(m)) => {
-                if !self.dedup.insert(m.id) {
-                    crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
-                    return;
-                }
-                if m.cd.name().get(0).map(Component::as_str) == Some("snapcast") {
-                    self.on_snapcast(ctx, &m);
-                } else {
-                    GameWorld::deliver(ctx, m.id, self.player);
-                }
-            }
-            GPacket::Data(d) => self.on_snapshot_data(ctx, &d),
             _ => {}
         }
     }
@@ -1088,15 +647,15 @@ mod tests {
             None
         );
         assert_eq!(
-            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/join")),
+            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/join/4294967297")),
             Some((0, true))
         );
         assert_eq!(
-            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/leave")),
+            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/leave/7")),
             Some((0, false))
         );
         assert_eq!(
-            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/bogus")),
+            broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/bogus/7")),
             None
         );
     }

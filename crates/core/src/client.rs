@@ -6,16 +6,20 @@ use std::sync::Arc;
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_copss::{CopssPacket, MulticastPacket};
 use gcopss_game::trace::TraceEvent;
-use gcopss_game::{AreaId, GameMap, PlayerId};
+use gcopss_game::{AreaId, GameMap, MoveEvent, MoveType, PlayerId};
 use gcopss_names::chunk::{ChunkId, ChunkStore, Manifest};
 use gcopss_names::{Cd, Component, Name};
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
-use crate::broker::{chunk_name, parse_chunk_name, snapmani_ns, snapshot_ns};
+use crate::broker::{
+    chunk_name, parse_chunk_name, snapcast_ns, snapcastctl_ns, snapmani_ns, snapshot_ns,
+    SnapshotMode,
+};
 use crate::params::recovery;
 use crate::{
-    payload_of, CatchUpMode, CatchUpRecord, GPacket, GameWorld, RateAdaptConfig, RecoveryConfig,
+    payload_of, CatchUpMode, CatchUpRecord, ConvergenceRecord, GPacket, GameWorld,
+    RateAdaptConfig, RecoveryConfig,
 };
 
 /// Timer key of trace-driven publishing.
@@ -29,15 +33,19 @@ const TIMER_CATCHUP_START: u64 = 3;
 /// Timer key of the periodic soft-state Subscribe refresh
 /// ([`RecoveryConfig::subscribe_refresh`]).
 const TIMER_REFRESH: u64 = 4;
+/// Timer key of the next scheduled move (movers only).
+const TIMER_MOVE: u64 = 5;
+/// Timer key of an offline player coming online (§IV-A).
+const TIMER_ONLINE: u64 = 6;
 
 /// Client-side recovery state: a silence watchdog with capped exponential
 /// backoff and seeded per-client jitter. Shared by the G-COPSS player
 /// client and the IP baseline client.
 pub(crate) struct ClientRecovery {
     pub(crate) cfg: RecoveryConfig,
-    pub(crate) rng: SmallRng,
+    rng: SmallRng,
     pub(crate) last_activity: SimTime,
-    pub(crate) backoff: SimDuration,
+    backoff: SimDuration,
 }
 
 impl ClientRecovery {
@@ -52,6 +60,36 @@ impl ClientRecovery {
 
     pub(crate) fn jitter(&mut self) -> SimDuration {
         SimDuration::from_nanos(self.rng.gen_range(0..=recovery::JITTER.as_nanos()))
+    }
+
+    /// Delay to the first watchdog tick after a (re)start: one jittered
+    /// watchdog period.
+    pub(crate) fn first_tick(&mut self) -> SimDuration {
+        self.cfg.watchdog + self.jitter()
+    }
+
+    /// One watchdog tick at `now`: returns whether the client is silent
+    /// (nothing arrived for a whole watchdog period — the caller re-expresses
+    /// its subscription or session) and the delay to the next tick, backing
+    /// off exponentially (capped) while the silence lasts.
+    pub(crate) fn tick(&mut self, now: SimTime) -> (bool, SimDuration) {
+        let silent = now.saturating_duration_since(self.last_activity) >= self.cfg.watchdog;
+        let next = if silent {
+            let delay = self.backoff + self.jitter();
+            self.backoff = (self.backoff + self.backoff).min(recovery::BACKOFF_CAP);
+            delay
+        } else {
+            self.backoff = recovery::BACKOFF_BASE;
+            self.first_tick()
+        };
+        (silent, next)
+    }
+
+    /// The access path is known good at `now` (link back up, node
+    /// restarted): silence and backoff start over.
+    pub(crate) fn reanchor(&mut self, now: SimTime) {
+        self.backoff = recovery::BACKOFF_BASE;
+        self.last_activity = now;
     }
 }
 
@@ -86,12 +124,33 @@ impl RatePacer {
     /// Gates a publish attempt at `now`: admitted attempts stamp
     /// `last_pub`; attempts inside the gap are rejected (shed by the
     /// caller).
-    pub(crate) fn allow(&mut self, now: SimTime) -> bool {
+    fn allow(&mut self, now: SimTime) -> bool {
         if self.gap > SimDuration::ZERO && now < self.last_pub + self.gap {
             return false;
         }
         self.last_pub = now;
         true
+    }
+
+    /// Pops the event `cursor` is due to publish now, as `(publication id,
+    /// CD, size)`. An event falling inside `pacer`'s gap is shed at the
+    /// source instead and `None` comes back: it is never published (the
+    /// auditor sees it as unpublished, not lost) but the trace keeps
+    /// advancing — position updates are superseded by the next one, not
+    /// worth queueing. Either way the caller re-arms its publish timer.
+    pub(crate) fn pop(
+        pacer: &mut Option<Self>,
+        cursor: &mut TraceCursor,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+    ) -> Option<(u64, Name, u32)> {
+        let (id, e) = cursor.pop()?;
+        let (cd, size) = (e.cd.clone(), e.size);
+        if pacer.as_mut().is_some_and(|p| !p.allow(ctx.now())) {
+            crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
+            ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
+            return None;
+        }
+        Some((id, cd, size))
     }
 
     /// A congestion-marked delivery arrived: stretch the gap.
@@ -298,12 +357,91 @@ struct CatchUpRunner {
     /// Manifests fetched by the active catch-up (reassembly check at end).
     manifests: Vec<Manifest>,
     active: Option<CatchUpFetch>,
-    next_nonce: u64,
+}
+
+/// `/snapshot/<cd>/meta`: the QR query for a leaf CD's object count.
+fn snapshot_meta_name(cd: &Name) -> Name {
+    snapshot_ns()
+        .join(cd)
+        .child(Component::new("meta").expect("valid"))
+}
+
+/// `/snapshot/<cd>/obj/<k>`: the QR query for a leaf CD's `k`-th object.
+fn snapshot_obj_name(cd: &Name, k: u32) -> Name {
+    snapshot_ns()
+        .join(cd)
+        .child(Component::new("obj").expect("valid"))
+        .child_index(k)
+}
+
+/// The little-endian `u32` at `payload[at..at + 4]` (0 if out of range).
+fn le_u32(payload: &[u8], at: usize) -> u32 {
+    payload
+        .get(at..at + 4)
+        .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// Per-CD progress of an in-flight post-move snapshot fetch.
+#[derive(Debug)]
+enum CdFetch {
+    Qr {
+        total: Option<u32>,
+        received: u32,
+    },
+    Cyclic {
+        total: Option<u32>,
+        received: HashSet<u32>,
+    },
+}
+
+impl CdFetch {
+    fn done(&self) -> bool {
+        match self {
+            Self::Qr {
+                total: Some(t),
+                received,
+            } => received >= t,
+            Self::Cyclic {
+                total: Some(t),
+                received,
+            } => received.len() as u32 >= *t,
+            _ => false,
+        }
+    }
+}
+
+/// An in-flight post-move (or online-join) snapshot fetch.
+struct FetchState {
+    move_type: MoveType,
+    /// An offline player coming online rather than an in-game move.
+    online_join: bool,
+    started: SimTime,
+    per_cd: BTreeMap<Name, CdFetch>,
+    bytes: u64,
+    outstanding: u32,
+    /// (cd, k) object queries not yet issued (QR mode).
+    queue: VecDeque<(Name, u32)>,
+}
+
+/// The movement side of a player (§IV-A, Table III): its schedule of moves
+/// — each re-subscribes for the new location and fetches the snapshots of
+/// the newly visible leaf CDs, recording a [`ConvergenceRecord`] — and the
+/// offline join.
+struct Mover {
+    /// The moves still ahead, in schedule order (trace-relative times).
+    moves: VecDeque<MoveEvent>,
+    mode: SnapshotMode,
+    fetch: Option<FetchState>,
+    /// §IV-A offline support: `Some` while the player is still offline —
+    /// not subscribed, not publishing. Coming online at this instant
+    /// subscribes and fetches the snapshot of the entire current view.
+    online_at: Option<SimTime>,
 }
 
 /// The G-COPSS player client: subscribes according to its map position at
 /// start-up, publishes its trace slice, and records delivery latencies of
-/// everything it receives.
+/// everything it receives. With [`Self::with_mover`] it also executes a
+/// movement schedule.
 pub struct GamePlayerClient {
     player: PlayerId,
     edge: NodeId,
@@ -314,6 +452,10 @@ pub struct GamePlayerClient {
     recovery: Option<ClientRecovery>,
     pacer: Option<RatePacer>,
     catch_up: Option<CatchUpRunner>,
+    mover: Option<Box<Mover>>,
+    /// Last Interest nonce used (`player << 32 | n`): one sequence for
+    /// every Interest this client sends.
+    next_nonce: u64,
     /// Whether any multicast delivery arrived yet. Watchdog silence before
     /// the first delivery means the trace has not started, not that state
     /// was lost — it must not trigger a (cold, maximally expensive)
@@ -351,6 +493,8 @@ impl GamePlayerClient {
             recovery: None,
             pacer: None,
             catch_up: None,
+            mover: None,
+            next_nonce: u64::from(player.0) << 32,
             seen_delivery: false,
             was_deaf: false,
             pending_resync: false,
@@ -369,7 +513,6 @@ impl GamePlayerClient {
             store: ChunkStore::new(),
             manifests: Vec::new(),
             active: None,
-            next_nonce: u64::from(self.player.0) << 32,
         });
         self
     }
@@ -396,46 +539,329 @@ impl GamePlayerClient {
         self
     }
 
-    fn resubscribe(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let cds = self.map.subscription_cds(self.area);
-        let g = GPacket::Copss(CopssPacket::Subscribe { cds, rp: None });
+    /// Gives the player a movement schedule — its own `moves`, in schedule
+    /// order, with trace-relative times — and the `mode` its post-move
+    /// snapshot fetches use. With `online_at` the player starts *offline*:
+    /// it neither subscribes nor publishes until that instant, then joins
+    /// the game at its area — subscribing, fetching the snapshot of
+    /// everything it can see, and starting to publish (§IV-A: "besides the
+    /// general pub/sub support provided in COPSS for offline users").
+    #[must_use]
+    pub fn with_mover(
+        mut self,
+        moves: Vec<MoveEvent>,
+        mode: SnapshotMode,
+        online_at: Option<SimTime>,
+    ) -> Self {
+        self.mover = Some(Box::new(Mover {
+            moves: moves.into(),
+            mode,
+            fetch: None,
+            online_at,
+        }));
+        self
+    }
+
+    fn send(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, g: GPacket) {
         let size = g.wire_size();
         ctx.send(self.edge, g, size);
+    }
+
+    fn nonce(&mut self) -> u64 {
+        self.next_nonce += 1;
+        self.next_nonce
+    }
+
+    fn subscribe(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        let cds = self.map.subscription_cds(self.area);
+        self.send(ctx, GPacket::Copss(CopssPacket::Subscribe { cds, rp: None }));
+    }
+
+    fn resubscribe(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        self.subscribe(ctx);
         ctx.world().bump("client-resubscribes");
     }
 
     fn schedule_next(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         if let Some(at) = self.cursor.next_time() {
-            ctx.schedule(at.saturating_duration_since(ctx.now()), 0);
+            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_PUBLISH);
         }
     }
 
     fn publish(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some((id, e)) = self.cursor.pop() else {
-            return;
-        };
-        let (cd, size) = (e.cd.clone(), e.size);
+        if let Some((id, cd, size)) = RatePacer::pop(&mut self.pacer, &mut self.cursor, ctx) {
+            let now = ctx.now();
+            ctx.world().metrics.publish(id, self.player, now);
+            // Don't wait for our own copy to come back.
+            self.dedup.insert(id);
+            let m = MulticastPacket::new(Cd::new(cd), payload_of(size as usize), id);
+            self.send(ctx, GPacket::Copss(CopssPacket::Multicast(m)));
+        }
+        self.schedule_next(ctx);
+    }
+
+    /// Subscribes at the current area and arms every timer of a live
+    /// player: at start-up, or when an offline player comes online.
+    fn go_live(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        self.subscribe(ctx);
+        self.schedule_next(ctx);
+        self.schedule_move(ctx);
         let now = ctx.now();
-        if let Some(p) = &mut self.pacer {
-            if !p.allow(now) {
-                // Shed at the source: the update is never published (the
-                // auditor sees it as unpublished, not lost), but the trace
-                // keeps advancing — position updates are superseded by the
-                // next one, not worth queueing.
-                crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
-                ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
-                self.schedule_next(ctx);
-                return;
+        if let Some(r) = &mut self.recovery {
+            r.last_activity = now;
+            let delay = r.first_tick();
+            ctx.schedule(delay, TIMER_WATCHDOG);
+            if let Some(iv) = r.cfg.subscribe_refresh {
+                let delay = iv + r.jitter();
+                ctx.schedule(delay, TIMER_REFRESH);
             }
         }
-        ctx.world().metrics.publish(id, self.player, now);
-        // Don't wait for our own copy to come back.
-        self.dedup.insert(id);
-        let m = MulticastPacket::new(Cd::new(cd), payload_of(size as usize), id);
-        let g = GPacket::Copss(CopssPacket::Multicast(m));
-        let wire = g.wire_size();
-        ctx.send(self.edge, g, wire);
-        self.schedule_next(ctx);
+        if let Some(cu) = &self.catch_up {
+            if let Some(at) = cu.cfg.initial_at {
+                ctx.schedule(at.saturating_duration_since(now), TIMER_CATCHUP_START);
+            }
+        }
+    }
+
+    fn schedule_move(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        if let Some(m) = self.mover.as_ref().and_then(|mv| mv.moves.front()) {
+            let at = SimTime::from_nanos(m.time_ns) + self.cursor.warmup;
+            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_MOVE);
+        }
+    }
+
+    /// Joins or leaves the cyclic-multicast group of every CD in `cds`: the
+    /// COPSS (Un)Subscribe for `/snapcast/<cd>`, plus the
+    /// `/snapcastctl/<cd>/{join,leave}/<nonce>` command Interest that tells
+    /// the broker to start or stop counting this player into the stream.
+    /// The trailing nonce makes every command's name unique: a command must
+    /// reach the broker, so no PIT may aggregate it with another player's
+    /// and no Content Store may answer it with a cached ack.
+    fn snapcast_groups<'n>(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        cds: impl Iterator<Item = &'n Name>,
+        join: bool,
+    ) {
+        for cd in cds {
+            let cds = vec![snapcast_ns().join(cd)];
+            let (group, verb, sent) = if join {
+                (CopssPacket::Subscribe { cds, rp: None }, "join", "mover-joins-sent")
+            } else {
+                (CopssPacket::Unsubscribe { cds, rp: None }, "leave", "mover-leaves-sent")
+            };
+            self.send(ctx, GPacket::Copss(group));
+            let nonce = self.nonce();
+            let name = snapcastctl_ns()
+                .join(cd)
+                .child(Component::new(verb).expect("valid"))
+                .child(Component::new(nonce.to_string()).expect("digits are a valid component"));
+            self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
+            ctx.world().bump(sent);
+        }
+    }
+
+    fn begin_move(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        let Some(mover) = &mut self.mover else {
+            return;
+        };
+        let Some(mv) = mover.moves.pop_front() else {
+            return;
+        };
+        let superseded = mover.fetch.take();
+        let cyclic = mover.mode == SnapshotMode::CyclicMulticast;
+        // Re-subscribe for the new location.
+        let cds = self.map.subscription_cds(self.area);
+        self.send(ctx, GPacket::Copss(CopssPacket::Unsubscribe { cds, rp: None }));
+        self.area = mv.to;
+        self.subscribe(ctx);
+
+        // Abort any unfinished fetch (superseded by the new move); leave
+        // any cyclic groups it was still draining.
+        if let Some(old) = superseded {
+            if cyclic {
+                self.snapcast_groups(ctx, old.per_cd.keys(), false);
+            }
+            ctx.world().bump("mover-fetch-superseded");
+            if ctx.telemetry_enabled() {
+                ctx.emit(gcopss_sim::TraceEvent::Mark, "mover-fetch-superseded", 0);
+            }
+        }
+
+        if mv.snapshot_cds.is_empty() {
+            // Descending: the view only narrows, nothing to download.
+            ctx.world().convergence.push(ConvergenceRecord {
+                player: self.player,
+                move_type: mv.move_type,
+                leaf_cds: 0,
+                convergence: SimDuration::ZERO,
+                bytes: 0,
+                online_join: false,
+            });
+        } else {
+            self.start_fetch(ctx, mv.move_type, &mv.snapshot_cds, false);
+        }
+        self.schedule_move(ctx);
+    }
+
+    /// Begins fetching the snapshots of `cds`, recording completion under
+    /// `move_type` (and the `online_join` flag).
+    fn start_fetch(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        move_type: MoveType,
+        cds: &[Name],
+        online_join: bool,
+    ) {
+        let Some(mode) = self.mover.as_ref().map(|m| m.mode) else {
+            return;
+        };
+        ctx.world().bump("mover-fetches-started");
+        let mut st = FetchState {
+            move_type,
+            online_join,
+            started: ctx.now(),
+            per_cd: BTreeMap::new(),
+            bytes: 0,
+            outstanding: 0,
+            queue: VecDeque::new(),
+        };
+        match mode {
+            SnapshotMode::QueryResponse { .. } => {
+                for cd in cds {
+                    let progress = CdFetch::Qr {
+                        total: None,
+                        received: 0,
+                    };
+                    st.per_cd.insert(cd.clone(), progress);
+                    st.outstanding += 1;
+                    let nonce = self.nonce();
+                    let meta = Interest::new(snapshot_meta_name(cd), nonce);
+                    self.send(ctx, GPacket::Interest(meta));
+                }
+            }
+            SnapshotMode::CyclicMulticast => {
+                for cd in cds {
+                    let progress = CdFetch::Cyclic {
+                        total: None,
+                        received: HashSet::new(),
+                    };
+                    st.per_cd.insert(cd.clone(), progress);
+                }
+                self.snapcast_groups(ctx, cds.iter(), true);
+            }
+        }
+        if let Some(mover) = &mut self.mover {
+            mover.fetch = Some(st);
+        }
+    }
+
+    /// Pipelines further QR object queries up to the window.
+    fn refill_qr_window(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        let Some(Mover {
+            mode: SnapshotMode::QueryResponse { window },
+            fetch: Some(st),
+            ..
+        }) = self.mover.as_deref_mut()
+        else {
+            return;
+        };
+        while st.outstanding < *window {
+            let Some((cd, k)) = st.queue.pop_front() else {
+                break;
+            };
+            st.outstanding += 1;
+            self.next_nonce += 1;
+            let g = GPacket::Interest(Interest::new(snapshot_obj_name(&cd, k), self.next_nonce));
+            let size = g.wire_size();
+            ctx.send(self.edge, g, size);
+        }
+    }
+
+    fn finish_fetch_if_done(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        let Some(mover) = &mut self.mover else {
+            return;
+        };
+        let done = mover
+            .fetch
+            .as_ref()
+            .is_some_and(|st| st.per_cd.values().all(CdFetch::done) && st.outstanding == 0);
+        if !done {
+            return;
+        }
+        let st = mover.fetch.take().expect("fetch present");
+        // Cyclic mode: leave the groups now that the snapshot is complete.
+        if mover.mode == SnapshotMode::CyclicMulticast {
+            self.snapcast_groups(ctx, st.per_cd.keys(), false);
+        }
+        let now = ctx.now();
+        ctx.world().convergence.push(ConvergenceRecord {
+            player: self.player,
+            move_type: st.move_type,
+            leaf_cds: st.per_cd.len(),
+            convergence: now.saturating_duration_since(st.started),
+            bytes: st.bytes,
+            online_join: st.online_join,
+        });
+    }
+
+    fn come_online(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+        if let Some(mover) = &mut self.mover {
+            mover.online_at = None;
+        }
+        self.go_live(ctx);
+        // A joining player has no prior view: fetch every visible leaf CD
+        // (classified as the broadest movement type for reporting).
+        let visible = self.map.visible_leaf_cds(self.area);
+        ctx.world().bump("online-joins");
+        self.start_fetch(ctx, MoveType::RegionToWorld, &visible, true);
+    }
+
+    /// Consumes one `/snapshot/<cd>/{meta, obj/<k>}` Data of the mover's QR
+    /// fetch.
+    fn on_snapshot_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
+        let Some(st) = self.mover.as_mut().and_then(|m| m.fetch.as_mut()) else {
+            return;
+        };
+        let comps = d.name.components();
+        if comps.last().map(Component::as_str) == Some("meta") {
+            let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
+            st.bytes += d.payload.len() as u64;
+            st.outstanding = st.outstanding.saturating_sub(1);
+            if let Some(CdFetch::Qr { total: t @ None, .. }) = st.per_cd.get_mut(&cd) {
+                let total = le_u32(&d.payload, 0);
+                *t = Some(total);
+                st.queue.extend((0..total).map(|k| (cd.clone(), k)));
+            }
+        } else if comps.len() >= 3 && comps[comps.len() - 2].as_str() == "obj" {
+            let cd = Name::from_components(comps[1..comps.len() - 2].iter().cloned());
+            st.bytes += d.payload.len() as u64;
+            st.outstanding = st.outstanding.saturating_sub(1);
+            if let Some(CdFetch::Qr { received, .. }) = st.per_cd.get_mut(&cd) {
+                *received += 1;
+            }
+        }
+        self.refill_qr_window(ctx);
+        self.finish_fetch_if_done(ctx);
+    }
+
+    /// Consumes one packet of a `/snapcast/<cd>` cyclic stream.
+    fn on_snapcast(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, m: &MulticastPacket) {
+        let cd = Name::from_components(m.cd.name().components()[1..].iter().cloned());
+        let Some(st) = self.mover.as_mut().and_then(|mv| mv.fetch.as_mut()) else {
+            return;
+        };
+        let Some(CdFetch::Cyclic { total, received }) = st.per_cd.get_mut(&cd) else {
+            return;
+        };
+        // The payload opens with [k, total] so a full cycle is detectable.
+        if total.is_none() {
+            *total = Some(le_u32(&m.payload, 4));
+        }
+        if received.insert(le_u32(&m.payload, 0)) {
+            st.bytes += m.payload.len() as u64;
+        }
+        self.finish_fetch_if_done(ctx);
     }
 
     /// Starts a catch-up over every visible leaf CD, unless one is already
@@ -470,15 +896,13 @@ impl GamePlayerClient {
         for cd in &cds {
             let name = match cu.cfg.mode {
                 CatchUpMode::ChunkedDelta => snapmani_ns().join(cd),
-                CatchUpMode::FullSnapshot => snapshot_ns()
-                    .join(cd)
-                    .child(Component::new("meta").expect("valid")),
+                CatchUpMode::FullSnapshot => snapshot_meta_name(cd),
             };
             let key = name_key(&name);
             ctx.world().catchup_ledger.owe(key, player);
             fetch.outstanding.insert(key, name.clone());
-            cu.next_nonce += 1;
-            let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
+            self.next_nonce += 1;
+            let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
             let size = g.wire_size();
             ctx.send(edge, g, size);
         }
@@ -508,8 +932,8 @@ impl GamePlayerClient {
             };
             ctx.world().catchup_ledger.owe(key, player);
             fetch.outstanding.insert(key, name.clone());
-            cu.next_nonce += 1;
-            let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
+            self.next_nonce += 1;
+            let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
             let size = g.wire_size();
             ctx.send(edge, g, size);
         }
@@ -517,11 +941,7 @@ impl GamePlayerClient {
 
     /// Consumes one catch-up Data (manifest, chunk, or snapshot meta/obj).
     fn on_catchup_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
-        // Any Data arrival proves the access path works.
         let now = ctx.now();
-        if let Some(r) = &mut self.recovery {
-            r.last_activity = now;
-        }
         let late = |ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data| {
             crate::drops::record(ctx, crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
         };
@@ -576,15 +996,8 @@ impl GamePlayerClient {
             }
             Some("snapshot") if comps.last().map(Component::as_str) == Some("meta") => {
                 let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
-                let total = d
-                    .payload
-                    .get(..4)
-                    .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                for k in 0..total {
-                    let name = snapshot_ns()
-                        .join(&cd)
-                        .child(Component::new("obj").expect("valid"))
-                        .child_index(k);
+                for k in 0..le_u32(&d.payload, 0) {
+                    let name = snapshot_obj_name(&cd, k);
                     fetch.queue.push_back((name_key(&name), name));
                 }
             }
@@ -659,8 +1072,8 @@ impl GamePlayerClient {
         if stalled && now >= fetch.next_resend {
             let resend: Vec<Name> = fetch.outstanding.values().cloned().collect();
             for name in resend {
-                cu.next_nonce += 1;
-                let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
+                self.next_nonce += 1;
+                let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
                 let size = g.wire_size();
                 ctx.send(edge, g, size);
             }
@@ -672,7 +1085,7 @@ impl GamePlayerClient {
         // successive sweeps of one client decorrelate too.
         let jitter_ns = gcopss_names::fnv1a_extend(
             gcopss_names::fnv1a(&u64::from(player).to_le_bytes()),
-            &cu.next_nonce.to_le_bytes(),
+            &self.next_nonce.to_le_bytes(),
         ) % (cu.cfg.retry.as_nanos() / 4).max(1);
         ctx.schedule(
             cu.cfg.retry + SimDuration::from_nanos(jitter_ns),
@@ -684,25 +1097,10 @@ impl GamePlayerClient {
 impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let _p = gcopss_sim::prof::scope("copss_client/start");
-        let cds = self.map.subscription_cds(self.area);
-        let g = GPacket::Copss(CopssPacket::Subscribe { cds, rp: None });
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
-        self.schedule_next(ctx);
-        let now = ctx.now();
-        if let Some(r) = &mut self.recovery {
-            r.last_activity = now;
-            let delay = r.cfg.watchdog + r.jitter();
-            ctx.schedule(delay, TIMER_WATCHDOG);
-            if let Some(iv) = r.cfg.subscribe_refresh {
-                let delay = iv + r.jitter();
-                ctx.schedule(delay, TIMER_REFRESH);
-            }
-        }
-        if let Some(cu) = &self.catch_up {
-            if let Some(at) = cu.cfg.initial_at {
-                ctx.schedule(at.saturating_duration_since(now), TIMER_CATCHUP_START);
-            }
+        match self.mover.as_ref().and_then(|m| m.online_at) {
+            // Offline: stay silent until the join instant.
+            Some(at) => ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_ONLINE),
+            None => self.go_live(ctx),
         }
     }
 
@@ -713,11 +1111,9 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
             TIMER_WATCHDOG => {
                 let now = ctx.now();
                 let Some(r) = &mut self.recovery else { return };
-                let silent = now.saturating_duration_since(r.last_activity) >= r.cfg.watchdog;
-                let next = if silent {
-                    // Still deaf: re-express the subscription and back off.
-                    let delay = r.backoff + r.jitter();
-                    r.backoff = (r.backoff + r.backoff).min(recovery::BACKOFF_CAP);
+                let (silent, next) = r.tick(now);
+                if silent {
+                    // Still deaf: re-express the subscription.
                     self.resubscribe(ctx);
                     // Silence after traffic was flowing means state is
                     // being missed; the resync itself waits for the rejoin
@@ -726,18 +1122,15 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     if self.seen_delivery {
                         self.was_deaf = true;
                     }
-                    delay
-                } else {
-                    let r = self.recovery.as_mut().expect("recovery enabled");
-                    r.backoff = recovery::BACKOFF_BASE;
-                    r.cfg.watchdog + r.jitter()
-                };
+                }
                 ctx.schedule(next, TIMER_WATCHDOG);
             }
             TIMER_CATCHUP_RETRY => self.catchup_retry_tick(ctx),
             TIMER_CATCHUP_START => {
                 self.maybe_start_catchup(ctx, false);
             }
+            TIMER_MOVE => self.begin_move(ctx),
+            TIMER_ONLINE => self.come_online(ctx),
             TIMER_REFRESH => {
                 // Soft-state refresh: re-express the subscription on a
                 // period, deliveries or not — COPSS ST entries are soft
@@ -786,13 +1179,40 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     // traversed the network too.
                     p.on_delivery(ctx.congestion_marked());
                 }
-                if self.dedup.insert(m.id) {
-                    GameWorld::deliver(ctx, m.id, self.player);
-                } else {
+                if !self.dedup.insert(m.id) {
                     crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
+                } else if m.cd.name().get(0).map(Component::as_str) == Some("snapcast") {
+                    self.on_snapcast(ctx, &m);
+                } else {
+                    GameWorld::deliver(ctx, m.id, self.player);
                 }
             }
-            GPacket::Data(d) => self.on_catchup_data(ctx, &d),
+            GPacket::Data(d) => {
+                // Any Data arrival proves the access path works.
+                let now = ctx.now();
+                if let Some(r) = &mut self.recovery {
+                    r.last_activity = now;
+                }
+                // The mover's QR fetch and a full-snapshot catch-up speak
+                // the same `/snapshot/<cd>/…` exchange: a Data the catch-up
+                // is waiting for is its own, any other is the mover's. A
+                // mover also gets `/snapcastctl` acks, which only consume
+                // the PIT breadcrumbs of its command Interests.
+                let space = d.name.get(0).map(Component::as_str);
+                let catchup_owes = |cu: &CatchUpRunner| {
+                    let fetch = cu.active.as_ref();
+                    fetch.is_some_and(|f| f.outstanding.contains_key(&name_key(&d.name)))
+                };
+                match (&self.mover, space) {
+                    (Some(_), Some("snapcastctl")) => {}
+                    (Some(_), Some("snapshot"))
+                        if !self.catch_up.as_ref().is_some_and(catchup_owes) =>
+                    {
+                        self.on_snapshot_data(ctx, &d);
+                    }
+                    _ => self.on_catchup_data(ctx, &d),
+                }
+            }
             _ => {}
         }
     }
@@ -803,7 +1223,16 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
 
     fn on_fault(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, notice: FaultNotice) {
         let _p = gcopss_sim::prof::scope("copss_client/fault");
-        if self.recovery.is_none() {
+        let now = ctx.now();
+        let Some(r) = &mut self.recovery else {
+            return;
+        };
+        if let Some(at) = self.mover.as_ref().and_then(|m| m.online_at) {
+            // Still offline: there is no branch to re-anchor, only the join
+            // timer a crash killed.
+            if matches!(notice, FaultNotice::Restarted) {
+                ctx.schedule(at.saturating_duration_since(now), TIMER_ONLINE);
+            }
             return;
         }
         match notice {
@@ -811,17 +1240,15 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
             // purged our branch while we were cut off — re-anchor now
             // rather than waiting out the watchdog.
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
-                let now = ctx.now();
-                let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = recovery::BACKOFF_BASE;
-                r.last_activity = now;
+                r.reanchor(now);
                 self.resubscribe(ctx);
                 if matches!(notice, FaultNotice::Restarted) {
                     // Crash killed all pending timers (stale epoch): re-arm
-                    // both the publisher and the watchdog.
+                    // the publisher, the move schedule and the watchdog.
                     self.schedule_next(ctx);
+                    self.schedule_move(ctx);
                     let r = self.recovery.as_mut().expect("recovery enabled");
-                    let delay = r.cfg.watchdog + r.jitter();
+                    let delay = r.first_tick();
                     ctx.schedule(delay, TIMER_WATCHDOG);
                     // The crash killed the retry timer too. An in-flight
                     // fetch (and the chunk store — it models on-disk

@@ -39,13 +39,9 @@ use gcopss_sim::{
     TelemetryConfig,
 };
 
-use crate::broker::{
-    partition_cds_to_brokers, snapshot_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
-};
+use crate::broker::{partition_cds_to_brokers, snapshot_ns, SnapshotBroker, SnapshotMode};
 use crate::router::cs_prefix_key;
-use crate::scenario::{
-    expected_deliveries, ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP,
-};
+use crate::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{MetricsMode, SimParams};
 
 use super::audit::{audit_without_damage, register_expectations};
@@ -503,31 +499,10 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             },
             ..GcopssConfig::default()
         };
-        let map = Arc::clone(&w.map);
-        let pop = &w.population;
-        let moves_ref = &moves;
-        let mode = SnapshotMode::QueryResponse { window: QR_WINDOW };
-        let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
-            let my_moves: Vec<_> = moves_ref
-                .iter()
-                .filter(|m| m.player == p)
-                .cloned()
-                .collect();
-            Box::new(MovingPlayerClient::new(
-                p,
-                edge,
-                pop.area_of(p),
-                Arc::clone(&map),
-                cursor,
-                my_moves,
-                WARMUP,
-                mode,
-            ))
-        });
         let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
             .gcopss(gcfg)
             .extra_hosts(extra_hosts)
-            .client_factory(factory)
+            .moves(moves.clone(), SnapshotMode::QueryResponse { window: QR_WINDOW })
             .build()
             .into_gcopss();
         // Sample the live sketches at the crowd peak, not the horizon: the

@@ -2,17 +2,13 @@
 //! query/response (QR, windows 5 and 15) and cyclic-multicast dissemination
 //! modes, with 3 brokers.
 
-use std::sync::Arc;
-
 use gcopss_game::{MoveType, MovementModel};
 use gcopss_names::Name;
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_sim::{SimDuration, SimTime, Simulator};
 
-use crate::broker::{
-    partition_cds_to_brokers, snapcast_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
-};
-use crate::scenario::{ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
-use crate::{MetricsMode, SimParams};
+use crate::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
+use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::{GPacket, GameWorld, MetricsMode, SimParams};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -111,13 +107,14 @@ fn mean_ci(samples: &[SimDuration]) -> (SimDuration, SimDuration) {
     )
 }
 
-/// Runs one snapshot mode, harvesting a telemetry report when `cap` is on.
-#[must_use]
-pub fn run_mode(
+/// Builds one snapshot mode's scenario and runs it to the horizon
+/// (harvesting a telemetry report when `cap` is on); returns the finished
+/// simulator.
+fn simulate(
     cfg: &MovementConfig,
     mode: SnapshotMode,
     cap: &mut TelemetryCapture,
-) -> MovementOutput {
+) -> Simulator<GPacket, GameWorld> {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let trace_span = w.span();
@@ -163,30 +160,10 @@ pub fn run_mode(
         extra_rps,
         ..GcopssConfig::default()
     };
-    let map = Arc::clone(&w.map);
-    let pop = &w.population;
-    let moves_ref = &moves;
-    let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
-        let my_moves: Vec<_> = moves_ref
-            .iter()
-            .filter(|m| m.player == p)
-            .cloned()
-            .collect();
-        Box::new(MovingPlayerClient::new(
-            p,
-            edge,
-            pop.area_of(p),
-            Arc::clone(&map),
-            cursor,
-            my_moves,
-            WARMUP,
-            mode,
-        ))
-    });
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(gcfg)
         .extra_hosts(extra_hosts)
-        .client_factory(factory)
+        .moves(moves, mode)
         .build()
         .into_gcopss();
     let horizon = SimTime::ZERO + WARMUP + trace_span + cfg.drain;
@@ -195,8 +172,19 @@ pub fn run_mode(
         SnapshotMode::CyclicMulticast => "cyclic".to_string(),
     };
     cap.observe(&mut built.sim, &label, |sim| sim.run_until(horizon));
-    let network_bytes = built.sim.total_link_bytes();
-    let world = built.sim.into_world();
+    built.sim
+}
+
+/// Runs one snapshot mode and tabulates its convergence records.
+#[must_use]
+pub fn run_mode(
+    cfg: &MovementConfig,
+    mode: SnapshotMode,
+    cap: &mut TelemetryCapture,
+) -> MovementOutput {
+    let sim = simulate(cfg, mode, cap);
+    let network_bytes = sim.total_link_bytes();
+    let world = sim.into_world();
 
     // Group records by movement type.
     let mut rows = Vec::new();
@@ -275,7 +263,9 @@ mod tests {
             // Trace spans ~7.2 s; 12 movers, one move each every 2–4 s.
             move_interval: (SimDuration::from_secs(2), SimDuration::from_secs(4)),
             mover_count: 12,
-            drain: SimDuration::from_secs(120),
+            // Idle after the trace ends: cyclic in 3.5 s, QR w15 in 16 s,
+            // QR w5 in 29 s.
+            drain: SimDuration::from_secs(30),
         }
     }
 
@@ -294,13 +284,34 @@ mod tests {
         assert!(any_fetch);
     }
 
+    /// Cyclic mode completes its moves, and the books balance: every join
+    /// and leave a mover sends reaches a broker, every fetch ends, and the
+    /// streams stop — the simulator is idle before the horizon.
     #[test]
     fn cyclic_mode_completes_moves() {
         let mode = SnapshotMode::CyclicMulticast;
-        let out = run_mode(&mini_cfg(), mode, &mut TelemetryCapture::off());
-        assert!(out.moves > 0, "no moves completed");
-        assert!(out.snapshot_bytes > 0);
-        assert!(out.total_mean > SimDuration::ZERO);
+        let sim = simulate(&mini_cfg(), mode, &mut TelemetryCapture::off());
+        let world = sim.world();
+        assert!(!world.convergence.is_empty(), "no moves completed");
+        let fetched: Vec<_> = world.convergence.iter().filter(|r| r.leaf_cds > 0).collect();
+        assert!(fetched.iter().any(|r| r.bytes > 0 && r.convergence > SimDuration::ZERO));
+
+        let joins = world.counter("mover-joins-sent");
+        assert!(joins > 0, "no mover joined a stream");
+        assert_eq!(world.counter("broker-cyclic-joins"), joins, "joins lost on the way");
+        assert_eq!(
+            world.counter("broker-cyclic-leaves"),
+            world.counter("mover-leaves-sent"),
+            "leaves lost on the way"
+        );
+        assert_eq!(joins, world.counter("mover-leaves-sent"), "a mover never left a group");
+        assert_eq!(
+            world.counter("mover-fetches-started"),
+            fetched.len() as u64 + world.counter("mover-fetch-superseded"),
+            "a fetch neither finished nor was superseded"
+        );
+        // No stream outlives its last leave: nothing is pending any more.
+        assert!(sim.is_idle(), "still multicasting at the horizon ({})", sim.now());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use gcopss_names::Name;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
 use crate::client::{ClientRecovery, RatePacer, TraceCursor};
-use crate::params::{recovery, IP_PROC};
+use crate::params::IP_PROC;
 use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig, SimParams};
 
 /// Timer key of trace-driven publishing (IP client).
@@ -242,7 +242,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             self.hello_servers(ctx);
             let r = self.recovery.as_mut().expect("recovery enabled");
             r.last_activity = now;
-            let delay = r.cfg.watchdog + r.jitter();
+            let delay = r.first_tick();
             ctx.schedule(delay, TIMER_WATCHDOG);
         }
     }
@@ -252,34 +252,17 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
         if key == TIMER_WATCHDOG {
             let now = ctx.now();
             let Some(r) = &mut self.recovery else { return };
-            let silent = now.saturating_duration_since(r.last_activity) >= r.cfg.watchdog;
-            let next = if silent {
-                let delay = r.backoff + r.jitter();
-                r.backoff = (r.backoff + r.backoff).min(recovery::BACKOFF_CAP);
+            let (silent, next) = r.tick(now);
+            if silent {
                 self.hello_servers(ctx);
-                delay
-            } else {
-                r.backoff = recovery::BACKOFF_BASE;
-                r.cfg.watchdog + r.jitter()
-            };
+            }
             ctx.schedule(next, TIMER_WATCHDOG);
             return;
         }
-        let Some((id, e)) = self.cursor.pop() else {
+        let Some((id, cd, size)) = RatePacer::pop(&mut self.pacer, &mut self.cursor, ctx) else {
+            self.schedule_next(ctx);
             return;
         };
-        let (cd, size) = (e.cd.clone(), e.size);
-        if let Some(p) = &mut self.pacer {
-            if !p.allow(ctx.now()) {
-                // Shed at the source (never published — the auditor sees
-                // an unpublished trace event, not a lost packet); the
-                // trace keeps advancing.
-                crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
-                ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
-                self.schedule_next(ctx);
-                return;
-            }
-        }
         let Some(&server) = self.server_of.get(&cd) else {
             crate::drops::record(ctx, crate::drops::IP_CLIENT_NO_SERVER, size);
             self.schedule_next(ctx);
@@ -328,14 +311,13 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
                 let now = ctx.now();
                 let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = recovery::BACKOFF_BASE;
-                r.last_activity = now;
+                r.reanchor(now);
                 self.hello_servers(ctx);
                 if notice == FaultNotice::Restarted {
                     // The crash killed our pending timers: re-arm both.
                     self.schedule_next(ctx);
                     let r = self.recovery.as_mut().expect("recovery enabled");
-                    let delay = r.cfg.watchdog + r.jitter();
+                    let delay = r.first_tick();
                     ctx.schedule(delay, TIMER_WATCHDOG);
                 }
             }

@@ -6,29 +6,22 @@ use std::sync::Arc;
 
 use gcopss_copss::{CopssEngine, RpId, RpTable};
 use gcopss_game::trace::TraceEvent;
-use gcopss_game::{GameMap, PlayerId, PlayerPopulation};
+use gcopss_game::{GameMap, MoveEvent, PlayerId, PlayerPopulation};
 use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::generators::{attach_hosts, benchmark_testbed, rocketfuel_like, BackboneParams};
 use gcopss_sim::{
     FaultPlan, NodeBehavior, NodeId, OverloadConfig, PacketMeta, RoutingTable, SimDuration,
-    Simulator, StreamConfig, Topology,
+    SimTime, Simulator, StreamConfig, Topology,
 };
 
+use crate::broker::SnapshotMode;
 use crate::client::{CatchUpConfig, GamePlayerClient, TraceCursor};
 use crate::hybrid::HybridEdgeRouter;
 use crate::ip_server::{partition_cds_to_servers, IpClient, IpServer, Roster};
 use crate::ndn_baseline::{player_prefix, NdnClientConfig, NdnPlayerClient};
 use crate::router::{FaceMap, GCopssRouter, SplitConfig};
 use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig, SimParams};
-
-/// Builds the behavior of one player host given its id, its edge router and
-/// its trace cursor (used by movement scenarios to substitute
-/// [`crate::broker::MovingPlayerClient`]s).
-pub type ClientFactory<'a> = Box<
-    dyn FnMut(PlayerId, NodeId, TraceCursor) -> Box<dyn NodeBehavior<GPacket, GameWorld>>
-        + 'a,
->;
 
 /// Which physical network to simulate.
 #[derive(Debug, Clone)]
@@ -278,7 +271,8 @@ pub enum Protocol {
 /// Declarative description of one complete simulation, replacing the old
 /// multi-positional `build_*` functions: every scenario is "a [`Protocol`]
 /// on a [`NetworkSpec`] with a game world", plus optional extras (brokers,
-/// a custom client factory, snapshot catch-up, a chaos schedule).
+/// a movement schedule, offline players, snapshot catch-up, a chaos
+/// schedule).
 ///
 /// # Example
 ///
@@ -302,9 +296,21 @@ pub struct ScenarioSpec<'a> {
     population: &'a PlayerPopulation,
     trace: Arc<Vec<TraceEvent>>,
     extra_hosts: Vec<ExtraHost>,
-    client_factory: Option<ClientFactory<'a>>,
-    catch_up: Option<CatchUpConfig>,
+    players: PlayerSpec,
     fault_plan: Option<FaultPlan>,
+}
+
+/// What a [`ScenarioSpec`] says about its G-COPSS players beyond the
+/// [`GcopssConfig`]: plain data, applied player by player in
+/// `assemble_gcopss`.
+struct PlayerSpec {
+    catch_up: Option<CatchUpConfig>,
+    /// Every player's moves, in schedule order.
+    moves: Vec<MoveEvent>,
+    /// How movers and joiners fetch snapshots.
+    snapshot_mode: SnapshotMode,
+    /// Players that start offline, and when each comes online.
+    offline: BTreeMap<PlayerId, SimTime>,
 }
 
 impl<'a> ScenarioSpec<'a> {
@@ -324,8 +330,12 @@ impl<'a> ScenarioSpec<'a> {
             population,
             trace: Arc::clone(trace),
             extra_hosts: Vec::new(),
-            client_factory: None,
-            catch_up: None,
+            players: PlayerSpec {
+                catch_up: None,
+                moves: Vec::new(),
+                snapshot_mode: SnapshotMode::QueryResponse { window: 15 },
+                offline: BTreeMap::new(),
+            },
             fault_plan: None,
         }
     }
@@ -369,20 +379,31 @@ impl<'a> ScenarioSpec<'a> {
         self
     }
 
-    /// Replaces the default per-player behavior factory (movement scenarios
-    /// install [`crate::broker::MovingPlayerClient`]s). G-COPSS only.
+    /// Gives the players a movement schedule (§IV-A, Table III): `moves`
+    /// holds every player's events in schedule order — each player executes
+    /// its own — and `mode` is how a mover fetches the snapshots of the
+    /// areas that just became visible. G-COPSS only.
     #[must_use]
-    pub fn client_factory(mut self, factory: ClientFactory<'a>) -> Self {
-        self.client_factory = Some(factory);
+    pub fn moves(mut self, moves: Vec<MoveEvent>, mode: SnapshotMode) -> Self {
+        self.players.moves = moves;
+        self.players.snapshot_mode = mode;
         self
     }
 
-    /// Enables snapshot catch-up on the default G-COPSS clients (ignored
-    /// when a custom [`Self::client_factory`] is installed — wire
-    /// [`GamePlayerClient::with_catch_up`] there instead).
+    /// Makes `player` start *offline* (§IV-A): it neither subscribes nor
+    /// publishes until `online_at`, then joins the game at its area and
+    /// fetches the snapshot of everything it can see, in the mode given to
+    /// [`Self::moves`] (QR with a window of 15 otherwise). G-COPSS only.
+    #[must_use]
+    pub fn offline_until(mut self, player: PlayerId, online_at: SimTime) -> Self {
+        self.players.offline.insert(player, online_at);
+        self
+    }
+
+    /// Enables snapshot catch-up on the G-COPSS clients.
     #[must_use]
     pub fn catch_up(mut self, cfg: CatchUpConfig) -> Self {
-        self.catch_up = Some(cfg);
+        self.players.catch_up = Some(cfg);
         self
     }
 
@@ -398,21 +419,15 @@ impl<'a> ScenarioSpec<'a> {
     #[must_use]
     pub fn build(self) -> BuiltScenario {
         let mut built = match self.protocol {
-            Protocol::Gcopss(cfg) => {
-                let factory = match self.client_factory {
-                    Some(f) => f,
-                    None => default_gcopss_factory(&cfg, &self.map, self.population, self.catch_up),
-                };
-                BuiltScenario::Gcopss(assemble_gcopss(
-                    cfg,
-                    &self.net,
-                    &self.map,
-                    self.population,
-                    &self.trace,
-                    self.extra_hosts,
-                    factory,
-                ))
-            }
+            Protocol::Gcopss(cfg) => BuiltScenario::Gcopss(assemble_gcopss(
+                cfg,
+                &self.net,
+                &self.map,
+                self.population,
+                &self.trace,
+                self.extra_hosts,
+                self.players,
+            )),
             Protocol::IpServer(cfg) => BuiltScenario::IpServer(assemble_ip_server(
                 cfg,
                 &self.net,
@@ -519,33 +534,6 @@ impl BuiltScenario {
     }
 }
 
-/// The stock G-COPSS player behavior: a [`GamePlayerClient`] with the
-/// config's recovery settings and the spec's catch-up settings.
-fn default_gcopss_factory<'a>(
-    cfg: &GcopssConfig,
-    map: &Arc<GameMap>,
-    population: &'a PlayerPopulation,
-    catch_up: Option<CatchUpConfig>,
-) -> ClientFactory<'a> {
-    let map_arc = Arc::clone(map);
-    let recovery = cfg.recovery.clone();
-    let rate_adapt = cfg.rate_adapt.clone();
-    Box::new(move |p, edge, cursor| {
-        let mut client =
-            GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(&map_arc), cursor);
-        if let Some(rc) = &recovery {
-            client = client.with_recovery(rc.clone());
-        }
-        if let Some(ra) = &rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
-        }
-        if let Some(cu) = &catch_up {
-            client = client.with_catch_up(cu.clone());
-        }
-        Box::new(client)
-    })
-}
-
 /// The simulator every scenario starts from: a [`GameWorld`] over
 /// `topology`, the [`GPacket`] classifiers registered as its
 /// [`PacketMeta`], and engine overload control installed when configured.
@@ -619,7 +607,7 @@ fn assemble_gcopss(
     population: &PlayerPopulation,
     trace: &Arc<Vec<TraceEvent>>,
     extra_hosts: Vec<ExtraHost>,
-    mut client_factory: ClientFactory<'_>,
+    players: PlayerSpec,
 ) -> GcopssSim {
     let mut bn = net.build();
     let player_nodes = attach_hosts(
@@ -727,11 +715,32 @@ fn assemble_gcopss(
         sim.set_behavior(r, Box::new(router));
     }
 
-    // Players.
+    // Players: each mover gets its own events, split once, in schedule
+    // order.
+    let mut moves_of: BTreeMap<PlayerId, Vec<MoveEvent>> = BTreeMap::new();
+    for m in players.moves {
+        moves_of.entry(m.player).or_default().push(m);
+    }
     for p in population.players() {
         let node = player_nodes[p.index()];
         let (edge, cursor) = player_seat(&sim, node, trace, p, cfg.warmup);
-        sim.set_behavior(node, client_factory(p, edge, cursor));
+        let mut client =
+            GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
+        if let Some(rc) = &cfg.recovery {
+            client = client.with_recovery(rc.clone());
+        }
+        if let Some(ra) = &cfg.rate_adapt {
+            client = client.with_rate_adapt(ra.clone());
+        }
+        if let Some(cu) = &players.catch_up {
+            client = client.with_catch_up(cu.clone());
+        }
+        let moves = moves_of.remove(&p).unwrap_or_default();
+        let online_at = players.offline.get(&p).copied();
+        if !moves.is_empty() || online_at.is_some() {
+            client = client.with_mover(moves, players.snapshot_mode, online_at);
+        }
+        sim.set_behavior(node, Box::new(client));
     }
 
     // Extra hosts.

@@ -2,17 +2,11 @@
 //! subscriber churn from player movement, and randomized delivery
 //! exactness across RP layouts.
 
-use std::sync::Arc;
-
-use gcopss_core::broker::{
-    partition_cds_to_brokers, snapcast_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
-};
-use gcopss_core::scenario::{
-    expected_deliveries, ClientFactory, GcopssConfig, NetworkSpec, ScenarioSpec,
-};
-use gcopss_core::{MetricsMode, SimParams};
+use gcopss_core::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
+use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
+use gcopss_core::{MetricsMode, RecoveryConfig, SimParams};
 use gcopss_game::MovementModel;
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_sim::{FaultPlan, SimDuration, SimTime};
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 
@@ -126,30 +120,10 @@ fn movement_churn_keeps_control_plane_consistent() {
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
-    let map = Arc::clone(&w.map);
-    let pop = &w.population;
-    let moves_ref = &moves;
-    let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
-        let my_moves: Vec<_> = moves_ref
-            .iter()
-            .filter(|m| m.player == p)
-            .cloned()
-            .collect();
-        Box::new(MovingPlayerClient::new(
-            p,
-            edge,
-            pop.area_of(p),
-            Arc::clone(&map),
-            cursor,
-            my_moves,
-            warmup,
-            SnapshotMode::QueryResponse { window: 15 },
-        ))
-    });
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .extra_hosts(extra_hosts)
-        .client_factory(factory)
+        .moves(moves, SnapshotMode::QueryResponse { window: 15 })
         .build()
         .into_gcopss();
     let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(60);
@@ -194,30 +168,10 @@ fn movement_churn_cyclic_mode() {
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
-    let map = Arc::clone(&w.map);
-    let pop = &w.population;
-    let moves_ref = &moves;
-    let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
-        let my_moves: Vec<_> = moves_ref
-            .iter()
-            .filter(|m| m.player == p)
-            .cloned()
-            .collect();
-        Box::new(MovingPlayerClient::new(
-            p,
-            edge,
-            pop.area_of(p),
-            Arc::clone(&map),
-            cursor,
-            my_moves,
-            warmup,
-            SnapshotMode::CyclicMulticast,
-        ))
-    });
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .extra_hosts(extra_hosts)
-        .client_factory(factory)
+        .moves(moves, SnapshotMode::CyclicMulticast)
         .build()
         .into_gcopss();
     let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(90);
@@ -229,6 +183,112 @@ fn movement_churn_cyclic_mode() {
         world.convergence.iter().any(|c| c.leaf_cds > 0 && c.bytes > 0),
         "no cyclic fetch completed"
     );
+}
+
+/// `ScenarioSpec::moves` is data: every player executes exactly its own
+/// events, in schedule order, and a player without moves is the plain client
+/// it was before — an empty schedule installs nothing.
+#[test]
+fn each_mover_executes_its_own_schedule_in_order() {
+    let w = workload(1_500, 80, 31);
+    let trace_span = w.span();
+    let model = MovementModel::new((1_500_000_000, 2_500_000_000));
+    let mut moves = model.generate(5, &w.map, &w.population, trace_span.as_nanos());
+    moves.retain(|m| m.player.index() % 8 == 0);
+    assert!(moves.iter().any(|m| m.player != moves[0].player), "several movers");
+
+    let net = NetworkSpec::default_backbone(37);
+    let pool = net.rp_pool_preview();
+    let params = SimParams::default();
+    let brokers = || {
+        let serving = partition_cds_to_brokers(&w.map, 3);
+        let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+        SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace)
+    };
+    let spec = || {
+        ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+            .gcopss(GcopssConfig::default())
+            .extra_hosts(brokers())
+    };
+    let horizon = SimTime::ZERO + GcopssConfig::default().warmup + trace_span
+        + SimDuration::from_secs(30);
+
+    let mode = SnapshotMode::QueryResponse { window: 15 };
+    let mut moving = spec().moves(moves.clone(), mode).build().into_gcopss();
+    moving.sim.run_until(horizon);
+    let world = moving.sim.world();
+    // Every move ends in a convergence record unless the player's next
+    // move superseded its fetch ...
+    assert_eq!(
+        world.convergence.len() as u64 + world.counter("mover-fetch-superseded"),
+        moves.len() as u64
+    );
+    // ... and each player's records follow its own schedule, in order.
+    for p in w.population.players() {
+        let mut scheduled = moves.iter().filter(|m| m.player == p).map(|m| m.move_type);
+        for r in world.convergence.iter().filter(|r| r.player == p) {
+            assert!(scheduled.any(|t| t == r.move_type), "player {p:?} ran {r:?} off schedule");
+        }
+    }
+
+    let mut plain = spec().build().into_gcopss();
+    plain.sim.run_until(horizon);
+    let mut empty = spec().moves(Vec::new(), SnapshotMode::CyclicMulticast).build().into_gcopss();
+    empty.sim.run_until(horizon);
+    assert_eq!(empty.sim.events_processed(), plain.sim.events_processed());
+    assert_eq!(empty.sim.world().metrics.delivered(), plain.sim.world().metrics.delivered());
+}
+
+/// A mover gets the client's recovery for free: cut off by an access-link
+/// flap it re-subscribes on `LinkUp` — at the area it has moved to — and
+/// still publishes its whole trace slice.
+#[test]
+fn mover_under_recovery_resubscribes_after_link_flap() {
+    let w = workload(1_500, 80, 31);
+    let trace_span = w.span();
+    let model = MovementModel::new((1_000_000_000, 3_000_000_000));
+    let mut moves = model.generate(5, &w.map, &w.population, trace_span.as_nanos());
+    moves.retain(|m| m.player.index() % 8 == 0);
+    let mover = moves[0].player;
+
+    let net = NetworkSpec::default_backbone(37);
+    let pool = net.rp_pool_preview();
+    let warmup = GcopssConfig::default().warmup;
+    // The mover's access link is down from just after its first move until
+    // one second later (half a watchdog period: only `LinkUp` can tell).
+    let link = net.player_access_links(w.population.len())[mover.index()];
+    let cut = SimTime::from_nanos(moves[0].time_ns) + warmup + SimDuration::from_millis(100);
+    let flap = FaultPlan::new(7)
+        .link_down(cut, link)
+        .link_up(cut + SimDuration::from_secs(1), link);
+    let run = |plan: FaultPlan| {
+        let params = SimParams::default();
+        let serving = partition_cds_to_brokers(&w.map, 3);
+        let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+        let extra_hosts =
+            SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
+        let cfg = GcopssConfig {
+            params,
+            recovery: Some(RecoveryConfig::default()),
+            ..GcopssConfig::default()
+        };
+        let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+            .gcopss(cfg)
+            .extra_hosts(extra_hosts)
+            .moves(moves.clone(), SnapshotMode::QueryResponse { window: 15 })
+            .fault_plan(plan)
+            .build()
+            .into_gcopss();
+        b.sim.run_until(SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(30));
+        b.sim.into_world()
+    };
+    let (calm, flapped) = (run(FaultPlan::new(7)), run(flap));
+    assert!(
+        flapped.counter("client-resubscribes") > calm.counter("client-resubscribes"),
+        "no re-subscribe after LinkUp"
+    );
+    assert_eq!(flapped.metrics.published(), w.trace.len() as u64);
+    assert!(flapped.convergence.iter().any(|r| r.player == mover), "the mover moved");
 }
 
 /// §IV-A offline support: a player that comes online mid-game subscribes,
@@ -263,29 +323,10 @@ fn offline_player_comes_online() {
     // Player 5 is offline for the first ~1.5 s of the trace, then joins.
     let joiner = gcopss_game::PlayerId(5);
     let online_at = SimTime::ZERO + warmup + SimDuration::from_millis(1_500);
-    let map = Arc::clone(&w.map);
-    let pop = &w.population;
-    let factory: ClientFactory<'_> = Box::new(move |p, edge, cursor| {
-        let client = MovingPlayerClient::new(
-            p,
-            edge,
-            pop.area_of(p),
-            Arc::clone(&map),
-            cursor,
-            Vec::new(),
-            warmup,
-            SnapshotMode::QueryResponse { window: 15 },
-        );
-        if p == joiner {
-            Box::new(client.offline_until(online_at))
-        } else {
-            Box::new(client)
-        }
-    });
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .extra_hosts(extra_hosts)
-        .client_factory(factory)
+        .offline_until(joiner, online_at)
         .build()
         .into_gcopss();
     let horizon = SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(60);
