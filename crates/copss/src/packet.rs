@@ -3,7 +3,7 @@
 use std::fmt;
 
 use gcopss_compat::bytes::Bytes;
-use gcopss_names::{Cd, Name};
+use gcopss_names::{Cd, Component, Name};
 
 /// Identifier of a Rendezvous Point.
 ///
@@ -17,7 +17,10 @@ impl RpId {
     /// The NDN name prefix addressing this RP (`/rp/<id>`).
     #[must_use]
     pub fn ndn_prefix(self) -> Name {
-        Name::parse_lit("/rp").child_index(self.0)
+        Name::from_components([
+            Component::new("rp").expect("a valid label"),
+            Component::index(self.0),
+        ])
     }
 }
 

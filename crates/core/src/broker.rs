@@ -43,50 +43,54 @@ use crate::router::cs_prefix_key;
 use crate::scenario::ExtraHost;
 use crate::{payload_of, GPacket, GameWorld, SimParams};
 
-/// The `/snapshot` QR namespace root.
-#[must_use]
-pub fn snapshot_ns() -> Name {
-    Name::parse_lit("/snapshot")
+/// The QR namespace: `/snapshot/<cd>/meta`, `/snapshot/<cd>/obj/<k>`.
+pub(crate) const SNAPSHOT: &str = "snapshot";
+/// The cyclic-multicast group namespace: `/snapcast/<cd>`.
+pub(crate) const SNAPCAST: &str = "snapcast";
+/// The join/leave control namespace: `/snapcastctl/<cd>/<verb>/<nonce>`.
+pub(crate) const SNAPCASTCTL: &str = "snapcastctl";
+/// The per-CD snapshot-manifest namespace (content-addressed delta
+/// distribution): `/snapmani/<cd>`.
+pub(crate) const SNAPMANI: &str = "snapmani";
+/// The content-addressed chunk namespace: `/chunk/<16-hex>`.
+const CHUNK: &str = "chunk";
+
+/// A protocol word (`snapshot`, `meta`, `join`, a nonce's digits) as a
+/// component. Words of at most 14 bytes are stored inline: no heap call.
+pub(crate) fn word(w: impl AsRef<str>) -> Component {
+    Component::new(w).expect("a protocol word is a valid component")
+}
+
+/// `/<ns>/<cd…>/<tail…>` built in one heap call — the name a client or
+/// broker puts on a packet, so it is not assembled from a parsed literal
+/// and a `join` and a `child` per component.
+pub(crate) fn scoped<const N: usize>(ns: &str, cd: &Name, tail: [Component; N]) -> Name {
+    Name::from_components(
+        std::iter::once(word(ns))
+            .chain(cd.components().iter().cloned())
+            .chain(tail),
+    )
 }
 
 /// The `/snapcast` cyclic-multicast namespace root.
 #[must_use]
 pub fn snapcast_ns() -> Name {
-    Name::parse_lit("/snapcast")
+    word(SNAPCAST).into()
 }
 
-/// The `/snapcastctl` join/leave control namespace root.
-#[must_use]
-pub fn snapcastctl_ns() -> Name {
-    Name::parse_lit("/snapcastctl")
-}
-
-/// The `/snapmani` per-CD snapshot-manifest namespace root (content-addressed
-/// delta distribution).
-#[must_use]
-pub fn snapmani_ns() -> Name {
-    Name::parse_lit("/snapmani")
-}
-
-/// The `/chunk` content-addressed chunk namespace root. Chunk names embed
-/// the hash of their bytes (`/chunk/<16-hex>`), so router Content Stores
-/// caching by name automatically dedup identical content across CDs.
-#[must_use]
-pub fn chunk_ns() -> Name {
-    Name::parse_lit("/chunk")
-}
-
-/// The NDN name of one chunk: `/chunk/<16-hex-digit id>`.
+/// The NDN name of one chunk: `/chunk/<16-hex-digit id>`. Chunk names embed
+/// the hash of their bytes, so router Content Stores caching by name
+/// automatically dedup identical content across CDs.
 #[must_use]
 pub fn chunk_name(id: ChunkId) -> Name {
-    chunk_ns().child(Component::new(id.to_hex()).expect("hex is a valid component"))
+    Name::from_components([word(CHUNK), word(id.to_hex())])
 }
 
 /// Parses a [`chunk_name`] back into its id.
 #[must_use]
 pub fn parse_chunk_name(name: &Name) -> Option<ChunkId> {
     let comps = name.components();
-    if comps.len() != 2 || comps[0].as_str() != "chunk" {
+    if comps.len() != 2 || comps[0].as_str() != CHUNK {
         return None;
     }
     ChunkId::from_hex(comps[1].as_str())
@@ -291,7 +295,7 @@ impl SnapshotBroker {
     pub fn fib_prefixes(serving: &[Name]) -> Vec<Name> {
         serving
             .iter()
-            .flat_map(|cd| [snapshot_ns().join(cd), snapcastctl_ns().join(cd)])
+            .flat_map(|cd| [scoped(SNAPSHOT, cd, []), scoped(SNAPCASTCTL, cd, [])])
             .collect()
     }
 
@@ -301,8 +305,8 @@ impl SnapshotBroker {
     /// and brokers not holding the chunk answer with a tagged drop.
     #[must_use]
     pub fn chunk_fib_prefixes(serving: &[Name]) -> Vec<Name> {
-        let mut out: Vec<Name> = serving.iter().map(|cd| snapmani_ns().join(cd)).collect();
-        out.push(chunk_ns());
+        let mut out: Vec<Name> = serving.iter().map(|cd| scoped(SNAPMANI, cd, [])).collect();
+        out.push(word(CHUNK).into());
         out
     }
 
@@ -314,7 +318,7 @@ impl SnapshotBroker {
     /// the serving index and the request kind.
     fn parse_snapshot_name(&self, name: &Name) -> Option<(usize, SnapshotRequest)> {
         let comps = name.components();
-        if comps.first()?.as_str() != "snapshot" {
+        if comps.first()?.as_str() != SNAPSHOT {
             return None;
         }
         if comps.last()?.as_str() == "meta" {
@@ -332,7 +336,7 @@ impl SnapshotBroker {
     /// Parses `/snapmani/<cd>`, returning the serving index.
     fn parse_manifest_name(&self, name: &Name) -> Option<usize> {
         let comps = name.components();
-        if comps.first()?.as_str() != "snapmani" {
+        if comps.first()?.as_str() != SNAPMANI {
             return None;
         }
         let cd = Name::from_components(comps[1..].iter().cloned());
@@ -353,7 +357,7 @@ impl SnapshotBroker {
     /// its own name.
     fn parse_ctl_name(&self, name: &Name) -> Option<(usize, bool)> {
         let comps = name.components();
-        if comps.len() < 4 || comps[0].as_str() != "snapcastctl" {
+        if comps.len() < 4 || comps[0].as_str() != SNAPCASTCTL {
             return None;
         }
         let join = match comps[comps.len() - 2].as_str() {
@@ -454,7 +458,7 @@ impl SnapshotBroker {
         body[4..8].copy_from_slice(&total.to_le_bytes());
         let id = self.next_snap_id;
         self.next_snap_id += 1;
-        let m = MulticastPacket::new(Cd::new(snapcast_ns().join(cd)), Bytes::from(body), id);
+        let m = MulticastPacket::new(Cd::new(scoped(SNAPCAST, cd, [])), Bytes::from(body), id);
         let g = GPacket::Copss(CopssPacket::Multicast(m));
         let size = g.wire_size();
         ctx.send(self.edge, g, size);
@@ -668,7 +672,7 @@ mod tests {
         assert!(p.contains(&Name::parse_lit("/snapcastctl/1/2")));
         let cp = SnapshotBroker::chunk_fib_prefixes(&serving);
         assert!(cp.contains(&Name::parse_lit("/snapmani/1/2")));
-        assert!(cp.contains(&chunk_ns()));
+        assert!(cp.contains(&Name::parse_lit("/chunk")));
     }
 
     #[test]

@@ -8,13 +8,13 @@ use gcopss_copss::{CopssPacket, MulticastPacket};
 use gcopss_game::trace::TraceEvent;
 use gcopss_game::{AreaId, GameMap, MoveEvent, MoveType, PlayerId};
 use gcopss_names::chunk::{ChunkId, ChunkStore, Manifest};
-use gcopss_names::{Cd, Component, Name};
+use gcopss_names::{Cd, Component, FixedState, Name};
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
 use crate::broker::{
-    chunk_name, parse_chunk_name, snapcast_ns, snapcastctl_ns, snapmani_ns, snapshot_ns,
-    SnapshotMode,
+    chunk_name, parse_chunk_name, scoped, word, SnapshotMode, SNAPCAST, SNAPCASTCTL, SNAPMANI,
+    SNAPSHOT,
 };
 use crate::params::recovery;
 use crate::{
@@ -191,7 +191,7 @@ impl RatePacer {
 /// the receivers' job).
 #[derive(Debug, Default)]
 pub struct DedupWindow {
-    seen: HashSet<u64>,
+    seen: HashSet<u64, FixedState>,
     order: VecDeque<u64>,
     capacity: usize,
 }
@@ -201,7 +201,7 @@ impl DedupWindow {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            seen: HashSet::with_capacity(capacity),
+            seen: HashSet::with_capacity_and_hasher(capacity, FixedState::default()),
             order: VecDeque::with_capacity(capacity),
             capacity,
         }
@@ -307,7 +307,7 @@ impl Default for CatchUpConfig {
 fn name_key(name: &Name) -> u64 {
     let mut h = gcopss_names::fnv1a(b"catchup");
     for c in name.components() {
-        h = gcopss_names::fnv1a_extend(h, c.as_str().as_bytes());
+        h = gcopss_names::fnv1a_extend(h, c.as_bytes());
     }
     h
 }
@@ -361,17 +361,12 @@ struct CatchUpRunner {
 
 /// `/snapshot/<cd>/meta`: the QR query for a leaf CD's object count.
 fn snapshot_meta_name(cd: &Name) -> Name {
-    snapshot_ns()
-        .join(cd)
-        .child(Component::new("meta").expect("valid"))
+    scoped(SNAPSHOT, cd, [word("meta")])
 }
 
 /// `/snapshot/<cd>/obj/<k>`: the QR query for a leaf CD's `k`-th object.
 fn snapshot_obj_name(cd: &Name, k: u32) -> Name {
-    snapshot_ns()
-        .join(cd)
-        .child(Component::new("obj").expect("valid"))
-        .child_index(k)
+    scoped(SNAPSHOT, cd, [word("obj"), Component::index(k)])
 }
 
 /// The little-endian `u32` at `payload[at..at + 4]` (0 if out of range).
@@ -390,7 +385,7 @@ enum CdFetch {
     },
     Cyclic {
         total: Option<u32>,
-        received: HashSet<u32>,
+        received: HashSet<u32, FixedState>,
     },
 }
 
@@ -644,7 +639,7 @@ impl GamePlayerClient {
         join: bool,
     ) {
         for cd in cds {
-            let cds = vec![snapcast_ns().join(cd)];
+            let cds = vec![scoped(SNAPCAST, cd, [])];
             let (group, verb, sent) = if join {
                 (CopssPacket::Subscribe { cds, rp: None }, "join", "mover-joins-sent")
             } else {
@@ -652,10 +647,7 @@ impl GamePlayerClient {
             };
             self.send(ctx, GPacket::Copss(group));
             let nonce = self.nonce();
-            let name = snapcastctl_ns()
-                .join(cd)
-                .child(Component::new(verb).expect("valid"))
-                .child(Component::new(nonce.to_string()).expect("digits are a valid component"));
+            let name = scoped(SNAPCASTCTL, cd, [word(verb), word(nonce.to_string())]);
             self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
             ctx.world().bump(sent);
         }
@@ -744,7 +736,7 @@ impl GamePlayerClient {
                 for cd in cds {
                     let progress = CdFetch::Cyclic {
                         total: None,
-                        received: HashSet::new(),
+                        received: HashSet::default(),
                     };
                     st.per_cd.insert(cd.clone(), progress);
                 }
@@ -895,7 +887,7 @@ impl GamePlayerClient {
         cu.manifests.clear();
         for cd in &cds {
             let name = match cu.cfg.mode {
-                CatchUpMode::ChunkedDelta => snapmani_ns().join(cd),
+                CatchUpMode::ChunkedDelta => scoped(SNAPMANI, cd, []),
                 CatchUpMode::FullSnapshot => snapshot_meta_name(cd),
             };
             let key = name_key(&name);

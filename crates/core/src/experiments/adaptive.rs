@@ -39,7 +39,7 @@ use gcopss_sim::{
     TelemetryConfig,
 };
 
-use crate::broker::{partition_cds_to_brokers, snapshot_ns, SnapshotBroker, SnapshotMode};
+use crate::broker::{partition_cds_to_brokers, scoped, SnapshotBroker, SnapshotMode, SNAPSHOT};
 use crate::router::cs_prefix_key;
 use crate::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{MetricsMode, SimParams};
@@ -432,7 +432,7 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
         .expect("hot zone has leaf CDs")
         .clone();
     let hot_area = w.map.area_of_leaf_cd(&hot_cd).expect("leaf CD");
-    let hot_key = cs_prefix_key(&snapshot_ns().join(&hot_cd));
+    let hot_key = cs_prefix_key(&scoped(SNAPSHOT, &hot_cd, []));
 
     // The flash crowd: `crowd_size` players (not already in the hot area,
     // spread over the population) move into it one `crowd_gap` apart,

@@ -274,7 +274,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             server,
             update: IpUpdate {
                 id,
-                cd: Arc::new(cd),
+                cd,
                 size,
             },
         });

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use gcopss_compat::bytes::Bytes;
 use gcopss_game::{GameMap, PlayerId};
-use gcopss_names::Name;
+use gcopss_names::{Component, Name};
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
@@ -32,7 +32,10 @@ use crate::{GPacket, GameWorld};
 /// The NDN name prefix of a player's update stream: `/player/<id>`.
 #[must_use]
 pub fn player_prefix(player: PlayerId) -> Name {
-    Name::parse_lit("/player").child_index(player.0)
+    Name::from_components([
+        Component::new("player").expect("a valid label"),
+        Component::index(player.0),
+    ])
 }
 
 /// Outstanding Interests per producer (paper: 3).

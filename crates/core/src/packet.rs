@@ -29,9 +29,9 @@ pub struct IpUpdate {
     /// Publication id (same id space as G-COPSS multicasts).
     pub id: u64,
     /// The leaf CD (area) the update pertains to; the server uses it to
-    /// find the interested players. Shared, so the server's per-recipient
-    /// copy and every router hop cost a refcount, not a name.
-    pub cd: Arc<gcopss_names::Name>,
+    /// find the interested players. A `Name` is shared, so the server's
+    /// per-recipient copy and every router hop cost a refcount.
+    pub cd: gcopss_names::Name,
     /// Update payload size in bytes.
     pub size: u32,
 }
@@ -201,7 +201,8 @@ impl GPacket {
 
     /// `true` for names under the `/snapmani` manifest namespace.
     fn is_manifest(name: &gcopss_names::Name) -> bool {
-        name.get(0).is_some_and(|c| c.as_str() == "snapmani")
+        name.get(0)
+            .is_some_and(|c| c.as_bytes() == crate::broker::SNAPMANI.as_bytes())
     }
 
     /// Overload-control supersede key: packets with equal keys carry
@@ -294,7 +295,7 @@ mod tests {
                 server: NodeId(0),
                 update: IpUpdate {
                     id: 1,
-                    cd: Name::parse_lit("/1/2").into(),
+                    cd: Name::parse_lit("/1/2"),
                     size: 100,
                 },
             }),
@@ -332,7 +333,7 @@ mod tests {
         );
         let u = IpUpdate {
             id: 9,
-            cd: Name::parse_lit("/1").into(),
+            cd: Name::parse_lit("/1"),
             size: 4,
         };
         assert_eq!(

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_copss::{CopssEngine, CopssPacket, JoinRequest, MulticastPacket, PruneRequest, RpId, TrafficWindow};
-use gcopss_names::Name;
+use gcopss_names::{FixedState, Name};
 use gcopss_ndn::{ContentStoreConfig, FaceId, NdnAction, NdnEngine};
 use gcopss_sim::prof;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology, TraceEvent};
@@ -130,7 +130,7 @@ pub struct GCopssRouter {
     split: SplitConfig,
     next_candidate: usize,
     /// Flood deduplication for `RpUpdate`s.
-    seen_updates: HashSet<u64>,
+    seen_updates: HashSet<u64, FixedState>,
     /// Joins waiting for a route to a not-yet-announced RP.
     pending_joins: Vec<JoinRequest>,
     /// Prunes deferred by the pending-ST rule of §IV-B: during an RP move
@@ -237,7 +237,7 @@ impl GCopssRouter {
             served_since_split,
             split,
             next_candidate: 0,
-            seen_updates: HashSet::new(),
+            seen_updates: HashSet::default(),
             pending_joins: Vec::new(),
             deferred_prunes: Vec::new(),
             legacy: Vec::new(),

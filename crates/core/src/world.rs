@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use gcopss_game::{MoveType, PlayerId};
-use gcopss_names::Name;
+use gcopss_names::{FixedState, Name};
 use gcopss_sim::metrics::{LatencySamples, OnlineStats};
 use gcopss_sim::{Ctx, LogHistogram, SimDuration, SimTime};
 
@@ -322,7 +322,7 @@ pub struct GameWorld {
     pub metrics: UpdateMetrics,
     /// Exact-delivery bookkeeping for correctness tests (publication id,
     /// receiver) pairs — enabled only in small runs.
-    pub delivery_log: Option<HashSet<(u64, u32)>>,
+    pub delivery_log: Option<HashSet<(u64, u32), FixedState>>,
     /// Duplicate deliveries observed when the delivery log is enabled.
     pub duplicate_deliveries: u64,
     /// Automatic RP splits that occurred.
@@ -364,7 +364,7 @@ impl GameWorld {
     /// small correctness runs.
     #[must_use]
     pub fn with_delivery_log(mut self) -> Self {
-        self.delivery_log = Some(HashSet::new());
+        self.delivery_log = Some(HashSet::default());
         self
     }
 

@@ -322,7 +322,7 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
         client: dead,
         update: IpUpdate {
             id: INJECT_ID,
-            cd: Name::parse_lit("/1/1").into(),
+            cd: Name::parse_lit("/1/1"),
             size: 64,
         },
     });

@@ -16,12 +16,6 @@ use crate::Name;
 pub struct CdHashes(Vec<u64>);
 
 impl CdHashes {
-    /// Computes the hash chain for `name`.
-    #[must_use]
-    pub fn compute(name: &Name) -> Self {
-        Self(name.hash_chain())
-    }
-
     /// Returns the hash of the full CD.
     #[must_use]
     pub fn full(&self) -> u64 {
@@ -75,7 +69,7 @@ impl Cd {
     /// Creates a CD from a name, computing its hash chain.
     #[must_use]
     pub fn new(name: Name) -> Self {
-        let hashes = CdHashes::compute(&name);
+        let hashes = CdHashes(name.hash_chain());
         Self {
             inner: Arc::new(CdInner { name, hashes }),
         }

@@ -1,8 +1,10 @@
 //! A single label of a hierarchical [`Name`](crate::Name).
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
-
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::ParseNameError;
 
@@ -24,70 +26,162 @@ use crate::ParseNameError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Component(Box<str>);
+///
+/// # Representation
+///
+/// A component is 16 bytes. A label of at most [`Component::INLINE_LEN`]
+/// bytes (every map index, namespace word and nonce) is stored in the value
+/// itself, so creating and cloning it never calls the allocator; a longer
+/// one (a 16-hex-digit chunk id) is spilled behind one shared pointer, so
+/// cloning it is a reference count. Equality, order and hash are those of
+/// the label's bytes either way.
+#[derive(Clone)]
+pub struct Component(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the label (valid UTF-8); the rest is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; Component::INLINE_LEN],
+    },
+    /// Longer than `INLINE_LEN`. `Arc<str>` is two words wide; the extra
+    /// `Box` keeps the pointer thin and the whole component at 16 bytes.
+    Spilled(Arc<Box<str>>),
+}
 
 impl Component {
     /// The reserved "own-area" component used by hierarchical game maps.
     pub const OWN_AREA_LABEL: &'static str = "0";
+
+    /// The longest label, in bytes, that is stored without a heap
+    /// allocation.
+    pub const INLINE_LEN: usize = 14;
 
     /// Creates a component from a string, validating it.
     ///
     /// # Errors
     ///
     /// Returns [`ParseNameError`] if the string is empty or contains `/`.
-    pub fn new(s: impl Into<String>) -> Result<Self, ParseNameError> {
-        let s: String = s.into();
+    pub fn new(s: impl AsRef<str>) -> Result<Self, ParseNameError> {
+        let s = s.as_ref();
         if s.is_empty() {
             return Err(ParseNameError::EmptyComponent);
         }
         if s.contains('/') {
             return Err(ParseNameError::SeparatorInComponent);
         }
-        Ok(Self(s.into_boxed_str()))
+        Ok(if s.len() <= Self::INLINE_LEN {
+            Self::inline(s.as_bytes())
+        } else {
+            Self(Repr::Spilled(Arc::new(s.into())))
+        })
+    }
+
+    /// `label` must be valid UTF-8 of at most `INLINE_LEN` bytes.
+    fn inline(label: &[u8]) -> Self {
+        let mut bytes = [0; Self::INLINE_LEN];
+        bytes[..label.len()].copy_from_slice(label);
+        Self(Repr::Inline {
+            len: label.len() as u8,
+            bytes,
+        })
     }
 
     /// Creates the reserved own-area component (`"0"`).
     #[must_use]
     pub fn own_area() -> Self {
-        Self(Self::OWN_AREA_LABEL.into())
+        Self::inline(Self::OWN_AREA_LABEL.as_bytes())
     }
 
     /// Creates a numeric component (`1`, `2`, …), the form used for map
     /// regions and zones.
     #[must_use]
-    pub fn index(i: u32) -> Self {
-        Self(i.to_string().into_boxed_str())
+    pub fn index(mut i: u32) -> Self {
+        // `u32::MAX` has ten decimal digits; fill from the right.
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (i % 10) as u8;
+            i /= 10;
+            if i == 0 {
+                break;
+            }
+        }
+        Self::inline(&digits[at..])
     }
 
     /// Returns the component as a string slice.
+    ///
+    /// An inline label is re-checked as UTF-8 on each call (the crate
+    /// forbids `unsafe`); comparison, ordering and hashing go through
+    /// [`Component::as_bytes`], which does not.
     #[must_use]
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("an inline label was copied from a str")
+            }
+            Repr::Spilled(s) => s,
+        }
     }
 
     /// Returns the raw bytes of the component.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_bytes()
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Spilled(s) => s.as_bytes(),
+        }
     }
 
     /// Returns `true` if this is the reserved own-area component.
     #[must_use]
     pub fn is_own_area(&self) -> bool {
-        &*self.0 == Self::OWN_AREA_LABEL
+        self.as_bytes() == Self::OWN_AREA_LABEL.as_bytes()
+    }
+}
+
+impl PartialEq for Component {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Component {}
+
+impl PartialOrd for Component {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte-lexicographic, which is `str`'s order.
+impl Ord for Component {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Writes what `str`'s `Hash` writes (the bytes, then `0xff`), as
+/// `Borrow<str>` requires.
+impl Hash for Component {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
 impl fmt::Display for Component {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl fmt::Debug for Component {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Component({})", self.0)
+        write!(f, "Component({self})")
     }
 }
 
@@ -123,13 +217,13 @@ impl From<u32> for Component {
 
 impl AsRef<str> for Component {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl Borrow<str> for Component {
     fn borrow(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 

@@ -69,12 +69,7 @@ pub use tree_bitmap::{NameTreeBitmap, PrefixValues};
 /// exactly reproducible, which rules out `std`'s randomly-keyed hasher.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_mix(FNV_OFFSET, bytes)
 }
 
 /// Extends an existing [`fnv1a`] hash with one more name component (used to
@@ -83,17 +78,52 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// A separator byte is mixed in after the component so that `/ab` + `/c`
 /// hashes differently from `/a` + `/bc`.
 #[must_use]
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a_mix(fnv1a_mix(h, bytes), b"/")
+}
+
+/// The FNV-1a step, byte by byte, from state `h`.
+fn fnv1a_mix(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    h ^= 0x2f; // '/'
-    h.wrapping_mul(FNV_PRIME)
+    h
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// [`fnv1a`] as a [`Hasher`](std::hash::Hasher), so a `HashMap`/`HashSet`
+/// can be given the same state in every process ([`FixedState`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1aHasher(u64);
+
+impl Default for Fnv1aHasher {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for Fnv1aHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_mix(self.0, bytes);
+    }
+}
+
+/// The hasher state of every hash map and set under `crates/*/src`
+/// (`scripts/check_hermetic.sh` rejects one without it). std's default
+/// `RandomState` is seeded per process; the seed decides which tombstones an
+/// insert reuses and hence when a table regrows, so with it the heap ledger
+/// of a run (calls, bytes, peak) differs between identical processes. These
+/// maps key on simulation-internal ids and names, never on outside input,
+/// so they need no flooding protection. A fixed state does **not** make
+/// iteration order meaningful: none of these maps may be iterated into an
+/// export or a decision.
+pub type FixedState = std::hash::BuildHasherDefault<Fnv1aHasher>;
 
 #[cfg(test)]
 mod hash_tests {
@@ -108,6 +138,15 @@ mod hash_tests {
     #[test]
     fn fnv1a_empty_is_offset_basis() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn hasher_is_fnv1a_over_everything_written() {
+        use std::hash::Hasher;
+        let mut h = Fnv1aHasher::default();
+        h.write(b"ab");
+        h.write(b"c");
+        assert_eq!(h.finish(), fnv1a(b"abc"));
     }
 
     #[test]

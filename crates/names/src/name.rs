@@ -1,8 +1,12 @@
 //! NDN-style hierarchical names.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::iter;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::{fnv1a, fnv1a_extend, Component, ParseNameError};
 
@@ -12,8 +16,16 @@ use crate::{fnv1a, fnv1a_extend, Component, ParseNameError};
 /// NDN: `/1/2`, `/snapshot/1/3`, `/rp/7`. The *root* name `/` has zero
 /// components and is a prefix of every name.
 ///
-/// `Name` is an ordinary value type: cheap to compare and hash, `Ord` by
+/// `Name` is an immutable value: cheap to compare and hash, `Ord` by
 /// component sequence (so a name sorts immediately before its descendants).
+///
+/// # Representation
+///
+/// A name is a 16-byte handle on one shared, immutable component slice (the
+/// root holds none), so `clone` is a reference count: an Interest, its PIT
+/// entry, the Data that answers it and the Content Store's copy all point
+/// at the same components. A derived name (`child`, `prefix`, `join`) is
+/// one allocation of exactly its length.
 ///
 /// # Example
 ///
@@ -27,9 +39,10 @@ use crate::{fnv1a, fnv1a_extend, Component, ParseNameError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct Name {
-    components: Vec<Component>,
+    /// `None` is the root; a `Some` slice is never empty.
+    components: Option<Arc<[Component]>>,
 }
 
 impl Name {
@@ -40,12 +53,17 @@ impl Name {
     }
 
     /// Builds a name from an iterator of components.
+    ///
+    /// A std iterator that knows its exact length (a slice, array, range or
+    /// `once`, and any `map`/`cloned`/`chain` of those) is collected with
+    /// one allocation; any other goes through a `Vec` first.
     pub fn from_components<I>(components: I) -> Self
     where
         I: IntoIterator<Item = Component>,
     {
+        let components: Arc<[Component]> = components.into_iter().collect();
         Self {
-            components: components.into_iter().collect(),
+            components: (!components.is_empty()).then_some(components),
         }
     }
 
@@ -63,31 +81,31 @@ impl Name {
     /// Returns the number of components.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.components().len()
     }
 
     /// Returns `true` for the root name `/`.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.components.is_none()
     }
 
     /// Returns the components as a slice.
     #[must_use]
     pub fn components(&self) -> &[Component] {
-        &self.components
+        self.components.as_deref().unwrap_or_default()
     }
 
     /// Returns the component at `level` (0-based), if any.
     #[must_use]
     pub fn get(&self, level: usize) -> Option<&Component> {
-        self.components.get(level)
+        self.components().get(level)
     }
 
     /// Returns the last component, if any.
     #[must_use]
     pub fn last(&self) -> Option<&Component> {
-        self.components.last()
+        self.components().last()
     }
 
     /// Returns `true` if `self` is a (non-strict) prefix of `other`.
@@ -96,27 +114,20 @@ impl Name {
     /// a publication to CD `c` iff `s.is_prefix_of(c)`.
     #[must_use]
     pub fn is_prefix_of(&self, other: &Name) -> bool {
-        other.components.len() >= self.components.len()
-            && self.components == other.components[..self.components.len()]
+        other.components().starts_with(self.components())
     }
 
     /// Returns `true` if `self` is a strict prefix of `other`.
     #[must_use]
     pub fn is_strict_prefix_of(&self, other: &Name) -> bool {
-        other.components.len() > self.components.len() && self.is_prefix_of(other)
+        other.len() > self.len() && self.is_prefix_of(other)
     }
 
     /// Returns the parent name (all but the last component), or `None` for
     /// the root.
     #[must_use]
     pub fn parent(&self) -> Option<Name> {
-        if self.components.is_empty() {
-            None
-        } else {
-            Some(Self {
-                components: self.components[..self.components.len() - 1].to_vec(),
-            })
-        }
+        self.len().checked_sub(1).map(|levels| self.prefix(levels))
     }
 
     /// Returns the prefix of this name with the given number of components.
@@ -127,21 +138,26 @@ impl Name {
     #[must_use]
     pub fn prefix(&self, levels: usize) -> Name {
         assert!(
-            levels <= self.components.len(),
+            levels <= self.len(),
             "prefix length {levels} exceeds name length {}",
-            self.components.len()
+            self.len()
         );
-        Self {
-            components: self.components[..levels].to_vec(),
+        match levels {
+            0 => Self::root(),
+            l if l == self.len() => self.clone(),
+            _ => Self::from_components(self.components()[..levels].iter().cloned()),
         }
     }
 
     /// Returns a new name with `component` appended.
     #[must_use]
     pub fn child(&self, component: Component) -> Name {
-        let mut components = self.components.clone();
-        components.push(component);
-        Self { components }
+        Self::from_components(
+            self.components()
+                .iter()
+                .cloned()
+                .chain(iter::once(component)),
+        )
     }
 
     /// Returns a new name with the numeric component `i` appended.
@@ -160,9 +176,13 @@ impl Name {
     /// Returns the concatenation `self + suffix`.
     #[must_use]
     pub fn join(&self, suffix: &Name) -> Name {
-        let mut components = self.components.clone();
-        components.extend_from_slice(&suffix.components);
-        Self { components }
+        if suffix.is_empty() {
+            return self.clone();
+        }
+        if self.is_empty() {
+            return suffix.clone();
+        }
+        Self::from_components(self.components().iter().chain(suffix.components()).cloned())
     }
 
     /// Iterates over all prefixes of this name from the root (`/`) to the
@@ -189,10 +209,10 @@ impl Name {
     /// router precomputes in the paper's §III-C optimization.
     #[must_use]
     pub fn hash_chain(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.components.len() + 1);
+        let mut out = Vec::with_capacity(self.len() + 1);
         let mut h = fnv1a(b"");
         out.push(h);
-        for c in &self.components {
+        for c in self.components() {
             h = fnv1a_extend(h, c.as_bytes());
             out.push(h);
         }
@@ -203,7 +223,7 @@ impl Name {
     /// [`Name::hash_chain`]).
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
-        self.prefix_hash(self.components.len())
+        self.prefix_hash(self.len())
     }
 
     /// Returns the stable hash of the prefix with `levels` components
@@ -214,7 +234,7 @@ impl Name {
     /// Panics if `levels > self.len()`.
     #[must_use]
     pub fn prefix_hash(&self, levels: usize) -> u64 {
-        self.components[..levels]
+        self.components()[..levels]
             .iter()
             .fold(fnv1a(b""), |h, c| fnv1a_extend(h, c.as_bytes()))
     }
@@ -225,7 +245,7 @@ impl Name {
     #[must_use]
     pub fn encoded_len(&self) -> usize {
         1 + self
-            .components
+            .components()
             .iter()
             .map(|c| 1 + c.as_bytes().len())
             .sum::<usize>()
@@ -234,10 +254,10 @@ impl Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.components.is_empty() {
+        if self.is_empty() {
             return f.write_str("/");
         }
-        for c in &self.components {
+        for c in self.components() {
             write!(f, "/{c}")?;
         }
         Ok(())
@@ -260,41 +280,63 @@ impl FromStr for Name {
         let Some(rest) = s.strip_prefix('/') else {
             return Err(ParseNameError::MissingLeadingSlash);
         };
-        let components = rest
-            .split('/')
-            .map(Component::new)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { components })
+        // Sized up front, so a name of any depth parses in two allocations:
+        // this buffer and the shared slice it is copied into.
+        let mut components = Vec::with_capacity(rest.split('/').count());
+        for label in rest.split('/') {
+            components.push(Component::new(label)?);
+        }
+        Ok(Self {
+            components: Some(components.into()),
+        })
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.components().cmp(other.components())
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
     }
 }
 
 /// A name hashes, compares and orders exactly like its component slice (the
-/// derives above go through the one `Vec<Component>` field), so a map keyed
-/// by `Name` can be probed with any `&name.components()[..k]` — every prefix
-/// of a name, without building a `Name` per level.
+/// impls above all go through [`Name::components`]), so a map keyed by
+/// `Name` can be probed with any `&name.components()[..k]` — every prefix of
+/// a name, without building a `Name` per level.
 impl Borrow<[Component]> for Name {
     fn borrow(&self) -> &[Component] {
-        &self.components
+        self.components()
     }
 }
 
 impl From<Component> for Name {
     fn from(c: Component) -> Self {
-        Self {
-            components: vec![c],
-        }
+        Self::from_components([c])
     }
 }
 
 impl FromIterator<Component> for Name {
     fn from_iter<I: IntoIterator<Item = Component>>(iter: I) -> Self {
         Self::from_components(iter)
-    }
-}
-
-impl Extend<Component> for Name {
-    fn extend<I: IntoIterator<Item = Component>>(&mut self, iter: I) {
-        self.components.extend(iter);
     }
 }
 
@@ -426,14 +468,14 @@ mod tests {
     #[test]
     fn borrowed_component_slices_key_like_names() {
         use std::collections::hash_map::{DefaultHasher, HashMap};
-        use std::hash::{Hash, Hasher};
         fn h<T: Hash + ?Sized>(t: &T) -> u64 {
             let mut s = DefaultHasher::new();
             t.hash(&mut s);
             s.finish()
         }
         let n = Name::parse_lit("/snapshot/1/3/obj");
-        let map: HashMap<Name, usize> = n.prefixes().map(|p| (p.clone(), p.len())).collect();
+        let map: HashMap<Name, usize, crate::FixedState> =
+            n.prefixes().map(|p| (p.clone(), p.len())).collect();
         for k in 0..=n.len() {
             let slice = &n.components()[..k];
             assert_eq!(h(&n.prefix(k)), h(slice));

@@ -3,7 +3,10 @@
 //! strings; names are built inside each property so shrinking stays
 //! structural.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 use gcopss_compat::prop::{self, Strategy};
 use gcopss_names::{BloomParams, Cd, Component, CountingBloomFilter, Name, NameTreeBitmap};
@@ -23,14 +26,165 @@ fn name(parts: &[String]) -> Name {
     )
 }
 
+/// Byte lengths on both sides of `Component::INLINE_LEN` (14).
+const LABEL_LENS: [usize; 7] = [1, 13, 14, 15, 16, 17, 40];
+
+/// Raw label: a tail of up to five 1- to 4-byte characters and an index
+/// into `LABEL_LENS`. [`label`] pads it to exactly that many bytes, so a
+/// multi-byte character can sit across the inline boundary.
+fn label_strategy() -> impl Strategy<Value = (String, usize)> {
+    (
+        prop::string("b0é€😀", 0..=5),
+        prop::range(0..LABEL_LENS.len()),
+    )
+}
+
+fn label((tail, len): &(String, usize)) -> String {
+    let len = LABEL_LENS[*len];
+    let mut tail = tail.as_str();
+    while tail.len() > len {
+        tail = &tail[..tail.char_indices().next_back().expect("non-empty").0];
+    }
+    let label = "a".repeat(len - tail.len()) + tail;
+    assert_eq!(label.len(), len);
+    label
+}
+
+/// Raw name whose labels straddle the inline boundary.
+fn wide_name_strategy() -> impl Strategy<Value = Vec<(String, usize)>> {
+    prop::vec(label_strategy(), 0..=5)
+}
+
+fn wide_labels(raw: &[(String, usize)]) -> Vec<String> {
+    raw.iter().map(label).collect()
+}
+
+fn std_hash<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
 #[test]
 fn parse_display_round_trip() {
-    prop::check(0x6f01, CASES, &name_strategy(), |parts| {
-        let n = name(parts);
+    let law = |n: Name| {
         let s = n.to_string();
         let back: Name = s.parse().unwrap();
         assert_eq!(n, back);
+    };
+    prop::check(0x6f01, CASES, &name_strategy(), |parts| law(name(parts)));
+    prop::check(0x6f11, CASES, &wide_name_strategy(), |raw| {
+        let labels = wide_labels(raw);
+        assert_eq!(name(&labels).to_string(), format!("/{}", labels.join("/")));
+        law(name(&labels));
     });
+}
+
+#[test]
+fn component_behaves_like_its_str_on_both_sides_of_the_inline_limit() {
+    prop::check(
+        0x6f12,
+        4 * CASES,
+        &(label_strategy(), label_strategy()),
+        |(a, b)| {
+            let (a, b) = (label(a), label(b));
+            let (ca, cb) = (Component::new(&a).unwrap(), Component::new(&b).unwrap());
+            assert_eq!(ca.as_str(), a);
+            assert_eq!(ca.as_bytes(), a.as_bytes());
+            assert_eq!(ca.to_string(), a);
+            assert_eq!(<Component as Borrow<str>>::borrow(&ca), a);
+            assert_eq!(ca == cb, a == b);
+            assert_eq!(ca.cmp(&cb), a.cmp(&b));
+            assert_eq!(std_hash(&ca), std_hash(a.as_str()));
+            assert_eq!(ca, ca.clone());
+            // `Borrow<str>` in use: both map kinds find a component by its str.
+            let tree: BTreeMap<Component, u8> = [(ca.clone(), 1), (cb.clone(), 2)].into();
+            let table: HashMap<Component, u8> = [(ca, 1), (cb, 2)].into();
+            let expect = if a == b { 2 } else { 1 };
+            assert_eq!(tree.get(a.as_str()), Some(&expect));
+            assert_eq!(table.get(a.as_str()), Some(&expect));
+            assert_eq!(table.get(b.as_str()), Some(&2));
+        },
+    );
+}
+
+#[test]
+fn name_orders_like_its_labels_and_hashes_like_its_slice() {
+    prop::check(
+        0x6f13,
+        2 * CASES,
+        &(wide_name_strategy(), wide_name_strategy()),
+        |(a, b)| {
+            let (la, lb) = (wide_labels(a), wide_labels(b));
+            let (na, nb) = (name(&la), name(&lb));
+            assert_eq!(na.cmp(&nb), la.cmp(&lb));
+            assert_eq!(na == nb, la == lb);
+            assert_eq!(std_hash(&na), std_hash(na.components()));
+            // A map keyed by `Name` answers a borrowed-slice probe for every
+            // prefix (how `Pit::consume` walks a Data name).
+            let by_prefix: HashMap<Name, usize> =
+                na.prefixes().map(|p| (p.clone(), p.len())).collect();
+            for k in 0..=na.len() {
+                assert_eq!(by_prefix.get(&na.components()[..k]), Some(&k));
+            }
+            // …and for nothing else.
+            let common = la.iter().zip(&lb).take_while(|(x, y)| x == y).count();
+            for k in 0..=nb.len() {
+                assert_eq!(by_prefix.contains_key(&nb.components()[..k]), k <= common);
+            }
+        },
+    );
+}
+
+/// Lineage ids, supersede keys and catch-up ledger keys are built from
+/// these, and every export fingerprint depends on them: a change of name
+/// representation must not move a single value.
+#[test]
+fn stable_hashes_are_pinned() {
+    let golden: [(&str, &[u64]); 5] = [
+        ("/", &[0xcbf2_9ce4_8422_2325]),
+        (
+            "/1/2",
+            &[
+                0xcbf2_9ce4_8422_2325,
+                0x07f8_9907_b4ba_1489,
+                0x4b05_6ff1_1ba5_6f6a,
+            ],
+        ),
+        (
+            "/snapshot/1/3/obj/7",
+            &[
+                0xcbf2_9ce4_8422_2325,
+                0x99dc_0754_a680_a3e6,
+                0xfa33_5834_0390_214e,
+                0x1ba5_f59d_a2c0_ff58,
+                0x5113_7e36_6f22_a206,
+                0xf4a9_0888_c6bf_b284,
+            ],
+        ),
+        (
+            "/chunk/0123456789abcdef",
+            &[
+                0xcbf2_9ce4_8422_2325,
+                0x9903_0967_cbe5_6017,
+                0x784d_e9e0_602c_400c,
+            ],
+        ),
+        (
+            "/é€😀/0123456789abcdé",
+            &[
+                0xcbf2_9ce4_8422_2325,
+                0xdcfc_53ae_b8a4_13ab,
+                0x0f65_7280_00ff_47d9,
+            ],
+        ),
+    ];
+    for (text, chain) in golden {
+        let n = Name::parse_lit(text);
+        assert_eq!(n.hash_chain(), chain, "{text}");
+        assert_eq!(n.stable_hash(), *chain.last().unwrap(), "{text}");
+        assert_eq!(Cd::new(n).hashes().as_slice(), chain, "{text}");
+    }
 }
 
 #[test]

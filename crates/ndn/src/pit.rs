@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use gcopss_names::Name;
+use gcopss_names::{FixedState, Name};
 
 use crate::{FaceId, Interest};
 
@@ -38,7 +38,7 @@ struct PitEntry {
 ///
 /// ```
 /// # use gcopss_ndn::{Pit, PitInsert, FaceId, Interest};
-/// # use gcopss_names::Name;
+/// # use gcopss_names::{FixedState, Name};
 /// let mut pit = Pit::new();
 /// let i = Interest::new(Name::parse_lit("/a/b"), 1);
 /// assert_eq!(pit.insert(0, FaceId(1), &i), PitInsert::Forward);
@@ -47,7 +47,9 @@ struct PitEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Pit {
-    entries: HashMap<Name, PitEntry>,
+    /// Walked only by the two `retain`s below (expiry, face purge), which do
+    /// not depend on order; it must never be iterated into an export.
+    entries: HashMap<Name, PitEntry, FixedState>,
 }
 
 impl Pit {

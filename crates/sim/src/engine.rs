@@ -1897,7 +1897,7 @@ mod tests {
             }
             sim.run();
             // Both relays record: a packet seen twice survived the a->b hop.
-            let mut seen = std::collections::HashMap::new();
+            let mut seen = std::collections::BTreeMap::new();
             for &(_, p) in &sim.world().arrivals {
                 *seen.entry(p).or_insert(0u32) += 1;
             }
