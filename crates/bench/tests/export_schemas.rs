@@ -416,7 +416,7 @@ fn tables_and_figures() {
     let exps = [
         ("table1", 0.05),
         ("table2", 0.05),
-        ("table3", 0.2),
+        ("table3", 0.6),
         ("ablation", 0.1),
         ("fig6", 0.05),
         ("fig5", 0.2),
