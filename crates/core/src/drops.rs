@@ -29,6 +29,22 @@ pub fn record(ctx: &mut Ctx<'_, GPacket, GameWorld>, reason: &'static str, size:
     ctx.world().bump(reason);
 }
 
+/// The one way a behavior records a *batch* of `n` soft-state entries
+/// dropped for `reason` outside any packet's service (a PIT sweep, a dead
+/// face's purge): one journal record of size `n`, and `n` on both the
+/// world's and the telemetry per-reason counter.
+pub(crate) fn record_batch(ctx: &mut Ctx<'_, GPacket, GameWorld>, reason: &'static str, n: usize) {
+    if n == 0 {
+        return;
+    }
+    ctx.world().bump_by(reason, n as u64);
+    if ctx.telemetry_enabled() {
+        // `emit` counts its one record under `reason` itself.
+        ctx.counter(reason, n as u64 - 1);
+        ctx.emit(TraceEvent::Drop, reason, n as u32);
+    }
+}
+
 /// A COPSS `ToRp` packet reached a router with no FIB route toward the RP.
 pub const TORP_NO_ROUTE: &str = "torp-no-route";
 /// A `ToRp` publication reached its RP but the RP does not serve the CD.

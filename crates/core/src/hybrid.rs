@@ -188,7 +188,7 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                     return;
                 };
                 let purged = self.st.remove_face(face);
-                ctx.world().bump_by(crate::drops::ST_PURGED, purged.len() as u64);
+                crate::drops::record_batch(ctx, crate::drops::ST_PURGED, purged.len());
                 let me = ctx.node();
                 for cd in &purged {
                     for group in groups_for_subscription(cd, self.group_count) {

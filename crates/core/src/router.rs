@@ -1020,13 +1020,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 return;
             }
             let swept = self.ndn.pit_mut().expire(ctx.now().as_nanos());
-            if swept > 0 {
-                ctx.world().bump_by(crate::drops::PIT_EXPIRED, swept as u64);
-                if ctx.telemetry_enabled() {
-                    ctx.counter(crate::drops::PIT_EXPIRED, swept as u64);
-                    ctx.emit(TraceEvent::Drop, crate::drops::PIT_EXPIRED, swept as u32);
-                }
-            }
+            crate::drops::record_batch(ctx, crate::drops::PIT_EXPIRED, swept);
             // Re-arm only while entries remain, so fault-free runs still
             // drain to quiescence.
             if self.ndn.pit().is_empty() {
@@ -1046,19 +1040,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 };
                 // Purge the per-face soft state of the dead adjacency.
                 let (purged, _joins, prunes) = self.copss.handle_face_down(face);
-                ctx.world().bump_by(crate::drops::ST_PURGED, purged.len() as u64);
+                crate::drops::record_batch(ctx, crate::drops::ST_PURGED, purged.len());
                 let dropped = self.ndn.pit_mut().purge_face(face);
-                ctx.world().bump_by(crate::drops::PIT_PURGED, dropped as u64);
-                if ctx.telemetry_enabled() {
-                    if !purged.is_empty() {
-                        ctx.counter(crate::drops::ST_PURGED, purged.len() as u64);
-                        ctx.emit(TraceEvent::Drop, crate::drops::ST_PURGED, purged.len() as u32);
-                    }
-                    if dropped > 0 {
-                        ctx.counter(crate::drops::PIT_PURGED, dropped as u64);
-                        ctx.emit(TraceEvent::Drop, crate::drops::PIT_PURGED, dropped as u32);
-                    }
-                }
+                crate::drops::record_batch(ctx, crate::drops::PIT_PURGED, dropped);
                 // Repair routes first, then re-anchor: joins and prunes
                 // must travel the surviving paths.
                 self.repair_rp_routes(ctx);

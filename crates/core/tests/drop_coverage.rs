@@ -39,9 +39,17 @@ use gcopss_sim::{
 const INJECT_ID: u64 = 1 << 50;
 
 fn harvest(sim: &Simulator<GPacket, GameWorld>, seen: &mut BTreeSet<&'static str>) {
+    let engine_tag = |tag| gcopss_sim::EngineDrop::ALL.iter().any(|why| why.as_str() == tag);
     for &tag in drops::ALL {
-        if sim.telemetry().counter_total(tag) > 0 {
+        let exported = sim.telemetry().counter_total(tag);
+        if exported > 0 {
             seen.insert(tag);
+        }
+        // A behavior-level reason is counted once per dropped item, in the
+        // export and in the world alike (the engine's own reasons have no
+        // world counter).
+        if !engine_tag(tag) {
+            assert_eq!(exported, sim.world().counter(tag), "{tag}: telemetry vs world");
         }
     }
 }
