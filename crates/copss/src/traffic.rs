@@ -81,16 +81,6 @@ impl TrafficWindow {
         self.counts.get(cd).copied().unwrap_or(0)
     }
 
-    /// Count of packets in the window published at or below `prefix`.
-    #[must_use]
-    pub fn count_under(&self, prefix: &Name) -> u64 {
-        self.counts
-            .iter()
-            .filter(|(cd, _)| prefix.is_prefix_of(cd))
-            .map(|(_, c)| *c)
-            .sum()
-    }
-
     /// Plans a load split of the served prefixes: returns the set of
     /// "atoms" to move to a new RP so that roughly `target_fraction` of the
     /// observed window traffic moves (§IV-B: "the CD selection function
@@ -226,17 +216,6 @@ mod tests {
         assert_eq!(w.count(&n("/a")), 1);
         assert_eq!(w.count(&n("/b")), 1);
         assert_eq!(w.count(&n("/c")), 1);
-    }
-
-    #[test]
-    fn count_under_prefix() {
-        let mut w = TrafficWindow::new(10);
-        w.record(n("/1/1"));
-        w.record(n("/1/2"));
-        w.record(n("/2/1"));
-        assert_eq!(w.count_under(&n("/1")), 2);
-        assert_eq!(w.count_under(&Name::root()), 3);
-        assert_eq!(w.count_under(&n("/3")), 0);
     }
 
     #[test]

@@ -229,9 +229,12 @@ impl BrokerChunkCache {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default)]
 struct CyclicStream {
-    subscribers: u32,
+    /// The players counted into the stream. A set, so a join re-expressed
+    /// after a fault (the mover cannot know the first one arrived) counts
+    /// its player once.
+    subscribers: BTreeSet<u32>,
     next_obj: u32,
 }
 
@@ -344,7 +347,8 @@ impl SnapshotBroker {
     }
 
     /// Parses `/snapcastctl/<cd>/{join,leave}/<nonce>`, returning the
-    /// serving index and whether the command is a join.
+    /// serving index, whether the command is a join, and the sending player
+    /// (the high half of every client nonce).
     ///
     /// Why command Interests carry a nonce component: a join or a leave is
     /// a *command*, not a request for content — each one must reach the
@@ -355,7 +359,7 @@ impl SnapshotBroker {
     /// under a mover still fetching) and leaves vanish (the stream never
     /// stops). The sender's nonce as the last component makes every command
     /// its own name.
-    fn parse_ctl_name(&self, name: &Name) -> Option<(usize, bool)> {
+    fn parse_ctl_name(&self, name: &Name) -> Option<(usize, bool, u32)> {
         let comps = name.components();
         if comps.len() < 4 || comps[0].as_str() != SNAPCASTCTL {
             return None;
@@ -365,8 +369,9 @@ impl SnapshotBroker {
             "leave" => false,
             _ => return None,
         };
+        let nonce: u64 = comps[comps.len() - 1].as_str().parse().ok()?;
         let cd = Name::from_components(comps[1..comps.len() - 2].iter().cloned());
-        Some((self.serving_index(&cd)?, join))
+        Some((self.serving_index(&cd)?, join, (nonce >> 32) as u32))
     }
 
     fn send_data(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, name: Name, payload: Bytes) {
@@ -436,7 +441,7 @@ impl SnapshotBroker {
         let Some(stream) = self.cyclic.get_mut(&idx) else {
             return;
         };
-        if stream.subscribers == 0 {
+        if stream.subscribers.is_empty() {
             self.cyclic.remove(&idx);
             return;
         }
@@ -537,21 +542,17 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                     }
                     ctx.counter("broker-qr-served", 1);
                     ctx.world().bump("broker-qr-served");
-                } else if let Some((idx, join)) = self.parse_ctl_name(&i.name) {
+                } else if let Some((idx, join, player)) = self.parse_ctl_name(&i.name) {
                     if join {
                         let starting = !self.cyclic.contains_key(&idx);
-                        let s = self.cyclic.entry(idx).or_insert(CyclicStream {
-                            subscribers: 0,
-                            next_obj: 0,
-                        });
-                        s.subscribers += 1;
+                        self.cyclic.entry(idx).or_default().subscribers.insert(player);
                         if starting {
                             ctx.schedule(CYCLIC_GAP, idx as u64);
                         }
                         ctx.world().bump("broker-cyclic-joins");
                     } else {
                         if let Some(s) = self.cyclic.get_mut(&idx) {
-                            s.subscribers = s.subscribers.saturating_sub(1);
+                            s.subscribers.remove(&player);
                             // The stream stops at the next tick when empty;
                             // the packets sent meanwhile are the paper's
                             // "wasted" tail transmissions.
@@ -652,16 +653,50 @@ mod tests {
         );
         assert_eq!(
             broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/join/4294967297")),
-            Some((0, true))
+            Some((0, true, 1))
         );
         assert_eq!(
             broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/leave/7")),
-            Some((0, false))
+            Some((0, false, 0))
         );
         assert_eq!(
             broker.parse_ctl_name(&Name::parse_lit("/snapcastctl/1/2/bogus/7")),
             None
         );
+    }
+
+    /// A stream's members are a set of players: a join re-expressed after a
+    /// fault counts its player once, so that player's one leave still stops
+    /// the stream.
+    #[test]
+    fn rejoin_counts_a_player_once() {
+        use gcopss_ndn::Interest;
+        use gcopss_sim::{SimTime, Simulator, Topology};
+
+        let mut topology = Topology::new();
+        let (host, edge) = (topology.add_node("broker"), topology.add_node("edge"));
+        topology
+            .try_add_link(host, edge, SimDuration::from_millis(1), None)
+            .expect("two known nodes");
+        let map = GameMap::paper_map();
+        let objects = ObjectModel::generate(1, &map, &ObjectModelParams::default());
+        let serving = vec![Name::parse_lit("/1/2")];
+        let broker =
+            SnapshotBroker::new(SimParams::default(), edge, serving, objects, Arc::new(Vec::new()));
+        let mut sim = Simulator::new(topology, GameWorld::default());
+        sim.set_behavior(host, Box::new(broker));
+
+        // Player 1 joins, joins again (its 2nd and 5th Interests), leaves.
+        let player = 1u64 << 32;
+        for (ms, verb, n) in [(0, "join", 2), (20, "join", 5), (40, "leave", 6)] {
+            let name = Name::parse_lit(&format!("/snapcastctl/1/2/{verb}/{}", player | n));
+            let pkt = GPacket::Interest(Interest::new(name, player | n));
+            let size = pkt.wire_size();
+            sim.inject(SimTime::from_millis(ms), host, pkt, size);
+        }
+        sim.run_until(SimTime::from_millis(500));
+        assert!(sim.world().counter("broker-cyclic-sent") > 0, "the stream ran");
+        assert!(sim.is_idle(), "still streaming after the only member left");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::{
 const TIMER_PUBLISH: u64 = 0;
 /// Timer key of the silence watchdog (recovery mode only).
 const TIMER_WATCHDOG: u64 = 1;
-/// Timer key of the catch-up stall/retry sweep.
+/// Timer key of the catch-up's stall/retry sweep ([`Slot::CatchUp`]).
 const TIMER_CATCHUP_RETRY: u64 = 2;
 /// Timer key of the scheduled initial (prewarm) catch-up.
 const TIMER_CATCHUP_START: u64 = 3;
@@ -37,6 +37,8 @@ const TIMER_REFRESH: u64 = 4;
 const TIMER_MOVE: u64 = 5;
 /// Timer key of an offline player coming online (§IV-A).
 const TIMER_ONLINE: u64 = 6;
+/// Timer key of the move fetch's stall/retry sweep ([`Slot::Move`]).
+const TIMER_MOVE_RETRY: u64 = 7;
 
 /// Client-side recovery state: a silence watchdog with capped exponential
 /// backoff and seeded per-client jitter. Shared by the G-COPSS player
@@ -302,7 +304,7 @@ impl Default for CatchUpConfig {
     }
 }
 
-/// A stable item key for non-chunk catch-up fetches (manifests, snapshot
+/// A stable item key for non-chunk fetches (manifests, snapshot
 /// meta/objects), hashed from the Interest name.
 fn name_key(name: &Name) -> u64 {
     let mut h = gcopss_names::fnv1a(b"catchup");
@@ -312,52 +314,9 @@ fn name_key(name: &Name) -> u64 {
     h
 }
 
-/// Cap on the catch-up resend backoff exponent: the longest wait between
+/// Cap on the fetch resend backoff exponent: the longest wait between
 /// re-expressions is `retry << BACKOFF_CAP`.
 const CATCHUP_BACKOFF_CAP: u32 = 3;
-
-/// Builds one catch-up Interest. The lifetime is deliberately *shorter*
-/// than the stall-retry interval: PIT aggregation refreshes entry
-/// lifetimes, so a re-expression that lands in a still-live entry whose
-/// upstream Data was lost is swallowed without being forwarded — the name
-/// stays wedged for as long as retries keep arriving faster than the
-/// entries expire. Expiring the previous round first guarantees every
-/// retry is actually re-forwarded toward the producer.
-fn catchup_interest(name: Name, nonce: u64, retry: SimDuration) -> Interest {
-    Interest::with_lifetime(name, nonce, retry.as_nanos() * 3 / 4)
-}
-
-/// One in-flight catch-up.
-struct CatchUpFetch {
-    recovery: bool,
-    started: SimTime,
-    last_progress: SimTime,
-    bytes: u64,
-    chunks_fetched: u64,
-    chunks_held: u64,
-    cds: usize,
-    /// Item key → Interest name, for everything sent but unanswered.
-    outstanding: BTreeMap<u64, Name>,
-    /// Fetches not yet issued (window pacing).
-    queue: VecDeque<(u64, Name)>,
-    /// Chunk ids already queued/sent this catch-up (cross-CD dedup).
-    requested_chunks: BTreeSet<u64>,
-    /// Consecutive stall resends without progress (backoff exponent).
-    backoff: u32,
-    /// Earliest time the next stall resend may fire.
-    next_resend: SimTime,
-}
-
-/// Persistent catch-up state of one client: config, the chunk store that
-/// survives across catch-ups (and across node restarts — it models on-disk
-/// content), and the active fetch.
-struct CatchUpRunner {
-    cfg: CatchUpConfig,
-    store: ChunkStore,
-    /// Manifests fetched by the active catch-up (reassembly check at end).
-    manifests: Vec<Manifest>,
-    active: Option<CatchUpFetch>,
-}
 
 /// `/snapshot/<cd>/meta`: the QR query for a leaf CD's object count.
 fn snapshot_meta_name(cd: &Name) -> Name {
@@ -376,46 +335,126 @@ fn le_u32(payload: &[u8], at: usize) -> u32 {
         .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-/// Per-CD progress of an in-flight post-move snapshot fetch.
-#[derive(Debug)]
-enum CdFetch {
-    Qr {
-        total: Option<u32>,
-        received: u32,
-    },
-    Cyclic {
-        total: Option<u32>,
-        received: HashSet<u32, FixedState>,
-    },
+/// The two fetches a client can have in flight at once. Both are a
+/// [`Fetch`] and run through the one pipeline (`request` → `express` →
+/// `retry_tick` → `on_fetch_data`); each has its own stall-retry timer.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The prewarm or recovery catch-up over the whole view
+    /// ([`CatchUpRunner::active`]).
+    CatchUp,
+    /// The mover's post-move or online-join fetch ([`Mover::fetch`]).
+    Move,
 }
 
-impl CdFetch {
-    fn done(&self) -> bool {
+impl Slot {
+    const ALL: [Self; 2] = [Self::CatchUp, Self::Move];
+
+    fn retry_timer(self) -> u64 {
         match self {
-            Self::Qr {
-                total: Some(t),
-                received,
-            } => received >= t,
-            Self::Cyclic {
-                total: Some(t),
-                received,
-            } => received.len() as u32 >= *t,
-            _ => false,
+            Self::CatchUp => TIMER_CATCHUP_RETRY,
+            Self::Move => TIMER_MOVE_RETRY,
         }
     }
 }
 
-/// An in-flight post-move (or online-join) snapshot fetch.
-struct FetchState {
-    move_type: MoveType,
-    /// An offline player coming online rather than an in-game move.
-    online_join: bool,
+/// What a fetch is for, and so which record its completion writes.
+#[derive(Debug, Clone, Copy)]
+enum Goal {
+    /// A catch-up (prewarm, or recovery after a fault): a [`CatchUpRecord`].
+    CatchUp { recovery: bool },
+    /// A mover's newly visible CDs after a move, or a joiner's whole view:
+    /// a [`ConvergenceRecord`].
+    Move {
+        move_type: MoveType,
+        online_join: bool,
+    },
+}
+
+impl Goal {
+    fn slot(self) -> Slot {
+        match self {
+            Self::CatchUp { .. } => Slot::CatchUp,
+            Self::Move { .. } => Slot::Move,
+        }
+    }
+}
+
+/// Progress of one `/snapcast/<cd>` cyclic stream a fetch is draining.
+#[derive(Debug, Default)]
+struct CyclicCd {
+    /// Objects in a full cycle, once the first packet told.
+    total: Option<u32>,
+    received: HashSet<u32, FixedState>,
+}
+
+impl CyclicCd {
+    fn done(&self) -> bool {
+        self.total.is_some_and(|t| self.received.len() as u32 >= t)
+    }
+}
+
+/// One in-flight snapshot retrieval. A *pull* fetch (catch-up, QR move)
+/// works through `outstanding` and `queue` with Interests; a *push* fetch
+/// (cyclic-multicast move) waits on `groups`; what the two share is written
+/// once, and a fetch is done when it waits for nothing of either kind.
+struct Fetch {
+    goal: Goal,
     started: SimTime,
-    per_cd: BTreeMap<Name, CdFetch>,
     bytes: u64,
-    outstanding: u32,
-    /// (cd, k) object queries not yet issued (QR mode).
-    queue: VecDeque<(Name, u32)>,
+    /// Leaf CDs covered.
+    cds: usize,
+    chunks_fetched: u64,
+    chunks_held: u64,
+    /// Item key → Interest name, for everything sent but unanswered.
+    outstanding: BTreeMap<u64, Name>,
+    /// Requests not yet issued (window pacing).
+    queue: VecDeque<(u64, Name)>,
+    /// Chunk ids already queued/sent by this fetch (cross-CD dedup).
+    requested_chunks: BTreeSet<u64>,
+    /// Consecutive stall resends without progress (backoff exponent).
+    backoff: u32,
+    /// When the stall sweep may next re-express `outstanding`: a retry
+    /// interval after the last progress, backed off after every resend.
+    resend_at: SimTime,
+    /// Cyclic streams joined and not yet drained, by CD.
+    groups: BTreeMap<Name, CyclicCd>,
+}
+
+impl Fetch {
+    fn new(goal: Goal, now: SimTime, cds: usize) -> Self {
+        Self {
+            goal,
+            started: now,
+            bytes: 0,
+            cds,
+            chunks_fetched: 0,
+            chunks_held: 0,
+            outstanding: BTreeMap::new(),
+            queue: VecDeque::new(),
+            requested_chunks: BTreeSet::new(),
+            backoff: 0,
+            resend_at: now,
+            groups: BTreeMap::new(),
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.outstanding.is_empty()
+            && self.queue.is_empty()
+            && self.groups.values().all(CyclicCd::done)
+    }
+}
+
+/// Persistent catch-up state of one client: config, the chunk store that
+/// survives across catch-ups (and across node restarts — it models on-disk
+/// content), and the active fetch.
+struct CatchUpRunner {
+    cfg: CatchUpConfig,
+    store: ChunkStore,
+    /// Manifests fetched by the active catch-up (reassembly check at end).
+    manifests: Vec<Manifest>,
+    active: Option<Fetch>,
 }
 
 /// The movement side of a player (§IV-A, Table III): its schedule of moves
@@ -426,7 +465,7 @@ struct Mover {
     /// The moves still ahead, in schedule order (trace-relative times).
     moves: VecDeque<MoveEvent>,
     mode: SnapshotMode,
-    fetch: Option<FetchState>,
+    fetch: Option<Fetch>,
     /// §IV-A offline support: `Some` while the player is still offline —
     /// not subscribed, not publishing. Coming online at this instant
     /// subscribes and fetches the snapshot of the entire current view.
@@ -446,7 +485,7 @@ pub struct GamePlayerClient {
     dedup: DedupWindow,
     recovery: Option<ClientRecovery>,
     pacer: Option<RatePacer>,
-    catch_up: Option<CatchUpRunner>,
+    catch_up: Option<Box<CatchUpRunner>>,
     mover: Option<Box<Mover>>,
     /// Last Interest nonce used (`player << 32 | n`): one sequence for
     /// every Interest this client sends.
@@ -503,12 +542,12 @@ impl GamePlayerClient {
     /// [`ChunkStore`] and fetches only chunks it does not hold.
     #[must_use]
     pub fn with_catch_up(mut self, cfg: CatchUpConfig) -> Self {
-        self.catch_up = Some(CatchUpRunner {
+        self.catch_up = Some(Box::new(CatchUpRunner {
             cfg,
             store: ChunkStore::new(),
             manifests: Vec::new(),
             active: None,
-        });
+        }));
         self
     }
 
@@ -572,8 +611,15 @@ impl GamePlayerClient {
         self.send(ctx, GPacket::Copss(CopssPacket::Subscribe { cds, rp: None }));
     }
 
+    /// Re-expresses everything this client is subscribed to: its area's
+    /// CDs, and the cyclic groups a live move fetch is still draining (with
+    /// their `join` commands — the broker counts a player once).
     fn resubscribe(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         self.subscribe(ctx);
+        if let Some(f) = self.slot_mut(Slot::Move).and_then(Option::take) {
+            self.snapcast_groups(ctx, f.groups.keys(), true);
+            self.put_back(Slot::Move, f);
+        }
         ctx.world().bump("client-resubscribes");
     }
 
@@ -654,27 +700,25 @@ impl GamePlayerClient {
     }
 
     fn begin_move(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(mover) = &mut self.mover else {
+        let Some(mv) = self.mover.as_mut().and_then(|m| m.moves.pop_front()) else {
             return;
         };
-        let Some(mv) = mover.moves.pop_front() else {
-            return;
-        };
-        let superseded = mover.fetch.take();
-        let cyclic = mover.mode == SnapshotMode::CyclicMulticast;
         // Re-subscribe for the new location.
         let cds = self.map.subscription_cds(self.area);
         self.send(ctx, GPacket::Copss(CopssPacket::Unsubscribe { cds, rp: None }));
         self.area = mv.to;
         self.subscribe(ctx);
 
-        // Abort any unfinished fetch (superseded by the new move); leave
-        // any cyclic groups it was still draining.
-        if let Some(old) = superseded {
-            if cyclic {
-                self.snapcast_groups(ctx, old.per_cd.keys(), false);
+        // The new move supersedes any unfinished fetch: leave the cyclic
+        // groups it was still draining and write what it still owed off the
+        // ledger — Data that answers it from now on finds no taker.
+        if let Some(old) = self.slot_mut(Slot::Move).and_then(Option::take) {
+            self.snapcast_groups(ctx, old.groups.keys(), false);
+            let world = ctx.world();
+            for &key in old.outstanding.keys() {
+                world.catchup_ledger.write_off(key, self.player.0);
             }
-            ctx.world().bump("mover-fetch-superseded");
+            world.bump("mover-fetch-superseded");
             if ctx.telemetry_enabled() {
                 ctx.emit(gcopss_sim::TraceEvent::Mark, "mover-fetch-superseded", 0);
             }
@@ -691,110 +735,9 @@ impl GamePlayerClient {
                 online_join: false,
             });
         } else {
-            self.start_fetch(ctx, mv.move_type, &mv.snapshot_cds, false);
+            self.start_move_fetch(ctx, mv.move_type, &mv.snapshot_cds, false);
         }
         self.schedule_move(ctx);
-    }
-
-    /// Begins fetching the snapshots of `cds`, recording completion under
-    /// `move_type` (and the `online_join` flag).
-    fn start_fetch(
-        &mut self,
-        ctx: &mut Ctx<'_, GPacket, GameWorld>,
-        move_type: MoveType,
-        cds: &[Name],
-        online_join: bool,
-    ) {
-        let Some(mode) = self.mover.as_ref().map(|m| m.mode) else {
-            return;
-        };
-        ctx.world().bump("mover-fetches-started");
-        let mut st = FetchState {
-            move_type,
-            online_join,
-            started: ctx.now(),
-            per_cd: BTreeMap::new(),
-            bytes: 0,
-            outstanding: 0,
-            queue: VecDeque::new(),
-        };
-        match mode {
-            SnapshotMode::QueryResponse { .. } => {
-                for cd in cds {
-                    let progress = CdFetch::Qr {
-                        total: None,
-                        received: 0,
-                    };
-                    st.per_cd.insert(cd.clone(), progress);
-                    st.outstanding += 1;
-                    let nonce = self.nonce();
-                    let meta = Interest::new(snapshot_meta_name(cd), nonce);
-                    self.send(ctx, GPacket::Interest(meta));
-                }
-            }
-            SnapshotMode::CyclicMulticast => {
-                for cd in cds {
-                    let progress = CdFetch::Cyclic {
-                        total: None,
-                        received: HashSet::default(),
-                    };
-                    st.per_cd.insert(cd.clone(), progress);
-                }
-                self.snapcast_groups(ctx, cds.iter(), true);
-            }
-        }
-        if let Some(mover) = &mut self.mover {
-            mover.fetch = Some(st);
-        }
-    }
-
-    /// Pipelines further QR object queries up to the window.
-    fn refill_qr_window(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(Mover {
-            mode: SnapshotMode::QueryResponse { window },
-            fetch: Some(st),
-            ..
-        }) = self.mover.as_deref_mut()
-        else {
-            return;
-        };
-        while st.outstanding < *window {
-            let Some((cd, k)) = st.queue.pop_front() else {
-                break;
-            };
-            st.outstanding += 1;
-            self.next_nonce += 1;
-            let g = GPacket::Interest(Interest::new(snapshot_obj_name(&cd, k), self.next_nonce));
-            let size = g.wire_size();
-            ctx.send(self.edge, g, size);
-        }
-    }
-
-    fn finish_fetch_if_done(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(mover) = &mut self.mover else {
-            return;
-        };
-        let done = mover
-            .fetch
-            .as_ref()
-            .is_some_and(|st| st.per_cd.values().all(CdFetch::done) && st.outstanding == 0);
-        if !done {
-            return;
-        }
-        let st = mover.fetch.take().expect("fetch present");
-        // Cyclic mode: leave the groups now that the snapshot is complete.
-        if mover.mode == SnapshotMode::CyclicMulticast {
-            self.snapcast_groups(ctx, st.per_cd.keys(), false);
-        }
-        let now = ctx.now();
-        ctx.world().convergence.push(ConvergenceRecord {
-            player: self.player,
-            move_type: st.move_type,
-            leaf_cds: st.per_cd.len(),
-            convergence: now.saturating_duration_since(st.started),
-            bytes: st.bytes,
-            online_join: st.online_join,
-        });
     }
 
     fn come_online(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
@@ -806,137 +749,165 @@ impl GamePlayerClient {
         // (classified as the broadest movement type for reporting).
         let visible = self.map.visible_leaf_cds(self.area);
         ctx.world().bump("online-joins");
-        self.start_fetch(ctx, MoveType::RegionToWorld, &visible, true);
+        self.start_move_fetch(ctx, MoveType::RegionToWorld, &visible, true);
     }
 
-    /// Consumes one `/snapshot/<cd>/{meta, obj/<k>}` Data of the mover's QR
-    /// fetch.
-    fn on_snapshot_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
-        let Some(st) = self.mover.as_mut().and_then(|m| m.fetch.as_mut()) else {
+    /// Begins fetching the snapshots of `cds` in the mover's mode: pulled
+    /// through the pipeline (QR), or pushed by the brokers' cyclic streams.
+    fn start_move_fetch(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        move_type: MoveType,
+        cds: &[Name],
+        online_join: bool,
+    ) {
+        let Some(mode) = self.mover.as_ref().map(|m| m.mode) else {
             return;
         };
-        let comps = d.name.components();
-        if comps.last().map(Component::as_str) == Some("meta") {
-            let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
-            st.bytes += d.payload.len() as u64;
-            st.outstanding = st.outstanding.saturating_sub(1);
-            if let Some(CdFetch::Qr { total: t @ None, .. }) = st.per_cd.get_mut(&cd) {
-                let total = le_u32(&d.payload, 0);
-                *t = Some(total);
-                st.queue.extend((0..total).map(|k| (cd.clone(), k)));
-            }
-        } else if comps.len() >= 3 && comps[comps.len() - 2].as_str() == "obj" {
-            let cd = Name::from_components(comps[1..comps.len() - 2].iter().cloned());
-            st.bytes += d.payload.len() as u64;
-            st.outstanding = st.outstanding.saturating_sub(1);
-            if let Some(CdFetch::Qr { received, .. }) = st.per_cd.get_mut(&cd) {
-                *received += 1;
+        ctx.world().bump("mover-fetches-started");
+        let goal = Goal::Move {
+            move_type,
+            online_join,
+        };
+        match mode {
+            SnapshotMode::QueryResponse { .. } => self.start_pull(ctx, goal, cds),
+            SnapshotMode::CyclicMulticast => {
+                let mut f = Fetch::new(goal, ctx.now(), cds.len());
+                f.groups = cds
+                    .iter()
+                    .map(|cd| (cd.clone(), CyclicCd::default()))
+                    .collect();
+                self.snapcast_groups(ctx, cds.iter(), true);
+                self.put_back(Slot::Move, f);
             }
         }
-        self.refill_qr_window(ctx);
-        self.finish_fetch_if_done(ctx);
     }
 
     /// Consumes one packet of a `/snapcast/<cd>` cyclic stream.
     fn on_snapcast(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, m: &MulticastPacket) {
         let cd = Name::from_components(m.cd.name().components()[1..].iter().cloned());
-        let Some(st) = self.mover.as_mut().and_then(|mv| mv.fetch.as_mut()) else {
+        let Some(Some(f)) = self.slot_mut(Slot::Move) else {
             return;
         };
-        let Some(CdFetch::Cyclic { total, received }) = st.per_cd.get_mut(&cd) else {
+        let Some(group) = f.groups.get_mut(&cd) else {
             return;
         };
         // The payload opens with [k, total] so a full cycle is detectable.
-        if total.is_none() {
-            *total = Some(le_u32(&m.payload, 4));
+        if group.total.is_none() {
+            group.total = Some(le_u32(&m.payload, 4));
         }
-        if received.insert(le_u32(&m.payload, 0)) {
-            st.bytes += m.payload.len() as u64;
+        if group.received.insert(le_u32(&m.payload, 0)) {
+            f.bytes += m.payload.len() as u64;
         }
-        self.finish_fetch_if_done(ctx);
+        self.finish_if_done(ctx, Slot::Move);
+    }
+
+    /// Where `slot`'s fetch lives, if this client has that side at all.
+    fn slot_mut(&mut self, slot: Slot) -> Option<&mut Option<Fetch>> {
+        match slot {
+            Slot::CatchUp => self.catch_up.as_mut().map(|cu| &mut cu.active),
+            Slot::Move => self.mover.as_mut().map(|m| &mut m.fetch),
+        }
+    }
+
+    /// Stores `f` as `slot`'s live fetch. The pipeline takes a fetch out of
+    /// its slot while it works on it, so that it can send meanwhile.
+    fn put_back(&mut self, slot: Slot, f: Fetch) {
+        *self.slot_mut(slot).expect("a fetch came from its slot") = Some(f);
+    }
+
+    /// How `slot` pulls: what it asks of each CD first, its window and its
+    /// stall-retry interval. A mover's QR fetch is a full-snapshot catch-up
+    /// with the QR window and the default retry. `None` when the client
+    /// does not pull on that side (no catch-up; no mover, or a cyclic one).
+    fn pull_cfg(&self, slot: Slot) -> Option<CatchUpConfig> {
+        match slot {
+            Slot::CatchUp => self.catch_up.as_ref().map(|cu| cu.cfg.clone()),
+            Slot::Move => match self.mover.as_ref()?.mode {
+                SnapshotMode::QueryResponse { window } => Some(CatchUpConfig {
+                    mode: CatchUpMode::FullSnapshot,
+                    window,
+                    ..CatchUpConfig::default()
+                }),
+                SnapshotMode::CyclicMulticast => None,
+            },
+        }
+    }
+
+    /// Builds and sends one fetch Interest. The lifetime is deliberately
+    /// *shorter* than the stall-retry interval: PIT aggregation refreshes
+    /// entry lifetimes, so a re-expression that lands in a still-live entry
+    /// whose upstream Data was lost is swallowed without being forwarded —
+    /// the name stays wedged for as long as retries keep arriving faster
+    /// than the entries expire. Expiring the previous round first guarantees
+    /// every retry is actually re-forwarded toward the producer.
+    fn express(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, name: Name, retry: SimDuration) {
+        let nonce = self.nonce();
+        let interest = Interest::with_lifetime(name, nonce, retry.as_nanos() * 3 / 4);
+        self.send(ctx, GPacket::Interest(interest));
+    }
+
+    /// Owes `name` to the ledger under `key` and expresses it.
+    fn request(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        f: &mut Fetch,
+        retry: SimDuration,
+        key: u64,
+        name: Name,
+    ) {
+        ctx.world().catchup_ledger.owe(key, self.player.0);
+        f.outstanding.insert(key, name.clone());
+        self.express(ctx, name, retry);
+    }
+
+    /// Starts `goal`'s fetch over `cds`: one first request per CD (not
+    /// windowed — the window paces what the answers unfold into), and the
+    /// stall sweep.
+    fn start_pull(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, goal: Goal, cds: &[Name]) {
+        let slot = goal.slot();
+        let Some(cfg) = self.pull_cfg(slot) else {
+            return;
+        };
+        let mut f = Fetch::new(goal, ctx.now(), cds.len());
+        f.resend_at = ctx.now() + cfg.retry;
+        for cd in cds {
+            let name = match cfg.mode {
+                CatchUpMode::ChunkedDelta => scoped(SNAPMANI, cd, []),
+                CatchUpMode::FullSnapshot => snapshot_meta_name(cd),
+            };
+            self.request(ctx, &mut f, cfg.retry, name_key(&name), name);
+        }
+        self.put_back(slot, f);
+        ctx.schedule(cfg.retry, slot.retry_timer());
     }
 
     /// Starts a catch-up over every visible leaf CD, unless one is already
     /// in flight (recovery triggers can storm; one fetch at a time).
     /// Returns whether a fetch actually started.
     fn maybe_start_catchup(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, recovery: bool) -> bool {
-        let player = self.player.0;
-        let edge = self.edge;
-        let cds = self.map.visible_leaf_cds(self.area);
         let Some(cu) = &mut self.catch_up else {
             return false;
         };
         if cu.active.is_some() {
             return false;
         }
-        let now = ctx.now();
-        let mut fetch = CatchUpFetch {
-            recovery,
-            started: now,
-            last_progress: now,
-            bytes: 0,
-            chunks_fetched: 0,
-            chunks_held: 0,
-            cds: cds.len(),
-            outstanding: BTreeMap::new(),
-            queue: VecDeque::new(),
-            requested_chunks: BTreeSet::new(),
-            backoff: 0,
-            next_resend: now,
-        };
         cu.manifests.clear();
-        for cd in &cds {
-            let name = match cu.cfg.mode {
-                CatchUpMode::ChunkedDelta => scoped(SNAPMANI, cd, []),
-                CatchUpMode::FullSnapshot => snapshot_meta_name(cd),
-            };
-            let key = name_key(&name);
-            ctx.world().catchup_ledger.owe(key, player);
-            fetch.outstanding.insert(key, name.clone());
-            self.next_nonce += 1;
-            let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
-            let size = g.wire_size();
-            ctx.send(edge, g, size);
-        }
-        cu.active = Some(fetch);
+        let cds = self.map.visible_leaf_cds(self.area);
+        self.start_pull(ctx, Goal::CatchUp { recovery }, &cds);
         ctx.world().bump(if recovery {
             "client-catchups-recovery"
         } else {
             "client-catchups-initial"
         });
-        ctx.schedule(cu.cfg.retry, TIMER_CATCHUP_RETRY);
         true
     }
 
-    /// Issues queued fetches up to the window.
-    fn refill_catchup(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let player = self.player.0;
-        let edge = self.edge;
-        let Some(cu) = &mut self.catch_up else {
-            return;
-        };
-        let Some(fetch) = &mut cu.active else {
-            return;
-        };
-        while (fetch.outstanding.len() as u32) < cu.cfg.window {
-            let Some((key, name)) = fetch.queue.pop_front() else {
-                break;
-            };
-            ctx.world().catchup_ledger.owe(key, player);
-            fetch.outstanding.insert(key, name.clone());
-            self.next_nonce += 1;
-            let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
-            let size = g.wire_size();
-            ctx.send(edge, g, size);
-        }
-    }
-
-    /// Consumes one catch-up Data (manifest, chunk, or snapshot meta/obj).
-    fn on_catchup_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
-        let now = ctx.now();
-        let late = |ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data| {
-            crate::drops::record(ctx, crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
-        };
+    /// Consumes one fetch Data (manifest, chunk, or snapshot meta/obj): it
+    /// is offered to each live fetch by key and taken by whichever owes it;
+    /// Data nobody owes (a retransmit raced its original, or its fetch was
+    /// superseded) is dropped as late.
+    fn on_fetch_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
         // Content-addressed integrity: a chunk whose bytes do not hash to
         // its name is rejected before any state is touched.
         let chunk_id = parse_chunk_name(&d.name);
@@ -946,143 +917,155 @@ impl GamePlayerClient {
                 return;
             }
         }
-        let player = self.player.0;
-        let Some(cu) = &mut self.catch_up else {
-            late(ctx, d);
-            return;
-        };
-        let Some(fetch) = &mut cu.active else {
-            late(ctx, d);
-            return;
-        };
         let key = chunk_id.map_or_else(|| name_key(&d.name), |id| id.0);
-        if fetch.outstanding.remove(&key).is_none() {
-            // A retransmit raced its original, or the data is stale.
-            late(ctx, d);
+        let taker = Slot::ALL.into_iter().find_map(|slot| {
+            let held = self.slot_mut(slot)?;
+            held.as_mut()?.outstanding.remove(&key)?;
+            held.take().map(|f| (slot, f))
+        });
+        let Some((slot, mut f)) = taker else {
+            crate::drops::record(ctx, crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
             return;
-        }
-        fetch.bytes += d.payload.len() as u64;
-        fetch.last_progress = now;
-        fetch.backoff = 0;
-        fetch.next_resend = now;
-        ctx.world().catchup_ledger.deliver(key, player);
+        };
+        let cfg = self.pull_cfg(slot).expect("a pull fetch's slot pulls");
+        f.bytes += d.payload.len() as u64;
+        f.backoff = 0;
+        f.resend_at = ctx.now() + cfg.retry;
+        ctx.world().catchup_ledger.deliver(key, self.player.0);
 
         let comps = d.name.components();
-        match comps.first().map(Component::as_str) {
-            Some("chunk") => {
+        match (comps.first().map(Component::as_str), &mut self.catch_up) {
+            (Some("chunk"), Some(cu)) => {
                 cu.store.insert(&d.payload);
-                fetch.chunks_fetched += 1;
+                f.chunks_fetched += 1;
             }
-            Some("snapmani") => {
+            (Some("snapmani"), Some(cu)) => {
                 if let Ok(m) = Manifest::decode(&d.payload) {
                     let distinct: BTreeSet<u64> = m.chunks.iter().map(|c| c.id.0).collect();
                     let missing = cu.store.missing(&m);
-                    fetch.chunks_held += (distinct.len() - missing.len()) as u64;
+                    f.chunks_held += (distinct.len() - missing.len()) as u64;
                     for r in missing {
-                        if fetch.requested_chunks.insert(r.id.0) {
-                            fetch.queue.push_back((r.id.0, chunk_name(r.id)));
+                        if f.requested_chunks.insert(r.id.0) {
+                            f.queue.push_back((r.id.0, chunk_name(r.id)));
                         }
                     }
                     cu.manifests.push(m);
                 }
             }
-            Some("snapshot") if comps.last().map(Component::as_str) == Some("meta") => {
+            (Some("snapshot"), _) if comps.last().map(Component::as_str) == Some("meta") => {
                 let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
                 for k in 0..le_u32(&d.payload, 0) {
                     let name = snapshot_obj_name(&cd, k);
-                    fetch.queue.push_back((name_key(&name), name));
+                    f.queue.push_back((name_key(&name), name));
                 }
             }
             // Snapshot object payloads need no further handling: the byte
             // and ledger accounting above is the point.
             _ => {}
         }
-        self.refill_catchup(ctx);
-        self.finish_catchup_if_done(ctx);
+        // Issue queued requests up to the window.
+        while (f.outstanding.len() as u32) < cfg.window {
+            let Some((key, name)) = f.queue.pop_front() else {
+                break;
+            };
+            self.request(ctx, &mut f, cfg.retry, key, name);
+        }
+        self.put_back(slot, f);
+        self.finish_if_done(ctx, slot);
     }
 
-    fn finish_catchup_if_done(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
+    /// Closes `slot`'s fetch once it waits for nothing: writes the record
+    /// its goal names and frees the slot.
+    fn finish_if_done(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, slot: Slot) {
         let player = self.player;
-        let Some(cu) = &mut self.catch_up else {
+        let Some(held) = self.slot_mut(slot) else {
             return;
         };
-        let done = cu
-            .active
-            .as_ref()
-            .is_some_and(|f| f.outstanding.is_empty() && f.queue.is_empty());
-        if !done {
+        if !held.as_ref().is_some_and(Fetch::done) {
             return;
         }
-        let f = cu.active.take().expect("active checked");
-        // Integrity gate: every fetched manifest must reassemble exactly
-        // from the (now complete) store.
-        for m in cu.manifests.drain(..) {
-            let key = if cu.store.reassemble(&m).is_ok() {
-                "catchup-reassembly-ok"
-            } else {
-                "catchup-reassembly-failed"
-            };
-            ctx.world().bump(key);
-        }
-        let now = ctx.now();
-        let mode = cu.cfg.mode;
-        ctx.world().catchups.push(CatchUpRecord {
-            player,
-            mode,
-            recovery: f.recovery,
-            latency: now.saturating_duration_since(f.started),
-            bytes: f.bytes,
-            chunks_fetched: f.chunks_fetched,
-            chunks_held: f.chunks_held,
-            cds: f.cds,
-        });
-        // A rejoin happened while this fetch was in flight: run the owed
-        // resync now that the pipeline is free.
-        if self.pending_resync && self.maybe_start_catchup(ctx, true) {
-            self.pending_resync = false;
+        let f = held.take().expect("done checked");
+        let took = ctx.now().saturating_duration_since(f.started);
+        match f.goal {
+            Goal::Move {
+                move_type,
+                online_join,
+            } => {
+                // Cyclic mode: leave the groups now that the snapshot is
+                // complete.
+                self.snapcast_groups(ctx, f.groups.keys(), false);
+                ctx.world().convergence.push(ConvergenceRecord {
+                    player,
+                    move_type,
+                    leaf_cds: f.cds,
+                    convergence: took,
+                    bytes: f.bytes,
+                    online_join,
+                });
+            }
+            Goal::CatchUp { recovery } => {
+                let cu = self.catch_up.as_mut().expect("a catch-up has its runner");
+                // Integrity gate: every fetched manifest must reassemble
+                // exactly from the (now complete) store.
+                for m in cu.manifests.drain(..) {
+                    let key = if cu.store.reassemble(&m).is_ok() {
+                        "catchup-reassembly-ok"
+                    } else {
+                        "catchup-reassembly-failed"
+                    };
+                    ctx.world().bump(key);
+                }
+                ctx.world().catchups.push(CatchUpRecord {
+                    player,
+                    mode: cu.cfg.mode,
+                    recovery,
+                    latency: took,
+                    bytes: f.bytes,
+                    chunks_fetched: f.chunks_fetched,
+                    chunks_held: f.chunks_held,
+                    cds: f.cds,
+                });
+                // A rejoin happened while this fetch was in flight: run the
+                // owed resync now that the pipeline is free.
+                if self.pending_resync && self.maybe_start_catchup(ctx, true) {
+                    self.pending_resync = false;
+                }
+            }
         }
     }
 
-    /// Stall sweep: re-expresses every outstanding fetch when no progress
-    /// was made for a full retry interval (lost Interests/Data).
+    /// Stall sweep of `slot`: re-expresses every outstanding request when
+    /// no progress was made for a full retry interval (lost Interests or
+    /// Data — a dropped access link, a crashed broker).
     ///
     /// Resends back off exponentially (capped) and the sweep itself is
     /// jittered per player: a mass-rejoin storm stalls every client at
     /// once, and lockstep retry waves from hundreds of clients are exactly
     /// the load that keeps the network collapsed.
-    fn catchup_retry_tick(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let edge = self.edge;
-        let player = self.player.0;
-        let Some(cu) = &mut self.catch_up else {
+    fn retry_tick(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, slot: Slot) {
+        let Some(retry) = self.pull_cfg(slot).map(|cfg| cfg.retry) else {
             return;
         };
-        let Some(fetch) = &mut cu.active else {
+        let Some(mut f) = self.slot_mut(slot).and_then(Option::take) else {
             return; // done — let the timer lapse
         };
-        let now = ctx.now();
-        let stalled = now.saturating_duration_since(fetch.last_progress) >= cu.cfg.retry;
-        if stalled && now >= fetch.next_resend {
-            let resend: Vec<Name> = fetch.outstanding.values().cloned().collect();
-            for name in resend {
-                self.next_nonce += 1;
-                let g = GPacket::Interest(catchup_interest(name, self.next_nonce, cu.cfg.retry));
-                let size = g.wire_size();
-                ctx.send(edge, g, size);
+        if ctx.now() >= f.resend_at {
+            // The owed items are unchanged: a retry is not a new debt.
+            for name in f.outstanding.values() {
+                self.express(ctx, name.clone(), retry);
             }
-            fetch.backoff = (fetch.backoff + 1).min(CATCHUP_BACKOFF_CAP);
-            fetch.next_resend = now + cu.cfg.retry * (1u64 << fetch.backoff);
+            f.backoff = (f.backoff + 1).min(CATCHUP_BACKOFF_CAP);
+            f.resend_at = ctx.now() + retry * (1u64 << f.backoff);
             ctx.world().bump("client-catchup-retries");
         }
+        self.put_back(slot, f);
         // Deterministic per-player jitter, rolled forward by the nonce so
         // successive sweeps of one client decorrelate too.
         let jitter_ns = gcopss_names::fnv1a_extend(
-            gcopss_names::fnv1a(&u64::from(player).to_le_bytes()),
+            gcopss_names::fnv1a(&u64::from(self.player.0).to_le_bytes()),
             &self.next_nonce.to_le_bytes(),
-        ) % (cu.cfg.retry.as_nanos() / 4).max(1);
-        ctx.schedule(
-            cu.cfg.retry + SimDuration::from_nanos(jitter_ns),
-            TIMER_CATCHUP_RETRY,
-        );
+        ) % (retry.as_nanos() / 4).max(1);
+        ctx.schedule(retry + SimDuration::from_nanos(jitter_ns), slot.retry_timer());
     }
 }
 
@@ -1117,7 +1100,8 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 }
                 ctx.schedule(next, TIMER_WATCHDOG);
             }
-            TIMER_CATCHUP_RETRY => self.catchup_retry_tick(ctx),
+            TIMER_CATCHUP_RETRY => self.retry_tick(ctx, Slot::CatchUp),
+            TIMER_MOVE_RETRY => self.retry_tick(ctx, Slot::Move),
             TIMER_CATCHUP_START => {
                 self.maybe_start_catchup(ctx, false);
             }
@@ -1185,24 +1169,11 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 if let Some(r) = &mut self.recovery {
                     r.last_activity = now;
                 }
-                // The mover's QR fetch and a full-snapshot catch-up speak
-                // the same `/snapshot/<cd>/…` exchange: a Data the catch-up
-                // is waiting for is its own, any other is the mover's. A
-                // mover also gets `/snapcastctl` acks, which only consume
+                // A mover also gets `/snapcastctl` acks, which only consume
                 // the PIT breadcrumbs of its command Interests.
-                let space = d.name.get(0).map(Component::as_str);
-                let catchup_owes = |cu: &CatchUpRunner| {
-                    let fetch = cu.active.as_ref();
-                    fetch.is_some_and(|f| f.outstanding.contains_key(&name_key(&d.name)))
-                };
-                match (&self.mover, space) {
-                    (Some(_), Some("snapcastctl")) => {}
-                    (Some(_), Some("snapshot"))
-                        if !self.catch_up.as_ref().is_some_and(catchup_owes) =>
-                    {
-                        self.on_snapshot_data(ctx, &d);
-                    }
-                    _ => self.on_catchup_data(ctx, &d),
+                let ack = d.name.get(0).map(Component::as_str) == Some(SNAPCASTCTL);
+                if !(ack && self.mover.is_some()) {
+                    self.on_fetch_data(ctx, &d);
                 }
             }
             _ => {}
@@ -1242,14 +1213,15 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     let r = self.recovery.as_mut().expect("recovery enabled");
                     let delay = r.first_tick();
                     ctx.schedule(delay, TIMER_WATCHDOG);
-                    // The crash killed the retry timer too. An in-flight
+                    // The crash killed the retry timers too. An in-flight
                     // fetch (and the chunk store — it models on-disk
-                    // content) survives in behavior state; re-arm the
+                    // content) survives in behavior state; re-arm its
                     // sweep so its outstanding items are re-expressed and
                     // the catch-up ledger still balances.
-                    if let Some(cu) = &mut self.catch_up {
-                        if cu.active.is_some() {
-                            ctx.schedule(cu.cfg.retry, TIMER_CATCHUP_RETRY);
+                    for slot in Slot::ALL {
+                        let live = self.slot_mut(slot).is_some_and(|held| held.is_some());
+                        if let (true, Some(cfg)) = (live, self.pull_cfg(slot)) {
+                            ctx.schedule(cfg.retry, slot.retry_timer());
                         }
                     }
                 }

@@ -185,6 +185,20 @@ pub fn run_mode(
     let sim = simulate(cfg, mode, cap);
     let network_bytes = sim.total_link_bytes();
     let world = sim.into_world();
+    // QR fetches run on the catch-up pipeline, so its exactly-once ledger
+    // covers them: every Interest a mover sent was answered once, or
+    // written off when the next move superseded its fetch — or is still owed
+    // by a fetch the horizon cut short (QR window 1 needs minutes).
+    let audit = world.catchup_ledger.audit();
+    let fetched = world.convergence.iter().filter(|r| r.leaf_cds > 0).count() as u64;
+    let cut_short =
+        world.counter("mover-fetches-started") - fetched - world.counter("mover-fetch-superseded");
+    assert!(
+        audit.over_delivered == 0 && (audit.outstanding == 0 || cut_short > 0),
+        "{mode:?}: fetch ledger dirty ({} outstanding, {} over-delivered, {cut_short} unfinished)",
+        audit.outstanding,
+        audit.over_delivered
+    );
 
     // Group records by movement type.
     let mut rows = Vec::new();
@@ -269,19 +283,32 @@ mod tests {
         }
     }
 
+    /// Moves completed, some of them with a real download, and every fetch
+    /// a mover started either finished or was superseded by its next move.
+    fn assert_fetches_end(world: &GameWorld) {
+        assert!(!world.convergence.is_empty(), "no moves completed");
+        let fetched: Vec<_> = world.convergence.iter().filter(|r| r.leaf_cds > 0).collect();
+        assert!(fetched.iter().any(|r| r.bytes > 0 && r.convergence > SimDuration::ZERO));
+        assert_eq!(
+            world.counter("mover-fetches-started"),
+            fetched.len() as u64 + world.counter("mover-fetch-superseded"),
+            "a fetch neither finished nor was superseded"
+        );
+    }
+
+    /// QR mode completes its moves, and the books balance: every fetch
+    /// ends, and every Interest a mover sent was answered exactly once or
+    /// written off with its superseded fetch.
     #[test]
     fn qr_mode_completes_moves() {
         let mode = SnapshotMode::QueryResponse { window: 15 };
-        let out = run_mode(&mini_cfg(), mode, &mut TelemetryCapture::off());
-        assert!(out.moves > 0, "no moves completed");
-        assert!(out.snapshot_bytes > 0);
-        assert!(out.total_mean > SimDuration::ZERO);
-        // Snapshot-requiring rows have positive convergence.
-        let any_fetch = out
-            .rows
-            .iter()
-            .any(|r| r.move_type != MoveType::ToLowerLayer && r.count > 0);
-        assert!(any_fetch);
+        let sim = simulate(&mini_cfg(), mode, &mut TelemetryCapture::off());
+        let world = sim.world();
+        assert_fetches_end(world);
+        let audit = world.catchup_ledger.audit();
+        assert!(audit.clean(), "{audit:?}");
+        assert!(audit.delivered > 0);
+        assert_eq!(audit.written_off > 0, world.counter("mover-fetch-superseded") > 0);
     }
 
     /// Cyclic mode completes its moves, and the books balance: every join
@@ -292,9 +319,7 @@ mod tests {
         let mode = SnapshotMode::CyclicMulticast;
         let sim = simulate(&mini_cfg(), mode, &mut TelemetryCapture::off());
         let world = sim.world();
-        assert!(!world.convergence.is_empty(), "no moves completed");
-        let fetched: Vec<_> = world.convergence.iter().filter(|r| r.leaf_cds > 0).collect();
-        assert!(fetched.iter().any(|r| r.bytes > 0 && r.convergence > SimDuration::ZERO));
+        assert_fetches_end(world);
 
         let joins = world.counter("mover-joins-sent");
         assert!(joins > 0, "no mover joined a stream");
@@ -305,11 +330,6 @@ mod tests {
             "leaves lost on the way"
         );
         assert_eq!(joins, world.counter("mover-leaves-sent"), "a mover never left a group");
-        assert_eq!(
-            world.counter("mover-fetches-started"),
-            fetched.len() as u64 + world.counter("mover-fetch-superseded"),
-            "a fetch neither finished nor was superseded"
-        );
         // No stream outlives its last leave: nothing is pending any more.
         assert!(sim.is_idle(), "still multicasting at the horizon ({})", sim.now());
     }

@@ -240,12 +240,13 @@ pub struct CatchUpLedger {
     /// FNV hashes of the fetched name.
     entries: BTreeMap<(u64, u32), (u64, u64)>,
     over_delivered: u64,
+    written_off: u64,
 }
 
 /// Summary of a [`CatchUpLedger`] at audit time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatchUpAudit {
-    /// Total items owed (Interests issued).
+    /// Total items owed (Interests issued, less those written off).
     pub owed: u64,
     /// Total items delivered and consumed.
     pub delivered: u64,
@@ -255,6 +256,9 @@ pub struct CatchUpAudit {
     pub over_delivered: u64,
     /// Distinct (item, player) pairs tracked.
     pub entries: u64,
+    /// Owed items cancelled because the fetch that asked for them was
+    /// superseded before they arrived.
+    pub written_off: u64,
 }
 
 impl CatchUpAudit {
@@ -282,6 +286,18 @@ impl CatchUpLedger {
         }
     }
 
+    /// Cancels one still-owed delivery of `item` to `player`: the fetch that
+    /// asked for it was superseded and nothing will consume its Data. The
+    /// debt leaves the books counted, not silently.
+    pub(crate) fn write_off(&mut self, item: u64, player: u32) {
+        if let Some(e) = self.entries.get_mut(&(item, player)) {
+            if e.1 < e.0 {
+                e.0 -= 1;
+                self.written_off += 1;
+            }
+        }
+    }
+
     /// Audits the books.
     #[must_use]
     pub fn audit(&self) -> CatchUpAudit {
@@ -296,6 +312,7 @@ impl CatchUpLedger {
             outstanding: owed - delivered,
             over_delivered: self.over_delivered,
             entries: self.entries.len() as u64,
+            written_off: self.written_off,
         }
     }
 
@@ -507,6 +524,12 @@ mod tests {
         assert!(!l.audit().clean());
         l.deliver(10, 1);
         assert!(l.audit().clean());
+        // A written-off debt leaves the books; it cannot go below zero.
+        l.owe(12, 1);
+        l.write_off(12, 1);
+        l.write_off(12, 1);
+        assert!(l.audit().clean());
+        assert_eq!(l.audit().written_off, 1);
         // A delivery past the owed count is flagged, not credited.
         l.deliver(10, 1);
         let a = l.audit();

@@ -4,9 +4,17 @@
 
 use gcopss_core::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
 use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RecoveryConfig, SimParams};
-use gcopss_game::MovementModel;
-use gcopss_sim::{FaultPlan, SimDuration, SimTime};
+use std::sync::Arc;
+
+use gcopss_compat::bytes::Bytes;
+use gcopss_core::{
+    drops, GPacket, GamePlayerClient, GameWorld, MetricsMode, RecoveryConfig, SimParams,
+    TraceCursor,
+};
+use gcopss_game::{GameMap, MoveEvent, MoveType, MovementModel, PlayerId};
+use gcopss_names::Name;
+use gcopss_ndn::Data;
+use gcopss_sim::{FaultPlan, NodeId, SimDuration, SimTime, Simulator, Topology};
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 
@@ -17,6 +25,16 @@ fn workload(updates: usize, players: usize, seed: u64) -> Workload {
         players,
         ..WorkloadParams::default()
     })
+}
+
+/// One dedicated RP per broker for its CDs' `/snapcast` groups (what cyclic
+/// multicast needs), at the router the broker attaches to.
+fn snapcast_rps(
+    serving: &[Vec<Name>],
+    attach_at: impl Fn(usize) -> NodeId,
+) -> Vec<(Vec<Name>, NodeId)> {
+    let groups = |cds: &Vec<Name>| cds.iter().map(|cd| snapcast_ns().join(cd)).collect();
+    serving.iter().enumerate().map(|(i, cds)| (groups(cds), attach_at(i))).collect()
 }
 
 /// Randomized exactness: across seeds and RP layouts, delivery is exact
@@ -240,8 +258,11 @@ fn each_mover_executes_its_own_schedule_in_order() {
 }
 
 /// A mover gets the client's recovery for free: cut off by an access-link
-/// flap it re-subscribes on `LinkUp` — at the area it has moved to — and
-/// still publishes its whole trace slice.
+/// flap 100 ms into its first move's fetch, it re-subscribes on `LinkUp` —
+/// at the area it has moved to — re-expresses what the fetch still waits
+/// for (QR: the stall sweep re-sends the owed Interests; cyclic: the group
+/// Subscribes and `join`s go out again), and still publishes its whole
+/// trace slice. The flap costs time, not the fetch.
 #[test]
 fn mover_under_recovery_resubscribes_after_link_flap() {
     let w = workload(1_500, 80, 31);
@@ -249,7 +270,11 @@ fn mover_under_recovery_resubscribes_after_link_flap() {
     let model = MovementModel::new((1_000_000_000, 3_000_000_000));
     let mut moves = model.generate(5, &w.map, &w.population, trace_span.as_nanos());
     moves.retain(|m| m.player.index() % 8 == 0);
-    let mover = moves[0].player;
+    // The mover moves once, so nothing but the flap can end its fetch: its
+    // schedule's later moves would supersede a fetch that outlasts them.
+    let (mover, first_move) = (moves[0].player, moves[0].time_ns);
+    moves.retain(|m| m.player != mover || m.time_ns == first_move);
+    assert!(!moves[0].snapshot_cds.is_empty(), "the first move fetches");
 
     let net = NetworkSpec::default_backbone(37);
     let pool = net.rp_pool_preview();
@@ -258,37 +283,113 @@ fn mover_under_recovery_resubscribes_after_link_flap() {
     // one second later (half a watchdog period: only `LinkUp` can tell).
     let link = net.player_access_links(w.population.len())[mover.index()];
     let cut = SimTime::from_nanos(moves[0].time_ns) + warmup + SimDuration::from_millis(100);
-    let flap = FaultPlan::new(7)
-        .link_down(cut, link)
-        .link_up(cut + SimDuration::from_secs(1), link);
-    let run = |plan: FaultPlan| {
+    let flap = || {
+        FaultPlan::new(7)
+            .link_down(cut, link)
+            .link_up(cut + SimDuration::from_secs(1), link)
+    };
+    let run = |plan: FaultPlan, mode: SnapshotMode| {
         let params = SimParams::default();
         let serving = partition_cds_to_brokers(&w.map, 3);
         let attach_at = |i: usize| pool[(3 + i) % pool.len()];
+        let extra_rps = snapcast_rps(&serving, attach_at);
         let extra_hosts =
             SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
         let cfg = GcopssConfig {
             params,
             recovery: Some(RecoveryConfig::default()),
+            extra_rps,
             ..GcopssConfig::default()
         };
         let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
             .gcopss(cfg)
             .extra_hosts(extra_hosts)
-            .moves(moves.clone(), SnapshotMode::QueryResponse { window: 15 })
+            .moves(moves.clone(), mode)
             .fault_plan(plan)
             .build()
             .into_gcopss();
         b.sim.run_until(SimTime::ZERO + warmup + trace_span + SimDuration::from_secs(30));
         b.sim.into_world()
     };
-    let (calm, flapped) = (run(FaultPlan::new(7)), run(flap));
+    // What the mover's completed fetches covered, in completion order.
+    let fetched = |world: &GameWorld| -> Vec<_> {
+        let own = world.convergence.iter().filter(|r| r.player == mover);
+        own.map(|r| (r.move_type, r.leaf_cds, r.bytes > 0)).collect()
+    };
+    let qr = SnapshotMode::QueryResponse { window: 15 };
+    let (calm, flapped) = (run(FaultPlan::new(7), qr), run(flap(), qr));
     assert!(
         flapped.counter("client-resubscribes") > calm.counter("client-resubscribes"),
         "no re-subscribe after LinkUp"
     );
     assert_eq!(flapped.metrics.published(), w.trace.len() as u64);
-    assert!(flapped.convergence.iter().any(|r| r.player == mover), "the mover moved");
+    let first = (moves[0].move_type, moves[0].snapshot_cds.len(), true);
+    assert_eq!(fetched(&flapped).first(), Some(&first), "the cut-off fetch never completed");
+    assert_eq!(fetched(&flapped), fetched(&calm));
+    assert_eq!(
+        flapped.counter("mover-fetch-superseded"),
+        calm.counter("mover-fetch-superseded"),
+        "the flap cost a fetch"
+    );
+    assert!(flapped.catchup_ledger.audit().clean());
+
+    let cyclic = run(flap(), SnapshotMode::CyclicMulticast);
+
+    assert_eq!(fetched(&cyclic).first(), Some(&first), "the cut-off cyclic fetch never completed");
+}
+
+/// Data answering a superseded move fetch finds no taker: it is dropped
+/// as late, its debt is written off, and the successor's byte count
+/// stays the successor's own.
+#[test]
+fn superseded_fetch_data_is_late_not_the_successors() {
+    let mut topology = Topology::new();
+    let (host, edge) = (topology.add_node("player"), topology.add_node("edge"));
+    topology
+        .try_add_link(host, edge, SimDuration::from_millis(1), None)
+        .expect("two known nodes");
+    let player = PlayerId(0);
+    let map = Arc::new(GameMap::paper_map());
+    let (old_cd, new_cd) = (map.leaf_cds()[0].clone(), map.leaf_cds()[1].clone());
+    let area = |cd: &Name| map.area_of_leaf_cd(cd).expect("a leaf CD has its area");
+    let hop = |ms: u64, to: &Name, from: &Name| MoveEvent {
+        time_ns: ms * 1_000_000,
+        player,
+        from: area(from),
+        to: area(to),
+        move_type: MoveType::ZoneSameRegion,
+        snapshot_cds: vec![to.clone()],
+    };
+    // The second move, 10 ms after the first, supersedes its fetch.
+    let moves = vec![hop(0, &old_cd, &new_cd), hop(10, &new_cd, &old_cd)];
+    let cursor = TraceCursor::for_player(Arc::new(Vec::new()), player, SimDuration::ZERO);
+    let client = GamePlayerClient::new(player, edge, area(&new_cd), Arc::clone(&map), cursor)
+        .with_mover(moves, SnapshotMode::QueryResponse { window: 15 }, None);
+    let mut sim = Simulator::new(topology, GameWorld::default());
+    sim.set_behavior(host, Box::new(client));
+
+    // The answer to the superseded fetch (3 objects), then the
+    // successor's own (an empty CD: the fetch completes on it).
+    let meta = |cd: &Name, objects: u32| {
+        let name = Name::parse_lit(&format!("/snapshot{cd}/meta"));
+        GPacket::Data(Data::new(name, Bytes::copy_from_slice(&objects.to_le_bytes())))
+    };
+    for (ms, pkt) in [(20, meta(&old_cd, 3)), (30, meta(&new_cd, 0))] {
+        let size = pkt.wire_size();
+        sim.inject(SimTime::from_millis(ms), host, pkt, size);
+    }
+    sim.run();
+
+    let world = sim.world();
+    assert_eq!(world.counter(drops::CLIENT_LATE_CATCHUP), 1);
+    assert_eq!(world.counter("mover-fetch-superseded"), 1);
+    let [done] = &world.convergence[..] else {
+        panic!("one fetch completes: {:?}", world.convergence);
+    };
+    assert_eq!((done.leaf_cds, done.bytes), (1, 4), "only its own 4-byte meta");
+    let audit = world.catchup_ledger.audit();
+    assert!(audit.clean(), "{audit:?}");
+    assert_eq!((audit.delivered, audit.written_off), (1, 1));
 }
 
 /// §IV-A offline support: a player that comes online mid-game subscribes,
@@ -304,11 +405,7 @@ fn offline_player_comes_online() {
     let pool = net.rp_pool_preview();
     let params = SimParams::default();
     let attach_at = |i: usize| pool[(3 + i) % pool.len()];
-    let snapcast_rp = |(i, cds): (usize, &Vec<_>)| {
-        let snapcast = cds.iter().map(|cd| snapcast_ns().join(cd));
-        (snapcast.collect(), attach_at(i))
-    };
-    let extra_rps = serving.iter().enumerate().map(snapcast_rp).collect();
+    let extra_rps = snapcast_rps(&serving, attach_at);
     let extra_hosts =
         SnapshotBroker::hosts(serving, attach_at, false, &params, &w.objects, &w.trace);
 
@@ -321,7 +418,7 @@ fn offline_player_comes_online() {
     };
     let warmup = cfg.warmup;
     // Player 5 is offline for the first ~1.5 s of the trace, then joins.
-    let joiner = gcopss_game::PlayerId(5);
+    let joiner = PlayerId(5);
     let online_at = SimTime::ZERO + warmup + SimDuration::from_millis(1_500);
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)

@@ -116,12 +116,6 @@ impl Fib {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// All `(prefix, faces)` entries in deterministic order.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(Name, &Vec<FaceId>)> {
-        self.entries.iter()
-    }
 }
 
 #[cfg(test)]
@@ -175,19 +169,5 @@ mod tests {
         let mut fib = Fib::new();
         fib.add(Name::root(), FaceId(9));
         assert_eq!(fib.lookup(&n("/anything/at/all")).unwrap(), &[FaceId(9)]);
-    }
-
-    #[test]
-    fn entries_are_deterministic() {
-        let mut fib = Fib::new();
-        fib.add(n("/b"), FaceId(2));
-        fib.add(n("/a"), FaceId(1));
-        let names: Vec<String> = fib
-            .entries()
-            .iter()
-            .map(|(p, _)| p.to_string())
-            .collect();
-        assert_eq!(names, ["/a", "/b"]);
-        assert_eq!(fib.len(), 2);
     }
 }
