@@ -71,7 +71,6 @@ pub fn run(opts: ExpOptions) {
     }
     for r in &out.rp_rows {
         if let Some((audit, fp)) = &r.audit {
-            h.add_audit(&r.label, audit.clone());
             println!(
                 "audit {:<14} clean={:?} span-fingerprint {fp:016x}",
                 r.label, r.audit_clean

@@ -10,7 +10,11 @@ use gcopss_core::experiments::failover::FailoverConfig;
 use gcopss_core::experiments::WorkloadParams;
 
 pub fn run(opts: ExpOptions) {
-    let mut h = ExpHarness::new("exp_audit", opts);
+    // The sampler reads the metrics registry, so telemetry is on; three
+    // chaotic runs, journal sampled as in the failure sweep they replay.
+    let mut h = ExpHarness::new("exp_audit", opts)
+        .with_sampled_capture()
+        .with_timeseries(audit::timeseries_config());
     let updates = h.opts.scaled(6_000, 50_000);
     let players = h.opts.scaled(100, 414);
     let cfg = FailoverConfig {
@@ -22,7 +26,7 @@ pub fn run(opts: ExpOptions) {
         },
         ..FailoverConfig::default()
     };
-    let out = audit::run(&cfg);
+    let out = audit::run(&cfg, h.cap());
 
     header(&format!(
         "Delivery audit — {updates} updates, {players} players, {} link flaps + RP crash/restart, loss {:?}",
@@ -41,12 +45,6 @@ pub fn run(opts: ExpOptions) {
         dirty |= !r.report.is_clean();
     }
 
-    for r in &out.runs {
-        h.add_audit(r.label.clone(), r.report.to_json());
-        if let Some(ts) = r.timeseries.clone() {
-            h.add_series(r.label.clone(), ts);
-        }
-    }
     h.finish();
 
     assert!(!dirty, "audit found unexplained losses or duplicates");

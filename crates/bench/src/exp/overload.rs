@@ -54,8 +54,7 @@ pub fn run(opts: ExpOptions) {
         println!("{}", r.row());
     }
     for r in &out.rows {
-        if let Some((audit, fp)) = &r.audit {
-            h.add_audit(&r.label, audit.clone());
+        if let Some((_, fp)) = &r.audit {
             println!("audit {:<22} clean={:?} span-fingerprint {fp:016x}", r.label, r.audit_clean);
         }
     }

@@ -34,8 +34,6 @@ pub struct ExpHarness {
     /// The run's options (`--full`, `--scale`, `--seed`, output directory).
     pub opts: ExpOptions,
     capture: TelemetryCapture,
-    audits: Vec<(String, Json)>,
-    series: Vec<(String, Json)>,
 }
 
 impl ExpHarness {
@@ -48,8 +46,6 @@ impl ExpHarness {
             exp: exp.to_string(),
             opts,
             capture: TelemetryCapture::off(),
-            audits: Vec::new(),
-            series: Vec::new(),
         }
     }
 
@@ -100,20 +96,15 @@ impl ExpHarness {
         self.capture.reports.push(report);
     }
 
-    /// Queues one run's audit document for `results/audit_<exp>.json`.
+    /// Queues a hand-built audit document for `results/audit_<exp>.json`
+    /// (for books the lineage auditor does not keep, e.g. `rejoin`'s
+    /// catch-up ledger), after those the capture's audited runs queued.
     pub fn add_audit(&mut self, label: impl Into<String>, audit: Json) {
-        self.audits.push((label.into(), audit));
+        self.capture.audits.push((label.into(), audit));
     }
 
-    /// Queues one run's time-series document for
-    /// `results/timeseries_<exp>.json` (merged after any capture-harvested
-    /// series).
-    pub fn add_series(&mut self, label: impl Into<String>, series: Json) {
-        self.series.push((label.into(), series));
-    }
-
-    /// Writes every queued export and the self-profile. Call once, at the
-    /// end of the run.
+    /// Writes what the capture collected — audits, telemetry reports, time
+    /// series — and the self-profile. Call once, at the end of the run.
     ///
     /// # Panics
     ///
@@ -122,20 +113,19 @@ impl ExpHarness {
         let prof = gcopss_sim::prof::take_report();
         let dir = self.opts.out_dir.as_path();
         let (exp, seed) = (self.exp.as_str(), self.opts.seed);
-        if !self.audits.is_empty() {
-            write_runs(dir, "audit", "audit", exp, seed, &self.audits).expect("write audit");
-        }
         let cap = &mut self.capture;
+        if !cap.audits.is_empty() {
+            write_runs(dir, "audit", "audit", exp, seed, &cap.audits).expect("write audit");
+        }
         let documented = cap.is_on() || !cap.reports.is_empty();
         write_prof(dir, exp, seed, &prof, documented.then_some(&mut cap.reports))
             .expect("write prof");
         if documented {
             write_telemetry(dir, exp, seed, &cap.reports).expect("write telemetry");
         }
-        let mut series = std::mem::take(&mut cap.series);
-        series.append(&mut self.series);
-        if !series.is_empty() {
-            write_runs(dir, "timeseries", "series", exp, seed, &series).expect("write timeseries");
+        if !cap.series.is_empty() {
+            write_runs(dir, "timeseries", "series", exp, seed, &cap.series)
+                .expect("write timeseries");
         }
     }
 }

@@ -10,15 +10,15 @@
 //!
 //! Every sweep harvests one telemetry report per run when its `cap` is on.
 
-use gcopss_sim::{SimDuration, SimTime, Simulator};
+use gcopss_sim::{SimDuration, SimTime};
 
 use crate::broker::SnapshotMode;
 use crate::ndn_baseline::NdnClientConfig;
-use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
 use crate::{MetricsMode, SimParams};
 
 use super::movement::{run_mode, MovementConfig};
-use super::rp_sweep::{run_gcopss_once, summarize};
+use super::rp_sweep::{gcopss, run_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
 
 /// Hybrid group-count sweep: fewer groups = more CD sharing = more
@@ -35,21 +35,12 @@ pub fn hybrid_group_sweep(
     group_counts
         .iter()
         .map(|&g| {
-            let cfg = HybridConfig {
-                metrics_mode: MetricsMode::StatsOnly,
+            let protocol = Protocol::Hybrid(HybridConfig {
                 group_count: g,
                 ..HybridConfig::default()
-            };
-            let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-                .hybrid(cfg)
-                .build()
-                .into_hybrid();
-            cap.observe(&mut built.sim, &format!("hybrid-{g}g"), Simulator::run);
-            let bytes = built.sim.total_link_bytes();
-            (
-                g,
-                summarize(format!("hybrid {g} groups"), &built.sim.into_world(), bytes),
-            )
+            });
+            let sim = run_once(&w, &net, protocol, cap, &format!("hybrid-{g}g"));
+            (g, summarize(format!("hybrid {g} groups"), &sim))
         })
         .collect()
 }
@@ -68,15 +59,10 @@ pub fn split_threshold_sweep(
     thresholds
         .iter()
         .map(|&t| {
-            let label = format!("auto-thr{t}");
-            let (world, bytes) =
-                run_gcopss_once(&w, &net, 1, Some(t), MetricsMode::StatsOnly, cap, &label);
-            let splits = world.splits.len();
-            (
-                t,
-                splits,
-                summarize(format!("auto thr={t}"), &world, bytes),
-            )
+            let protocol = gcopss(1, Some(t), MetricsMode::StatsOnly);
+            let sim = run_once(&w, &net, protocol, cap, &format!("auto-thr{t}"));
+            let splits = sim.world().splits.len();
+            (t, splits, summarize(format!("auto thr={t}"), &sim))
         })
         .collect()
 }
@@ -104,22 +90,11 @@ pub fn ndn_accumulation_sweep(
                 },
                 ..NdnBaselineConfig::default()
             };
-            let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-                .ndn_baseline(cfg)
-                .build()
-                .into_ndn_baseline();
             let horizon = SimTime::ZERO + WARMUP + duration + SimDuration::from_secs(120);
             let label = format!("ndn-t{:.0}ms", t.as_millis_f64());
-            cap.observe(&mut built.sim, &label, |sim| sim.run_until(horizon));
-            let bytes = built.sim.total_link_bytes();
-            (
-                t,
-                summarize(
-                    format!("ndn t={}ms", t.as_millis_f64()),
-                    &built.sim.into_world(),
-                    bytes,
-                ),
-            )
+            let spec = w.spec(&net).ndn_baseline(cfg);
+            let sim = cap.run(&label, spec, |sim| sim.run_until(horizon));
+            (t, summarize(format!("ndn t={}ms", t.as_millis_f64()), &sim))
         })
         .collect()
 }
@@ -131,11 +106,13 @@ pub fn qr_window_sweep(
     windows: &[u32],
     cap: &mut TelemetryCapture,
 ) -> Vec<(u32, SimDuration)> {
+    let w = Workload::counter_strike(&base.workload);
+    let objects = w.converged_objects();
     windows
         .iter()
         .map(|&win| {
-            let out = run_mode(base, SnapshotMode::QueryResponse { window: win }, cap);
-            (win, out.total_mean)
+            let mode = SnapshotMode::QueryResponse { window: win };
+            (win, run_mode(base, &w, &objects, mode, cap).total_mean)
         })
         .collect()
 }

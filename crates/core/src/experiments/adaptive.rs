@@ -35,16 +35,14 @@ use std::sync::Arc;
 use gcopss_game::{MoveEvent, PlayerId};
 use gcopss_names::Name;
 use gcopss_sim::{
-    AdmissionPolicy, EngineDrop, LineageConfig, OverloadConfig, SimDuration, SimTime, StreamConfig,
-    TelemetryConfig,
+    AdmissionPolicy, EngineDrop, OverloadConfig, SimDuration, SimTime, StreamConfig,
 };
 
 use crate::broker::{partition_cds_to_brokers, scoped, SnapshotBroker, SnapshotMode, SNAPSHOT};
 use crate::router::cs_prefix_key;
-use crate::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
-use crate::{MetricsMode, SimParams};
+use crate::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, WARMUP};
+use crate::SimParams;
 
-use super::audit::{audit_without_damage, register_expectations};
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RP-balancing policy of one run arm.
@@ -125,11 +123,6 @@ const STREAM_TICK: SimDuration = SimDuration::from_millis(25);
 const CROWD_GAP: SimDuration = SimDuration::from_millis(150);
 /// QR pipelining window of the movers.
 pub const QR_WINDOW: u32 = 5;
-/// Span capacity of the lineage tracer every RP-arm run replays under (the
-/// delivery auditor must account for every owed pair). The full-scale RP
-/// arm emits ~3.7M spans per run (hotspot fan-out × 150 players); the
-/// default 2M capacity would truncate the log and fail the audit.
-const LINEAGE_CAPACITY: usize = 1 << 23;
 
 /// Configuration of the adaptive-control sweep.
 #[derive(Debug, Clone)]
@@ -361,31 +354,16 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
         }
         let sys = GcopssConfig {
             params,
-            metrics_mode: MetricsMode::StatsOnly,
             rp_count: RP_COUNT,
             overload: Some(overload.clone()),
             stream,
             ..GcopssConfig::default()
         };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .gcopss(sys)
-            .build()
-            .into_gcopss();
-        if !cap.is_on() {
-            built.sim.enable_telemetry(TelemetryConfig::counters_only());
-        }
-        cap.observe(&mut built.sim, &label, |sim| {
-            sim.enable_lineage(LineageConfig {
-                capacity: LINEAGE_CAPACITY,
-                ..LineageConfig::default()
-            });
-            register_expectations(sim, &w, WARMUP);
-            sim.run_until(horizon);
-        });
-        let (audit, fingerprint, clean) = audit_without_damage(&built.sim, horizon);
-        let queue_full = built.sim.dropped(EngineDrop::QueueFull);
-        let network_bytes = built.sim.total_link_bytes();
-        let world = built.sim.into_world();
+        // No fault is injected, so no damage window is granted: every miss
+        // must be explained by a drop record.
+        let spec = w.spec(&net).gcopss(sys);
+        let (sim, audit) = cap.run_audited(&label, spec, &w, horizon, |_| None);
+        let world = sim.world();
         let hist = world.metrics.latency_hist();
         let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
         let delivered = world.metrics.delivered();
@@ -401,13 +379,13 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
             },
             p50: q(0.50),
             p99: q(0.99),
-            queue_full,
+            queue_full: sim.dropped(EngineDrop::QueueFull),
             splits: world.splits.len() as u64,
             split_times: world.splits.iter().map(|s| s.at).collect(),
             triggered: world.counter("rp-move-triggered"),
-            network_bytes,
-            audit_clean: Some(clean),
-            audit: Some((audit, fingerprint)),
+            network_bytes: sim.total_link_bytes(),
+            audit_clean: Some(audit.is_clean()),
+            audit: Some((audit.to_json(), sim.lineage().fingerprint())),
             label,
         });
     }
@@ -490,7 +468,6 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
         );
         let gcfg = GcopssConfig {
             params,
-            metrics_mode: MetricsMode::StatsOnly,
             rp_count: RP_COUNT,
             stream: if adaptive {
                 StreamConfig::every(STREAM_TICK)
@@ -499,12 +476,11 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             },
             ..GcopssConfig::default()
         };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+        let spec = w
+            .spec(&net)
             .gcopss(gcfg)
             .extra_hosts(extra_hosts)
-            .moves(moves.clone(), SnapshotMode::QueryResponse { window: QR_WINDOW })
-            .build()
-            .into_gcopss();
+            .moves(moves.clone(), SnapshotMode::QueryResponse { window: QR_WINDOW });
         // Sample the live sketches at the crowd peak, not the horizon: the
         // space-saving sketches are recency-biased (halved every window),
         // so by the end of the drain the flash crowd has decayed out of
@@ -515,7 +491,7 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             + SimDuration::from_secs(2))
         .min(horizon);
         let mut hot_hit_rate = None;
-        cap.observe(&mut built.sim, &label, |sim| {
+        let sim = cap.run(&label, spec, |sim| {
             sim.run_until(peak);
             hot_hit_rate = sim.streams_active().then(|| {
                 let pop = |sketch| {
@@ -531,8 +507,7 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             });
             sim.run_until(horizon);
         });
-        let network_bytes = built.sim.total_link_bytes();
-        let world = built.sim.into_world();
+        let world = sim.world();
         let done: Vec<SimDuration> = world
             .convergence
             .iter()
@@ -564,7 +539,7 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             broker_served: world.counter("broker-qr-served"),
             promotions: world.counter("cache-class-promotions"),
             demotions: world.counter("cache-class-demotions"),
-            network_bytes,
+            network_bytes: sim.total_link_bytes(),
         });
     }
     rows

@@ -18,21 +18,16 @@
 //! failure sweep tolerates under-delivery; with Bernoulli loss the whole
 //! run is damaged, because loss draws are not confined to a window.
 
-use gcopss_sim::json::Json;
-use gcopss_sim::{
-    AuditReport, LineageConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
-    TimeSeriesConfig,
-};
+use gcopss_sim::{AuditReport, SimDuration, SimTime, Simulator, TimeSeriesConfig};
 
-use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
-use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
+use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
+use crate::{GPacket, GameWorld, RecoveryConfig};
 
 use super::failover::{chaos_plan, FailoverConfig, RP_COUNT};
-use super::{Workload, NET_SEED};
+use super::{TelemetryCapture, Workload, NET_SEED};
 
-/// The periodic time-series sampler armed on every audited run (and by the
-/// runner on the failure sweep's captured runs, which replay the same
-/// chaos scenario).
+/// The periodic time-series sampler the runner arms on the audited runs and
+/// on the failure sweep's, which replay the same chaos scenario.
 #[must_use]
 pub fn timeseries_config() -> TimeSeriesConfig {
     TimeSeriesConfig {
@@ -58,8 +53,6 @@ pub struct AuditRun {
     pub fingerprint: u64,
     /// Span records captured.
     pub spans: usize,
-    /// Captured time-series frames.
-    pub timeseries: Option<Json>,
 }
 
 /// The audit's full output, one run per swept loss rate.
@@ -72,7 +65,7 @@ pub struct AuditOutput {
 /// Registers one delivery expectation per trace event with the lineage
 /// log: publication id `i` owes one copy to every AoI viewer of its CD
 /// except the publisher. Must be called after [`Simulator::enable_lineage`]
-/// and before the run.
+/// and before the run; [`TelemetryCapture::run_audited`] does both.
 pub fn register_expectations(
     sim: &mut Simulator<GPacket, GameWorld>,
     w: &Workload,
@@ -88,23 +81,6 @@ pub fn register_expectations(
         sim.lineage_mut()
             .expect(i as u64, t_publish, e.player.0, &entities);
     }
-}
-
-/// What the fault-free sweeps (`overload`, `adaptive`) export of an audited
-/// run: `(report JSON, span fingerprint, clean?)`. With no fault injected
-/// every miss must be explained by a drop record (overload drops and source
-/// sheds land on the lineage), so no damage window is granted.
-#[must_use]
-pub fn audit_without_damage(
-    sim: &Simulator<GPacket, GameWorld>,
-    horizon: SimTime,
-) -> (Json, u64, bool) {
-    let report = sim.lineage().audit(horizon, None);
-    (
-        report.to_json(),
-        sim.lineage().fingerprint(),
-        report.is_clean(),
-    )
 }
 
 /// The fault damage window for a loss-free chaos plan: from just before
@@ -129,11 +105,10 @@ pub fn damage_window(
 
 /// Runs the audited sweep over the chaos scenario `f` (same knobs as the
 /// failure sweep; only the G-COPSS runs are audited — the baselines have no
-/// span hooks for their server/producer application state). The lineage
-/// tracer keeps every span: an audit over a sampled trace would only
-/// account for the sampled lineages.
+/// span hooks for their server/producer application state), harvesting one
+/// telemetry report per run when `cap` is on.
 #[must_use]
-pub fn run(f: &FailoverConfig) -> AuditOutput {
+pub fn run(f: &FailoverConfig, cap: &mut TelemetryCapture) -> AuditOutput {
     let w = Workload::counter_strike(&f.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let links = net.core_links_preview();
@@ -147,37 +122,25 @@ pub fn run(f: &FailoverConfig) -> AuditOutput {
         let plan = chaos_plan(f, loss, &links, crash, span);
         let first_fault = plan.schedule().iter().map(|&(t, _)| t).min();
         let sys = GcopssConfig {
-            metrics_mode: MetricsMode::StatsOnly,
             rp_count: RP_COUNT,
             recovery: Some(RecoveryConfig::default()),
             ..GcopssConfig::default()
         };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .gcopss(sys)
-            .build()
-            .into_gcopss();
-        built.sim.enable_lineage(LineageConfig::default());
-        register_expectations(&mut built.sim, &w, WARMUP);
-        // The sampler reads the metrics registry, so telemetry must be on;
-        // the journal is not needed here.
-        built.sim.enable_telemetry(TelemetryConfig::counters_only());
-        built.sim.enable_timeseries(timeseries_config());
-        built.sim.install_faults(plan);
-        built.sim.run_until(horizon);
-
-        let damage = if loss > 0.0 {
-            // Loss draws hit every transmission: the whole run is damaged.
-            Some((SimTime::ZERO, horizon))
-        } else {
-            damage_window(first_fault, built.sim.last_repair_time(), f.settle)
-        };
-        let report = built.sim.lineage().audit(horizon, damage);
+        let label = format!("gcopss-loss{loss:.2}");
+        let spec = w.spec(&net).gcopss(sys).fault_plan(plan);
+        let (sim, report) = cap.run_audited(&label, spec, &w, horizon, |sim| {
+            if loss > 0.0 {
+                // Loss draws hit every transmission: the whole run is damaged.
+                Some((SimTime::ZERO, horizon))
+            } else {
+                damage_window(first_fault, sim.last_repair_time(), f.settle)
+            }
+        });
         runs.push(AuditRun {
-            label: format!("gcopss-loss{loss:.2}"),
+            label,
             loss,
-            fingerprint: built.sim.lineage().fingerprint(),
-            spans: built.sim.lineage().spans().len(),
-            timeseries: built.sim.timeseries_json(),
+            fingerprint: sim.lineage().fingerprint(),
+            spans: sim.lineage().spans().len(),
             report,
         });
     }
@@ -187,6 +150,7 @@ pub fn run(f: &FailoverConfig) -> AuditOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcopss_sim::TelemetryConfig;
 
     /// A miniature audited chaos run must account for 100 % of the owed
     /// pairs with zero duplicates and zero unexplained losses, and the
@@ -205,8 +169,19 @@ mod tests {
             settle: SimDuration::from_secs(2),
             drain: SimDuration::from_secs(10),
         };
-        let out = run(&cfg);
+        // Captured as the runner does: counters feed the frame sampler.
+        let captured = || {
+            let mut cap = TelemetryCapture::new(TelemetryConfig::counters_only())
+                .with_timeseries(timeseries_config());
+            (run(&cfg, &mut cap), cap)
+        };
+        let (out, cap) = captured();
         assert_eq!(out.runs.len(), 2);
+        assert_eq!(cap.series.len(), 2, "sampler was armed on every run");
+        assert_eq!(cap.audits.len(), 2, "every audit is queued on the capture");
+        for (label, frames) in &cap.series {
+            assert!(frames.to_string().contains("\"frames\""), "{label}");
+        }
         for r in &out.runs {
             assert!(r.spans > 0, "{}: no spans captured", r.label);
             assert!(
@@ -217,8 +192,6 @@ mod tests {
                 r.report.errors
             );
             assert!(r.report.delivered > 0, "{}: nothing delivered", r.label);
-            let ts = r.timeseries.as_ref().expect("sampler was armed");
-            assert!(ts.to_string().contains("\"frames\""));
         }
         // The lossy run must have charged something to the fault machinery.
         let lossy = &out.runs[1];
@@ -228,19 +201,18 @@ mod tests {
             lossy.report.table()
         );
 
-        let again = run(&cfg);
+        let (again, cap_again) = captured();
+        let render = |docs: &[(String, gcopss_sim::json::Json)]| -> Vec<String> {
+            docs.iter().map(|(label, doc)| format!("{label}: {doc}")).collect()
+        };
+        assert_eq!(render(&cap.series), render(&cap_again.series), "time series differ");
+        assert_eq!(render(&cap.audits), render(&cap_again.audits), "queued audits differ");
         for (a, b) in out.runs.iter().zip(&again.runs) {
             assert_eq!(a.fingerprint, b.fingerprint, "{}: spans differ", a.label);
             assert_eq!(
                 a.report.to_json().to_string(),
                 b.report.to_json().to_string(),
                 "{}: audit differs",
-                a.label
-            );
-            assert_eq!(
-                a.timeseries.as_ref().map(ToString::to_string),
-                b.timeseries.as_ref().map(ToString::to_string),
-                "{}: time series differ",
                 a.label
             );
         }

@@ -20,9 +20,9 @@ use gcopss_game::PlayerId;
 use gcopss_sim::{EngineDrop, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
-    viewers_by_cd, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
+    viewers_by_cd, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig};
+use crate::{GPacket, GameWorld, RecoveryConfig};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -145,36 +145,6 @@ pub struct FailoverOutput {
     pub rows: Vec<FailoverRow>,
 }
 
-/// What one chaotic run leaves behind.
-struct ChaosRun {
-    world: GameWorld,
-    bytes: u64,
-    link_lost: u64,
-    node_lost: u64,
-    last_repair: Option<SimTime>,
-}
-
-/// Installs the plan, runs to the horizon, and harvests fault bookkeeping.
-fn run_chaos(
-    mut sim: Simulator<GPacket, GameWorld>,
-    plan: &FaultPlan,
-    horizon: SimTime,
-    cap: &mut TelemetryCapture,
-    label: &str,
-) -> ChaosRun {
-    cap.observe(&mut sim, label, |sim| {
-        sim.install_faults(plan.clone());
-        sim.run_until(horizon);
-    });
-    ChaosRun {
-        bytes: sim.total_link_bytes(),
-        link_lost: sim.dropped(EngineDrop::LinkLost),
-        node_lost: sim.dropped(EngineDrop::NodeLost),
-        last_repair: sim.last_repair_time(),
-        world: sim.into_world(),
-    }
-}
-
 /// The shared chaos schedule at one loss rate: flaps in the 20–60 % window
 /// of the span, the infrastructure crash at 30 % with restart at 50 %.
 /// Shared with the delivery audit (`exp_audit`), which replays the same
@@ -206,10 +176,14 @@ struct Deliverability {
 }
 
 /// Per-publication delivery accounting against the AoI model.
-fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Deliverability {
+fn deliverability(
+    world: &GameWorld,
+    last_repair: Option<SimTime>,
+    w: &Workload,
+    settle: SimDuration,
+) -> Deliverability {
     let viewers = viewers_by_cd(&w.map, &w.population);
-    let log = run
-        .world
+    let log = world
         .delivery_log
         .as_ref()
         .expect("chaos runs keep a delivery log");
@@ -217,7 +191,7 @@ fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Delivera
     for &(id, receiver) in log {
         // The log also records the publisher's own copy; `expected` follows
         // the `expected_deliveries` convention of excluding it.
-        if run.world.metrics.publisher_of(id) == Some(PlayerId(receiver)) {
+        if world.metrics.publisher_of(id) == Some(PlayerId(receiver)) {
             continue;
         }
         if let Some(slot) = per_id.get_mut(id as usize) {
@@ -240,13 +214,13 @@ fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Delivera
             }
         }
         let sent = SimTime::ZERO + WARMUP + SimDuration::from_nanos(e.time_ns);
-        if run.last_repair.is_none_or(|r| sent > r + settle) {
+        if last_repair.is_none_or(|r| sent > r + settle) {
             post_expected += want;
             post_delivered += got;
         }
     }
     let ratio = |d: u64, e: u64| if e == 0 { 1.0 } else { d as f64 / e as f64 };
-    let recovery = match (last_bad, run.last_repair) {
+    let recovery = match (last_bad, last_repair) {
         (None, _) => Some(SimDuration::ZERO),
         // Settled only if some later publication did reach full fan-out.
         (Some(i), Some(repair)) if last_bad != last_with_fanout => {
@@ -265,26 +239,34 @@ fn deliverability(run: &ChaosRun, w: &Workload, settle: SimDuration) -> Delivera
     }
 }
 
-fn make_row(label: String, loss: f64, run: &ChaosRun, w: &Workload, cfg: &FailoverConfig) -> FailoverRow {
-    let d = deliverability(run, w, cfg.settle);
-    let counter = |k: &str| run.world.counters.get(k).copied().unwrap_or(0);
+/// Reads one finished chaotic run's row off its simulator.
+fn make_row(
+    label: String,
+    loss: f64,
+    sim: &Simulator<GPacket, GameWorld>,
+    w: &Workload,
+    cfg: &FailoverConfig,
+) -> FailoverRow {
+    let world = sim.world();
+    let last_repair = sim.last_repair_time();
+    let d = deliverability(world, last_repair, w, cfg.settle);
     FailoverRow {
         label,
         loss,
-        published: run.world.metrics.published(),
+        published: world.metrics.published(),
         expected: d.expected,
         delivered: d.delivered,
         delivery_ratio: d.ratio,
         post_repair_ratio: d.post_ratio,
         post_expected: d.post_expected,
         recovery: d.recovery,
-        last_repair: run.last_repair,
-        link_lost: run.link_lost,
-        node_lost: run.node_lost,
-        rp_failovers: counter("rp-failovers"),
-        resubscribes: counter("client-resubscribes") + counter("client-reconnects"),
-        mean_latency: run.world.metrics.stats().mean(),
-        network_bytes: run.bytes,
+        last_repair,
+        link_lost: sim.dropped(EngineDrop::LinkLost),
+        node_lost: sim.dropped(EngineDrop::NodeLost),
+        rp_failovers: world.counter("rp-failovers"),
+        resubscribes: world.counter("client-resubscribes") + world.counter("client-reconnects"),
+        mean_latency: world.metrics.stats().mean(),
+        network_bytes: sim.total_link_bytes(),
     }
 }
 
@@ -300,58 +282,46 @@ pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
     let span = w.span();
     let horizon = SimTime::ZERO + WARMUP + span + cfg.drain;
 
+    let recovery = Some(RecoveryConfig::default());
+    let systems = [
+        (
+            "gcopss",
+            Protocol::Gcopss(GcopssConfig {
+                delivery_log: true,
+                rp_count: RP_COUNT,
+                recovery: recovery.clone(),
+                ..GcopssConfig::default()
+            }),
+        ),
+        (
+            "ip",
+            Protocol::IpServer(IpConfig {
+                delivery_log: true,
+                server_count: RP_COUNT,
+                recovery: recovery.clone(),
+                ..IpConfig::default()
+            }),
+        ),
+        (
+            "ndn",
+            Protocol::NdnBaseline(NdnBaselineConfig {
+                delivery_log: true,
+                recovery,
+                ..NdnBaselineConfig::default()
+            }),
+        ),
+    ];
     let mut rows = Vec::new();
-    for &loss in &cfg.loss_rates {
-        let plan = chaos_plan(cfg, loss, &links, crash, span);
-        let label = format!("gcopss-loss{loss:.2}");
-        let sys = GcopssConfig {
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: true,
-            rp_count: RP_COUNT,
-            recovery: Some(RecoveryConfig::default()),
-            ..GcopssConfig::default()
-        };
-        let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .gcopss(sys)
-            .build()
-            .into_gcopss();
-        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
-        rows.push(make_row(label, loss, &run, &w, cfg));
-    }
-
-    for &loss in &cfg.loss_rates {
-        let plan = chaos_plan(cfg, loss, &links, crash, span);
-        let label = format!("ip-loss{loss:.2}");
-        let sys = IpConfig {
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: true,
-            server_count: RP_COUNT,
-            recovery: Some(RecoveryConfig::default()),
-            ..IpConfig::default()
-        };
-        let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .ip_server(sys)
-            .build()
-            .into_ip_server();
-        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
-        rows.push(make_row(label, loss, &run, &w, cfg));
-    }
-
-    for &loss in &cfg.loss_rates {
-        let plan = chaos_plan(cfg, loss, &links, crash, span);
-        let label = format!("ndn-loss{loss:.2}");
-        let sys = NdnBaselineConfig {
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: true,
-            recovery: Some(RecoveryConfig::default()),
-            ..NdnBaselineConfig::default()
-        };
-        let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .ndn_baseline(sys)
-            .build()
-            .into_ndn_baseline();
-        let run = run_chaos(built.sim, &plan, horizon, cap, &label);
-        rows.push(make_row(label, loss, &run, &w, cfg));
+    for (system, protocol) in systems {
+        for &loss in &cfg.loss_rates {
+            let label = format!("{system}-loss{loss:.2}");
+            let spec = w
+                .spec(&net)
+                .protocol(protocol.clone())
+                .fault_plan(chaos_plan(cfg, loss, &links, crash, span));
+            let sim = cap.run(&label, spec, |sim| sim.run_until(horizon));
+            rows.push(make_row(label, loss, &sim, &w, cfg));
+        }
     }
 
     FailoverOutput { rows }

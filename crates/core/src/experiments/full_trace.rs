@@ -1,12 +1,10 @@
 //! Table II: the whole event trace on IP (6 servers), G-COPSS (6 RPs) and
 //! hybrid-G-COPSS (6 IP multicast groups), when there is no congestion.
 
-use gcopss_sim::Simulator;
-
-use crate::scenario::{HybridConfig, NetworkSpec, ScenarioSpec};
+use crate::scenario::{HybridConfig, NetworkSpec, Protocol};
 use crate::MetricsMode;
 
-use super::rp_sweep::{run_gcopss_once, run_ip_once, summarize};
+use super::rp_sweep::{self, ip_servers, run_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RPs / servers / IP multicast groups (paper: 6 of each).
@@ -31,31 +29,20 @@ pub fn run(workload: &WorkloadParams, cap: &mut TelemetryCapture) -> FullTraceOu
     let w = Workload::counter_strike(workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
 
-    let (world, bytes) = run_ip_once(&w, &net, CORES, MetricsMode::StatsOnly, cap, "ip");
-    let ip = summarize(format!("IP server x{CORES}"), &world, bytes);
-
-    let (world, bytes) =
-        run_gcopss_once(&w, &net, CORES, None, MetricsMode::StatsOnly, cap, "gcopss");
-    let gcopss = summarize(format!("G-COPSS {CORES} RPs"), &world, bytes);
-
-    let hybrid = {
-        let c = HybridConfig {
-            metrics_mode: MetricsMode::StatsOnly,
-            group_count: CORES as u32,
-            ..HybridConfig::default()
-        };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .hybrid(c)
-            .build()
-            .into_hybrid();
-        cap.observe(&mut built.sim, "hybrid", Simulator::run);
-        let bytes = built.sim.total_link_bytes();
-        summarize(
-            format!("hybrid-G-COPSS {CORES} groups"),
-            &built.sim.into_world(),
-            bytes,
-        )
-    };
+    let hybrid = Protocol::Hybrid(HybridConfig {
+        group_count: CORES as u32,
+        ..HybridConfig::default()
+    });
+    let [ip, gcopss, hybrid] = [
+        ("ip", format!("IP server x{CORES}"), ip_servers(CORES)),
+        (
+            "gcopss",
+            format!("G-COPSS {CORES} RPs"),
+            rp_sweep::gcopss(CORES, None, MetricsMode::StatsOnly),
+        ),
+        ("hybrid", format!("hybrid-G-COPSS {CORES} groups"), hybrid),
+    ]
+    .map(|(label, row, protocol)| summarize(row, &run_once(&w, &net, protocol, cap, label)));
 
     FullTraceOutput { ip, gcopss, hybrid }
 }

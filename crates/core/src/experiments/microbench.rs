@@ -4,9 +4,9 @@
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
+    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{MetricsMode, SimParams};
+use crate::{GPacket, GameWorld, MetricsMode, SimParams};
 
 use super::{rp_sweep::summarize, RunSummary, TelemetryCapture, Workload};
 
@@ -54,8 +54,9 @@ pub struct MicrobenchOutput {
     pub ndn: SystemResult,
 }
 
-fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64) -> SystemResult {
-    let summary = summarize(label.to_string(), &world, bytes);
+fn system_result(label: &str, sim: Simulator<GPacket, GameWorld>) -> SystemResult {
+    let summary = summarize(label.to_string(), &sim);
+    let mut world = sim.into_world();
     let over = 1.0
         - world
             .metrics
@@ -81,60 +82,47 @@ fn system_result(label: &str, mut world: crate::GameWorld, bytes: u64) -> System
 pub fn run(cfg: &MicrobenchConfig, cap: &mut TelemetryCapture) -> MicrobenchOutput {
     let w = Workload::microbenchmark(cfg.seed, cfg.duration);
     let net = NetworkSpec::Testbed;
-
-    // G-COPSS: RP at R1 (one RP, as in the paper's testbed).
-    let gcopss = {
-        let c = GcopssConfig {
-            params: SimParams::microbenchmark(),
-            metrics_mode: MetricsMode::Full,
-            rp_count: 1,
-            ..GcopssConfig::default()
-        };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .gcopss(c)
-            .build()
-            .into_gcopss();
-        cap.observe(&mut built.sim, "gcopss", Simulator::run);
-        let bytes = built.sim.total_link_bytes();
-        system_result("G-COPSS", built.sim.into_world(), bytes)
+    let (params, metrics_mode) = (SimParams::microbenchmark(), MetricsMode::Full);
+    // One RP and one server, both at R1 as in the paper's testbed; the NDN
+    // baseline keeps the paper's pipelining window of 3 and 100 ms
+    // accumulation interval.
+    let gcopss = GcopssConfig {
+        params: params.clone(),
+        metrics_mode,
+        rp_count: 1,
+        ..GcopssConfig::default()
     };
-
-    // IP server at R1.
-    let ip = {
-        let c = IpConfig {
-            params: SimParams::microbenchmark(),
-            metrics_mode: MetricsMode::Full,
-            server_count: 1,
-            ..IpConfig::default()
-        };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .ip_server(c)
-            .build()
-            .into_ip_server();
-        cap.observe(&mut built.sim, "ip", Simulator::run);
-        let bytes = built.sim.total_link_bytes();
-        system_result("IP server", built.sim.into_world(), bytes)
+    let ip = IpConfig {
+        params: params.clone(),
+        metrics_mode,
+        server_count: 1,
+        ..IpConfig::default()
     };
-
-    // NDN baseline (the paper's pipelining window of 3, a 100 ms
-    // accumulation interval): bounded horizon because consumers poll
-    // forever.
-    let ndn = {
-        let c = NdnBaselineConfig {
-            params: SimParams::microbenchmark(),
-            metrics_mode: MetricsMode::Full,
-            ..NdnBaselineConfig::default()
-        };
-        let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-            .ndn_baseline(c)
-            .build()
-            .into_ndn_baseline();
-        let horizon = SimTime::ZERO + WARMUP + cfg.duration + SimDuration::from_secs(120);
-        cap.observe(&mut built.sim, "ndn", |sim| sim.run_until(horizon));
-        let bytes = built.sim.total_link_bytes();
-        system_result("NDN", built.sim.into_world(), bytes)
+    let ndn = NdnBaselineConfig {
+        params,
+        metrics_mode,
+        ..NdnBaselineConfig::default()
     };
+    let horizon = SimTime::ZERO + WARMUP + cfg.duration + SimDuration::from_secs(120);
 
+    let [gcopss, ip, ndn] = [
+        ("gcopss", "G-COPSS", Protocol::Gcopss(gcopss)),
+        ("ip", "IP server", Protocol::IpServer(ip)),
+        ("ndn", "NDN", Protocol::NdnBaseline(ndn)),
+    ]
+    .map(|(label, row, protocol)| {
+        // NDN consumers poll forever, so that run stops at a horizon; the
+        // other two run to quiescence.
+        let polls = matches!(protocol, Protocol::NdnBaseline(_));
+        let sim = cap.run(label, w.spec(&net).protocol(protocol), |sim| {
+            if polls {
+                sim.run_until(horizon);
+            } else {
+                sim.run();
+            }
+        });
+        system_result(row, sim)
+    });
     MicrobenchOutput { gcopss, ip, ndn }
 }
 

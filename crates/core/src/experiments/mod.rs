@@ -40,22 +40,33 @@ use std::sync::Arc;
 use gcopss_game::trace::{CsTraceGenerator, CsTraceParams, TraceEvent};
 use gcopss_game::{GameMap, ObjectModel, ObjectModelParams, PlayerPopulation};
 use gcopss_sim::json::Json;
-use gcopss_sim::{SimDuration, Simulator, TelemetryConfig, TelemetryReport, TimeSeriesConfig};
+use gcopss_sim::{
+    AuditReport, LineageConfig, SimDuration, SimTime, Simulator, TelemetryConfig, TelemetryReport,
+    TimeSeriesConfig,
+};
 
+use crate::scenario::{BuiltScenario, NetworkSpec, ScenarioSpec, WARMUP};
 use crate::{GPacket, GameWorld};
 
 /// Topology seed of the backbone every large-scale driver runs on.
 pub const NET_SEED: u64 = 7;
 
-/// Collects one [`TelemetryReport`] per simulator run of a driver.
+/// Span bound of every audited run. The bound only truncates (a truncated
+/// log voids the audit), it does not preallocate, so one bound sized for
+/// the largest audited run serves all of them: the full-scale `adaptive`
+/// RP arm emits ~3.7M spans per run.
+const LINEAGE_CAPACITY: usize = 1 << 23;
+
+/// The one run path of every driver: hand [`TelemetryCapture::run`] a
+/// [`ScenarioSpec`] and it builds the simulation, arms the observers, runs
+/// it and harvests its books.
 ///
-/// Drivers take `&mut TelemetryCapture` and run every simulator through
-/// [`TelemetryCapture::observe`]: a capture that is off
-/// ([`TelemetryCapture::off`]) keeps telemetry off (zero cost), one that is
-/// on arms the simulator before it runs and harvests a report after.
-/// Reports are numbered in run order; the index becomes the Chrome-trace
-/// process id, so all runs of one experiment share a single trace file
-/// with one "process" lane per run.
+/// A capture that is off ([`TelemetryCapture::off`]) keeps telemetry off
+/// (zero cost); one that is on arms telemetry (and the time-series sampler,
+/// if configured) before the run and harvests a report after it. Reports
+/// are numbered in run order; the index becomes the Chrome-trace process
+/// id, so all runs of one experiment share a single trace file with one
+/// "process" lane per run.
 #[derive(Debug)]
 pub struct TelemetryCapture {
     /// Applied to every run; `None` while the capture is off.
@@ -66,6 +77,9 @@ pub struct TelemetryCapture {
     /// Harvested time-series documents, `(label, frames)` per run that had
     /// the sampler armed.
     pub series: Vec<(String, Json)>,
+    /// Audit documents, `(label, accounting)` per audited run — queued
+    /// whether or not the capture is on: an audit is asked for by name.
+    pub audits: Vec<(String, Json)>,
 }
 
 impl TelemetryCapture {
@@ -78,6 +92,7 @@ impl TelemetryCapture {
             timeseries: None,
             reports: Vec::new(),
             series: Vec::new(),
+            audits: Vec::new(),
         }
     }
 
@@ -104,23 +119,72 @@ impl TelemetryCapture {
         self
     }
 
-    /// Runs `run` on `sim` under the capture: arms telemetry before it and
-    /// harvests the run's report as `label` after it. While the capture is
-    /// off this is just `run(sim)` and `label` is unused.
-    pub fn observe(
+    /// Builds `spec`, runs `drive` on its simulator under the capture —
+    /// telemetry armed before it, the run's report harvested as `label`
+    /// after it — and returns the finished simulator. While the capture is
+    /// off this is just build-and-drive and `label` is unused.
+    pub fn run(
         &mut self,
-        sim: &mut Simulator<GPacket, GameWorld>,
         label: &str,
-        run: impl FnOnce(&mut Simulator<GPacket, GameWorld>),
-    ) {
-        let Some(cfg) = &self.cfg else {
-            return run(sim);
+        spec: ScenarioSpec<'_>,
+        drive: impl FnOnce(&mut Simulator<GPacket, GameWorld>),
+    ) -> Simulator<GPacket, GameWorld> {
+        let mut sim = spec.build().into_sim();
+        self.arm(&mut sim);
+        drive(&mut sim);
+        self.harvest(label, &sim);
+        sim
+    }
+
+    /// [`Self::run`] to `horizon` under the full lineage tracer, with the
+    /// books closed after it: every pair `w` owes (see
+    /// [`audit::register_expectations`]) must be explained. `damage` reads
+    /// the fault damage window off the finished simulator (`None` for
+    /// fault-free runs, where every miss needs a drop record). The report
+    /// is queued on the capture as `label` and returned with the
+    /// simulator. The tracer keeps every span: an audit over a sampled
+    /// trace would only account for the sampled lineages.
+    pub fn run_audited(
+        &mut self,
+        label: &str,
+        spec: ScenarioSpec<'_>,
+        w: &Workload,
+        horizon: SimTime,
+        damage: impl FnOnce(&Simulator<GPacket, GameWorld>) -> Option<(SimTime, SimTime)>,
+    ) -> (Simulator<GPacket, GameWorld>, AuditReport) {
+        let built = spec.build();
+        let warmup = match &built {
+            BuiltScenario::Gcopss(g) => g.warmup,
+            _ => WARMUP,
         };
+        let mut sim = built.into_sim();
+        self.arm(&mut sim);
+        sim.enable_lineage(LineageConfig {
+            capacity: LINEAGE_CAPACITY,
+            ..LineageConfig::default()
+        });
+        audit::register_expectations(&mut sim, w, warmup);
+        sim.run_until(horizon);
+        self.harvest(label, &sim);
+        let report = sim.lineage().audit(horizon, damage(&sim));
+        self.audits.push((label.to_string(), report.to_json()));
+        (sim, report)
+    }
+
+    /// Switches the capture's observers on, on a simulator yet to run.
+    fn arm(&self, sim: &mut Simulator<GPacket, GameWorld>) {
+        let Some(cfg) = &self.cfg else { return };
         sim.enable_telemetry(cfg.clone());
         if let Some(ts) = &self.timeseries {
             sim.enable_timeseries(ts.clone());
         }
-        run(sim);
+    }
+
+    /// Reads what [`Self::arm`] switched on off the finished simulator.
+    fn harvest(&mut self, label: &str, sim: &Simulator<GPacket, GameWorld>) {
+        if !self.is_on() {
+            return;
+        }
         let pid = self.reports.len() as u64;
         self.reports.push(sim.telemetry_report(label, pid));
         if let Some(frames) = sim.timeseries_json() {
@@ -167,6 +231,13 @@ impl Default for WorkloadParams {
 }
 
 impl Workload {
+    /// Starts the spec of this workload on `net` (protocol and extras are
+    /// the caller's to add).
+    #[must_use]
+    pub fn spec(&self, net: &NetworkSpec) -> ScenarioSpec<'_> {
+        ScenarioSpec::new(net, &self.map, &self.population, &self.trace)
+    }
+
     /// Time of the last trace event, from trace start.
     #[must_use]
     pub fn span(&self) -> SimDuration {

@@ -2,12 +2,12 @@
 //! query/response (QR, windows 5 and 15) and cyclic-multicast dissemination
 //! modes, with 3 brokers.
 
-use gcopss_game::{MoveType, MovementModel};
+use gcopss_game::{MoveType, MovementModel, ObjectModel};
 use gcopss_names::Name;
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
-use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::scenario::{GcopssConfig, NetworkSpec, WARMUP};
 use crate::{GPacket, GameWorld, MetricsMode, SimParams};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
@@ -107,15 +107,17 @@ fn mean_ci(samples: &[SimDuration]) -> (SimDuration, SimDuration) {
     )
 }
 
-/// Builds one snapshot mode's scenario and runs it to the horizon
-/// (harvesting a telemetry report when `cap` is on); returns the finished
-/// simulator.
+/// Builds one snapshot mode's scenario over `w` — the workload of
+/// `cfg.workload`, with `objects` its [`Workload::converged_objects`], both
+/// built once per driver call — and runs it to the horizon (harvesting a
+/// telemetry report when `cap` is on); returns the finished simulator.
 fn simulate(
     cfg: &MovementConfig,
+    w: &Workload,
+    objects: &ObjectModel,
     mode: SnapshotMode,
     cap: &mut TelemetryCapture,
 ) -> Simulator<GPacket, GameWorld> {
-    let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let trace_span = w.span();
 
@@ -149,7 +151,7 @@ fn simulate(
         attach_at,
         false,
         &params,
-        &w.converged_objects(),
+        objects,
         &w.trace,
     );
 
@@ -160,29 +162,31 @@ fn simulate(
         extra_rps,
         ..GcopssConfig::default()
     };
-    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let spec = w
+        .spec(&net)
         .gcopss(gcfg)
         .extra_hosts(extra_hosts)
-        .moves(moves, mode)
-        .build()
-        .into_gcopss();
+        .moves(moves, mode);
     let horizon = SimTime::ZERO + WARMUP + trace_span + cfg.drain;
     let label = match mode {
         SnapshotMode::QueryResponse { window } => format!("qr-w{window}"),
         SnapshotMode::CyclicMulticast => "cyclic".to_string(),
     };
-    cap.observe(&mut built.sim, &label, |sim| sim.run_until(horizon));
-    built.sim
+    cap.run(&label, spec, |sim| sim.run_until(horizon))
 }
 
-/// Runs one snapshot mode and tabulates its convergence records.
+/// Runs one snapshot mode over `w` (with `objects` its
+/// [`Workload::converged_objects`]) and tabulates its convergence records.
+/// A caller comparing modes builds both once and passes them to every call.
 #[must_use]
 pub fn run_mode(
     cfg: &MovementConfig,
+    w: &Workload,
+    objects: &ObjectModel,
     mode: SnapshotMode,
     cap: &mut TelemetryCapture,
 ) -> MovementOutput {
-    let sim = simulate(cfg, mode, cap);
+    let sim = simulate(cfg, w, objects, mode, cap);
     let network_bytes = sim.total_link_bytes();
     let world = sim.into_world();
     // QR fetches run on the catch-up pipeline, so its exactly-once ledger
@@ -253,13 +257,15 @@ pub fn run_mode(
 /// telemetry report per mode when `cap` is on).
 #[must_use]
 pub fn run_all(cfg: &MovementConfig, cap: &mut TelemetryCapture) -> Vec<MovementOutput> {
+    let w = Workload::counter_strike(&cfg.workload);
+    let objects = w.converged_objects();
     [
         SnapshotMode::QueryResponse { window: 5 },
         SnapshotMode::QueryResponse { window: 15 },
         SnapshotMode::CyclicMulticast,
     ]
     .into_iter()
-    .map(|mode| run_mode(cfg, mode, cap))
+    .map(|mode| run_mode(cfg, &w, &objects, mode, cap))
     .collect()
 }
 
@@ -283,6 +289,13 @@ mod tests {
         }
     }
 
+    /// [`simulate`] over the mini workload, built here.
+    fn simulate_mini(mode: SnapshotMode) -> Simulator<GPacket, GameWorld> {
+        let cfg = mini_cfg();
+        let w = Workload::counter_strike(&cfg.workload);
+        simulate(&cfg, &w, &w.converged_objects(), mode, &mut TelemetryCapture::off())
+    }
+
     /// Moves completed, some of them with a real download, and every fetch
     /// a mover started either finished or was superseded by its next move.
     fn assert_fetches_end(world: &GameWorld) {
@@ -301,8 +314,7 @@ mod tests {
     /// written off with its superseded fetch.
     #[test]
     fn qr_mode_completes_moves() {
-        let mode = SnapshotMode::QueryResponse { window: 15 };
-        let sim = simulate(&mini_cfg(), mode, &mut TelemetryCapture::off());
+        let sim = simulate_mini(SnapshotMode::QueryResponse { window: 15 });
         let world = sim.world();
         assert_fetches_end(world);
         let audit = world.catchup_ledger.audit();
@@ -316,8 +328,7 @@ mod tests {
     /// streams stop — the simulator is idle before the horizon.
     #[test]
     fn cyclic_mode_completes_moves() {
-        let mode = SnapshotMode::CyclicMulticast;
-        let sim = simulate(&mini_cfg(), mode, &mut TelemetryCapture::off());
+        let sim = simulate_mini(SnapshotMode::CyclicMulticast);
         let world = sim.world();
         assert_fetches_end(world);
 
@@ -337,9 +348,13 @@ mod tests {
     #[test]
     fn wider_qr_window_is_faster() {
         let cfg = mini_cfg();
-        let cap = &mut TelemetryCapture::off();
-        let qr5 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 5 }, cap);
-        let qr15 = run_mode(&cfg, SnapshotMode::QueryResponse { window: 15 }, cap);
+        let w = Workload::counter_strike(&cfg.workload);
+        let objects = w.converged_objects();
+        let run = |window| {
+            let mode = SnapshotMode::QueryResponse { window };
+            run_mode(&cfg, &w, &objects, mode, &mut TelemetryCapture::off())
+        };
+        let (qr5, qr15) = (run(5), run(15));
         assert!(
             qr15.total_mean < qr5.total_mean,
             "window 15 ({}) should beat window 5 ({})",

@@ -27,17 +27,15 @@
 //! *gracefully*, never *silently*.
 
 use gcopss_sim::{
-    AdmissionPolicy, EngineDrop, LineageConfig, OverloadConfig, SimDuration, SimTime, Simulator,
+    AdmissionPolicy, AuditReport, EngineDrop, OverloadConfig, SimDuration, SimTime, Simulator,
     TelemetryConfig,
 };
 
 use crate::scenario::{
-    expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
-    WARMUP,
+    expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig};
+use crate::{GPacket, GameWorld, RateAdaptConfig, RecoveryConfig};
 
-use super::audit::{audit_without_damage, register_expectations};
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// The queue regime of one run arm.
@@ -225,74 +223,31 @@ pub struct OverloadOutput {
     pub rows: Vec<OverloadRow>,
 }
 
-/// Harvest of one finished run.
-struct RunHarvest {
-    world: GameWorld,
-    bytes: u64,
-    drops: (u64, u64, u64),
-    marks: u64,
-    ctl_in: u64,
-    ctl_drop: u64,
-    audit: Option<(gcopss_sim::json::Json, u64, bool)>,
-}
-
-/// Runs one assembled simulator to the horizon and harvests everything;
-/// with `audited`, under the lineage tracer, and the delivery auditor must
-/// account for every pair that workload owes.
-fn run_one(
-    mut sim: Simulator<GPacket, GameWorld>,
-    horizon: SimTime,
-    audited: Option<&Workload>,
-    cap: &mut TelemetryCapture,
-    label: &str,
-) -> RunHarvest {
-    if !cap.is_on() {
-        // The per-class control counters live in telemetry, so captureless
-        // runs still count.
-        sim.enable_telemetry(TelemetryConfig::counters_only());
-    }
-    cap.observe(&mut sim, label, |sim| {
-        if let Some(w) = audited {
-            sim.enable_lineage(LineageConfig::default());
-            register_expectations(sim, w, WARMUP);
-        }
-        sim.run_until(horizon);
-    });
-    RunHarvest {
-        bytes: sim.total_link_bytes(),
-        drops: (
-            sim.dropped(EngineDrop::QueueFull),
-            sim.dropped(EngineDrop::AqmShed),
-            sim.dropped(EngineDrop::StaleSuperseded),
-        ),
-        marks: sim.congestion_marks(),
-        ctl_in: sim.telemetry().counter_total("ctl-in"),
-        ctl_drop: sim.telemetry().counter_total("ctl-drop"),
-        audit: audited.map(|_| audit_without_damage(&sim, horizon)),
-        world: sim.into_world(),
-    }
-}
-
+/// Reads one finished run's row off its simulator (and its audit, when
+/// the run was audited).
 fn make_row(
     label: String,
     system: &'static str,
     regime: QueueRegime,
     load: f64,
-    h: RunHarvest,
+    sim: &Simulator<GPacket, GameWorld>,
+    audit: Option<AuditReport>,
     w: &Workload,
 ) -> OverloadRow {
+    let world = sim.world();
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
-    let delivered = h.world.metrics.delivered();
-    let hist = h.world.metrics.latency_hist();
+    let delivered = world.metrics.delivered();
+    let hist = world.metrics.latency_hist();
     let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
-    let (queue_full, aqm_shed, stale_superseded) = h.drops;
-    let offered_ctl = h.ctl_in + h.ctl_drop;
+    let ctl_in = sim.telemetry().counter_total("ctl-in");
+    let ctl_drop = sim.telemetry().counter_total("ctl-drop");
+    let offered_ctl = ctl_in + ctl_drop;
     OverloadRow {
         label,
         system,
         regime,
         load,
-        published: h.world.metrics.published(),
+        published: world.metrics.published(),
         delivered,
         expected,
         delivery_ratio: if expected == 0 {
@@ -303,22 +258,22 @@ fn make_row(
         p50: q(0.50),
         p95: q(0.95),
         p99: q(0.99),
-        mean_latency: h.world.metrics.stats().mean(),
-        ctl_in: h.ctl_in,
-        ctl_drop: h.ctl_drop,
+        mean_latency: world.metrics.stats().mean(),
+        ctl_in,
+        ctl_drop,
         ctl_ratio: if offered_ctl == 0 {
             1.0
         } else {
-            1.0 - h.ctl_drop as f64 / offered_ctl as f64
+            1.0 - ctl_drop as f64 / offered_ctl as f64
         },
-        queue_full,
-        aqm_shed,
-        stale_superseded,
-        rate_limited: h.world.counters.get("rate-limited").copied().unwrap_or(0),
-        marks: h.marks,
-        network_bytes: h.bytes,
-        audit_clean: h.audit.as_ref().map(|&(_, _, clean)| clean),
-        audit: h.audit.map(|(json, fp, _)| (json, fp)),
+        queue_full: sim.dropped(EngineDrop::QueueFull),
+        aqm_shed: sim.dropped(EngineDrop::AqmShed),
+        stale_superseded: sim.dropped(EngineDrop::StaleSuperseded),
+        rate_limited: world.counter("rate-limited"),
+        marks: sim.congestion_marks(),
+        network_bytes: sim.total_link_bytes(),
+        audit_clean: audit.as_ref().map(AuditReport::is_clean),
+        audit: audit.map(|a| (a.to_json(), sim.lineage().fingerprint())),
     }
 }
 
@@ -326,74 +281,71 @@ fn make_row(
 /// is on.
 #[must_use]
 pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOutput {
+    // The per-class control counters (`ctl-in` / `ctl-drop`) live in
+    // telemetry, so a captureless sweep still counts them — under a
+    // counters-only capture of its own that nobody reads.
+    let mut counting = TelemetryCapture::new(TelemetryConfig::counters_only());
+    let cap = if cap.is_on() { cap } else { &mut counting };
+
     let net = NetworkSpec::default_backbone(NET_SEED);
-    let recovery = RecoveryConfig {
+    let recovery = Some(RecoveryConfig {
         subscribe_refresh: Some(SUBSCRIBE_REFRESH),
         ..RecoveryConfig::default()
+    });
+    // G-COPSS under all three regimes; the baselines under AQM — IP with
+    // rate adaptation, NDN without (pull-based: no client pacer).
+    let gcopss = |regime| {
+        let sys = GcopssConfig {
+            rp_count: RP_COUNT,
+            recovery: recovery.clone(),
+            overload: engine_config(regime),
+            rate_adapt: (regime == QueueRegime::Aqm).then(RateAdaptConfig::default),
+            ..GcopssConfig::default()
+        };
+        ("gcopss", regime, Protocol::Gcopss(sys))
     };
-    let mut rows = Vec::new();
+    let ip = IpConfig {
+        server_count: RP_COUNT,
+        recovery: recovery.clone(),
+        overload: engine_config(QueueRegime::Aqm),
+        rate_adapt: Some(RateAdaptConfig::default()),
+        ..IpConfig::default()
+    };
+    let ndn = NdnBaselineConfig {
+        recovery: recovery.clone(),
+        overload: engine_config(QueueRegime::Aqm),
+        ..NdnBaselineConfig::default()
+    };
+    let systems = [
+        gcopss(QueueRegime::Aqm),
+        gcopss(QueueRegime::Unbounded),
+        gcopss(QueueRegime::DropTail),
+        ("ip", QueueRegime::Aqm, Protocol::IpServer(ip)),
+        ("ndn", QueueRegime::Aqm, Protocol::NdnBaseline(ndn)),
+    ];
 
+    let mut rows = Vec::new();
     for &load in &cfg.loads {
         let w = Workload::counter_strike(&WorkloadParams {
             mean_interarrival: interarrival_at(load),
             ..cfg.workload.clone()
         });
         let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
-
-        // G-COPSS under all three regimes.
-        for regime in [QueueRegime::Aqm, QueueRegime::Unbounded, QueueRegime::DropTail] {
-            let label = format!("gcopss-{}-x{load:.1}", regime.as_str());
-            let sys = GcopssConfig {
-                metrics_mode: MetricsMode::StatsOnly,
-                rp_count: RP_COUNT,
-                recovery: Some(recovery.clone()),
-                overload: engine_config(regime),
-                rate_adapt: (regime == QueueRegime::Aqm).then(RateAdaptConfig::default),
-                ..GcopssConfig::default()
+        for (system, regime, protocol) in &systems {
+            let label = format!("{system}-{}-x{load:.1}", regime.as_str());
+            let spec = w.spec(&net).protocol(protocol.clone());
+            // The managed G-COPSS run replays under the lineage tracer: with
+            // no fault injected every miss must be explained by a drop
+            // record (overload drops and source sheds land on the lineage),
+            // so no damage window is granted.
+            let audited = *system == "gcopss" && *regime == QueueRegime::Aqm;
+            let (sim, audit) = if audited {
+                let (sim, report) = cap.run_audited(&label, spec, &w, horizon, |_| None);
+                (sim, Some(report))
+            } else {
+                (cap.run(&label, spec, |sim| sim.run_until(horizon)), None)
             };
-            let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-                .gcopss(sys)
-                .build()
-                .into_gcopss();
-            let audited = (regime == QueueRegime::Aqm).then_some(&w);
-            let h = run_one(built.sim, horizon, audited, cap, &label);
-            rows.push(make_row(label, "gcopss", regime, load, h, &w));
-        }
-
-        // IP baseline under the AQM regime (with rate adaptation).
-        {
-            let label = format!("ip-aqm-x{load:.1}");
-            let sys = IpConfig {
-                metrics_mode: MetricsMode::StatsOnly,
-                server_count: RP_COUNT,
-                recovery: Some(recovery.clone()),
-                overload: engine_config(QueueRegime::Aqm),
-                rate_adapt: Some(RateAdaptConfig::default()),
-                ..IpConfig::default()
-            };
-            let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-                .ip_server(sys)
-                .build()
-                .into_ip_server();
-            let h = run_one(built.sim, horizon, None, cap, &label);
-            rows.push(make_row(label, "ip", QueueRegime::Aqm, load, h, &w));
-        }
-
-        // NDN baseline under the AQM regime (pull-based: no client pacer).
-        {
-            let label = format!("ndn-aqm-x{load:.1}");
-            let sys = NdnBaselineConfig {
-                metrics_mode: MetricsMode::StatsOnly,
-                recovery: Some(recovery.clone()),
-                overload: engine_config(QueueRegime::Aqm),
-                ..NdnBaselineConfig::default()
-            };
-            let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-                .ndn_baseline(sys)
-                .build()
-                .into_ndn_baseline();
-            let h = run_one(built.sim, horizon, None, cap, &label);
-            rows.push(make_row(label, "ndn", QueueRegime::Aqm, load, h, &w));
+            rows.push(make_row(label, system, *regime, load, &sim, audit, &w));
         }
     }
 

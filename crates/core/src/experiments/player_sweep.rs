@@ -6,7 +6,7 @@ use gcopss_sim::SimDuration;
 use crate::scenario::NetworkSpec;
 use crate::MetricsMode;
 
-use super::rp_sweep::{run_gcopss_once, run_ip_once, summarize};
+use super::rp_sweep::{self, ip_servers, run_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// Mean inter-arrival at the 414-player reference point; scaled inversely
@@ -73,18 +73,16 @@ pub fn run(cfg: &PlayerSweepConfig, cap: &mut TelemetryCapture) -> PlayerSweepOu
             updates: cfg.updates_per_player * n,
             mean_interarrival: interarrival,
         });
-        let label = format!("gcopss-{n}p");
-        let (world, bytes) =
-            run_gcopss_once(&w, &net, CORES, None, MetricsMode::StatsOnly, cap, &label);
+        let protocol = rp_sweep::gcopss(CORES, None, MetricsMode::StatsOnly);
+        let sim = run_once(&w, &net, protocol, cap, &format!("gcopss-{n}p"));
         gcopss.push(SweepPoint {
             players: n,
-            summary: summarize(format!("G-COPSS {n}p"), &world, bytes),
+            summary: summarize(format!("G-COPSS {n}p"), &sim),
         });
-        let label = format!("ip-{n}p");
-        let (world, bytes) = run_ip_once(&w, &net, CORES, MetricsMode::StatsOnly, cap, &label);
+        let sim = run_once(&w, &net, ip_servers(CORES), cap, &format!("ip-{n}p"));
         ip.push(SweepPoint {
             players: n,
-            summary: summarize(format!("IP {n}p"), &world, bytes),
+            summary: summarize(format!("IP {n}p"), &sim),
         });
     }
     PlayerSweepOutput { gcopss, ip }

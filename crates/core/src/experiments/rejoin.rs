@@ -19,7 +19,7 @@
 use gcopss_sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::broker::{partition_cds_to_brokers, SnapshotBroker};
-use crate::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
+use crate::scenario::{GcopssConfig, NetworkSpec};
 use crate::{
     CatchUpAudit, CatchUpConfig, CatchUpMode, GameWorld, MetricsMode, RecoveryConfig, SimParams,
 };
@@ -285,18 +285,16 @@ fn run_mode(
         initial_at: Some(at(25, 100)),
         retry: cfg.retry,
     };
-    let mut built = ScenarioSpec::new(net, &w.map, &w.population, &w.trace)
+    let spec = w
+        .spec(net)
         .gcopss(gcfg)
         .extra_hosts(extra_hosts)
         .catch_up(cu)
-        .fault_plan(plan)
-        .build()
-        .into_gcopss();
+        .fault_plan(plan);
 
     let horizon = SimTime::ZERO + cfg.warmup + span + cfg.drain;
-    cap.observe(&mut built.sim, label, |sim| sim.run_until(horizon));
-    let bytes = built.sim.total_link_bytes();
-    summarize_mode(label, mode, &built.sim.into_world(), bytes)
+    let sim = cap.run(label, spec, |sim| sim.run_until(horizon));
+    summarize_mode(label, mode, sim.world(), sim.total_link_bytes())
 }
 
 /// Runs the storm under both strategies, uninstrumented. The one driver

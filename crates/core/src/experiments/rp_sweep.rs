@@ -4,8 +4,8 @@
 
 use gcopss_sim::{SimDuration, Simulator};
 
-use crate::scenario::{GcopssConfig, IpConfig, NetworkSpec, ScenarioSpec};
-use crate::{GameWorld, MetricsMode, SimParams, SplitRecord};
+use crate::scenario::{GcopssConfig, IpConfig, NetworkSpec, Protocol};
+use crate::{GPacket, GameWorld, MetricsMode, SimParams, SplitRecord};
 
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -66,14 +66,16 @@ pub struct RpSweepOutput {
     pub auto_splits: Vec<SplitRecord>,
 }
 
-pub(crate) fn summarize(label: String, world: &GameWorld, network_bytes: u64) -> RunSummary {
+/// The quantities the paper tabulates, read off a finished run.
+pub(crate) fn summarize(label: String, sim: &Simulator<GPacket, GameWorld>) -> RunSummary {
+    let metrics = &sim.world().metrics;
     RunSummary {
         label,
-        published: world.metrics.published(),
-        delivered: world.metrics.delivered(),
-        mean_latency: world.metrics.stats().mean(),
-        max_latency: world.metrics.stats().max().unwrap_or(SimDuration::ZERO),
-        network_bytes,
+        published: metrics.published(),
+        delivered: metrics.delivered(),
+        mean_latency: metrics.stats().mean(),
+        max_latency: metrics.stats().max().unwrap_or(SimDuration::ZERO),
+        network_bytes: sim.total_link_bytes(),
     }
 }
 
@@ -95,61 +97,44 @@ fn downsample(
         .collect()
 }
 
-/// Runs one G-COPSS configuration over the workload; returns the world and
-/// total link bytes. When `cap` is on, the run is fully instrumented and a
+/// Runs one system over the workload to quiescence and returns the
+/// finished simulator. When `cap` is on, the run is instrumented and a
 /// report is harvested under `label`.
-#[must_use]
-pub fn run_gcopss_once(
+pub fn run_once(
     w: &Workload,
     net: &NetworkSpec,
-    rp_count: usize,
-    auto_threshold: Option<usize>,
-    mode: MetricsMode,
+    protocol: Protocol,
     cap: &mut TelemetryCapture,
     label: &str,
-) -> (GameWorld, u64) {
+) -> Simulator<GPacket, GameWorld> {
+    cap.run(label, w.spec(net).protocol(protocol), Simulator::run)
+}
+
+/// G-COPSS with `rp_count` initial RPs, splitting automatically past
+/// `auto_threshold` queued packets when one is given.
+pub(crate) fn gcopss(
+    rp_count: usize,
+    auto_threshold: Option<usize>,
+    metrics_mode: MetricsMode,
+) -> Protocol {
     let mut params = SimParams::default();
     if let Some(t) = auto_threshold {
         params = params.with_auto_balancing(t);
     }
-    let cfg = GcopssConfig {
+    Protocol::Gcopss(GcopssConfig {
         params,
-        metrics_mode: mode,
+        metrics_mode,
         rp_count,
         ..GcopssConfig::default()
-    };
-    let mut built = ScenarioSpec::new(net, &w.map, &w.population, &w.trace)
-        .gcopss(cfg)
-        .build()
-        .into_gcopss();
-    cap.observe(&mut built.sim, label, Simulator::run);
-    let bytes = built.sim.total_link_bytes();
-    (built.sim.into_world(), bytes)
+    })
 }
 
-/// Runs one IP-server configuration over the workload, harvesting a report
-/// under `label` when `cap` is on.
-#[must_use]
-pub fn run_ip_once(
-    w: &Workload,
-    net: &NetworkSpec,
-    server_count: usize,
-    mode: MetricsMode,
-    cap: &mut TelemetryCapture,
-    label: &str,
-) -> (GameWorld, u64) {
-    let cfg = IpConfig {
-        metrics_mode: mode,
+/// The IP baseline with `server_count` game servers.
+pub(crate) fn ip_servers(server_count: usize) -> Protocol {
+    Protocol::IpServer(IpConfig {
         server_count,
         ..IpConfig::default()
-    };
-    let mut built = ScenarioSpec::new(net, &w.map, &w.population, &w.trace)
-        .ip_server(cfg)
-        .build()
-        .into_ip_server();
-    cap.observe(&mut built.sim, label, Simulator::run);
-    let bytes = built.sim.total_link_bytes();
-    (built.sim.into_world(), bytes)
+    })
 }
 
 /// Runs the full sweep, harvesting one telemetry report per run when `cap`
@@ -158,55 +143,49 @@ pub fn run_ip_once(
 pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
     let w = Workload::counter_strike(&cfg.workload);
     let net = NetworkSpec::default_backbone(NET_SEED);
+    let fig5_series = |label: &str, sim: &Simulator<GPacket, GameWorld>| Fig5Series {
+        label: label.to_string(),
+        points: downsample(&sim.world().metrics.per_publication_rows(), cfg.fig5_points),
+    };
+    let mode = |detail: bool| {
+        if detail {
+            MetricsMode::PerPublication
+        } else {
+            MetricsMode::StatsOnly
+        }
+    };
 
     let mut gcopss_rows = Vec::new();
     let mut fig5 = Vec::new();
     for &n in &cfg.rp_counts {
         let want_detail = cfg.fig5_detail && (n == 2 || n == 3);
-        let mode = if want_detail {
-            MetricsMode::PerPublication
-        } else {
-            MetricsMode::StatsOnly
-        };
         let label = format!("gcopss-{n}rp");
-        let (world, bytes) = run_gcopss_once(&w, &net, n, None, mode, cap, &label);
-        gcopss_rows.push(summarize(format!("G-COPSS {n} RP"), &world, bytes));
+        let sim = run_once(&w, &net, gcopss(n, None, mode(want_detail)), cap, &label);
+        gcopss_rows.push(summarize(format!("G-COPSS {n} RP"), &sim));
         if want_detail {
-            fig5.push(Fig5Series {
-                label,
-                points: downsample(&world.metrics.per_publication_rows(), cfg.fig5_points),
-            });
+            fig5.push(fig5_series(&label, &sim));
         }
     }
 
     let mut auto_splits = Vec::new();
     if cfg.include_auto {
-        let mode = if cfg.fig5_detail {
-            MetricsMode::PerPublication
-        } else {
-            MetricsMode::StatsOnly
-        };
-        let (world, bytes) =
-            run_gcopss_once(&w, &net, 1, Some(AUTO_THRESHOLD), mode, cap, "gcopss-auto");
-        auto_splits = world.splits.clone();
+        let label = "gcopss-auto";
+        let protocol = gcopss(1, Some(AUTO_THRESHOLD), mode(cfg.fig5_detail));
+        let sim = run_once(&w, &net, protocol, cap, label);
+        auto_splits = sim.world().splits.clone();
         gcopss_rows.push(summarize(
-            format!("G-COPSS auto ({} splits)", world.splits.len()),
-            &world,
-            bytes,
+            format!("G-COPSS auto ({} splits)", auto_splits.len()),
+            &sim,
         ));
         if cfg.fig5_detail {
-            fig5.push(Fig5Series {
-                label: "gcopss-auto".into(),
-                points: downsample(&world.metrics.per_publication_rows(), cfg.fig5_points),
-            });
+            fig5.push(fig5_series(label, &sim));
         }
     }
 
     let mut server_rows = Vec::new();
     for &n in &cfg.server_counts {
-        let label = format!("ip-{n}srv");
-        let (world, bytes) = run_ip_once(&w, &net, n, MetricsMode::StatsOnly, cap, &label);
-        server_rows.push(summarize(format!("IP server x{n}"), &world, bytes));
+        let sim = run_once(&w, &net, ip_servers(n), cap, &format!("ip-{n}srv"));
+        server_rows.push(summarize(format!("IP server x{n}"), &sim));
     }
 
     RpSweepOutput {

@@ -481,6 +481,18 @@ impl BuiltScenario {
         }
     }
 
+    /// The simulator alone, whichever protocol was built — all a caller
+    /// needs who only runs the scenario and reads its books.
+    #[must_use]
+    pub fn into_sim(self) -> Simulator<GPacket, GameWorld> {
+        match self {
+            Self::Gcopss(s) => s.sim,
+            Self::IpServer(s) => s.sim,
+            Self::Hybrid(s) => s.sim,
+            Self::NdnBaseline(s) => s.sim,
+        }
+    }
+
     /// Unwraps a G-COPSS build.
     ///
     /// # Panics
@@ -504,32 +516,6 @@ impl BuiltScenario {
         match self {
             Self::IpServer(s) => s,
             _ => panic!("scenario was not built with Protocol::IpServer"),
-        }
-    }
-
-    /// Unwraps a hybrid build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec selected a different protocol.
-    #[must_use]
-    pub fn into_hybrid(self) -> HybridSim {
-        match self {
-            Self::Hybrid(s) => s,
-            _ => panic!("scenario was not built with Protocol::Hybrid"),
-        }
-    }
-
-    /// Unwraps an NDN-baseline build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec selected a different protocol.
-    #[must_use]
-    pub fn into_ndn_baseline(self) -> NdnSim {
-        match self {
-            Self::NdnBaseline(s) => s,
-            _ => panic!("scenario was not built with Protocol::NdnBaseline"),
         }
     }
 }
@@ -1124,13 +1110,17 @@ mod tests {
         assert_eq!(ip.server_nodes.len(), IpConfig::default().server_count);
         let hy = ScenarioSpec::new(&net, &map, &pop, &trace)
             .hybrid(HybridConfig::default())
-            .build()
-            .into_hybrid();
+            .build();
+        let BuiltScenario::Hybrid(hy) = hy else {
+            panic!("scenario was not built with Protocol::Hybrid");
+        };
         assert_eq!(hy.player_nodes.len(), pop.len());
         let ndn = ScenarioSpec::new(&net, &map, &pop, &trace)
             .ndn_baseline(NdnBaselineConfig::default())
-            .build()
-            .into_ndn_baseline();
+            .build();
+        let BuiltScenario::NdnBaseline(ndn) = ndn else {
+            panic!("scenario was not built with Protocol::NdnBaseline");
+        };
         assert_eq!(ndn.player_nodes.len(), pop.len());
     }
 

@@ -21,7 +21,8 @@ use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::ip_server::IpClient;
 use gcopss_core::ndn_baseline::player_prefix;
 use gcopss_core::scenario::{
-    GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec, WARMUP,
+    BuiltScenario, GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec,
+    ScenarioSpec, WARMUP,
 };
 use gcopss_core::{
     drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, MetricsMode, RateAdaptConfig,
@@ -195,10 +196,12 @@ fn ndn_faults(seen: &mut BTreeSet<&'static str>) {
     // within the trace span, so an early seq is genuinely aged out.
     cfg.client.accum_interval = SimDuration::from_millis(10);
     let warmup = WARMUP;
-    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ndn_baseline(cfg)
-        .build()
-        .into_ndn_baseline();
+        .build();
+    let BuiltScenario::NdnBaseline(mut built) = built else {
+        unreachable!("the spec selected the NDN baseline");
+    };
 
     let span = w.span();
     let at = |num: u64, den: u64| {
@@ -303,10 +306,12 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
         ..HybridConfig::default()
     };
     let warmup = WARMUP;
-    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .hybrid(cfg)
-        .build()
-        .into_hybrid();
+        .build();
+    let BuiltScenario::Hybrid(mut built) = built else {
+        unreachable!("the spec selected the hybrid");
+    };
 
     let span = w.span();
     let at = |num: u64, den: u64| {

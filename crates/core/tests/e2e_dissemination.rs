@@ -153,12 +153,12 @@ fn hybrid_delivers_exactly_the_aoi() {
         group_count: 6,
     };
     let net = NetworkSpec::default_backbone(13);
-    let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
+    let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
         .hybrid(cfg)
         .build()
-        .into_hybrid();
-    built.sim.run();
-    let w = built.sim.world();
+        .into_sim();
+    sim.run();
+    let w = sim.world();
     assert_eq!(
         w.metrics.delivered(),
         s.expected,
@@ -178,12 +178,12 @@ fn hybrid_filtering_discards_unwanted_group_traffic() {
         ..HybridConfig::default()
     };
     let net = NetworkSpec::default_backbone(17);
-    let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
+    let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
         .hybrid(cfg)
         .build()
-        .into_hybrid();
-    built.sim.run();
-    let w = built.sim.world();
+        .into_sim();
+    sim.run();
+    let w = sim.world();
     assert_eq!(w.metrics.delivered(), s.expected);
     assert!(
         w.counter("hybrid-filtered-unwanted") > 0,
@@ -202,12 +202,12 @@ fn fewer_groups_means_more_network_load() {
             group_count: groups,
             ..HybridConfig::default()
         };
-        let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-        .hybrid(cfg)
-        .build()
-        .into_hybrid();
-        built.sim.run();
-        built.sim.total_link_bytes()
+        let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
+            .hybrid(cfg)
+            .build()
+            .into_sim();
+        sim.run();
+        sim.total_link_bytes()
     };
     let load_6 = run(6);
     let load_1 = run(1);

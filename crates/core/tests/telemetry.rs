@@ -6,7 +6,7 @@
 
 use gcopss_core::experiments::rp_sweep::{self, RpSweepConfig};
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
-use gcopss_core::scenario::{GcopssConfig, GcopssSim, NetworkSpec, ScenarioSpec};
+use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
 use gcopss_core::{MetricsMode, RecoveryConfig, SimParams};
 use gcopss_sim::json::Json;
 use gcopss_sim::{
@@ -123,10 +123,13 @@ fn journal_can_be_disabled_and_sampled() {
     );
 }
 
-/// The 10 s microbenchmark on the testbed with one RP, assembled and not
-/// yet run.
-fn testbed_microbenchmark(recovery: Option<RecoveryConfig>) -> GcopssSim {
-    let w = Workload::microbenchmark(3, SimDuration::from_secs(10));
+/// The 10 s microbenchmark workload.
+fn microbenchmark() -> Workload {
+    Workload::microbenchmark(3, SimDuration::from_secs(10))
+}
+
+/// `w` on the testbed with one RP, described and not yet built.
+fn testbed_spec(w: &Workload, recovery: Option<RecoveryConfig>) -> ScenarioSpec<'_> {
     let cfg = GcopssConfig {
         params: SimParams::microbenchmark(),
         metrics_mode: MetricsMode::StatsOnly,
@@ -134,30 +137,27 @@ fn testbed_microbenchmark(recovery: Option<RecoveryConfig>) -> GcopssSim {
         recovery,
         ..GcopssConfig::default()
     };
-    ScenarioSpec::new(&NetworkSpec::Testbed, &w.map, &w.population, &w.trace)
-        .gcopss(cfg)
-        .build()
-        .into_gcopss()
+    w.spec(&NetworkSpec::Testbed).gcopss(cfg)
 }
 
-/// A capture that is off is `run(sim)` and nothing else: the closure runs,
-/// the simulator stays uninstrumented (even with a sampler configured on
-/// the capture), and nothing is harvested.
+/// A capture that is off is build-and-drive and nothing else: the closure
+/// runs, the simulator stays uninstrumented (even with a sampler configured
+/// on the capture), and nothing is harvested.
 #[test]
 fn a_capture_that_is_off_runs_the_closure_and_observes_nothing() {
-    let mut built = testbed_microbenchmark(None);
+    let w = microbenchmark();
     let mut cap = TelemetryCapture::off().with_timeseries(TimeSeriesConfig::default());
     assert!(!cap.is_on());
     let mut ran = false;
-    cap.observe(&mut built.sim, "unused", |sim| {
+    let sim = cap.run("unused", testbed_spec(&w, None), |sim| {
         ran = true;
         sim.run();
     });
     assert!(ran, "the closure must run");
-    assert!(built.sim.world().metrics.delivered() > 0);
-    assert!(!built.sim.telemetry().is_enabled());
-    assert!(built.sim.timeseries_json().is_none());
-    assert!(cap.reports.is_empty() && cap.series.is_empty());
+    assert!(sim.world().metrics.delivered() > 0);
+    assert!(!sim.telemetry().is_enabled());
+    assert!(sim.timeseries_json().is_none());
+    assert!(cap.reports.is_empty() && cap.series.is_empty() && cap.audits.is_empty());
     assert!(TelemetryCapture::new(TelemetryConfig::default()).is_on());
 }
 
@@ -165,13 +165,14 @@ fn a_capture_that_is_off_runs_the_closure_and_observes_nothing() {
 /// chaos plan installed and recovery armed. A fixed horizon (instead of
 /// run-to-quiescence) keeps the run method identical across modes.
 fn chaos_report(plan: Option<FaultPlan>, recovery: Option<RecoveryConfig>) -> TelemetryReport {
-    let mut built = testbed_microbenchmark(recovery);
-    built.sim.enable_telemetry(TelemetryConfig::default());
+    let w = microbenchmark();
+    let mut sim = testbed_spec(&w, recovery).build().into_sim();
+    sim.enable_telemetry(TelemetryConfig::default());
     if let Some(p) = plan {
-        built.sim.install_faults(p);
+        sim.install_faults(p);
     }
-    built.sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    built.sim.telemetry_report("chaos", 0)
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
+    sim.telemetry_report("chaos", 0)
 }
 
 #[test]

@@ -6,10 +6,9 @@
 //! cargo run --release --example counterstrike_sim [updates]
 //! ```
 
-use gcopss::core::experiments::rp_sweep::{run_gcopss_once, run_ip_once};
+use gcopss::core::experiments::rp_sweep::run_once;
 use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
-use gcopss::core::scenario::NetworkSpec;
-use gcopss::core::MetricsMode;
+use gcopss::core::scenario::{GcopssConfig, IpConfig, NetworkSpec, Protocol};
 
 fn main() {
     let updates: usize = std::env::args()
@@ -32,7 +31,12 @@ fn main() {
     let off = &mut TelemetryCapture::off();
 
     println!("\nrunning G-COPSS with 3 RPs...");
-    let (world, bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
+    let gcopss = Protocol::Gcopss(GcopssConfig {
+        rp_count: 3,
+        ..GcopssConfig::default()
+    });
+    let sim = run_once(&w, &net, gcopss, off, "");
+    let (world, bytes) = (sim.world(), sim.total_link_bytes());
     println!(
         "  G-COPSS : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
         world.metrics.stats().mean().as_millis_f64(),
@@ -43,7 +47,12 @@ fn main() {
     let g_load = bytes;
 
     println!("running the IP server baseline with 3 servers...");
-    let (world, bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly, off, "");
+    let ip = Protocol::IpServer(IpConfig {
+        server_count: 3,
+        ..IpConfig::default()
+    });
+    let sim = run_once(&w, &net, ip, off, "");
+    let (world, bytes) = (sim.world(), sim.total_link_bytes());
     println!(
         "  IP x3   : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
         world.metrics.stats().mean().as_millis_f64(),

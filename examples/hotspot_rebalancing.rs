@@ -6,10 +6,10 @@
 //! cargo run --release --example hotspot_rebalancing
 //! ```
 
-use gcopss::core::experiments::rp_sweep::run_gcopss_once;
+use gcopss::core::experiments::rp_sweep::run_once;
 use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
-use gcopss::core::scenario::NetworkSpec;
-use gcopss::core::MetricsMode;
+use gcopss::core::scenario::{GcopssConfig, NetworkSpec, Protocol};
+use gcopss::core::SimParams;
 
 fn main() {
     let w = Workload::counter_strike(&WorkloadParams {
@@ -18,9 +18,17 @@ fn main() {
     });
     let net = NetworkSpec::default_backbone(7);
     let off = &mut TelemetryCapture::off();
+    let gcopss = |rp_count, params| {
+        Protocol::Gcopss(GcopssConfig {
+            params,
+            rp_count,
+            ..GcopssConfig::default()
+        })
+    };
 
     println!("one RP, no balancing: every publication funnels through a single core router...");
-    let (world, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly, off, "");
+    let sim = run_once(&w, &net, gcopss(1, SimParams::default()), off, "");
+    let world = sim.world();
     println!(
         "  mean latency {:.0} ms, max {:.0} ms  <- traffic concentration",
         world.metrics.stats().mean().as_millis_f64(),
@@ -32,7 +40,9 @@ fn main() {
     );
 
     println!("\nsame workload with automatic balancing (queue threshold 50):");
-    let (world, _) = run_gcopss_once(&w, &net, 1, Some(50), MetricsMode::StatsOnly, off, "");
+    let balanced = SimParams::default().with_auto_balancing(50);
+    let sim = run_once(&w, &net, gcopss(1, balanced), off, "");
+    let world = sim.world();
     println!(
         "  mean latency {:.0} ms, max {:.0} ms",
         world.metrics.stats().mean().as_millis_f64(),
@@ -54,7 +64,8 @@ fn main() {
     }
 
     println!("\nfor comparison, a manually provisioned 3-RP deployment:");
-    let (world, _) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
+    let sim = run_once(&w, &net, gcopss(3, SimParams::default()), off, "");
+    let world = sim.world();
     println!(
         "  mean latency {:.0} ms (the paper: auto-balancing converges close to this)",
         world.metrics.stats().mean().as_millis_f64()

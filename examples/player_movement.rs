@@ -8,7 +8,7 @@
 
 use gcopss::core::broker::SnapshotMode;
 use gcopss::core::experiments::movement::{run_mode, MovementConfig};
-use gcopss::core::experiments::{TelemetryCapture, WorkloadParams};
+use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss::sim::SimDuration;
 
 fn main() {
@@ -23,12 +23,16 @@ fn main() {
         drain: SimDuration::from_secs(120),
     };
 
+    // One workload (and its end-of-trace object sizes) under every mode.
+    let w = Workload::counter_strike(&cfg.workload);
+    let objects = w.converged_objects();
+
     for mode in [
         SnapshotMode::QueryResponse { window: 5 },
         SnapshotMode::QueryResponse { window: 15 },
         SnapshotMode::CyclicMulticast,
     ] {
-        let out = run_mode(&cfg, mode, &mut TelemetryCapture::off());
+        let out = run_mode(&cfg, &w, &objects, mode, &mut TelemetryCapture::off());
         println!("\n--- {} ---", out.label);
         println!(
             "{} moves completed; broker served {} snapshot objects",

@@ -6,12 +6,12 @@
 
 use std::sync::Arc;
 
-use gcopss::core::experiments::rp_sweep::{run_gcopss_once, run_ip_once};
+use gcopss::core::experiments::rp_sweep::run_once;
 use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::{
-    expected_deliveries, GcopssConfig, HybridConfig, NetworkSpec, ScenarioSpec,
+    expected_deliveries, GcopssConfig, HybridConfig, IpConfig, NetworkSpec, Protocol, ScenarioSpec,
 };
-use gcopss::core::{MetricsMode, SimParams};
+use gcopss::core::SimParams;
 use gcopss::sim::SimDuration;
 
 fn small_cs_workload(updates: usize, players: usize, seed: u64) -> Workload {
@@ -30,8 +30,11 @@ fn gcopss_beats_ip_server_on_latency_and_load() {
     let w = small_cs_workload(2_500, 100, 11);
     let net = NetworkSpec::default_backbone(5);
     let off = &mut TelemetryCapture::off();
-    let (gw, g_bytes) = run_gcopss_once(&w, &net, 3, None, MetricsMode::StatsOnly, off, "");
-    let (iw, i_bytes) = run_ip_once(&w, &net, 3, MetricsMode::StatsOnly, off, "");
+    // Both defaults: 3 RPs, 3 servers.
+    let g = run_once(&w, &net, Protocol::Gcopss(GcopssConfig::default()), off, "");
+    let i = run_once(&w, &net, Protocol::IpServer(IpConfig::default()), off, "");
+    let (gw, g_bytes) = (g.world(), g.total_link_bytes());
+    let (iw, i_bytes) = (i.world(), i.total_link_bytes());
     assert!(
         gw.metrics.stats().mean() < iw.metrics.stats().mean(),
         "latency: gcopss {} vs ip {}",
@@ -70,12 +73,12 @@ fn all_systems_deliver_exactly_the_aoi() {
         delivery_log: true,
         ..HybridConfig::default()
     };
-    let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let mut sim = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .hybrid(cfg)
         .build()
-        .into_hybrid();
-    b.sim.run();
-    assert_eq!(b.sim.world().metrics.delivered(), expected, "hybrid");
+        .into_sim();
+    sim.run();
+    assert_eq!(sim.world().metrics.delivered(), expected, "hybrid");
 }
 
 /// Automatic RP balancing (§IV-B): with one overloaded RP and balancing
@@ -89,7 +92,12 @@ fn auto_balancing_splits_without_loss() {
     let off = &mut TelemetryCapture::off();
 
     // Unbalanced single RP: congested.
-    let (un, _) = run_gcopss_once(&w, &net, 1, None, MetricsMode::StatsOnly, off, "");
+    let single_rp = Protocol::Gcopss(GcopssConfig {
+        rp_count: 1,
+        ..GcopssConfig::default()
+    });
+    let unbalanced = run_once(&w, &net, single_rp, off, "");
+    let un = unbalanced.world();
 
     // Balanced: splits must fire and help.
     let cfg = GcopssConfig {
