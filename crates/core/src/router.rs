@@ -942,26 +942,18 @@ impl GCopssRouter {
             self.send_prunes(ctx, prunes);
         }
     }
+}
 
-    fn run_ndn_actions(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, actions: Vec<NdnAction>) {
-        for a in actions {
-            match a {
-                NdnAction::SendInterest { face, interest } => {
-                    if let Some(node) = self.faces.node_of(face) {
-                        let g = GPacket::Interest(interest);
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
-                    }
-                }
-                NdnAction::SendData { face, data } => {
-                    if let Some(node) = self.faces.node_of(face) {
-                        let g = GPacket::Data(data);
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
-                    }
-                }
-            }
-        }
+/// Carries out one action of the NDN engine: the packet leaves out of the
+/// action's face (dropped if the face has no neighbour).
+fn send_ndn(faces: &FaceMap, ctx: &mut Ctx<'_, GPacket, GameWorld>, action: NdnAction) {
+    let (face, g) = match action {
+        NdnAction::SendInterest { face, interest } => (face, GPacket::Interest(interest)),
+        NdnAction::SendData { face, data } => (face, GPacket::Data(data)),
+    };
+    if let Some(node) = faces.node_of(face) {
+        let size = g.wire_size();
+        ctx.send(node, g, size);
     }
 }
 
@@ -1207,10 +1199,13 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 let now = ctx.now().as_nanos();
                 let pfx = cs_prefix_key(&i.name);
                 let hits_before = self.ndn.content_store().hits();
-                let actions = self.ndn.process_interest(now, face, i);
+                let faces = &self.faces;
+                self.ndn
+                    .process_interest(now, face, i, |a| send_ndn(faces, ctx, a));
+                // After the hit's send: it only bumps counters and streams,
+                // and sends leave only once this callback returns.
                 let hit = self.ndn.content_store().hits() > hits_before;
                 self.note_cs_lookup(ctx, pfx, hit);
-                self.run_ndn_actions(ctx, actions);
                 // Recovery mode: keep a periodic sweep armed while
                 // breadcrumbs exist, so orphaned entries (satellite of the
                 // fault model — Data lost on a dead link never consumes
@@ -1225,11 +1220,12 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 let Some(face) = arrival else { return };
                 let now = ctx.now().as_nanos();
                 let before = self.ndn.unsolicited_data();
-                let actions = self.ndn.process_data(now, face, d);
+                let faces = &self.faces;
+                self.ndn
+                    .process_data(now, face, d, |a| send_ndn(faces, ctx, a));
                 if self.ndn.unsolicited_data() > before {
                     ctx.world().bump("ndn-unsolicited-data");
                 }
-                self.run_ndn_actions(ctx, actions);
             }
             GPacket::Ip(ip) => {
                 let _p = prof::scope("ip/route");

@@ -477,13 +477,43 @@ impl<T> NameTreeBitmap<T> {
         out
     }
 
+    /// The first value stored at `prefix` or below it, in the order of
+    /// [`NameTreeBitmap::descendants`], that satisfies `pred` — without
+    /// building a name or a buffer.
+    ///
+    /// A pre-order walk: a node's own value, then its children in
+    /// component order, each time picking the least child not yet visited
+    /// (a scan of the node's slots). `Name` orders exactly as its component
+    /// slice, so this is `descendants(prefix).into_iter().find(..)`.
+    pub fn first_under(&self, prefix: &Name, mut pred: impl FnMut(&T) -> bool) -> Option<&T> {
+        fn first<'a, T>(node: &'a Node<T>, pred: &mut impl FnMut(&T) -> bool) -> Option<&'a T> {
+            if let Some(v) = node.value.as_ref().filter(|v| pred(v)) {
+                return Some(v);
+            }
+            let mut last: Option<&Component> = None;
+            loop {
+                let mut next: Option<(&Component, &Node<T>)> = None;
+                node.children.for_each(&mut |c, child| {
+                    if last.is_none_or(|l| c > l) && next.is_none_or(|(n, _)| c < n) {
+                        next = Some((c, child));
+                    }
+                });
+                let (c, child) = next?;
+                if let Some(v) = first(child, pred) {
+                    return Some(v);
+                }
+                last = Some(c);
+            }
+        }
+        first(self.node(prefix)?, &mut pred)
+    }
+
     /// Iterates over all `(name, value)` pairs in deterministic
     /// lexicographic order.
     #[must_use]
     pub fn iter(&self) -> Vec<(Name, &T)> {
         self.descendants(&Name::root())
     }
-
 }
 
 /// Where a [`PrefixValues`] walk takes each level's cumulative prefix hash

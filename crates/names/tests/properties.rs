@@ -121,7 +121,7 @@ fn name_orders_like_its_labels_and_hashes_like_its_slice() {
             assert_eq!(na == nb, la == lb);
             assert_eq!(std_hash(&na), std_hash(na.components()));
             // A map keyed by `Name` answers a borrowed-slice probe for every
-            // prefix (how `Pit::consume` walks a Data name).
+            // prefix (how `Pit::consume_into` walks a Data name).
             let by_prefix: HashMap<Name, usize> =
                 na.prefixes().map(|p| (p.clone(), p.len())).collect();
             for k in 0..=na.len() {
@@ -439,6 +439,31 @@ fn lazy_prefix_walk_equals_collected_result() {
             assert_eq!(bitmap.longest_prefix(&probe).map(|(p, v)| (p, *v)), deepest);
         },
     );
+}
+
+/// The buffer-free walk finds exactly what searching the collected,
+/// sorted descendants finds: `first_under(p, pred)` ≡
+/// `descendants(p).into_iter().find(pred)`, for predicates that accept
+/// nothing, everything, or values by residue.
+#[test]
+fn first_under_equals_find_over_descendants() {
+    let entries = prop::vec(
+        (tricky_name_strategy(), prop::range(0u32..=u32::MAX)),
+        0..=31,
+    );
+    let input = (entries, tricky_name_strategy(), prop::range(0u32..6));
+    prop::check(0x6f14, CASES, &input, |(raw, prefix_parts, modulus)| {
+        let bitmap: NameTreeBitmap<u32> = raw.iter().map(|(k, v)| (name(k), *v)).collect();
+        let prefix = name(prefix_parts);
+        // 0 accepts nothing, 1 everything, m > 1 a residue class.
+        let pred = |v: &u32| *modulus != 0 && v.is_multiple_of(*modulus);
+        let want = bitmap
+            .descendants(&prefix)
+            .into_iter()
+            .find(|(_, v)| pred(v))
+            .map(|(_, v)| v);
+        assert_eq!(bitmap.first_under(&prefix, pred), want, "under {prefix}");
+    });
 }
 
 #[test]

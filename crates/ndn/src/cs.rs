@@ -24,7 +24,8 @@ impl Default for ContentStoreConfig {
 ///
 /// Lookup matches an Interest name against cached Data exactly, or — when
 /// the Interest name is a proper prefix — against the first (lexicographically
-/// smallest) cached Data below it, mirroring NDN's "leftmost child" default.
+/// smallest) fresh cached Data below it, mirroring NDN's "leftmost child"
+/// default; a miss walks the trie and builds no name.
 /// Entries whose freshness has lapsed are ignored and lazily evicted; the
 /// paper notes gaming traffic "ages out quickly", which is modeled by small
 /// `freshness_ns` on update Data.
@@ -102,18 +103,14 @@ impl ContentStore {
     /// Looks up fresh Data matching `interest_name` (exact, or leftmost
     /// descendant for prefix Interests), refreshing its LRU position.
     pub fn lookup(&mut self, now_ns: u64, interest_name: &Name) -> Option<Data> {
-        // Exact match first.
-        let matched: Option<Name> = match self.by_name.get(interest_name) {
-            Some(e) if e.expires_ns > now_ns => Some(interest_name.clone()),
-            _ => {
-                // Leftmost fresh descendant.
-                self.by_name
-                    .descendants(interest_name)
-                    .into_iter()
-                    .find(|(_, e)| e.expires_ns > now_ns)
-                    .map(|(n, _)| n)
-            }
-        };
+        // Exact match first, else the leftmost fresh descendant; either way
+        // the matched name is the cached Data's own (a refcount).
+        let fresh = |e: &Entry| e.expires_ns > now_ns;
+        let matched = match self.by_name.get(interest_name) {
+            Some(e) if fresh(e) => Some(e),
+            _ => self.by_name.first_under(interest_name, fresh),
+        }
+        .map(|e| e.data.name.clone());
         match matched {
             Some(name) => {
                 let e = self.by_name.get_mut(&name).expect("entry just matched");

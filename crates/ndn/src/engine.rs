@@ -2,7 +2,9 @@
 
 use crate::{ContentStore, ContentStoreConfig, Data, FaceId, Fib, Interest, Pit, PitInsert};
 
-/// An action the host must carry out after the engine processed a packet.
+/// An action the host must carry out for a packet the engine processes,
+/// handed to the `emit` sink of [`NdnEngine::process_interest`] /
+/// [`NdnEngine::process_data`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NdnAction {
     /// Transmit an Interest out of a face.
@@ -31,12 +33,16 @@ pub enum NdnAction {
 ///   recorded downstream face. Unsolicited Data is cached but not
 ///   forwarded (cache-and-drop).
 ///
-/// The engine never performs I/O; see [`NdnAction`].
+/// The engine never performs I/O: each processed packet hands its
+/// [`NdnAction`]s to a caller-supplied sink, so a forwarding hop collects
+/// nothing into a buffer of its own.
 #[derive(Debug, Default)]
 pub struct NdnEngine {
     fib: Fib,
     pit: Pit,
     cs: ContentStore,
+    /// Reused by `process_data`: the faces one Data goes back out of.
+    downstream: Vec<FaceId>,
     dropped_interests: u64,
     unsolicited_data: u64,
 }
@@ -50,6 +56,7 @@ impl NdnEngine {
             fib: Fib::new(),
             pit: Pit::new(),
             cs: ContentStore::new(content_store),
+            downstream: Vec::new(),
             dropped_interests: 0,
             unsolicited_data: 0,
         }
@@ -96,41 +103,52 @@ impl NdnEngine {
         self.unsolicited_data
     }
 
-    /// Processes an Interest arriving on `face` at `now_ns`.
+    /// Processes an Interest arriving on `face` at `now_ns`, handing each
+    /// resulting action to `emit`.
     pub fn process_interest(
         &mut self,
         now_ns: u64,
         face: FaceId,
         interest: Interest,
-    ) -> Vec<NdnAction> {
+        mut emit: impl FnMut(NdnAction),
+    ) {
         // 1. Content store.
         if let Some(data) = self.cs.lookup(now_ns, &interest.name) {
-            return vec![NdnAction::SendData { face, data }];
+            emit(NdnAction::SendData { face, data });
+            return;
         }
         // 2. PIT.
         match self.pit.insert(now_ns, face, &interest) {
             PitInsert::Forward => {}
-            PitInsert::Aggregated => return Vec::new(),
+            PitInsert::Aggregated => return,
             PitInsert::DuplicateNonce => {
                 self.dropped_interests += 1;
-                return Vec::new();
+                return;
             }
         }
         // 3. FIB.
         let Some(faces) = self.fib.lookup(&interest.name) else {
             self.dropped_interests += 1;
-            return Vec::new();
+            return;
         };
         let upstream = faces.iter().copied().filter(|f| *f != face);
         fan_out(upstream, interest, |face, interest| {
-            NdnAction::SendInterest { face, interest }
-        })
+            emit(NdnAction::SendInterest { face, interest });
+        });
     }
 
-    /// Processes a Data packet arriving on `face` at `now_ns`.
-    pub fn process_data(&mut self, now_ns: u64, face: FaceId, data: Data) -> Vec<NdnAction> {
-        let downstream = self.pit.consume(now_ns, &data.name);
-        if downstream.is_empty() {
+    /// Processes a Data packet arriving on `face` at `now_ns`, handing each
+    /// resulting action to `emit`.
+    pub fn process_data(
+        &mut self,
+        now_ns: u64,
+        face: FaceId,
+        data: Data,
+        mut emit: impl FnMut(NdnAction),
+    ) {
+        self.pit
+            .consume_into(now_ns, &data.name, &mut self.downstream);
+        if self.downstream.is_empty() {
             // Cache-and-drop: under congestion Data can outlive its PIT
             // breadcrumbs (the entries expired before it got back). It is
             // not forwarded — no breadcrumb says where — but admitting it
@@ -138,34 +156,27 @@ impl NdnEngine {
             // shorter path for the consumer's inevitable retry.
             self.cs.insert(now_ns, data);
             self.unsolicited_data += 1;
-            return Vec::new();
+            return;
         }
         self.cs.insert(now_ns, data.clone());
-        let downstream = downstream.into_iter().filter(|f| *f != face);
-        fan_out(downstream, data, |face, data| NdnAction::SendData {
-            face,
-            data,
-        })
+        let downstream = self.downstream.iter().copied().filter(|f| *f != face);
+        fan_out(downstream, data, |face, data| {
+            emit(NdnAction::SendData { face, data });
+        });
     }
 }
 
-/// One action per face, each carrying `pkt`: every face but the last gets a
-/// clone, the last takes the packet itself.
-fn fan_out<P: Clone>(
-    faces: impl Iterator<Item = FaceId>,
-    pkt: P,
-    action: impl Fn(FaceId, P) -> NdnAction,
-) -> Vec<NdnAction> {
+/// Sends `pkt` out of each face: every face but the last gets a clone, the
+/// last takes the packet itself.
+fn fan_out<P: Clone>(faces: impl Iterator<Item = FaceId>, pkt: P, mut send: impl FnMut(FaceId, P)) {
     let mut faces = faces.peekable();
-    let mut out = Vec::new();
     while let Some(face) = faces.next() {
         if faces.peek().is_none() {
-            out.push(action(face, pkt));
-            break;
+            send(face, pkt);
+            return;
         }
-        out.push(action(face, pkt.clone()));
+        send(face, pkt.clone());
     }
-    out
 }
 
 #[cfg(test)]
@@ -182,11 +193,23 @@ mod tests {
         Data::new(n(name), Bytes::from_static(b"payload"))
     }
 
+    fn interest(e: &mut NdnEngine, now: u64, face: FaceId, i: Interest) -> Vec<NdnAction> {
+        let mut acts = Vec::new();
+        e.process_interest(now, face, i, |a| acts.push(a));
+        acts
+    }
+
+    fn answer(e: &mut NdnEngine, now: u64, face: FaceId, d: Data) -> Vec<NdnAction> {
+        let mut acts = Vec::new();
+        e.process_data(now, face, d, |a| acts.push(a));
+        acts
+    }
+
     #[test]
     fn interest_forwarded_along_fib() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
-        let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a/b"), 1));
+        let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a/b"), 1));
         assert_eq!(acts.len(), 1);
         assert!(matches!(&acts[0], NdnAction::SendInterest { face: FaceId(5), .. }));
     }
@@ -194,7 +217,7 @@ mod tests {
     #[test]
     fn interest_without_route_dropped() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
-        let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
+        let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
         assert!(acts.is_empty());
         assert_eq!(e.dropped_interests(), 1);
     }
@@ -204,7 +227,7 @@ mod tests {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(1));
         e.fib_mut().add(n("/a"), FaceId(2));
-        let acts = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
+        let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
         assert_eq!(acts.len(), 1);
         assert!(matches!(&acts[0], NdnAction::SendInterest { face: FaceId(2), .. }));
     }
@@ -213,12 +236,12 @@ mod tests {
     fn aggregation_suppresses_second_forward() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
-        let a1 = e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
-        let a2 = e.process_interest(0, FaceId(2), Interest::new(n("/a"), 2));
+        let a1 = interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
+        let a2 = interest(&mut e, 0, FaceId(2), Interest::new(n("/a"), 2));
         assert_eq!(a1.len(), 1);
         assert!(a2.is_empty());
         // Data satisfies both downstream faces.
-        let acts = e.process_data(1, FaceId(5), data("/a"));
+        let acts = answer(&mut e, 1, FaceId(5), data("/a"));
         let mut faces: Vec<FaceId> = acts
             .iter()
             .map(|a| match a {
@@ -234,10 +257,10 @@ mod tests {
     fn content_store_short_circuits() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
-        e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
-        e.process_data(1, FaceId(5), data("/a"));
+        interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
+        answer(&mut e, 1, FaceId(5), data("/a"));
         // Second consumer hits the cache; no new Interest forwarded.
-        let acts = e.process_interest(2, FaceId(2), Interest::new(n("/a"), 3));
+        let acts = interest(&mut e, 2, FaceId(2), Interest::new(n("/a"), 3));
         assert_eq!(acts.len(), 1);
         assert!(matches!(&acts[0], NdnAction::SendData { face: FaceId(2), .. }));
         assert_eq!(e.content_store().hits(), 1);
@@ -246,7 +269,7 @@ mod tests {
     #[test]
     fn unsolicited_data_dropped() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
-        let acts = e.process_data(0, FaceId(5), data("/nobody/asked"));
+        let acts = answer(&mut e, 0, FaceId(5), data("/nobody/asked"));
         assert!(acts.is_empty());
         assert_eq!(e.unsolicited_data(), 1);
     }
@@ -255,9 +278,9 @@ mod tests {
     fn data_satisfies_prefix_interest() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
-        e.process_interest(0, FaceId(1), Interest::new(n("/a"), 1));
+        interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
         // Producer answers with a more specific name.
-        let acts = e.process_data(1, FaceId(5), data("/a/v1"));
+        let acts = answer(&mut e, 1, FaceId(5), data("/a/v1"));
         assert_eq!(acts.len(), 1);
         assert!(matches!(&acts[0], NdnAction::SendData { face: FaceId(1), .. }));
     }
@@ -267,8 +290,8 @@ mod tests {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         let i = Interest::new(n("/a"), 42);
-        e.process_interest(0, FaceId(1), i.clone());
-        let acts = e.process_interest(0, FaceId(2), i);
+        interest(&mut e, 0, FaceId(1), i.clone());
+        let acts = interest(&mut e, 0, FaceId(2), i);
         assert!(acts.is_empty());
         assert_eq!(e.dropped_interests(), 1);
     }

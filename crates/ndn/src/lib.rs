@@ -15,8 +15,8 @@
 //! * [`ContentStore`] — an LRU content cache with freshness expiry.
 //! * [`NdnEngine`] — ties the three together with the standard NDN
 //!   forwarding pipeline. The engine is *sandboxed*: it never performs I/O;
-//!   each call returns the [`NdnAction`]s the host (a simulated router)
-//!   must carry out.
+//!   each call hands the [`NdnAction`]s the host (a simulated router) must
+//!   carry out to a sink the host passes in, one by one.
 //!
 //! # Example
 //!
@@ -31,7 +31,8 @@
 //!
 //! // Interest goes toward the producer...
 //! let i = Interest::new(Name::parse_lit("/video/seg1"), 7);
-//! let actions = engine.process_interest(0, consumer_face, i);
+//! let mut actions = Vec::new();
+//! engine.process_interest(0, consumer_face, i, |a| actions.push(a));
 //! assert_eq!(actions, vec![NdnAction::SendInterest {
 //!     face: producer_face,
 //!     interest: Interest::new(Name::parse_lit("/video/seg1"), 7),
@@ -39,7 +40,8 @@
 //!
 //! // ...and Data follows the breadcrumb back.
 //! let d = Data::new(Name::parse_lit("/video/seg1"), gcopss_compat::bytes::Bytes::from_static(b"x"));
-//! let actions = engine.process_data(0, producer_face, d.clone());
+//! let mut actions = Vec::new();
+//! engine.process_data(0, producer_face, d.clone(), |a| actions.push(a));
 //! assert_eq!(actions, vec![NdnAction::SendData { face: consumer_face, data: d }]);
 //! ```
 

@@ -18,14 +18,68 @@ pub enum PitInsert {
     DuplicateNonce,
 }
 
+/// One pending name. The common entry — one downstream face, one nonce —
+/// is stored inline; further faces and nonces spill into `more`, which is
+/// allocated only on aggregation or a same-face retransmission.
 #[derive(Debug, Clone)]
 struct PitEntry {
-    /// Faces the Interest arrived on (where Data must be returned).
-    faces: Vec<FaceId>,
-    /// Nonces seen for this name, for duplicate suppression.
-    nonces: Vec<u64>,
+    /// The first face the Interest arrived on (where Data must be returned).
+    face: FaceId,
+    /// The first nonce seen for this name, for duplicate suppression.
+    nonce: u64,
     /// Absolute expiry time (ns).
     expires_ns: u64,
+    more: Option<Box<Overflow>>,
+}
+
+/// The faces and nonces of a [`PitEntry`] beyond its inline pair.
+#[derive(Debug, Clone, Default)]
+struct Overflow {
+    faces: Vec<FaceId>,
+    nonces: Vec<u64>,
+}
+
+impl PitEntry {
+    /// Whether the entry is still pending at `now_ns`: the liveness
+    /// boundary of `insert`, `contains` and `expire`.
+    fn live(&self, now_ns: u64) -> bool {
+        self.expires_ns > now_ns
+    }
+
+    fn faces(&self) -> impl Iterator<Item = FaceId> + '_ {
+        let more = self.more.as_deref().map_or(&[][..], |m| &m.faces[..]);
+        std::iter::once(self.face).chain(more.iter().copied())
+    }
+
+    fn has_nonce(&self, nonce: u64) -> bool {
+        self.nonce == nonce
+            || self
+                .more
+                .as_ref()
+                .is_some_and(|m| m.nonces.contains(&nonce))
+    }
+
+    fn more(&mut self) -> &mut Overflow {
+        self.more.get_or_insert_with(Box::default)
+    }
+
+    /// Removes `face`, promoting an overflow face into the inline slot when
+    /// the inline face is the one removed. Returns `false` when no face is
+    /// left.
+    fn remove_face(&mut self, face: FaceId) -> bool {
+        let Some(more) = self.more.as_deref_mut() else {
+            return self.face != face;
+        };
+        if self.face == face {
+            if more.faces.is_empty() {
+                return false;
+            }
+            self.face = more.faces.remove(0);
+        } else {
+            more.faces.retain(|&f| f != face);
+        }
+        true
+    }
 }
 
 /// The PIT: reverse-path breadcrumbs for pending Interests.
@@ -66,18 +120,18 @@ impl Pit {
     pub fn insert(&mut self, now_ns: u64, face: FaceId, interest: &Interest) -> PitInsert {
         let expires = now_ns.saturating_add(interest.lifetime_ns);
         match self.entries.get_mut(&interest.name) {
-            Some(e) if e.expires_ns > now_ns => {
-                if e.nonces.contains(&interest.nonce) {
+            Some(e) if e.live(now_ns) => {
+                if e.has_nonce(interest.nonce) {
                     return PitInsert::DuplicateNonce;
                 }
-                e.nonces.push(interest.nonce);
+                e.more().nonces.push(interest.nonce);
                 e.expires_ns = e.expires_ns.max(expires);
-                if e.faces.contains(&face) {
+                if e.faces().any(|f| f == face) {
                     // Same face re-expressing with a new nonce: treat as a
                     // retransmission that must be re-forwarded.
                     PitInsert::Forward
                 } else {
-                    e.faces.push(face);
+                    e.more().faces.push(face);
                     PitInsert::Aggregated
                 }
             }
@@ -85,9 +139,10 @@ impl Pit {
                 self.entries.insert(
                     interest.name.clone(),
                     PitEntry {
-                        faces: vec![face],
-                        nonces: vec![interest.nonce],
+                        face,
+                        nonce: interest.nonce,
                         expires_ns: expires,
+                        more: None,
                     },
                 );
                 PitInsert::Forward
@@ -97,15 +152,28 @@ impl Pit {
 
     /// Consumes every live PIT entry whose name is a prefix of `data_name`
     /// and returns the union of their downstream faces (deduplicated,
-    /// deterministic order).
+    /// sorted). Allocates the result; the forwarding path reuses a buffer
+    /// through [`Pit::consume_into`].
     pub fn consume(&mut self, now_ns: u64, data_name: &Name) -> Vec<FaceId> {
         let mut faces = Vec::new();
+        self.consume_into(now_ns, data_name, &mut faces);
+        faces
+    }
+
+    /// [`Pit::consume`] into a caller-owned buffer: clears `faces`, then
+    /// leaves the union of the consumed entries' downstream faces in it,
+    /// deduplicated and sorted.
+    pub fn consume_into(&mut self, now_ns: u64, data_name: &Name, faces: &mut Vec<FaceId>) {
+        faces.clear();
         let components = data_name.components();
         for level in 0..=components.len() {
             // `Name: Borrow<[Component]>`: each prefix is probed as a slice.
             if let Some(e) = self.entries.remove(&components[..level]) {
+                // Still `>=`, not `live`: Data arriving at the expiry
+                // instant is forwarded unless a sweep ran first. Aligning
+                // it moves three `failover` manifest lines (ROADMAP).
                 if e.expires_ns >= now_ns {
-                    for f in e.faces {
+                    for f in e.faces() {
                         if !faces.contains(&f) {
                             faces.push(f);
                         }
@@ -114,22 +182,19 @@ impl Pit {
             }
         }
         faces.sort_unstable();
-        faces
     }
 
     /// Returns `true` if a live entry exists for exactly `name`.
     #[must_use]
     pub fn contains(&self, now_ns: u64, name: &Name) -> bool {
-        self.entries
-            .get(name)
-            .is_some_and(|e| e.expires_ns > now_ns)
+        self.entries.get(name).is_some_and(|e| e.live(now_ns))
     }
 
     /// Drops expired entries; returns how many were removed. Routers call
     /// this periodically (or lazily).
     pub fn expire(&mut self, now_ns: u64) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|_, e| e.expires_ns > now_ns);
+        self.entries.retain(|_, e| e.live(now_ns));
         before - self.entries.len()
     }
 
@@ -138,10 +203,7 @@ impl Pit {
     /// Returns how many entries were dropped.
     pub fn purge_face(&mut self, face: FaceId) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|_, e| {
-            e.faces.retain(|&f| f != face);
-            !e.faces.is_empty()
-        });
+        self.entries.retain(|_, e| e.remove_face(face));
         before - self.entries.len()
     }
 
@@ -262,6 +324,47 @@ mod tests {
         assert_eq!(pit.consume(1, &n("/a")), vec![FaceId(2)]);
         // Purging an unknown face is a no-op.
         assert_eq!(pit.purge_face(FaceId(9)), 0);
+    }
+
+    #[test]
+    fn purge_of_inline_face_promotes_an_overflow_face() {
+        let mut pit = Pit::new();
+        pit.insert(0, FaceId(1), &Interest::new(n("/a"), 1));
+        pit.insert(0, FaceId(2), &Interest::new(n("/a"), 2));
+        pit.insert(0, FaceId(3), &Interest::new(n("/a"), 3));
+        assert_eq!(pit.purge_face(FaceId(1)), 0);
+        // The promoted face still aggregates and its nonces still dedupe.
+        assert_eq!(
+            pit.insert(0, FaceId(2), &Interest::new(n("/a"), 1)),
+            PitInsert::DuplicateNonce
+        );
+        assert_eq!(
+            pit.insert(0, FaceId(2), &Interest::new(n("/a"), 4)),
+            PitInsert::Forward
+        );
+        assert_eq!(pit.consume(1, &n("/a")), vec![FaceId(2), FaceId(3)]);
+    }
+
+    #[test]
+    fn entry_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<PitEntry>() <= 32);
+    }
+
+    #[test]
+    fn the_expiry_instant() {
+        // At `now == expires_ns` the entry is dead to `insert`, `contains`
+        // and `expire` — but `consume` still returns its faces (ROADMAP:
+        // the one-predicate fix moves three manifest lines).
+        let i = Interest::with_lifetime(n("/a"), 1, 100);
+        let mut pit = Pit::new();
+        pit.insert(0, FaceId(1), &i);
+        assert!(!pit.contains(100, &n("/a")));
+        assert_eq!(pit.insert(100, FaceId(2), &i), PitInsert::Forward);
+        assert_eq!(pit.expire(200), 1);
+        pit.insert(0, FaceId(1), &i);
+        assert_eq!(pit.expire(100), 1);
+        pit.insert(0, FaceId(1), &i);
+        assert_eq!(pit.consume(100, &n("/a")), vec![FaceId(1)]);
     }
 
     #[test]

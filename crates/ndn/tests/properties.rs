@@ -8,7 +8,8 @@ use gcopss_compat::prop::{self, Strategy};
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
 use gcopss_names::{Component, Name};
 use gcopss_ndn::{
-    ContentStore, ContentStoreConfig, Data, Fib, FaceId, Interest, NdnAction, NdnEngine,
+    ContentStore, ContentStoreConfig, Data, FaceId, Fib, Interest, NdnAction, NdnEngine, Pit,
+    PitInsert,
 };
 
 const CASES: u32 = 64;
@@ -21,6 +22,20 @@ fn name_strategy() -> impl Strategy<Value = Vec<String>> {
 
 fn name(parts: &[String]) -> Name {
     Name::from_components(parts.iter().map(|s| Component::new(s.as_str()).unwrap()))
+}
+
+/// The actions of one Interest, collected.
+fn interest(e: &mut NdnEngine, now: u64, face: FaceId, i: Interest) -> Vec<NdnAction> {
+    let mut acts = Vec::new();
+    e.process_interest(now, face, i, |a| acts.push(a));
+    acts
+}
+
+/// The actions of one Data, collected.
+fn answer(e: &mut NdnEngine, now: u64, face: FaceId, d: Data) -> Vec<NdnAction> {
+    let mut acts = Vec::new();
+    e.process_data(now, face, d, |a| acts.push(a));
+    acts
 }
 
 /// Every Interest that was forwarded and later answered produces Data on
@@ -41,7 +56,7 @@ fn data_reaches_every_pending_face() {
         for (f, parts) in consumers {
             let n = name(parts);
             nonce += 1;
-            let acts = e.process_interest(0, FaceId(*f), Interest::new(n.clone(), nonce));
+            let acts = interest(&mut e, 0, FaceId(*f), Interest::new(n.clone(), nonce));
             let cache_hit = acts
                 .iter()
                 .any(|a| matches!(a, NdnAction::SendData { .. }));
@@ -60,7 +75,7 @@ fn data_reaches_every_pending_face() {
                 .any(|a| matches!(a, NdnAction::SendInterest { .. }))
             {
                 let data = Data::new(n.clone(), Bytes::from_static(b"d"));
-                let replies = e.process_data(1, upstream, data);
+                let replies = answer(&mut e, 1, upstream, data);
                 let expect = pending.remove(&n).unwrap_or_default();
                 let mut got: Vec<FaceId> = replies
                     .iter()
@@ -234,7 +249,7 @@ fn no_reflection() {
         for (parts, f) in routes {
             e.fib_mut().add(name(parts), FaceId(*f));
         }
-        let acts = e.process_interest(0, FaceId(*arrival), Interest::new(name(probe), 1));
+        let acts = interest(&mut e, 0, FaceId(*arrival), Interest::new(name(probe), 1));
         for a in acts {
             match a {
                 NdnAction::SendInterest { face, .. } => assert_ne!(face, FaceId(*arrival)),
@@ -257,7 +272,7 @@ fn at_most_one_upstream_forward_per_name() {
         let mut forwards = 0;
         let mut seen_faces: Vec<u32> = Vec::new();
         for (i, f) in faces.iter().enumerate() {
-            let acts = e.process_interest(0, FaceId(*f), Interest::new(n.clone(), i as u64));
+            let acts = interest(&mut e, 0, FaceId(*f), Interest::new(n.clone(), i as u64));
             let fwd = acts
                 .iter()
                 .filter(|a| matches!(a, NdnAction::SendInterest { .. }))
@@ -276,6 +291,124 @@ fn at_most_one_upstream_forward_per_name() {
             forwards += fwd;
         }
         assert!(forwards >= 1);
+    });
+}
+
+/// The PIT as it was before its entries went inline: per name, a `Vec` of
+/// faces, a `Vec` of nonces and the expiry; live while `expires > now`,
+/// except that `consume` still takes `expires >= now`.
+#[derive(Default)]
+struct PitModel {
+    entries: BTreeMap<Name, (Vec<FaceId>, Vec<u64>, u64)>,
+}
+
+impl PitModel {
+    fn insert(&mut self, now: u64, face: FaceId, i: &Interest) -> PitInsert {
+        let expires = now.saturating_add(i.lifetime_ns);
+        match self.entries.get_mut(&i.name) {
+            Some((faces, nonces, exp)) if *exp > now => {
+                if nonces.contains(&i.nonce) {
+                    return PitInsert::DuplicateNonce;
+                }
+                nonces.push(i.nonce);
+                *exp = (*exp).max(expires);
+                if faces.contains(&face) {
+                    PitInsert::Forward
+                } else {
+                    faces.push(face);
+                    PitInsert::Aggregated
+                }
+            }
+            _ => {
+                self.entries
+                    .insert(i.name.clone(), (vec![face], vec![i.nonce], expires));
+                PitInsert::Forward
+            }
+        }
+    }
+
+    fn consume(&mut self, now: u64, name: &Name) -> Vec<FaceId> {
+        let mut out: Vec<FaceId> = (0..=name.len())
+            .filter_map(|level| self.entries.remove(&name.prefix(level)))
+            .filter(|(_, _, exp)| *exp >= now)
+            .flat_map(|(faces, _, _)| faces)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    fn contains(&self, now: u64, name: &Name) -> bool {
+        self.entries.get(name).is_some_and(|(_, _, exp)| *exp > now)
+    }
+
+    fn expire(&mut self, now: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, (_, _, exp)| *exp > now);
+        before - self.entries.len()
+    }
+
+    fn purge_face(&mut self, face: FaceId) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, (faces, _, _)| {
+            faces.retain(|&f| f != face);
+            !faces.is_empty()
+        });
+        before - self.entries.len()
+    }
+}
+
+/// The inline PIT (one face and one nonce in the entry, the rest in an
+/// overflow box) agrees with the `Vec` model under random insert /
+/// aggregate / duplicate / retransmit / `purge_face` / `expire` /
+/// `consume` sequences. Four faces, five nonces and lifetimes of a few
+/// ticks make every branch — and the expiry instant — common.
+#[test]
+fn inline_pit_agrees_with_vec_model() {
+    let ops = prop::vec(
+        (
+            (
+                prop::range(0u32..8),
+                prop::range(0u32..4),
+                prop::range(0u64..5),
+            ),
+            name_strategy(),
+            (prop::range(0u64..3), prop::range(1u64..7)),
+        ),
+        1..=60,
+    );
+    prop::check(0xAD06, CASES, &ops, |ops| {
+        let mut pit = Pit::new();
+        let mut model = PitModel::default();
+        let mut faces = Vec::new();
+        let mut now = 0u64;
+        for (i, ((kind, face, nonce), parts, (dt, lifetime))) in ops.iter().enumerate() {
+            now += dt;
+            let n = name(parts);
+            let face = FaceId(*face);
+            match kind {
+                0..=3 => {
+                    let interest = Interest::with_lifetime(n.clone(), *nonce, *lifetime);
+                    assert_eq!(
+                        pit.insert(now, face, &interest),
+                        model.insert(now, face, &interest),
+                        "insert {interest} on {face} at {now} (op {i})"
+                    );
+                }
+                4 => assert_eq!(pit.purge_face(face), model.purge_face(face), "op {i}"),
+                5 => assert_eq!(pit.expire(now), model.expire(now), "op {i}"),
+                _ => {
+                    pit.consume_into(now, &n, &mut faces);
+                    assert_eq!(
+                        faces,
+                        model.consume(now, &n),
+                        "consume {n} at {now} (op {i})"
+                    );
+                }
+            }
+            assert_eq!(pit.len(), model.entries.len(), "size diverged at op {i}");
+            assert_eq!(pit.contains(now, &n), model.contains(now, &n), "op {i}");
+        }
     });
 }
 

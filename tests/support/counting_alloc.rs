@@ -1,6 +1,7 @@
 //! A counting wrapper around the system allocator for the
-//! allocation-regression tests (`crates/{sim,copss,core}/tests/alloc_*.rs`),
-//! which `#[path]`-include this file: integration tests sit outside the
+//! allocation-regression tests
+//! (`crates/{sim,copss,core,names,ndn}/tests/alloc_*.rs`), which
+//! `#[path]`-include this file: integration tests sit outside the
 //! libraries' `#![forbid(unsafe_code)]`, as `benchmark/src/alloc.rs` does.
 //!
 //! Calls are counted per thread, so the test harness's own threads and
