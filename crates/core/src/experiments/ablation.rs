@@ -15,7 +15,7 @@ use gcopss_sim::{SimDuration, SimTime};
 use crate::broker::SnapshotMode;
 use crate::ndn_baseline::NdnClientConfig;
 use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
-use crate::{MetricsMode, SimParams};
+use crate::SimParams;
 
 use super::movement::{run_mode, MovementConfig};
 use super::rp_sweep::{gcopss, run_once, summarize};
@@ -35,10 +35,7 @@ pub fn hybrid_group_sweep(
     group_counts
         .iter()
         .map(|&g| {
-            let protocol = Protocol::Hybrid(HybridConfig {
-                group_count: g,
-                ..HybridConfig::default()
-            });
+            let protocol = Protocol::Hybrid(HybridConfig { group_count: g });
             let sim = run_once(&w, &net, protocol, cap, &format!("hybrid-{g}g"));
             (g, summarize(format!("hybrid {g} groups"), &sim))
         })
@@ -59,7 +56,7 @@ pub fn split_threshold_sweep(
     thresholds
         .iter()
         .map(|&t| {
-            let protocol = gcopss(1, Some(t), MetricsMode::StatsOnly);
+            let protocol = gcopss(1, Some(t));
             let sim = run_once(&w, &net, protocol, cap, &format!("auto-thr{t}"));
             let splits = sim.world().splits.len();
             (t, splits, summarize(format!("auto thr={t}"), &sim))
@@ -83,7 +80,6 @@ pub fn ndn_accumulation_sweep(
         .map(|&t| {
             let cfg = NdnBaselineConfig {
                 params: SimParams::microbenchmark(),
-                metrics_mode: MetricsMode::StatsOnly,
                 client: NdnClientConfig {
                     accum_interval: t,
                     ..NdnClientConfig::default()

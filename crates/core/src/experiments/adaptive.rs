@@ -355,13 +355,12 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
         let sys = GcopssConfig {
             params,
             rp_count: RP_COUNT,
-            overload: Some(overload.clone()),
             stream,
             ..GcopssConfig::default()
         };
         // No fault is injected, so no damage window is granted: every miss
         // must be explained by a drop record.
-        let spec = w.spec(&net).gcopss(sys);
+        let spec = w.spec(&net).gcopss(sys).overload(overload.clone());
         let (sim, audit) = cap.run_audited(&label, spec, &w, horizon, |_| None);
         let world = sim.world();
         let hist = world.metrics.latency_hist();

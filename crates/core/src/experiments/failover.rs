@@ -287,7 +287,6 @@ pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
         (
             "gcopss",
             Protocol::Gcopss(GcopssConfig {
-                delivery_log: true,
                 rp_count: RP_COUNT,
                 recovery: recovery.clone(),
                 ..GcopssConfig::default()
@@ -296,7 +295,6 @@ pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
         (
             "ip",
             Protocol::IpServer(IpConfig {
-                delivery_log: true,
                 server_count: RP_COUNT,
                 recovery: recovery.clone(),
                 ..IpConfig::default()
@@ -305,7 +303,6 @@ pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
         (
             "ndn",
             Protocol::NdnBaseline(NdnBaselineConfig {
-                delivery_log: true,
                 recovery,
                 ..NdnBaselineConfig::default()
             }),
@@ -318,6 +315,7 @@ pub fn run(cfg: &FailoverConfig, cap: &mut TelemetryCapture) -> FailoverOutput {
             let spec = w
                 .spec(&net)
                 .protocol(protocol.clone())
+                .delivery_log()
                 .fault_plan(chaos_plan(cfg, loss, &links, crash, span));
             let sim = cap.run(&label, spec, |sim| sim.run_until(horizon));
             rows.push(make_row(label, loss, &sim, &w, cfg));

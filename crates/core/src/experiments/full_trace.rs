@@ -2,7 +2,6 @@
 //! hybrid-G-COPSS (6 IP multicast groups), when there is no congestion.
 
 use crate::scenario::{HybridConfig, NetworkSpec, Protocol};
-use crate::MetricsMode;
 
 use super::rp_sweep::{self, ip_servers, run_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
@@ -31,14 +30,13 @@ pub fn run(workload: &WorkloadParams, cap: &mut TelemetryCapture) -> FullTraceOu
 
     let hybrid = Protocol::Hybrid(HybridConfig {
         group_count: CORES as u32,
-        ..HybridConfig::default()
     });
     let [ip, gcopss, hybrid] = [
         ("ip", format!("IP server x{CORES}"), ip_servers(CORES)),
         (
             "gcopss",
             format!("G-COPSS {CORES} RPs"),
-            rp_sweep::gcopss(CORES, None, MetricsMode::StatsOnly),
+            rp_sweep::gcopss(CORES, None),
         ),
         ("hybrid", format!("hybrid-G-COPSS {CORES} groups"), hybrid),
     ]

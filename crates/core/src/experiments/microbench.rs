@@ -82,25 +82,22 @@ fn system_result(label: &str, sim: Simulator<GPacket, GameWorld>) -> SystemResul
 pub fn run(cfg: &MicrobenchConfig, cap: &mut TelemetryCapture) -> MicrobenchOutput {
     let w = Workload::microbenchmark(cfg.seed, cfg.duration);
     let net = NetworkSpec::Testbed;
-    let (params, metrics_mode) = (SimParams::microbenchmark(), MetricsMode::Full);
+    let params = SimParams::microbenchmark();
     // One RP and one server, both at R1 as in the paper's testbed; the NDN
     // baseline keeps the paper's pipelining window of 3 and 100 ms
     // accumulation interval.
     let gcopss = GcopssConfig {
         params: params.clone(),
-        metrics_mode,
         rp_count: 1,
         ..GcopssConfig::default()
     };
     let ip = IpConfig {
         params: params.clone(),
-        metrics_mode,
         server_count: 1,
         ..IpConfig::default()
     };
     let ndn = NdnBaselineConfig {
         params,
-        metrics_mode,
         ..NdnBaselineConfig::default()
     };
     let horizon = SimTime::ZERO + WARMUP + cfg.duration + SimDuration::from_secs(120);
@@ -114,7 +111,12 @@ pub fn run(cfg: &MicrobenchConfig, cap: &mut TelemetryCapture) -> MicrobenchOutp
         // NDN consumers poll forever, so that run stops at a horizon; the
         // other two run to quiescence.
         let polls = matches!(protocol, Protocol::NdnBaseline(_));
-        let sim = cap.run(label, w.spec(&net).protocol(protocol), |sim| {
+        // Every system keeps every latency sample: the CDFs need them.
+        let spec = w
+            .spec(&net)
+            .protocol(protocol)
+            .metrics_mode(MetricsMode::Full);
+        let sim = cap.run(label, spec, |sim| {
             if polls {
                 sim.run_until(horizon);
             } else {

@@ -45,7 +45,7 @@ use gcopss_sim::{
     TimeSeriesConfig,
 };
 
-use crate::scenario::{BuiltScenario, NetworkSpec, ScenarioSpec, WARMUP};
+use crate::scenario::{NetworkSpec, ScenarioSpec};
 use crate::{GPacket, GameWorld};
 
 /// Topology seed of the backbone every large-scale driver runs on.
@@ -129,7 +129,7 @@ impl TelemetryCapture {
         spec: ScenarioSpec<'_>,
         drive: impl FnOnce(&mut Simulator<GPacket, GameWorld>),
     ) -> Simulator<GPacket, GameWorld> {
-        let mut sim = spec.build().into_sim();
+        let mut sim = spec.build().sim;
         self.arm(&mut sim);
         drive(&mut sim);
         self.harvest(label, &sim);
@@ -153,17 +153,13 @@ impl TelemetryCapture {
         damage: impl FnOnce(&Simulator<GPacket, GameWorld>) -> Option<(SimTime, SimTime)>,
     ) -> (Simulator<GPacket, GameWorld>, AuditReport) {
         let built = spec.build();
-        let warmup = match &built {
-            BuiltScenario::Gcopss(g) => g.warmup,
-            _ => WARMUP,
-        };
-        let mut sim = built.into_sim();
+        let mut sim = built.sim;
         self.arm(&mut sim);
         sim.enable_lineage(LineageConfig {
             capacity: LINEAGE_CAPACITY,
             ..LineageConfig::default()
         });
-        audit::register_expectations(&mut sim, w, warmup);
+        audit::register_expectations(&mut sim, w, built.warmup);
         sim.run_until(horizon);
         self.harvest(label, &sim);
         let report = sim.lineage().audit(horizon, damage(&sim));

@@ -8,7 +8,7 @@ use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
 use crate::scenario::{GcopssConfig, NetworkSpec, WARMUP};
-use crate::{GPacket, GameWorld, MetricsMode, SimParams};
+use crate::{GPacket, GameWorld, SimParams};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -157,7 +157,6 @@ fn simulate(
 
     let gcfg = GcopssConfig {
         params,
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: RP_COUNT,
         extra_rps,
         ..GcopssConfig::default()

@@ -119,17 +119,18 @@ fn interarrival_at(load: f64) -> SimDuration {
     SimDuration::from_nanos(ns.max(1))
 }
 
-/// The engine overload config of one regime, or `None` for unbounded.
-fn engine_config(regime: QueueRegime) -> Option<OverloadConfig> {
+/// The engine overload config of one regime: the vacuous default, which
+/// installs nothing, for unbounded.
+fn engine_config(regime: QueueRegime) -> OverloadConfig {
     match regime {
-        QueueRegime::Unbounded => None,
-        QueueRegime::DropTail => Some(OverloadConfig {
+        QueueRegime::Unbounded => OverloadConfig::default(),
+        QueueRegime::DropTail => OverloadConfig {
             queue_capacity: Some(QUEUE_CAPACITY),
             policy: AdmissionPolicy::DropTail,
             priority: false,
             mark_sojourn: None,
-        }),
-        QueueRegime::Aqm => Some(OverloadConfig {
+        },
+        QueueRegime::Aqm => OverloadConfig {
             queue_capacity: Some(QUEUE_CAPACITY),
             policy: AdmissionPolicy::CoDel {
                 target: CODEL_TARGET,
@@ -137,7 +138,7 @@ fn engine_config(regime: QueueRegime) -> Option<OverloadConfig> {
             },
             priority: true,
             mark_sojourn: Some(MARK_SOJOURN),
-        }),
+        },
     }
 }
 
@@ -298,7 +299,6 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
         let sys = GcopssConfig {
             rp_count: RP_COUNT,
             recovery: recovery.clone(),
-            overload: engine_config(regime),
             rate_adapt: (regime == QueueRegime::Aqm).then(RateAdaptConfig::default),
             ..GcopssConfig::default()
         };
@@ -307,13 +307,11 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
     let ip = IpConfig {
         server_count: RP_COUNT,
         recovery: recovery.clone(),
-        overload: engine_config(QueueRegime::Aqm),
         rate_adapt: Some(RateAdaptConfig::default()),
         ..IpConfig::default()
     };
     let ndn = NdnBaselineConfig {
         recovery: recovery.clone(),
-        overload: engine_config(QueueRegime::Aqm),
         ..NdnBaselineConfig::default()
     };
     let systems = [
@@ -333,7 +331,10 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
         let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
         for (system, regime, protocol) in &systems {
             let label = format!("{system}-{}-x{load:.1}", regime.as_str());
-            let spec = w.spec(&net).protocol(protocol.clone());
+            let spec = w
+                .spec(&net)
+                .protocol(protocol.clone())
+                .overload(engine_config(*regime));
             // The managed G-COPSS run replays under the lineage tracer: with
             // no fault injected every miss must be explained by a drop
             // record (overload drops and source sheds land on the lineage),

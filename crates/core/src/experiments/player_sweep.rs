@@ -4,7 +4,6 @@
 use gcopss_sim::SimDuration;
 
 use crate::scenario::NetworkSpec;
-use crate::MetricsMode;
 
 use super::rp_sweep::{self, ip_servers, run_once, summarize};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
@@ -73,7 +72,7 @@ pub fn run(cfg: &PlayerSweepConfig, cap: &mut TelemetryCapture) -> PlayerSweepOu
             updates: cfg.updates_per_player * n,
             mean_interarrival: interarrival,
         });
-        let protocol = rp_sweep::gcopss(CORES, None, MetricsMode::StatsOnly);
+        let protocol = rp_sweep::gcopss(CORES, None);
         let sim = run_once(&w, &net, protocol, cap, &format!("gcopss-{n}p"));
         gcopss.push(SweepPoint {
             players: n,

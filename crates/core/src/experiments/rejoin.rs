@@ -20,9 +20,7 @@ use gcopss_sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::broker::{partition_cds_to_brokers, SnapshotBroker};
 use crate::scenario::{GcopssConfig, NetworkSpec};
-use crate::{
-    CatchUpAudit, CatchUpConfig, CatchUpMode, GameWorld, MetricsMode, RecoveryConfig, SimParams,
-};
+use crate::{CatchUpAudit, CatchUpConfig, CatchUpMode, GameWorld, RecoveryConfig, SimParams};
 
 use super::{TelemetryCapture, Workload, WorkloadParams};
 
@@ -268,7 +266,6 @@ fn run_mode(
 
     let gcfg = GcopssConfig {
         params,
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: cfg.rp_count,
         warmup: cfg.warmup,
         recovery: Some(cfg.recovery.clone()),

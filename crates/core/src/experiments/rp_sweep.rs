@@ -112,18 +112,13 @@ pub fn run_once(
 
 /// G-COPSS with `rp_count` initial RPs, splitting automatically past
 /// `auto_threshold` queued packets when one is given.
-pub(crate) fn gcopss(
-    rp_count: usize,
-    auto_threshold: Option<usize>,
-    metrics_mode: MetricsMode,
-) -> Protocol {
+pub(crate) fn gcopss(rp_count: usize, auto_threshold: Option<usize>) -> Protocol {
     let mut params = SimParams::default();
     if let Some(t) = auto_threshold {
         params = params.with_auto_balancing(t);
     }
     Protocol::Gcopss(GcopssConfig {
         params,
-        metrics_mode,
         rp_count,
         ..GcopssConfig::default()
     })
@@ -147,12 +142,16 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
         label: label.to_string(),
         points: downsample(&sim.world().metrics.per_publication_rows(), cfg.fig5_points),
     };
-    let mode = |detail: bool| {
-        if detail {
+    // A G-COPSS run with a Fig. 5 series keeps per-publication latencies.
+    let gcopss_spec = |rp_count, auto_threshold, detail: bool| {
+        let mode = if detail {
             MetricsMode::PerPublication
         } else {
             MetricsMode::StatsOnly
-        }
+        };
+        w.spec(&net)
+            .protocol(gcopss(rp_count, auto_threshold))
+            .metrics_mode(mode)
     };
 
     let mut gcopss_rows = Vec::new();
@@ -160,7 +159,7 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
     for &n in &cfg.rp_counts {
         let want_detail = cfg.fig5_detail && (n == 2 || n == 3);
         let label = format!("gcopss-{n}rp");
-        let sim = run_once(&w, &net, gcopss(n, None, mode(want_detail)), cap, &label);
+        let sim = cap.run(&label, gcopss_spec(n, None, want_detail), Simulator::run);
         gcopss_rows.push(summarize(format!("G-COPSS {n} RP"), &sim));
         if want_detail {
             fig5.push(fig5_series(&label, &sim));
@@ -170,8 +169,8 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
     let mut auto_splits = Vec::new();
     if cfg.include_auto {
         let label = "gcopss-auto";
-        let protocol = gcopss(1, Some(AUTO_THRESHOLD), mode(cfg.fig5_detail));
-        let sim = run_once(&w, &net, protocol, cap, label);
+        let spec = gcopss_spec(1, Some(AUTO_THRESHOLD), cfg.fig5_detail);
+        let sim = cap.run(label, spec, Simulator::run);
         auto_splits = sim.world().splits.clone();
         gcopss_rows.push(summarize(
             format!("G-COPSS auto ({} splits)", auto_splits.len()),

@@ -1,5 +1,6 @@
 //! Scenario assembly: builds complete simulations (topology + routing +
-//! behaviors) for every evaluated system.
+//! behaviors) for every evaluated system, each from a [`ScenarioSpec`] into
+//! a [`BuiltScenario`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -109,12 +110,7 @@ impl NetworkSpec {
                     }
                 }
                 BuiltNetwork {
-                    routers: b
-                        .core
-                        .iter()
-                        .chain(b.edge.iter())
-                        .copied()
-                        .collect(),
+                    routers: b.core.iter().chain(b.edge.iter()).copied().collect(),
                     attach_points: b.edge,
                     rp_pool,
                     topology: b.topology,
@@ -162,15 +158,14 @@ pub fn rp_prefix_partition(map: &GameMap, n: usize) -> Vec<Vec<Name>> {
 /// scenario.
 pub const WARMUP: SimDuration = SimDuration::from_secs(2);
 
+/// Delay of every host access link (players, servers, extra hosts).
+const ACCESS_DELAY: SimDuration = SimDuration::from_millis(1);
+
 /// Configuration of a G-COPSS simulation.
 #[derive(Debug, Clone)]
 pub struct GcopssConfig {
     /// Calibration constants.
     pub params: SimParams,
-    /// Latency-metrics retention.
-    pub metrics_mode: MetricsMode,
-    /// Exact delivery log + duplicate detection (small runs only).
-    pub delivery_log: bool,
     /// Number of initial RPs.
     pub rp_count: usize,
     /// Time before the first trace event (lets subscriptions settle).
@@ -190,14 +185,10 @@ pub struct GcopssConfig {
     /// arms client watchdogs and router PIT sweeps, and requires running
     /// with [`Simulator::run_until`].
     pub recovery: Option<RecoveryConfig>,
-    /// Engine overload control (bounded service queues, admission policy,
-    /// priority classes, sojourn marking). `None` (the default) — or a
-    /// vacuous config — leaves the simulation byte-identical to
-    /// pre-overload builds.
-    pub overload: Option<OverloadConfig>,
     /// Client-side congestion-feedback rate adaptation. Only meaningful
-    /// together with an `overload` config that sets `mark_sojourn`; `None`
-    /// (the default) is byte-identical to pre-overload builds.
+    /// together with a [`ScenarioSpec::overload`] that sets
+    /// `mark_sojourn`; `None` (the default) is byte-identical to
+    /// pre-overload builds.
     pub rate_adapt: Option<RateAdaptConfig>,
     /// In-simulation streaming-metric pipeline (windowed counters, EWMA
     /// gauges, heavy-hitter sketches). The vacuous default is byte-identical
@@ -211,15 +202,12 @@ impl Default for GcopssConfig {
     fn default() -> Self {
         Self {
             params: SimParams::default(),
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: false,
             rp_count: 3,
             warmup: WARMUP,
             extra_rp_prefixes: Vec::new(),
             extra_rps: Vec::new(),
             rp_selection: crate::RpSelection::default(),
             recovery: None,
-            overload: None,
             rate_adapt: None,
             stream: StreamConfig::default(),
         }
@@ -240,20 +228,6 @@ pub struct ExtraHost {
     pub make: Box<dyn FnOnce(NodeId, NodeId) -> Box<dyn NodeBehavior<GPacket, GameWorld>>>,
 }
 
-/// A fully-assembled G-COPSS simulation.
-pub struct GcopssSim {
-    /// The simulator, ready to run.
-    pub sim: Simulator<GPacket, GameWorld>,
-    /// Host node of each player.
-    pub player_nodes: Vec<NodeId>,
-    /// Where the initial RPs live.
-    pub rp_nodes: BTreeMap<RpId, NodeId>,
-    /// Nodes created for [`ExtraHost`]s, in input order.
-    pub extra_nodes: Vec<NodeId>,
-    /// End of the warmup period (first trace event earliest time).
-    pub warmup: SimDuration,
-}
-
 /// Which evaluated system a [`ScenarioSpec`] assembles, with its
 /// protocol-specific configuration.
 #[derive(Debug, Clone)]
@@ -268,26 +242,48 @@ pub enum Protocol {
     NdnBaseline(NdnBaselineConfig),
 }
 
-/// Declarative description of one complete simulation, replacing the old
-/// multi-positional `build_*` functions: every scenario is "a [`Protocol`]
-/// on a [`NetworkSpec`] with a game world", plus optional extras (brokers,
-/// a movement schedule, offline players, snapshot catch-up, a chaos
-/// schedule).
+impl Protocol {
+    /// The variant's name, as the build's checks print it.
+    fn name(&self) -> &'static str {
+        match self {
+            Self::Gcopss(_) => "Gcopss",
+            Self::IpServer(_) => "IpServer",
+            Self::Hybrid(_) => "Hybrid",
+            Self::NdnBaseline(_) => "NdnBaseline",
+        }
+    }
+}
+
+/// Declarative description of one complete simulation: every scenario is
+/// "a [`Protocol`] on a [`NetworkSpec`] with a game world", plus optional
+/// extras (brokers, a movement schedule, offline players, snapshot
+/// catch-up, a chaos schedule).
+///
+/// One rule splits the settings: the spec carries what the world and the
+/// engine read — latency-metrics retention, the delivery log, engine
+/// overload control, the chaos plan — and is set the same way for every
+/// protocol; a protocol config carries what that protocol's behaviors
+/// read. The G-COPSS-only parts (extra hosts, moves, offline players,
+/// catch-up) fail closed: building another protocol with one panics.
 ///
 /// # Example
 ///
 /// ```
 /// # use std::sync::Arc;
-/// # use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
+/// # use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec, WARMUP};
+/// # use gcopss_core::MetricsMode;
 /// # use gcopss_game::{GameMap, PlayerPopulation};
 /// let map = Arc::new(GameMap::paper_map());
 /// let pop = PlayerPopulation::uniform_per_area(&map, 1);
 /// let trace = Arc::new(Vec::new());
 /// let built = ScenarioSpec::new(&NetworkSpec::Testbed, &map, &pop, &trace)
 ///     .gcopss(GcopssConfig::default())
+///     .metrics_mode(MetricsMode::Full)
+///     .delivery_log()
 ///     .build()
 ///     .into_gcopss();
 /// assert_eq!(built.player_nodes.len(), pop.len());
+/// assert_eq!(built.warmup, WARMUP);
 /// ```
 pub struct ScenarioSpec<'a> {
     protocol: Protocol,
@@ -295,6 +291,9 @@ pub struct ScenarioSpec<'a> {
     map: Arc<GameMap>,
     population: &'a PlayerPopulation,
     trace: Arc<Vec<TraceEvent>>,
+    metrics_mode: MetricsMode,
+    delivery_log: bool,
+    overload: OverloadConfig,
     extra_hosts: Vec<ExtraHost>,
     players: PlayerSpec,
     fault_plan: Option<FaultPlan>,
@@ -315,7 +314,9 @@ struct PlayerSpec {
 
 impl<'a> ScenarioSpec<'a> {
     /// Starts a spec for the given network and game world. The protocol
-    /// defaults to G-COPSS with default configuration.
+    /// defaults to G-COPSS with default configuration, the world keeps
+    /// aggregate latency statistics only, and the engine runs without
+    /// overload control.
     #[must_use]
     pub fn new(
         net: &NetworkSpec,
@@ -329,6 +330,9 @@ impl<'a> ScenarioSpec<'a> {
             map: Arc::clone(map),
             population,
             trace: Arc::clone(trace),
+            metrics_mode: MetricsMode::StatsOnly,
+            delivery_log: false,
+            overload: OverloadConfig::default(),
             extra_hosts: Vec::new(),
             players: PlayerSpec {
                 catch_up: None,
@@ -371,8 +375,34 @@ impl<'a> ScenarioSpec<'a> {
         self.protocol(Protocol::NdnBaseline(cfg))
     }
 
-    /// Attaches extra hosts (brokers, monitors, …), in order. G-COPSS only;
-    /// other protocols ignore extra hosts.
+    /// How much latency detail the world keeps (default
+    /// [`MetricsMode::StatsOnly`]).
+    #[must_use]
+    pub fn metrics_mode(mut self, mode: MetricsMode) -> Self {
+        self.metrics_mode = mode;
+        self
+    }
+
+    /// Keeps the exact delivery log with duplicate detection
+    /// ([`GameWorld::with_delivery_log`]; small runs only).
+    #[must_use]
+    pub fn delivery_log(mut self) -> Self {
+        self.delivery_log = true;
+        self
+    }
+
+    /// Engine overload control (bounded service queues, admission policy,
+    /// priority classes, sojourn marking) for whichever protocol runs. The
+    /// vacuous default installs nothing and leaves the simulation
+    /// byte-identical to pre-overload builds.
+    #[must_use]
+    pub fn overload(mut self, cfg: OverloadConfig) -> Self {
+        self.overload = cfg;
+        self
+    }
+
+    /// Attaches extra hosts (brokers, monitors, …), in order. G-COPSS only:
+    /// building another protocol with extra hosts panics.
     #[must_use]
     pub fn extra_hosts(mut self, hosts: Vec<ExtraHost>) -> Self {
         self.extra_hosts.extend(hosts);
@@ -382,7 +412,8 @@ impl<'a> ScenarioSpec<'a> {
     /// Gives the players a movement schedule (§IV-A, Table III): `moves`
     /// holds every player's events in schedule order — each player executes
     /// its own — and `mode` is how a mover fetches the snapshots of the
-    /// areas that just became visible. G-COPSS only.
+    /// areas that just became visible. G-COPSS only: building another
+    /// protocol with moves panics.
     #[must_use]
     pub fn moves(mut self, moves: Vec<MoveEvent>, mode: SnapshotMode) -> Self {
         self.players.moves = moves;
@@ -393,14 +424,16 @@ impl<'a> ScenarioSpec<'a> {
     /// Makes `player` start *offline* (§IV-A): it neither subscribes nor
     /// publishes until `online_at`, then joins the game at its area and
     /// fetches the snapshot of everything it can see, in the mode given to
-    /// [`Self::moves`] (QR with a window of 15 otherwise). G-COPSS only.
+    /// [`Self::moves`] (QR with a window of 15 otherwise). G-COPSS only:
+    /// building another protocol with an offline player panics.
     #[must_use]
     pub fn offline_until(mut self, player: PlayerId, online_at: SimTime) -> Self {
         self.players.offline.insert(player, online_at);
         self
     }
 
-    /// Enables snapshot catch-up on the G-COPSS clients.
+    /// Enables snapshot catch-up on the G-COPSS clients. G-COPSS only:
+    /// building another protocol with catch-up panics.
     #[must_use]
     pub fn catch_up(mut self, cfg: CatchUpConfig) -> Self {
         self.players.catch_up = Some(cfg);
@@ -414,121 +447,182 @@ impl<'a> ScenarioSpec<'a> {
         self
     }
 
-    /// Assembles the simulation. Construction order (and therefore every
-    /// same-seed run) is identical to the legacy `build_*` functions.
+    /// Assembles the simulation: the network with the players and then the
+    /// protocol's hosts attached, shortest-path routing and the simulator
+    /// are built the same way for every protocol, which then adds only its
+    /// router, player and host behaviors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec gives a protocol other than G-COPSS extra hosts,
+    /// moves, an offline player or catch-up.
     #[must_use]
     pub fn build(self) -> BuiltScenario {
-        let mut built = match self.protocol {
-            Protocol::Gcopss(cfg) => BuiltScenario::Gcopss(assemble_gcopss(
-                cfg,
-                &self.net,
-                &self.map,
-                self.population,
-                &self.trace,
-                self.extra_hosts,
-                self.players,
-            )),
-            Protocol::IpServer(cfg) => BuiltScenario::IpServer(assemble_ip_server(
-                cfg,
-                &self.net,
-                &self.map,
-                self.population,
-                &self.trace,
-            )),
-            Protocol::Hybrid(cfg) => BuiltScenario::Hybrid(assemble_hybrid(
-                cfg,
-                &self.net,
-                &self.map,
-                self.population,
-                &self.trace,
-            )),
-            Protocol::NdnBaseline(cfg) => BuiltScenario::NdnBaseline(assemble_ndn_baseline(
-                cfg,
-                &self.net,
-                &self.map,
-                self.population,
-                &self.trace,
-            )),
+        let Self {
+            protocol,
+            net,
+            map,
+            population,
+            trace,
+            metrics_mode,
+            delivery_log,
+            overload,
+            extra_hosts,
+            players,
+            fault_plan,
+        } = self;
+        if !matches!(protocol, Protocol::Gcopss(_)) {
+            let gcopss_only = [
+                ("extra_hosts", !extra_hosts.is_empty()),
+                ("moves", !players.moves.is_empty()),
+                ("offline_until", !players.offline.is_empty()),
+                ("catch_up", players.catch_up.is_some()),
+            ];
+            for (part, given) in gcopss_only {
+                assert!(
+                    !given,
+                    "ScenarioSpec::{part} is G-COPSS only; this spec builds Protocol::{}",
+                    protocol.name()
+                );
+            }
+        }
+
+        let BuiltNetwork {
+            mut topology,
+            routers,
+            attach_points,
+            rp_pool,
+        } = net.build();
+        let player_nodes = attach_hosts(
+            &mut topology,
+            &attach_points,
+            population.len(),
+            ACCESS_DELAY,
+            "player",
+        );
+        let mut attach = |name: String, router: NodeId| {
+            let node = topology.add_node_kind(name, gcopss_sim::NodeKind::Host);
+            topology
+                .try_add_link(node, router, ACCESS_DELAY, None)
+                .expect("host attaches to a known router");
+            node
         };
-        if let Some(plan) = self.fault_plan {
-            built.sim_mut().install_faults(plan);
+        let hosts = match &protocol {
+            Protocol::Gcopss(_) => extra_hosts
+                .iter()
+                .enumerate()
+                .map(|(i, h)| attach(format!("extra{i}"), h.attach_to))
+                .collect(),
+            // Servers attach to the RP pool positions (R1 on the testbed).
+            Protocol::IpServer(cfg) => (0..cfg.server_count)
+                .map(|i| attach(format!("server{i}"), rp_pool[i % rp_pool.len()]))
+                .collect(),
+            Protocol::Hybrid(_) | Protocol::NdnBaseline(_) => Vec::new(),
+        };
+        let routing = RoutingTable::shortest_paths(&topology);
+
+        let stage = Stage {
+            routers,
+            attach_points,
+            rp_pool,
+            map: &map,
+            population,
+            trace: &trace,
+        };
+        let mut built = BuiltScenario {
+            sim: new_sim(topology, routing, metrics_mode, delivery_log, overload),
+            player_nodes,
+            rp_nodes: BTreeMap::new(),
+            hosts,
+            warmup: WARMUP,
+            protocol: protocol.name(),
+        };
+        match protocol {
+            Protocol::Gcopss(cfg) => assemble_gcopss(cfg, &stage, &mut built, extra_hosts, players),
+            Protocol::IpServer(cfg) => assemble_ip_server(cfg, &stage, &mut built),
+            Protocol::Hybrid(cfg) => assemble_hybrid(cfg, &stage, &mut built),
+            Protocol::NdnBaseline(cfg) => assemble_ndn_baseline(cfg, &stage, &mut built),
+        }
+        if let Some(plan) = fault_plan {
+            built.sim.install_faults(plan);
         }
         built
     }
 }
 
 /// The result of [`ScenarioSpec::build`]: one fully-assembled simulation,
-/// tagged by protocol.
-pub enum BuiltScenario {
-    /// A G-COPSS simulation.
-    Gcopss(GcopssSim),
-    /// An IP client/server simulation.
-    IpServer(IpSim),
-    /// A hybrid-G-COPSS simulation.
-    Hybrid(HybridSim),
-    /// An NDN-baseline simulation.
-    NdnBaseline(NdnSim),
+/// whichever protocol built it.
+pub struct BuiltScenario {
+    /// The simulator, ready to run. NDN-baseline consumers poll forever, so
+    /// run that protocol with [`Simulator::run_until`] up to a horizon
+    /// rather than to quiescence.
+    pub sim: Simulator<GPacket, GameWorld>,
+    /// Host node of each player.
+    pub player_nodes: Vec<NodeId>,
+    /// Where the initial RPs live (G-COPSS; empty otherwise).
+    pub rp_nodes: BTreeMap<RpId, NodeId>,
+    /// The other hosts, in order: the [`ExtraHost`]s of a G-COPSS build,
+    /// the game servers of an IP-server build, none otherwise.
+    pub hosts: Vec<NodeId>,
+    /// End of the warmup period (first trace event earliest time).
+    pub warmup: SimDuration,
+    /// The [`Protocol`] variant that built it.
+    protocol: &'static str,
 }
 
 impl BuiltScenario {
-    /// The simulator, whichever protocol was built.
-    pub fn sim_mut(&mut self) -> &mut Simulator<GPacket, GameWorld> {
-        match self {
-            Self::Gcopss(s) => &mut s.sim,
-            Self::IpServer(s) => &mut s.sim,
-            Self::Hybrid(s) => &mut s.sim,
-            Self::NdnBaseline(s) => &mut s.sim,
-        }
-    }
-
-    /// The simulator alone, whichever protocol was built — all a caller
-    /// needs who only runs the scenario and reads its books.
-    #[must_use]
-    pub fn into_sim(self) -> Simulator<GPacket, GameWorld> {
-        match self {
-            Self::Gcopss(s) => s.sim,
-            Self::IpServer(s) => s.sim,
-            Self::Hybrid(s) => s.sim,
-            Self::NdnBaseline(s) => s.sim,
-        }
-    }
-
-    /// Unwraps a G-COPSS build.
+    /// Asserts a G-COPSS build.
     ///
     /// # Panics
     ///
     /// Panics if the spec selected a different protocol.
     #[must_use]
-    pub fn into_gcopss(self) -> GcopssSim {
-        match self {
-            Self::Gcopss(s) => s,
-            _ => panic!("scenario was not built with Protocol::Gcopss"),
-        }
+    pub fn into_gcopss(self) -> Self {
+        self.built_with("Gcopss")
     }
 
-    /// Unwraps an IP-server build.
+    /// Asserts an IP-server build.
     ///
     /// # Panics
     ///
     /// Panics if the spec selected a different protocol.
     #[must_use]
-    pub fn into_ip_server(self) -> IpSim {
-        match self {
-            Self::IpServer(s) => s,
-            _ => panic!("scenario was not built with Protocol::IpServer"),
-        }
+    pub fn into_ip_server(self) -> Self {
+        self.built_with("IpServer")
     }
+
+    fn built_with(self, protocol: &str) -> Self {
+        assert!(
+            self.protocol == protocol,
+            "scenario was not built with Protocol::{protocol}"
+        );
+        self
+    }
+}
+
+/// What every protocol's assembly reads besides its own config: the roles
+/// of the network's routers and the game world.
+struct Stage<'s> {
+    routers: Vec<NodeId>,
+    /// Edge routers, where players attach.
+    attach_points: Vec<NodeId>,
+    /// RP / server placements, in placement order.
+    rp_pool: Vec<NodeId>,
+    map: &'s Arc<GameMap>,
+    population: &'s PlayerPopulation,
+    trace: &'s Arc<Vec<TraceEvent>>,
 }
 
 /// The simulator every scenario starts from: a [`GameWorld`] over
 /// `topology`, the [`GPacket`] classifiers registered as its
-/// [`PacketMeta`], and engine overload control installed when configured.
+/// [`PacketMeta`], and engine overload control (a vacuous `overload`
+/// installs nothing).
 fn new_sim(
     topology: Topology,
     routing: RoutingTable,
     metrics_mode: MetricsMode,
     delivery_log: bool,
-    overload: Option<OverloadConfig>,
+    overload: OverloadConfig,
 ) -> Simulator<GPacket, GameWorld> {
     let mut world = GameWorld::new(metrics_mode);
     if delivery_log {
@@ -541,9 +635,7 @@ fn new_sim(
         priority: GPacket::priority,
         supersede_key: GPacket::supersede_key,
     });
-    if let Some(ov) = overload {
-        sim.install_overload(ov);
-    }
+    sim.install_overload(overload);
     sim
 }
 
@@ -569,58 +661,32 @@ fn plain_router(
     Box::new(router)
 }
 
-/// Where the behavior of player `p` (host `node`) plugs in: its edge router
-/// and its cursor over the shared trace, offset by `warmup`.
-fn player_seat(
-    sim: &Simulator<GPacket, GameWorld>,
-    node: NodeId,
-    trace: &Arc<Vec<TraceEvent>>,
-    p: PlayerId,
-    warmup: SimDuration,
-) -> (NodeId, TraceCursor) {
-    let (edge, _) = sim
+/// Where the behavior of player `p` plugs in: its host node, its edge
+/// router and its cursor over the shared trace, offset by the warmup.
+fn player_seat(stage: &Stage<'_>, b: &BuiltScenario, p: PlayerId) -> (NodeId, NodeId, TraceCursor) {
+    let node = b.player_nodes[p.index()];
+    let (edge, _) = b
+        .sim
         .topology()
         .neighbors(node)
         .next()
         .expect("player attached");
-    (edge, TraceCursor::for_player(Arc::clone(trace), p, warmup))
+    let cursor = TraceCursor::for_player(Arc::clone(stage.trace), p, b.warmup);
+    (node, edge, cursor)
 }
 
 fn assemble_gcopss(
     cfg: GcopssConfig,
-    net: &NetworkSpec,
-    map: &Arc<GameMap>,
-    population: &PlayerPopulation,
-    trace: &Arc<Vec<TraceEvent>>,
+    stage: &Stage<'_>,
+    b: &mut BuiltScenario,
     extra_hosts: Vec<ExtraHost>,
     players: PlayerSpec,
-) -> GcopssSim {
-    let mut bn = net.build();
-    let player_nodes = attach_hosts(
-        &mut bn.topology,
-        &bn.attach_points,
-        population.len(),
-        SimDuration::from_millis(1),
-        "player",
-    );
-    let mut extra_nodes = Vec::new();
-    let mut extra_makes = Vec::new();
-    for h in extra_hosts {
-        let node = bn
-            .topology
-            .add_node_kind(format!("extra{}", extra_nodes.len()), gcopss_sim::NodeKind::Host);
-        bn.topology
-            .try_add_link(node, h.attach_to, SimDuration::from_millis(1), None)
-            .expect("extra host attaches to a known router");
-        extra_nodes.push(node);
-        extra_makes.push((node, h.attach_to, h.routes, h.make));
-    }
-    let routing = RoutingTable::shortest_paths(&bn.topology);
+) {
+    b.warmup = cfg.warmup;
 
     // Initial RP assignment.
-    let groups = rp_prefix_partition(map, cfg.rp_count);
+    let groups = rp_prefix_partition(stage.map, cfg.rp_count);
     let mut rp_table = RpTable::new();
-    let mut rp_nodes = BTreeMap::new();
     for (i, group) in groups.iter().enumerate() {
         let rp = RpId(i as u32);
         for prefix in group {
@@ -628,7 +694,8 @@ fn assemble_gcopss(
                 .assign(prefix.clone(), rp)
                 .expect("partition is prefix-free");
         }
-        rp_nodes.insert(rp, bn.rp_pool[i % bn.rp_pool.len()]);
+        b.rp_nodes
+            .insert(rp, stage.rp_pool[i % stage.rp_pool.len()]);
     }
     for prefix in &cfg.extra_rp_prefixes {
         rp_table
@@ -636,32 +703,25 @@ fn assemble_gcopss(
             .expect("extra prefixes must not overlap the map namespace");
     }
     for (prefixes, node) in &cfg.extra_rps {
-        let rp = RpId(rp_nodes.len() as u32);
+        let rp = RpId(b.rp_nodes.len() as u32);
         for prefix in prefixes {
             rp_table
                 .assign(prefix.clone(), rp)
                 .expect("extra RP prefixes must be disjoint");
         }
-        rp_nodes.insert(rp, *node);
+        b.rp_nodes.insert(rp, *node);
     }
 
-    let mut sim = new_sim(
-        bn.topology,
-        routing,
-        cfg.metrics_mode,
-        cfg.delivery_log,
-        cfg.overload.clone(),
-    );
-    let world = sim.world_mut();
+    let world = b.sim.world_mut();
     world.next_rp_id = cfg.rp_count as u32;
-    for (rp, node) in &rp_nodes {
+    for (rp, node) in &b.rp_nodes {
         world.rp_locations.insert(rp.0, node.0);
     }
-    sim.install_streams(cfg.stream.clone());
+    b.sim.install_streams(cfg.stream);
 
     // Routers.
-    for &r in &bn.routers {
-        let faces = FaceMap::new(sim.topology(), r);
+    for &r in &stage.routers {
+        let faces = FaceMap::new(b.sim.topology(), r);
         let mut copss = CopssEngine::new();
         for (prefix, rp) in rp_table.assignments() {
             copss
@@ -671,34 +731,40 @@ fn assemble_gcopss(
         }
         let mut local_rps = std::collections::BTreeSet::new();
         let mut fib_routes: Vec<(Name, FaceId)> = Vec::new();
-        for (&rp, &node) in &rp_nodes {
+        for (&rp, &node) in &b.rp_nodes {
             if node == r {
                 local_rps.insert(rp);
-            } else if let Some(hop) = sim.routing().next_hop(r, node) {
+            } else if let Some(hop) = b.sim.routing().next_hop(r, node) {
                 if let Some(face) = faces.face_of(hop) {
                     fib_routes.push((rp.ndn_prefix(), face));
                 }
             }
         }
-        for (node, _, routes, _) in &extra_makes {
-            if let Some(hop) = sim.routing().next_hop(r, *node) {
+        for (h, &node) in extra_hosts.iter().zip(&b.hosts) {
+            if let Some(hop) = b.sim.routing().next_hop(r, node) {
                 if let Some(face) = faces.face_of(hop) {
-                    for prefix in routes {
+                    for prefix in &h.routes {
                         fib_routes.push((prefix.clone(), face));
                     }
                 }
             }
         }
         let split = SplitConfig {
-            candidates: bn.rp_pool.clone(),
+            candidates: stage.rp_pool.clone(),
             strategy: cfg.rp_selection,
         };
-        let mut router =
-            GCopssRouter::new(cfg.params.clone(), faces, copss, fib_routes, local_rps, split);
+        let mut router = GCopssRouter::new(
+            cfg.params.clone(),
+            faces,
+            copss,
+            fib_routes,
+            local_rps,
+            split,
+        );
         if let Some(rc) = &cfg.recovery {
             router = router.with_recovery(rc.clone());
         }
-        sim.set_behavior(r, Box::new(router));
+        b.sim.set_behavior(r, Box::new(router));
     }
 
     // Players: each mover gets its own events, split once, in schedule
@@ -707,11 +773,10 @@ fn assemble_gcopss(
     for m in players.moves {
         moves_of.entry(m.player).or_default().push(m);
     }
-    for p in population.players() {
-        let node = player_nodes[p.index()];
-        let (edge, cursor) = player_seat(&sim, node, trace, p, cfg.warmup);
-        let mut client =
-            GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
+    for p in stage.population.players() {
+        let (node, edge, cursor) = player_seat(stage, b, p);
+        let area = stage.population.area_of(p);
+        let mut client = GamePlayerClient::new(p, edge, area, Arc::clone(stage.map), cursor);
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
         }
@@ -726,21 +791,13 @@ fn assemble_gcopss(
         if !moves.is_empty() || online_at.is_some() {
             client = client.with_mover(moves, players.snapshot_mode, online_at);
         }
-        sim.set_behavior(node, Box::new(client));
+        b.sim.set_behavior(node, Box::new(client));
     }
 
     // Extra hosts.
-    for (node, edge, _, make) in extra_makes {
-        let behavior = make(node, edge);
-        sim.set_behavior(node, behavior);
-    }
-
-    GcopssSim {
-        sim,
-        player_nodes,
-        rp_nodes,
-        extra_nodes,
-        warmup: cfg.warmup,
+    for (h, &node) in extra_hosts.into_iter().zip(&b.hosts) {
+        let behavior = (h.make)(node, h.attach_to);
+        b.sim.set_behavior(node, behavior);
     }
 }
 
@@ -749,18 +806,11 @@ fn assemble_gcopss(
 pub struct IpConfig {
     /// Calibration constants.
     pub params: SimParams,
-    /// Latency-metrics retention.
-    pub metrics_mode: MetricsMode,
-    /// Exact delivery log (small runs only).
-    pub delivery_log: bool,
     /// Number of game servers.
     pub server_count: usize,
     /// Failure-recovery tunables: `Some` enables the session model
     /// (client `Hello`s, server connection table, reconnect watchdogs).
     pub recovery: Option<RecoveryConfig>,
-    /// Engine overload control; `None` (or a vacuous config) is
-    /// byte-identical to pre-overload builds.
-    pub overload: Option<OverloadConfig>,
     /// Client-side congestion-feedback rate adaptation (see
     /// [`GcopssConfig::rate_adapt`]).
     pub rate_adapt: Option<RateAdaptConfig>,
@@ -770,83 +820,40 @@ impl Default for IpConfig {
     fn default() -> Self {
         Self {
             params: SimParams::default(),
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: false,
             server_count: 3,
             recovery: None,
-            overload: None,
             rate_adapt: None,
         }
     }
 }
 
-/// A fully-assembled IP-server baseline simulation.
-pub struct IpSim {
-    /// The simulator, ready to run.
-    pub sim: Simulator<GPacket, GameWorld>,
-    /// Host node of each player.
-    pub player_nodes: Vec<NodeId>,
-    /// The server nodes.
-    pub server_nodes: Vec<NodeId>,
-}
-
-fn assemble_ip_server(
-    cfg: IpConfig,
-    net: &NetworkSpec,
-    map: &Arc<GameMap>,
-    population: &PlayerPopulation,
-    trace: &Arc<Vec<TraceEvent>>,
-) -> IpSim {
-    let mut bn = net.build();
-    let player_nodes = attach_hosts(
-        &mut bn.topology,
-        &bn.attach_points,
-        population.len(),
-        SimDuration::from_millis(1),
-        "player",
-    );
-    // Servers attach to the RP pool positions (R1 on the testbed).
-    let mut server_nodes = Vec::new();
-    for i in 0..cfg.server_count {
-        let at = bn.rp_pool[i % bn.rp_pool.len()];
-        let node = bn
-            .topology
-            .add_node_kind(format!("server{i}"), gcopss_sim::NodeKind::Host);
-        bn.topology
-            .try_add_link(node, at, SimDuration::from_millis(1), None)
-            .expect("server attaches to a known router");
-        server_nodes.push(node);
-    }
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-
-    let mut sim = new_sim(
-        bn.topology,
-        routing,
-        cfg.metrics_mode,
-        cfg.delivery_log,
-        cfg.overload.clone(),
-    );
-
+fn assemble_ip_server(cfg: IpConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
     // Plain IP routers (a G-COPSS router with no RPs forwards IP packets).
-    for &r in &bn.routers {
-        let faces = FaceMap::new(sim.topology(), r);
-        sim.set_behavior(r, plain_router(&cfg.params, faces, Vec::new(), cfg.recovery.as_ref()));
+    for &r in &stage.routers {
+        let faces = FaceMap::new(b.sim.topology(), r);
+        b.sim.set_behavior(
+            r,
+            plain_router(&cfg.params, faces, Vec::new(), cfg.recovery.as_ref()),
+        );
     }
 
-    let areas: Vec<_> = population.players().map(|p| population.area_of(p)).collect();
-    let roster = Arc::new(Roster::new(map, player_nodes.clone(), areas));
-    for &s in &server_nodes {
+    let population = stage.population;
+    let areas: Vec<_> = population
+        .players()
+        .map(|p| population.area_of(p))
+        .collect();
+    let roster = Arc::new(Roster::new(stage.map, b.player_nodes.clone(), areas));
+    for &s in &b.hosts {
         let mut server = IpServer::new(cfg.params.clone(), Arc::clone(&roster));
         if let Some(rc) = &cfg.recovery {
             server = server.with_recovery(rc.clone());
         }
-        sim.set_behavior(s, Box::new(server));
+        b.sim.set_behavior(s, Box::new(server));
     }
 
-    let server_of = Arc::new(partition_cds_to_servers(map, &server_nodes));
+    let server_of = Arc::new(partition_cds_to_servers(stage.map, &b.hosts));
     for p in population.players() {
-        let node = player_nodes[p.index()];
-        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
+        let (node, edge, cursor) = player_seat(stage, b, p);
         let mut client = IpClient::new(p, edge, Arc::clone(&server_of), cursor);
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
@@ -854,188 +861,95 @@ fn assemble_ip_server(
         if let Some(ra) = &cfg.rate_adapt {
             client = client.with_rate_adapt(ra.clone());
         }
-        sim.set_behavior(node, Box::new(client));
-    }
-
-    IpSim {
-        sim,
-        player_nodes,
-        server_nodes,
+        b.sim.set_behavior(node, Box::new(client));
     }
 }
 
 /// Configuration of a hybrid-G-COPSS simulation (§III-D).
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
-    /// Latency-metrics retention.
-    pub metrics_mode: MetricsMode,
-    /// Exact delivery log (small runs only).
-    pub delivery_log: bool,
     /// Available IP multicast groups (Table II uses 6).
     pub group_count: u32,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        Self {
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: false,
-            group_count: 6,
-        }
+        Self { group_count: 6 }
     }
 }
 
-/// A fully-assembled hybrid-G-COPSS simulation.
-pub struct HybridSim {
-    /// The simulator, ready to run.
-    pub sim: Simulator<GPacket, GameWorld>,
-    /// Host node of each player.
-    pub player_nodes: Vec<NodeId>,
-}
-
-fn assemble_hybrid(
-    cfg: HybridConfig,
-    net: &NetworkSpec,
-    map: &Arc<GameMap>,
-    population: &PlayerPopulation,
-    trace: &Arc<Vec<TraceEvent>>,
-) -> HybridSim {
-    let mut bn = net.build();
-    let player_nodes = attach_hosts(
-        &mut bn.topology,
-        &bn.attach_points,
-        population.len(),
-        SimDuration::from_millis(1),
-        "player",
-    );
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut sim = new_sim(bn.topology, routing, cfg.metrics_mode, cfg.delivery_log, None);
-
+fn assemble_hybrid(cfg: HybridConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
     let params = SimParams::default();
-    for &r in &bn.routers {
-        let faces = FaceMap::new(sim.topology(), r);
-        if bn.attach_points.contains(&r) {
-            sim.set_behavior(r, Box::new(HybridEdgeRouter::new(faces, cfg.group_count)));
+    for &r in &stage.routers {
+        let faces = FaceMap::new(b.sim.topology(), r);
+        if stage.attach_points.contains(&r) {
+            b.sim
+                .set_behavior(r, Box::new(HybridEdgeRouter::new(faces, cfg.group_count)));
         } else {
-            sim.set_behavior(r, plain_router(&params, faces, Vec::new(), None));
+            b.sim
+                .set_behavior(r, plain_router(&params, faces, Vec::new(), None));
         }
     }
 
-    for p in population.players() {
-        let node = player_nodes[p.index()];
-        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
-        let client = GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
-        sim.set_behavior(node, Box::new(client));
+    for p in stage.population.players() {
+        let (node, edge, cursor) = player_seat(stage, b, p);
+        let area = stage.population.area_of(p);
+        let client = GamePlayerClient::new(p, edge, area, Arc::clone(stage.map), cursor);
+        b.sim.set_behavior(node, Box::new(client));
     }
-
-    HybridSim { sim, player_nodes }
 }
 
-/// Configuration of the NDN (VoCCN-style) baseline simulation.
-#[derive(Debug, Clone)]
+/// Configuration of the NDN (VoCCN-style) baseline simulation. The
+/// baseline has no client-side rate adaptation: its consumers pull
+/// (Interests pace the producers already), so under
+/// [`ScenarioSpec::overload`] only the router queues are managed.
+#[derive(Debug, Clone, Default)]
 pub struct NdnBaselineConfig {
     /// Calibration constants.
     pub params: SimParams,
-    /// Latency-metrics retention.
-    pub metrics_mode: MetricsMode,
-    /// Exact delivery log (small runs only).
-    pub delivery_log: bool,
     /// Client pipelining/accumulation settings.
     pub client: NdnClientConfig,
     /// Failure-recovery tunables: `Some` enables the router PIT sweep and
     /// forces `client.retry_forever` so lost Interests are always
     /// re-expressed eventually.
     pub recovery: Option<RecoveryConfig>,
-    /// Engine overload control; `None` (or a vacuous config) is
-    /// byte-identical to pre-overload builds. The NDN baseline has no
-    /// client-side rate adaptation: its consumers pull (Interests pace the
-    /// producers already), so only the router queues are overload-managed.
-    pub overload: Option<OverloadConfig>,
 }
 
-impl Default for NdnBaselineConfig {
-    fn default() -> Self {
-        Self {
-            params: SimParams::default(),
-            metrics_mode: MetricsMode::StatsOnly,
-            delivery_log: false,
-            client: NdnClientConfig::default(),
-            recovery: None,
-            overload: None,
-        }
-    }
-}
-
-/// A fully-assembled NDN-baseline simulation.
-pub struct NdnSim {
-    /// The simulator. Because consumers poll forever, run it with
-    /// [`Simulator::run_until`] up to a horizon rather than to quiescence.
-    pub sim: Simulator<GPacket, GameWorld>,
-    /// Host node of each player.
-    pub player_nodes: Vec<NodeId>,
-}
-
-fn assemble_ndn_baseline(
-    cfg: NdnBaselineConfig,
-    net: &NetworkSpec,
-    map: &Arc<GameMap>,
-    population: &PlayerPopulation,
-    trace: &Arc<Vec<TraceEvent>>,
-) -> NdnSim {
-    let mut bn = net.build();
-    let player_nodes = attach_hosts(
-        &mut bn.topology,
-        &bn.attach_points,
-        population.len(),
-        SimDuration::from_millis(1),
-        "player",
-    );
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut sim = new_sim(
-        bn.topology,
-        routing,
-        cfg.metrics_mode,
-        cfg.delivery_log,
-        cfg.overload.clone(),
-    );
-
+fn assemble_ndn_baseline(cfg: NdnBaselineConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
+    let population = stage.population;
     // NDN routers with /player/<id> routes toward every player host.
-    for &r in &bn.routers {
-        let faces = FaceMap::new(sim.topology(), r);
+    for &r in &stage.routers {
+        let faces = FaceMap::new(b.sim.topology(), r);
         let mut fib_routes: Vec<(Name, FaceId)> = Vec::new();
         for p in population.players() {
-            let node = player_nodes[p.index()];
-            if let Some(hop) = sim.routing().next_hop(r, node) {
+            let node = b.player_nodes[p.index()];
+            if let Some(hop) = b.sim.routing().next_hop(r, node) {
                 if let Some(face) = faces.face_of(hop) {
                     fib_routes.push((player_prefix(p), face));
                 }
             }
         }
-        sim.set_behavior(r, plain_router(&cfg.params, faces, fib_routes, cfg.recovery.as_ref()));
-    }
-
-    let mut client_cfg = cfg.client.clone();
-    if cfg.recovery.is_some() {
-        client_cfg.retry_forever = true;
-    }
-    let areas: Vec<_> = population.players().map(|p| population.area_of(p)).collect();
-    let rosters = NdnPlayerClient::rosters(map, &areas);
-    for p in population.players() {
-        let node = player_nodes[p.index()];
-        let (edge, cursor) = player_seat(&sim, node, trace, p, WARMUP);
-        sim.set_behavior(
-            node,
-            Box::new(NdnPlayerClient::new(
-                p,
-                edge,
-                client_cfg.clone(),
-                cursor,
-                rosters[p.index()].clone(),
-            )),
+        b.sim.set_behavior(
+            r,
+            plain_router(&cfg.params, faces, fib_routes, cfg.recovery.as_ref()),
         );
     }
 
-    NdnSim { sim, player_nodes }
+    let mut client_cfg = cfg.client;
+    if cfg.recovery.is_some() {
+        client_cfg.retry_forever = true;
+    }
+    let areas: Vec<_> = population
+        .players()
+        .map(|p| population.area_of(p))
+        .collect();
+    let rosters = NdnPlayerClient::rosters(stage.map, &areas);
+    for p in population.players() {
+        let (node, edge, cursor) = player_seat(stage, b, p);
+        let roster = rosters[p.index()].clone();
+        let client = NdnPlayerClient::new(p, edge, client_cfg.clone(), cursor, roster);
+        b.sim.set_behavior(node, Box::new(client));
+    }
 }
 
 /// For every leaf CD of `map`, the players who can see it (their AoI
@@ -1074,6 +988,7 @@ pub fn expected_deliveries(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcopss_game::{AreaId, MoveType};
 
     #[test]
     fn rp_partition_shapes() {
@@ -1094,46 +1009,105 @@ mod tests {
         let _ = rp_prefix_partition(&map, 7);
     }
 
-    #[test]
-    fn spec_builds_every_protocol() {
+    /// The paper map with one player per area, and an empty trace.
+    fn small_world() -> (Arc<GameMap>, PlayerPopulation, Arc<Vec<TraceEvent>>) {
         let map = Arc::new(GameMap::paper_map());
         let pop = PlayerPopulation::uniform_per_area(&map, 1);
-        let trace: Arc<Vec<TraceEvent>> = Arc::new(Vec::new());
-        let net = NetworkSpec::Testbed;
+        (map, pop, Arc::new(Vec::new()))
+    }
 
-        let g = ScenarioSpec::new(&net, &map, &pop, &trace).build().into_gcopss();
-        assert_eq!(g.player_nodes.len(), pop.len());
-        let ip = ScenarioSpec::new(&net, &map, &pop, &trace)
-            .ip_server(IpConfig::default())
-            .build()
-            .into_ip_server();
-        assert_eq!(ip.server_nodes.len(), IpConfig::default().server_count);
-        let hy = ScenarioSpec::new(&net, &map, &pop, &trace)
-            .hybrid(HybridConfig::default())
-            .build();
-        let BuiltScenario::Hybrid(hy) = hy else {
-            panic!("scenario was not built with Protocol::Hybrid");
+    #[test]
+    fn spec_builds_every_protocol() {
+        let (map, pop, trace) = small_world();
+        let bounded = OverloadConfig {
+            queue_capacity: Some(4_096),
+            ..OverloadConfig::default()
         };
-        assert_eq!(hy.player_nodes.len(), pop.len());
-        let ndn = ScenarioSpec::new(&net, &map, &pop, &trace)
-            .ndn_baseline(NdnBaselineConfig::default())
-            .build();
-        let BuiltScenario::NdnBaseline(ndn) = ndn else {
-            panic!("scenario was not built with Protocol::NdnBaseline");
-        };
-        assert_eq!(ndn.player_nodes.len(), pop.len());
+        // (protocol, initial RPs, other hosts)
+        let cases = [
+            (Protocol::Gcopss(GcopssConfig::default()), 3, 0),
+            (Protocol::IpServer(IpConfig::default()), 0, 3),
+            (Protocol::Hybrid(HybridConfig::default()), 0, 0),
+            (Protocol::NdnBaseline(NdnBaselineConfig::default()), 0, 0),
+        ];
+        for (protocol, rps, hosts) in cases {
+            let name = protocol.name();
+            let built = ScenarioSpec::new(&NetworkSpec::Testbed, &map, &pop, &trace)
+                .protocol(protocol)
+                .delivery_log()
+                .overload(bounded.clone())
+                .build();
+            assert_eq!(built.player_nodes.len(), pop.len(), "{name}");
+            assert_eq!(
+                (built.rp_nodes.len(), built.hosts.len()),
+                (rps, hosts),
+                "{name}"
+            );
+            assert_eq!(built.warmup, WARMUP, "{name}");
+            // The spec's world and engine settings reach every protocol.
+            assert!(built.sim.world().delivery_log.is_some(), "{name}");
+            assert!(built.sim.overload_active(), "{name}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "not built with Protocol::Gcopss")]
     fn built_scenario_unwrap_checks_protocol() {
-        let map = Arc::new(GameMap::paper_map());
-        let pop = PlayerPopulation::uniform_per_area(&map, 1);
-        let trace: Arc<Vec<TraceEvent>> = Arc::new(Vec::new());
+        let (map, pop, trace) = small_world();
         let _ = ScenarioSpec::new(&NetworkSpec::Testbed, &map, &pop, &trace)
             .ip_server(IpConfig::default())
             .build()
             .into_gcopss();
+    }
+
+    /// Builds the IP server with a G-COPSS-only part `add`ed to its spec.
+    fn build_ip_with(add: impl FnOnce(ScenarioSpec<'_>) -> ScenarioSpec<'_>) {
+        let (map, pop, trace) = small_world();
+        let spec = ScenarioSpec::new(&NetworkSpec::Testbed, &map, &pop, &trace)
+            .ip_server(IpConfig::default());
+        let _ = add(spec).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioSpec::extra_hosts is G-COPSS only")]
+    fn extra_hosts_fail_closed() {
+        build_ip_with(|spec| {
+            spec.extra_hosts(vec![ExtraHost {
+                attach_to: NodeId(0),
+                routes: Vec::new(),
+                make: Box::new(
+                    |_: NodeId, _: NodeId| -> Box<dyn NodeBehavior<GPacket, GameWorld>> {
+                        unreachable!("the build panics first")
+                    },
+                ),
+            }])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioSpec::moves is G-COPSS only")]
+    fn moves_fail_closed() {
+        let step = MoveEvent {
+            time_ns: 0,
+            player: PlayerId(0),
+            from: AreaId(1),
+            to: AreaId(2),
+            move_type: MoveType::ZoneSameRegion,
+            snapshot_cds: Vec::new(),
+        };
+        build_ip_with(|spec| spec.moves(vec![step], SnapshotMode::CyclicMulticast));
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioSpec::offline_until is G-COPSS only")]
+    fn offline_until_fails_closed() {
+        build_ip_with(|spec| spec.offline_until(PlayerId(0), SimTime::ZERO + WARMUP));
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioSpec::catch_up is G-COPSS only")]
+    fn catch_up_fails_closed() {
+        build_ip_with(|spec| spec.catch_up(CatchUpConfig::default()));
     }
 
     #[test]

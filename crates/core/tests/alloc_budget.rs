@@ -8,7 +8,7 @@
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate, MetricsMode};
+use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate};
 use gcopss_names::Name;
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{NodeId, SimDuration};
@@ -34,7 +34,6 @@ fn mini_counter_strike_run_stays_within_heap_call_budget() {
         mean_interarrival: SimDuration::from_micros(2_400),
     });
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 3,
         ..GcopssConfig::default()
     };

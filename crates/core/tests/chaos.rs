@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use gcopss_core::experiments::audit::{damage_window, register_expectations};
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RecoveryConfig};
+use gcopss_core::RecoveryConfig;
 use gcopss_game::PlayerId;
 use gcopss_names::Name;
 use gcopss_sim::generators::BackboneParams;
@@ -55,7 +55,7 @@ struct SoakOutcome {
     shed: u64,
 }
 
-fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
+fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
     // The self-profiler rides along: phase *counts* are part of the
     // determinism contract (wall times are not, and are excluded from the
     // fingerprint and the counts export).
@@ -70,16 +70,15 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
     let net = small_backbone();
     let links = net.core_links_preview();
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
-        delivery_log: true,
         rp_count: 2,
         recovery: Some(RecoveryConfig::default()),
-        overload,
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .delivery_log()
+        .overload(overload)
         .build()
         .into_gcopss();
 
@@ -200,7 +199,7 @@ fn run_soak(seed: u64, overload: Option<OverloadConfig>) -> SoakOutcome {
 
 #[test]
 fn soak_recovers_fully_and_is_reproducible() {
-    let a = run_soak(33, None);
+    let a = run_soak(33, OverloadConfig::default());
     assert!(a.lost > 0, "chaos never dropped a packet");
     assert!(a.rp_failovers >= 1, "RP crash did not trigger failover");
     assert!(a.post_expected > 0, "post-repair window is vacuous");
@@ -232,7 +231,7 @@ fn soak_recovers_fully_and_is_reproducible() {
         "audit classes do not sum to the owed pairs"
     );
 
-    let b = run_soak(33, None);
+    let b = run_soak(33, OverloadConfig::default());
     assert_eq!(a.fingerprint, b.fingerprint, "chaos is not reproducible");
     assert_eq!(a.last_repair, b.last_repair);
     assert_eq!(a.post_delivered, b.post_delivered);
@@ -269,7 +268,7 @@ fn soak_with_overload_management_still_heals() {
         mark_sojourn: Some(SimDuration::from_millis(50)),
     };
     assert!(!overload.is_vacuous());
-    let a = run_soak(33, Some(overload));
+    let a = run_soak(33, overload);
     assert!(a.overload_active, "overload layer was not installed");
     assert_eq!(a.shed, 0, "a generous queue must not shed at soak load");
     assert!(a.lost > 0, "chaos never dropped a packet");

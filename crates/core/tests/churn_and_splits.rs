@@ -46,13 +46,13 @@ fn delivery_exact_across_rp_layouts_and_seeds() {
             let w = workload(600, 60, seed);
             let expected = expected_deliveries(&w.map, &w.population, &w.trace);
             let cfg = GcopssConfig {
-                delivery_log: true,
                 rp_count,
                 ..GcopssConfig::default()
             };
             let net = NetworkSpec::default_backbone(seed * 31 + rp_count as u64);
             let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
                 .gcopss(cfg)
+                .delivery_log()
                 .build()
                 .into_gcopss();
             b.sim.run();
@@ -78,14 +78,14 @@ fn split_mid_traffic_is_loss_free() {
     params.rp_split_cooldown_packets = 800;
     let cfg = GcopssConfig {
         params,
-        delivery_log: true,
-        metrics_mode: MetricsMode::PerPublication,
         rp_count: 1,
         ..GcopssConfig::default()
     };
     let net = NetworkSpec::default_backbone(29);
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .metrics_mode(MetricsMode::PerPublication)
+        .delivery_log()
         .build()
         .into_gcopss();
     b.sim.run();
@@ -132,7 +132,6 @@ fn movement_churn_keeps_control_plane_consistent() {
 
     let cfg = GcopssConfig {
         params,
-        delivery_log: true,
         rp_count: 3,
         extra_rp_prefixes: vec![snapcast_ns()],
         ..GcopssConfig::default()
@@ -140,6 +139,7 @@ fn movement_churn_keeps_control_plane_consistent() {
     let warmup = cfg.warmup;
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .delivery_log()
         .extra_hosts(extra_hosts)
         .moves(moves, SnapshotMode::QueryResponse { window: 15 })
         .build()
@@ -411,7 +411,6 @@ fn offline_player_comes_online() {
 
     let cfg = GcopssConfig {
         params,
-        delivery_log: true,
         rp_count: 3,
         extra_rps,
         ..GcopssConfig::default()
@@ -422,6 +421,7 @@ fn offline_player_comes_online() {
     let online_at = SimTime::ZERO + warmup + SimDuration::from_millis(1_500);
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .delivery_log()
         .extra_hosts(extra_hosts)
         .offline_until(joiner, online_at)
         .build()

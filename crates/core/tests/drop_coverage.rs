@@ -21,12 +21,11 @@ use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::ip_server::IpClient;
 use gcopss_core::ndn_baseline::player_prefix;
 use gcopss_core::scenario::{
-    BuiltScenario, GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec,
-    ScenarioSpec, WARMUP,
+    GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
 };
 use gcopss_core::{
-    drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, MetricsMode, RateAdaptConfig,
-    RecoveryConfig, TraceCursor,
+    drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig,
+    TraceCursor,
 };
 use gcopss_game::{ObjectModel, ObjectModelParams, PlayerId};
 use gcopss_names::{Cd, Name};
@@ -80,7 +79,6 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
     let links = net.core_links_preview();
     let broker_at = net.rp_pool_preview()[0];
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 2,
         recovery: Some(RecoveryConfig::default()),
         ..GcopssConfig::default()
@@ -147,7 +145,7 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
     // An interest the broker cannot parse as snapshot or stream control.
     let p = GPacket::Interest(Interest::new(Name::parse_lit("/bogus/1"), 9_001));
     let size = p.wire_size();
-    built.sim.inject(t, built.extra_nodes[0], p, size);
+    built.sim.inject(t, built.hosts[0], p, size);
     // A chunk interest for an id no broker holds: the expected miss on the
     // /chunk fan-out (chunk names carry no CD, so non-holders always miss).
     let p = GPacket::Interest(Interest::new(
@@ -155,7 +153,7 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
         9_002,
     ));
     let size = p.wire_size();
-    built.sim.inject(t, built.extra_nodes[0], p, size);
+    built.sim.inject(t, built.hosts[0], p, size);
     // Chunk data whose bytes do not hash to its name: the client's
     // content-addressed integrity check must reject it.
     let p = GPacket::Data(Data::new(
@@ -188,20 +186,16 @@ fn ndn_faults(seen: &mut BTreeSet<&'static str>) {
     let net = NetworkSpec::Testbed;
     let links = net.core_links_preview();
     let mut cfg = NdnBaselineConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         recovery: Some(RecoveryConfig::default()),
         ..NdnBaselineConfig::default()
     };
     // Flush often enough that the 128-batch history window rolls over
     // within the trace span, so an early seq is genuinely aged out.
     cfg.client.accum_interval = SimDuration::from_millis(10);
-    let warmup = WARMUP;
-    let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ndn_baseline(cfg)
         .build();
-    let BuiltScenario::NdnBaseline(mut built) = built else {
-        unreachable!("the spec selected the NDN baseline");
-    };
+    let warmup = built.warmup;
 
     let span = w.span();
     let at = |num: u64, den: u64| {
@@ -242,17 +236,15 @@ fn ip_server_crash(seen: &mut BTreeSet<&'static str>) {
     });
     let net = NetworkSpec::default_backbone(11);
     let cfg = IpConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         server_count: 1,
         recovery: Some(RecoveryConfig::default()),
         ..IpConfig::default()
     };
-    let warmup = WARMUP;
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ip_server(cfg)
         .build()
         .into_ip_server();
-    let server = built.server_nodes[0];
+    let (server, warmup) = (built.hosts[0], built.warmup);
 
     let span = w.span();
     let at = |num: u64, den: u64| {
@@ -300,18 +292,10 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
         ..WorkloadParams::default()
     });
     let net = NetworkSpec::default_backbone(13);
-    let cfg = HybridConfig {
-        metrics_mode: MetricsMode::StatsOnly,
-        group_count: 2,
-        ..HybridConfig::default()
-    };
-    let warmup = WARMUP;
-    let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-        .hybrid(cfg)
+    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+        .hybrid(HybridConfig { group_count: 2 })
         .build();
-    let BuiltScenario::Hybrid(mut built) = built else {
-        unreachable!("the spec selected the hybrid");
-    };
+    let warmup = built.warmup;
 
     let span = w.span();
     let at = |num: u64, den: u64| {
@@ -364,10 +348,15 @@ fn overload_shedding(seen: &mut BTreeSet<&'static str>) {
     });
     let net = NetworkSpec::default_backbone(7);
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 2,
         recovery: Some(RecoveryConfig::default()),
-        overload: Some(OverloadConfig {
+        rate_adapt: Some(RateAdaptConfig::default()),
+        ..GcopssConfig::default()
+    };
+    let warmup = cfg.warmup;
+    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+        .gcopss(cfg)
+        .overload(OverloadConfig {
             queue_capacity: Some(8),
             policy: AdmissionPolicy::CoDel {
                 target: SimDuration::from_millis(2),
@@ -375,13 +364,7 @@ fn overload_shedding(seen: &mut BTreeSet<&'static str>) {
             },
             priority: true,
             mark_sojourn: Some(SimDuration::from_millis(4)),
-        }),
-        rate_adapt: Some(RateAdaptConfig::default()),
-        ..GcopssConfig::default()
-    };
-    let warmup = cfg.warmup;
-    let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-        .gcopss(cfg)
+        })
         .build()
         .into_gcopss();
     built.sim.enable_telemetry(TelemetryConfig::default());

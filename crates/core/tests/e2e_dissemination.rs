@@ -40,13 +40,13 @@ fn gcopss_delivers_exactly_the_aoi_testbed_one_rp() {
     assert!(s.trace.len() > 100, "trace has {} events", s.trace.len());
     let cfg = GcopssConfig {
         params: SimParams::microbenchmark(),
-        metrics_mode: MetricsMode::Full,
-        delivery_log: true,
         rp_count: 1,
         ..GcopssConfig::default()
     };
     let mut built = ScenarioSpec::new(&NetworkSpec::Testbed, &s.map, &s.pop, &s.trace)
         .gcopss(cfg)
+        .metrics_mode(MetricsMode::Full)
+        .delivery_log()
         .build()
         .into_gcopss();
     built.sim.run();
@@ -67,15 +67,11 @@ fn gcopss_delivers_exactly_the_aoi_testbed_one_rp() {
 #[test]
 fn gcopss_delivers_on_backbone_with_three_rps() {
     let s = small_setup(2, 1_000);
-    let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::Full,
-        delivery_log: true,
-        rp_count: 3,
-        ..GcopssConfig::default()
-    };
     let net = NetworkSpec::default_backbone(7);
     let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-        .gcopss(cfg)
+        .gcopss(GcopssConfig::default())
+        .metrics_mode(MetricsMode::Full)
+        .delivery_log()
         .build()
         .into_gcopss();
     built.sim.run();
@@ -90,14 +86,13 @@ fn gcopss_delivers_on_backbone_with_three_rps() {
 fn gcopss_six_rps_also_exact() {
     let s = small_setup(3, 1_000);
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
-        delivery_log: true,
         rp_count: 6,
         ..GcopssConfig::default()
     };
     let net = NetworkSpec::default_backbone(3);
     let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
         .gcopss(cfg)
+        .delivery_log()
         .build()
         .into_gcopss();
     built.sim.run();
@@ -109,13 +104,13 @@ fn ip_server_delivers_exactly_the_aoi() {
     let s = small_setup(4, 1_000);
     let cfg = IpConfig {
         params: SimParams::microbenchmark(),
-        metrics_mode: MetricsMode::Full,
-        delivery_log: true,
         server_count: 1,
         ..IpConfig::default()
     };
     let mut built = ScenarioSpec::new(&NetworkSpec::Testbed, &s.map, &s.pop, &s.trace)
         .ip_server(cfg)
+        .metrics_mode(MetricsMode::Full)
+        .delivery_log()
         .build()
         .into_ip_server();
     built.sim.run();
@@ -129,17 +124,13 @@ fn ip_server_delivers_exactly_the_aoi() {
 #[test]
 fn ip_server_multiple_servers_partition_correctly() {
     let s = small_setup(5, 1_000);
-    let cfg = IpConfig {
-        delivery_log: true,
-        server_count: 3,
-        ..IpConfig::default()
-    };
     let net = NetworkSpec::default_backbone(11);
     let mut built = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-        .ip_server(cfg)
+        .ip_server(IpConfig::default())
+        .delivery_log()
         .build()
         .into_ip_server();
-    assert_eq!(built.server_nodes.len(), 3);
+    assert_eq!(built.hosts.len(), 3);
     built.sim.run();
     assert_eq!(built.sim.world().metrics.delivered(), s.expected);
 }
@@ -147,16 +138,13 @@ fn ip_server_multiple_servers_partition_correctly() {
 #[test]
 fn hybrid_delivers_exactly_the_aoi() {
     let s = small_setup(6, 1_000);
-    let cfg = HybridConfig {
-        metrics_mode: MetricsMode::Full,
-        delivery_log: true,
-        group_count: 6,
-    };
     let net = NetworkSpec::default_backbone(13);
     let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-        .hybrid(cfg)
+        .hybrid(HybridConfig { group_count: 6 })
+        .metrics_mode(MetricsMode::Full)
+        .delivery_log()
         .build()
-        .into_sim();
+        .sim;
     sim.run();
     let w = sim.world();
     assert_eq!(
@@ -172,16 +160,12 @@ fn hybrid_filtering_discards_unwanted_group_traffic() {
     // With only 2 groups, group sharing is heavy: edges must receive (and
     // filter) unwanted messages.
     let s = small_setup(7, 500);
-    let cfg = HybridConfig {
-        delivery_log: true,
-        group_count: 2,
-        ..HybridConfig::default()
-    };
     let net = NetworkSpec::default_backbone(17);
     let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-        .hybrid(cfg)
+        .hybrid(HybridConfig { group_count: 2 })
+        .delivery_log()
         .build()
-        .into_sim();
+        .sim;
     sim.run();
     let w = sim.world();
     assert_eq!(w.metrics.delivered(), s.expected);
@@ -198,14 +182,12 @@ fn fewer_groups_means_more_network_load() {
     let s = small_setup(8, 500);
     let net = NetworkSpec::default_backbone(19);
     let run = |groups: u32| {
-        let cfg = HybridConfig {
-            group_count: groups,
-            ..HybridConfig::default()
-        };
         let mut sim = ScenarioSpec::new(&net, &s.map, &s.pop, &s.trace)
-            .hybrid(cfg)
+            .hybrid(HybridConfig {
+                group_count: groups,
+            })
             .build()
-            .into_sim();
+            .sim;
         sim.run();
         sim.total_link_bytes()
     };

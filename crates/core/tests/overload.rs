@@ -6,7 +6,7 @@
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RateAdaptConfig, RecoveryConfig};
+use gcopss_core::{RateAdaptConfig, RecoveryConfig};
 use gcopss_sim::{
     AdmissionPolicy, OverloadConfig, SimDuration, SimTime, TelemetryConfig, TelemetryReport,
 };
@@ -33,20 +33,22 @@ fn overload_report(
         mean_interarrival: SimDuration::from_micros(800),
     });
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 2,
         recovery: Some(RecoveryConfig::default()),
-        overload,
         rate_adapt,
         ..GcopssConfig::default()
     };
-    let mut built =
+    let mut spec =
         ScenarioSpec::new(&NetworkSpec::default_backbone(3), &w.map, &w.population, &w.trace)
-            .gcopss(cfg)
-            .build()
-            .into_gcopss();
+            .gcopss(cfg);
+    if let Some(ov) = overload {
+        spec = spec.overload(ov);
+    }
+    let mut built = spec.build().into_gcopss();
     built.sim.enable_telemetry(TelemetryConfig::default());
-    built.sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+    built
+        .sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(30));
     built.sim.telemetry_report("overload", 0)
 }
 

@@ -2,7 +2,7 @@
 //! selection" future work implemented as `RpSelection`).
 
 use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RpSelection, SimParams};
+use gcopss_core::{RpSelection, SimParams};
 use gcopss_core::experiments::{Workload, WorkloadParams};
 
 fn congested_workload(seed: u64) -> Workload {
@@ -21,8 +21,6 @@ fn run_with_strategy(strategy: RpSelection, seed: u64) -> (Vec<u32>, u64, u64) {
     params.rp_split_cooldown_packets = 1_000;
     let cfg = GcopssConfig {
         params,
-        delivery_log: true,
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 1,
         rp_selection: strategy,
         ..GcopssConfig::default()
@@ -30,6 +28,7 @@ fn run_with_strategy(strategy: RpSelection, seed: u64) -> (Vec<u32>, u64, u64) {
     let net = NetworkSpec::default_backbone(19);
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .delivery_log()
         .build()
         .into_gcopss();
     b.sim.run();

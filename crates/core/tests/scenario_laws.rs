@@ -1,27 +1,36 @@
 //! Laws over generated scenarios, through the one run path
 //! (`TelemetryCapture::{run, run_audited}`): for every generated
-//! `(protocol, RP | server count, workload seed)` tuple on a small backbone,
+//! `(protocol, RP | server | group count, workload seed, overload)` tuple on
+//! a small backbone — `overload` either none or the chaos soak's generous
+//! bounded queue, set on the spec independently of the protocol —
 //!
 //! * observers leave the schedule untouched — a run under a capture that is
 //!   on (telemetry, frame sampler and full lineage armed) ends with the same
 //!   books as the same spec under a capture that is off;
 //! * same-seed audited runs render byte-identical telemetry reports, time
 //!   series and audit documents;
-//! * every G-COPSS audit is clean.
+//! * the generous queue sheds nothing, so every G-COPSS audit is clean
+//!   under both overload arms.
 
 use std::cell::Cell;
 
 use gcopss_compat::prop;
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss_core::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
+    GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
 use gcopss_core::{GPacket, GameWorld};
 use gcopss_sim::generators::BackboneParams;
 use gcopss_sim::json::Json;
-use gcopss_sim::{SimDuration, SimTime, Simulator, TelemetryConfig, TimeSeriesConfig};
+use gcopss_sim::{
+    AdmissionPolicy, EngineDrop, OverloadConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
+    TimeSeriesConfig,
+};
 
-const CASES: u32 = 24;
+const CASES: u32 = 32;
+
+/// The evaluated systems, in `kind` order.
+const PROTOCOLS: usize = 4;
 
 fn protocol(kind: u32, cores: usize) -> Protocol {
     match kind {
@@ -33,7 +42,22 @@ fn protocol(kind: u32, cores: usize) -> Protocol {
             server_count: cores,
             ..IpConfig::default()
         }),
+        2 => Protocol::Hybrid(HybridConfig {
+            group_count: cores as u32,
+        }),
         _ => Protocol::NdnBaseline(NdnBaselineConfig::default()),
+    }
+}
+
+/// The chaos soak's generous bounded queue: drop-tail behind 4 096 waiting
+/// packets, priority classes and a 50 ms sojourn mark — installed, but
+/// never full at this load.
+fn generous() -> OverloadConfig {
+    OverloadConfig {
+        queue_capacity: Some(4_096),
+        policy: AdmissionPolicy::DropTail,
+        priority: true,
+        mark_sojourn: Some(SimDuration::from_millis(50)),
     }
 }
 
@@ -64,13 +88,14 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
         },
     };
     let input = (
-        prop::range(0u32..3),
+        prop::range(0u32..PROTOCOLS as u32),
         prop::range(1usize..=3),
         prop::range(0u64..1_000),
+        prop::bools(),
     );
-    // How many cases ran each protocol.
-    let ran = Cell::new([0u32; 3]);
-    prop::check(0x51324, CASES, &input, |&(kind, cores, seed)| {
+    // How many cases ran each protocol, and each overload arm.
+    let ran = Cell::new(([0u32; PROTOCOLS], [0u32; 2]));
+    prop::check(0x51324, CASES, &input, |&(kind, cores, seed, bounded)| {
         let w = Workload::counter_strike(&WorkloadParams {
             seed,
             players: 30,
@@ -79,10 +104,27 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
         });
         // NDN consumers poll forever, so every protocol runs to a horizon.
         let horizon = SimTime::ZERO + WARMUP + w.span() + SimDuration::from_secs(2);
-        let spec = || w.spec(&net).protocol(protocol(kind, cores));
+        let overload = if bounded {
+            generous()
+        } else {
+            OverloadConfig::default()
+        };
+        let spec = || {
+            w.spec(&net)
+                .protocol(protocol(kind, cores))
+                .overload(overload.clone())
+        };
 
         let bare = TelemetryCapture::off().run("", spec(), |sim| sim.run_until(horizon));
         assert!(!bare.telemetry().is_enabled());
+        assert_eq!(bare.overload_active(), bounded);
+        let shed = [
+            EngineDrop::QueueFull,
+            EngineDrop::AqmShed,
+            EngineDrop::StaleSuperseded,
+        ];
+        let shed: u64 = shed.into_iter().map(|why| bare.dropped(why)).sum();
+        assert_eq!(shed, 0, "the generous queue shed packets");
 
         let audited = || {
             let mut cap = TelemetryCapture::new(TelemetryConfig {
@@ -113,10 +155,13 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
             assert!(report.is_clean(), "{}\n{:?}", report.table(), report.errors);
             assert!(report.delivered > 0 && report.delivered == report.total_pairs);
         }
-        let mut seen = ran.get();
-        seen[kind as usize] += 1;
-        ran.set(seen);
+        let (mut protocols, mut arms) = ran.get();
+        protocols[kind as usize] += 1;
+        arms[usize::from(bounded)] += 1;
+        ran.set((protocols, arms));
     });
-    // The law is not vacuous: every protocol ran.
-    assert!(ran.get().iter().all(|&n| n > 0), "{:?}", ran.get());
+    // The law is not vacuous: every protocol and both overload arms ran.
+    let (protocols, arms) = ran.get();
+    assert!(protocols.iter().all(|&n| n > 0), "{protocols:?}");
+    assert!(arms.iter().all(|&n| n > 0), "{arms:?}");
 }

@@ -7,7 +7,6 @@
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::MetricsMode;
 use gcopss_sim::{SimDuration, SimTime, StreamConfig, TelemetryConfig, TelemetryReport};
 
 /// Serializes a report the way the experiment binaries do, so equality
@@ -27,7 +26,6 @@ fn stream_report(stream: StreamConfig) -> (TelemetryReport, u64) {
         mean_interarrival: SimDuration::from_micros(800),
     });
     let cfg = GcopssConfig {
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 2,
         stream,
         ..GcopssConfig::default()

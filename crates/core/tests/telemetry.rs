@@ -7,7 +7,7 @@
 use gcopss_core::experiments::rp_sweep::{self, RpSweepConfig};
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RecoveryConfig, SimParams};
+use gcopss_core::{RecoveryConfig, SimParams};
 use gcopss_sim::json::Json;
 use gcopss_sim::{
     FaultPlan, SimDuration, SimTime, TelemetryConfig, TelemetryReport, TimeSeriesConfig,
@@ -132,7 +132,6 @@ fn microbenchmark() -> Workload {
 fn testbed_spec(w: &Workload, recovery: Option<RecoveryConfig>) -> ScenarioSpec<'_> {
     let cfg = GcopssConfig {
         params: SimParams::microbenchmark(),
-        metrics_mode: MetricsMode::StatsOnly,
         rp_count: 1,
         recovery,
         ..GcopssConfig::default()
@@ -166,7 +165,7 @@ fn a_capture_that_is_off_runs_the_closure_and_observes_nothing() {
 /// run-to-quiescence) keeps the run method identical across modes.
 fn chaos_report(plan: Option<FaultPlan>, recovery: Option<RecoveryConfig>) -> TelemetryReport {
     let w = microbenchmark();
-    let mut sim = testbed_spec(&w, recovery).build().into_sim();
+    let mut sim = testbed_spec(&w, recovery).build().sim;
     sim.enable_telemetry(TelemetryConfig::default());
     if let Some(p) = plan {
         sim.install_faults(p);

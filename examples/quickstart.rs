@@ -33,16 +33,19 @@ fn main() {
     println!("a soldier in /1/2 subscribes to: {subs:?}");
 
     // 2. Assemble the network: 6 testbed routers (Fig. 3b), every player a
-    //    host, RP at R1, and run the trace through it.
+    //    host, RP at R1, and run the trace through it. The protocol config
+    //    says what G-COPSS's routers and clients read; the spec itself what
+    //    the world and the engine read (every latency sample, and an exact
+    //    delivery log to check against), the same for every protocol.
     let cfg = GcopssConfig {
         params: SimParams::microbenchmark(),
-        metrics_mode: MetricsMode::Full,
-        delivery_log: true,
         rp_count: 1,
         ..GcopssConfig::default()
     };
     let mut built = ScenarioSpec::new(&NetworkSpec::Testbed, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .metrics_mode(MetricsMode::Full)
+        .delivery_log()
         .build()
         .into_gcopss();
     built.sim.run();

@@ -56,27 +56,20 @@ fn all_systems_deliver_exactly_the_aoi() {
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     let net = NetworkSpec::default_backbone(9);
 
-    let cfg = GcopssConfig {
-        delivery_log: true,
-        rp_count: 3,
-        ..GcopssConfig::default()
-    };
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-        .gcopss(cfg)
+        .gcopss(GcopssConfig::default())
+        .delivery_log()
         .build()
         .into_gcopss();
     b.sim.run();
     assert_eq!(b.sim.world().metrics.delivered(), expected, "gcopss");
     assert_eq!(b.sim.world().duplicate_deliveries, 0);
 
-    let cfg = HybridConfig {
-        delivery_log: true,
-        ..HybridConfig::default()
-    };
     let mut sim = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
-        .hybrid(cfg)
+        .hybrid(HybridConfig::default())
+        .delivery_log()
         .build()
-        .into_sim();
+        .sim;
     sim.run();
     assert_eq!(sim.world().metrics.delivered(), expected, "hybrid");
 }
@@ -102,12 +95,12 @@ fn auto_balancing_splits_without_loss() {
     // Balanced: splits must fire and help.
     let cfg = GcopssConfig {
         params: SimParams::default().with_auto_balancing(40),
-        delivery_log: true,
         rp_count: 1,
         ..GcopssConfig::default()
     };
     let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
+        .delivery_log()
         .build()
         .into_gcopss();
     b.sim.run();
@@ -178,12 +171,12 @@ fn deep_hierarchy_dissemination() {
     let trace = Arc::new(microbenchmark_trace(4, &map, &objects, &pop, 2_000_000_000));
     let expected = expected_deliveries(&map, &pop, &trace);
     let cfg = GcopssConfig {
-        delivery_log: true,
         rp_count: 2,
         ..GcopssConfig::default()
     };
     let mut b = ScenarioSpec::new(&NetworkSpec::Testbed, &map, &pop, &trace)
         .gcopss(cfg)
+        .delivery_log()
         .build()
         .into_gcopss();
     b.sim.run();
