@@ -103,8 +103,8 @@ fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> Json {
             continue;
         }
         trace_events.push(Json::obj([
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
+            ("name", Json::from("process_name")),
+            ("ph", Json::from("M")),
             ("pid", Json::UInt(pid as u64)),
             ("tid", Json::UInt(0)),
             ("args", Json::obj([("name", Json::str(r.label.clone()))])),
@@ -202,8 +202,8 @@ pub(crate) fn write_prof(
         reports.push(TelemetryReport {
             label: "prof".to_string(),
             summary: Json::obj([
-                ("label", Json::str("prof")),
-                ("kind", Json::str("self-profile")),
+                ("label", Json::from("prof")),
+                ("kind", Json::from("self-profile")),
                 ("wall_ns", Json::from(report.wall_ns)),
                 ("coverage", Json::from(report.coverage())),
                 (

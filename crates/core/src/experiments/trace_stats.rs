@@ -64,7 +64,7 @@ pub fn telemetry_report(p: &WorkloadParams, out: &TraceStatsOutput) -> Telemetry
     TelemetryReport {
         label: "trace-stats".to_string(),
         summary: Json::obj([
-            ("label", Json::str("trace-stats")),
+            ("label", Json::from("trace-stats")),
             ("players", Json::UInt(out.players as u64)),
             ("total_updates", Json::UInt(out.total_updates as u64)),
             ("objects", Json::UInt(out.objects as u64)),

@@ -845,17 +845,16 @@ impl<P, W> Simulator<P, W> {
             let st = &self.nodes[id as usize];
             (st.processed, st.max_queue, st.busy_time.as_nanos())
         };
-        let mut summary = vec![("label".to_string(), Json::str(label))];
         let Json::Object(rest) = self
             .telemetry
             .summary_json(&self.topology, &engine_node, self.now)
         else {
             unreachable!("summary_json returns an object");
         };
-        summary.extend(rest);
+        let head = std::iter::once(("label".into(), Json::str(label)));
         TelemetryReport {
             label: label.to_string(),
-            summary: Json::Object(summary),
+            summary: Json::obj(head.chain(rest)),
             trace_events: self.telemetry.trace_events_json(&self.topology, pid),
             fingerprint: self.telemetry.journal_fingerprint(),
         }

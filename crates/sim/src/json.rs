@@ -9,13 +9,23 @@
 //! package — and accepts exactly the documents this writer produces plus
 //! ordinary whitespace.
 //!
+//! # Borrowed and owned text
+//!
+//! Object keys and string values are [`Text`]: a `&'static str` is held
+//! by reference, anything else is owned. The rule at the call site:
+//! **[`Json::from`] of a `&'static str` borrows, [`Json::str`] copies.**
+//! Literal keys (`Json::obj([("count", …)])`) and literal or
+//! `&'static str` values (`Json::from("X")`, a packet class, a drop
+//! reason) cost no heap call; node names, labels and `format!` output go
+//! through [`Json::str`]. The parser's output is owned.
+//!
 //! # Example
 //!
 //! ```
 //! use gcopss_sim::json::Json;
 //!
 //! let j = Json::obj([
-//!     ("system", Json::str("gcopss")),
+//!     ("system", Json::from("gcopss")),
 //!     ("delivered", Json::from(12345u64)),
 //!     ("mean_ms", Json::from(8.51)),
 //! ]);
@@ -25,7 +35,60 @@
 //! );
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
+
+/// The text of a JSON key or string value: a borrowed `&'static str` or an
+/// owned `String`, compared and printed by content.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Cow<'static, str>);
+
+impl Text {
+    /// The text as a `&str`.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&'static str> for Text {
+    fn from(s: &'static str) -> Text {
+        Text(Cow::Borrowed(s))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text(Cow::Owned(s))
+    }
+}
+
+impl PartialEq<str> for Text {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A JSON value tree.
 ///
@@ -45,18 +108,20 @@ pub enum Json {
     /// A float; NaN and infinities serialize as `null`.
     Float(f64),
     /// A string (escaped on output).
-    Str(String),
+    Str(Text),
     /// An ordered array.
     Array(Vec<Json>),
     /// An object; key order is preserved as given.
-    Object(Vec<(String, Json)>),
+    Object(Vec<(Text, Json)>),
 }
 
 impl Json {
-    /// Builds a string value.
+    /// Builds a string value from a copy of `s` — for node names, labels
+    /// and `format!` output. A `&'static str` is cheaper through
+    /// [`Json::from`], which borrows it.
     #[must_use]
     pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
+        Json::Str(Text::from(s.into()))
     }
 
     /// Builds an array from any iterator of values.
@@ -65,9 +130,10 @@ impl Json {
         Json::Array(items.into_iter().collect())
     }
 
-    /// Builds an object from `(key, value)` pairs, preserving order.
+    /// Builds an object from `(key, value)` pairs, preserving order. A
+    /// `&'static str` key is borrowed, a `String` key is moved in.
     #[must_use]
-    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+    pub fn obj<K: Into<Text>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
@@ -118,7 +184,7 @@ impl Json {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -257,7 +323,7 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(Json::str),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -303,7 +369,7 @@ impl Parser<'_> {
             self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            pairs.push((key.into(), val));
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -350,8 +416,7 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp)
                             } else {
                                 char::from_u32(hi)
@@ -445,13 +510,12 @@ pub fn results_doc(
     seed: u64,
     fields: impl IntoIterator<Item = (&'static str, Json)>,
 ) -> Json {
-    let mut pairs = vec![
-        ("schema".to_string(), Json::str(schema)),
-        ("exp".to_string(), Json::str(exp)),
-        ("seed".to_string(), Json::UInt(seed)),
+    let head = [
+        ("schema", Json::str(schema)),
+        ("exp", Json::str(exp)),
+        ("seed", Json::UInt(seed)),
     ];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Object(pairs)
+    Json::obj(head.into_iter().chain(fields))
 }
 
 /// Serializes `doc` to `path`, creating parent directories as needed.
@@ -498,14 +562,15 @@ impl From<f64> for Json {
         Json::Float(v)
     }
 }
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_owned())
+/// Borrows: no copy, no heap call (see the module docs).
+impl From<&'static str> for Json {
+    fn from(v: &'static str) -> Json {
+        Json::Str(Text::from(v))
     }
 }
 impl From<String> for Json {
     fn from(v: String) -> Json {
-        Json::Str(v)
+        Json::Str(Text::from(v))
     }
 }
 
@@ -539,7 +604,10 @@ mod tests {
             ("empty", Json::arr([])),
             ("nested", Json::obj([("k", Json::Null)])),
         ]);
-        assert_eq!(j.to_string(), r#"{"xs":[1,2],"empty":[],"nested":{"k":null}}"#);
+        assert_eq!(
+            j.to_string(),
+            r#"{"xs":[1,2],"empty":[],"nested":{"k":null}}"#
+        );
     }
 
     #[test]
@@ -574,9 +642,13 @@ mod tests {
 
     #[test]
     fn parse_accepts_whitespace_and_rejects_garbage() {
-        let j = Json::parse(" {\n \"a\" : [ 1 , 2.5 ] ,\t\"b\": \"\\u00e9\\ud83d\\ude00\" }\n").unwrap();
+        let j = Json::parse(" {\n \"a\" : [ 1 , 2.5 ] ,\t\"b\": \"\\u00e9\\ud83d\\ude00\" }\n")
+            .unwrap();
         assert_eq!(j.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(j.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
+        assert_eq!(
+            j.get("a").unwrap().as_array().unwrap()[1].as_f64(),
+            Some(2.5)
+        );
         assert_eq!(j.get("b").unwrap().as_str(), Some("é😀"));
         assert!(Json::parse("").is_err());
         assert!(Json::parse("{").is_err());

@@ -20,10 +20,14 @@
 //! Like the journal, the log is sampleable (1-in-n by lineage id, so a
 //! sampled message keeps its *entire* causal tree) and bounded; runs of
 //! the same seed produce byte-identical exports ([`LineageLog::fingerprint`]).
+//!
+//! A span is 48 bytes: its drop reason is a one-byte index into the log's
+//! table of distinct reasons, so at most 255 reasons can be told apart and
+//! a 256th fails closed.
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{Json, Text};
 use crate::{fnv1a, SimTime, FNV1A_OFFSET};
 
 /// Sentinel span index meaning "no causal parent" / "not traced".
@@ -31,6 +35,14 @@ pub const NO_SPAN: u32 = u32::MAX;
 
 /// Sentinel entity meaning "no terminal entity" (non-`Deliver` spans).
 pub const NO_ENTITY: u32 = u32::MAX;
+
+/// How many distinct drop reasons one log can record: a span stores its
+/// reason as a `u8` index, and index 0 is the empty reason of every span
+/// that is not a drop.
+const MAX_DROP_REASONS: usize = u8::MAX as usize;
+
+/// The drop a client's duplicate filter books: it never explains a loss.
+const DUPLICATE_FILTERED: &str = "client-duplicate-dropped";
 
 /// What a span represents in a message's causal tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +85,9 @@ pub struct SpanRecord {
     pub cause: u32,
     /// Terminal entity for `Deliver` spans, else [`NO_ENTITY`].
     pub entity: u32,
-    /// Drop reason for `Drop` spans, else `""`.
-    pub reason: &'static str,
+    /// Drop reason for `Drop` spans, as an index into the log's reason
+    /// table; 0 (`""`) otherwise.
+    reason: u8,
     /// What this span represents.
     pub event: SpanEvent,
     /// When the copy was enqueued (transmit decision for hops).
@@ -107,7 +120,10 @@ pub struct LineageConfig {
 
 impl Default for LineageConfig {
     fn default() -> Self {
-        Self { sample: 1, capacity: 1 << 21 }
+        Self {
+            sample: 1,
+            capacity: 1 << 21,
+        }
     }
 }
 
@@ -126,6 +142,8 @@ pub struct LineageLog {
     enabled: bool,
     cfg: LineageConfig,
     spans: Vec<SpanRecord>,
+    /// The distinct drop reasons seen, in first-use order; index 0 is `""`.
+    reasons: Vec<&'static str>,
     truncated: u64,
     expectations: BTreeMap<u64, Expectation>,
 }
@@ -141,6 +159,9 @@ impl LineageLog {
     pub fn enable(&mut self, cfg: LineageConfig) {
         self.enabled = true;
         self.cfg = cfg;
+        if self.reasons.is_empty() {
+            self.reasons.push("");
+        }
     }
 
     /// Whether the log records anything.
@@ -177,7 +198,7 @@ impl LineageLog {
             node,
             cause: NO_SPAN,
             entity: NO_ENTITY,
-            reason: "",
+            reason: 0,
             event: SpanEvent::Origin,
             t_enqueue: now,
             t_service_start: SimTime::MAX,
@@ -196,7 +217,7 @@ impl LineageLog {
             node,
             cause,
             entity: NO_ENTITY,
-            reason: "",
+            reason: 0,
             event: SpanEvent::Hop,
             t_enqueue: arrival,
             t_service_start: SimTime::MAX,
@@ -236,6 +257,7 @@ impl LineageLog {
         if !self.sampled(lid) {
             return NO_SPAN;
         }
+        let reason = self.reason_index(reason);
         self.push(SpanRecord {
             lineage: lid,
             node,
@@ -252,14 +274,17 @@ impl LineageLog {
     /// Converts an open span into a drop (arrival black-holed at a dead
     /// node, or flushed out of a dead node's queue).
     pub fn mark_dropped(&mut self, span: u32, reason: &'static str, now: SimTime) {
-        if let Some(rec) = self.get_mut(span) {
-            rec.event = SpanEvent::Drop;
-            rec.reason = reason;
-            if rec.t_service_start == SimTime::MAX {
-                rec.t_service_start = now;
-            }
-            rec.t_done = now;
+        if self.lineage_of(span).is_none() {
+            return;
         }
+        let reason = self.reason_index(reason);
+        let rec = &mut self.spans[span as usize];
+        rec.event = SpanEvent::Drop;
+        rec.reason = reason;
+        if rec.t_service_start == SimTime::MAX {
+            rec.t_service_start = now;
+        }
+        rec.t_done = now;
     }
 
     /// Records a terminal delivery to `entity`, caused by `cause_span`
@@ -273,7 +298,7 @@ impl LineageLog {
             node,
             cause: cause_span,
             entity,
-            reason: "",
+            reason: 0,
             event: SpanEvent::Deliver,
             t_enqueue: now,
             t_service_start: now,
@@ -287,6 +312,7 @@ impl LineageLog {
         let Some(lid) = self.lineage_of(cause_span) else {
             return;
         };
+        let reason = self.reason_index(reason);
         self.push(SpanRecord {
             lineage: lid,
             node,
@@ -309,8 +335,45 @@ impl LineageLog {
         }
         self.expectations.insert(
             lid,
-            Expectation { t_publish, publisher, entities: entities.to_vec() },
+            Expectation {
+                t_publish,
+                publisher,
+                entities: entities.to_vec(),
+            },
         );
+    }
+
+    /// The index of `reason` in the reason table, added on first use (a
+    /// linear scan: a run books a handful of distinct reasons).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reason past the [`MAX_DROP_REASONS`] the one-byte index
+    /// can tell apart.
+    fn reason_index(&mut self, reason: &'static str) -> u8 {
+        let i = match self
+            .reasons
+            .iter()
+            .position(|&r| std::ptr::eq(r, reason) || r == reason)
+        {
+            Some(i) => i,
+            None => {
+                assert!(
+                    self.reasons.len() <= MAX_DROP_REASONS,
+                    "lineage: drop reason {reason:?} would be distinct reason number {}, \
+                     past the limit of {MAX_DROP_REASONS} a span's u8 index can tell apart",
+                    self.reasons.len()
+                );
+                self.reasons.push(reason);
+                self.reasons.len() - 1
+            }
+        };
+        i as u8
+    }
+
+    /// The drop reason of `rec` (`""` for a span that is not a drop).
+    fn reason_of(&self, rec: &SpanRecord) -> &'static str {
+        self.reasons[usize::from(rec.reason)]
     }
 
     fn get_mut(&mut self, span: u32) -> Option<&mut SpanRecord> {
@@ -344,7 +407,7 @@ impl LineageLog {
             eat(&r.node.to_le_bytes());
             eat(&r.cause.to_le_bytes());
             eat(&r.entity.to_le_bytes());
-            eat(r.reason.as_bytes());
+            eat(self.reason_of(r).as_bytes());
             eat(r.event.as_str().as_bytes());
             eat(&r.t_enqueue.as_nanos().to_le_bytes());
             eat(&r.t_service_start.as_nanos().to_le_bytes());
@@ -367,25 +430,30 @@ impl LineageLog {
             self.spans
                 .iter()
                 .map(|r| {
-                    let mut fields = vec![
-                        ("lineage", Json::from(r.lineage)),
-                        ("node", Json::from(r.node)),
-                        ("event", Json::str(r.event.as_str())),
+                    let mut fields: Vec<(Text, Json)> = Vec::with_capacity(8);
+                    fields.extend([
+                        ("lineage".into(), Json::from(r.lineage)),
+                        ("node".into(), Json::from(r.node)),
+                        ("event".into(), Json::from(r.event.as_str())),
                         (
-                            "cause",
-                            if r.cause == NO_SPAN { Json::Null } else { Json::from(r.cause) },
+                            "cause".into(),
+                            if r.cause == NO_SPAN {
+                                Json::Null
+                            } else {
+                                Json::from(r.cause)
+                            },
                         ),
-                        ("t_enqueue", ts(r.t_enqueue)),
-                        ("t_service_start", ts(r.t_service_start)),
-                        ("t_done", ts(r.t_done)),
-                    ];
+                        ("t_enqueue".into(), ts(r.t_enqueue)),
+                        ("t_service_start".into(), ts(r.t_service_start)),
+                        ("t_done".into(), ts(r.t_done)),
+                    ]);
                     if r.event == SpanEvent::Deliver {
-                        fields.push(("entity", Json::from(r.entity)));
+                        fields.push(("entity".into(), Json::from(r.entity)));
                     }
                     if r.event == SpanEvent::Drop {
-                        fields.push(("reason", Json::str(r.reason)));
+                        fields.push(("reason".into(), Json::from(self.reason_of(r))));
                     }
-                    Json::obj(fields)
+                    Json::Object(fields)
                 })
                 .collect(),
         )
@@ -400,15 +468,51 @@ impl LineageLog {
     /// lineage). Pass `None` for fault-free runs.
     #[must_use]
     pub fn audit(&self, cutoff: SimTime, damage: Option<(SimTime, SimTime)>) -> AuditReport {
-        let mut per_lineage: BTreeMap<u64, LineageView> = BTreeMap::new();
+        // The books, flat: the expectations in lineage order, one view per
+        // lineage, and one delivery counter per owed pair, at the lineage's
+        // `base` plus the entity's slot in its owed list.
+        let owed: Vec<(u64, &Expectation)> = self
+            .expectations
+            .iter()
+            .map(|(&lid, exp)| (lid, exp))
+            .collect();
+        let mut views = Vec::with_capacity(owed.len());
+        let mut pairs = 0;
+        for (_, exp) in &owed {
+            views.push(LineageView {
+                base: pairs,
+                seen: false,
+                drop_reason: None,
+                open: 0,
+            });
+            pairs += exp.entities.len();
+        }
+        let mut delivered = vec![0u32; pairs];
+        // Deliveries to entities a lineage was not owed to, by (lineage
+        // position, entity): the error path, empty on a clean run.
+        let mut unexpected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
+        let duplicate_filtered = self.reasons.iter().position(|&r| r == DUPLICATE_FILTERED);
+
         for rec in &self.spans {
-            let v = per_lineage.entry(rec.lineage).or_default();
+            let Ok(i) = owed.binary_search_by_key(&rec.lineage, |&(lid, _)| lid) else {
+                continue;
+            };
+            let v = &mut views[i];
+            v.seen = true;
             match rec.event {
                 SpanEvent::Deliver => {
-                    *v.delivered.entry(rec.entity).or_insert(0u64) += 1;
+                    let exp = owed[i].1;
+                    match owed_slot(&exp.entities, rec.entity) {
+                        Some(slot) => delivered[v.base + slot] += 1,
+                        // The publisher's own loopback copy is no error.
+                        None if rec.entity == exp.publisher => {}
+                        None => *unexpected.entry((i, rec.entity)).or_insert(0) += 1,
+                    }
                 }
                 SpanEvent::Drop => {
-                    if rec.reason != "client-duplicate-dropped" && v.drop_reason.is_none() {
+                    if v.drop_reason.is_none()
+                        && Some(usize::from(rec.reason)) != duplicate_filtered
+                    {
                         v.drop_reason = Some(rec.reason);
                     }
                 }
@@ -420,27 +524,24 @@ impl LineageLog {
             }
         }
 
-        let mut report = AuditReport { truncated: self.truncated, ..AuditReport::default() };
-        report.lineages = self.expectations.len() as u64;
-        for (lid, exp) in &self.expectations {
-            let view = per_lineage.get(lid);
-            // Deliveries to entities the message was not owed to (other
-            // than the publisher's own loopback copy) are hard errors.
-            if let Some(v) = view {
-                for (&entity, &n) in &v.delivered {
-                    if entity == exp.publisher {
-                        continue;
-                    }
-                    if !exp.entities.contains(&entity) {
-                        report.error(format!(
-                            "lineage {lid}: delivered {n}x to unexpected entity {entity}"
-                        ));
-                    }
-                }
+        let mut report = AuditReport {
+            truncated: self.truncated,
+            ..AuditReport::default()
+        };
+        report.lineages = owed.len() as u64;
+        let mut unexpected = unexpected.into_iter().peekable();
+        for (i, (&(lid, exp), v)) in owed.iter().zip(&views).enumerate() {
+            while let Some(((_, entity), n)) = unexpected.next_if(|&((j, _), _)| j == i) {
+                report.error(format!(
+                    "lineage {lid}: delivered {n}x to unexpected entity {entity}"
+                ));
             }
+            // `None` only when the lineage left no span at all.
+            let view = v.seen.then_some(v);
             for &entity in &exp.entities {
                 report.total_pairs += 1;
-                let n = view.and_then(|v| v.delivered.get(&entity)).copied().unwrap_or(0);
+                let slot = owed_slot(&exp.entities, entity).expect("an owed entity has a slot");
+                let n = delivered[v.base + slot];
                 if n == 1 {
                     report.delivered += 1;
                     continue;
@@ -455,8 +556,14 @@ impl LineageLog {
                 // Not delivered: find the best explanation, most concrete
                 // first.
                 match view {
-                    Some(v) if v.drop_reason.is_some() => {
-                        *report.dropped.entry(v.drop_reason.unwrap()).or_insert(0) += 1;
+                    Some(LineageView {
+                        drop_reason: Some(r),
+                        ..
+                    }) => {
+                        *report
+                            .dropped
+                            .entry(self.reasons[usize::from(*r)])
+                            .or_insert(0) += 1;
                     }
                     Some(v) if v.open > 0 => report.in_flight += 1,
                     _ if in_window(exp.t_publish, damage) => {
@@ -478,6 +585,15 @@ impl LineageLog {
     }
 }
 
+/// The slot of `entity` in an owed list: a binary search, which settles a
+/// sorted list, then a linear scan, since nothing requires one. Any slot
+/// holding `entity` will do, as long as every lookup picks the same one.
+fn owed_slot(owed: &[u32], entity: u32) -> Option<usize> {
+    owed.binary_search(&entity)
+        .ok()
+        .or_else(|| owed.iter().position(|&e| e == entity))
+}
+
 fn in_window(t: SimTime, damage: Option<(SimTime, SimTime)>) -> bool {
     match damage {
         Some((lo, hi)) => t >= lo && t <= hi,
@@ -485,11 +601,16 @@ fn in_window(t: SimTime, damage: Option<(SimTime, SimTime)>) -> bool {
     }
 }
 
-#[derive(Default)]
+/// One lineage's books in [`LineageLog::audit`].
 struct LineageView {
-    delivered: BTreeMap<u32, u64>,
-    drop_reason: Option<&'static str>,
-    open: u64,
+    /// Where the lineage's delivery counters start.
+    base: usize,
+    /// Whether any span of the lineage was recorded.
+    seen: bool,
+    /// The first drop that explains a loss, as a reason-table index.
+    drop_reason: Option<u8>,
+    /// Origin and hop spans still open.
+    open: u32,
 }
 
 /// The auditor's closed books: every expected `(message, subscriber)` pair
@@ -582,10 +703,7 @@ impl AuditReport {
                 100.0 * n as f64 / self.total_pairs as f64
             }
         };
-        out.push_str(&format!(
-            "  {:<28} {:>10} {:>8}\n",
-            "class", "pairs", "%"
-        ));
+        out.push_str(&format!("  {:<28} {:>10} {:>8}\n", "class", "pairs", "%"));
         let mut row = |name: String, n: u64| {
             out.push_str(&format!("  {:<28} {:>10} {:>7.2}%\n", name, n, pct(n)));
         };
@@ -634,7 +752,10 @@ mod tests {
     #[test]
     fn sampling_keeps_whole_lineages() {
         let mut log = LineageLog::disabled();
-        log.enable(LineageConfig { sample: 2, capacity: 1024 });
+        log.enable(LineageConfig {
+            sample: 2,
+            capacity: 1024,
+        });
         assert!(log.sampled(4));
         assert!(!log.sampled(5));
         let s = log.origin(4, 0, at(0));
@@ -765,7 +886,10 @@ mod tests {
     #[test]
     fn truncation_voids_the_audit() {
         let mut log = LineageLog::disabled();
-        log.enable(LineageConfig { sample: 1, capacity: 1 });
+        log.enable(LineageConfig {
+            sample: 1,
+            capacity: 1,
+        });
         let o = log.origin(1, 0, at(0));
         log.close(o, at(0));
         assert_eq!(log.hop(1, o, 1, at(1)), NO_SPAN);
@@ -786,6 +910,25 @@ mod tests {
         };
         assert_eq!(build("link-lost"), build("link-lost"));
         assert_ne!(build("link-lost"), build("node-lost"));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the limit of 255")]
+    fn a_256th_distinct_drop_reason_fails_closed() {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig::default());
+        let o = log.origin(1, 0, at(0));
+        let leaked = |i: usize| -> &'static str { Box::leak(format!("r{i}").into_boxed_str()) };
+        for i in 1..=MAX_DROP_REASONS {
+            log.drop_from(o, 0, leaked(i), at(1));
+        }
+        // All 255 read back, and an equal string at another address is
+        // the same reason, not a 256th.
+        let json = log.spans_json().to_string();
+        assert!(json.contains(r#""reason":"r1""#) && json.contains(r#""reason":"r255""#));
+        log.drop_from(o, 0, leaked(1), at(2));
+        log.drop_from(o, 0, "", at(2));
+        log.drop_from(o, 0, leaked(256), at(3));
     }
 
     #[test]

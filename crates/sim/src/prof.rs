@@ -530,11 +530,11 @@ impl ProfReport {
     pub fn trace_events_json(&self, pid: u64) -> Vec<Json> {
         let mut out = Vec::with_capacity(self.phases.len() + 1);
         out.push(Json::obj([
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
+            ("name", Json::from("process_name")),
+            ("ph", Json::from("M")),
             ("pid", Json::from(pid)),
             ("tid", Json::from(0u64)),
-            ("args", Json::obj([("name", Json::str("self-profile"))])),
+            ("args", Json::obj([("name", Json::from("self-profile"))])),
         ]));
         // start_at[d] = next free offset (ns) at depth d.
         let mut start_at: Vec<u64> = vec![0];
@@ -545,8 +545,8 @@ impl ProfReport {
             start_at.push(ts); // children begin at the parent's start
             out.push(Json::obj([
                 ("name", Json::str(p.path.clone())),
-                ("cat", Json::str("prof")),
-                ("ph", Json::str("X")),
+                ("cat", Json::from("prof")),
+                ("ph", Json::from("X")),
                 ("pid", Json::from(pid)),
                 ("tid", Json::from(0u64)),
                 ("ts", Json::from(ts as f64 / 1e3)),

@@ -28,7 +28,7 @@
 //! [`Telemetry::is_enabled`]; the benchmark's `sim.telemetry.added_s` layer
 //! probe (`benchmark/README.md`) measures what switching it on costs.
 
-use crate::json::Json;
+use crate::json::{Json, Text};
 use crate::{fnv1a, SimDuration, SimTime, Topology, FNV1A_OFFSET};
 use std::collections::BTreeMap;
 
@@ -584,7 +584,7 @@ impl Telemetry {
         let kv = |((metric, node), v): ((&'static str, u32), u64)| {
             Json::obj([
                 ("node", Json::from(node)),
-                ("metric", Json::str(metric)),
+                ("metric", Json::from(metric)),
                 ("value", Json::from(v)),
             ])
         };
@@ -607,7 +607,7 @@ impl Telemetry {
                 Json::arr(self.histograms.iter().map(|(&(metric, node), h)| {
                     Json::obj([
                         ("node", Json::from(node)),
-                        ("metric", Json::str(metric)),
+                        ("metric", Json::from(metric)),
                         ("hist", h.to_json()),
                     ])
                 })),
@@ -634,6 +634,9 @@ impl Telemetry {
     /// into one file; node ids become thread ids. Dequeue records become
     /// complete (`ph:"X"`) spans covering the service time; everything else
     /// is an instant event.
+    ///
+    /// Every key and every text but a node name is a `&'static str`, so a
+    /// record costs two heap calls: its event's pairs and its `args`.
     #[must_use]
     pub fn trace_events_json(&self, topo: &Topology, pid: u64) -> Vec<Json> {
         let mut out = Vec::with_capacity(self.journal.len() + self.nodes.len());
@@ -643,8 +646,8 @@ impl Telemetry {
             if !named[r.node as usize] {
                 named[r.node as usize] = true;
                 out.push(Json::obj([
-                    ("name", Json::str("thread_name")),
-                    ("ph", Json::str("M")),
+                    ("name", Json::from("thread_name")),
+                    ("ph", Json::from("M")),
                     ("pid", Json::from(pid)),
                     ("tid", Json::from(r.node)),
                     (
@@ -656,26 +659,27 @@ impl Telemetry {
                     ),
                 ]));
             }
-            let ts_us = r.ts.as_nanos() as f64 / 1e3;
-            let mut ev = vec![
-                ("name".to_string(), Json::str(r.class)),
-                ("cat".to_string(), Json::str(r.event.as_str())),
-                ("pid".to_string(), Json::from(pid)),
-                ("tid".to_string(), Json::from(r.node)),
-                ("ts".to_string(), Json::from(ts_us)),
-            ];
+            let mut ev: Vec<(Text, Json)> = Vec::with_capacity(8);
+            ev.extend([
+                ("name".into(), Json::from(r.class)),
+                ("cat".into(), Json::from(r.event.as_str())),
+                ("pid".into(), Json::from(pid)),
+                ("tid".into(), Json::from(r.node)),
+                ("ts".into(), Json::from(r.ts.as_nanos() as f64 / 1e3)),
+            ]);
             if r.event == TraceEvent::Dequeue {
-                ev.push(("ph".to_string(), Json::str("X")));
-                ev.push(("dur".to_string(), Json::from(r.dur_ns as f64 / 1e3)));
+                ev.push(("ph".into(), Json::from("X")));
+                ev.push(("dur".into(), Json::from(r.dur_ns as f64 / 1e3)));
             } else {
-                ev.push(("ph".to_string(), Json::str("i")));
-                ev.push(("s".to_string(), Json::str("t")));
+                ev.push(("ph".into(), Json::from("i")));
+                ev.push(("s".into(), Json::from("t")));
             }
-            let mut args = vec![("size".to_string(), Json::from(r.size))];
+            let mut args: Vec<(Text, Json)> = Vec::with_capacity(2);
+            args.push(("size".into(), Json::from(r.size)));
             if r.peer != u32::MAX {
-                args.push(("peer".to_string(), Json::from(r.peer)));
+                args.push(("peer".into(), Json::from(r.peer)));
             }
-            ev.push(("args".to_string(), Json::Object(args)));
+            ev.push(("args".into(), Json::Object(args)));
             out.push(Json::Object(ev));
         }
         out
@@ -793,16 +797,17 @@ impl TimeSeries {
                 (m, Json::Array(rows))
             })
             .collect::<Vec<_>>();
-        let mut frame = vec![
-            ("t_ns".to_string(), Json::from(at.as_nanos())),
-            ("counters".to_string(), Json::obj(counters)),
-            ("gauges".to_string(), Json::obj(gauges)),
-            ("per_node".to_string(), Json::obj(per_node)),
-            ("queue_sum".to_string(), Json::from(queue_sum)),
-            ("queue_max".to_string(), Json::from(queue_max)),
-        ];
+        let mut frame: Vec<(Text, Json)> = Vec::with_capacity(7);
+        frame.extend([
+            ("t_ns".into(), Json::from(at.as_nanos())),
+            ("counters".into(), Json::obj(counters)),
+            ("gauges".into(), Json::obj(gauges)),
+            ("per_node".into(), Json::obj(per_node)),
+            ("queue_sum".into(), Json::from(queue_sum)),
+            ("queue_max".into(), Json::from(queue_max)),
+        ]);
         if let Some(s) = streams {
-            frame.push(("streams".to_string(), s));
+            frame.push(("streams".into(), s));
         }
         self.frames.push(Json::Object(frame));
         self.next = at + self.cfg.tick;

@@ -2,12 +2,15 @@
 //! deterministic `gcopss_compat::prop` harness.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use gcopss_compat::prop;
+use gcopss_sim::lineage::NO_ENTITY;
 use gcopss_sim::telemetry::LogHistogram;
 use gcopss_sim::{
-    generators, AdmissionPolicy, Ctx, EngineDrop, FaultPlan, LinkId, NodeBehavior, NodeId,
-    OverloadConfig, PacketMeta, RoutingTable, SimDuration, SimTime, Simulator, TelemetryConfig,
+    generators, AdmissionPolicy, AuditReport, Ctx, EngineDrop, FaultPlan, LineageConfig,
+    LineageLog, LinkId, NodeBehavior, NodeId, OverloadConfig, PacketMeta, RoutingTable,
+    SimDuration, SimTime, Simulator, SpanEvent, TelemetryConfig, NO_SPAN,
 };
 
 const CASES: u32 = 24;
@@ -98,7 +101,11 @@ fn simulation_is_deterministic() {
             sim.inject(SimTime::ZERO, b.core[0], 2 << 24, 64);
             sim.inject(SimTime::from_millis(1), b.core[1], (2 << 24) | 1, 64);
             sim.run();
-            (sim.total_link_bytes(), sim.events_processed(), sim.into_world())
+            (
+                sim.total_link_bytes(),
+                sim.events_processed(),
+                sim.into_world(),
+            )
         };
         let a = run();
         let b = run();
@@ -148,7 +155,11 @@ fn packets_and_bytes_are_conserved() {
         // Topology seed, core routers.
         (prop::range(0u64..1000), prop::range(4usize..=8)),
         // Link flaps, whether a core router crashes, loss in permille.
-        (prop::range(0usize..=3), prop::bools(), prop::range(0u32..=50)),
+        (
+            prop::range(0usize..=3),
+            prop::bools(),
+            prop::range(0u32..=50),
+        ),
         // Admission policy, priorities, queue capacity.
         (prop::range(0u32..3), prop::bools(), prop::range(1usize..=8)),
     );
@@ -388,4 +399,366 @@ fn path_delay_equals_distance() {
             }
         }
     });
+}
+
+/// One span as the auditor reads it.
+struct ModelSpan {
+    lineage: u64,
+    event: SpanEvent,
+    entity: u32,
+    reason: &'static str,
+    open: bool,
+}
+
+/// What a [`LineageLog`] records, kept beside it with the reasons as text:
+/// the input of the oracle auditor.
+struct LineageModel {
+    sample: u64,
+    capacity: usize,
+    spans: Vec<ModelSpan>,
+    truncated: u64,
+    expectations: BTreeMap<u64, (SimTime, u32, Vec<u32>)>,
+}
+
+impl LineageModel {
+    fn sampled(&self, lid: u64) -> bool {
+        self.sample <= 1 || lid.is_multiple_of(self.sample)
+    }
+
+    fn push(&mut self, span: ModelSpan) -> u32 {
+        if self.spans.len() >= self.capacity {
+            self.truncated += 1;
+            return NO_SPAN;
+        }
+        self.spans.push(span);
+        self.spans.len() as u32 - 1
+    }
+
+    fn get_mut(&mut self, span: u32) -> Option<&mut ModelSpan> {
+        self.spans.get_mut(span as usize)
+    }
+
+    fn lineage_of(&self, span: u32) -> Option<u64> {
+        self.spans.get(span as usize).map(|s| s.lineage)
+    }
+}
+
+fn push_error(report: &mut AuditReport, msg: String) {
+    if report.errors.len() < 32 {
+        report.errors.push(msg);
+    }
+}
+
+/// The delivery auditor as it was before its books went flat — one ordered
+/// map of deliveries per lineage — kept as the oracle.
+fn oracle_audit(
+    m: &LineageModel,
+    cutoff: SimTime,
+    damage: Option<(SimTime, SimTime)>,
+) -> AuditReport {
+    #[derive(Default)]
+    struct LineageView {
+        delivered: BTreeMap<u32, u64>,
+        drop_reason: Option<&'static str>,
+        open: u64,
+    }
+    let in_window = |t: SimTime| match damage {
+        Some((lo, hi)) => t >= lo && t <= hi,
+        None => false,
+    };
+
+    let mut per_lineage: BTreeMap<u64, LineageView> = BTreeMap::new();
+    for rec in &m.spans {
+        let v = per_lineage.entry(rec.lineage).or_default();
+        match rec.event {
+            SpanEvent::Deliver => {
+                *v.delivered.entry(rec.entity).or_insert(0u64) += 1;
+            }
+            SpanEvent::Drop => {
+                if rec.reason != "client-duplicate-dropped" && v.drop_reason.is_none() {
+                    v.drop_reason = Some(rec.reason);
+                }
+            }
+            SpanEvent::Origin | SpanEvent::Hop => {
+                if rec.open {
+                    v.open += 1;
+                }
+            }
+        }
+    }
+
+    let mut report = AuditReport {
+        truncated: m.truncated,
+        ..AuditReport::default()
+    };
+    report.lineages = m.expectations.len() as u64;
+    for (lid, (t_publish, publisher, entities)) in &m.expectations {
+        let view = per_lineage.get(lid);
+        if let Some(v) = view {
+            for (&entity, &n) in &v.delivered {
+                if entity == *publisher {
+                    continue;
+                }
+                if !entities.contains(&entity) {
+                    push_error(
+                        &mut report,
+                        format!("lineage {lid}: delivered {n}x to unexpected entity {entity}"),
+                    );
+                }
+            }
+        }
+        for &entity in entities {
+            report.total_pairs += 1;
+            let n = view
+                .and_then(|v| v.delivered.get(&entity))
+                .copied()
+                .unwrap_or(0);
+            if n == 1 {
+                report.delivered += 1;
+                continue;
+            }
+            if n > 1 {
+                report.duplicates += 1;
+                push_error(
+                    &mut report,
+                    format!("lineage {lid}: delivered {n}x to entity {entity} (want exactly once)"),
+                );
+                continue;
+            }
+            match view {
+                Some(v) if v.drop_reason.is_some() => {
+                    *report.dropped.entry(v.drop_reason.unwrap()).or_insert(0) += 1;
+                }
+                Some(v) if v.open > 0 => report.in_flight += 1,
+                _ if in_window(*t_publish) => {
+                    *report.dropped.entry("tree-gap").or_insert(0) += 1;
+                }
+                None if *t_publish >= cutoff => report.unpublished += 1,
+                _ => {
+                    report.unexplained += 1;
+                    push_error(
+                        &mut report,
+                        format!(
+                            "lineage {lid}: loss to entity {entity} is unexplained \
+                             (published {t_publish}, no drop, no open span)"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    report
+}
+
+/// Lineage ids and entities the generated logs draw from: few, so that
+/// lineages collide, deliveries repeat and owed lists overlap.
+const LINEAGES: u32 = 6;
+const ENTITIES: u32 = 6;
+
+/// The flat-books auditor agrees with the ordered-map oracle, byte for byte
+/// in both renderings, over generated span logs: duplicate deliveries,
+/// deliveries off the owed list and to the publisher, duplicate-filter and
+/// `mark_dropped` drops (a reason also arriving as a second, equal string),
+/// open spans, lineages without an expectation and expectations without a
+/// span, unsorted owed lists with repeats, sampling, truncation, and every
+/// cutoff and damage window.
+#[test]
+fn flat_audit_agrees_with_the_ordered_map_oracle() {
+    // The same text at another address: reasons are told apart by content.
+    let link_lost_copy: &'static str = Box::leak(String::from("link-lost").into_boxed_str());
+    let reasons = [
+        "link-lost",
+        "node-lost",
+        "client-duplicate-dropped",
+        "queue-full",
+        link_lost_copy,
+        "",
+    ];
+    // (operation, a, b, owed list)
+    let op = (
+        prop::range(0u32..9),
+        prop::range(0u32..64),
+        prop::range(0u32..64),
+        prop::vec(prop::range(0u32..ENTITIES), 0..=5),
+    );
+    let input = (
+        prop::vec(op, 0..=80),
+        (prop::range(1u64..=2), prop::range(4usize..=96)),
+        (
+            prop::range(0u64..=100),
+            prop::bools(),
+            prop::range(0u64..=80),
+            prop::range(0u64..=40),
+        ),
+    );
+    // Which outcomes some case produced (see `seen` below).
+    let fired = Cell::new([false; 9]);
+    prop::check(0x51310, 128, &input, |(ops, (sample, capacity), window)| {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig {
+            sample: *sample,
+            capacity: *capacity,
+        });
+        let mut m = LineageModel {
+            sample: *sample,
+            capacity: *capacity,
+            spans: Vec::new(),
+            truncated: 0,
+            expectations: BTreeMap::new(),
+        };
+        for (i, (kind, a, b, owed)) in ops.iter().enumerate() {
+            let now = SimTime::from_millis(i as u64);
+            let lid = u64::from(a % LINEAGES);
+            // An existing span, or (one time in len + 1) none at all.
+            let pick = |x: u32, m: &LineageModel| {
+                let n = m.spans.len() as u32 + 1;
+                if x % n == n - 1 {
+                    NO_SPAN
+                } else {
+                    x % n
+                }
+            };
+            let reason = reasons[*b as usize % reasons.len()];
+            let node = b % 4;
+            match kind {
+                0 => {
+                    let want = if m.sampled(lid) {
+                        m.push(open(lid, SpanEvent::Origin))
+                    } else {
+                        NO_SPAN
+                    };
+                    assert_eq!(log.origin(lid, node, now), want);
+                }
+                1 => {
+                    let cause = pick(*b, &m);
+                    let want = if m.sampled(lid) {
+                        m.push(open(lid, SpanEvent::Hop))
+                    } else {
+                        NO_SPAN
+                    };
+                    assert_eq!(log.hop(lid, cause, node, now), want);
+                }
+                2 => log.service_start(pick(*a, &m), now),
+                3 => {
+                    let span = pick(*a, &m);
+                    if let Some(s) = m.get_mut(span) {
+                        s.open = false;
+                    }
+                    log.close(span, now);
+                }
+                4 => {
+                    let cause = pick(*a, &m);
+                    let want = if m.sampled(lid) {
+                        m.push(ModelSpan {
+                            reason,
+                            ..closed(lid, SpanEvent::Drop, NO_ENTITY)
+                        })
+                    } else {
+                        NO_SPAN
+                    };
+                    assert_eq!(log.drop_at(lid, cause, node, reason, now), want);
+                }
+                5 => {
+                    let span = pick(*a, &m);
+                    if let Some(s) = m.get_mut(span) {
+                        s.event = SpanEvent::Drop;
+                        s.reason = reason;
+                        s.open = false;
+                    }
+                    log.mark_dropped(span, reason, now);
+                }
+                6 => {
+                    let cause = pick(*a, &m);
+                    let entity = b % ENTITIES;
+                    let want = match m.lineage_of(cause) {
+                        Some(l) => m.push(closed(l, SpanEvent::Deliver, entity)),
+                        None => NO_SPAN,
+                    };
+                    assert_eq!(log.deliver_from(cause, node, entity, now), want);
+                }
+                7 => {
+                    let cause = pick(*a, &m);
+                    if let Some(l) = m.lineage_of(cause) {
+                        m.push(ModelSpan {
+                            reason,
+                            ..closed(l, SpanEvent::Drop, NO_ENTITY)
+                        });
+                    }
+                    log.drop_from(cause, node, reason, now);
+                }
+                _ => {
+                    let publisher = (a / LINEAGES) % ENTITIES;
+                    let t_publish = SimTime::from_millis(u64::from(*b));
+                    let mut owed = owed.clone();
+                    if b % 3 == 0 {
+                        owed.sort_unstable();
+                        owed.dedup();
+                    }
+                    if m.sampled(lid) {
+                        m.expectations
+                            .insert(lid, (t_publish, publisher, owed.clone()));
+                    }
+                    log.expect(lid, t_publish, publisher, &owed);
+                }
+            }
+        }
+        // The model is the log, reasons aside.
+        let recorded: Vec<_> = log
+            .spans()
+            .iter()
+            .map(|s| (s.lineage, s.event, s.entity, s.is_open()))
+            .collect();
+        let modelled: Vec<_> = m
+            .spans
+            .iter()
+            .map(|s| (s.lineage, s.event, s.entity, s.open))
+            .collect();
+        assert_eq!(recorded, modelled);
+
+        let &(cutoff, damaged, lo, len) = window;
+        let cutoff = SimTime::from_millis(cutoff);
+        let damage = damaged.then(|| (SimTime::from_millis(lo), SimTime::from_millis(lo + len)));
+        let got = log.audit(cutoff, damage);
+        let want = oracle_audit(&m, cutoff, damage);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
+        assert_eq!(got.table(), want.table());
+
+        let unexpected = want.errors.iter().any(|e| e.contains("unexpected"));
+        let reason_dropped = want.dropped.keys().any(|&r| r != "tree-gap");
+        let seen = [
+            want.duplicates > 0,
+            unexpected,
+            want.in_flight > 0,
+            want.unpublished > 0,
+            want.unexplained > 0,
+            want.dropped.contains_key("tree-gap"),
+            reason_dropped,
+            want.truncated > 0,
+            want.delivered > 0,
+        ];
+        let mut all = fired.get();
+        for (f, s) in all.iter_mut().zip(seen) {
+            *f |= s;
+        }
+        fired.set(all);
+    });
+    // The law is not vacuous: every outcome occurred in some case.
+    assert!(fired.get().iter().all(|&f| f), "{:?}", fired.get());
+}
+
+fn open(lineage: u64, event: SpanEvent) -> ModelSpan {
+    ModelSpan {
+        open: true,
+        ..closed(lineage, event, NO_ENTITY)
+    }
+}
+
+fn closed(lineage: u64, event: SpanEvent, entity: u32) -> ModelSpan {
+    ModelSpan {
+        lineage,
+        event,
+        entity,
+        reason: "",
+        open: false,
+    }
 }
