@@ -12,14 +12,11 @@ use gcopss_names::{Cd, Component, FixedState, Name};
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
-use crate::broker::{
-    chunk_name, parse_chunk_name, scoped, word, SnapshotMode, SNAPCAST, SNAPCASTCTL, SNAPMANI,
-    SNAPSHOT,
-};
-use crate::params::recovery;
+use crate::broker::SnapshotMode;
+use crate::params::{rate_adapt, recovery};
 use crate::{
-    payload_of, CatchUpMode, CatchUpRecord, ConvergenceRecord, GPacket, GameWorld,
-    RateAdaptConfig, RecoveryConfig,
+    payload_of, CatchUpMode, CatchUpRecord, ConvergenceRecord, GPacket, GameWorld, RecoveryConfig,
+    SnapName,
 };
 
 /// Timer key of trace-driven publishing.
@@ -97,17 +94,18 @@ impl ClientRecovery {
 
 /// Client-side congestion-feedback pacer: capped multiplicative rate
 /// reduction of the publish cadence, driven by sojourn marks on deliveries
-/// (see [`RateAdaptConfig`]). Shared by the G-COPSS player client and the
-/// IP baseline client.
+/// (see [`rate_adapt`]). Shared by the G-COPSS player client and the IP
+/// baseline client.
 ///
 /// The pacer is *off* (gap zero) until the first marked delivery installs
-/// `min_gap`; every further marked delivery doubles the gap up to `cap`,
-/// and every clean delivery halves it until it decays below `min_gap` and
-/// switches back off. Publishes attempted inside the gap are shed at the
-/// source with the `"rate-limited"` tag: under overload, a stale position
-/// update sent late is worse than one not sent at all.
+/// [`rate_adapt::MIN_GAP`]; every further marked delivery doubles the gap
+/// up to [`rate_adapt::CAP`], and every clean delivery halves it until it
+/// decays below `MIN_GAP` and switches back off. Publishes attempted inside
+/// the gap are shed at the source with the `"rate-limited"` tag: under
+/// overload, a stale position update sent late is worse than one not sent
+/// at all.
+#[derive(Default)]
 pub(crate) struct RatePacer {
-    pub(crate) cfg: RateAdaptConfig,
     /// Current enforced publish gap; `ZERO` means the pacer is off.
     pub(crate) gap: SimDuration,
     /// When the last admitted publish went out.
@@ -115,14 +113,6 @@ pub(crate) struct RatePacer {
 }
 
 impl RatePacer {
-    pub(crate) fn new(cfg: RateAdaptConfig) -> Self {
-        Self {
-            cfg,
-            gap: SimDuration::ZERO,
-            last_pub: SimTime::ZERO,
-        }
-    }
-
     /// Gates a publish attempt at `now`: admitted attempts stamp
     /// `last_pub`; attempts inside the gap are rejected (shed by the
     /// caller).
@@ -158,9 +148,9 @@ impl RatePacer {
     /// A congestion-marked delivery arrived: stretch the gap.
     pub(crate) fn on_marked(&mut self) {
         self.gap = if self.gap == SimDuration::ZERO {
-            self.cfg.min_gap
+            rate_adapt::MIN_GAP
         } else {
-            self.gap.saturating_mul(2).min(self.cfg.cap)
+            self.gap.saturating_mul(2).min(rate_adapt::CAP)
         };
     }
 
@@ -170,7 +160,7 @@ impl RatePacer {
             return;
         }
         let halved = self.gap / 2;
-        self.gap = if halved < self.cfg.min_gap {
+        self.gap = if halved < rate_adapt::MIN_GAP {
             SimDuration::ZERO
         } else {
             halved
@@ -317,16 +307,6 @@ fn name_key(name: &Name) -> u64 {
 /// Cap on the fetch resend backoff exponent: the longest wait between
 /// re-expressions is `retry << BACKOFF_CAP`.
 const CATCHUP_BACKOFF_CAP: u32 = 3;
-
-/// `/snapshot/<cd>/meta`: the QR query for a leaf CD's object count.
-fn snapshot_meta_name(cd: &Name) -> Name {
-    scoped(SNAPSHOT, cd, [word("meta")])
-}
-
-/// `/snapshot/<cd>/obj/<k>`: the QR query for a leaf CD's `k`-th object.
-fn snapshot_obj_name(cd: &Name, k: u32) -> Name {
-    scoped(SNAPSHOT, cd, [word("obj"), Component::index(k)])
-}
 
 /// The little-endian `u32` at `payload[at..at + 4]` (0 if out of range).
 fn le_u32(payload: &[u8], at: usize) -> u32 {
@@ -564,12 +544,13 @@ impl GamePlayerClient {
 
     /// Enables congestion-feedback rate adaptation: congestion-marked
     /// deliveries (see [`gcopss_sim::Ctx::congestion_marked`]) stretch the
-    /// client's own publish cadence multiplicatively up to `cfg.cap`, and
-    /// clean deliveries decay it back. Publishes falling inside the gap are
-    /// shed at the source with the `"rate-limited"` tag.
+    /// client's own publish cadence multiplicatively up to
+    /// [`rate_adapt::CAP`], and clean deliveries decay it back. Publishes
+    /// falling inside the gap are shed at the source with the
+    /// `"rate-limited"` tag.
     #[must_use]
-    pub fn with_rate_adapt(mut self, cfg: RateAdaptConfig) -> Self {
-        self.pacer = Some(RatePacer::new(cfg));
+    pub fn with_rate_adapt(mut self) -> Self {
+        self.pacer = Some(RatePacer::default());
         self
     }
 
@@ -685,15 +666,19 @@ impl GamePlayerClient {
         join: bool,
     ) {
         for cd in cds {
-            let cds = vec![scoped(SNAPCAST, cd, [])];
-            let (group, verb, sent) = if join {
-                (CopssPacket::Subscribe { cds, rp: None }, "join", "mover-joins-sent")
+            let cd = cd.components();
+            let cds = vec![SnapName::Stream { cd }.name()];
+            let (group, sent) = if join {
+                (CopssPacket::Subscribe { cds, rp: None }, "mover-joins-sent")
             } else {
-                (CopssPacket::Unsubscribe { cds, rp: None }, "leave", "mover-leaves-sent")
+                (
+                    CopssPacket::Unsubscribe { cds, rp: None },
+                    "mover-leaves-sent",
+                )
             };
             self.send(ctx, GPacket::Copss(group));
             let nonce = self.nonce();
-            let name = scoped(SNAPCASTCTL, cd, [word(verb), word(nonce.to_string())]);
+            let name = SnapName::Command { cd, join, nonce }.name();
             self.send(ctx, GPacket::Interest(Interest::new(name, nonce)));
             ctx.world().bump(sent);
         }
@@ -783,13 +768,17 @@ impl GamePlayerClient {
         }
     }
 
-    /// Consumes one packet of a `/snapcast/<cd>` cyclic stream.
-    fn on_snapcast(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, m: &MulticastPacket) {
-        let cd = Name::from_components(m.cd.name().components()[1..].iter().cloned());
+    /// Consumes one packet `m` of the `/snapcast/<cd>` cyclic stream.
+    fn on_snapcast(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        cd: &[Component],
+        m: &MulticastPacket,
+    ) {
         let Some(Some(f)) = self.slot_mut(Slot::Move) else {
             return;
         };
-        let Some(group) = f.groups.get_mut(&cd) else {
+        let Some(group) = f.groups.get_mut(cd) else {
             return;
         };
         // The payload opens with [k, total] so a full cycle is detectable.
@@ -872,9 +861,10 @@ impl GamePlayerClient {
         let mut f = Fetch::new(goal, ctx.now(), cds.len());
         f.resend_at = ctx.now() + cfg.retry;
         for cd in cds {
+            let cd = cd.components();
             let name = match cfg.mode {
-                CatchUpMode::ChunkedDelta => scoped(SNAPMANI, cd, []),
-                CatchUpMode::FullSnapshot => snapshot_meta_name(cd),
+                CatchUpMode::ChunkedDelta => SnapName::Manifest { cd }.name(),
+                CatchUpMode::FullSnapshot => SnapName::Meta { cd }.name(),
             };
             self.request(ctx, &mut f, cfg.retry, name_key(&name), name);
         }
@@ -908,16 +898,18 @@ impl GamePlayerClient {
     /// Data nobody owes (a retransmit raced its original, or its fetch was
     /// superseded) is dropped as late.
     fn on_fetch_data(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, d: &Data) {
+        let name = SnapName::parse(&d.name);
         // Content-addressed integrity: a chunk whose bytes do not hash to
         // its name is rejected before any state is touched.
-        let chunk_id = parse_chunk_name(&d.name);
-        if let Some(id) = chunk_id {
-            if ChunkId::of(&d.payload) != id {
-                crate::drops::record(ctx, crate::drops::CLIENT_CHUNK_CORRUPT, d.encoded_len() as u32);
+        let key = match name {
+            Some(SnapName::Chunk(id)) if ChunkId::of(&d.payload) != id => {
+                let len = d.encoded_len() as u32;
+                crate::drops::record(ctx, crate::drops::CLIENT_CHUNK_CORRUPT, len);
                 return;
             }
-        }
-        let key = chunk_id.map_or_else(|| name_key(&d.name), |id| id.0);
+            Some(SnapName::Chunk(id)) => id.0,
+            _ => name_key(&d.name),
+        };
         let taker = Slot::ALL.into_iter().find_map(|slot| {
             let held = self.slot_mut(slot)?;
             held.as_mut()?.outstanding.remove(&key)?;
@@ -933,29 +925,27 @@ impl GamePlayerClient {
         f.resend_at = ctx.now() + cfg.retry;
         ctx.world().catchup_ledger.deliver(key, self.player.0);
 
-        let comps = d.name.components();
-        match (comps.first().map(Component::as_str), &mut self.catch_up) {
-            (Some("chunk"), Some(cu)) => {
+        match (name, &mut self.catch_up) {
+            (Some(SnapName::Chunk(_)), Some(cu)) => {
                 cu.store.insert(&d.payload);
                 f.chunks_fetched += 1;
             }
-            (Some("snapmani"), Some(cu)) => {
+            (Some(SnapName::Manifest { .. }), Some(cu)) => {
                 if let Ok(m) = Manifest::decode(&d.payload) {
                     let distinct: BTreeSet<u64> = m.chunks.iter().map(|c| c.id.0).collect();
                     let missing = cu.store.missing(&m);
                     f.chunks_held += (distinct.len() - missing.len()) as u64;
                     for r in missing {
                         if f.requested_chunks.insert(r.id.0) {
-                            f.queue.push_back((r.id.0, chunk_name(r.id)));
+                            f.queue.push_back((r.id.0, SnapName::Chunk(r.id).name()));
                         }
                     }
                     cu.manifests.push(m);
                 }
             }
-            (Some("snapshot"), _) if comps.last().map(Component::as_str) == Some("meta") => {
-                let cd = Name::from_components(comps[1..comps.len() - 1].iter().cloned());
+            (Some(SnapName::Meta { cd }), _) => {
                 for k in 0..le_u32(&d.payload, 0) {
-                    let name = snapshot_obj_name(&cd, k);
+                    let name = SnapName::Object { cd, k }.name();
                     f.queue.push_back((name_key(&name), name));
                 }
             }
@@ -1157,8 +1147,8 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 }
                 if !self.dedup.insert(m.id) {
                     crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
-                } else if m.cd.name().get(0).map(Component::as_str) == Some("snapcast") {
-                    self.on_snapcast(ctx, &m);
+                } else if let Some(SnapName::Stream { cd }) = SnapName::parse(m.cd.name()) {
+                    self.on_snapcast(ctx, cd, &m);
                 } else {
                     GameWorld::deliver(ctx, m.id, self.player);
                 }
@@ -1171,7 +1161,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 }
                 // A mover also gets `/snapcastctl` acks, which only consume
                 // the PIT breadcrumbs of its command Interests.
-                let ack = d.name.get(0).map(Component::as_str) == Some(SNAPCASTCTL);
+                let ack = matches!(SnapName::parse(&d.name), Some(SnapName::Command { .. }));
                 if !(ack && self.mover.is_some()) {
                     self.on_fetch_data(ctx, &d);
                 }
@@ -1263,40 +1253,44 @@ mod tests {
 
     #[test]
     fn rate_pacer_grows_caps_and_decays() {
-        let cfg = RateAdaptConfig {
-            min_gap: SimDuration::from_millis(20),
-            cap: SimDuration::from_millis(80),
-        };
-        let mut p = RatePacer::new(cfg);
+        use rate_adapt::{CAP, MIN_GAP};
+        let ms = SimDuration::from_millis;
+        let mut p = RatePacer::default();
         // Off: back-to-back publishes pass.
         assert!(p.allow(SimTime::ZERO));
         assert!(p.allow(SimTime::from_millis(1)));
-        // Marks: install min_gap, then double to the cap.
+        // Marks: install MIN_GAP (20 ms), then double to the cap (500 ms):
+        // 20 → 40 → 80 → 160 → 320 → 500.
         p.on_marked();
-        assert_eq!(p.gap, SimDuration::from_millis(20));
+        assert_eq!(p.gap, MIN_GAP);
+        for _ in 0..4 {
+            p.on_marked();
+        }
+        assert_eq!(p.gap, ms(320));
         p.on_marked();
+        assert_eq!(p.gap, CAP, "capped");
         p.on_marked();
-        p.on_marked();
-        assert_eq!(p.gap, SimDuration::from_millis(80), "capped");
+        assert_eq!(p.gap, CAP, "stays capped");
         // In-gap publish shed; the gap boundary admits.
-        assert!(!p.allow(SimTime::from_millis(50)));
-        assert!(p.allow(SimTime::from_millis(81)));
-        // Clean deliveries halve the gap until it switches off.
+        assert!(!p.allow(SimTime::from_millis(400)));
+        assert!(p.allow(SimTime::from_millis(501)));
+        // Clean deliveries halve the gap until it falls below MIN_GAP:
+        // 500 → 250 → 125 → 62.5 → 31.25 ms → off.
+        for us in [250_000, 125_000, 62_500, 31_250] {
+            p.on_clean();
+            assert_eq!(p.gap, SimDuration::from_micros(us));
+        }
         p.on_clean();
-        assert_eq!(p.gap, SimDuration::from_millis(40));
-        p.on_clean();
-        assert_eq!(p.gap, SimDuration::from_millis(20));
-        p.on_clean();
-        assert_eq!(p.gap, SimDuration::ZERO, "decayed below min_gap: off");
-        assert!(p.allow(SimTime::from_millis(82)), "off admits immediately");
+        assert_eq!(p.gap, SimDuration::ZERO, "decayed below MIN_GAP: off");
+        assert!(p.allow(SimTime::from_millis(502)), "off admits immediately");
     }
 
     #[test]
     fn rate_pacer_mixed_feedback() {
-        let mut p = RatePacer::new(RateAdaptConfig::default());
+        let mut p = RatePacer::default();
         p.on_delivery(true);
         let after_mark = p.gap;
-        assert_eq!(after_mark, RateAdaptConfig::default().min_gap);
+        assert_eq!(after_mark, rate_adapt::MIN_GAP);
         p.on_delivery(false);
         assert_eq!(p.gap, SimDuration::ZERO);
         // Clean deliveries while off stay off.

@@ -38,10 +38,10 @@ use gcopss_sim::{
     AdmissionPolicy, EngineDrop, OverloadConfig, SimDuration, SimTime, StreamConfig,
 };
 
-use crate::broker::{partition_cds_to_brokers, scoped, SnapshotBroker, SnapshotMode, SNAPSHOT};
+use crate::broker::{partition_cds_to_brokers, SnapshotBroker, SnapshotMode};
 use crate::router::cs_prefix_key;
-use crate::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, WARMUP};
-use crate::SimParams;
+use crate::scenario::{expected_deliveries, viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
+use crate::{SimParams, SnapName};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -279,22 +279,11 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> Workload {
         ..cfg.workload.clone()
     });
     let hot = hot_prefix(&w.map);
-    let hot_cds: Vec<Name> = w
-        .map
-        .leaf_cds()
+    let viewers = viewers_by_cd(&w.map, &w.population);
+    let hot_cds: Vec<(&Name, &Vec<PlayerId>)> = viewers
         .iter()
-        .filter(|cd| hot.is_prefix_of(cd))
-        .cloned()
-        .collect();
-    let viewers: Vec<Vec<PlayerId>> = hot_cds
-        .iter()
-        .map(|cd| {
-            let area = w.map.area_of_leaf_cd(cd).expect("leaf CD");
-            w.population
-                .players()
-                .filter(|p| w.map.can_see(w.population.area_of(*p), area))
-                .collect()
-        })
+        .map(|(cd, who)| (*cd, who))
+        .filter(|(cd, _)| hot.is_prefix_of(cd))
         .collect();
     let onset = w.span().as_nanos() / HOT_ONSET.1 * HOT_ONSET.0;
     let (num, den) = HOT_SHARE;
@@ -303,12 +292,12 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> Workload {
         if e.time_ns < onset || (i as u32) % den >= num {
             continue;
         }
-        let k = i % hot_cds.len();
-        if viewers[k].is_empty() {
+        let (cd, who) = hot_cds[i % hot_cds.len()];
+        if who.is_empty() {
             continue;
         }
-        e.cd = hot_cds[k].clone();
-        e.player = viewers[k][i % viewers[k].len()];
+        e.cd = cd.clone();
+        e.player = who[i % who.len()];
     }
     w.trace = Arc::new(trace);
     w
@@ -409,7 +398,9 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
         .expect("hot zone has leaf CDs")
         .clone();
     let hot_area = w.map.area_of_leaf_cd(&hot_cd).expect("leaf CD");
-    let hot_key = cs_prefix_key(&scoped(SNAPSHOT, &hot_cd, []));
+    // The sketch key every `/snapshot` query of the hot CD is filed under.
+    let cd = hot_cd.components();
+    let hot_key = cs_prefix_key(&SnapName::Meta { cd }.prefix());
 
     // The flash crowd: `crowd_size` players (not already in the hot area,
     // spread over the population) move into it one `crowd_gap` apart,

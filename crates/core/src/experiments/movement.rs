@@ -6,9 +6,9 @@ use gcopss_game::{MoveType, MovementModel, ObjectModel};
 use gcopss_names::Name;
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
-use crate::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
+use crate::broker::{partition_cds_to_brokers, SnapshotBroker, SnapshotMode};
 use crate::scenario::{GcopssConfig, NetworkSpec, WARMUP};
-use crate::{GPacket, GameWorld, SimParams};
+use crate::{GPacket, GameWorld, SimParams, SnapName};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -141,7 +141,8 @@ fn simulate(
     let pool = net.rp_pool_preview();
     let attach_at = |i: usize| pool[(RP_COUNT + i) % pool.len()];
     let snapcast_rp = |(i, cds): (usize, &Vec<Name>)| {
-        let prefixes = cds.iter().map(|cd| snapcast_ns().join(cd)).collect();
+        let stream = |cd| SnapName::Stream { cd }.name();
+        let prefixes = cds.iter().map(Name::components).map(stream).collect();
         (prefixes, attach_at(i))
     };
     let extra_rps = serving.iter().enumerate().map(snapcast_rp).collect();

@@ -34,7 +34,7 @@ use gcopss_sim::{
 use crate::scenario::{
     expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{GPacket, GameWorld, RateAdaptConfig, RecoveryConfig};
+use crate::{GPacket, GameWorld, RecoveryConfig};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -299,7 +299,7 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
         let sys = GcopssConfig {
             rp_count: RP_COUNT,
             recovery: recovery.clone(),
-            rate_adapt: (regime == QueueRegime::Aqm).then(RateAdaptConfig::default),
+            rate_adapt: regime == QueueRegime::Aqm,
             ..GcopssConfig::default()
         };
         ("gcopss", regime, Protocol::Gcopss(sys))
@@ -307,7 +307,7 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
     let ip = IpConfig {
         server_count: RP_COUNT,
         recovery: recovery.clone(),
-        rate_adapt: Some(RateAdaptConfig::default()),
+        rate_adapt: true,
         ..IpConfig::default()
     };
     let ndn = NdnBaselineConfig {

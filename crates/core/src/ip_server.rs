@@ -5,13 +5,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use gcopss_game::{AreaId, GameMap, PlayerId};
+use gcopss_game::{GameMap, PlayerId, PlayerPopulation};
 use gcopss_names::Name;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
 use crate::client::{ClientRecovery, RatePacer, TraceCursor};
 use crate::params::IP_PROC;
-use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig, SimParams};
+use crate::scenario::viewers_by_cd;
+use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RecoveryConfig, SimParams};
 
 /// Timer key of trace-driven publishing (IP client).
 const TIMER_PUBLISH: u64 = 0;
@@ -24,29 +25,19 @@ const TIMER_WATCHDOG: u64 = 1;
 pub struct Roster {
     /// Host node of each player.
     pub player_nodes: Vec<NodeId>,
-    /// Area of each player.
-    pub player_areas: Vec<AreaId>,
     /// Precomputed: leaf CD → players whose subscriptions match it.
     viewers: BTreeMap<Name, Vec<PlayerId>>,
 }
 
 impl Roster {
-    /// Builds the roster (and the per-CD viewer lists) from static player
-    /// placements.
+    /// Builds the roster (and the per-CD viewer lists) from the static
+    /// placements of `population`, player `p` hosted at `player_nodes[p]`.
     #[must_use]
-    pub fn new(map: &GameMap, player_nodes: Vec<NodeId>, player_areas: Vec<AreaId>) -> Self {
-        let mut viewers: BTreeMap<Name, Vec<PlayerId>> = BTreeMap::new();
-        for cd in map.leaf_cds() {
-            let area = map.area_of_leaf_cd(cd).expect("leaf CD maps to an area");
-            let list = (0..player_areas.len() as u32)
-                .map(PlayerId)
-                .filter(|p| map.can_see(player_areas[p.index()], area))
-                .collect();
-            viewers.insert(cd.clone(), list);
-        }
+    pub fn new(map: &GameMap, population: &PlayerPopulation, player_nodes: Vec<NodeId>) -> Self {
+        let viewers = viewers_by_cd(map, population).into_iter();
+        let viewers = viewers.map(|(cd, who)| (cd.clone(), who)).collect();
         Self {
             player_nodes,
-            player_areas,
             viewers,
         }
     }
@@ -205,8 +196,8 @@ impl IpClient {
     /// cadence multiplicatively (capped), clean deliveries decay it, and
     /// in-gap publishes are shed at the source (`"rate-limited"`).
     #[must_use]
-    pub fn with_rate_adapt(mut self, cfg: RateAdaptConfig) -> Self {
-        self.pacer = Some(RatePacer::new(cfg));
+    pub fn with_rate_adapt(mut self) -> Self {
+        self.pacer = Some(RatePacer::default());
         self
     }
 
@@ -360,21 +351,19 @@ pub fn partition_cds_to_servers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcopss_game::PlayerPopulation;
 
     #[test]
     fn roster_viewers_match_visibility() {
         let map = GameMap::paper_map();
         let pop = PlayerPopulation::uniform_per_area(&map, 2);
-        let areas: Vec<AreaId> = pop.players().map(|p| pop.area_of(p)).collect();
         let nodes: Vec<NodeId> = (0..pop.len() as u32).map(NodeId).collect();
-        let roster = Roster::new(&map, nodes, areas.clone());
+        let roster = Roster::new(&map, &pop, nodes);
         // Everyone sees the world layer: /0 has 62 viewers.
         assert_eq!(roster.viewers_of(&Name::parse_lit("/0")).len(), 62);
         // A zone is seen by its 2 soldiers + 2 region flyers + 2 satellites.
         assert_eq!(roster.viewers_of(&Name::parse_lit("/1/2")).len(), 6);
         for &p in roster.viewers_of(&Name::parse_lit("/1/2")) {
-            let viewer_area = areas[p.index()];
+            let viewer_area = pop.area_of(p);
             let target = map.area_of_leaf_cd(&Name::parse_lit("/1/2")).unwrap();
             assert!(map.can_see(viewer_area, target));
         }

@@ -10,6 +10,7 @@
 //!   trace-driven publishing, latency accounting.
 //! * [`broker`] — the decentralized snapshot brokers of §IV-A with both
 //!   dissemination modes (query/response and cyclic multicast).
+//! * [`SnapName`] — the one owner of the snapshot plane's name grammar.
 //! * [`hybrid`] — hybrid-G-COPSS (COPSS edge + IP multicast core, §III-D).
 //! * [`ip_server`] — the IP client/server baseline.
 //! * [`ndn_baseline`] — the VoCCN-style NDN query/response baseline.
@@ -30,12 +31,14 @@ mod packet;
 pub mod params;
 mod router;
 pub mod scenario;
+mod snapname;
 mod world;
 
 pub use client::{CatchUpConfig, DedupWindow, GamePlayerClient, TraceCursor};
 pub use packet::{payload_of, GPacket, IpPacket, IpUpdate};
-pub use params::{RateAdaptConfig, RecoveryConfig, SimParams};
+pub use params::{RecoveryConfig, SimParams};
 pub use router::{FaceMap, GCopssRouter, RpSelection, SplitConfig};
+pub use snapname::SnapName;
 pub use world::{
     CatchUpAudit, CatchUpLedger, CatchUpMode, CatchUpRecord, ConvergenceRecord, GameWorld,
     MetricsMode, SplitRecord, UpdateMetrics,

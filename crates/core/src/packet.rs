@@ -201,8 +201,8 @@ impl GPacket {
 
     /// `true` for names under the `/snapmani` manifest namespace.
     fn is_manifest(name: &gcopss_names::Name) -> bool {
-        name.get(0)
-            .is_some_and(|c| c.as_bytes() == crate::broker::SNAPMANI.as_bytes())
+        use crate::SnapName;
+        matches!(SnapName::parse(name), Some(SnapName::Manifest { .. }))
     }
 
     /// Overload-control supersede key: packets with equal keys carry

@@ -218,33 +218,29 @@ pub mod recovery {
     pub const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 }
 
-/// Tunables of client-side congestion-feedback rate adaptation.
+/// Constants of client-side congestion-feedback rate adaptation.
 ///
 /// Like [`RecoveryConfig`], this is strictly opt-in: scenario configs carry
-/// an `Option<RateAdaptConfig>` defaulting to `None`, and with `None` the
+/// a `rate_adapt` flag defaulting to `false`, and with `false` the
 /// simulation is byte-identical to builds that predate overload control.
 /// When enabled, a client that receives a congestion-marked delivery (see
 /// `Ctx::congestion_marked`) multiplicatively stretches the minimum gap
-/// between its own publishes — doubling per marked delivery, up to `cap` —
-/// and halves the gap again on every clean delivery. Publishes attempted
-/// inside the gap are shed at the source (`"rate-limited"`): under
-/// overload, sending a stale position later is worse than not sending it.
-#[derive(Debug, Clone)]
-pub struct RateAdaptConfig {
+/// between its own publishes — doubling per marked delivery, up to
+/// [`CAP`] — and halves the gap again on every clean delivery. Publishes
+/// attempted inside the gap are shed at the source (`"rate-limited"`):
+/// under overload, sending a stale position later is worse than not
+/// sending it.
+///
+/// [`RecoveryConfig`]: crate::params::RecoveryConfig
+/// [`CAP`]: crate::params::rate_adapt::CAP
+pub mod rate_adapt {
+    use gcopss_sim::SimDuration;
+
     /// The gap installed by the first marked delivery (and the floor below
     /// which decay switches the pacer back off).
-    pub min_gap: SimDuration,
+    pub const MIN_GAP: SimDuration = SimDuration::from_millis(20);
     /// Cap on the multiplicatively-grown publish gap.
-    pub cap: SimDuration,
-}
-
-impl Default for RateAdaptConfig {
-    fn default() -> Self {
-        Self {
-            min_gap: SimDuration::from_millis(20),
-            cap: SimDuration::from_millis(500),
-        }
-    }
+    pub const CAP: SimDuration = SimDuration::from_millis(500);
 }
 
 impl SimParams {
@@ -311,6 +307,7 @@ mod tests {
             assert_eq!((JITTER, PIT_SWEEP), (ms(100), ms(1_000)));
             assert_eq!(SEED, 0x9e37_79b9_7f4a_7c15);
         }
+        assert_eq!((rate_adapt::MIN_GAP, rate_adapt::CAP), (ms(20), ms(500)));
         assert_eq!(crate::router::SPLIT_GRACE, ms(2_000));
         assert_eq!(crate::scenario::WARMUP, ms(2_000));
         assert_eq!(crate::ndn_baseline::RETRY_AFTER, ms(4_000));

@@ -287,6 +287,39 @@ impl GCopssRouter {
             .and_then(|faces| faces.first().copied())
     }
 
+    /// Encapsulates `inner` toward RP `rp` along its `/rp/<id>` FIB entry.
+    /// Returns `false` when there is no route to the RP; whether that is a
+    /// drop is the caller's call.
+    fn send_to_rp(
+        &mut self,
+        ctx: &mut Ctx<'_, GPacket, GameWorld>,
+        rp: RpId,
+        inner: MulticastPacket,
+    ) -> bool {
+        let Some(face) = self.face_toward_rp(rp) else {
+            return false;
+        };
+        if let Some(node) = self.faces.node_of(face) {
+            let g = GPacket::ToRp { rp, inner };
+            let size = g.wire_size();
+            ctx.send(node, g, size);
+        }
+        true
+    }
+
+    /// Pending-ST: holds `prunes` back until the new tree has had the
+    /// grace period to form (no subscriber misses a packet), arming the
+    /// prune timer if nothing was pending.
+    fn defer_prunes(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, prunes: Vec<PruneRequest>) {
+        if prunes.is_empty() {
+            return;
+        }
+        if self.deferred_prunes.is_empty() {
+            ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
+        }
+        self.deferred_prunes.extend(prunes);
+    }
+
     /// Accounts one content-store lookup: per-node telemetry counters and
     /// world totals (`cs-hit`/`cs-miss`), plus the per-prefix popularity
     /// and hit streams the adaptive caching layer consumes. Each hook is
@@ -435,16 +468,7 @@ impl GCopssRouter {
                 .map(|(_, old, _)| *old)
                 .collect();
             for old_rp in back {
-                if let Some(face) = self.face_toward_rp(old_rp) {
-                    if let Some(node) = self.faces.node_of(face) {
-                        let g = GPacket::ToRp {
-                            rp: old_rp,
-                            inner: tagged.clone(),
-                        };
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
-                    }
-                }
+                self.send_to_rp(ctx, old_rp, tagged.clone());
             }
         }
         self.maybe_split(ctx);
@@ -629,13 +653,7 @@ impl GCopssRouter {
         }
         let (joins, prunes) = self.copss.handle_rp_update(&plan.moved, new_rp);
         self.send_joins(ctx, joins);
-        if !prunes.is_empty() {
-            let empty_before = self.deferred_prunes.is_empty();
-            self.deferred_prunes.extend(prunes);
-            if empty_before {
-                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
-            }
-        }
+        self.defer_prunes(ctx, prunes);
 
         // Stage 2 (handoff): route the CD list to the new RP; install our
         // FIB entry so stale publications are proxied (the intermediate
@@ -689,22 +707,12 @@ impl GCopssRouter {
                 }
                 Some(new_rp) => {
                     let back_tunneled = inner.tree == Some(new_rp);
-                    if !back_tunneled {
-                        // Stale publisher traffic: proxy to the new RP (no
-                        // loss), marked with our tree so it is not tunneled
-                        // back to us again.
-                        if let Some(face) = self.face_toward_rp(new_rp) {
-                            let g = GPacket::ToRp {
-                                rp: new_rp,
-                                inner: inner.on_tree(rp),
-                            };
-                            let size = g.wire_size();
-                            if let Some(node) = self.faces.node_of(face) {
-                                ctx.send(node, g, size);
-                            }
-                        } else {
-                            crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                        }
+                    // Stale publisher traffic: proxy to the new RP (no
+                    // loss), marked with our tree so it is not tunneled
+                    // back to us again.
+                    if !back_tunneled && !self.send_to_rp(ctx, new_rp, inner.on_tree(rp)) {
+                        let len = inner.encoded_len() as u32;
+                        crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, len);
                     }
                     // Keep the old tree warm during the grace period (both
                     // for stale traffic and for back-tunneled packets).
@@ -725,17 +733,9 @@ impl GCopssRouter {
             }
         } else {
             // Transit: forward the encapsulated Interest along the FIB.
-            match self.face_toward_rp(rp) {
-                Some(face) => {
-                    if let Some(node) = self.faces.node_of(face) {
-                        let g = GPacket::ToRp { rp, inner };
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
-                    }
-                }
-                None => {
-                    crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                }
+            let len = inner.encoded_len() as u32;
+            if !self.send_to_rp(ctx, rp, inner) {
+                crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, len);
             }
         }
     }
@@ -764,15 +764,7 @@ impl GCopssRouter {
         }
         let (joins, prunes) = self.copss.handle_rp_update(&cds, new_rp);
         self.send_joins(ctx, joins);
-        // Pending-ST: defer leaving the old trees until the new tree has
-        // had the grace period to form (no subscriber misses a packet).
-        if !prunes.is_empty() {
-            let empty_before = self.deferred_prunes.is_empty();
-            self.deferred_prunes.extend(prunes);
-            if empty_before {
-                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
-            }
-        }
+        self.defer_prunes(ctx, prunes);
         // A route to the new RP may unblock pending joins.
         let pending = std::mem::take(&mut self.pending_joins);
         self.send_joins(ctx, pending);
@@ -812,13 +804,7 @@ impl GCopssRouter {
         }
         let (joins, prunes) = self.copss.handle_rp_update(&cds, new_rp);
         self.send_joins(ctx, joins);
-        if !prunes.is_empty() {
-            let empty_before = self.deferred_prunes.is_empty();
-            self.deferred_prunes.extend(prunes);
-            if empty_before {
-                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
-            }
-        }
+        self.defer_prunes(ctx, prunes);
         // Stage 3: announce network-wide (journaled so partitioned routers
         // can resynchronize once repaired).
         ctx.world()

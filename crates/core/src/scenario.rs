@@ -22,7 +22,7 @@ use crate::hybrid::HybridEdgeRouter;
 use crate::ip_server::{partition_cds_to_servers, IpClient, IpServer, Roster};
 use crate::ndn_baseline::{player_prefix, NdnClientConfig, NdnPlayerClient};
 use crate::router::{FaceMap, GCopssRouter, SplitConfig};
-use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig, SimParams};
+use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig, SimParams};
 
 /// Which physical network to simulate.
 #[derive(Debug, Clone)]
@@ -185,11 +185,11 @@ pub struct GcopssConfig {
     /// arms client watchdogs and router PIT sweeps, and requires running
     /// with [`Simulator::run_until`].
     pub recovery: Option<RecoveryConfig>,
-    /// Client-side congestion-feedback rate adaptation. Only meaningful
-    /// together with a [`ScenarioSpec::overload`] that sets
-    /// `mark_sojourn`; `None` (the default) is byte-identical to
-    /// pre-overload builds.
-    pub rate_adapt: Option<RateAdaptConfig>,
+    /// Client-side congestion-feedback rate adaptation
+    /// ([`crate::params::rate_adapt`]). Only meaningful together with a
+    /// [`ScenarioSpec::overload`] that sets `mark_sojourn`; `false` (the
+    /// default) is byte-identical to pre-overload builds.
+    pub rate_adapt: bool,
     /// In-simulation streaming-metric pipeline (windowed counters, EWMA
     /// gauges, heavy-hitter sketches). The vacuous default is byte-identical
     /// to builds without the pipeline; a non-vacuous config is required for
@@ -208,7 +208,7 @@ impl Default for GcopssConfig {
             extra_rps: Vec::new(),
             rp_selection: crate::RpSelection::default(),
             recovery: None,
-            rate_adapt: None,
+            rate_adapt: false,
             stream: StreamConfig::default(),
         }
     }
@@ -780,8 +780,8 @@ fn assemble_gcopss(
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
         }
-        if let Some(ra) = &cfg.rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
+        if cfg.rate_adapt {
+            client = client.with_rate_adapt();
         }
         if let Some(cu) = &players.catch_up {
             client = client.with_catch_up(cu.clone());
@@ -813,7 +813,7 @@ pub struct IpConfig {
     pub recovery: Option<RecoveryConfig>,
     /// Client-side congestion-feedback rate adaptation (see
     /// [`GcopssConfig::rate_adapt`]).
-    pub rate_adapt: Option<RateAdaptConfig>,
+    pub rate_adapt: bool,
 }
 
 impl Default for IpConfig {
@@ -822,7 +822,7 @@ impl Default for IpConfig {
             params: SimParams::default(),
             server_count: 3,
             recovery: None,
-            rate_adapt: None,
+            rate_adapt: false,
         }
     }
 }
@@ -838,11 +838,7 @@ fn assemble_ip_server(cfg: IpConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
     }
 
     let population = stage.population;
-    let areas: Vec<_> = population
-        .players()
-        .map(|p| population.area_of(p))
-        .collect();
-    let roster = Arc::new(Roster::new(stage.map, b.player_nodes.clone(), areas));
+    let roster = Arc::new(Roster::new(stage.map, population, b.player_nodes.clone()));
     for &s in &b.hosts {
         let mut server = IpServer::new(cfg.params.clone(), Arc::clone(&roster));
         if let Some(rc) = &cfg.recovery {
@@ -858,8 +854,8 @@ fn assemble_ip_server(cfg: IpConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
         }
-        if let Some(ra) = &cfg.rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
+        if cfg.rate_adapt {
+            client = client.with_rate_adapt();
         }
         b.sim.set_behavior(node, Box::new(client));
     }

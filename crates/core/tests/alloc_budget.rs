@@ -4,11 +4,12 @@
 //! (DESIGN.md, "Allocation discipline"). What remains is what may allocate:
 //! creating publications, subscription set-up, table and queue growth.
 //! The engine's per-packet classifiers (`PacketMeta`) may not allocate at
-//! all.
+//! all, and neither may reading a snapshot-plane name (`SnapName::parse`).
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate};
+use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate, SnapName};
+use gcopss_names::chunk::ChunkId;
 use gcopss_names::Name;
 use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{NodeId, SimDuration};
@@ -67,6 +68,10 @@ fn mini_counter_strike_run_stays_within_heap_call_budget() {
 #[test]
 fn packet_classifiers_make_no_heap_call() {
     let name = Name::parse_lit("/3/2");
+    let manifest = SnapName::Manifest {
+        cd: name.components(),
+    }
+    .name();
     let update = IpUpdate {
         id: 7,
         cd: name.clone(),
@@ -83,6 +88,8 @@ fn packet_classifiers_make_no_heap_call() {
             client: NodeId(2),
             update,
         }),
+        GPacket::Interest(Interest::new(manifest.clone(), 43)),
+        GPacket::Data(Data::new(manifest, payload_of(100))),
     ];
     let calls: Vec<u64> = packets
         .iter()
@@ -96,7 +103,46 @@ fn packet_classifiers_make_no_heap_call() {
         .collect();
     assert_eq!(
         calls,
-        [0, 0, 0, 0],
-        "heap calls classifying an Interest, a Data, an Ip(ToServer), an Ip(ToClient)"
+        [0, 0, 0, 0, 0, 0],
+        "heap calls classifying an Interest, a Data, an Ip(ToServer), an Ip(ToClient), \
+         a /snapmani Interest, a /snapmani Data"
     );
+    // The manifest packets are the control class: the classifier read them.
+    assert_eq!(packets[4].priority(), 0);
+    assert_eq!(packets[5].priority(), 0);
+}
+
+/// Reading a snapshot-plane name borrows its CD: no heap call for any
+/// variant. Building one of the four CD-scoped names is one heap call, the
+/// name's component slice at its final size.
+#[test]
+fn snap_names_parse_without_and_build_with_one_heap_call() {
+    let cd = Name::parse_lit("/3/2");
+    let cd = cd.components();
+    let scoped = [
+        SnapName::Meta { cd },
+        SnapName::Object { cd, k: 17 },
+        SnapName::Manifest { cd },
+        SnapName::Stream { cd },
+    ];
+    let others = [
+        SnapName::Command {
+            cd,
+            join: true,
+            nonce: (7 << 32) | 3,
+        },
+        SnapName::Chunk(ChunkId::of(b"a chunk")),
+    ];
+    let names: Vec<Name> = scoped.iter().chain(&others).map(SnapName::name).collect();
+    for name in &names {
+        let before = counting_alloc::heap_calls();
+        let parsed = SnapName::parse(name);
+        assert_eq!(counting_alloc::heap_calls() - before, 0, "parsing {name}");
+        assert!(parsed.is_some(), "{name}");
+    }
+    for x in scoped {
+        let before = counting_alloc::heap_calls();
+        let name = x.name();
+        assert_eq!(counting_alloc::heap_calls() - before, 1, "building {name}");
+    }
 }

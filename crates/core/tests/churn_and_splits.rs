@@ -2,13 +2,13 @@
 //! subscriber churn from player movement, and randomized delivery
 //! exactness across RP layouts.
 
-use gcopss_core::broker::{partition_cds_to_brokers, snapcast_ns, SnapshotBroker, SnapshotMode};
+use gcopss_core::broker::{partition_cds_to_brokers, SnapshotBroker, SnapshotMode};
 use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
 use std::sync::Arc;
 
 use gcopss_compat::bytes::Bytes;
 use gcopss_core::{
-    drops, GPacket, GamePlayerClient, GameWorld, MetricsMode, RecoveryConfig, SimParams,
+    drops, GPacket, GamePlayerClient, GameWorld, MetricsMode, RecoveryConfig, SimParams, SnapName,
     TraceCursor,
 };
 use gcopss_game::{GameMap, MoveEvent, MoveType, MovementModel, PlayerId};
@@ -33,7 +33,11 @@ fn snapcast_rps(
     serving: &[Vec<Name>],
     attach_at: impl Fn(usize) -> NodeId,
 ) -> Vec<(Vec<Name>, NodeId)> {
-    let groups = |cds: &Vec<Name>| cds.iter().map(|cd| snapcast_ns().join(cd)).collect();
+    let group = |cd: &Name| {
+        let cd = cd.components();
+        SnapName::Stream { cd }.name()
+    };
+    let groups = |cds: &Vec<Name>| cds.iter().map(group).collect();
     serving.iter().enumerate().map(|(i, cds)| (groups(cds), attach_at(i))).collect()
 }
 
@@ -133,7 +137,7 @@ fn movement_churn_keeps_control_plane_consistent() {
     let cfg = GcopssConfig {
         params,
         rp_count: 3,
-        extra_rp_prefixes: vec![snapcast_ns()],
+        extra_rp_prefixes: vec![SnapName::Stream { cd: &[] }.name()],
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
@@ -182,7 +186,7 @@ fn movement_churn_cyclic_mode() {
     let cfg = GcopssConfig {
         params,
         rp_count: 3,
-        extra_rp_prefixes: vec![snapcast_ns()],
+        extra_rp_prefixes: vec![SnapName::Stream { cd: &[] }.name()],
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;

@@ -24,8 +24,7 @@ use gcopss_core::scenario::{
     GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, ScenarioSpec,
 };
 use gcopss_core::{
-    drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig,
-    TraceCursor,
+    drops, payload_of, GPacket, GameWorld, IpPacket, IpUpdate, RecoveryConfig, TraceCursor,
 };
 use gcopss_game::{ObjectModel, ObjectModelParams, PlayerId};
 use gcopss_names::{Cd, Name};
@@ -350,7 +349,7 @@ fn overload_shedding(seen: &mut BTreeSet<&'static str>) {
     let cfg = GcopssConfig {
         rp_count: 2,
         recovery: Some(RecoveryConfig::default()),
-        rate_adapt: Some(RateAdaptConfig::default()),
+        rate_adapt: true,
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;

@@ -6,7 +6,7 @@
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{RateAdaptConfig, RecoveryConfig};
+use gcopss_core::RecoveryConfig;
 use gcopss_sim::{
     AdmissionPolicy, OverloadConfig, SimDuration, SimTime, TelemetryConfig, TelemetryReport,
 };
@@ -22,10 +22,7 @@ fn render(r: &TelemetryReport) -> String {
 /// wiring. The workload offers ≈2× the 2-RP service rate so a non-vacuous
 /// config has something to shed; a fixed horizon keeps the run method
 /// identical across modes.
-fn overload_report(
-    overload: Option<OverloadConfig>,
-    rate_adapt: Option<RateAdaptConfig>,
-) -> TelemetryReport {
+fn overload_report(overload: Option<OverloadConfig>, rate_adapt: bool) -> TelemetryReport {
     let w = Workload::counter_strike(&WorkloadParams {
         seed: 23,
         players: 24,
@@ -67,8 +64,8 @@ fn shedding_config() -> OverloadConfig {
 
 #[test]
 fn vacuous_overload_config_is_byte_identical_to_none() {
-    let off = overload_report(None, None);
-    let vacuous = overload_report(Some(OverloadConfig::default()), None);
+    let off = overload_report(None, false);
+    let vacuous = overload_report(Some(OverloadConfig::default()), false);
     assert!(OverloadConfig::default().is_vacuous());
     assert!(!off.trace_events.is_empty());
     assert_eq!(off.fingerprint, vacuous.fingerprint);
@@ -77,12 +74,12 @@ fn vacuous_overload_config_is_byte_identical_to_none() {
 
 #[test]
 fn same_seed_overload_runs_are_byte_identical() {
-    let a = overload_report(Some(shedding_config()), Some(RateAdaptConfig::default()));
-    let b = overload_report(Some(shedding_config()), Some(RateAdaptConfig::default()));
+    let a = overload_report(Some(shedding_config()), true);
+    let b = overload_report(Some(shedding_config()), true);
     assert!(!a.trace_events.is_empty());
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(render(&a), render(&b));
     // The policy must actually bite at this load.
-    let calm = overload_report(None, None);
+    let calm = overload_report(None, false);
     assert_ne!(a.fingerprint, calm.fingerprint);
 }

@@ -36,11 +36,11 @@
 //! Profiling is per-thread and off by default. The disabled path of every
 //! hook is a single thread-local flag test (a const-initialized `Cell`
 //! read — no lazy-init branch, no allocation), mirroring telemetry's
-//! single-branch contract; the `prof/end_to_end_*` bench entries pin the
-//! disabled cost to within noise of the uninstrumented baseline. When
-//! enabled, each scope costs two monotonic clock reads plus a small-vector
-//! child lookup — fine for attribution runs, which is the only time it is
-//! on.
+//! single-branch contract. When enabled, each scope costs two monotonic
+//! clock reads plus a small-vector child lookup — fine for attribution
+//! runs, the only time it is on; the benchmark prices that on every
+//! workload as `sim.prof.added_s` and `trace.overhead_x` (profiled pass /
+//! floor pass).
 //!
 //! # Example
 //!

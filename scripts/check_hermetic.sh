@@ -5,7 +5,7 @@
 # family.
 #
 # Usage: scripts/check_hermetic.sh [--quick]
-#   --quick   skip the build/test phase, run only the manifest/lock/hasher/run-path greps
+#   --quick   skip the build/test phase, run only the manifest/lock/hasher/run-path/name-scheme greps
 #
 # See DESIGN.md ("Hermetic builds") for the policy this enforces.
 set -euo pipefail
@@ -74,6 +74,17 @@ bad_arming=$(grep -rnE '\.(enable_(telemetry|timeseries|lineage)|install_faults)
 [[ -z "${bad_arming}" ]] || fail "observer armed or faults installed outside TelemetryCapture::run:
 ${bad_arming}"
 echo "ok: no enable_* / install_faults call under experiments/ (outside mod.rs) or crates/bench/src"
+
+echo "== name-scheme scan =="
+# The snapshot plane's names (/snapshot, /snapmani, /snapcast, /snapcastctl,
+# /chunk) have one owner, gcopss_core::SnapName: every module builds and
+# reads them through it. A namespace word spelled as a string literal
+# anywhere else is a second, hand-written copy of the grammar.
+bad_names=$(grep -rnE '"(snapshot|snapmani|snapcast|snapcastctl|chunk|meta|obj|join|leave)"' crates/*/src \
+    | grep -v '^crates/core/src/snapname\.rs:' || true)
+[[ -z "${bad_names}" ]] || fail "snapshot-plane name spelled outside crates/core/src/snapname.rs:
+${bad_names}"
+echo "ok: no snapshot-plane namespace literal under crates/*/src outside snapname.rs"
 
 if [[ "${1:-}" == "--quick" ]]; then
     echo "HERMETIC CHECK PASSED (quick: greps only)"
