@@ -42,7 +42,7 @@ use crate::drops;
 use crate::params::{adaptive_cache, BROKER_PER_OBJECT, CYCLIC_GAP};
 use crate::router::cs_prefix_key;
 use crate::scenario::ExtraHost;
-use crate::{payload_of, GPacket, GameWorld, SimParams, SnapName};
+use crate::{packet, payload_of, GPacket, GameWorld, SimParams, SnapName};
 
 /// Bytes an update is allowed to rewrite inside an object's snapshot. Game
 /// updates mutate a few fields (position, health), not the whole object, so
@@ -332,7 +332,6 @@ impl SnapshotBroker {
                 let wire = self.chunks.manifest_of(&self.objects, &cd, idx).encode();
                 self.send_data(ctx, i.name.clone(), Bytes::from(wire));
                 ctx.counter("broker-manifest-served", 1);
-                ctx.world().bump("broker-manifest-served");
             }
             (Some(SnapName::Chunk(id)), _) => {
                 let held = self.chunks.store.get(id).map(|b| Bytes::from(b.to_vec()));
@@ -340,15 +339,14 @@ impl SnapshotBroker {
                     ctx.consume(BROKER_PER_OBJECT);
                     self.send_chunk(ctx, i.name.clone(), payload);
                     ctx.counter("broker-chunk-served", 1);
-                    ctx.world().bump("broker-chunk-served");
                 } else {
                     // /chunk routes to every broker and chunk names carry
                     // no CD: the fan-out is expected to miss at every
                     // broker but the holder.
-                    drops::record(ctx, drops::BROKER_CHUNK_MISS, i.encoded_len() as u32);
+                    ctx.discard(drops::BROKER_CHUNK_MISS, i.encoded_len() as u32);
                 }
             }
-            _ => drops::record(ctx, drops::BROKER_UNKNOWN_INTEREST, i.encoded_len() as u32),
+            _ => ctx.discard(drops::BROKER_UNKNOWN_INTEREST, i.encoded_len() as u32),
         }
     }
 
@@ -363,9 +361,7 @@ impl SnapshotBroker {
             freshness *= adaptive_cache::HOT_FRESHNESS_MUL;
         }
         let data = Data::with_freshness(name, payload, freshness);
-        let g = GPacket::Data(data);
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        packet::send(ctx, self.edge, GPacket::Data(data));
     }
 
     /// Re-classifies `key` as hot/cold from the live `qr-pop` popularity
@@ -400,9 +396,7 @@ impl SnapshotBroker {
         // chunk for the storm's whole duration (prewarm plus rejoin phases
         // span minutes of simulated time).
         let data = Data::with_freshness(name, payload, 600_000_000_000);
-        let g = GPacket::Data(data);
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        packet::send(ctx, self.edge, GPacket::Data(data));
     }
 
     fn object_payload(&self, serving_idx: usize, k: u32) -> Bytes {
@@ -467,8 +461,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
             cds: self.serving.clone(),
             rp: None,
         });
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        packet::send(ctx, self.edge, g);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {

@@ -138,8 +138,7 @@ impl RatePacer {
         let (id, e) = cursor.pop()?;
         let (cd, size) = (e.cd.clone(), e.size);
         if pacer.as_mut().is_some_and(|p| !p.allow(ctx.now())) {
-            crate::drops::record(ctx, crate::drops::RATE_LIMITED, size);
-            ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
+            ctx.shed(id, crate::drops::RATE_LIMITED, size);
             return None;
         }
         Some((id, cd, size))
@@ -264,6 +263,16 @@ impl TraceCursor {
         let &i = self.indices.get(self.next)?;
         self.next += 1;
         Some((u64::from(i), &self.trace[i as usize]))
+    }
+
+    /// Arms `timer` at the next event's publish time. Returns `false`, and
+    /// arms nothing, once the trace is exhausted.
+    pub(crate) fn rearm(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, timer: u64) -> bool {
+        let Some(at) = self.next_time() else {
+            return false;
+        };
+        ctx.schedule(at.saturating_duration_since(ctx.now()), timer);
+        true
     }
 }
 
@@ -578,8 +587,7 @@ impl GamePlayerClient {
     }
 
     fn send(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, g: GPacket) {
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        crate::packet::send(ctx, self.edge, g);
     }
 
     fn nonce(&mut self) -> u64 {
@@ -604,12 +612,6 @@ impl GamePlayerClient {
         ctx.world().bump("client-resubscribes");
     }
 
-    fn schedule_next(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if let Some(at) = self.cursor.next_time() {
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_PUBLISH);
-        }
-    }
-
     fn publish(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         if let Some((id, cd, size)) = RatePacer::pop(&mut self.pacer, &mut self.cursor, ctx) {
             let now = ctx.now();
@@ -619,14 +621,14 @@ impl GamePlayerClient {
             let m = MulticastPacket::new(Cd::new(cd), payload_of(size as usize), id);
             self.send(ctx, GPacket::Copss(CopssPacket::Multicast(m)));
         }
-        self.schedule_next(ctx);
+        self.cursor.rearm(ctx, TIMER_PUBLISH);
     }
 
     /// Subscribes at the current area and arms every timer of a live
     /// player: at start-up, or when an offline player comes online.
     fn go_live(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         self.subscribe(ctx);
-        self.schedule_next(ctx);
+        self.cursor.rearm(ctx, TIMER_PUBLISH);
         self.schedule_move(ctx);
         let now = ctx.now();
         if let Some(r) = &mut self.recovery {
@@ -704,9 +706,7 @@ impl GamePlayerClient {
                 world.catchup_ledger.write_off(key, self.player.0);
             }
             world.bump("mover-fetch-superseded");
-            if ctx.telemetry_enabled() {
-                ctx.emit(gcopss_sim::TraceEvent::Mark, "mover-fetch-superseded", 0);
-            }
+            ctx.mark("mover-fetch-superseded");
         }
 
         if mv.snapshot_cds.is_empty() {
@@ -885,11 +885,6 @@ impl GamePlayerClient {
         cu.manifests.clear();
         let cds = self.map.visible_leaf_cds(self.area);
         self.start_pull(ctx, Goal::CatchUp { recovery }, &cds);
-        ctx.world().bump(if recovery {
-            "client-catchups-recovery"
-        } else {
-            "client-catchups-initial"
-        });
         true
     }
 
@@ -904,7 +899,7 @@ impl GamePlayerClient {
         let key = match name {
             Some(SnapName::Chunk(id)) if ChunkId::of(&d.payload) != id => {
                 let len = d.encoded_len() as u32;
-                crate::drops::record(ctx, crate::drops::CLIENT_CHUNK_CORRUPT, len);
+                ctx.discard(crate::drops::CLIENT_CHUNK_CORRUPT, len);
                 return;
             }
             Some(SnapName::Chunk(id)) => id.0,
@@ -916,7 +911,7 @@ impl GamePlayerClient {
             held.take().map(|f| (slot, f))
         });
         let Some((slot, mut f)) = taker else {
-            crate::drops::record(ctx, crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
+            ctx.discard(crate::drops::CLIENT_LATE_CATCHUP, d.encoded_len() as u32);
             return;
         };
         let cfg = self.pull_cfg(slot).expect("a pull fetch's slot pulls");
@@ -1146,7 +1141,8 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     p.on_delivery(ctx.congestion_marked());
                 }
                 if !self.dedup.insert(m.id) {
-                    crate::drops::record(ctx, crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
+                    let len = m.encoded_len() as u32;
+                    ctx.discard(crate::drops::CLIENT_DUPLICATE_DROPPED, len);
                 } else if let Some(SnapName::Stream { cd }) = SnapName::parse(m.cd.name()) {
                     self.on_snapcast(ctx, cd, &m);
                 } else {
@@ -1198,7 +1194,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 if matches!(notice, FaultNotice::Restarted) {
                     // Crash killed all pending timers (stale epoch): re-arm
                     // the publisher, the move schedule and the watchdog.
-                    self.schedule_next(ctx);
+                    self.cursor.rearm(ctx, TIMER_PUBLISH);
                     self.schedule_move(ctx);
                     let r = self.recovery.as_mut().expect("recovery enabled");
                     let delay = r.first_tick();

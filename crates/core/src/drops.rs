@@ -1,49 +1,24 @@
-//! Registry of every drop-reason tag the engines emit.
+//! Registry of every drop-reason tag in the workspace.
 //!
-//! Each intentional packet drop in the workspace is tagged with one of the
-//! constants below: behavior-level drops go through [`record`], and the
-//! engine's own five reasons are [`EngineDrop`]'s tags, re-exported here so
-//! the string is spelled once. Centralizing the strings does two things:
+//! Each intentional drop is tagged with one of the constants below:
+//! behaviors drop through [`gcopss_sim::Ctx::discard`] (or its
+//! `discard_batch` / `shed` twins), and the engine's own five reasons are
+//! [`EngineDrop`]'s tags, re-exported here so the string is spelled once.
+//! Centralizing the strings does two things:
 //!
-//! * emit sites can't typo a tag into a new, untracked bucket;
+//! * drop sites can't typo a tag into a new, untracked bucket;
 //! * the drop-reason coverage test walks [`ALL`] and asserts every tag
 //!   shows up in at least one telemetry export from the experiment suite,
 //!   so a new drop site cannot ship silently untagged (add its constant
 //!   here and the gate forces an exercising experiment).
 //!
-//! Per-reason counts appear in every telemetry summary (`Ctx::emit` bumps
-//! a counter named by the tag alongside the aggregate `"drop"`), and the
-//! same strings tag lineage drop records, so the delivery auditor's
-//! explanations use this vocabulary too.
+//! Every tag is counted in one place, the simulator's always-on drop
+//! ledger ([`gcopss_sim::Simulator::dropped`]), never in the world's named
+//! counters. The same strings name the per-reason telemetry counters
+//! beside the aggregate `"drop"` and tag lineage drop records, so the
+//! delivery auditor's explanations use this vocabulary too.
 
-use gcopss_sim::{Ctx, EngineDrop, TraceEvent};
-
-use crate::{GPacket, GameWorld};
-
-/// The one way a behavior records a drop of `size` bytes for `reason`: a
-/// journal record plus the `"drop"` and per-reason telemetry counters and
-/// the serviced packet's lineage (all through [`Ctx::emit`]), and the
-/// world's per-reason counter, which counts even with telemetry off.
-pub fn record(ctx: &mut Ctx<'_, GPacket, GameWorld>, reason: &'static str, size: u32) {
-    ctx.emit(TraceEvent::Drop, reason, size);
-    ctx.world().bump(reason);
-}
-
-/// The one way a behavior records a *batch* of `n` soft-state entries
-/// dropped for `reason` outside any packet's service (a PIT sweep, a dead
-/// face's purge): one journal record of size `n`, and `n` on both the
-/// world's and the telemetry per-reason counter.
-pub(crate) fn record_batch(ctx: &mut Ctx<'_, GPacket, GameWorld>, reason: &'static str, n: usize) {
-    if n == 0 {
-        return;
-    }
-    ctx.world().bump_by(reason, n as u64);
-    if ctx.telemetry_enabled() {
-        // `emit` counts its one record under `reason` itself.
-        ctx.counter(reason, n as u64 - 1);
-        ctx.emit(TraceEvent::Drop, reason, n as u32);
-    }
-}
+use gcopss_sim::EngineDrop;
 
 /// A COPSS `ToRp` packet reached a router with no FIB route toward the RP.
 pub const TORP_NO_ROUTE: &str = "torp-no-route";

@@ -13,7 +13,6 @@
 use gcopss_sim::{SimDuration, SimTime};
 
 use crate::broker::SnapshotMode;
-use crate::ndn_baseline::NdnClientConfig;
 use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
 use crate::SimParams;
 
@@ -80,10 +79,7 @@ pub fn ndn_accumulation_sweep(
         .map(|&t| {
             let cfg = NdnBaselineConfig {
                 params: SimParams::microbenchmark(),
-                client: NdnClientConfig {
-                    accum_interval: t,
-                    ..NdnClientConfig::default()
-                },
+                accum_interval: t,
                 ..NdnBaselineConfig::default()
             };
             let horizon = SimTime::ZERO + WARMUP + duration + SimDuration::from_secs(120);

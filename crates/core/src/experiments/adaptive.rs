@@ -34,14 +34,12 @@ use std::sync::Arc;
 
 use gcopss_game::{MoveEvent, PlayerId};
 use gcopss_names::Name;
-use gcopss_sim::{
-    AdmissionPolicy, EngineDrop, OverloadConfig, SimDuration, SimTime, StreamConfig,
-};
+use gcopss_sim::{AdmissionPolicy, OverloadConfig, SimDuration, SimTime, StreamConfig};
 
 use crate::broker::{partition_cds_to_brokers, SnapshotBroker, SnapshotMode};
 use crate::router::cs_prefix_key;
 use crate::scenario::{expected_deliveries, viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
-use crate::{SimParams, SnapName};
+use crate::{drops, SimParams, SnapName};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -309,7 +307,10 @@ fn hotspot_workload(cfg: &AdaptiveSweepConfig) -> Workload {
 pub fn run(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> AdaptiveOutput {
     let rp_rows = run_rp_arm(cfg, cap);
     let cache_rows = run_cache_arm(cfg, cap);
-    AdaptiveOutput { rp_rows, cache_rows }
+    AdaptiveOutput {
+        rp_rows,
+        cache_rows,
+    }
 }
 
 /// The RP arm: hotspot trace, bounded queues, three balancing policies.
@@ -367,7 +368,7 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
             },
             p50: q(0.50),
             p99: q(0.99),
-            queue_full: sim.dropped(EngineDrop::QueueFull),
+            queue_full: sim.dropped(drops::QUEUE_FULL),
             splits: world.splits.len() as u64,
             split_times: world.splits.iter().map(|s| s.at).collect(),
             triggered: world.counter("rp-move-triggered"),
@@ -466,11 +467,10 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             },
             ..GcopssConfig::default()
         };
-        let spec = w
-            .spec(&net)
-            .gcopss(gcfg)
-            .extra_hosts(extra_hosts)
-            .moves(moves.clone(), SnapshotMode::QueryResponse { window: QR_WINDOW });
+        let spec = w.spec(&net).gcopss(gcfg).extra_hosts(extra_hosts).moves(
+            moves.clone(),
+            SnapshotMode::QueryResponse { window: QR_WINDOW },
+        );
         // Sample the live sketches at the crowd peak, not the horizon: the
         // space-saving sketches are recency-biased (halved every window),
         // so by the end of the drain the flash crowd has decayed out of
@@ -566,12 +566,7 @@ mod tests {
         }
         assert_eq!(out.rp_rows.len(), 3);
         assert_eq!(out.cache_rows.len(), 2);
-        let rp = |p: RpPolicy| {
-            out.rp_rows
-                .iter()
-                .find(|r| r.policy == p)
-                .expect("rp row")
-        };
+        let rp = |p: RpPolicy| out.rp_rows.iter().find(|r| r.policy == p).expect("rp row");
         let off = rp(RpPolicy::Off);
         let stat = rp(RpPolicy::Static);
         let adap = rp(RpPolicy::Adaptive);
@@ -598,8 +593,7 @@ mod tests {
             stat.queue_full
         );
         assert!(
-            adap.delivery_ratio > stat.delivery_ratio
-                && stat.delivery_ratio > off.delivery_ratio,
+            adap.delivery_ratio > stat.delivery_ratio && stat.delivery_ratio > off.delivery_ratio,
             "delivery ratios not ordered: adaptive {} / static {} / off {}",
             adap.delivery_ratio,
             stat.delivery_ratio,

@@ -17,12 +17,12 @@
 //! the last under-delivered publication.
 
 use gcopss_game::PlayerId;
-use gcopss_sim::{EngineDrop, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
+use gcopss_sim::{FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 use crate::scenario::{
     viewers_by_cd, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{GPacket, GameWorld, RecoveryConfig};
+use crate::{drops, GPacket, GameWorld, RecoveryConfig};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -261,8 +261,8 @@ fn make_row(
         post_expected: d.post_expected,
         recovery: d.recovery,
         last_repair,
-        link_lost: sim.dropped(EngineDrop::LinkLost),
-        node_lost: sim.dropped(EngineDrop::NodeLost),
+        link_lost: sim.dropped(drops::LINK_LOST),
+        node_lost: sim.dropped(drops::NODE_LOST),
         rp_failovers: world.counter("rp-failovers"),
         resubscribes: world.counter("client-resubscribes") + world.counter("client-reconnects"),
         mean_latency: world.metrics.stats().mean(),

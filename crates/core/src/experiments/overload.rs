@@ -21,20 +21,20 @@
 //! the AoI model, latency percentiles, and the per-class drop accounting
 //! (`queue-full` / `aqm-shed` / `stale-superseded` / `rate-limited`).
 //! G-COPSS AQM runs can additionally be audited end-to-end: with every
-//! overload drop recorded on the packet's lineage (source sheds included,
-//! via `Ctx::lineage_shed`), the delivery auditor must explain 100 % of
-//! the owed pairs with zero unexplained losses — overload degrades
-//! *gracefully*, never *silently*.
+//! overload drop recorded on the packet's lineage (source sheds included:
+//! `Ctx::shed` gives an unsent publish a root-level drop record), the
+//! delivery auditor must explain 100 % of the owed pairs with zero
+//! unexplained losses — overload degrades *gracefully*, never *silently*.
+//! Every drop count of a row is read off the simulator's one drop ledger.
 
 use gcopss_sim::{
-    AdmissionPolicy, AuditReport, EngineDrop, OverloadConfig, SimDuration, SimTime, Simulator,
-    TelemetryConfig,
+    AdmissionPolicy, AuditReport, OverloadConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
 };
 
 use crate::scenario::{
     expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use crate::{GPacket, GameWorld, RecoveryConfig};
+use crate::{drops, GPacket, GameWorld, RecoveryConfig};
 
 use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
@@ -267,10 +267,10 @@ fn make_row(
         } else {
             1.0 - ctl_drop as f64 / offered_ctl as f64
         },
-        queue_full: sim.dropped(EngineDrop::QueueFull),
-        aqm_shed: sim.dropped(EngineDrop::AqmShed),
-        stale_superseded: sim.dropped(EngineDrop::StaleSuperseded),
-        rate_limited: world.counter("rate-limited"),
+        queue_full: sim.dropped(drops::QUEUE_FULL),
+        aqm_shed: sim.dropped(drops::AQM_SHED),
+        stale_superseded: sim.dropped(drops::STALE_SUPERSEDED),
+        rate_limited: sim.dropped(drops::RATE_LIMITED),
         marks: sim.congestion_marks(),
         network_bytes: sim.total_link_bytes(),
         audit_clean: audit.as_ref().map(AuditReport::is_clean),
@@ -474,8 +474,20 @@ mod tests {
             assert_eq!(x.published, y.published, "{}", x.label);
             assert_eq!(x.delivered, y.delivered, "{}", x.label);
             assert_eq!(
-                (x.queue_full, x.aqm_shed, x.stale_superseded, x.rate_limited, x.marks),
-                (y.queue_full, y.aqm_shed, y.stale_superseded, y.rate_limited, y.marks),
+                (
+                    x.queue_full,
+                    x.aqm_shed,
+                    x.stale_superseded,
+                    x.rate_limited,
+                    x.marks
+                ),
+                (
+                    y.queue_full,
+                    y.aqm_shed,
+                    y.stale_superseded,
+                    y.rate_limited,
+                    y.marks
+                ),
                 "{}",
                 x.label
             );

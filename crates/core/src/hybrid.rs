@@ -17,8 +17,8 @@ use gcopss_ndn::FaceId;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
 use crate::params::{CONTROL_PROC, COPSS_MULTICAST_PROC, IP_PROC};
-use crate::{GPacket, GameWorld, IpPacket};
 use crate::router::FaceMap;
+use crate::{packet, GPacket, GameWorld, IpPacket};
 
 /// The IP multicast group a CD maps to, among `group_count` groups.
 ///
@@ -89,7 +89,7 @@ pub fn route_ip_at_router(ctx: &mut Ctx<'_, GPacket, GameWorld>, ip: IpPacket) {
     let g = GPacket::Ip(ip);
     let size = g.wire_size();
     if ctx.send_toward(dst, g, size).is_none() {
-        crate::drops::record(ctx, crate::drops::IP_NO_ROUTE, size);
+        ctx.discard(crate::drops::IP_NO_ROUTE, size);
     }
 }
 
@@ -117,8 +117,7 @@ pub(crate) fn forward_mcast(
             dsts: Arc::new(subset),
             inner: inner.clone(),
         });
-        let size = g.wire_size();
-        ctx.send(hop, g, size);
+        packet::send(ctx, hop, g);
     }
 }
 
@@ -168,9 +167,7 @@ impl HybridEdgeRouter {
             .matching_faces_into(&m.cd, arrival, None, &mut self.host_faces);
         for &face in &self.host_faces {
             if let Some(node) = self.faces.node_of(face) {
-                let g = GPacket::Copss(CopssPacket::Multicast(m.clone()));
-                let size = g.wire_size();
-                ctx.send(node, g, size);
+                packet::send(ctx, node, GPacket::Copss(CopssPacket::Multicast(m.clone())));
             }
         }
         !self.host_faces.is_empty()
@@ -188,7 +185,7 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                     return;
                 };
                 let purged = self.st.remove_face(face);
-                crate::drops::record_batch(ctx, crate::drops::ST_PURGED, purged.len());
+                ctx.discard_batch(crate::drops::ST_PURGED, purged.len());
                 let me = ctx.node();
                 for cd in &purged {
                     for group in groups_for_subscription(cd, self.group_count) {
@@ -212,7 +209,6 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                     ctx.world().mcast_groups.leave(group, me);
                 }
                 self.joined.clear();
-                ctx.world().bump("router-restarts");
             }
         }
     }
@@ -287,14 +283,17 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                 if dsts.contains(&me) {
                     // Filter: only actually-subscribed hosts receive it.
                     if !self.deliver_to_hosts(ctx, &inner, None) {
-                        crate::drops::record(ctx, crate::drops::HYBRID_FILTERED_UNWANTED, inner.encoded_len() as u32);
+                        ctx.discard(
+                            crate::drops::HYBRID_FILTERED_UNWANTED,
+                            inner.encoded_len() as u32,
+                        );
                     }
                 }
                 forward_mcast(ctx, group, &dsts, inner);
             }
             GPacket::Ip(other) => route_ip_at_router(ctx, other),
             _ => {
-                crate::drops::record(ctx, crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
+                ctx.discard(crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
             }
         }
     }

@@ -12,7 +12,7 @@ use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 use crate::client::{ClientRecovery, RatePacer, TraceCursor};
 use crate::params::IP_PROC;
 use crate::scenario::viewers_by_cd;
-use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RecoveryConfig, SimParams};
+use crate::{packet, GPacket, GameWorld, IpPacket, IpUpdate, RecoveryConfig, SimParams};
 
 /// Timer key of trace-driven publishing (IP client).
 const TIMER_PUBLISH: u64 = 0;
@@ -102,11 +102,10 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
             GPacket::Ip(IpPacket::ToServer { update, .. }) => update,
             GPacket::Ip(IpPacket::Hello { player, .. }) => {
                 self.connected.insert(player);
-                ctx.world().bump("server-hellos");
                 return;
             }
             _ => {
-                crate::drops::record(ctx, crate::drops::SERVER_UNEXPECTED_PACKET, 0);
+                ctx.discard(crate::drops::SERVER_UNEXPECTED_PACKET, 0);
                 return;
             }
         };
@@ -119,7 +118,10 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
             // Connection model: a player whose session was lost in a server
             // crash gets nothing until it re-hellos.
             if self.recovery.is_some() && !self.connected.contains(&p) {
-                crate::drops::record(ctx, crate::drops::SERVER_DISCONNECTED_PLAYER, update.encoded_len() as u32);
+                ctx.discard(
+                    crate::drops::SERVER_DISCONNECTED_PLAYER,
+                    update.encoded_len() as u32,
+                );
                 continue;
             }
             let client = self.roster.player_nodes[p.index()];
@@ -127,8 +129,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
                 client,
                 update: update.clone(),
             });
-            let size = g.wire_size();
-            ctx.send_toward(client, g, size);
+            packet::send_toward(ctx, client, g);
             recipients += 1;
         }
         if ctx.telemetry_enabled() {
@@ -139,12 +140,11 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
         ctx.consume(self.params.server_per_recipient.saturating_mul(recipients));
     }
 
-    fn on_fault(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, notice: FaultNotice) {
+    fn on_fault(&mut self, _ctx: &mut Ctx<'_, GPacket, GameWorld>, notice: FaultNotice) {
         let _p = gcopss_sim::prof::scope("ip_server/fault");
         if notice == FaultNotice::Restarted {
             // The crash dropped every TCP session; clients must reconnect.
             self.connected.clear();
-            ctx.world().bump("server-restarts");
         }
     }
 }
@@ -201,12 +201,6 @@ impl IpClient {
         self
     }
 
-    fn schedule_next(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if let Some(at) = self.cursor.next_time() {
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_PUBLISH);
-        }
-    }
-
     /// Sends a session-establishment `Hello` to every distinct server.
     fn hello_servers(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let me = ctx.node();
@@ -217,8 +211,7 @@ impl IpClient {
                 player: self.player,
                 client: me,
             });
-            let size = g.wire_size();
-            ctx.send(self.edge, g, size);
+            packet::send(ctx, self.edge, g);
         }
         ctx.world().bump("client-reconnects");
     }
@@ -227,7 +220,7 @@ impl IpClient {
 impl NodeBehavior<GPacket, GameWorld> for IpClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let _p = gcopss_sim::prof::scope("ip_client/start");
-        self.schedule_next(ctx);
+        self.cursor.rearm(ctx, TIMER_PUBLISH);
         let now = ctx.now();
         if self.recovery.is_some() {
             self.hello_servers(ctx);
@@ -251,27 +244,22 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             return;
         }
         let Some((id, cd, size)) = RatePacer::pop(&mut self.pacer, &mut self.cursor, ctx) else {
-            self.schedule_next(ctx);
+            self.cursor.rearm(ctx, TIMER_PUBLISH);
             return;
         };
         let Some(&server) = self.server_of.get(&cd) else {
-            crate::drops::record(ctx, crate::drops::IP_CLIENT_NO_SERVER, size);
-            self.schedule_next(ctx);
+            ctx.discard(crate::drops::IP_CLIENT_NO_SERVER, size);
+            self.cursor.rearm(ctx, TIMER_PUBLISH);
             return;
         };
         let now = ctx.now();
         ctx.world().metrics.publish(id, self.player, now);
         let g = GPacket::Ip(IpPacket::ToServer {
             server,
-            update: IpUpdate {
-                id,
-                cd,
-                size,
-            },
+            update: IpUpdate { id, cd, size },
         });
-        let wire = g.wire_size();
-        ctx.send(self.edge, g, wire);
-        self.schedule_next(ctx);
+        packet::send(ctx, self.edge, g);
+        self.cursor.rearm(ctx, TIMER_PUBLISH);
     }
 
     fn on_packet(
@@ -306,7 +294,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
                 self.hello_servers(ctx);
                 if notice == FaultNotice::Restarted {
                     // The crash killed our pending timers: re-arm both.
-                    self.schedule_next(ctx);
+                    self.cursor.rearm(ctx, TIMER_PUBLISH);
                     let r = self.recovery.as_mut().expect("recovery enabled");
                     let delay = r.first_tick();
                     ctx.schedule(delay, TIMER_WATCHDOG);
@@ -321,20 +309,13 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
 /// level-1 prefix (the same scheme RPs use), returning the CD → server
 /// mapping clients publish with.
 #[must_use]
-pub fn partition_cds_to_servers(
-    map: &GameMap,
-    server_nodes: &[NodeId],
-) -> BTreeMap<Name, NodeId> {
+pub fn partition_cds_to_servers(map: &GameMap, server_nodes: &[NodeId]) -> BTreeMap<Name, NodeId> {
     let mut out = BTreeMap::new();
     if server_nodes.is_empty() {
         return out;
     }
     // Group leaf CDs by level-1 component for locality, then round-robin.
-    let mut tops: Vec<Name> = map
-        .leaf_cds()
-        .iter()
-        .map(|cd| cd.prefix(1))
-        .collect();
+    let mut tops: Vec<Name> = map.leaf_cds().iter().map(|cd| cd.prefix(1)).collect();
     tops.sort();
     tops.dedup();
     let top_server: BTreeMap<Name, NodeId> = tops
@@ -418,7 +399,10 @@ mod tests {
         let mut sim = gcopss_sim::Simulator::new(topology, world);
         sim.set_behavior(host, Box::new(client));
         sim.run();
-        assert_eq!(sim.world().counter(crate::drops::IP_CLIENT_NO_SERVER), trace.len() as u64);
+        assert_eq!(
+            sim.dropped(crate::drops::IP_CLIENT_NO_SERVER),
+            trace.len() as u64
+        );
         assert_eq!(sim.world().metrics.published(), 0);
     }
 

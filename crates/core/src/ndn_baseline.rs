@@ -27,7 +27,8 @@ use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
 use crate::client::TraceCursor;
-use crate::{GPacket, GameWorld};
+use crate::scenario::NdnBaselineConfig;
+use crate::{packet, GPacket, GameWorld};
 
 /// The NDN name prefix of a player's update stream: `/player/<id>`.
 #[must_use]
@@ -43,28 +44,6 @@ pub(crate) const WINDOW: u64 = 3;
 
 /// Re-express outstanding Interests older than this.
 pub(crate) const RETRY_AFTER: SimDuration = SimDuration::from_secs(4);
-
-/// Configuration of the VoCCN-style client.
-#[derive(Debug, Clone)]
-pub struct NdnClientConfig {
-    /// Update-accumulation interval `t`.
-    pub accum_interval: SimDuration,
-    /// Keep the retry timer armed even after the trace ends and no retries
-    /// are due. Required under fault injection — an Interest lost to a link
-    /// failure after the last publish would otherwise never be re-expressed
-    /// — at the cost of the simulation no longer draining to quiescence
-    /// (use [`gcopss_sim::Simulator::run_until`]).
-    pub retry_forever: bool,
-}
-
-impl Default for NdnClientConfig {
-    fn default() -> Self {
-        Self {
-            accum_interval: SimDuration::from_millis(100),
-            retry_forever: false,
-        }
-    }
-}
 
 /// Encodes a batch of publication ids into a Data payload whose length
 /// equals the accumulated update bytes (min. the id listing itself).
@@ -108,7 +87,14 @@ struct ConsumerState {
 pub struct NdnPlayerClient {
     player: PlayerId,
     edge: NodeId,
-    cfg: NdnClientConfig,
+    /// Update-accumulation interval `t`.
+    accum_interval: SimDuration,
+    /// Keep the retry timer armed even after the trace ends and no retries
+    /// are due — set under recovery, for fault injection: an Interest lost
+    /// to a link failure after the last publish would otherwise never be
+    /// re-expressed. The simulation then no longer drains to quiescence
+    /// (use [`gcopss_sim::Simulator::run_until`]).
+    retry_forever: bool,
     cursor: TraceCursor,
     /// Producers this player consumes from.
     producers: Vec<PlayerId>,
@@ -129,13 +115,14 @@ const TIMER_RETRY: u64 = 3;
 const HISTORY_CAP: usize = 128;
 
 impl NdnPlayerClient {
-    /// Creates a client. `producers` is the AoI roster from ACT: the
-    /// players whose updates this player must track.
+    /// Creates a client accumulating and retrying as `cfg` says. `producers`
+    /// is the AoI roster from ACT: the players whose updates this player
+    /// must track.
     #[must_use]
     pub fn new(
         player: PlayerId,
         edge: NodeId,
-        cfg: NdnClientConfig,
+        cfg: &NdnBaselineConfig,
         cursor: TraceCursor,
         producers: Vec<PlayerId>,
     ) -> Self {
@@ -143,7 +130,8 @@ impl NdnPlayerClient {
         Self {
             player,
             edge,
-            cfg,
+            accum_interval: cfg.accum_interval,
+            retry_forever: cfg.recovery.is_some(),
             cursor,
             producers,
             consumer,
@@ -180,8 +168,7 @@ impl NdnPlayerClient {
         let name = player_prefix(self.producers[producer_idx]).child_index(seq as u32);
         let nonce = self.nonce();
         let g = GPacket::Interest(Interest::new(name, nonce));
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        packet::send(ctx, self.edge, g);
         ctx.counter("ndn-interests-expressed", 1);
         let now = ctx.now();
         self.consumer[producer_idx].outstanding.insert(seq, now);
@@ -220,7 +207,7 @@ impl NdnPlayerClient {
         // Keep flushing while the trace runs (plus a drain period for the
         // last accumulated batch).
         if !self.trace_done || !self.accum_ids.is_empty() {
-            ctx.schedule(self.cfg.accum_interval, TIMER_FLUSH);
+            ctx.schedule(self.accum_interval, TIMER_FLUSH);
         }
     }
 
@@ -240,7 +227,7 @@ impl NdnPlayerClient {
         }
         // Re-arm while the game is live (or forever, under fault
         // injection).
-        if had_work || !self.trace_done || self.cfg.retry_forever {
+        if had_work || !self.trace_done || self.retry_forever {
             ctx.schedule(RETRY_AFTER, TIMER_RETRY);
         }
     }
@@ -255,16 +242,8 @@ impl NdnPlayerClient {
         ctx.world().metrics.publish(id, self.player, now);
         self.accum_ids.push(id);
         self.accum_bytes += size as usize;
-        if self.cursor.next_time().is_some() {
-            self.schedule_publish(ctx);
-        } else {
+        if !self.cursor.rearm(ctx, TIMER_PUBLISH) {
             self.trace_done = true;
-        }
-    }
-
-    fn schedule_publish(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if let Some(at) = self.cursor.next_time() {
-            ctx.schedule(at.saturating_duration_since(ctx.now()), TIMER_PUBLISH);
         }
     }
 }
@@ -279,8 +258,8 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
             }
             self.consumer[pi].next_to_request = WINDOW;
         }
-        self.schedule_publish(ctx);
-        ctx.schedule(self.cfg.accum_interval, TIMER_FLUSH);
+        self.cursor.rearm(ctx, TIMER_PUBLISH);
+        ctx.schedule(self.accum_interval, TIMER_FLUSH);
         ctx.schedule(RETRY_AFTER, TIMER_RETRY);
     }
 
@@ -319,7 +298,7 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
                     self.pending_seqs.insert(seq);
                 } else {
                     // Aged out of history.
-                    crate::drops::record(ctx, crate::drops::NDN_BATCH_EXPIRED, i.encoded_len() as u32);
+                    ctx.discard(crate::drops::NDN_BATCH_EXPIRED, i.encoded_len() as u32);
                 }
             }
             // Consumer role: a producer's batch arrived.
@@ -364,8 +343,8 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
         if notice == FaultNotice::Restarted {
             // A host crash killed the publish/flush/retry timers (their
             // epoch went stale): re-arm them so the client resumes.
-            self.schedule_publish(ctx);
-            ctx.schedule(self.cfg.accum_interval, TIMER_FLUSH);
+            self.cursor.rearm(ctx, TIMER_PUBLISH);
+            ctx.schedule(self.accum_interval, TIMER_FLUSH);
             ctx.schedule(RETRY_AFTER, TIMER_RETRY);
         }
     }

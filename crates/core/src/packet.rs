@@ -5,11 +5,26 @@ use std::sync::Arc;
 use gcopss_compat::bytes::Bytes;
 use gcopss_copss::{CopssPacket, MulticastPacket, RpId};
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::NodeId;
+use gcopss_sim::{Ctx, NodeId};
+
+use crate::GameWorld;
 
 /// A shared 4 KiB buffer used to materialize payloads of arbitrary size
 /// without per-packet allocation: `payload_of(n)` is a zero-copy slice.
 static PAYLOAD_POOL: &[u8] = &[0u8; 4096];
+
+/// Sends `g` to the neighbor `to`, sized by its wire encoding.
+pub(crate) fn send(ctx: &mut Ctx<'_, GPacket, GameWorld>, to: NodeId, g: GPacket) {
+    let size = g.wire_size();
+    ctx.send(to, g, size);
+}
+
+/// Sends `g` one hop toward `dst`, sized by its wire encoding (nothing when
+/// `dst` is unreachable).
+pub(crate) fn send_toward(ctx: &mut Ctx<'_, GPacket, GameWorld>, dst: NodeId, g: GPacket) {
+    let size = g.wire_size();
+    ctx.send_toward(dst, g, size);
+}
 
 /// Returns an `n`-byte payload backed by a shared static buffer (zero-copy,
 /// cheap to clone).
@@ -93,9 +108,7 @@ impl IpPacket {
     #[must_use]
     pub fn encoded_len(&self) -> usize {
         match self {
-            Self::ToServer { update, .. } | Self::ToClient { update, .. } => {
-                update.encoded_len()
-            }
+            Self::ToServer { update, .. } | Self::ToClient { update, .. } => update.encoded_len(),
             // A bare TCP SYN-sized handshake: header + addresses, no payload.
             Self::Hello { .. } => 28,
             // Group id + encapsulated multicast; the destination set is
@@ -168,9 +181,7 @@ impl GPacket {
     pub fn lineage_id(&self) -> Option<u64> {
         match self {
             Self::Copss(p) => p.lineage_id(),
-            Self::ToRp { inner, .. } | Self::Ip(IpPacket::Mcast { inner, .. }) => {
-                Some(inner.id)
-            }
+            Self::ToRp { inner, .. } | Self::Ip(IpPacket::Mcast { inner, .. }) => Some(inner.id),
             Self::Interest(i) => Some(i.lineage_id()),
             Self::Data(d) => Some(d.lineage_id()),
             Self::Ip(IpPacket::ToServer { update, .. } | IpPacket::ToClient { update, .. }) => {
@@ -224,9 +235,7 @@ impl GPacket {
         }
         match self {
             Self::Copss(CopssPacket::Multicast(m)) => Some(m.cd.hashes().full()),
-            Self::ToRp { rp, inner } => {
-                Some(mix(inner.cd.hashes().full(), u64::from(rp.0)))
-            }
+            Self::ToRp { rp, inner } => Some(mix(inner.cd.hashes().full(), u64::from(rp.0))),
             Self::Ip(IpPacket::Mcast { group, inner, .. }) => {
                 Some(mix(inner.cd.hashes().full(), u64::from(*group)))
             }
@@ -319,7 +328,11 @@ mod tests {
             Some(77)
         );
         assert_eq!(
-            GPacket::ToRp { rp: RpId(0), inner: m.clone() }.lineage_id(),
+            GPacket::ToRp {
+                rp: RpId(0),
+                inner: m.clone()
+            }
+            .lineage_id(),
             Some(77)
         );
         assert_eq!(
@@ -337,12 +350,19 @@ mod tests {
             size: 4,
         };
         assert_eq!(
-            GPacket::Ip(IpPacket::ToServer { server: NodeId(0), update: u.clone() })
-                .lineage_id(),
+            GPacket::Ip(IpPacket::ToServer {
+                server: NodeId(0),
+                update: u.clone()
+            })
+            .lineage_id(),
             Some(9)
         );
         assert_eq!(
-            GPacket::Ip(IpPacket::ToClient { client: NodeId(2), update: u }).lineage_id(),
+            GPacket::Ip(IpPacket::ToClient {
+                client: NodeId(2),
+                update: u
+            })
+            .lineage_id(),
             Some(9)
         );
         // NDN names trace under tagged hash ids; control traffic is untraced.
@@ -350,7 +370,11 @@ mod tests {
             .lineage_id()
             .is_some());
         assert_eq!(
-            GPacket::Copss(CopssPacket::Subscribe { cds: vec![], rp: None }).lineage_id(),
+            GPacket::Copss(CopssPacket::Subscribe {
+                cds: vec![],
+                rp: None
+            })
+            .lineage_id(),
             None
         );
         assert_eq!(
@@ -368,7 +392,11 @@ mod tests {
     fn encapsulation_overhead() {
         let m = MulticastPacket::new(Cd::parse_lit("/1/2"), payload_of(100), 7);
         let native = GPacket::Copss(CopssPacket::Multicast(m.clone())).encoded_len();
-        let encap = GPacket::ToRp { rp: RpId(0), inner: m }.encoded_len();
+        let encap = GPacket::ToRp {
+            rp: RpId(0),
+            inner: m,
+        }
+        .encoded_len();
         assert!(encap > native, "encapsulation adds header bytes");
     }
 }

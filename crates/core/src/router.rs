@@ -9,13 +9,13 @@ use gcopss_copss::{CopssEngine, CopssPacket, JoinRequest, MulticastPacket, Prune
 use gcopss_names::{FixedState, Name};
 use gcopss_ndn::{ContentStoreConfig, FaceId, NdnAction, NdnEngine};
 use gcopss_sim::prof;
-use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology, TraceEvent};
+use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology};
 
 use crate::params::{
     adaptive_rp, recovery, CONTROL_PROC, COPSS_MULTICAST_PROC, ENCAP_PROC, IP_PROC, NDN_PROC,
     RP_WINDOW,
 };
-use crate::{GPacket, GameWorld, RecoveryConfig, SimParams, SplitRecord};
+use crate::{packet, GPacket, GameWorld, RecoveryConfig, SimParams, SplitRecord};
 
 /// Maps between the simulator's neighbor [`NodeId`]s and the engines'
 /// local [`FaceId`]s. Faces are assigned in ascending neighbor order, so
@@ -268,9 +268,7 @@ impl GCopssRouter {
     /// Sends a COPSS packet to the neighbor behind `face`.
     fn send_copss(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, face: FaceId, pkt: CopssPacket) {
         if let Some(node) = self.faces.node_of(face) {
-            let g = GPacket::Copss(pkt);
-            let size = g.wire_size();
-            ctx.send(node, g, size);
+            packet::send(ctx, node, GPacket::Copss(pkt));
         }
     }
 
@@ -300,9 +298,7 @@ impl GCopssRouter {
             return false;
         };
         if let Some(node) = self.faces.node_of(face) {
-            let g = GPacket::ToRp { rp, inner };
-            let size = g.wire_size();
-            ctx.send(node, g, size);
+            packet::send(ctx, node, GPacket::ToRp { rp, inner });
         }
         true
     }
@@ -361,10 +357,7 @@ impl GCopssRouter {
                     );
                 }
                 None => {
-                    ctx.world().bump("join-pending-no-route");
-                    if ctx.telemetry_enabled() {
-                        ctx.emit(TraceEvent::Mark, "join-pending-no-route", 0);
-                    }
+                    ctx.mark("join-pending-no-route");
                     self.pending_joins.push(j);
                 }
             }
@@ -670,8 +663,7 @@ impl GCopssRouter {
                     old_rp,
                 },
             };
-            let size = ctrl.wire_size();
-            ctx.send(hop, ctrl, size);
+            packet::send(ctx, hop, ctrl);
         }
 
         // Old-tree grace: keep multicasting the moved CDs ourselves until
@@ -683,8 +675,7 @@ impl GCopssRouter {
         self.served_since_split = 0;
 
         let now = ctx.now();
-        ctx.emit(TraceEvent::Mark, "rp-split", 0);
-        ctx.world().bump("rp-splits");
+        ctx.mark("rp-split");
         ctx.world().splits.push(SplitRecord {
             at: now,
             from_rp: old_rp.0,
@@ -712,7 +703,7 @@ impl GCopssRouter {
                     // back to us again.
                     if !back_tunneled && !self.send_to_rp(ctx, new_rp, inner.on_tree(rp)) {
                         let len = inner.encoded_len() as u32;
-                        crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, len);
+                        ctx.discard(crate::drops::TORP_NO_ROUTE, len);
                     }
                     // Keep the old tree warm during the grace period (both
                     // for stale traffic and for back-tunneled packets).
@@ -728,14 +719,14 @@ impl GCopssRouter {
                     }
                 }
                 None => {
-                    crate::drops::record(ctx, crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
+                    ctx.discard(crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
                 }
             }
         } else {
             // Transit: forward the encapsulated Interest along the FIB.
             let len = inner.encoded_len() as u32;
             if !self.send_to_rp(ctx, rp, inner) {
-                crate::drops::record(ctx, crate::drops::TORP_NO_ROUTE, len);
+                ctx.discard(crate::drops::TORP_NO_ROUTE, len);
             }
         }
     }
@@ -811,8 +802,7 @@ impl GCopssRouter {
             .rp_moves
             .extend(cds.iter().map(|c| (c.clone(), new_rp.0)));
         self.on_rp_update(ctx, None, cds, new_rp);
-        ctx.emit(TraceEvent::Mark, "rp-handoff", 0);
-        ctx.world().bump("rp-handoffs");
+        ctx.mark("rp-handoff");
     }
 
     /// Rebuilds every `/rp/<id>` FIB entry from the world's RP registry and
@@ -895,7 +885,7 @@ impl GCopssRouter {
             ctx.world().rp_locations.remove(&rp);
             ctx.world().bump("rp-failovers");
             ctx.counter("rp-failovers", 1);
-            ctx.emit(TraceEvent::Mark, "rp-failover", 0);
+            ctx.mark("rp-failover");
             ctx.world()
                 .rp_moves
                 .extend(moved.iter().map(|c| (c.clone(), survivor.0)));
@@ -938,8 +928,7 @@ fn send_ndn(faces: &FaceMap, ctx: &mut Ctx<'_, GPacket, GameWorld>, action: NdnA
         NdnAction::SendData { face, data } => (face, GPacket::Data(data)),
     };
     if let Some(node) = faces.node_of(face) {
-        let size = g.wire_size();
-        ctx.send(node, g, size);
+        packet::send(ctx, node, g);
     }
 }
 
@@ -979,7 +968,6 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 }
                 if let Some(face) = self.face_toward_rp(rp) {
                     self.send_copss(ctx, face, CopssPacket::Subscribe { cds, rp: Some(rp) });
-                    ctx.world().bump("router-join-refreshes");
                 }
             }
             let delay = iv + self.refresh_jitter();
@@ -998,7 +986,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 return;
             }
             let swept = self.ndn.pit_mut().expire(ctx.now().as_nanos());
-            crate::drops::record_batch(ctx, crate::drops::PIT_EXPIRED, swept);
+            ctx.discard_batch(crate::drops::PIT_EXPIRED, swept);
             // Re-arm only while entries remain, so fault-free runs still
             // drain to quiescence.
             if self.ndn.pit().is_empty() {
@@ -1018,9 +1006,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 };
                 // Purge the per-face soft state of the dead adjacency.
                 let (purged, _joins, prunes) = self.copss.handle_face_down(face);
-                crate::drops::record_batch(ctx, crate::drops::ST_PURGED, purged.len());
+                ctx.discard_batch(crate::drops::ST_PURGED, purged.len());
                 let dropped = self.ndn.pit_mut().purge_face(face);
-                crate::drops::record_batch(ctx, crate::drops::PIT_PURGED, dropped);
+                ctx.discard_batch(crate::drops::PIT_PURGED, dropped);
                 // Repair routes first, then re-anchor: joins and prunes
                 // must travel the surviving paths.
                 self.repair_rp_routes(ctx);
@@ -1060,7 +1048,6 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 self.traffic = TrafficWindow::new(RP_WINDOW);
                 self.served_since_split = self.params.rp_split_cooldown_packets;
                 self.sweep_armed = false;
-                ctx.world().bump("router-restarts");
                 self.repair_rp_routes(ctx);
                 self.check_rp_failover(ctx);
             }
@@ -1118,7 +1105,8 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                         }
                         Some(rp) => self.on_to_rp(ctx, rp, m),
                         None => {
-                            crate::drops::record(ctx, crate::drops::PUBLICATION_UNSERVED_CD, m.encoded_len() as u32);
+                            let len = m.encoded_len() as u32;
+                            ctx.discard(crate::drops::PUBLICATION_UNSERVED_CD, len);
                         }
                     }
                 } else {
@@ -1170,9 +1158,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                             }
                         }
                     }
-                    let g = GPacket::Control { dst, inner };
-                    let size = g.wire_size();
-                    ctx.send_toward(dst, g, size);
+                    packet::send_toward(ctx, dst, GPacket::Control { dst, inner });
                 }
             }
             GPacket::ToRp { rp, inner } => {

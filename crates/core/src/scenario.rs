@@ -20,7 +20,7 @@ use crate::broker::SnapshotMode;
 use crate::client::{CatchUpConfig, GamePlayerClient, TraceCursor};
 use crate::hybrid::HybridEdgeRouter;
 use crate::ip_server::{partition_cds_to_servers, IpClient, IpServer, Roster};
-use crate::ndn_baseline::{player_prefix, NdnClientConfig, NdnPlayerClient};
+use crate::ndn_baseline::{player_prefix, NdnPlayerClient};
 use crate::router::{FaceMap, GCopssRouter, SplitConfig};
 use crate::{GPacket, GameWorld, MetricsMode, RecoveryConfig, SimParams};
 
@@ -899,16 +899,26 @@ fn assemble_hybrid(cfg: HybridConfig, stage: &Stage<'_>, b: &mut BuiltScenario) 
 /// baseline has no client-side rate adaptation: its consumers pull
 /// (Interests pace the producers already), so under
 /// [`ScenarioSpec::overload`] only the router queues are managed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NdnBaselineConfig {
     /// Calibration constants.
     pub params: SimParams,
-    /// Client pipelining/accumulation settings.
-    pub client: NdnClientConfig,
+    /// The clients' update-accumulation interval `t` (default 100 ms).
+    pub accum_interval: SimDuration,
     /// Failure-recovery tunables: `Some` enables the router PIT sweep and
-    /// forces `client.retry_forever` so lost Interests are always
-    /// re-expressed eventually.
+    /// keeps every client's retry timer armed past the end of its trace,
+    /// so lost Interests are always re-expressed eventually.
     pub recovery: Option<RecoveryConfig>,
+}
+
+impl Default for NdnBaselineConfig {
+    fn default() -> Self {
+        Self {
+            params: SimParams::default(),
+            accum_interval: SimDuration::from_millis(100),
+            recovery: None,
+        }
+    }
 }
 
 fn assemble_ndn_baseline(cfg: NdnBaselineConfig, stage: &Stage<'_>, b: &mut BuiltScenario) {
@@ -931,10 +941,6 @@ fn assemble_ndn_baseline(cfg: NdnBaselineConfig, stage: &Stage<'_>, b: &mut Buil
         );
     }
 
-    let mut client_cfg = cfg.client;
-    if cfg.recovery.is_some() {
-        client_cfg.retry_forever = true;
-    }
     let areas: Vec<_> = population
         .players()
         .map(|p| population.area_of(p))
@@ -943,7 +949,7 @@ fn assemble_ndn_baseline(cfg: NdnBaselineConfig, stage: &Stage<'_>, b: &mut Buil
     for p in population.players() {
         let (node, edge, cursor) = player_seat(stage, b, p);
         let roster = rosters[p.index()].clone();
-        let client = NdnPlayerClient::new(p, edge, client_cfg.clone(), cursor, roster);
+        let client = NdnPlayerClient::new(p, edge, &cfg, cursor, roster);
         b.sim.set_behavior(node, Box::new(client));
     }
 }

@@ -42,10 +42,10 @@ pub struct UpdateMetrics {
     mode: MetricsMode,
     sent: Vec<Option<(SimTime, PlayerId)>>,
     published: u64,
-    stats: OnlineStats,
     /// Log-scale latency histogram, kept in every mode: O(1) memory, so
     /// even [`MetricsMode::StatsOnly`] runs over millions of deliveries get
-    /// approximate p50/p95/p99.
+    /// approximate p50/p95/p99 — and the exact count, sum, min and max
+    /// behind [`UpdateMetrics::stats`].
     hist: LogHistogram,
     samples: LatencySamples,
     per_pub: BTreeMap<u64, PubAgg>,
@@ -85,7 +85,6 @@ impl UpdateMetrics {
         }
         let lat = at.saturating_duration_since(t0);
         self.delivered += 1;
-        self.stats.record(lat);
         self.hist.record_duration(lat);
         match self.mode {
             MetricsMode::Full => self.samples.record(lat),
@@ -123,10 +122,10 @@ impl UpdateMetrics {
         self.self_deliveries
     }
 
-    /// Aggregate latency statistics.
+    /// Aggregate latency statistics: exact, read off the histogram.
     #[must_use]
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
+    pub fn stats(&self) -> OnlineStats {
+        OnlineStats::from(&self.hist)
     }
 
     /// The log-scale latency histogram (kept in every retention mode).
@@ -155,7 +154,11 @@ impl UpdateMetrics {
     /// The publisher of a publication, if registered.
     #[must_use]
     pub fn publisher_of(&self, id: u64) -> Option<PlayerId> {
-        self.sent.get(id as usize).copied().flatten().map(|(_, p)| p)
+        self.sent
+            .get(id as usize)
+            .copied()
+            .flatten()
+            .map(|(_, p)| p)
     }
 }
 
@@ -350,7 +353,9 @@ pub struct GameWorld {
     pub catchups: Vec<CatchUpRecord>,
     /// Exactly-once catch-up delivery accounting.
     pub catchup_ledger: CatchUpLedger,
-    /// Free-form counters (packet kinds, drops, cache hits, …).
+    /// Free-form named counts (cache hits, failovers, catch-up retries, …).
+    /// Drops are not among them: every drop reason is counted by the
+    /// simulator's drop ledger (`Simulator::dropped`).
     pub counters: BTreeMap<&'static str, u64>,
     /// IP multicast group membership (hybrid-G-COPSS; stands in for IGMP).
     pub mcast_groups: crate::hybrid::McastGroups,
@@ -413,14 +418,6 @@ impl GameWorld {
         *self.counters.entry(key).or_insert(0) += 1;
     }
 
-    /// Adds `n` to a named counter (no-op when `n == 0`, so callers can
-    /// pass a purge count without conditionals).
-    pub fn bump_by(&mut self, key: &'static str, n: u64) {
-        if n > 0 {
-            *self.counters.entry(key).or_insert(0) += n;
-        }
-    }
-
     /// Reads a named counter.
     #[must_use]
     pub fn counter(&self, key: &'static str) -> u64 {
@@ -453,6 +450,21 @@ mod tests {
         assert_eq!(m.stats().mean(), SimDuration::from_millis(4));
         assert_eq!(m.samples_mut().len(), 1);
         assert_eq!(m.publisher_of(0), Some(PlayerId(1)));
+    }
+
+    /// Latencies are recorded once, into the histogram; the statistics read
+    /// off it equal ones recorded directly over the same samples.
+    #[test]
+    fn stats_read_off_the_histogram_are_exact() {
+        let mut m = UpdateMetrics::new(MetricsMode::StatsOnly);
+        assert_eq!(m.stats(), OnlineStats::new(), "empty");
+        m.publish(0, PlayerId(0), SimTime::ZERO);
+        let mut direct = OnlineStats::new();
+        for (p, us) in [(1, 1_500), (2, 3), (3, 250_000), (4, 999_999_937)] {
+            m.deliver(0, PlayerId(p), SimTime::from_micros(us));
+            direct.record(SimDuration::from_micros(us));
+        }
+        assert_eq!(m.stats(), direct);
     }
 
     #[test]

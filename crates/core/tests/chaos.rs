@@ -16,12 +16,12 @@ use std::collections::BTreeMap;
 use gcopss_core::experiments::audit::{damage_window, register_expectations};
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::RecoveryConfig;
+use gcopss_core::{drops, RecoveryConfig};
 use gcopss_game::PlayerId;
 use gcopss_names::Name;
 use gcopss_sim::generators::BackboneParams;
 use gcopss_sim::{
-    AdmissionPolicy, EngineDrop, FaultPlan, LineageConfig, OverloadConfig, SimDuration, SimTime,
+    AdmissionPolicy, FaultPlan, LineageConfig, OverloadConfig, SimDuration, SimTime,
     TelemetryConfig, TimeSeriesConfig,
 };
 
@@ -93,7 +93,13 @@ fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
     let plan = FaultPlan::new(0xda05)
-        .random_link_flaps(&links, 4, at(2, 10), at(6, 10), SimDuration::from_millis(500))
+        .random_link_flaps(
+            &links,
+            4,
+            at(2, 10),
+            at(6, 10),
+            SimDuration::from_millis(500),
+        )
         .node_down(at(3, 10), crash)
         .node_up(at(5, 10), crash);
     let first_fault = plan
@@ -125,7 +131,10 @@ fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
         prof.coverage() * 100.0
     );
     assert!(prof.counter("engine/events") > 0, "no events counted");
-    let last_repair = built.sim.last_repair_time().expect("repairs were scheduled");
+    let last_repair = built
+        .sim
+        .last_repair_time()
+        .expect("repairs were scheduled");
     let settle = SimDuration::from_secs(2);
     let audit = built.sim.lineage().audit(
         horizon,
@@ -139,13 +148,9 @@ fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
         .timeseries_json()
         .expect("sampler was armed")
         .to_string();
-    let dropped = |reasons: &[EngineDrop]| reasons.iter().map(|&why| built.sim.dropped(why)).sum();
-    let lost = dropped(&[EngineDrop::LinkLost, EngineDrop::NodeLost]);
-    let shed = dropped(&[
-        EngineDrop::QueueFull,
-        EngineDrop::AqmShed,
-        EngineDrop::StaleSuperseded,
-    ]);
+    let dropped = |reasons: &[&str]| reasons.iter().map(|why| built.sim.dropped(why)).sum();
+    let lost = dropped(&[drops::LINK_LOST, drops::NODE_LOST]);
+    let shed = dropped(&[drops::QUEUE_FULL, drops::AQM_SHED, drops::STALE_SUPERSEDED]);
     let overload_active = built.sim.overload_active();
     let world = built.sim.into_world();
 

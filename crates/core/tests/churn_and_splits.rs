@@ -154,9 +154,9 @@ fn movement_churn_keeps_control_plane_consistent() {
 
     // All updates published; control plane never hit a routing hole.
     assert_eq!(world.metrics.published(), w.trace.len() as u64);
-    assert_eq!(world.counter("torp-no-route"), 0);
-    assert_eq!(world.counter("publication-unserved-cd"), 0);
-    assert_eq!(world.counter("broker-unknown-interest"), 0);
+    assert_eq!(b.sim.dropped("torp-no-route"), 0);
+    assert_eq!(b.sim.dropped("publication-unserved-cd"), 0);
+    assert_eq!(b.sim.dropped("broker-unknown-interest"), 0);
     // Movement completed with convergence records and snapshot bytes.
     assert!(!world.convergence.is_empty());
     assert!(world.convergence.iter().any(|c| c.bytes > 0));
@@ -384,8 +384,8 @@ fn superseded_fetch_data_is_late_not_the_successors() {
     }
     sim.run();
 
+    assert_eq!(sim.dropped(drops::CLIENT_LATE_CATCHUP), 1);
     let world = sim.world();
-    assert_eq!(world.counter(drops::CLIENT_LATE_CATCHUP), 1);
     assert_eq!(world.counter("mover-fetch-superseded"), 1);
     let [done] = &world.convergence[..] else {
         panic!("one fetch completes: {:?}", world.convergence);

@@ -2,7 +2,8 @@
 //! [`gcopss_core::drops::ALL`] must show up in at least one telemetry
 //! counters export across a mini experiment suite. A new drop site whose
 //! tag never fires anywhere would ship untestable — this gate forces every
-//! registered reason to have at least one exercising scenario.
+//! registered reason to have at least one exercising scenario. Along the
+//! way, every reason's export must equal the simulator's drop ledger.
 //!
 //! Each scenario below is a small simulation arranged to fire a specific
 //! subset of tags: chaos faults for the engine-level drops and soft-state
@@ -38,18 +39,16 @@ use gcopss_sim::{
 const INJECT_ID: u64 = 1 << 50;
 
 fn harvest(sim: &Simulator<GPacket, GameWorld>, seen: &mut BTreeSet<&'static str>) {
-    let engine_tag = |tag| gcopss_sim::EngineDrop::ALL.iter().any(|why| why.as_str() == tag);
     for &tag in drops::ALL {
         let exported = sim.telemetry().counter_total(tag);
         if exported > 0 {
             seen.insert(tag);
         }
-        // A behavior-level reason is counted once per dropped item, in the
-        // export and in the world alike (the engine's own reasons have no
-        // world counter).
-        if !engine_tag(tag) {
-            assert_eq!(exported, sim.world().counter(tag), "{tag}: telemetry vs world");
-        }
+        // Every reason, the engine's and the behaviors' alike, is counted
+        // once per dropped item, in the export and in the simulator's one
+        // drop ledger — and never among the world's named counts.
+        assert_eq!(exported, sim.dropped(tag), "{tag}: telemetry vs ledger");
+        assert_eq!(sim.world().counter(tag), 0, "{tag}: a world counter");
     }
 }
 
@@ -86,8 +85,14 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
     let serving: Vec<Name> = w.map.leaf_cds().iter().take(2).cloned().collect();
     let objects = ObjectModel::generate(7, &w.map, &ObjectModelParams::default());
     let params = gcopss_core::SimParams::default();
-    let broker =
-        SnapshotBroker::hosts(vec![serving], |_| broker_at, false, &params, &objects, &w.trace);
+    let broker = SnapshotBroker::hosts(
+        vec![serving],
+        |_| broker_at,
+        false,
+        &params,
+        &objects,
+        &w.trace,
+    );
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .extra_hosts(broker)
@@ -101,7 +106,13 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
         SimTime::ZERO + warmup + SimDuration::from_nanos(span.as_nanos() * num / den)
     };
     let plan = FaultPlan::new(0xda05)
-        .random_link_flaps(&links, 4, at(2, 10), at(6, 10), SimDuration::from_millis(500))
+        .random_link_flaps(
+            &links,
+            4,
+            at(2, 10),
+            at(6, 10),
+            SimDuration::from_millis(500),
+        )
         .node_down(at(3, 10), crash)
         .node_up(at(5, 10), crash);
     built.sim.enable_telemetry(TelemetryConfig::default());
@@ -184,13 +195,13 @@ fn ndn_faults(seen: &mut BTreeSet<&'static str>) {
     });
     let net = NetworkSpec::Testbed;
     let links = net.core_links_preview();
-    let mut cfg = NdnBaselineConfig {
+    let cfg = NdnBaselineConfig {
         recovery: Some(RecoveryConfig::default()),
+        // Flush often enough that the 128-batch history window rolls over
+        // within the trace span, so an early seq is genuinely aged out.
+        accum_interval: SimDuration::from_millis(10),
         ..NdnBaselineConfig::default()
     };
-    // Flush often enough that the 128-batch history window rolls over
-    // within the trace span, so an early seq is genuinely aged out.
-    cfg.client.accum_interval = SimDuration::from_millis(10);
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .ndn_baseline(cfg)
         .build();
@@ -272,7 +283,12 @@ fn ip_server_crash(seen: &mut BTreeSet<&'static str>) {
     let cursor = TraceCursor::for_player(Arc::clone(&w.trace), PlayerId(0), warmup);
     built.sim.set_behavior(
         player,
-        Box::new(IpClient::new(PlayerId(0), edge, Arc::new(BTreeMap::new()), cursor)),
+        Box::new(IpClient::new(
+            PlayerId(0),
+            edge,
+            Arc::new(BTreeMap::new()),
+            cursor,
+        )),
     );
 
     let horizon = SimTime::ZERO + warmup + span + SimDuration::from_secs(8);

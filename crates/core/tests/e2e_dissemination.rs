@@ -24,7 +24,13 @@ fn small_setup(seed: u64, duration_ms: u64) -> Setup {
     let objects = ObjectModel::generate(seed, &map, &ObjectModelParams::default());
     let pop = PlayerPopulation::uniform_per_area(&map, 2);
     let duration_ns = duration_ms * 1_000_000;
-    let trace = Arc::new(microbenchmark_trace(seed, &map, &objects, &pop, duration_ns));
+    let trace = Arc::new(microbenchmark_trace(
+        seed,
+        &map,
+        &objects,
+        &pop,
+        duration_ns,
+    ));
     let expected = expected_deliveries(&map, &pop, &trace);
     Setup {
         map,
@@ -60,8 +66,8 @@ fn gcopss_delivers_exactly_the_aoi_testbed_one_rp() {
     );
     assert_eq!(w.duplicate_deliveries, 0, "steady state must be a tree");
     assert!(w.metrics.stats().mean() > SimDuration::ZERO);
-    assert_eq!(w.counter("torp-no-route"), 0);
-    assert_eq!(w.counter("publication-unserved-cd"), 0);
+    assert_eq!(built.sim.dropped("torp-no-route"), 0);
+    assert_eq!(built.sim.dropped("publication-unserved-cd"), 0);
 }
 
 #[test]
@@ -118,7 +124,7 @@ fn ip_server_delivers_exactly_the_aoi() {
     assert_eq!(w.metrics.published(), s.trace.len() as u64);
     assert_eq!(w.metrics.delivered(), s.expected);
     assert_eq!(w.duplicate_deliveries, 0);
-    assert_eq!(w.counter("ip-no-route"), 0);
+    assert_eq!(built.sim.dropped("ip-no-route"), 0);
 }
 
 #[test]
@@ -167,10 +173,9 @@ fn hybrid_filtering_discards_unwanted_group_traffic() {
         .build()
         .sim;
     sim.run();
-    let w = sim.world();
-    assert_eq!(w.metrics.delivered(), s.expected);
+    assert_eq!(sim.world().metrics.delivered(), s.expected);
     assert!(
-        w.counter("hybrid-filtered-unwanted") > 0,
+        sim.dropped("hybrid-filtered-unwanted") > 0,
         "2 groups over 6 prefixes must cause filtered traffic"
     );
 }

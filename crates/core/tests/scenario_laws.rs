@@ -6,7 +6,8 @@
 //!
 //! * observers leave the schedule untouched — a run under a capture that is
 //!   on (telemetry, frame sampler and full lineage armed) ends with the same
-//!   books as the same spec under a capture that is off;
+//!   books, drop ledger included, as the same spec under a capture that is
+//!   off, and its ledger equals its telemetry's per-reason drop counts;
 //! * same-seed audited runs render byte-identical telemetry reports, time
 //!   series and audit documents;
 //! * the generous queue sheds nothing, so every G-COPSS audit is clean
@@ -19,11 +20,11 @@ use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss_core::scenario::{
     GcopssConfig, HybridConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
 };
-use gcopss_core::{GPacket, GameWorld};
+use gcopss_core::{drops, GPacket, GameWorld};
 use gcopss_sim::generators::BackboneParams;
 use gcopss_sim::json::Json;
 use gcopss_sim::{
-    AdmissionPolicy, EngineDrop, OverloadConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
+    AdmissionPolicy, OverloadConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
     TimeSeriesConfig,
 };
 
@@ -65,11 +66,19 @@ fn generous() -> OverloadConfig {
 /// the way the runner writes it.
 fn render(cap: &TelemetryCapture) -> Vec<String> {
     let labelled = |docs: &[(String, Json)]| -> Vec<String> {
-        docs.iter().map(|(label, doc)| format!("{label}: {doc}")).collect()
+        docs.iter()
+            .map(|(label, doc)| format!("{label}: {doc}"))
+            .collect()
     };
     let reports = cap.reports.iter().map(|r| {
         let events: Vec<String> = r.trace_events.iter().map(ToString::to_string).collect();
-        format!("{}|{}|{:016x}|{}", r.label, r.summary, r.fingerprint, events.join(","))
+        format!(
+            "{}|{}|{:016x}|{}",
+            r.label,
+            r.summary,
+            r.fingerprint,
+            events.join(",")
+        )
     });
     let mut out: Vec<String> = reports.collect();
     out.extend(labelled(&cap.series));
@@ -118,11 +127,7 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
         let bare = TelemetryCapture::off().run("", spec(), |sim| sim.run_until(horizon));
         assert!(!bare.telemetry().is_enabled());
         assert_eq!(bare.overload_active(), bounded);
-        let shed = [
-            EngineDrop::QueueFull,
-            EngineDrop::AqmShed,
-            EngineDrop::StaleSuperseded,
-        ];
+        let shed = [drops::QUEUE_FULL, drops::AQM_SHED, drops::STALE_SUPERSEDED];
         let shed: u64 = shed.into_iter().map(|why| bare.dropped(why)).sum();
         assert_eq!(shed, 0, "the generous queue shed packets");
 
@@ -138,12 +143,34 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
         let (observed, report, cap) = audited();
         assert!(observed.telemetry().is_enabled() && observed.lineage().is_enabled());
 
+        let ledger = |sim: &Simulator<GPacket, GameWorld>| -> Vec<u64> {
+            drops::ALL.iter().map(|tag| sim.dropped(tag)).collect()
+        };
         let books = |sim: &Simulator<GPacket, GameWorld>| {
             let m = &sim.world().metrics;
-            (m.published(), m.delivered(), m.stats().sum(), sim.total_link_bytes())
+            let sums = (
+                m.published(),
+                m.delivered(),
+                m.stats().sum(),
+                sim.total_link_bytes(),
+            );
+            (sums, ledger(sim))
         };
-        assert!(books(&bare).1 > 0, "nothing delivered");
-        assert_eq!(books(&bare), books(&observed), "observers moved the schedule");
+        assert!(bare.world().metrics.delivered() > 0, "nothing delivered");
+        assert_eq!(
+            books(&bare),
+            books(&observed),
+            "observers moved the schedule"
+        );
+        let exported: Vec<u64> = drops::ALL
+            .iter()
+            .map(|tag| observed.telemetry().counter_total(tag))
+            .collect();
+        assert_eq!(
+            ledger(&observed),
+            exported,
+            "the ledger disagrees with telemetry"
+        );
 
         let (_, _, again) = audited();
         assert_eq!(cap.reports.len(), 1);

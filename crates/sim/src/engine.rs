@@ -51,8 +51,9 @@ impl<P> Default for PacketMeta<P> {
 }
 
 /// Why the engine itself (not a behavior) dropped a packet. The tag
-/// ([`EngineDrop::as_str`]) names the per-reason telemetry counter, the
-/// journal record's class and the lineage drop reason.
+/// ([`EngineDrop::as_str`]) keys the drop ledger ([`Simulator::dropped`])
+/// and names the per-reason telemetry counter, the journal record's class
+/// and the lineage drop reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineDrop {
     /// Fault injection: the packet died on a down or lossy link.
@@ -71,7 +72,7 @@ pub enum EngineDrop {
 }
 
 impl EngineDrop {
-    /// Every reason, in tally order.
+    /// Every reason.
     pub const ALL: [Self; 5] = [
         Self::LinkLost,
         Self::NodeLost,
@@ -90,6 +91,29 @@ impl EngineDrop {
             Self::AqmShed => "aqm-shed",
             Self::StaleSuperseded => "stale-superseded",
         }
+    }
+}
+
+/// The simulator's one drop ledger: items dropped so far per reason tag,
+/// by the engine ([`EngineDrop`]) and by behaviors ([`Ctx::discard`] and
+/// its two twins) alike. Always on — it counts with every observer off —
+/// and empty until the first drop, so a run that drops nothing allocates
+/// nothing for it. A handful of reasons ever fire in one run, so a scan
+/// beats a map.
+#[derive(Default)]
+struct DropLedger(Vec<(&'static str, u64)>);
+
+impl DropLedger {
+    fn add(&mut self, reason: &'static str, n: u64) {
+        match self.0.iter_mut().find(|(r, _)| *r == reason) {
+            Some((_, count)) => *count += n,
+            None => self.0.push((reason, n)),
+        }
+    }
+
+    fn get(&self, reason: &str) -> u64 {
+        let found = self.0.iter().find(|(r, _)| *r == reason);
+        found.map_or(0, |&(_, n)| n)
     }
 }
 
@@ -158,6 +182,7 @@ pub struct Ctx<'a, P, W> {
     telemetry: &'a mut Telemetry,
     streams: &'a mut MetricStreams,
     lineage: &'a mut LineageLog,
+    drops: &'a mut DropLedger,
     /// Lineage span of the packet currently being serviced ([`NO_SPAN`]
     /// in timer/start/fault callbacks): the causal parent of every effect
     /// the behavior requests.
@@ -268,7 +293,7 @@ impl<P, W> Ctx<'_, P, W> {
     }
 
     /// Whether telemetry is recording — lets behaviors skip building
-    /// anything expensive that only feeds [`Ctx::emit`] and friends.
+    /// anything expensive that only feeds [`Ctx::counter`] and friends.
     #[must_use]
     #[inline]
     pub fn telemetry_enabled(&self) -> bool {
@@ -366,42 +391,58 @@ impl<P, W> Ctx<'_, P, W> {
             .deliver_from(self.cur_span, self.node.0, entity, self.now);
     }
 
-    /// Records a source-side shed: message `lid` was never handed to the
-    /// network (e.g. a client's congestion pacer suppressed the publish),
-    /// so no span exists to mark. Appends a root-level drop record with
-    /// `reason` so the delivery auditor can still explain every pair the
-    /// message owed. No-op while lineage tracing is disabled or `lid` is
-    /// unsampled.
-    #[inline]
-    pub fn lineage_shed(&mut self, lid: u64, reason: &'static str) {
-        self.lineage.drop_at(lid, NO_SPAN, self.node.0, reason, self.now);
+    /// The one way a behavior drops something: `size` bytes discarded for
+    /// `reason`. One on the simulator's drop ledger
+    /// ([`Simulator::dropped`]) and a drop on the lineage of the packet
+    /// being serviced (when traced) — both with every observer off — and,
+    /// while telemetry records, the `"drop"` and per-reason counters plus a
+    /// journal record whose class is the reason, exactly as the engine
+    /// accounts its own drops.
+    pub fn discard(&mut self, reason: &'static str, size: u32) {
+        self.drops.add(reason, 1);
+        self.lineage
+            .drop_from(self.cur_span, self.node.0, reason, self.now);
+        self.telemetry.counter(self.node.0, "drop", 1);
+        self.telemetry.counter(self.node.0, reason, 1);
+        self.journal(TraceEvent::Drop, reason, size);
     }
 
-    /// Appends a behavior-level event (typically [`TraceEvent::Drop`] or
-    /// [`TraceEvent::Mark`]) to the packet-trace journal, and bumps the
-    /// matching per-node counter (`"drop"` / `"mark"`). No-op while
-    /// telemetry is disabled.
-    ///
-    /// Drops are additionally recorded on the lineage of the packet being
-    /// serviced (when traced), so the auditor can explain the loss — that
-    /// part works even with telemetry off.
-    #[inline]
-    pub fn emit(&mut self, event: TraceEvent, class: &'static str, size: u32) {
-        if event == TraceEvent::Drop {
-            self.lineage
-                .drop_from(self.cur_span, self.node.0, class, self.now);
-        }
-        if !self.telemetry.is_enabled() {
+    /// Drops a batch of `n` soft-state entries for `reason` outside any
+    /// packet's service (a PIT sweep, a dead face's purge): `n` on the
+    /// ledger and on the per-reason counter, but one `"drop"` and one
+    /// journal record, of size `n`. Nothing at all for `n == 0`.
+    pub fn discard_batch(&mut self, reason: &'static str, n: usize) {
+        let Some(rest) = (n as u64).checked_sub(1) else {
             return;
-        }
-        self.telemetry.counter(self.node.0, event.as_str(), 1);
-        if event == TraceEvent::Drop {
-            // Mirror the engine's fault drops: a per-reason counter next to
-            // the aggregate, so every drop tag is visible in the counters
-            // export (not just in journal samples) — the drop-reason
-            // coverage gate reads these.
-            self.telemetry.counter(self.node.0, class, 1);
-        }
+        };
+        self.drops.add(reason, rest);
+        self.telemetry.counter(self.node.0, reason, rest);
+        self.discard(reason, n as u32);
+    }
+
+    /// Sheds message `lid` of `size` bytes at its source: it was never
+    /// handed to the network (e.g. a client's congestion pacer suppressed
+    /// the publish), so no span exists to mark. Accounted like
+    /// [`Ctx::discard`], plus a root-level drop record on `lid`'s lineage
+    /// so the delivery auditor can still explain every pair the message
+    /// owed.
+    pub fn shed(&mut self, lid: u64, reason: &'static str, size: u32) {
+        self.discard(reason, size);
+        self.lineage
+            .drop_at(lid, NO_SPAN, self.node.0, reason, self.now);
+    }
+
+    /// Marks a behavior-level event named `tag` (an RP split, a failover):
+    /// the `"mark"` counter and a journal record of class `tag`. No-op while
+    /// telemetry is disabled.
+    pub fn mark(&mut self, tag: &'static str) {
+        self.telemetry.counter(self.node.0, "mark", 1);
+        self.journal(TraceEvent::Mark, tag, 0);
+    }
+
+    /// Appends one record of this node to the packet-trace journal (no-op
+    /// while telemetry is disabled).
+    fn journal(&mut self, event: TraceEvent, class: &'static str, size: u32) {
         self.telemetry.journal(TraceRecord {
             ts: self.now,
             node: self.node.0,
@@ -551,8 +592,8 @@ pub struct Simulator<P, W> {
     /// Live overload-control state; `None` unless a non-vacuous
     /// [`OverloadConfig`] was installed (same rule as `faults`).
     overload: Option<OverloadState>,
-    /// Packets dropped by the engine so far, indexed by [`EngineDrop`].
-    drops: [u64; EngineDrop::ALL.len()],
+    /// Items dropped so far per reason, by the engine and by behaviors.
+    drops: DropLedger,
     /// Congestion mark of the packet currently being serviced.
     cur_marked: bool,
     /// The effect buffers lent to each [`Ctx`] for the duration of one
@@ -601,7 +642,7 @@ impl<P, W> Simulator<P, W> {
             streams: MetricStreams::disabled(),
             faults: None,
             overload: None,
-            drops: [0; EngineDrop::ALL.len()],
+            drops: DropLedger::default(),
             cur_marked: false,
             send_buf: Vec::new(),
             timer_buf: Vec::new(),
@@ -707,12 +748,15 @@ impl<P, W> Simulator<P, W> {
         &self.streams
     }
 
-    /// Packets the engine dropped for reason `why` so far: the fault
-    /// reasons stay zero without an installed fault plan, the overload
-    /// reasons without installed overload control.
+    /// Items dropped so far for `reason`, by the engine ([`EngineDrop`]'s
+    /// tags) or by a behavior ([`Ctx::discard`], [`Ctx::discard_batch`],
+    /// [`Ctx::shed`]); zero for a reason that never fired. Counts with
+    /// every observer off: the engine's fault reasons stay zero only
+    /// without an installed fault plan, its overload reasons without
+    /// installed overload control.
     #[must_use]
-    pub fn dropped(&self, why: EngineDrop) -> u64 {
-        self.drops[why as usize]
+    pub fn dropped(&self, reason: &str) -> u64 {
+        self.drops.get(reason)
     }
 
     /// Packets congestion-marked so far (zero without overload control).
@@ -1277,10 +1321,10 @@ impl<P, W> Simulator<P, W> {
 
     /// The one place an engine-side drop is accounted. The packet of `size`
     /// bytes, sent by `from`, dies at `node` for reason `why`: its open
-    /// lineage `span` (if any) closes as a drop, the reason's tally and the
+    /// lineage `span` (if any) closes as a drop, the drop ledger and the
     /// `"drop"` + per-reason counters are bumped, and the journal gets a
     /// drop record whose class field carries the reason (like
-    /// [`Ctx::emit`]). Overload sheds pass `ctl` — whether the victim was
+    /// [`Ctx::discard`]). Overload sheds pass `ctl` — whether the victim was
     /// control-class — and are also counted as `"ctl-drop"`/`"bulk-drop"`.
     fn drop_packet(
         &mut self,
@@ -1293,7 +1337,7 @@ impl<P, W> Simulator<P, W> {
     ) {
         let reason = why.as_str();
         self.lineage.mark_dropped(span, reason, self.now);
-        self.drops[why as usize] += 1;
+        self.drops.add(reason, 1);
         self.telemetry.counter(node.0, "drop", 1);
         self.telemetry.counter(node.0, reason, 1);
         if let Some(ctl) = ctl {
@@ -1402,6 +1446,7 @@ impl<P, W> Simulator<P, W> {
             telemetry: &mut self.telemetry,
             streams: &mut self.streams,
             lineage: &mut self.lineage,
+            drops: &mut self.drops,
             cur_span: self.cur_span,
             marked: self.cur_marked,
             sends: std::mem::take(&mut self.send_buf),
@@ -1829,14 +1874,14 @@ mod tests {
     }
 
     #[test]
-    fn ctx_emit_and_counter_flow_into_report() {
+    fn ctx_discard_and_counter_flow_into_report() {
         struct Dropper;
         impl NodeBehavior<u32, World> for Dropper {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, _p: u32) {
                 ctx.counter("seen", 1);
                 ctx.observe("size", 64);
                 ctx.gauge("depth", 3);
-                ctx.emit(TraceEvent::Drop, "no-route", 64);
+                ctx.discard("no-route", 64);
             }
         }
         let mut t = Topology::new();
@@ -1859,6 +1904,51 @@ mod tests {
             .collect();
         assert_eq!(drops.len(), 1);
         assert_eq!(drops[0].class, "no-route");
+        assert_eq!(sim.dropped("no-route"), 1);
+        assert_eq!(sim.dropped("link-lost"), 0);
+    }
+
+    /// A batch of `n` items is `n` on the ledger and on the reason's
+    /// counter, but one `"drop"` and one journal record of size `n`; an
+    /// empty batch writes nothing at all.
+    #[test]
+    fn discard_batch_counts_items_once_and_records_once() {
+        struct Sweeper;
+        impl NodeBehavior<u32, World> for Sweeper {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, n: u32) {
+                ctx.discard_batch("swept", n as usize);
+            }
+        }
+        let run = |n: u32| {
+            let mut t = Topology::new();
+            let a = t.add_node("a");
+            let mut sim = Simulator::new(t, World::default());
+            sim.set_behavior(a, Box::new(Sweeper));
+            sim.enable_telemetry(TelemetryConfig::default());
+            sim.inject(SimTime::ZERO, a, n, 1);
+            sim.run();
+            sim
+        };
+        for n in [1, 7] {
+            let sim = run(n);
+            let tele = sim.telemetry();
+            assert_eq!(sim.dropped("swept"), u64::from(n));
+            assert_eq!(tele.counter_value(0, "swept"), u64::from(n));
+            assert_eq!(tele.counter_value(0, "drop"), 1);
+            let records: Vec<_> = tele
+                .journal_records()
+                .iter()
+                .filter(|r| r.event == TraceEvent::Drop)
+                .map(|r| (r.class, r.size))
+                .collect();
+            assert_eq!(records, vec![("swept", n)]);
+        }
+        let empty = run(0);
+        assert_eq!(empty.dropped("swept"), 0);
+        assert_eq!(empty.telemetry().counter_value(0, "drop"), 0);
+        assert_eq!(empty.telemetry().counter_value(0, "swept"), 0);
+        let journal = empty.telemetry().journal_records();
+        assert!(journal.iter().all(|r| r.event != TraceEvent::Drop));
     }
 
     #[test]
@@ -1881,8 +1971,8 @@ mod tests {
             .map(|&(_, p)| p)
             .collect();
         assert_eq!(b_pkts, vec![1, 3]);
-        assert_eq!(sim.dropped(EngineDrop::LinkLost), 1);
-        assert_eq!(sim.dropped(EngineDrop::NodeLost), 0);
+        assert_eq!(sim.dropped("link-lost"), 1);
+        assert_eq!(sim.dropped("node-lost"), 0);
         assert_eq!(sim.last_repair_time(), Some(SimTime::from_millis(30)));
     }
 
@@ -1903,7 +1993,7 @@ mod tests {
             let mut delivered: Vec<u32> =
                 seen.iter().filter(|&(_, &c)| c == 2).map(|(&p, _)| p).collect();
             delivered.sort_unstable();
-            (delivered, sim.dropped(EngineDrop::LinkLost))
+            (delivered, sim.dropped("link-lost"))
         };
         let (d1, drops1) = run(42);
         let (d2, drops2) = run(42);
@@ -1983,7 +2073,7 @@ mod tests {
         assert!(tags.contains(&9_003), "{tags:?}");
         assert!(tags.contains(&1) && tags.contains(&7), "{tags:?}");
         assert!(!tags.contains(&2) && !tags.contains(&3), "{tags:?}");
-        assert_eq!(sim.dropped(EngineDrop::NodeLost), 2);
+        assert_eq!(sim.dropped("node-lost"), 2);
         assert!(sim.node_is_up(b));
     }
 
@@ -2052,7 +2142,7 @@ mod tests {
         assert!(sim.world().arrivals.contains(&(2_000_000, 1)));
         assert!(sim.world().arrivals.contains(&(25_000_000, 2)));
         assert!(!sim.link_is_up(ab));
-        assert_eq!(EngineDrop::ALL.map(|why| sim.dropped(why)), [0; 5]);
+        assert_eq!(EngineDrop::ALL.map(|why| sim.dropped(why.as_str())), [0; 5]);
     }
 
     #[test]
@@ -2328,9 +2418,9 @@ mod tests {
     /// `(queue-full, aqm-shed, stale-superseded)` drops so far.
     fn shed(sim: &Simulator<u32, World>) -> (u64, u64, u64) {
         (
-            sim.dropped(EngineDrop::QueueFull),
-            sim.dropped(EngineDrop::AqmShed),
-            sim.dropped(EngineDrop::StaleSuperseded),
+            sim.dropped("queue-full"),
+            sim.dropped("aqm-shed"),
+            sim.dropped("stale-superseded"),
         )
     }
 

@@ -17,8 +17,9 @@
 //!   exactly the two latency sources the paper measures (processing and
 //!   queueing). The loop is generic over the packet type: what telemetry,
 //!   lineage and overload control need to know about a packet comes from
-//!   one registered [`PacketMeta`], and every packet the engine itself
-//!   drops is accounted on one path, tallied per [`EngineDrop`] reason.
+//!   one registered [`PacketMeta`], and every drop — the engine's own
+//!   ([`EngineDrop`]) or a behavior's ([`Ctx::discard`]) — is tallied per
+//!   reason tag in one always-on ledger ([`Simulator::dropped`]).
 //! * [`fault`] — deterministic fault injection: a seeded chaos schedule of
 //!   link/node failures and repairs plus per-hop Bernoulli loss, with
 //!   routing recomputed over the surviving subgraph after every change and

@@ -1,7 +1,7 @@
 //! Measurement utilities: latency recorders, summary statistics and CDFs.
 
 use crate::json::Json;
-use crate::SimDuration;
+use crate::{LogHistogram, SimDuration};
 
 /// Incremental summary statistics over a stream of durations.
 ///
@@ -99,6 +99,19 @@ impl OnlineStats {
             ("max_ms", ms(self.max)),
             ("sum_ms", Json::from(self.sum().as_millis_f64())),
         ])
+    }
+}
+
+/// A histogram of nanosecond durations keeps the exact count, sum, min and
+/// max, so its statistics need no second recorder.
+impl From<&LogHistogram> for OnlineStats {
+    fn from(h: &LogHistogram) -> Self {
+        Self {
+            count: h.count(),
+            sum_ns: h.sum(),
+            min: h.min().map(SimDuration::from_nanos),
+            max: h.max().map(SimDuration::from_nanos),
+        }
     }
 }
 
