@@ -24,8 +24,18 @@
 //! A span is 48 bytes: its drop reason is a one-byte index into the log's
 //! table of distinct reasons, so at most 255 reasons can be told apart and
 //! a 256th fails closed.
+//!
+//! Spans live in a [`SpanStore`] of fixed segments of `SEGMENT` = 2¹⁸
+//! spans (12 MiB), never in one vector that doubles: span `i` is slot
+//! `i & (SEGMENT − 1)` of segment `i >> 18`. The first segment grows like
+//! a `Vec` from 1 024 slots, so a small log stays small; every later one
+//! is allocated once at full size and never moves. The segment table is
+//! sized from the capacity bound when the log is enabled, so recording
+//! never grows it: past the first segment, each `SEGMENT` spans cost one
+//! heap call and no span is ever copied.
 
 use std::collections::BTreeMap;
+use std::ops::Index;
 
 use crate::json::{Json, Text};
 use crate::{fnv1a, SimTime, FNV1A_OFFSET};
@@ -43,6 +53,15 @@ const MAX_DROP_REASONS: usize = u8::MAX as usize;
 
 /// The drop a client's duplicate filter books: it never explains a loss.
 const DUPLICATE_FILTERED: &str = "client-duplicate-dropped";
+
+/// Span `i` lives in segment `i >> SEGMENT_BITS`.
+const SEGMENT_BITS: u32 = 18;
+
+/// Spans per segment of the span store: 2¹⁸, 12 MiB at 48 bytes a span.
+const SEGMENT: usize = 1 << SEGMENT_BITS;
+
+/// Slots the first segment starts with; it doubles up to [`SEGMENT`].
+const FIRST_SEGMENT: usize = 1 << 10;
 
 /// What a span represents in a message's causal tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +94,7 @@ impl SpanEvent {
 /// `t_service_start` and `t_done` are [`SimTime::MAX`] while the span is
 /// still open (the copy is in flight or queued); the auditor uses an open
 /// span as evidence for the in-flight-at-cutoff class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Lineage id of the message this span belongs to.
     pub lineage: u64,
@@ -106,6 +125,75 @@ impl SpanRecord {
     }
 }
 
+/// The log's spans in creation order, held in fixed segments that never
+/// move (see the module docs). Indexed by span id.
+#[derive(Debug, Default)]
+pub struct SpanStore {
+    /// Every segment but the last holds exactly `SEGMENT` spans.
+    segments: Vec<Vec<SpanRecord>>,
+}
+
+impl SpanStore {
+    /// Number of spans recorded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.segments
+            .last()
+            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+    }
+
+    /// Whether no span was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// The spans in creation order.
+    pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> + '_ {
+        self.segments.iter().flatten()
+    }
+
+    fn get(&self, i: usize) -> Option<&SpanRecord> {
+        self.segments.get(i >> SEGMENT_BITS)?.get(i & (SEGMENT - 1))
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut SpanRecord> {
+        self.segments
+            .get_mut(i >> SEGMENT_BITS)?
+            .get_mut(i & (SEGMENT - 1))
+    }
+
+    /// Room in the segment table for a log of `capacity` spans.
+    fn reserve(&mut self, capacity: usize) {
+        let segments = capacity.div_ceil(SEGMENT);
+        self.segments
+            .reserve_exact(segments.saturating_sub(self.segments.len()));
+    }
+
+    fn push(&mut self, rec: SpanRecord) {
+        if self.segments.last().is_none_or(|s| s.len() == SEGMENT) {
+            let slots = if self.segments.is_empty() {
+                FIRST_SEGMENT
+            } else {
+                SEGMENT
+            };
+            self.segments.push(Vec::with_capacity(slots));
+        }
+        self.segments
+            .last_mut()
+            .expect("a segment with room")
+            .push(rec);
+    }
+}
+
+impl Index<usize> for SpanStore {
+    type Output = SpanRecord;
+
+    fn index(&self, i: usize) -> &SpanRecord {
+        &self.segments[i >> SEGMENT_BITS][i & (SEGMENT - 1)]
+    }
+}
+
 /// Configuration for the lineage log.
 #[derive(Debug, Clone)]
 pub struct LineageConfig {
@@ -115,6 +203,8 @@ pub struct LineageConfig {
     pub sample: u64,
     /// Maximum number of spans retained. Past this the log counts
     /// truncations instead of growing; a truncated log fails the audit.
+    /// Clamped to `u32::MAX` spans, so every span id stays below
+    /// [`NO_SPAN`].
     pub capacity: usize,
 }
 
@@ -141,7 +231,7 @@ struct Expectation {
 pub struct LineageLog {
     enabled: bool,
     cfg: LineageConfig,
-    spans: Vec<SpanRecord>,
+    spans: SpanStore,
     /// The distinct drop reasons seen, in first-use order; index 0 is `""`.
     reasons: Vec<&'static str>,
     truncated: u64,
@@ -156,8 +246,12 @@ impl LineageLog {
     }
 
     /// Turns recording on.
-    pub fn enable(&mut self, cfg: LineageConfig) {
+    pub fn enable(&mut self, mut cfg: LineageConfig) {
+        // Span ids are `u32`s below `NO_SPAN`: a longer log would hand out
+        // `NO_SPAN` and then wrap onto earlier spans, so it truncates first.
+        cfg.capacity = cfg.capacity.min(NO_SPAN as usize);
         self.enabled = true;
+        self.spans.reserve(cfg.capacity);
         self.cfg = cfg;
         if self.reasons.is_empty() {
             self.reasons.push("");
@@ -179,13 +273,13 @@ impl LineageLog {
     }
 
     fn push(&mut self, rec: SpanRecord) -> u32 {
-        if self.spans.len() >= self.cfg.capacity {
+        let id = self.spans.len();
+        if id >= self.cfg.capacity {
             self.truncated += 1;
             return NO_SPAN;
         }
-        let id = self.spans.len() as u32;
         self.spans.push(rec);
-        id
+        id as u32
     }
 
     /// Opens a root span: the message entered the network at `node`.
@@ -278,7 +372,7 @@ impl LineageLog {
             return;
         }
         let reason = self.reason_index(reason);
-        let rec = &mut self.spans[span as usize];
+        let rec = self.spans.get_mut(span as usize).expect("a traced span");
         rec.event = SpanEvent::Drop;
         rec.reason = reason;
         if rec.t_service_start == SimTime::MAX {
@@ -392,7 +486,7 @@ impl LineageLog {
 
     /// All spans recorded so far, in causal-creation order.
     #[must_use]
-    pub fn spans(&self) -> &[SpanRecord] {
+    pub fn spans(&self) -> &SpanStore {
         &self.spans
     }
 
@@ -400,9 +494,14 @@ impl LineageLog {
     /// for the lineage export, mirroring the journal fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_of(self.spans.iter())
+    }
+
+    /// The fingerprint fold over `spans`, read through this log's reasons.
+    fn fingerprint_of<'a>(&self, spans: impl Iterator<Item = &'a SpanRecord>) -> u64 {
         let mut h = FNV1A_OFFSET;
         let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
-        for r in &self.spans {
+        for r in spans {
             eat(&r.lineage.to_le_bytes());
             eat(&r.node.to_le_bytes());
             eat(&r.cause.to_le_bytes());
@@ -493,7 +592,7 @@ impl LineageLog {
         let mut unexpected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
         let duplicate_filtered = self.reasons.iter().position(|&r| r == DUPLICATE_FILTERED);
 
-        for rec in &self.spans {
+        for rec in self.spans.iter() {
             let Ok(i) = owed.binary_search_by_key(&rec.lineage, |&(lid, _)| lid) else {
                 continue;
             };
@@ -896,6 +995,115 @@ mod tests {
         let report = log.audit(at(100), None);
         assert_eq!(report.truncated, 1);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn spans_across_a_segment_boundary_behave_as_one_vector() {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig::default());
+        let b = SEGMENT as u32;
+        // A model span; `t` is its enqueue time, then service start and
+        // done when it is closed.
+        let span = |lineage, node, cause, entity, reason, event, t: &[u64]| SpanRecord {
+            lineage,
+            node,
+            cause,
+            entity,
+            reason,
+            event,
+            t_enqueue: at(t[0]),
+            t_service_start: t.get(1).map_or(SimTime::MAX, |&ms| at(ms)),
+            t_done: t.get(2).map_or(SimTime::MAX, |&ms| at(ms)),
+        };
+        // Unowed open origins fill segment 0 up to its last four slots.
+        let filler = span(0, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[0]);
+        for _ in 0..SEGMENT - 4 {
+            log.origin(0, 0, at(0));
+        }
+        let o = log.origin(1, 0, at(1));
+        let h1 = log.hop(1, o, 1, at(2));
+        let g = log.origin(2, 0, at(1));
+        let y = log.origin(3, 0, at(1));
+        // Segment 1, every cause in segment 0 but `d2`'s.
+        let h2 = log.hop(1, h1, 2, at(3));
+        let d1 = log.deliver_from(h1, 1, 10, at(4));
+        let d2 = log.deliver_from(h2, 2, 11, at(5));
+        let x = log.hop(2, g, 3, at(2));
+        assert_eq!([o, h1, g, y], [b - 4, b - 3, b - 2, b - 1]);
+        assert_eq!([h2, d1, d2, x], [b, b + 1, b + 2, b + 3]);
+        log.close(o, at(1));
+        log.service_start(h1, at(3));
+        log.close(h1, at(4));
+        log.close(g, at(1));
+        log.mark_dropped(y, "node-lost", at(2));
+        log.service_start(h2, at(4));
+        log.close(h2, at(5));
+        log.mark_dropped(x, "link-lost", at(3));
+
+        let mut model = vec![filler; SEGMENT - 4];
+        model.extend([
+            span(1, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[1, 1, 1]),
+            span(1, 1, o, NO_ENTITY, 0, SpanEvent::Hop, &[2, 3, 4]),
+            span(2, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[1, 1, 1]),
+            span(3, 0, NO_SPAN, NO_ENTITY, 1, SpanEvent::Drop, &[1, 2, 2]),
+            span(1, 2, h1, NO_ENTITY, 0, SpanEvent::Hop, &[3, 4, 5]),
+            span(1, 1, h1, 10, 0, SpanEvent::Deliver, &[4, 4, 4]),
+            span(1, 2, h2, 11, 0, SpanEvent::Deliver, &[5, 5, 5]),
+            span(2, 3, g, NO_ENTITY, 2, SpanEvent::Drop, &[2, 3, 3]),
+        ]);
+        let spans = log.spans();
+        assert_eq!(spans.len(), SEGMENT + 4);
+        assert!(spans.iter().eq(&model));
+        assert!((0..model.len()).all(|i| spans[i] == model[i]));
+        assert_eq!(log.fingerprint(), log.fingerprint_of(model.iter()));
+
+        log.expect(1, at(1), 0, &[10, 11]);
+        log.expect(2, at(1), 0, &[12]);
+        log.expect(3, at(1), 0, &[13]);
+        let report = log.audit(at(100), None);
+        assert_eq!(report.delivered, 2);
+        assert_eq!(report.dropped.get("link-lost"), Some(&1));
+        assert_eq!(report.dropped.get("node-lost"), Some(&1));
+        assert!(report.is_clean(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn a_capacity_of_one_segment_truncates_at_the_boundary() {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig {
+            sample: 1,
+            capacity: SEGMENT,
+        });
+        for _ in 0..SEGMENT {
+            log.origin(1, 0, at(0));
+        }
+        assert_eq!(log.origin(1, 0, at(0)), NO_SPAN);
+        assert_eq!(log.spans().len(), SEGMENT);
+        assert_eq!(log.spans.segments.len(), 1);
+        assert_eq!(log.audit(at(100), None).truncated, 1);
+    }
+
+    #[test]
+    fn span_ids_never_reach_no_span() {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig {
+            sample: 1,
+            capacity: usize::MAX,
+        });
+        assert_eq!(log.cfg.capacity, NO_SPAN as usize);
+        // A log one span short of `u32::MAX`, its full segments stood in
+        // by empty ones: the store counts every segment but the last full.
+        let held = NO_SPAN as usize - 1;
+        let first = log.origin(1, 0, at(0));
+        let filler = log.spans()[first as usize].clone();
+        log.spans.segments = vec![Vec::new(); held / SEGMENT];
+        log.spans.segments.push(vec![filler; held % SEGMENT]);
+        assert_eq!(log.spans().len(), held);
+        assert_eq!(log.origin(1, 0, at(0)), NO_SPAN - 1);
+        // The next id would be the sentinel: the log truncates instead.
+        assert_eq!(log.origin(1, 0, at(0)), NO_SPAN);
+        assert_eq!(log.spans().len(), NO_SPAN as usize);
+        assert_eq!(log.audit(at(100), None).truncated, 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Allocation regression for the observer layer's exports: literal JSON
 //! text is borrowed, a journal record renders as two heap calls, the
 //! delivery audit's heap calls do not grow with the deliveries it counts,
-//! and a span is 48 bytes (DESIGN.md, "Allocation discipline").
+//! a span is 48 bytes, and past the span store's first segment each
+//! segment of spans is one heap call that never moves (DESIGN.md,
+//! "Allocation discipline").
 
 use gcopss_sim::json::Json;
 use gcopss_sim::telemetry::{TraceEvent, TraceRecord};
@@ -124,4 +126,40 @@ fn audit_heap_calls_do_not_grow_with_deliveries() {
 #[test]
 fn a_span_is_48_bytes() {
     assert_eq!(std::mem::size_of::<SpanRecord>(), 48);
+}
+
+#[test]
+fn past_the_first_segment_a_segment_is_one_heap_call_and_never_moves() {
+    /// Spans per segment of the span store (`lineage.rs`).
+    const SEGMENT: usize = 1 << 18;
+    let mut log = LineageLog::disabled();
+    log.enable(LineageConfig {
+        sample: 1,
+        capacity: 4 * SEGMENT,
+    });
+    // Heap calls recording `n` more spans makes.
+    let record = |log: &mut LineageLog, n: usize| {
+        calls(|| {
+            for _ in 0..n {
+                log.origin(1, 0, SimTime::from_nanos(0));
+            }
+        })
+        .0
+    };
+    // The first segment grows like a vector: 1 024 slots, then eight
+    // doublings to 2¹⁸.
+    assert_eq!(record(&mut log, SEGMENT), 9);
+    let mut firsts: Vec<*const SpanRecord> = vec![&log.spans()[0]];
+    for full in 1..4 {
+        assert_eq!(record(&mut log, SEGMENT), 1, "segment {full}");
+        firsts.push(&log.spans()[full * SEGMENT]);
+        // Every segment already full is where it was.
+        for (k, &first) in firsts.iter().enumerate() {
+            assert!(
+                std::ptr::eq(&log.spans()[k * SEGMENT], first),
+                "segment {k}"
+            );
+        }
+    }
+    assert_eq!(log.spans().len(), 4 * SEGMENT);
 }
