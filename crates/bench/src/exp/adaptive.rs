@@ -61,7 +61,7 @@ pub fn run(opts: ExpOptions) {
     for r in &out.rp_rows {
         println!("{}", r.row());
         let times: Vec<String> = r
-            .split_times
+            .splits
             .iter()
             .map(|t| format!("{:.2}s", t.as_nanos() as f64 / 1e9))
             .collect();
@@ -70,13 +70,11 @@ pub fn run(opts: ExpOptions) {
         }
     }
     for r in &out.rp_rows {
-        if let Some((audit, fp)) = &r.audit {
-            println!(
-                "audit {:<14} clean={:?} span-fingerprint {fp:016x}",
-                r.label, r.audit_clean
-            );
-            if r.audit_clean == Some(false) {
-                println!("  {audit}");
+        if let Some(a) = &r.run.audit {
+            let (label, clean, fp) = (&r.run.label, a.report.is_clean(), a.fingerprint);
+            println!("audit {label:<14} clean={:?} span-fingerprint {fp:016x}", Some(clean));
+            if !clean {
+                println!("  {}", a.report.to_json());
             }
         }
     }
@@ -108,10 +106,12 @@ pub fn run(opts: ExpOptions) {
     let adap = rp(RpPolicy::Adaptive);
     let cstat = &out.cache_rows[0];
     let cadap = &out.cache_rows[1];
+    let ratio = |r: &adaptive::RpRow| r.run.delivery_ratio();
+    let queue_full = |r: &adaptive::RpRow| r.run.dropped(drops::QUEUE_FULL);
     println!(
         "rp: delivery {:.4} (adaptive) vs {:.4} (static) vs {:.4} (off); drops {} vs {} vs {}; {} stream-triggered moves",
-        adap.delivery_ratio, stat.delivery_ratio, off.delivery_ratio,
-        adap.queue_full, stat.queue_full, off.queue_full, adap.triggered
+        ratio(adap), ratio(stat), ratio(off),
+        queue_full(adap), queue_full(stat), queue_full(off), adap.triggered
     );
     println!(
         "cache: hit rate {:.4} (adaptive) vs {:.4} (static); broker load {} vs {}; convergence {:.2} ms vs {:.2} ms",
@@ -119,8 +119,8 @@ pub fn run(opts: ExpOptions) {
         cadap.mean_convergence.as_millis_f64(), cstat.mean_convergence.as_millis_f64()
     );
     for r in &out.rp_rows {
-        if let Some(clean) = r.audit_clean {
-            assert!(clean, "{}: delivery audit not clean", r.label);
+        if let Some(a) = &r.run.audit {
+            assert!(a.report.is_clean(), "{}: delivery audit not clean", r.run.label);
         }
     }
     // The headline gates hold at the calibrated scale (and at --full);
@@ -129,18 +129,17 @@ pub fn run(opts: ExpOptions) {
     if h.opts.full || h.opts.scale >= 1.0 {
         assert!(adap.triggered > 0, "no stream-triggered move recorded");
         assert!(
-            adap.delivery_ratio > stat.delivery_ratio
-                && stat.delivery_ratio > off.delivery_ratio,
+            ratio(adap) > ratio(stat) && ratio(stat) > ratio(off),
             "delivery ratios not ordered: adaptive {} / static {} / off {}",
-            adap.delivery_ratio,
-            stat.delivery_ratio,
-            off.delivery_ratio
+            ratio(adap),
+            ratio(stat),
+            ratio(off)
         );
         assert!(
-            adap.queue_full < stat.queue_full,
+            queue_full(adap) < queue_full(stat),
             "adaptive ({}) did not beat static ({}) on drops",
-            adap.queue_full,
-            stat.queue_full
+            queue_full(adap),
+            queue_full(stat)
         );
         assert!(cadap.promotions > 0, "no cache-class promotion");
         assert!(

@@ -34,15 +34,16 @@ pub fn run(opts: ExpOptions) {
     ));
     let mut dirty = false;
     for r in &out.runs {
+        let a = r.audit();
         header(&format!(
             "{} — {} spans, lineage fingerprint {:016x}",
-            r.label, r.spans, r.fingerprint
+            r.run.label, a.spans, a.fingerprint
         ));
-        println!("{}", r.report.table());
-        for e in &r.report.errors {
+        println!("{}", a.report.table());
+        for e in &a.report.errors {
             println!("  ERROR: {e}");
         }
-        dirty |= !r.report.is_clean();
+        dirty |= !a.report.is_clean();
     }
 
     h.finish();

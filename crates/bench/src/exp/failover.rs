@@ -41,22 +41,23 @@ pub fn run(opts: ExpOptions) {
     if let Some(g0) = out
         .rows
         .iter()
-        .find(|r| r.label.starts_with("gcopss") && r.loss == 0.0)
+        .find(|r| r.run.label.starts_with("gcopss") && r.loss == 0.0)
     {
         println!(
             "gcopss loss-free: post-repair ratio {:.4} (expect 1.0), {} RP failover(s), {} resubscribe(s)",
-            g0.post_repair_ratio, g0.rp_failovers, g0.resubscribes
+            g0.post_repair_ratio(), g0.rp_failovers, g0.resubscribes
         );
     }
     for sys in ["gcopss", "ip", "ndn"] {
         let mut prev = f64::INFINITY;
-        for r in out.rows.iter().filter(|r| r.label.starts_with(sys)) {
+        for r in out.rows.iter().filter(|r| r.run.label.starts_with(sys)) {
+            let ratio = r.delivery_ratio();
             assert!(
-                r.delivery_ratio <= prev + 0.05,
+                ratio <= prev + 0.05,
                 "{}: delivery ratio should not rise with loss",
-                r.label
+                r.run.label
             );
-            prev = r.delivery_ratio;
+            prev = ratio;
         }
     }
 

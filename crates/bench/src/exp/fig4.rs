@@ -30,12 +30,12 @@ pub fn run(opts: ExpOptions) {
     for s in [&out.gcopss, &out.ip, &out.ndn] {
         println!(
             "{:<10} {:>12.2} {:>12.1} {:>9.1}% {:>10} {:>10.4}",
-            s.summary.label,
-            s.summary.mean_latency.as_millis_f64(),
-            s.summary.max_latency.as_millis_f64(),
+            s.run.label,
+            s.run.mean_latency.as_millis_f64(),
+            s.run.max_latency.as_millis_f64(),
             s.frac_over_55ms * 100.0,
-            s.summary.delivered,
-            gb(s.summary.network_bytes),
+            s.run.delivered,
+            gb(s.run.network_bytes),
         );
     }
 
@@ -57,9 +57,9 @@ pub fn run(opts: ExpOptions) {
     }
 
     header("Shape check (paper: G-COPSS ~3x better than IP; NDN ~3 orders worse)");
-    let g = out.gcopss.summary.mean_latency.as_millis_f64();
-    let i = out.ip.summary.mean_latency.as_millis_f64();
-    let n = out.ndn.summary.mean_latency.as_millis_f64();
+    let g = out.gcopss.run.mean_latency.as_millis_f64();
+    let i = out.ip.run.mean_latency.as_millis_f64();
+    let n = out.ndn.run.mean_latency.as_millis_f64();
     println!("IP/G-COPSS mean ratio  = {:.2}x (paper ~3x)", i / g);
     println!("NDN/G-COPSS mean ratio = {:.0}x (paper ~1400x)", n / g);
 

@@ -18,7 +18,6 @@ pub fn run(opts: ExpOptions) {
             counters: vec!["delivered", "drop", "rp-served"],
             gauges: vec!["st-entries"],
             per_node: vec!["rp-served"],
-            ..TimeSeriesConfig::default()
         });
     let updates = h.opts.scaled(20_000, 100_000);
     let seed = h.opts.seed;

@@ -33,8 +33,8 @@ pub fn run(opts: ExpOptions) {
         println!(
             "{:>8} {:>16.2} {:>16.2}",
             g.players,
-            g.summary.mean_latency.as_millis_f64(),
-            i.summary.mean_latency.as_millis_f64()
+            g.run.mean_latency.as_millis_f64(),
+            i.run.mean_latency.as_millis_f64()
         );
     }
 
@@ -47,16 +47,16 @@ pub fn run(opts: ExpOptions) {
         println!(
             "{:>8} {:>16.4} {:>16.4}",
             g.players,
-            g.summary.network_gb(),
-            i.summary.network_gb()
+            g.run.network_gb(),
+            i.run.network_gb()
         );
     }
 
     header("Shape check (paper: G-COPSS flat; server knee ~250 players)");
-    let g_first = out.gcopss.first().unwrap().summary.mean_latency.as_millis_f64();
-    let g_last = out.gcopss.last().unwrap().summary.mean_latency.as_millis_f64();
-    let i_first = out.ip.first().unwrap().summary.mean_latency.as_millis_f64();
-    let i_last = out.ip.last().unwrap().summary.mean_latency.as_millis_f64();
+    let g_first = out.gcopss.first().unwrap().run.mean_latency.as_millis_f64();
+    let g_last = out.gcopss.last().unwrap().run.mean_latency.as_millis_f64();
+    let i_first = out.ip.first().unwrap().run.mean_latency.as_millis_f64();
+    let i_last = out.ip.last().unwrap().run.mean_latency.as_millis_f64();
     println!("G-COPSS latency growth = {:.1}x over the sweep", g_last / g_first.max(1e-9));
     println!("IP server latency growth = {:.1}x over the sweep", i_last / i_first.max(1e-9));
 

@@ -54,8 +54,9 @@ pub fn run(opts: ExpOptions) {
         println!("{}", r.row());
     }
     for r in &out.rows {
-        if let Some((_, fp)) = &r.audit {
-            println!("audit {:<22} clean={:?} span-fingerprint {fp:016x}", r.label, r.audit_clean);
+        if let Some(a) = &r.run.audit {
+            let (label, clean, fp) = (&r.run.label, a.report.is_clean(), a.fingerprint);
+            println!("audit {label:<22} clean={:?} span-fingerprint {fp:016x}", Some(clean));
         }
     }
 
@@ -69,35 +70,31 @@ pub fn run(opts: ExpOptions) {
     };
     let aqm = find(QueueRegime::Aqm);
     let tail = find(QueueRegime::DropTail);
+    let (aqm_ctl, tail_ctl) = (aqm.ctl_ratio(), tail.ctl_ratio());
     println!(
-        "gcopss at {top}x: ctl survival aqm {:.4} vs droptail {:.4}; sheds aqm {} / droptail {}",
-        aqm.ctl_ratio,
-        tail.ctl_ratio,
-        aqm.queue_full + aqm.aqm_shed + aqm.stale_superseded + aqm.rate_limited,
-        tail.queue_full,
+        "gcopss at {top}x: ctl survival aqm {aqm_ctl:.4} vs droptail {tail_ctl:.4}; sheds aqm {} / droptail {}",
+        aqm.shed() + aqm.run.dropped(drops::RATE_LIMITED),
+        tail.run.dropped(drops::QUEUE_FULL),
     );
     assert!(
-        aqm.ctl_ratio >= 0.99,
-        "AQM+priority control survival {} < 0.99 at {top}x",
-        aqm.ctl_ratio
+        aqm_ctl >= 0.99,
+        "AQM+priority control survival {aqm_ctl} < 0.99 at {top}x"
     );
     assert!(
-        aqm.ctl_ratio >= tail.ctl_ratio,
-        "priority shedding did not protect control: {} < {}",
-        aqm.ctl_ratio,
-        tail.ctl_ratio
+        aqm_ctl >= tail_ctl,
+        "priority shedding did not protect control: {aqm_ctl} < {tail_ctl}"
     );
     for r in &out.rows {
+        let label = &r.run.label;
         if r.regime == QueueRegime::Unbounded {
             assert_eq!(
-                r.queue_full + r.aqm_shed + r.stale_superseded + r.marks,
+                r.shed() + r.marks,
                 0,
-                "{}: unbounded regime shed or marked",
-                r.label
+                "{label}: unbounded regime shed or marked"
             );
         }
-        if let Some(clean) = r.audit_clean {
-            assert!(clean, "{}: delivery audit not clean", r.label);
+        if let Some(a) = &r.run.audit {
+            assert!(a.report.is_clean(), "{label}: delivery audit not clean");
         }
     }
 

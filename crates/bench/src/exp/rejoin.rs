@@ -44,7 +44,6 @@ pub fn run(opts: ExpOptions) {
             ],
             gauges: vec!["st-entries"],
             per_node: vec!["rp-served"],
-            ..TimeSeriesConfig::default()
         });
     let updates = h.opts.scaled(8_000, 50_000);
     let players = h.opts.scaled(120, 414);

@@ -10,14 +10,14 @@
 //!
 //! Every sweep harvests one telemetry report per run when its `cap` is on.
 
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_sim::{SimDuration, SimTime, Simulator};
 
 use crate::broker::SnapshotMode;
-use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
+use crate::scenario::{HybridConfig, NdnBaselineConfig, NetworkSpec, WARMUP};
 use crate::SimParams;
 
 use super::movement::{run_mode, MovementConfig};
-use super::rp_sweep::{gcopss, run_once, summarize};
+use super::rp_sweep::gcopss;
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
 
 /// Hybrid group-count sweep: fewer groups = more CD sharing = more
@@ -34,9 +34,9 @@ pub fn hybrid_group_sweep(
     group_counts
         .iter()
         .map(|&g| {
-            let protocol = Protocol::Hybrid(HybridConfig { group_count: g });
-            let sim = run_once(&w, &net, protocol, cap, &format!("hybrid-{g}g"));
-            (g, summarize(format!("hybrid {g} groups"), &sim))
+            let spec = w.spec(&net).hybrid(HybridConfig { group_count: g });
+            let sim = cap.run(&format!("hybrid-{g}g"), spec, Simulator::run);
+            (g, RunSummary::of(format!("hybrid {g} groups"), &sim, &w))
         })
         .collect()
 }
@@ -55,10 +55,10 @@ pub fn split_threshold_sweep(
     thresholds
         .iter()
         .map(|&t| {
-            let protocol = gcopss(1, Some(t));
-            let sim = run_once(&w, &net, protocol, cap, &format!("auto-thr{t}"));
+            let spec = w.spec(&net).protocol(gcopss(1, Some(t)));
+            let sim = cap.run(&format!("auto-thr{t}"), spec, Simulator::run);
             let splits = sim.world().splits.len();
-            (t, splits, summarize(format!("auto thr={t}"), &sim))
+            (t, splits, RunSummary::of(format!("auto thr={t}"), &sim, &w))
         })
         .collect()
 }
@@ -86,7 +86,8 @@ pub fn ndn_accumulation_sweep(
             let label = format!("ndn-t{:.0}ms", t.as_millis_f64());
             let spec = w.spec(&net).ndn_baseline(cfg);
             let sim = cap.run(&label, spec, |sim| sim.run_until(horizon));
-            (t, summarize(format!("ndn t={}ms", t.as_millis_f64()), &sim))
+            let label = format!("ndn t={}ms", t.as_millis_f64());
+            (t, RunSummary::of(label, &sim, &w))
         })
         .collect()
 }

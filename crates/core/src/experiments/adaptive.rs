@@ -38,10 +38,10 @@ use gcopss_sim::{AdmissionPolicy, OverloadConfig, SimDuration, SimTime, StreamCo
 
 use crate::broker::{partition_cds_to_brokers, SnapshotBroker, SnapshotMode};
 use crate::router::cs_prefix_key;
-use crate::scenario::{expected_deliveries, viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
+use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
 use crate::{drops, SimParams, SnapName};
 
-use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RP-balancing policy of one run arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,50 +151,29 @@ impl Default for AdaptiveSweepConfig {
 /// One RP-arm run's outcome.
 #[derive(Debug, Clone)]
 pub struct RpRow {
-    /// Run label (`rp-adaptive`, …).
-    pub label: String,
     /// Balancing policy of the run.
     pub policy: RpPolicy,
-    /// Updates published.
-    pub published: u64,
-    /// Non-self deliveries recorded.
-    pub delivered: u64,
-    /// Deliveries the AoI model expects for the full trace.
-    pub expected: u64,
-    /// `delivered / expected`.
-    pub delivery_ratio: f64,
-    /// Median delivery latency.
-    pub p50: SimDuration,
-    /// 99th-percentile delivery latency.
-    pub p99: SimDuration,
-    /// Arrivals rejected (or victims evicted) at full queues.
-    pub queue_full: u64,
-    /// RP splits executed (handoffs recorded).
-    pub splits: u64,
-    /// When each split fired (simulated time).
-    pub split_times: Vec<SimTime>,
+    /// When each RP split fired (simulated time), in order.
+    pub splits: Vec<SimTime>,
     /// Splits fired by the adaptive trigger specifically.
     pub triggered: u64,
-    /// Aggregate network load in bytes.
-    pub network_bytes: u64,
-    /// Lineage audit (accounting JSON, span-log fingerprint) when armed.
-    pub audit: Option<(gcopss_sim::json::Json, u64)>,
-    /// Whether the armed audit explained every owed pair.
-    pub audit_clean: Option<bool>,
+    /// The audited run, labelled `rp-adaptive`, ….
+    pub run: RunSummary,
 }
 
 impl RpRow {
     /// One formatted table row.
     #[must_use]
     pub fn row(&self) -> String {
+        let r = &self.run;
         format!(
             "{:<14} {:>8.4} {:>9.2} {:>9.2} {:>8} {:>4} {:>4}",
-            self.label,
-            self.delivery_ratio,
-            self.p50.as_millis_f64(),
-            self.p99.as_millis_f64(),
-            self.queue_full,
-            self.splits,
+            r.label,
+            r.delivery_ratio(),
+            r.p50.as_millis_f64(),
+            r.p99.as_millis_f64(),
+            r.dropped(drops::QUEUE_FULL),
+            self.splits.len(),
             self.triggered,
         )
     }
@@ -203,8 +182,6 @@ impl RpRow {
 /// One cache-arm run's outcome.
 #[derive(Debug, Clone)]
 pub struct CacheRow {
-    /// Run label (`cache-adaptive`, …).
-    pub label: String,
     /// Cache-class policy of the run.
     pub policy: CachePolicy,
     /// Moves completed (convergence records).
@@ -228,8 +205,8 @@ pub struct CacheRow {
     pub promotions: u64,
     /// Cache-class demotions.
     pub demotions: u64,
-    /// Aggregate network load in bytes.
-    pub network_bytes: u64,
+    /// The run, labelled `cache-adaptive`, ….
+    pub run: RunSummary,
 }
 
 impl CacheRow {
@@ -238,7 +215,7 @@ impl CacheRow {
     pub fn row(&self) -> String {
         format!(
             "{:<16} {:>5} {:>9.2} {:>8.4} {:>8} {:>8} {:>4} {:>4}",
-            self.label,
+            self.run.label,
             self.moves,
             self.mean_convergence.as_millis_f64(),
             self.hit_rate,
@@ -318,7 +295,6 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
     let w = hotspot_workload(cfg);
     let net = NetworkSpec::default_backbone(NET_SEED);
     let horizon = SimTime::ZERO + WARMUP + w.span() + cfg.drain;
-    let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     // Bounded queues with control-class priority: overflow sheds data
     // (recorded on the lineage), never the Subscribe/split protocol — so
     // the ablation compares balancing policies, not control-plane luck.
@@ -351,31 +327,13 @@ fn run_rp_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<RpRo
         // No fault is injected, so no damage window is granted: every miss
         // must be explained by a drop record.
         let spec = w.spec(&net).gcopss(sys).overload(overload.clone());
-        let (sim, audit) = cap.run_audited(&label, spec, &w, horizon, |_| None);
+        let (sim, run) = cap.run_audited(&label, spec, &w, horizon, |_| None);
         let world = sim.world();
-        let hist = world.metrics.latency_hist();
-        let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
-        let delivered = world.metrics.delivered();
         rows.push(RpRow {
             policy,
-            published: world.metrics.published(),
-            delivered,
-            expected,
-            delivery_ratio: if expected == 0 {
-                1.0
-            } else {
-                delivered as f64 / expected as f64
-            },
-            p50: q(0.50),
-            p99: q(0.99),
-            queue_full: sim.dropped(drops::QUEUE_FULL),
-            splits: world.splits.len() as u64,
-            split_times: world.splits.iter().map(|s| s.at).collect(),
+            splits: world.splits.iter().map(|s| s.at).collect(),
             triggered: world.counter("rp-move-triggered"),
-            network_bytes: sim.total_link_bytes(),
-            audit_clean: Some(audit.is_clean()),
-            audit: Some((audit.to_json(), sim.lineage().fingerprint())),
-            label,
+            run,
         });
     }
     rows
@@ -514,7 +472,6 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
         let cs_hit = world.counter("cs-hit");
         let cs_miss = world.counter("cs-miss");
         rows.push(CacheRow {
-            label,
             policy,
             moves: done.len(),
             mean_convergence,
@@ -529,7 +486,7 @@ fn run_cache_arm(cfg: &AdaptiveSweepConfig, cap: &mut TelemetryCapture) -> Vec<C
             broker_served: world.counter("broker-qr-served"),
             promotions: world.counter("cache-class-promotions"),
             demotions: world.counter("cache-class-demotions"),
-            network_bytes: sim.total_link_bytes(),
+            run: RunSummary::of(label, &sim, &w),
         });
     }
     rows
@@ -559,7 +516,7 @@ mod tests {
     fn adaptive_beats_static_under_hotspot() {
         let out = run(&mini_cfg(), &mut TelemetryCapture::off());
         for r in &out.rp_rows {
-            eprintln!("{} splits_at={:?}", r.row(), r.split_times);
+            eprintln!("{} splits_at={:?}", r.row(), r.splits);
         }
         for r in &out.cache_rows {
             eprintln!("{}", r.row());
@@ -571,14 +528,15 @@ mod tests {
         let stat = rp(RpPolicy::Static);
         let adap = rp(RpPolicy::Adaptive);
 
+        let queue_full = |r: &RpRow| r.run.dropped(drops::QUEUE_FULL);
         // The hotspot actually bites: without balancing the bounded queue
         // overflows.
-        assert!(off.queue_full > 0, "hotspot never overflowed the queue");
-        assert_eq!(off.splits, 0);
+        assert!(queue_full(off) > 0, "hotspot never overflowed the queue");
+        assert!(off.splits.is_empty());
         // Both balancing policies split; only the adaptive one is
         // stream-triggered.
-        assert!(stat.splits > 0, "static threshold never fired");
-        assert!(adap.splits > 0, "adaptive trigger never fired");
+        assert!(!stat.splits.is_empty(), "static threshold never fired");
+        assert!(!adap.splits.is_empty(), "adaptive trigger never fired");
         assert_eq!(stat.triggered, 0);
         assert!(adap.triggered > 0, "no stream-triggered move recorded");
         // The win: strictly fewer overflow drops than the static trigger
@@ -587,21 +545,23 @@ mod tests {
         // its whole multicast tree, which is exactly what its delivery
         // ratio shows).
         assert!(
-            adap.queue_full < stat.queue_full,
+            queue_full(adap) < queue_full(stat),
             "adaptive ({}) did not beat static ({}) on drops",
-            adap.queue_full,
-            stat.queue_full
+            queue_full(adap),
+            queue_full(stat)
         );
+        let ratio = |r: &RpRow| r.run.delivery_ratio();
         assert!(
-            adap.delivery_ratio > stat.delivery_ratio && stat.delivery_ratio > off.delivery_ratio,
+            ratio(adap) > ratio(stat) && ratio(stat) > ratio(off),
             "delivery ratios not ordered: adaptive {} / static {} / off {}",
-            adap.delivery_ratio,
-            stat.delivery_ratio,
-            off.delivery_ratio
+            ratio(adap),
+            ratio(stat),
+            ratio(off)
         );
         // Audited runs explain every owed pair.
         for r in &out.rp_rows {
-            assert_eq!(r.audit_clean, Some(true), "{}: audit not clean", r.label);
+            let clean = r.run.audit.as_ref().map(|a| a.report.is_clean());
+            assert_eq!(clean, Some(true), "{}: audit not clean", r.run.label);
         }
 
         // Cache arm: promotion happened, and it paid.
@@ -643,29 +603,42 @@ mod tests {
         let a = run(&cfg, &mut TelemetryCapture::off());
         let b = run(&cfg, &mut TelemetryCapture::off());
         for (x, y) in a.rp_rows.iter().zip(&b.rp_rows) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.delivered, y.delivered, "{}", x.label);
-            assert_eq!(x.queue_full, y.queue_full, "{}", x.label);
-            assert_eq!(x.splits, y.splits, "{}", x.label);
-            assert_eq!(x.triggered, y.triggered, "{}", x.label);
-            assert_eq!(x.network_bytes, y.network_bytes, "{}", x.label);
-            match (&x.audit, &y.audit) {
-                (Some((ja, fa)), Some((jb, fb))) => {
-                    assert_eq!(fa, fb, "{}: lineage fingerprints differ", x.label);
-                    assert_eq!(ja.to_string(), jb.to_string(), "{}", x.label);
+            let label = &x.run.label;
+            assert_eq!(label, &y.run.label);
+            assert_eq!(x.run.delivered, y.run.delivered, "{label}");
+            assert_eq!(
+                x.run.dropped(drops::QUEUE_FULL),
+                y.run.dropped(drops::QUEUE_FULL),
+                "{label}"
+            );
+            assert_eq!(x.splits, y.splits, "{label}");
+            assert_eq!(x.triggered, y.triggered, "{label}");
+            assert_eq!(x.run.network_bytes, y.run.network_bytes, "{label}");
+            match (&x.run.audit, &y.run.audit) {
+                (Some(ax), Some(ay)) => {
+                    assert_eq!(
+                        ax.fingerprint, ay.fingerprint,
+                        "{label}: lineage fingerprints differ"
+                    );
+                    assert_eq!(
+                        ax.report.to_json().to_string(),
+                        ay.report.to_json().to_string(),
+                        "{label}"
+                    );
                 }
                 (None, None) => {}
-                _ => panic!("{}: audit presence differs", x.label),
+                _ => panic!("{label}: audit presence differs"),
             }
         }
         for (x, y) in a.cache_rows.iter().zip(&b.cache_rows) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.cs_hit, y.cs_hit, "{}", x.label);
-            assert_eq!(x.cs_miss, y.cs_miss, "{}", x.label);
-            assert_eq!(x.broker_served, y.broker_served, "{}", x.label);
-            assert_eq!(x.promotions, y.promotions, "{}", x.label);
-            assert_eq!(x.network_bytes, y.network_bytes, "{}", x.label);
-            assert_eq!(x.hot_hit_rate, y.hot_hit_rate, "{}", x.label);
+            let label = &x.run.label;
+            assert_eq!(label, &y.run.label);
+            assert_eq!(x.cs_hit, y.cs_hit, "{label}");
+            assert_eq!(x.cs_miss, y.cs_miss, "{label}");
+            assert_eq!(x.broker_served, y.broker_served, "{label}");
+            assert_eq!(x.promotions, y.promotions, "{label}");
+            assert_eq!(x.run.network_bytes, y.run.network_bytes, "{label}");
+            assert_eq!(x.hot_hit_rate, y.hot_hit_rate, "{label}");
         }
     }
 }

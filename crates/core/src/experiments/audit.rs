@@ -18,13 +18,13 @@
 //! failure sweep tolerates under-delivery; with Bernoulli loss the whole
 //! run is damaged, because loss draws are not confined to a window.
 
-use gcopss_sim::{AuditReport, SimDuration, SimTime, Simulator, TimeSeriesConfig};
+use gcopss_sim::{SimDuration, SimTime, Simulator, TimeSeriesConfig};
 
 use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
 use crate::{GPacket, GameWorld, RecoveryConfig};
 
 use super::failover::{chaos_plan, FailoverConfig, RP_COUNT};
-use super::{TelemetryCapture, Workload, NET_SEED};
+use super::{RunAudit, RunSummary, TelemetryCapture, Workload, NET_SEED};
 
 /// The periodic time-series sampler the runner arms on the audited runs and
 /// on the failure sweep's, which replay the same chaos scenario.
@@ -35,24 +35,27 @@ pub fn timeseries_config() -> TimeSeriesConfig {
         counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
         gauges: vec!["st-entries"],
         per_node: vec!["rp-served"],
-        ..TimeSeriesConfig::default()
     }
 }
 
 /// One audited run.
 #[derive(Debug, Clone)]
 pub struct AuditRun {
-    /// Run label (`gcopss-loss0.01`, …).
-    pub label: String,
     /// The swept loss rate.
     pub loss: f64,
-    /// The auditor's per-class accounting.
-    pub report: AuditReport,
-    /// FNV-1a fingerprint over all span records (determinism witness:
-    /// equal seeds must produce equal fingerprints).
-    pub fingerprint: u64,
-    /// Span records captured.
-    pub spans: usize,
+    /// The run, labelled `gcopss-loss0.01`, …, with its audit.
+    pub run: RunSummary,
+}
+
+impl AuditRun {
+    /// The run's audit.
+    #[must_use]
+    pub fn audit(&self) -> &RunAudit {
+        self.run
+            .audit
+            .as_ref()
+            .expect("every run of the sweep is audited")
+    }
 }
 
 /// The audit's full output, one run per swept loss rate.
@@ -128,7 +131,7 @@ pub fn run(f: &FailoverConfig, cap: &mut TelemetryCapture) -> AuditOutput {
         };
         let label = format!("gcopss-loss{loss:.2}");
         let spec = w.spec(&net).gcopss(sys).fault_plan(plan);
-        let (sim, report) = cap.run_audited(&label, spec, &w, horizon, |sim| {
+        let (_, run) = cap.run_audited(&label, spec, &w, horizon, |sim| {
             if loss > 0.0 {
                 // Loss draws hit every transmission: the whole run is damaged.
                 Some((SimTime::ZERO, horizon))
@@ -136,13 +139,7 @@ pub fn run(f: &FailoverConfig, cap: &mut TelemetryCapture) -> AuditOutput {
                 damage_window(first_fault, sim.last_repair_time(), f.settle)
             }
         });
-        runs.push(AuditRun {
-            label,
-            loss,
-            fingerprint: sim.lineage().fingerprint(),
-            spans: sim.lineage().spans().len(),
-            report,
-        });
+        runs.push(AuditRun { loss, run });
     }
     AuditOutput { runs }
 }
@@ -183,37 +180,47 @@ mod tests {
             assert!(frames.to_string().contains("\"frames\""), "{label}");
         }
         for r in &out.runs {
-            assert!(r.spans > 0, "{}: no spans captured", r.label);
+            let (label, a) = (&r.run.label, r.audit());
+            assert!(a.spans > 0, "{label}: no spans captured");
             assert!(
-                r.report.is_clean(),
-                "{}: audit not clean:\n{}\nerrors: {:?}",
-                r.label,
-                r.report.table(),
-                r.report.errors
+                a.report.is_clean(),
+                "{label}: audit not clean:\n{}\nerrors: {:?}",
+                a.report.table(),
+                a.report.errors
             );
-            assert!(r.report.delivered > 0, "{}: nothing delivered", r.label);
+            assert!(a.report.delivered > 0, "{label}: nothing delivered");
         }
         // The lossy run must have charged something to the fault machinery.
-        let lossy = &out.runs[1];
+        let lossy = &out.runs[1].audit().report;
         assert!(
-            lossy.report.dropped_total() > 0,
+            lossy.dropped_total() > 0,
             "lossy run recorded no drops:\n{}",
-            lossy.report.table()
+            lossy.table()
         );
 
         let (again, cap_again) = captured();
         let render = |docs: &[(String, gcopss_sim::json::Json)]| -> Vec<String> {
-            docs.iter().map(|(label, doc)| format!("{label}: {doc}")).collect()
+            docs.iter()
+                .map(|(label, doc)| format!("{label}: {doc}"))
+                .collect()
         };
-        assert_eq!(render(&cap.series), render(&cap_again.series), "time series differ");
-        assert_eq!(render(&cap.audits), render(&cap_again.audits), "queued audits differ");
-        for (a, b) in out.runs.iter().zip(&again.runs) {
-            assert_eq!(a.fingerprint, b.fingerprint, "{}: spans differ", a.label);
+        assert_eq!(
+            render(&cap.series),
+            render(&cap_again.series),
+            "time series differ"
+        );
+        assert_eq!(
+            render(&cap.audits),
+            render(&cap_again.audits),
+            "queued audits differ"
+        );
+        for (x, y) in out.runs.iter().zip(&again.runs) {
+            let (label, a, b) = (&x.run.label, x.audit(), y.audit());
+            assert_eq!(a.fingerprint, b.fingerprint, "{label}: spans differ");
             assert_eq!(
                 a.report.to_json().to_string(),
                 b.report.to_json().to_string(),
-                "{}: audit differs",
-                a.label
+                "{label}: audit differs"
             );
         }
     }

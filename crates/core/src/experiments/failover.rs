@@ -24,7 +24,7 @@ use crate::scenario::{
 };
 use crate::{drops, GPacket, GameWorld, RecoveryConfig};
 
-use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+use super::{owed_ratio, RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// Chaos-schedule seed (flap times and loss draws).
 const CHAOS_SEED: u64 = 0x00c4_a055;
@@ -74,26 +74,17 @@ impl Default for FailoverConfig {
 /// One run's outcome.
 #[derive(Debug, Clone)]
 pub struct FailoverRow {
-    /// Run label (`gcopss-loss0.01`, …).
-    pub label: String,
     /// The swept loss rate.
     pub loss: f64,
-    /// Publications registered.
-    pub published: u64,
-    /// Deliveries the AoI model expects over the whole trace.
-    pub expected: u64,
-    /// Distinct non-self deliveries recorded (capped per publication at the
-    /// expected fan-out).
-    pub delivered: u64,
-    /// `delivered / expected`.
-    pub delivery_ratio: f64,
-    /// The same ratio restricted to publications sent after
-    /// `last_repair + settle` — 1.0 means the system fully recovered.
-    /// 1.0 trivially when the window is empty (chaos outlived the trace).
-    pub post_repair_ratio: f64,
-    /// Expected deliveries inside the post-repair window (0 means the
-    /// window was empty and `post_repair_ratio` is vacuous).
+    /// Distinct non-self deliveries, capped per publication at its expected
+    /// fan-out (the run's own `delivered` counts duplicates too).
+    pub capped_delivered: u64,
+    /// Expected deliveries of the publications sent after
+    /// `last_repair + settle` (0 means the window was empty and
+    /// [`Self::post_repair_ratio`] is vacuous).
     pub post_expected: u64,
+    /// Capped deliveries of the publications in that window.
+    pub post_delivered: u64,
     /// Time from the last repair to the last under-delivered publication:
     /// `Some(ZERO)` when nothing was ever lost, `None` when under-delivery
     /// persisted to the end of the trace (no settling observed — e.g.
@@ -101,21 +92,35 @@ pub struct FailoverRow {
     pub recovery: Option<SimDuration>,
     /// When the last repair event was applied (`None` for vacuous plans).
     pub last_repair: Option<SimTime>,
-    /// Packets dropped crossing dead links.
-    pub link_lost: u64,
-    /// Packets dropped at dead nodes.
-    pub node_lost: u64,
     /// RP failovers executed (G-COPSS runs only).
     pub rp_failovers: u64,
     /// Client re-subscribes (G-COPSS) or server reconnects (IP).
     pub resubscribes: u64,
-    /// Mean delivery latency.
-    pub mean_latency: SimDuration,
-    /// Aggregate network load in bytes.
-    pub network_bytes: u64,
+    /// The run, labelled `gcopss-loss0.01`, ….
+    pub run: RunSummary,
 }
 
 impl FailoverRow {
+    /// `capped_delivered / expected`.
+    #[must_use]
+    pub fn delivery_ratio(&self) -> f64 {
+        owed_ratio(self.capped_delivered, self.run.expected)
+    }
+
+    /// The same ratio restricted to the post-repair window — 1.0 means the
+    /// system fully recovered; 1.0 trivially when the window is empty
+    /// (chaos outlived the trace).
+    #[must_use]
+    pub fn post_repair_ratio(&self) -> f64 {
+        owed_ratio(self.post_delivered, self.post_expected)
+    }
+
+    /// Packets dropped crossing dead links or at dead nodes.
+    #[must_use]
+    pub fn lost(&self) -> u64 {
+        self.run.dropped(drops::LINK_LOST) + self.run.dropped(drops::NODE_LOST)
+    }
+
     /// One formatted table row.
     #[must_use]
     pub fn row(&self) -> String {
@@ -125,14 +130,14 @@ impl FailoverRow {
         };
         format!(
             "{:<18} {:>6.2} {:>9.4} {:>11.4} {:>9} {:>10} {:>7} {:>12.2}",
-            self.label,
+            self.run.label,
             self.loss,
-            self.delivery_ratio,
-            self.post_repair_ratio,
+            self.delivery_ratio(),
+            self.post_repair_ratio(),
             recovery,
-            self.link_lost + self.node_lost,
+            self.lost(),
             self.resubscribes,
-            self.mean_latency.as_millis_f64(),
+            self.run.mean_latency.as_millis_f64(),
         )
     }
 }
@@ -167,11 +172,9 @@ pub(crate) fn chaos_plan(
 }
 
 struct Deliverability {
-    expected: u64,
     delivered: u64,
-    ratio: f64,
-    post_ratio: f64,
     post_expected: u64,
+    post_delivered: u64,
     recovery: Option<SimDuration>,
 }
 
@@ -198,14 +201,13 @@ fn deliverability(
             *slot += 1;
         }
     }
-    let (mut expected, mut delivered) = (0u64, 0u64);
+    let mut delivered = 0u64;
     let (mut post_expected, mut post_delivered) = (0u64, 0u64);
     let mut last_bad: Option<usize> = None;
     let mut last_with_fanout: Option<usize> = None;
     for (i, e) in w.trace.iter().enumerate() {
         let want = (viewers.get(&e.cd).map_or(0, Vec::len) as u64).saturating_sub(1);
         let got = per_id[i].min(want);
-        expected += want;
         delivered += got;
         if want > 0 {
             last_with_fanout = Some(i);
@@ -219,7 +221,6 @@ fn deliverability(
             post_delivered += got;
         }
     }
-    let ratio = |d: u64, e: u64| if e == 0 { 1.0 } else { d as f64 / e as f64 };
     let recovery = match (last_bad, last_repair) {
         (None, _) => Some(SimDuration::ZERO),
         // Settled only if some later publication did reach full fan-out.
@@ -230,11 +231,9 @@ fn deliverability(
         _ => None,
     };
     Deliverability {
-        expected,
         delivered,
-        ratio: ratio(delivered, expected),
-        post_ratio: ratio(post_delivered, post_expected),
         post_expected,
+        post_delivered,
         recovery,
     }
 }
@@ -251,22 +250,15 @@ fn make_row(
     let last_repair = sim.last_repair_time();
     let d = deliverability(world, last_repair, w, cfg.settle);
     FailoverRow {
-        label,
         loss,
-        published: world.metrics.published(),
-        expected: d.expected,
-        delivered: d.delivered,
-        delivery_ratio: d.ratio,
-        post_repair_ratio: d.post_ratio,
+        capped_delivered: d.delivered,
         post_expected: d.post_expected,
+        post_delivered: d.post_delivered,
         recovery: d.recovery,
         last_repair,
-        link_lost: sim.dropped(drops::LINK_LOST),
-        node_lost: sim.dropped(drops::NODE_LOST),
         rp_failovers: world.counter("rp-failovers"),
         resubscribes: world.counter("client-resubscribes") + world.counter("client-reconnects"),
-        mean_latency: world.metrics.stats().mean(),
-        network_bytes: sim.total_link_bytes(),
+        run: RunSummary::of(label, sim, w),
     }
 }
 
@@ -352,29 +344,21 @@ mod tests {
         let out = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(out.rows.len(), 3);
         for r in &out.rows {
-            assert!(r.delivered > 0, "{}: nothing delivered", r.label);
-            assert!(
-                (0.0..=1.0).contains(&r.delivery_ratio),
-                "{}: ratio {}",
-                r.label,
-                r.delivery_ratio
-            );
-            assert!(r.last_repair.is_some(), "{}: chaos never played", r.label);
+            let label = &r.run.label;
+            assert!(r.capped_delivered > 0, "{label}: nothing delivered");
+            let ratio = r.delivery_ratio();
+            assert!((0.0..=1.0).contains(&ratio), "{label}: ratio {ratio}");
+            assert!(r.last_repair.is_some(), "{label}: chaos never played");
         }
         let g = &out.rows[0];
-        assert!(g.label.starts_with("gcopss"));
-        assert!(
-            g.link_lost + g.node_lost > 0,
-            "chaos drew no blood ({} link, {} node)",
-            g.link_lost,
-            g.node_lost
-        );
+        assert!(g.run.label.starts_with("gcopss"));
+        assert!(g.lost() > 0, "chaos drew no blood");
         assert!(g.rp_failovers >= 1, "RP crash did not trigger failover");
         assert!(g.post_expected > 0, "post-repair window is vacuous");
         assert!(
-            (g.post_repair_ratio - 1.0).abs() < 1e-9,
+            (g.post_repair_ratio() - 1.0).abs() < 1e-9,
             "G-COPSS did not fully recover: post-repair ratio {} over {} expected",
-            g.post_repair_ratio,
+            g.post_repair_ratio(),
             g.post_expected
         );
     }

@@ -1,9 +1,11 @@
 //! Table II: the whole event trace on IP (6 servers), G-COPSS (6 RPs) and
 //! hybrid-G-COPSS (6 IP multicast groups), when there is no congestion.
 
+use gcopss_sim::Simulator;
+
 use crate::scenario::{HybridConfig, NetworkSpec, Protocol};
 
-use super::rp_sweep::{self, ip_servers, run_once, summarize};
+use super::rp_sweep::{self, ip_servers};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// RPs / servers / IP multicast groups (paper: 6 of each).
@@ -40,7 +42,10 @@ pub fn run(workload: &WorkloadParams, cap: &mut TelemetryCapture) -> FullTraceOu
         ),
         ("hybrid", format!("hybrid-G-COPSS {CORES} groups"), hybrid),
     ]
-    .map(|(label, row, protocol)| summarize(row, &run_once(&w, &net, protocol, cap, label)));
+    .map(|(label, row, protocol)| {
+        let sim = cap.run(label, w.spec(&net).protocol(protocol), Simulator::run);
+        RunSummary::of(row, &sim, &w)
+    });
 
     FullTraceOutput { ip, gcopss, hybrid }
 }

@@ -3,12 +3,10 @@
 
 use gcopss_sim::{SimDuration, SimTime, Simulator};
 
-use crate::scenario::{
-    GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
-};
+use crate::scenario::{GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
 use crate::{GPacket, GameWorld, MetricsMode, SimParams};
 
-use super::{rp_sweep::summarize, RunSummary, TelemetryCapture, Workload};
+use super::{RunSummary, TelemetryCapture, Workload};
 
 /// Configuration of the microbenchmark (paper defaults: 1 minute, 12,440
 /// events; scale `duration` down for quick runs).
@@ -35,8 +33,8 @@ impl Default for MicrobenchConfig {
 /// One system's microbenchmark result.
 #[derive(Debug, Clone)]
 pub struct SystemResult {
-    /// Table row.
-    pub summary: RunSummary,
+    /// The run.
+    pub run: RunSummary,
     /// Latency CDF `(ms, cumulative fraction)`.
     pub cdf: Vec<(f64, f64)>,
     /// Fraction of deliveries above 55 ms (the paper's tail remark).
@@ -54,8 +52,8 @@ pub struct MicrobenchOutput {
     pub ndn: SystemResult,
 }
 
-fn system_result(label: &str, sim: Simulator<GPacket, GameWorld>) -> SystemResult {
-    let summary = summarize(label.to_string(), &sim);
+fn system_result(label: &str, sim: Simulator<GPacket, GameWorld>, w: &Workload) -> SystemResult {
+    let run = RunSummary::of(label.to_string(), &sim, w);
     let mut world = sim.into_world();
     let over = 1.0
         - world
@@ -70,7 +68,7 @@ fn system_result(label: &str, sim: Simulator<GPacket, GameWorld>) -> SystemResul
         .map(|(d, f)| (d.as_millis_f64(), f))
         .collect();
     SystemResult {
-        summary,
+        run,
         cdf,
         frac_over_55ms: over,
     }
@@ -123,7 +121,7 @@ pub fn run(cfg: &MicrobenchConfig, cap: &mut TelemetryCapture) -> MicrobenchOutp
                 sim.run();
             }
         });
-        system_result(row, sim)
+        system_result(row, sim, &w)
     });
     MicrobenchOutput { gcopss, ip, ndn }
 }
@@ -140,9 +138,9 @@ mod tests {
             ..MicrobenchConfig::default()
         };
         let out = run(&cfg, &mut TelemetryCapture::off());
-        let g = out.gcopss.summary.mean_latency;
-        let i = out.ip.summary.mean_latency;
-        let n = out.ndn.summary.mean_latency;
+        let g = out.gcopss.run.mean_latency;
+        let i = out.ip.run.mean_latency;
+        let n = out.ndn.run.mean_latency;
         assert!(g < i, "G-COPSS ({g}) must beat IP ({i})");
         assert!(i < n, "IP ({i}) must beat NDN ({n})");
         // Queueing at the melted-down NDN routers builds with trace length;
@@ -150,10 +148,10 @@ mod tests {
         assert!(n > g * 10, "NDN should melt down ({n} vs G-COPSS {g})");
         // CDFs are monotone and end at 1.0.
         for s in [&out.gcopss, &out.ip, &out.ndn] {
-            assert!(!s.cdf.is_empty(), "{}", s.summary.label);
+            assert!(!s.cdf.is_empty(), "{}", s.run.label);
             assert!((s.cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
         }
         // G-COPSS delivered everything it should.
-        assert!(out.gcopss.summary.delivered > 0);
+        assert!(out.gcopss.run.delivered > 0);
     }
 }

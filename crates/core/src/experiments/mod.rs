@@ -45,8 +45,8 @@ use gcopss_sim::{
     TimeSeriesConfig,
 };
 
-use crate::scenario::{NetworkSpec, ScenarioSpec};
-use crate::{GPacket, GameWorld};
+use crate::scenario::{expected_deliveries, NetworkSpec, ScenarioSpec};
+use crate::{drops, GPacket, GameWorld};
 
 /// Topology seed of the backbone every large-scale driver runs on.
 pub const NET_SEED: u64 = 7;
@@ -141,9 +141,10 @@ impl TelemetryCapture {
     /// [`audit::register_expectations`]) must be explained. `damage` reads
     /// the fault damage window off the finished simulator (`None` for
     /// fault-free runs, where every miss needs a drop record). The report
-    /// is queued on the capture as `label` and returned with the
-    /// simulator. The tracer keeps every span: an audit over a sampled
-    /// trace would only account for the sampled lineages.
+    /// is queued on the capture as `label` and returned, with the span
+    /// fingerprint and count, as the audit of the run's [`RunSummary`],
+    /// beside the simulator. The tracer keeps every span: an audit over a
+    /// sampled trace would only account for the sampled lineages.
     pub fn run_audited(
         &mut self,
         label: &str,
@@ -151,7 +152,7 @@ impl TelemetryCapture {
         w: &Workload,
         horizon: SimTime,
         damage: impl FnOnce(&Simulator<GPacket, GameWorld>) -> Option<(SimTime, SimTime)>,
-    ) -> (Simulator<GPacket, GameWorld>, AuditReport) {
+    ) -> (Simulator<GPacket, GameWorld>, RunSummary) {
         let built = spec.build();
         let mut sim = built.sim;
         self.arm(&mut sim);
@@ -164,7 +165,13 @@ impl TelemetryCapture {
         self.harvest(label, &sim);
         let report = sim.lineage().audit(horizon, damage(&sim));
         self.audits.push((label.to_string(), report.to_json()));
-        (sim, report)
+        let mut run = RunSummary::of(label.to_string(), &sim, w);
+        run.audit = Some(RunAudit {
+            report,
+            fingerprint: sim.lineage().fingerprint(),
+            spans: sim.lineage().spans().len(),
+        });
+        (sim, run)
     }
 
     /// Switches the capture's observers on, on a simulator yet to run.
@@ -301,24 +308,99 @@ impl Workload {
     }
 }
 
-/// Summary of one system run: the quantities the paper tabulates.
-#[derive(Debug, Clone, PartialEq)]
+/// One finished run, read once: the quantities the paper's tables and
+/// figures tabulate, the drop ledger's counts and, for an audited run, its
+/// audit. Every driver's row is one of these beside the row's own sweep
+/// coordinates and whatever only that driver measures.
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Row label (system + configuration).
     pub label: String,
-    /// Updates published.
+    /// Updates published (rate-limited source sheds never publish).
     pub published: u64,
     /// Deliveries recorded (excluding self-deliveries).
     pub delivered: u64,
+    /// Deliveries the AoI model owes for the whole trace
+    /// ([`expected_deliveries`]).
+    pub expected: u64,
     /// Mean end-to-end update latency.
     pub mean_latency: SimDuration,
     /// Largest observed latency.
     pub max_latency: SimDuration,
+    /// Median latency (log-histogram bucket bound).
+    pub p50: SimDuration,
+    /// 95th-percentile latency.
+    pub p95: SimDuration,
+    /// 99th-percentile latency.
+    pub p99: SimDuration,
     /// Aggregate network load in bytes (sum over all links).
     pub network_bytes: u64,
+    /// The drop ledger: one count per [`drops::ALL`] reason, in its order.
+    drops: Vec<u64>,
+    /// The lineage audit of a run made by [`TelemetryCapture::run_audited`].
+    pub audit: Option<RunAudit>,
+}
+
+/// The lineage audit of one run.
+#[derive(Debug, Clone)]
+pub struct RunAudit {
+    /// The auditor's per-class accounting.
+    pub report: AuditReport,
+    /// FNV-1a fingerprint over all span records (determinism witness:
+    /// equal seeds must produce equal fingerprints).
+    pub fingerprint: u64,
+    /// Span records captured.
+    pub spans: usize,
+}
+
+/// `part / whole`, or 1.0 when nothing is owed.
+pub(crate) fn owed_ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        1.0
+    } else {
+        part as f64 / whole as f64
+    }
 }
 
 impl RunSummary {
+    /// Reads the summary off the finished simulator of a run over `w`.
+    #[must_use]
+    pub fn of(label: String, sim: &Simulator<GPacket, GameWorld>, w: &Workload) -> Self {
+        let metrics = &sim.world().metrics;
+        let hist = metrics.latency_hist();
+        let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
+        Self {
+            label,
+            published: metrics.published(),
+            delivered: metrics.delivered(),
+            expected: expected_deliveries(&w.map, &w.population, &w.trace),
+            mean_latency: SimDuration::from_nanos(hist.mean()),
+            max_latency: SimDuration::from_nanos(hist.max().unwrap_or(0)),
+            p50: q(0.50),
+            p95: q(0.95),
+            p99: q(0.99),
+            network_bytes: sim.total_link_bytes(),
+            drops: drops::ALL.iter().map(|why| sim.dropped(why)).collect(),
+            audit: None,
+        }
+    }
+
+    /// `delivered / expected`, the data-plane delivery ratio against the
+    /// AoI model; 1.0 when nothing is owed.
+    #[must_use]
+    pub fn delivery_ratio(&self) -> f64 {
+        owed_ratio(self.delivered, self.expected)
+    }
+
+    /// Packets the run dropped for `reason`, one of [`drops::ALL`].
+    #[must_use]
+    pub fn dropped(&self, reason: &str) -> u64 {
+        drops::ALL
+            .iter()
+            .position(|&why| why == reason)
+            .map_or(0, |i| self.drops[i])
+    }
+
     /// Network load in the paper's GB unit.
     #[must_use]
     pub fn network_gb(&self) -> f64 {
@@ -334,5 +416,82 @@ impl RunSummary {
             self.mean_latency.as_millis_f64(),
             self.network_gb()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gcopss_sim::{AdmissionPolicy, OverloadConfig};
+
+    use super::*;
+    use crate::scenario::{GcopssConfig, WARMUP};
+
+    /// On a small overloaded, audited G-COPSS run every field of the
+    /// summary is the simulator read directly.
+    #[test]
+    fn a_summary_is_the_finished_simulator_read_directly() {
+        let w = Workload::counter_strike(&WorkloadParams {
+            players: 30,
+            updates: 600,
+            mean_interarrival: SimDuration::from_micros(500),
+            ..WorkloadParams::default()
+        });
+        let net = NetworkSpec::default_backbone(NET_SEED);
+        let horizon = SimTime::ZERO + WARMUP + w.span() + SimDuration::from_secs(5);
+        // One RP at ~7× its service rate behind an 8-deep drop-tail queue.
+        let spec = w
+            .spec(&net)
+            .gcopss(GcopssConfig {
+                rp_count: 1,
+                ..GcopssConfig::default()
+            })
+            .overload(OverloadConfig {
+                queue_capacity: Some(8),
+                policy: AdmissionPolicy::DropTail,
+                priority: true,
+                mark_sojourn: None,
+            });
+        let mut cap = TelemetryCapture::off();
+        let (sim, run) = cap.run_audited("run", spec, &w, horizon, |_| None);
+
+        let metrics = &sim.world().metrics;
+        let hist = metrics.latency_hist();
+        assert_eq!(run.label, "run");
+        assert_eq!(run.published, metrics.published());
+        assert_eq!(run.delivered, metrics.delivered());
+        assert_eq!(
+            run.expected,
+            expected_deliveries(&w.map, &w.population, &w.trace)
+        );
+        assert_eq!(run.mean_latency, metrics.stats().mean());
+        assert_eq!(Some(run.max_latency), metrics.stats().max());
+        for (q, p) in [(run.p50, 0.50), (run.p95, 0.95), (run.p99, 0.99)] {
+            assert_eq!(q.as_nanos(), hist.quantile(p), "p{p}");
+        }
+        assert_eq!(run.network_bytes, sim.total_link_bytes());
+        for why in drops::ALL {
+            assert_eq!(run.dropped(why), sim.dropped(why), "{why}");
+        }
+        assert!(
+            run.dropped(drops::QUEUE_FULL) > 0,
+            "the RP never overflowed"
+        );
+        assert!(run.delivery_ratio() < 1.0);
+
+        let audit = run.audit.as_ref().expect("run_audited audits");
+        assert_eq!(audit.fingerprint, sim.lineage().fingerprint());
+        assert_eq!(audit.spans, sim.lineage().spans().len());
+        assert_eq!(
+            cap.audits[0].1.to_string(),
+            audit.report.to_json().to_string()
+        );
+
+        // A run that owes nothing delivered all of it.
+        let owes_nothing = RunSummary {
+            delivered: 0,
+            expected: 0,
+            ..run
+        };
+        assert_eq!(owes_nothing.delivery_ratio(), 1.0);
     }
 }

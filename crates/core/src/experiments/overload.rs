@@ -27,16 +27,12 @@
 //! unexplained losses — overload degrades *gracefully*, never *silently*.
 //! Every drop count of a row is read off the simulator's one drop ledger.
 
-use gcopss_sim::{
-    AdmissionPolicy, AuditReport, OverloadConfig, SimDuration, SimTime, Simulator, TelemetryConfig,
-};
+use gcopss_sim::{AdmissionPolicy, OverloadConfig, SimDuration, SimTime, TelemetryConfig};
 
-use crate::scenario::{
-    expected_deliveries, GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP,
-};
-use crate::{drops, GPacket, GameWorld, RecoveryConfig};
+use crate::scenario::{GcopssConfig, IpConfig, NdnBaselineConfig, NetworkSpec, Protocol, WARMUP};
+use crate::{drops, RecoveryConfig};
 
-use super::{TelemetryCapture, Workload, WorkloadParams, NET_SEED};
+use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// The queue regime of one run arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,75 +138,66 @@ fn engine_config(regime: QueueRegime) -> OverloadConfig {
     }
 }
 
-/// One run's outcome.
+/// One run's outcome. The per-class drop counts (`queue-full` /
+/// `aqm-shed` / `stale-superseded` / `rate-limited`) are the run's
+/// [`RunSummary::dropped`].
 #[derive(Debug, Clone)]
 pub struct OverloadRow {
-    /// Run label (`gcopss-aqm-x4.0`, …).
-    pub label: String,
     /// System under test (`"gcopss"`, `"ip"`, `"ndn"`).
     pub system: &'static str,
     /// Queue regime of the run.
     pub regime: QueueRegime,
     /// Offered load as a multiple of service capacity.
     pub load: f64,
-    /// Updates published (rate-limited source sheds never publish).
-    pub published: u64,
-    /// Non-self deliveries recorded.
-    pub delivered: u64,
-    /// Deliveries the AoI model expects for the full trace.
-    pub expected: u64,
-    /// `delivered / expected` — the data-plane delivery ratio.
-    pub delivery_ratio: f64,
-    /// Median delivery latency (log-histogram bucket bound).
-    pub p50: SimDuration,
-    /// 95th-percentile delivery latency.
-    pub p95: SimDuration,
-    /// 99th-percentile delivery latency.
-    pub p99: SimDuration,
-    /// Mean delivery latency.
-    pub mean_latency: SimDuration,
     /// Control-class queue admissions, summed over all nodes.
     pub ctl_in: u64,
     /// Control-class overload drops (rejections + evictions).
     pub ctl_drop: u64,
-    /// `1 − ctl_drop / (ctl_in + ctl_drop)` — the fraction of control
-    /// traffic surviving the queues. ≈1.0 under AQM+priority.
-    pub ctl_ratio: f64,
-    /// Arrivals rejected (or victims evicted) at full queues.
-    pub queue_full: u64,
-    /// Packets shed by the sojourn AQM.
-    pub aqm_shed: u64,
-    /// Stale position updates evicted by a fresher same-key arrival.
-    pub stale_superseded: u64,
-    /// Publishes shed at the source by client rate adaptation.
-    pub rate_limited: u64,
     /// Congestion marks applied at dequeue.
     pub marks: u64,
-    /// Aggregate network load in bytes.
-    pub network_bytes: u64,
-    /// Lineage audit of the run, when the tracer was armed: the auditor's
-    /// per-class accounting JSON and the span-log fingerprint.
-    pub audit: Option<(gcopss_sim::json::Json, u64)>,
-    /// Whether the armed audit explained every owed pair.
-    pub audit_clean: Option<bool>,
+    /// The run, labelled `gcopss-aqm-x4.0`, …; audited for the managed
+    /// G-COPSS runs.
+    pub run: RunSummary,
 }
 
 impl OverloadRow {
+    /// `1 − ctl_drop / (ctl_in + ctl_drop)`: the fraction of control
+    /// traffic surviving the queues. ≈1.0 under AQM+priority.
+    #[must_use]
+    pub fn ctl_ratio(&self) -> f64 {
+        let offered = self.ctl_in + self.ctl_drop;
+        if offered == 0 {
+            1.0
+        } else {
+            1.0 - self.ctl_drop as f64 / offered as f64
+        }
+    }
+
+    /// Packets shed by the overload machinery, all three engine reasons.
+    #[must_use]
+    pub fn shed(&self) -> u64 {
+        [drops::QUEUE_FULL, drops::AQM_SHED, drops::STALE_SUPERSEDED]
+            .iter()
+            .map(|why| self.run.dropped(why))
+            .sum()
+    }
+
     /// One formatted table row.
     #[must_use]
     pub fn row(&self) -> String {
+        let r = &self.run;
         format!(
             "{:<22} {:>4.1} {:>8.4} {:>8.4} {:>9.2} {:>9.2} {:>8} {:>8} {:>7} {:>8} {:>7}",
-            self.label,
+            r.label,
             self.load,
-            self.delivery_ratio,
-            self.ctl_ratio,
-            self.p50.as_millis_f64(),
-            self.p99.as_millis_f64(),
-            self.queue_full,
-            self.aqm_shed,
-            self.stale_superseded,
-            self.rate_limited,
+            r.delivery_ratio(),
+            self.ctl_ratio(),
+            r.p50.as_millis_f64(),
+            r.p99.as_millis_f64(),
+            r.dropped(drops::QUEUE_FULL),
+            r.dropped(drops::AQM_SHED),
+            r.dropped(drops::STALE_SUPERSEDED),
+            r.dropped(drops::RATE_LIMITED),
             self.marks,
         )
     }
@@ -222,60 +209,6 @@ impl OverloadRow {
 pub struct OverloadOutput {
     /// Result rows in run order.
     pub rows: Vec<OverloadRow>,
-}
-
-/// Reads one finished run's row off its simulator (and its audit, when
-/// the run was audited).
-fn make_row(
-    label: String,
-    system: &'static str,
-    regime: QueueRegime,
-    load: f64,
-    sim: &Simulator<GPacket, GameWorld>,
-    audit: Option<AuditReport>,
-    w: &Workload,
-) -> OverloadRow {
-    let world = sim.world();
-    let expected = expected_deliveries(&w.map, &w.population, &w.trace);
-    let delivered = world.metrics.delivered();
-    let hist = world.metrics.latency_hist();
-    let q = |p: f64| SimDuration::from_nanos(hist.quantile(p));
-    let ctl_in = sim.telemetry().counter_total("ctl-in");
-    let ctl_drop = sim.telemetry().counter_total("ctl-drop");
-    let offered_ctl = ctl_in + ctl_drop;
-    OverloadRow {
-        label,
-        system,
-        regime,
-        load,
-        published: world.metrics.published(),
-        delivered,
-        expected,
-        delivery_ratio: if expected == 0 {
-            1.0
-        } else {
-            delivered as f64 / expected as f64
-        },
-        p50: q(0.50),
-        p95: q(0.95),
-        p99: q(0.99),
-        mean_latency: world.metrics.stats().mean(),
-        ctl_in,
-        ctl_drop,
-        ctl_ratio: if offered_ctl == 0 {
-            1.0
-        } else {
-            1.0 - ctl_drop as f64 / offered_ctl as f64
-        },
-        queue_full: sim.dropped(drops::QUEUE_FULL),
-        aqm_shed: sim.dropped(drops::AQM_SHED),
-        stale_superseded: sim.dropped(drops::STALE_SUPERSEDED),
-        rate_limited: sim.dropped(drops::RATE_LIMITED),
-        marks: sim.congestion_marks(),
-        network_bytes: sim.total_link_bytes(),
-        audit_clean: audit.as_ref().map(AuditReport::is_clean),
-        audit: audit.map(|a| (a.to_json(), sim.lineage().fingerprint())),
-    }
 }
 
 /// Runs the full sweep, harvesting one telemetry report per run when `cap`
@@ -340,13 +273,22 @@ pub fn run(cfg: &OverloadSweepConfig, cap: &mut TelemetryCapture) -> OverloadOut
             // record (overload drops and source sheds land on the lineage),
             // so no damage window is granted.
             let audited = *system == "gcopss" && *regime == QueueRegime::Aqm;
-            let (sim, audit) = if audited {
-                let (sim, report) = cap.run_audited(&label, spec, &w, horizon, |_| None);
-                (sim, Some(report))
+            let (sim, run) = if audited {
+                cap.run_audited(&label, spec, &w, horizon, |_| None)
             } else {
-                (cap.run(&label, spec, |sim| sim.run_until(horizon)), None)
+                let sim = cap.run(&label, spec, |sim| sim.run_until(horizon));
+                let run = RunSummary::of(label, &sim, &w);
+                (sim, run)
             };
-            rows.push(make_row(label, system, *regime, load, &sim, audit, &w));
+            rows.push(OverloadRow {
+                system,
+                regime: *regime,
+                load,
+                ctl_in: sim.telemetry().counter_total("ctl-in"),
+                ctl_drop: sim.telemetry().counter_total("ctl-drop"),
+                marks: sim.congestion_marks(),
+                run,
+            });
         }
     }
 
@@ -377,24 +319,20 @@ mod tests {
         let find = |label: &str| {
             out.rows
                 .iter()
-                .find(|r| r.label == label)
+                .find(|r| r.run.label == label)
                 .unwrap_or_else(|| panic!("missing row {label}"))
         };
 
         for r in &out.rows {
-            assert!(r.delivered > 0, "{}: nothing delivered", r.label);
-            assert!(
-                (0.0..=1.0).contains(&r.delivery_ratio),
-                "{}: ratio {}",
-                r.label,
-                r.delivery_ratio
-            );
+            let label = &r.run.label;
+            assert!(r.run.delivered > 0, "{label}: nothing delivered");
+            let ratio = r.run.delivery_ratio();
+            assert!((0.0..=1.0).contains(&ratio), "{label}: ratio {ratio}");
             if r.regime == QueueRegime::Unbounded {
                 assert_eq!(
-                    r.queue_full + r.aqm_shed + r.stale_superseded + r.marks,
+                    r.shed() + r.marks,
                     0,
-                    "{}: unbounded regime must not shed or mark",
-                    r.label
+                    "{label}: unbounded regime must not shed or mark"
                 );
             }
         }
@@ -402,12 +340,12 @@ mod tests {
         // Heavy overload bites the bounded regimes.
         let aqm4 = find("gcopss-aqm-x4.0");
         let tail4 = find("gcopss-droptail-x4.0");
-        assert!(
-            aqm4.aqm_shed + aqm4.queue_full + aqm4.stale_superseded > 0,
-            "aqm at 4x shed nothing"
-        );
+        assert!(aqm4.shed() > 0, "aqm at 4x shed nothing");
         assert!(aqm4.marks > 0, "aqm at 4x marked nothing");
-        assert!(tail4.queue_full > 0, "droptail at 4x dropped nothing");
+        assert!(
+            tail4.run.dropped(drops::QUEUE_FULL) > 0,
+            "droptail at 4x dropped nothing"
+        );
 
         // The priority lattice protects the control plane: the refresh
         // keeps Subscribes contending with bulk, drop-tail loses some of
@@ -416,41 +354,40 @@ mod tests {
             tail4.ctl_drop > 0,
             "droptail at 4x never dropped control — the comparison is vacuous"
         );
+        let (aqm_ctl, tail_ctl) = (aqm4.ctl_ratio(), tail4.ctl_ratio());
+        assert!(aqm_ctl >= 0.99, "aqm control survival {aqm_ctl} < 0.99");
         assert!(
-            aqm4.ctl_ratio >= 0.99,
-            "aqm control survival {} < 0.99",
-            aqm4.ctl_ratio
-        );
-        assert!(
-            aqm4.ctl_ratio > tail4.ctl_ratio,
-            "priority did not beat droptail: {} <= {}",
-            aqm4.ctl_ratio,
-            tail4.ctl_ratio
+            aqm_ctl > tail_ctl,
+            "priority did not beat droptail: {aqm_ctl} <= {tail_ctl}"
         );
 
         // Rate adaptation responded to marks.
-        assert!(aqm4.rate_limited > 0, "no source sheds at 4x");
+        assert!(
+            aqm4.run.dropped(drops::RATE_LIMITED) > 0,
+            "no source sheds at 4x"
+        );
 
         // The audited runs explain every pair.
         for r in &out.rows {
-            if let Some(clean) = r.audit_clean {
-                assert!(clean, "{}: audit not clean: {:?}", r.label, r.audit);
+            if let Some(a) = &r.run.audit {
+                assert!(
+                    a.report.is_clean(),
+                    "{}: audit not clean: {:?}",
+                    r.run.label,
+                    a.report
+                );
             }
         }
         assert!(
-            out.rows.iter().any(|r| r.audit_clean.is_some()),
+            out.rows.iter().any(|r| r.run.audit.is_some()),
             "no run was audited"
         );
 
         // Below aggregate capacity the AQM regime is near-benign. It is not
         // lossless: per-player rates are heavy-tailed, so one RP can run
         // locally hot at aggregate ρ = 0.5 and pace its publishers a little.
-        let aqm05 = find("gcopss-aqm-x0.5");
-        assert!(
-            aqm05.delivery_ratio > 0.90,
-            "sub-capacity delivery ratio {}",
-            aqm05.delivery_ratio
-        );
+        let ratio = find("gcopss-aqm-x0.5").run.delivery_ratio();
+        assert!(ratio > 0.90, "sub-capacity delivery ratio {ratio}");
     }
 
     /// Equal seeds must produce byte-identical telemetry and audit
@@ -470,40 +407,29 @@ mod tests {
         let b = run(&cfg, &mut TelemetryCapture::off());
         assert_eq!(a.rows.len(), b.rows.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.published, y.published, "{}", x.label);
-            assert_eq!(x.delivered, y.delivered, "{}", x.label);
-            assert_eq!(
-                (
-                    x.queue_full,
-                    x.aqm_shed,
-                    x.stale_superseded,
-                    x.rate_limited,
-                    x.marks
-                ),
-                (
-                    y.queue_full,
-                    y.aqm_shed,
-                    y.stale_superseded,
-                    y.rate_limited,
-                    y.marks
-                ),
-                "{}",
-                x.label
-            );
-            assert_eq!(x.network_bytes, y.network_bytes, "{}", x.label);
-            match (&x.audit, &y.audit) {
-                (Some((ja, fa)), Some((jb, fb))) => {
-                    assert_eq!(fa, fb, "{}: lineage fingerprints differ", x.label);
+            let label = &x.run.label;
+            assert_eq!(label, &y.run.label);
+            assert_eq!(x.run.published, y.run.published, "{label}");
+            assert_eq!(x.run.delivered, y.run.delivered, "{label}");
+            for why in drops::ALL {
+                assert_eq!(x.run.dropped(why), y.run.dropped(why), "{label}: {why}");
+            }
+            assert_eq!(x.marks, y.marks, "{label}");
+            assert_eq!(x.run.network_bytes, y.run.network_bytes, "{label}");
+            match (&x.run.audit, &y.run.audit) {
+                (Some(ax), Some(ay)) => {
                     assert_eq!(
-                        ja.to_string(),
-                        jb.to_string(),
-                        "{}: audit documents differ",
-                        x.label
+                        ax.fingerprint, ay.fingerprint,
+                        "{label}: lineage fingerprints differ"
+                    );
+                    assert_eq!(
+                        ax.report.to_json().to_string(),
+                        ay.report.to_json().to_string(),
+                        "{label}: audit documents differ"
                     );
                 }
                 (None, None) => {}
-                _ => panic!("{}: audit presence differs", x.label),
+                _ => panic!("{label}: audit presence differs"),
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Fig. 6: response latency and aggregate network load as the number of
 //! players grows, with 3 RPs vs 3 servers.
 
-use gcopss_sim::SimDuration;
+use gcopss_sim::{SimDuration, Simulator};
 
 use crate::scenario::NetworkSpec;
 
-use super::rp_sweep::{self, ip_servers, run_once, summarize};
+use super::rp_sweep::{self, ip_servers};
 use super::{RunSummary, TelemetryCapture, Workload, WorkloadParams, NET_SEED};
 
 /// Mean inter-arrival at the 414-player reference point; scaled inversely
@@ -37,12 +37,12 @@ impl Default for PlayerSweepConfig {
 }
 
 /// One point of the Fig. 6 series.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Number of players.
     pub players: usize,
-    /// The run's summary.
-    pub summary: RunSummary,
+    /// The run.
+    pub run: RunSummary,
 }
 
 /// The sweep output: one series per system.
@@ -72,16 +72,17 @@ pub fn run(cfg: &PlayerSweepConfig, cap: &mut TelemetryCapture) -> PlayerSweepOu
             updates: cfg.updates_per_player * n,
             mean_interarrival: interarrival,
         });
-        let protocol = rp_sweep::gcopss(CORES, None);
-        let sim = run_once(&w, &net, protocol, cap, &format!("gcopss-{n}p"));
+        let spec = w.spec(&net).protocol(rp_sweep::gcopss(CORES, None));
+        let sim = cap.run(&format!("gcopss-{n}p"), spec, Simulator::run);
         gcopss.push(SweepPoint {
             players: n,
-            summary: summarize(format!("G-COPSS {n}p"), &sim),
+            run: RunSummary::of(format!("G-COPSS {n}p"), &sim, &w),
         });
-        let sim = run_once(&w, &net, ip_servers(CORES), cap, &format!("ip-{n}p"));
+        let spec = w.spec(&net).protocol(ip_servers(CORES));
+        let sim = cap.run(&format!("ip-{n}p"), spec, Simulator::run);
         ip.push(SweepPoint {
             players: n,
-            summary: summarize(format!("IP {n}p"), &sim),
+            run: RunSummary::of(format!("IP {n}p"), &sim, &w),
         });
     }
     PlayerSweepOutput { gcopss, ip }
@@ -104,9 +105,9 @@ mod tests {
         assert_eq!(out.gcopss.len(), 2);
         assert_eq!(out.ip.len(), 2);
 
-        let g_low = out.gcopss[0].summary.mean_latency;
-        let g_high = out.gcopss[1].summary.mean_latency;
-        let i_high = out.ip[1].summary.mean_latency;
+        let g_low = out.gcopss[0].run.mean_latency;
+        let g_high = out.gcopss[1].run.mean_latency;
+        let i_high = out.ip[1].run.mean_latency;
 
         // At 300 players (per-player rate constant, so ~5x the load of 60),
         // the 3 servers are past their knee while G-COPSS is not.

@@ -66,24 +66,12 @@ pub struct RpSweepOutput {
     pub auto_splits: Vec<SplitRecord>,
 }
 
-/// The quantities the paper tabulates, read off a finished run.
-pub(crate) fn summarize(label: String, sim: &Simulator<GPacket, GameWorld>) -> RunSummary {
-    let metrics = &sim.world().metrics;
-    RunSummary {
-        label,
-        published: metrics.published(),
-        delivered: metrics.delivered(),
-        mean_latency: metrics.stats().mean(),
-        max_latency: metrics.stats().max().unwrap_or(SimDuration::ZERO),
-        network_bytes: sim.total_link_bytes(),
-    }
-}
-
+/// Every `⌈len / max⌉`-th row, row 0 first: at most `max` points.
 fn downsample(
     rows: &[(u64, SimDuration, SimDuration, SimDuration)],
     max: usize,
 ) -> Vec<(u64, f64, f64, f64)> {
-    let step = (rows.len() / max.max(1)).max(1);
+    let step = rows.len().div_ceil(max.max(1)).max(1);
     rows.iter()
         .step_by(step)
         .map(|&(id, min, mean, max)| {
@@ -95,19 +83,6 @@ fn downsample(
             )
         })
         .collect()
-}
-
-/// Runs one system over the workload to quiescence and returns the
-/// finished simulator. When `cap` is on, the run is instrumented and a
-/// report is harvested under `label`.
-pub fn run_once(
-    w: &Workload,
-    net: &NetworkSpec,
-    protocol: Protocol,
-    cap: &mut TelemetryCapture,
-    label: &str,
-) -> Simulator<GPacket, GameWorld> {
-    cap.run(label, w.spec(net).protocol(protocol), Simulator::run)
 }
 
 /// G-COPSS with `rp_count` initial RPs, splitting automatically past
@@ -160,7 +135,7 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
         let want_detail = cfg.fig5_detail && (n == 2 || n == 3);
         let label = format!("gcopss-{n}rp");
         let sim = cap.run(&label, gcopss_spec(n, None, want_detail), Simulator::run);
-        gcopss_rows.push(summarize(format!("G-COPSS {n} RP"), &sim));
+        gcopss_rows.push(RunSummary::of(format!("G-COPSS {n} RP"), &sim, &w));
         if want_detail {
             fig5.push(fig5_series(&label, &sim));
         }
@@ -172,9 +147,10 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
         let spec = gcopss_spec(1, Some(AUTO_THRESHOLD), cfg.fig5_detail);
         let sim = cap.run(label, spec, Simulator::run);
         auto_splits = sim.world().splits.clone();
-        gcopss_rows.push(summarize(
+        gcopss_rows.push(RunSummary::of(
             format!("G-COPSS auto ({} splits)", auto_splits.len()),
             &sim,
+            &w,
         ));
         if cfg.fig5_detail {
             fig5.push(fig5_series(label, &sim));
@@ -183,8 +159,9 @@ pub fn run(cfg: &RpSweepConfig, cap: &mut TelemetryCapture) -> RpSweepOutput {
 
     let mut server_rows = Vec::new();
     for &n in &cfg.server_counts {
-        let sim = run_once(&w, &net, ip_servers(n), cap, &format!("ip-{n}srv"));
-        server_rows.push(summarize(format!("IP server x{n}"), &sim));
+        let spec = w.spec(&net).protocol(ip_servers(n));
+        let sim = cap.run(&format!("ip-{n}srv"), spec, Simulator::run);
+        server_rows.push(RunSummary::of(format!("IP server x{n}"), &sim, &w));
     }
 
     RpSweepOutput {
@@ -232,5 +209,24 @@ mod tests {
             assert!(r.delivered > 0, "{}", r.label);
             assert!(r.network_bytes > 0, "{}", r.label);
         }
+    }
+
+    #[test]
+    fn downsample_keeps_at_most_max_points_from_row_zero() {
+        let rows = |n: u64| -> Vec<_> {
+            let d = SimDuration::from_millis;
+            (0..n).map(|id| (id, d(id), d(id), d(id))).collect()
+        };
+        for (len, max) in [(1_000, 400), (1_000, 60), (61, 60), (60, 60), (7, 400)] {
+            let points = downsample(&rows(len), max);
+            assert!(
+                points.len() <= max,
+                "{len} rows at max {max}: {}",
+                points.len()
+            );
+            assert_eq!(points[0].0, 0, "{len} rows at max {max}: row 0 dropped");
+        }
+        assert_eq!(downsample(&rows(1_000), 400).len(), 334);
+        assert!(downsample(&[], 60).is_empty());
     }
 }

@@ -48,7 +48,6 @@ struct SoakOutcome {
     audit: gcopss_sim::AuditReport,
     audit_json: String,
     spans_fingerprint: u64,
-    spans_json: String,
     timeseries_json: String,
     overload_active: bool,
     /// Packets shed by overload control, all three reasons.
@@ -142,7 +141,6 @@ fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
     );
     let audit_json = audit.to_json().to_string();
     let spans_fingerprint = built.sim.lineage().fingerprint();
-    let spans_json = built.sim.lineage().spans_json().to_string();
     let timeseries_json = built
         .sim
         .timeseries_json()
@@ -195,7 +193,6 @@ fn run_soak(seed: u64, overload: OverloadConfig) -> SoakOutcome {
         audit,
         audit_json,
         spans_fingerprint,
-        spans_json,
         timeseries_json,
         overload_active,
         shed,
@@ -243,7 +240,6 @@ fn soak_recovers_fully_and_is_reproducible() {
     // Observability exports are part of the determinism contract:
     // same-seed runs must produce byte-identical documents.
     assert_eq!(a.spans_fingerprint, b.spans_fingerprint, "span logs differ");
-    assert_eq!(a.spans_json, b.spans_json, "span exports differ");
     assert_eq!(a.audit_json, b.audit_json, "audit exports differ");
     assert_eq!(a.timeseries_json, b.timeseries_json, "time series differ");
     // Self-profile phase counts are deterministic too — byte-identical

@@ -1,12 +1,13 @@
 //! Golden export bytes: one fixed small G-COPSS run under telemetry and
 //! full lineage, with 2 % link loss and a horizon three quarters into the
 //! trace, so its exports hold every shape they can — drops with reasons,
-//! open spans, in-flight and unpublished pairs. The bytes of five exports
-//! are pinned by FNV-1a hash: the Chrome trace events and the summary of
-//! `telemetry_*.json`, the audit document, the span export and the span
-//! log's fingerprint. A change to how any of them is built that moves one
-//! byte fails here, in tier-1, not only in the export-schema gate's
-//! fingerprint manifest (which covers journals, not these bytes).
+//! open spans, in-flight and unpublished pairs. Four exports are pinned by
+//! FNV-1a hash: the Chrome trace events and the summary of
+//! `telemetry_*.json`, the audit document, and the span log's fingerprint
+//! (which folds every field of every span). A change to how any of them is
+//! built that moves one byte fails here, in tier-1, not only in the
+//! export-schema gate's fingerprint manifest (which covers journals, not
+//! these bytes).
 
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, WARMUP};
@@ -45,12 +46,14 @@ fn exports_keep_their_bytes() {
         journal_capacity: 4_096,
         journal_sample: 3,
     });
-    let (sim, audit) = cap.run_audited("golden", spec, &w, horizon, |_| None);
+    let (sim, run) = cap.run_audited("golden", spec, &w, horizon, |_| None);
     let report = &cap.reports[0];
+    let audit = run.audit.expect("run_audited audits");
 
     // Not vacuous: every shape the exports can hold is in this run.
-    assert!(audit.delivered > 0 && audit.in_flight > 0 && audit.unpublished > 0);
-    assert!(audit.dropped.contains_key("link-lost"), "{}", audit.table());
+    let books = &audit.report;
+    assert!(books.delivered > 0 && books.in_flight > 0 && books.unpublished > 0);
+    assert!(books.dropped.contains_key("link-lost"), "{}", books.table());
     assert!(sim.lineage().spans().iter().any(|s| s.is_open()));
     assert_eq!(sim.telemetry().journal_records().len(), 4_096);
 
@@ -59,9 +62,8 @@ fn exports_keep_their_bytes() {
             .to_string()
             .as_bytes()),
         fnv(report.summary.to_string().as_bytes()),
-        fnv(audit.to_json().to_string().as_bytes()),
-        fnv(sim.lineage().spans_json().to_string().as_bytes()),
-        sim.lineage().fingerprint(),
+        fnv(books.to_json().to_string().as_bytes()),
+        audit.fingerprint,
     ];
     let hex = hashes.map(|h| format!("{h:016x}"));
     assert_eq!(
@@ -70,9 +72,8 @@ fn exports_keep_their_bytes() {
             "58b418f1fb828e8d",
             "1813f12365d0de0b",
             "fe0e330642f0b517",
-            "03767532245ad637",
             "33ba2ec093070a6e",
         ],
-        "trace events, summary, audit, spans, span fingerprint"
+        "trace events, summary, audit, span fingerprint"
     );
 }

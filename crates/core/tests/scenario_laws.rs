@@ -137,10 +137,10 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
                 journal_sample: 8,
             })
             .with_timeseries(TimeSeriesConfig::default());
-            let (sim, report) = cap.run_audited("run", spec(), &w, horizon, |_| None);
-            (sim, report, cap)
+            let (sim, run) = cap.run_audited("run", spec(), &w, horizon, |_| None);
+            (sim, run, cap)
         };
-        let (observed, report, cap) = audited();
+        let (observed, run, cap) = audited();
         assert!(observed.telemetry().is_enabled() && observed.lineage().is_enabled());
 
         let ledger = |sim: &Simulator<GPacket, GameWorld>| -> Vec<u64> {
@@ -179,6 +179,7 @@ fn observers_leave_the_books_untouched_and_same_seeds_agree() {
         assert_eq!(render(&cap), render(&again), "same-seed exports differ");
 
         if kind == 0 {
+            let report = &run.audit.expect("run_audited audits").report;
             assert!(report.is_clean(), "{}\n{:?}", report.table(), report.errors);
             assert!(report.delivered > 0 && report.delivered == report.total_pairs);
         }

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::ops::Index;
 
-use crate::json::{Json, Text};
+use crate::json::Json;
 use crate::{fnv1a, SimTime, FNV1A_OFFSET};
 
 /// Sentinel span index meaning "no causal parent" / "not traced".
@@ -513,49 +513,6 @@ impl LineageLog {
             eat(&r.t_done.as_nanos().to_le_bytes());
         }
         h
-    }
-
-    /// The spans as an ordered JSON array (open timestamps export as null).
-    #[must_use]
-    pub fn spans_json(&self) -> Json {
-        let ts = |t: SimTime| {
-            if t == SimTime::MAX {
-                Json::Null
-            } else {
-                Json::from(t.as_nanos())
-            }
-        };
-        Json::Array(
-            self.spans
-                .iter()
-                .map(|r| {
-                    let mut fields: Vec<(Text, Json)> = Vec::with_capacity(8);
-                    fields.extend([
-                        ("lineage".into(), Json::from(r.lineage)),
-                        ("node".into(), Json::from(r.node)),
-                        ("event".into(), Json::from(r.event.as_str())),
-                        (
-                            "cause".into(),
-                            if r.cause == NO_SPAN {
-                                Json::Null
-                            } else {
-                                Json::from(r.cause)
-                            },
-                        ),
-                        ("t_enqueue".into(), ts(r.t_enqueue)),
-                        ("t_service_start".into(), ts(r.t_service_start)),
-                        ("t_done".into(), ts(r.t_done)),
-                    ]);
-                    if r.event == SpanEvent::Deliver {
-                        fields.push(("entity".into(), Json::from(r.entity)));
-                    }
-                    if r.event == SpanEvent::Drop {
-                        fields.push(("reason".into(), Json::from(self.reason_of(r))));
-                    }
-                    Json::Object(fields)
-                })
-                .collect(),
-        )
     }
 
     /// Closes the books: classifies every registered `(message,
@@ -1132,26 +1089,10 @@ mod tests {
         }
         // All 255 read back, and an equal string at another address is
         // the same reason, not a 256th.
-        let json = log.spans_json().to_string();
-        assert!(json.contains(r#""reason":"r1""#) && json.contains(r#""reason":"r255""#));
+        let reasons: Vec<&str> = log.spans().iter().map(|s| log.reason_of(s)).collect();
+        assert_eq!((reasons[1], reasons[255]), ("r1", "r255"));
         log.drop_from(o, 0, leaked(1), at(2));
         log.drop_from(o, 0, "", at(2));
         log.drop_from(o, 0, leaked(256), at(3));
-    }
-
-    #[test]
-    fn spans_json_shape() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
-        let o = log.origin(7, 3, at(1));
-        log.close(o, at(1));
-        let h = log.hop(7, o, 4, at(2));
-        log.deliver_from(h, 4, 11, at(2));
-        let json = log.spans_json().to_string();
-        assert!(json.contains("\"event\":\"origin\""), "{json}");
-        assert!(json.contains("\"event\":\"deliver\""), "{json}");
-        assert!(json.contains("\"entity\":11"), "{json}");
-        // Open hop exports null completion timestamps.
-        assert!(json.contains("\"t_done\":null"), "{json}");
     }
 }

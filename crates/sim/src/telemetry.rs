@@ -714,9 +714,10 @@ pub struct TimeSeriesConfig {
     /// Counters exported with a per-node breakdown per frame (e.g.
     /// `"rp-served"` for per-RP load over time).
     pub per_node: Vec<&'static str>,
-    /// Maximum frames captured; sampling stops past this bound.
-    pub max_frames: usize,
 }
+
+/// Maximum frames one time series captures; sampling stops past this bound.
+pub const MAX_FRAMES: usize = 4096;
 
 impl Default for TimeSeriesConfig {
     fn default() -> Self {
@@ -725,7 +726,6 @@ impl Default for TimeSeriesConfig {
             counters: vec!["delivered", "drop"],
             gauges: Vec::new(),
             per_node: Vec::new(),
-            max_frames: 4096,
         }
     }
 }
@@ -751,7 +751,7 @@ impl TimeSeries {
     /// When the next frame is due, or `None` once the frame bound is hit.
     #[must_use]
     pub fn next_frame_at(&self) -> Option<SimTime> {
-        (self.frames.len() < self.cfg.max_frames).then_some(self.next)
+        (self.frames.len() < MAX_FRAMES).then_some(self.next)
     }
 
     /// Captures one frame at `at` from the registry plus the engine's
@@ -818,7 +818,7 @@ impl TimeSeries {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("tick_ns", Json::from(self.cfg.tick.as_nanos())),
-            ("max_frames", Json::from(self.cfg.max_frames)),
+            ("max_frames", Json::from(MAX_FRAMES)),
             ("frames", Json::Array(self.frames.clone())),
         ])
     }

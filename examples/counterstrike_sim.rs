@@ -6,9 +6,9 @@
 //! cargo run --release --example counterstrike_sim [updates]
 //! ```
 
-use gcopss::core::experiments::rp_sweep::run_once;
-use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
+use gcopss::core::experiments::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::{GcopssConfig, IpConfig, NetworkSpec, Protocol};
+use gcopss::sim::Simulator;
 
 fn main() {
     let updates: usize = std::env::args()
@@ -28,41 +28,36 @@ fn main() {
     );
 
     let net = NetworkSpec::default_backbone(7);
-    let off = &mut TelemetryCapture::off();
+    let run = |protocol| {
+        let sim = TelemetryCapture::off().run("", w.spec(&net).protocol(protocol), Simulator::run);
+        RunSummary::of(String::new(), &sim, &w)
+    };
+    let print = |name: &str, r: &RunSummary| {
+        println!(
+            "  {name:<8}: mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
+            r.mean_latency.as_millis_f64(),
+            r.network_gb(),
+            r.delivered
+        );
+    };
 
     println!("\nrunning G-COPSS with 3 RPs...");
-    let gcopss = Protocol::Gcopss(GcopssConfig {
+    let g = run(Protocol::Gcopss(GcopssConfig {
         rp_count: 3,
         ..GcopssConfig::default()
-    });
-    let sim = run_once(&w, &net, gcopss, off, "");
-    let (world, bytes) = (sim.world(), sim.total_link_bytes());
-    println!(
-        "  G-COPSS : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
-        world.metrics.stats().mean().as_millis_f64(),
-        bytes as f64 / 1e9,
-        world.metrics.delivered()
-    );
-    let g_lat = world.metrics.stats().mean();
-    let g_load = bytes;
+    }));
+    print("G-COPSS", &g);
 
     println!("running the IP server baseline with 3 servers...");
-    let ip = Protocol::IpServer(IpConfig {
+    let i = run(Protocol::IpServer(IpConfig {
         server_count: 3,
         ..IpConfig::default()
-    });
-    let sim = run_once(&w, &net, ip, off, "");
-    let (world, bytes) = (sim.world(), sim.total_link_bytes());
-    println!(
-        "  IP x3   : mean latency {:>10.2} ms, load {:>8.3} GB, {} deliveries",
-        world.metrics.stats().mean().as_millis_f64(),
-        bytes as f64 / 1e9,
-        world.metrics.delivered()
-    );
+    }));
+    print("IP x3", &i);
 
     println!(
         "\nG-COPSS advantage: {:.1}x lower latency, {:.2}x lower network load",
-        world.metrics.stats().mean().as_millis_f64() / g_lat.as_millis_f64().max(1e-9),
-        bytes as f64 / g_load.max(1) as f64
+        i.mean_latency.as_millis_f64() / g.mean_latency.as_millis_f64().max(1e-9),
+        i.network_bytes as f64 / g.network_bytes.max(1) as f64
     );
 }

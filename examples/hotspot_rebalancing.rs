@@ -6,10 +6,10 @@
 //! cargo run --release --example hotspot_rebalancing
 //! ```
 
-use gcopss::core::experiments::rp_sweep::run_once;
-use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
-use gcopss::core::scenario::{GcopssConfig, NetworkSpec, Protocol};
+use gcopss::core::experiments::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
+use gcopss::core::scenario::{GcopssConfig, NetworkSpec};
 use gcopss::core::SimParams;
+use gcopss::sim::Simulator;
 
 fn main() {
     let w = Workload::counter_strike(&WorkloadParams {
@@ -17,43 +17,35 @@ fn main() {
         ..WorkloadParams::default()
     });
     let net = NetworkSpec::default_backbone(7);
-    let off = &mut TelemetryCapture::off();
     let gcopss = |rp_count, params| {
-        Protocol::Gcopss(GcopssConfig {
+        let spec = w.spec(&net).gcopss(GcopssConfig {
             params,
             rp_count,
             ..GcopssConfig::default()
-        })
+        });
+        let sim = TelemetryCapture::off().run("", spec, Simulator::run);
+        let run = RunSummary::of(String::new(), &sim, &w);
+        (run, sim.world().splits.clone())
     };
 
     println!("one RP, no balancing: every publication funnels through a single core router...");
-    let sim = run_once(&w, &net, gcopss(1, SimParams::default()), off, "");
-    let world = sim.world();
+    let (run, _) = gcopss(1, SimParams::default());
     println!(
         "  mean latency {:.0} ms, max {:.0} ms  <- traffic concentration",
-        world.metrics.stats().mean().as_millis_f64(),
-        world
-            .metrics
-            .stats()
-            .max()
-            .map_or(0.0, |d| d.as_millis_f64())
+        run.mean_latency.as_millis_f64(),
+        run.max_latency.as_millis_f64()
     );
 
     println!("\nsame workload with automatic balancing (queue threshold 50):");
     let balanced = SimParams::default().with_auto_balancing(50);
-    let sim = run_once(&w, &net, gcopss(1, balanced), off, "");
-    let world = sim.world();
+    let (run, splits) = gcopss(1, balanced);
     println!(
         "  mean latency {:.0} ms, max {:.0} ms",
-        world.metrics.stats().mean().as_millis_f64(),
-        world
-            .metrics
-            .stats()
-            .max()
-            .map_or(0.0, |d| d.as_millis_f64())
+        run.mean_latency.as_millis_f64(),
+        run.max_latency.as_millis_f64()
     );
-    println!("  splits performed: {}", world.splits.len());
-    for s in &world.splits {
+    println!("  splits performed: {}", splits.len());
+    for s in &splits {
         println!(
             "    t={:.2}s rp{} -> new rp{} moved {:?}",
             s.at.as_secs_f64(),
@@ -64,10 +56,9 @@ fn main() {
     }
 
     println!("\nfor comparison, a manually provisioned 3-RP deployment:");
-    let sim = run_once(&w, &net, gcopss(3, SimParams::default()), off, "");
-    let world = sim.world();
+    let (run, _) = gcopss(3, SimParams::default());
     println!(
         "  mean latency {:.0} ms (the paper: auto-balancing converges close to this)",
-        world.metrics.stats().mean().as_millis_f64()
+        run.mean_latency.as_millis_f64()
     );
 }

@@ -6,13 +6,12 @@
 
 use std::sync::Arc;
 
-use gcopss::core::experiments::rp_sweep::run_once;
-use gcopss::core::experiments::{TelemetryCapture, Workload, WorkloadParams};
+use gcopss::core::experiments::{RunSummary, TelemetryCapture, Workload, WorkloadParams};
 use gcopss::core::scenario::{
     expected_deliveries, GcopssConfig, HybridConfig, IpConfig, NetworkSpec, Protocol, ScenarioSpec,
 };
 use gcopss::core::SimParams;
-use gcopss::sim::SimDuration;
+use gcopss::sim::{SimDuration, Simulator};
 
 fn small_cs_workload(updates: usize, players: usize, seed: u64) -> Workload {
     Workload::counter_strike(&WorkloadParams {
@@ -23,30 +22,36 @@ fn small_cs_workload(updates: usize, players: usize, seed: u64) -> Workload {
     })
 }
 
+/// Runs `protocol` over `w` to quiescence, uninstrumented.
+fn run_to_quiescence(w: &Workload, net: &NetworkSpec, protocol: Protocol) -> RunSummary {
+    let spec = w.spec(net).protocol(protocol);
+    let sim = TelemetryCapture::off().run("", spec, Simulator::run);
+    RunSummary::of(String::new(), &sim, w)
+}
+
 /// The headline claim: on the same trace and topology, G-COPSS beats the
 /// IP server on both update latency and aggregate network load.
 #[test]
 fn gcopss_beats_ip_server_on_latency_and_load() {
     let w = small_cs_workload(2_500, 100, 11);
     let net = NetworkSpec::default_backbone(5);
-    let off = &mut TelemetryCapture::off();
     // Both defaults: 3 RPs, 3 servers.
-    let g = run_once(&w, &net, Protocol::Gcopss(GcopssConfig::default()), off, "");
-    let i = run_once(&w, &net, Protocol::IpServer(IpConfig::default()), off, "");
-    let (gw, g_bytes) = (g.world(), g.total_link_bytes());
-    let (iw, i_bytes) = (i.world(), i.total_link_bytes());
+    let g = run_to_quiescence(&w, &net, Protocol::Gcopss(GcopssConfig::default()));
+    let i = run_to_quiescence(&w, &net, Protocol::IpServer(IpConfig::default()));
     assert!(
-        gw.metrics.stats().mean() < iw.metrics.stats().mean(),
+        g.mean_latency < i.mean_latency,
         "latency: gcopss {} vs ip {}",
-        gw.metrics.stats().mean(),
-        iw.metrics.stats().mean()
+        g.mean_latency,
+        i.mean_latency
     );
     assert!(
-        g_bytes < i_bytes,
-        "load: gcopss {g_bytes} vs ip {i_bytes}"
+        g.network_bytes < i.network_bytes,
+        "load: gcopss {} vs ip {}",
+        g.network_bytes,
+        i.network_bytes
     );
     // Both systems deliver the same (complete) set of updates.
-    assert_eq!(gw.metrics.delivered(), iw.metrics.delivered());
+    assert_eq!(g.delivered, i.delivered);
 }
 
 /// Dissemination is exact across all three architectures.
@@ -82,15 +87,13 @@ fn auto_balancing_splits_without_loss() {
     let w = small_cs_workload(3_000, 100, 17);
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     let net = NetworkSpec::default_backbone(3);
-    let off = &mut TelemetryCapture::off();
 
     // Unbalanced single RP: congested.
     let single_rp = Protocol::Gcopss(GcopssConfig {
         rp_count: 1,
         ..GcopssConfig::default()
     });
-    let unbalanced = run_once(&w, &net, single_rp, off, "");
-    let un = unbalanced.world();
+    let unbalanced = run_to_quiescence(&w, &net, single_rp);
 
     // Balanced: splits must fire and help.
     let cfg = GcopssConfig {
@@ -112,10 +115,10 @@ fn auto_balancing_splits_without_loss() {
         "the split protocol must not lose updates"
     );
     assert!(
-        world.metrics.stats().mean() * 2 < un.metrics.stats().mean(),
+        world.metrics.stats().mean() * 2 < unbalanced.mean_latency,
         "balanced {} should clearly beat unbalanced {}",
         world.metrics.stats().mean(),
-        un.metrics.stats().mean()
+        unbalanced.mean_latency
     );
 }
 
