@@ -8,34 +8,51 @@
 //! decomposition needs — enqueue, service start, done — so propagation,
 //! queueing and service time can be attributed per message, per hop.
 //!
-//! On top of the spans sits the **delivery auditor**
-//! ([`LineageLog::audit`]): experiments register, at publish time, the set
-//! of subscribers each message is owed to ([`LineageLog::expect`]), and
-//! after the run every `(message, subscriber)` pair is classified as
-//! delivered exactly-once, dropped (with the PR 3 drop-reason taxonomy),
-//! in-flight at cutoff, lost to a subscription-tree gap inside the fault
-//! damage window, or unpublished (owed after the horizon). Duplicates and
-//! unexplained losses are hard errors — see [`AuditReport::is_clean`].
+//! Beside the spans sits the **delivery auditor** ([`LineageLog::audit`]):
+//! experiments register, before the first span, the set of subscribers
+//! each message is owed to ([`LineageLog::expect`]), and after the run
+//! every `(message, subscriber)` pair is classified as delivered
+//! exactly-once, dropped (with the drop-reason taxonomy), in-flight at
+//! cutoff, lost to a subscription-tree gap inside the fault damage window,
+//! or unpublished (owed after the horizon). Duplicates and unexplained
+//! losses are hard errors — see [`AuditReport::is_clean`].
+//!
+//! The auditor's books are kept as spans are recorded, not in a pass over
+//! them: per owed lineage, whether any span was seen, its oldest
+//! explaining drop by span id, and its open origin and hop spans, plus one
+//! delivery counter per owed pair. Every recording call updates them, so
+//! `audit` only classifies, in O(owed pairs).
 //!
 //! Like the journal, the log is sampleable (1-in-n by lineage id, so a
 //! sampled message keeps its *entire* causal tree) and bounded; runs of
 //! the same seed produce byte-identical exports ([`LineageLog::fingerprint`]).
+//! The fingerprint is an FNV-1a fold in span-id order, advanced by a
+//! *cursor* over the oldest span still open: a span never changes once
+//! closed, so folding it as the cursor passes gives the value a fold at
+//! the end would. Reading the fingerprint continues the fold over the
+//! spans from the cursor on, open ones included.
 //!
 //! A span is 48 bytes: its drop reason is a one-byte index into the log's
 //! table of distinct reasons, so at most 255 reasons can be told apart and
 //! a 256th fails closed.
 //!
-//! Spans live in a [`SpanStore`] of fixed segments of `SEGMENT` = 2¹⁸
-//! spans (12 MiB), never in one vector that doubles: span `i` is slot
-//! `i & (SEGMENT − 1)` of segment `i >> 18`. The first segment grows like
-//! a `Vec` from 1 024 slots, so a small log stays small; every later one
-//! is allocated once at full size and never moves. The segment table is
-//! sized from the capacity bound when the log is enabled, so recording
-//! never grows it: past the first segment, each `SEGMENT` spans cost one
-//! heap call and no span is ever copied.
+//! Spans live in a [`SpanStore`] of fixed segments of `SEGMENT` = 2¹⁴
+//! spans (768 KiB) that never move. The store holds only the *live window*
+//! — the spans from the cursor to the newest — and the closed spans that
+//! share a segment with its start: a segment wholly behind the cursor is
+//! retired onto a free list and reused as the next one, so memory follows
+//! the spans in flight, not the spans ever recorded. The first segment
+//! grows like a `Vec` from 1 024 slots, so a small log stays small; every
+//! later one is allocated once at full size. [`LineageConfig::capacity`]
+//! bounds the live window, and the segment table is sized from it when the
+//! log is enabled, so recording never grows it.
+//!
+//! The recording calls fail closed on a span they cannot honour: `close`,
+//! `mark_dropped` and `service_start` want an open span, `deliver_from` and
+//! `drop_from` an open cause, and `expect` comes before the first span.
 
-use std::collections::BTreeMap;
-use std::ops::Index;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Index, Range};
 
 use crate::json::Json;
 use crate::{fnv1a, SimTime, FNV1A_OFFSET};
@@ -54,10 +71,11 @@ const MAX_DROP_REASONS: usize = u8::MAX as usize;
 /// The drop a client's duplicate filter books: it never explains a loss.
 const DUPLICATE_FILTERED: &str = "client-duplicate-dropped";
 
-/// Span `i` lives in segment `i >> SEGMENT_BITS`.
-const SEGMENT_BITS: u32 = 18;
+/// Span `i` lives in the segment of ids `i >> SEGMENT_BITS << SEGMENT_BITS`
+/// onwards.
+const SEGMENT_BITS: u32 = 14;
 
-/// Spans per segment of the span store: 2¹⁸, 12 MiB at 48 bytes a span.
+/// Spans per segment of the span store: 2¹⁴, 768 KiB at 48 bytes a span.
 const SEGMENT: usize = 1 << SEGMENT_BITS;
 
 /// Slots the first segment starts with; it doubles up to [`SEGMENT`].
@@ -125,64 +143,97 @@ impl SpanRecord {
     }
 }
 
-/// The log's spans in creation order, held in fixed segments that never
-/// move (see the module docs). Indexed by span id.
+/// The log's spans in creation order, in fixed segments that never move,
+/// holding the live window only (see the module docs). Indexed by span id.
 #[derive(Debug, Default)]
 pub struct SpanStore {
-    /// Every segment but the last holds exactly `SEGMENT` spans.
-    segments: Vec<Vec<SpanRecord>>,
+    /// The held segments, oldest first; every one but the last is full.
+    segments: VecDeque<Vec<SpanRecord>>,
+    /// Retired segments, emptied, for the next segments to reuse.
+    free: Vec<Vec<SpanRecord>>,
+    /// Id of the first span of `segments[0]`, a multiple of [`SEGMENT`].
+    first: usize,
+    /// Spans ever recorded.
+    len: usize,
+    /// The oldest span still open, or `len` when none is.
+    cursor: usize,
 }
 
 impl SpanStore {
-    /// Number of spans recorded.
+    /// Number of spans ever recorded, retired ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.segments
-            .last()
-            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+        self.len
     }
 
     /// Whether no span was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.len == 0
     }
 
-    /// The spans in creation order.
+    /// The spans still held, in creation order: the live window, after the
+    /// closed spans that share its first segment.
     pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> + '_ {
         self.segments.iter().flatten()
     }
 
+    /// The live window: every span from the cursor on.
+    fn live(&self) -> impl Iterator<Item = &SpanRecord> + '_ {
+        self.iter().skip(self.cursor - self.first)
+    }
+
     fn get(&self, i: usize) -> Option<&SpanRecord> {
-        self.segments.get(i >> SEGMENT_BITS)?.get(i & (SEGMENT - 1))
+        let k = i.checked_sub(self.first)?;
+        self.segments.get(k >> SEGMENT_BITS)?.get(k & (SEGMENT - 1))
     }
 
     fn get_mut(&mut self, i: usize) -> Option<&mut SpanRecord> {
+        let k = i.checked_sub(self.first)?;
         self.segments
-            .get_mut(i >> SEGMENT_BITS)?
-            .get_mut(i & (SEGMENT - 1))
+            .get_mut(k >> SEGMENT_BITS)?
+            .get_mut(k & (SEGMENT - 1))
     }
 
-    /// Room in the segment table for a log of `capacity` spans.
+    /// Room in the segment table for a live window of `capacity` spans: it
+    /// touches at most one segment more than it fills.
     fn reserve(&mut self, capacity: usize) {
-        let segments = capacity.div_ceil(SEGMENT);
+        let segments = capacity.div_ceil(SEGMENT) + 1;
         self.segments
             .reserve_exact(segments.saturating_sub(self.segments.len()));
     }
 
     fn push(&mut self, rec: SpanRecord) {
-        if self.segments.last().is_none_or(|s| s.len() == SEGMENT) {
-            let slots = if self.segments.is_empty() {
-                FIRST_SEGMENT
-            } else {
-                SEGMENT
-            };
-            self.segments.push(Vec::with_capacity(slots));
+        if self.segments.back().is_none_or(|s| s.len() == SEGMENT) {
+            let segment = self.free.pop().unwrap_or_else(|| {
+                Vec::with_capacity(if self.segments.is_empty() {
+                    FIRST_SEGMENT
+                } else {
+                    SEGMENT
+                })
+            });
+            self.segments.push_back(segment);
         }
         self.segments
-            .last_mut()
+            .back_mut()
             .expect("a segment with room")
             .push(rec);
+        self.len += 1;
+    }
+
+    /// Moves the cursor past the closed spans at it, handing each to
+    /// `fold`, then retires every segment wholly behind it but the newest.
+    fn advance(&mut self, mut fold: impl FnMut(&SpanRecord)) {
+        while let Some(rec) = self.get(self.cursor).filter(|r| !r.is_open()) {
+            fold(rec);
+            self.cursor += 1;
+        }
+        while self.segments.len() > 1 && self.cursor - self.first >= SEGMENT {
+            let mut retired = self.segments.pop_front().expect("a held segment");
+            retired.clear();
+            self.free.push(retired);
+            self.first += SEGMENT;
+        }
     }
 }
 
@@ -190,7 +241,12 @@ impl Index<usize> for SpanStore {
     type Output = SpanRecord;
 
     fn index(&self, i: usize) -> &SpanRecord {
-        &self.segments[i >> SEGMENT_BITS][i & (SEGMENT - 1)]
+        self.get(i).unwrap_or_else(|| {
+            panic!(
+                "span {i} is not held: the store holds spans {}..{}",
+                self.first, self.len
+            )
+        })
     }
 }
 
@@ -201,10 +257,10 @@ pub struct LineageConfig {
     /// Sampling is by lineage (not by span), so a kept message keeps its
     /// entire causal tree — the auditor stays sound over the sample.
     pub sample: u64,
-    /// Maximum number of spans retained. Past this the log counts
-    /// truncations instead of growing; a truncated log fails the audit.
-    /// Clamped to `u32::MAX` spans, so every span id stays below
-    /// [`NO_SPAN`].
+    /// Widest live window — spans from the oldest still open to the
+    /// newest — the log holds. A span that would widen it past this is
+    /// counted as truncated instead of recorded; a truncated log fails the
+    /// audit. Span ids also truncate before reaching [`NO_SPAN`].
     pub capacity: usize,
 }
 
@@ -217,17 +273,112 @@ impl Default for LineageConfig {
     }
 }
 
-/// What a message owes: registered at publish time by the experiment.
-#[derive(Debug, Clone)]
-struct Expectation {
+/// One owed lineage in the auditor's books: what it owes, and what its
+/// spans have shown so far.
+#[derive(Debug)]
+struct Owed {
+    lineage: u64,
     t_publish: SimTime,
     publisher: u32,
+    /// Where its owed list sits in [`Books::entities`], and its delivery
+    /// counters in [`Books::delivered`].
+    pairs: Range<usize>,
+    /// Whether any span of the lineage was recorded.
+    seen: bool,
+    /// Origin and hop spans still open.
+    open: u32,
+    /// The oldest drop span that explains a loss, or [`NO_SPAN`].
+    first_drop: u32,
+    /// That drop's reason, as a reason-table index.
+    drop_reason: u8,
+}
+
+/// The delivery auditor's books, flat and updated as spans are recorded.
+#[derive(Debug, Default)]
+struct Books {
+    /// The owed lineages in lineage order, one entry each.
+    lineages: Vec<Owed>,
+    /// The owed lists back to back.
     entities: Vec<u32>,
+    /// One delivery counter per entry of `entities`.
+    delivered: Vec<u32>,
+    /// Deliveries to entities a lineage was not owed to, by (lineage
+    /// position, entity): the error path, empty on a clean run.
+    unexpected: BTreeMap<(usize, u32), u32>,
+}
+
+impl Books {
+    /// Registers what `lineage` owes; a second registration replaces the
+    /// first, whose owed list is left unread.
+    fn register(&mut self, lineage: u64, t_publish: SimTime, publisher: u32, entities: &[u32]) {
+        let start = self.entities.len();
+        self.entities.extend_from_slice(entities);
+        self.delivered.resize(self.entities.len(), 0);
+        let owed = Owed {
+            lineage,
+            t_publish,
+            publisher,
+            pairs: start..self.entities.len(),
+            seen: false,
+            open: 0,
+            first_drop: NO_SPAN,
+            drop_reason: 0,
+        };
+        match self.lineages.binary_search_by_key(&lineage, |o| o.lineage) {
+            Ok(i) => self.lineages[i] = owed,
+            Err(i) => self.lineages.insert(i, owed),
+        }
+    }
+
+    /// The position of `lineage` in the books, if it owes anything. Ids
+    /// dense from 0 — a trace's publication indices — are found without a
+    /// search.
+    fn find(&self, lineage: u64) -> Option<usize> {
+        usize::try_from(lineage)
+            .ok()
+            .filter(|&i| self.lineages.get(i).is_some_and(|o| o.lineage == lineage))
+            .or_else(|| {
+                self.lineages
+                    .binary_search_by_key(&lineage, |o| o.lineage)
+                    .ok()
+            })
+    }
+
+    /// Books span `id`, just recorded as `rec`, on lineage position `i`;
+    /// `explains` says whether it is a drop that explains a loss.
+    fn record(&mut self, i: usize, id: u32, rec: &SpanRecord, explains: bool) {
+        let o = &mut self.lineages[i];
+        o.seen = true;
+        match rec.event {
+            SpanEvent::Origin | SpanEvent::Hop => o.open += 1,
+            SpanEvent::Drop if explains => o.explained_by(id, rec.reason),
+            SpanEvent::Drop => {}
+            SpanEvent::Deliver => {
+                let owed = &self.entities[o.pairs.clone()];
+                match owed_slot(owed, rec.entity) {
+                    Some(slot) => self.delivered[o.pairs.start + slot] += 1,
+                    // The publisher's own loopback copy is no error.
+                    None if rec.entity == o.publisher => {}
+                    None => *self.unexpected.entry((i, rec.entity)).or_insert(0) += 1,
+                }
+            }
+        }
+    }
+}
+
+impl Owed {
+    /// Books drop span `id` as the loss explanation unless an older one is.
+    fn explained_by(&mut self, id: u32, reason: u8) {
+        if id < self.first_drop {
+            self.first_drop = id;
+            self.drop_reason = reason;
+        }
+    }
 }
 
 /// The lineage span log. Owned by the simulator; disabled (and free) by
 /// default, enabled via `Simulator::enable_lineage`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LineageLog {
     enabled: bool,
     cfg: LineageConfig,
@@ -235,7 +386,23 @@ pub struct LineageLog {
     /// The distinct drop reasons seen, in first-use order; index 0 is `""`.
     reasons: Vec<&'static str>,
     truncated: u64,
-    expectations: BTreeMap<u64, Expectation>,
+    /// The fingerprint fold over every span behind the cursor.
+    folded: u64,
+    books: Books,
+}
+
+impl Default for LineageLog {
+    fn default() -> Self {
+        Self {
+            enabled: false,
+            cfg: LineageConfig::default(),
+            spans: SpanStore::default(),
+            reasons: Vec::new(),
+            truncated: 0,
+            folded: FNV1A_OFFSET,
+            books: Books::default(),
+        }
+    }
 }
 
 impl LineageLog {
@@ -247,8 +414,7 @@ impl LineageLog {
 
     /// Turns recording on.
     pub fn enable(&mut self, mut cfg: LineageConfig) {
-        // Span ids are `u32`s below `NO_SPAN`: a longer log would hand out
-        // `NO_SPAN` and then wrap onto earlier spans, so it truncates first.
+        // No live window is wider than the id space.
         cfg.capacity = cfg.capacity.min(NO_SPAN as usize);
         self.enabled = true;
         self.spans.reserve(cfg.capacity);
@@ -272,14 +438,75 @@ impl LineageLog {
         self.enabled && (self.cfg.sample <= 1 || lid.is_multiple_of(self.cfg.sample))
     }
 
+    /// Records `rec` as the next span and books it, or counts it truncated
+    /// when its id would reach [`NO_SPAN`] or the live window is full.
     fn push(&mut self, rec: SpanRecord) -> u32 {
         let id = self.spans.len();
-        if id >= self.cfg.capacity {
+        if id >= NO_SPAN as usize || id - self.spans.cursor >= self.cfg.capacity {
             self.truncated += 1;
             return NO_SPAN;
         }
+        let id = id as u32;
+        if let Some(i) = self.books.find(rec.lineage) {
+            let explains = self.explains(&rec);
+            self.books.record(i, id, &rec, explains);
+        }
+        let closed = !rec.is_open();
         self.spans.push(rec);
-        id as u32
+        if closed {
+            self.settle();
+        }
+        id
+    }
+
+    /// Whether `rec` is a drop that explains a loss: any but the client's
+    /// duplicate filter.
+    fn explains(&self, rec: &SpanRecord) -> bool {
+        rec.event == SpanEvent::Drop && self.reasons[usize::from(rec.reason)] != DUPLICATE_FILTERED
+    }
+
+    /// Advances the cursor over the closed spans at it, folding each into
+    /// the fingerprint.
+    fn settle(&mut self) {
+        let (folded, reasons) = (&mut self.folded, &self.reasons);
+        self.spans.advance(|rec| fold(folded, reasons, rec));
+    }
+
+    /// The open span `span` for `op` to act on; `None` for an untraced
+    /// copy ([`NO_SPAN`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op` and the span, when `span` is closed, retired or
+    /// was never recorded.
+    fn open_span(&mut self, span: u32, op: &str) -> Option<&mut SpanRecord> {
+        if span == NO_SPAN {
+            return None;
+        }
+        let (first, len) = (self.spans.first, self.spans.len);
+        match self.spans.get_mut(span as usize) {
+            Some(rec) if rec.is_open() => Some(rec),
+            Some(_) => panic!("lineage: {op} on span {span}, which is closed"),
+            None if (span as usize) < first => {
+                panic!("lineage: {op} on span {span}, which is closed and retired")
+            }
+            None => panic!("lineage: {op} on span {span}, which was never recorded ({len} were)"),
+        }
+    }
+
+    /// Books the end of span `span`, just closed or converted to a drop,
+    /// and advances the cursor.
+    fn closed(&mut self, span: u32) {
+        let rec = &self.spans[span as usize];
+        let explains = self.explains(rec);
+        if let Some(i) = self.books.find(rec.lineage) {
+            let o = &mut self.books.lineages[i];
+            o.open -= 1;
+            if explains {
+                o.explained_by(span, rec.reason);
+            }
+        }
+        self.settle();
     }
 
     /// Opens a root span: the message entered the network at `node`.
@@ -320,22 +547,32 @@ impl LineageLog {
     }
 
     /// Marks service start on an open span.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `span` is traced but not open.
     #[inline]
     pub fn service_start(&mut self, span: u32, now: SimTime) {
-        if let Some(rec) = self.get_mut(span) {
+        if let Some(rec) = self.open_span(span, "service_start") {
             rec.t_service_start = now;
         }
     }
 
     /// Closes a span: the copy finished processing at its node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `span` is traced but not open.
     #[inline]
     pub fn close(&mut self, span: u32, now: SimTime) {
-        if let Some(rec) = self.get_mut(span) {
-            if rec.t_service_start == SimTime::MAX {
-                rec.t_service_start = now;
-            }
-            rec.t_done = now;
+        let Some(rec) = self.open_span(span, "close") else {
+            return;
+        };
+        if rec.t_service_start == SimTime::MAX {
+            rec.t_service_start = now;
         }
+        rec.t_done = now;
+        self.closed(span);
     }
 
     /// Records an immediate, already-closed drop (transmit-time losses:
@@ -367,28 +604,38 @@ impl LineageLog {
 
     /// Converts an open span into a drop (arrival black-holed at a dead
     /// node, or flushed out of a dead node's queue).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `span` is traced but not open.
     pub fn mark_dropped(&mut self, span: u32, reason: &'static str, now: SimTime) {
-        if self.lineage_of(span).is_none() {
+        if self.open_span(span, "mark_dropped").is_none() {
             return;
         }
         let reason = self.reason_index(reason);
-        let rec = self.spans.get_mut(span as usize).expect("a traced span");
+        let rec = self.spans.get_mut(span as usize).expect("an open span");
         rec.event = SpanEvent::Drop;
         rec.reason = reason;
         if rec.t_service_start == SimTime::MAX {
             rec.t_service_start = now;
         }
         rec.t_done = now;
+        self.closed(span);
     }
 
     /// Records a terminal delivery to `entity`, caused by `cause_span`
     /// (the hop span being serviced). No-op when the cause is untraced.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cause_span` is traced but not open.
     pub fn deliver_from(&mut self, cause_span: u32, node: u32, entity: u32, now: SimTime) -> u32 {
-        let Some(lid) = self.lineage_of(cause_span) else {
+        let Some(cause) = self.open_span(cause_span, "deliver_from") else {
             return NO_SPAN;
         };
+        let lineage = cause.lineage;
         self.push(SpanRecord {
-            lineage: lid,
+            lineage,
             node,
             cause: cause_span,
             entity,
@@ -402,13 +649,18 @@ impl LineageLog {
 
     /// Records an application-level drop (a behavior discarded the copy
     /// it was servicing), caused by `cause_span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cause_span` is traced but not open.
     pub fn drop_from(&mut self, cause_span: u32, node: u32, reason: &'static str, now: SimTime) {
-        let Some(lid) = self.lineage_of(cause_span) else {
+        let Some(cause) = self.open_span(cause_span, "drop_from") else {
             return;
         };
+        let lineage = cause.lineage;
         let reason = self.reason_index(reason);
         self.push(SpanRecord {
-            lineage: lid,
+            lineage,
             node,
             cause: cause_span,
             entity: NO_ENTITY,
@@ -421,20 +673,25 @@ impl LineageLog {
     }
 
     /// Registers what lineage `lid` owes: published by `publisher` at
-    /// `t_publish`, owed to each of `entities` exactly once. Respects
-    /// sampling so the audit universe matches the recorded universe.
+    /// `t_publish`, owed to each of `entities` exactly once; a second call
+    /// for `lid` replaces the first. Respects sampling so the audit
+    /// universe matches the recorded universe.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a span was recorded: the books count spans as they
+    /// come, so a lineage registered later would miss its earlier ones.
     pub fn expect(&mut self, lid: u64, t_publish: SimTime, publisher: u32, entities: &[u32]) {
+        assert!(
+            self.spans.is_empty(),
+            "lineage: expect for lineage {lid} after {} spans were recorded; \
+             register every expectation before the run",
+            self.spans.len()
+        );
         if !self.sampled(lid) {
             return;
         }
-        self.expectations.insert(
-            lid,
-            Expectation {
-                t_publish,
-                publisher,
-                entities: entities.to_vec(),
-            },
-        );
+        self.books.register(lid, t_publish, publisher, entities);
     }
 
     /// The index of `reason` in the reason table, added on first use (a
@@ -465,52 +722,21 @@ impl LineageLog {
         i as u8
     }
 
-    /// The drop reason of `rec` (`""` for a span that is not a drop).
-    fn reason_of(&self, rec: &SpanRecord) -> &'static str {
-        self.reasons[usize::from(rec.reason)]
-    }
-
-    fn get_mut(&mut self, span: u32) -> Option<&mut SpanRecord> {
-        if !self.enabled || span == NO_SPAN {
-            return None;
-        }
-        self.spans.get_mut(span as usize)
-    }
-
-    fn lineage_of(&self, span: u32) -> Option<u64> {
-        if !self.enabled || span == NO_SPAN {
-            return None;
-        }
-        self.spans.get(span as usize).map(|r| r.lineage)
-    }
-
-    /// All spans recorded so far, in causal-creation order.
+    /// The spans recorded: their count, and the live window still held.
     #[must_use]
     pub fn spans(&self) -> &SpanStore {
         &self.spans
     }
 
-    /// FNV-1a 64-bit fingerprint over every span. The determinism witness
-    /// for the lineage export, mirroring the journal fingerprint.
+    /// FNV-1a 64-bit fingerprint over every span ever recorded, in id
+    /// order: the cursor's fold, continued over the live window. The
+    /// determinism witness for the lineage log, mirroring the journal
+    /// fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_of(self.spans.iter())
-    }
-
-    /// The fingerprint fold over `spans`, read through this log's reasons.
-    fn fingerprint_of<'a>(&self, spans: impl Iterator<Item = &'a SpanRecord>) -> u64 {
-        let mut h = FNV1A_OFFSET;
-        let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
-        for r in spans {
-            eat(&r.lineage.to_le_bytes());
-            eat(&r.node.to_le_bytes());
-            eat(&r.cause.to_le_bytes());
-            eat(&r.entity.to_le_bytes());
-            eat(self.reason_of(r).as_bytes());
-            eat(r.event.as_str().as_bytes());
-            eat(&r.t_enqueue.as_nanos().to_le_bytes());
-            eat(&r.t_service_start.as_nanos().to_le_bytes());
-            eat(&r.t_done.as_nanos().to_le_bytes());
+        let mut h = self.folded;
+        for rec in self.spans.live() {
+            fold(&mut h, &self.reasons, rec);
         }
         h
     }
@@ -524,80 +750,26 @@ impl LineageLog {
     /// lineage). Pass `None` for fault-free runs.
     #[must_use]
     pub fn audit(&self, cutoff: SimTime, damage: Option<(SimTime, SimTime)>) -> AuditReport {
-        // The books, flat: the expectations in lineage order, one view per
-        // lineage, and one delivery counter per owed pair, at the lineage's
-        // `base` plus the entity's slot in its owed list.
-        let owed: Vec<(u64, &Expectation)> = self
-            .expectations
-            .iter()
-            .map(|(&lid, exp)| (lid, exp))
-            .collect();
-        let mut views = Vec::with_capacity(owed.len());
-        let mut pairs = 0;
-        for (_, exp) in &owed {
-            views.push(LineageView {
-                base: pairs,
-                seen: false,
-                drop_reason: None,
-                open: 0,
-            });
-            pairs += exp.entities.len();
-        }
-        let mut delivered = vec![0u32; pairs];
-        // Deliveries to entities a lineage was not owed to, by (lineage
-        // position, entity): the error path, empty on a clean run.
-        let mut unexpected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
-        let duplicate_filtered = self.reasons.iter().position(|&r| r == DUPLICATE_FILTERED);
-
-        for rec in self.spans.iter() {
-            let Ok(i) = owed.binary_search_by_key(&rec.lineage, |&(lid, _)| lid) else {
-                continue;
-            };
-            let v = &mut views[i];
-            v.seen = true;
-            match rec.event {
-                SpanEvent::Deliver => {
-                    let exp = owed[i].1;
-                    match owed_slot(&exp.entities, rec.entity) {
-                        Some(slot) => delivered[v.base + slot] += 1,
-                        // The publisher's own loopback copy is no error.
-                        None if rec.entity == exp.publisher => {}
-                        None => *unexpected.entry((i, rec.entity)).or_insert(0) += 1,
-                    }
-                }
-                SpanEvent::Drop => {
-                    if v.drop_reason.is_none()
-                        && Some(usize::from(rec.reason)) != duplicate_filtered
-                    {
-                        v.drop_reason = Some(rec.reason);
-                    }
-                }
-                SpanEvent::Origin | SpanEvent::Hop => {
-                    if rec.is_open() {
-                        v.open += 1;
-                    }
-                }
-            }
-        }
-
+        let books = &self.books;
         let mut report = AuditReport {
+            lineages: books.lineages.len() as u64,
             truncated: self.truncated,
             ..AuditReport::default()
         };
-        report.lineages = owed.len() as u64;
-        let mut unexpected = unexpected.into_iter().peekable();
-        for (i, (&(lid, exp), v)) in owed.iter().zip(&views).enumerate() {
-            while let Some(((_, entity), n)) = unexpected.next_if(|&((j, _), _)| j == i) {
+        let mut unexpected = books.unexpected.iter().peekable();
+        for (i, o) in books.lineages.iter().enumerate() {
+            let lid = o.lineage;
+            while let Some((&(_, entity), n)) = unexpected.next_if(|&(&(j, _), _)| j == i) {
                 report.error(format!(
                     "lineage {lid}: delivered {n}x to unexpected entity {entity}"
                 ));
             }
-            // `None` only when the lineage left no span at all.
-            let view = v.seen.then_some(v);
-            for &entity in &exp.entities {
+            let owed = &books.entities[o.pairs.clone()];
+            let delivered = &books.delivered[o.pairs.clone()];
+            for &entity in owed {
                 report.total_pairs += 1;
-                let slot = owed_slot(&exp.entities, entity).expect("an owed entity has a slot");
-                let n = delivered[v.base + slot];
+                let slot = owed_slot(owed, entity).expect("an owed entity has a slot");
+                let n = delivered[slot];
                 if n == 1 {
                     report.delivered += 1;
                     continue;
@@ -611,34 +783,42 @@ impl LineageLog {
                 }
                 // Not delivered: find the best explanation, most concrete
                 // first.
-                match view {
-                    Some(LineageView {
-                        drop_reason: Some(r),
-                        ..
-                    }) => {
-                        *report
-                            .dropped
-                            .entry(self.reasons[usize::from(*r)])
-                            .or_insert(0) += 1;
-                    }
-                    Some(v) if v.open > 0 => report.in_flight += 1,
-                    _ if in_window(exp.t_publish, damage) => {
-                        *report.dropped.entry("tree-gap").or_insert(0) += 1;
-                    }
-                    None if exp.t_publish >= cutoff => report.unpublished += 1,
-                    _ => {
-                        report.unexplained += 1;
-                        report.error(format!(
-                            "lineage {lid}: loss to entity {entity} is unexplained \
-                             (published {}, no drop, no open span)",
-                            exp.t_publish
-                        ));
-                    }
+                if o.first_drop != NO_SPAN {
+                    let reason = self.reasons[usize::from(o.drop_reason)];
+                    *report.dropped.entry(reason).or_insert(0) += 1;
+                } else if o.open > 0 {
+                    report.in_flight += 1;
+                } else if in_window(o.t_publish, damage) {
+                    *report.dropped.entry("tree-gap").or_insert(0) += 1;
+                } else if !o.seen && o.t_publish >= cutoff {
+                    report.unpublished += 1;
+                } else {
+                    report.unexplained += 1;
+                    report.error(format!(
+                        "lineage {lid}: loss to entity {entity} is unexplained \
+                         (published {}, no drop, no open span)",
+                        o.t_publish
+                    ));
                 }
             }
         }
         report
     }
+}
+
+/// Folds every field of `rec` into the FNV-1a state `h`, its drop reason
+/// read through `reasons`.
+fn fold(h: &mut u64, reasons: &[&str], rec: &SpanRecord) {
+    let mut eat = |bytes: &[u8]| fnv1a(h, bytes);
+    eat(&rec.lineage.to_le_bytes());
+    eat(&rec.node.to_le_bytes());
+    eat(&rec.cause.to_le_bytes());
+    eat(&rec.entity.to_le_bytes());
+    eat(reasons[usize::from(rec.reason)].as_bytes());
+    eat(rec.event.as_str().as_bytes());
+    eat(&rec.t_enqueue.as_nanos().to_le_bytes());
+    eat(&rec.t_service_start.as_nanos().to_le_bytes());
+    eat(&rec.t_done.as_nanos().to_le_bytes());
 }
 
 /// The slot of `entity` in an owed list: a binary search, which settles a
@@ -655,18 +835,6 @@ fn in_window(t: SimTime, damage: Option<(SimTime, SimTime)>) -> bool {
         Some((lo, hi)) => t >= lo && t <= hi,
         None => false,
     }
-}
-
-/// One lineage's books in [`LineageLog::audit`].
-struct LineageView {
-    /// Where the lineage's delivery counters start.
-    base: usize,
-    /// Whether any span of the lineage was recorded.
-    seen: bool,
-    /// The first drop that explains a loss, as a reason-table index.
-    drop_reason: Option<u8>,
-    /// Origin and hop spans still open.
-    open: u32,
 }
 
 /// The auditor's closed books: every expected `(message, subscriber)` pair
@@ -793,6 +961,34 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// The fingerprint fold over `spans`, read through `log`'s reasons.
+    fn fold_all<'a>(log: &LineageLog, spans: impl Iterator<Item = &'a SpanRecord>) -> u64 {
+        let mut h = FNV1A_OFFSET;
+        for rec in spans {
+            fold(&mut h, &log.reasons, rec);
+        }
+        h
+    }
+
+    /// An enabled log with every span id kept.
+    fn enabled() -> LineageLog {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig::default());
+        log
+    }
+
+    /// An enabled log whose span 0 is retired: `SEGMENT` closed origins
+    /// fill segment 0, and one more, closed, moves the cursor past it.
+    fn with_span_0_retired() -> LineageLog {
+        let mut log = enabled();
+        for _ in 0..=SEGMENT {
+            let o = log.origin(1, 0, at(0));
+            log.close(o, at(0));
+        }
+        assert!(log.spans().get(0).is_none());
+        log
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = LineageLog::disabled();
@@ -827,9 +1023,9 @@ mod tests {
 
     #[test]
     fn audit_clean_run_balances() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
         // lid 10: published by entity 0, owed to entities 1 and 2.
+        log.expect(10, at(0), 0, &[1, 2]);
         let o = log.origin(10, 0, at(0));
         log.close(o, at(0));
         let h1 = log.hop(10, o, 1, at(1));
@@ -840,7 +1036,6 @@ mod tests {
         let h2 = log.hop(10, o, 2, at(2));
         log.deliver_from(h2, 2, 2, at(2));
         log.close(h2, at(2));
-        log.expect(10, at(0), 0, &[1, 2]);
         let report = log.audit(at(100), None);
         assert_eq!(report.total_pairs, 2);
         assert_eq!(report.delivered, 2);
@@ -849,8 +1044,8 @@ mod tests {
 
     #[test]
     fn audit_flags_duplicates_and_unexpected() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(10, at(0), 0, &[1]);
         let o = log.origin(10, 0, at(0));
         let h = log.hop(10, o, 1, at(1));
         log.deliver_from(h, 1, 1, at(1));
@@ -858,7 +1053,6 @@ mod tests {
         log.deliver_from(h, 1, 9, at(2)); // not owed
         log.close(h, at(2));
         log.close(o, at(0));
-        log.expect(10, at(0), 0, &[1]);
         let report = log.audit(at(100), None);
         assert_eq!(report.duplicates, 1);
         assert!(!report.is_clean());
@@ -867,20 +1061,19 @@ mod tests {
 
     #[test]
     fn audit_classifies_drops_in_flight_and_unpublished() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(1, at(0), 0, &[5]);
+        log.expect(2, at(1), 0, &[5]);
+        log.expect(3, at(200), 0, &[5]);
         // lid 1: dropped on a link.
         let o1 = log.origin(1, 0, at(0));
         log.close(o1, at(0));
         log.drop_at(1, o1, 0, "link-lost", at(0));
-        log.expect(1, at(0), 0, &[5]);
         // lid 2: still in flight (open hop span).
         let o2 = log.origin(2, 0, at(1));
         log.close(o2, at(1));
         let _open = log.hop(2, o2, 1, at(2));
-        log.expect(2, at(1), 0, &[5]);
         // lid 3: never published (owed after cutoff).
-        log.expect(3, at(200), 0, &[5]);
         let report = log.audit(at(100), None);
         assert_eq!(report.dropped.get("link-lost"), Some(&1));
         assert_eq!(report.in_flight, 1);
@@ -890,15 +1083,14 @@ mod tests {
 
     #[test]
     fn audit_uses_damage_window_for_silent_losses() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(1, at(10), 0, &[5]);
         // Fully closed lineage that never reached entity 5: a Subscribe
         // was lost, so the tree had a gap — no drop on *this* lineage.
         let o = log.origin(1, 0, at(10));
         log.close(o, at(10));
         let h = log.hop(1, o, 1, at(11));
         log.close(h, at(11));
-        log.expect(1, at(10), 0, &[5]);
         // Outside any damage window this is unexplained...
         let bad = log.audit(at(100), None);
         assert_eq!(bad.unexplained, 1);
@@ -911,14 +1103,13 @@ mod tests {
 
     #[test]
     fn duplicate_filter_drops_do_not_explain_losses() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(1, at(0), 0, &[5]);
         let o = log.origin(1, 0, at(0));
         log.close(o, at(0));
         let h = log.hop(1, o, 1, at(1));
         log.drop_from(h, 1, "client-duplicate-dropped", at(1));
         log.close(h, at(1));
-        log.expect(1, at(0), 0, &[5]);
         let report = log.audit(at(100), None);
         // The dup-filter drop must not masquerade as the loss reason.
         assert_eq!(report.unexplained, 1);
@@ -926,17 +1117,32 @@ mod tests {
 
     #[test]
     fn mark_dropped_converts_open_hop() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(1, at(0), 0, &[5]);
         let o = log.origin(1, 0, at(0));
         log.close(o, at(0));
         let h = log.hop(1, o, 1, at(1));
         log.mark_dropped(h, "node-lost", at(2));
-        log.expect(1, at(0), 0, &[5]);
         let report = log.audit(at(100), None);
         assert_eq!(report.dropped.get("node-lost"), Some(&1));
         assert_eq!(report.in_flight, 0);
         assert!(report.is_clean(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn an_older_mark_dropped_explains_before_a_newer_drop() {
+        let mut log = enabled();
+        log.expect(1, at(0), 0, &[5]);
+        let o = log.origin(1, 0, at(0));
+        let h = log.hop(1, o, 1, at(1));
+        // The drop record (span 2) is booked first, the conversion of the
+        // older hop (span 1) second: the older span explains the loss.
+        log.drop_from(o, 0, "queue-full", at(1));
+        log.mark_dropped(h, "node-lost", at(2));
+        log.close(o, at(2));
+        let report = log.audit(at(100), None);
+        assert_eq!(report.dropped.get("node-lost"), Some(&1));
+        assert_eq!(report.dropped.get("queue-full"), None);
     }
 
     #[test]
@@ -946,18 +1152,23 @@ mod tests {
             sample: 1,
             capacity: 1,
         });
+        // The open origin fills the live window.
         let o = log.origin(1, 0, at(0));
-        log.close(o, at(0));
         assert_eq!(log.hop(1, o, 1, at(1)), NO_SPAN);
         let report = log.audit(at(100), None);
         assert_eq!(report.truncated, 1);
         assert!(!report.is_clean());
+        // Closing it empties the window again.
+        log.close(o, at(1));
+        assert_eq!(log.hop(1, o, 1, at(1)), 1);
     }
 
     #[test]
     fn spans_across_a_segment_boundary_behave_as_one_vector() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
+        log.expect(1, at(1), 0, &[10, 11]);
+        log.expect(2, at(1), 0, &[12]);
+        log.expect(3, at(1), 0, &[13]);
         let b = SEGMENT as u32;
         // A model span; `t` is its enqueue time, then service start and
         // done when it is closed.
@@ -1012,16 +1223,44 @@ mod tests {
         assert_eq!(spans.len(), SEGMENT + 4);
         assert!(spans.iter().eq(&model));
         assert!((0..model.len()).all(|i| spans[i] == model[i]));
-        assert_eq!(log.fingerprint(), log.fingerprint_of(model.iter()));
+        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
 
-        log.expect(1, at(1), 0, &[10, 11]);
-        log.expect(2, at(1), 0, &[12]);
-        log.expect(3, at(1), 0, &[13]);
         let report = log.audit(at(100), None);
         assert_eq!(report.delivered, 2);
         assert_eq!(report.dropped.get("link-lost"), Some(&1));
         assert_eq!(report.dropped.get("node-lost"), Some(&1));
         assert!(report.is_clean(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn closed_segments_retire_and_the_fold_is_unchanged() {
+        let mut log = enabled();
+        // Segment 0 of open origins, and one more in segment 1.
+        let spans: Vec<u32> = (0..=SEGMENT).map(|_| log.origin(7, 0, at(0))).collect();
+        let mut model: Vec<SpanRecord> = log.spans().iter().cloned().collect();
+        // Close all but the last: the cursor passes segment 0, which is
+        // retired, while the open span keeps segment 1.
+        for &s in &spans[..SEGMENT] {
+            log.close(s, at(1));
+            model[s as usize].t_service_start = at(1);
+            model[s as usize].t_done = at(1);
+        }
+        assert_eq!(log.spans().len(), SEGMENT + 1);
+        assert!(log.spans().iter().eq(&model[SEGMENT..]));
+        assert!(log.spans().get(SEGMENT - 1).is_none());
+        assert_eq!(log.spans.free.len(), 1);
+        // Open at the end or closed, the fold is the fold of every span.
+        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
+        log.close(spans[SEGMENT], at(2));
+        model[SEGMENT].t_service_start = at(2);
+        model[SEGMENT].t_done = at(2);
+        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
+        // The retired segment comes back as the next one.
+        for _ in 0..SEGMENT {
+            log.origin(7, 0, at(3));
+        }
+        assert!(log.spans.free.is_empty());
+        assert_eq!(log.spans.segments.len(), 2);
     }
 
     #[test]
@@ -1048,14 +1287,16 @@ mod tests {
             capacity: usize::MAX,
         });
         assert_eq!(log.cfg.capacity, NO_SPAN as usize);
-        // A log one span short of `u32::MAX`, its full segments stood in
-        // by empty ones: the store counts every segment but the last full.
+        // A log one span short of `u32::MAX`, every span closed: the store
+        // holds only the last segment, filled up to that span.
         let held = NO_SPAN as usize - 1;
         let first = log.origin(1, 0, at(0));
+        log.close(first, at(0));
         let filler = log.spans()[first as usize].clone();
-        log.spans.segments = vec![Vec::new(); held / SEGMENT];
-        log.spans.segments.push(vec![filler; held % SEGMENT]);
-        assert_eq!(log.spans().len(), held);
+        let store = &mut log.spans;
+        store.first = held & !(SEGMENT - 1);
+        store.segments = VecDeque::from([vec![filler; held - store.first]]);
+        (store.len, store.cursor) = (held, held);
         assert_eq!(log.origin(1, 0, at(0)), NO_SPAN - 1);
         // The next id would be the sentinel: the log truncates instead.
         assert_eq!(log.origin(1, 0, at(0)), NO_SPAN);
@@ -1066,8 +1307,7 @@ mod tests {
     #[test]
     fn fingerprint_is_content_sensitive_and_stable() {
         let build = |reason: &'static str| {
-            let mut log = LineageLog::disabled();
-            log.enable(LineageConfig::default());
+            let mut log = enabled();
             let o = log.origin(1, 0, at(0));
             log.close(o, at(0));
             log.drop_at(1, o, 0, reason, at(1));
@@ -1080,8 +1320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "past the limit of 255")]
     fn a_256th_distinct_drop_reason_fails_closed() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig::default());
+        let mut log = enabled();
         let o = log.origin(1, 0, at(0));
         let leaked = |i: usize| -> &'static str { Box::leak(format!("r{i}").into_boxed_str()) };
         for i in 1..=MAX_DROP_REASONS {
@@ -1089,10 +1328,62 @@ mod tests {
         }
         // All 255 read back, and an equal string at another address is
         // the same reason, not a 256th.
-        let reasons: Vec<&str> = log.spans().iter().map(|s| log.reason_of(s)).collect();
+        let reasons: Vec<&str> = log
+            .spans()
+            .iter()
+            .map(|s| log.reasons[usize::from(s.reason)])
+            .collect();
         assert_eq!((reasons[1], reasons[255]), ("r1", "r255"));
         log.drop_from(o, 0, leaked(1), at(2));
         log.drop_from(o, 0, "", at(2));
         log.drop_from(o, 0, leaked(256), at(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "close on span 0, which is closed")]
+    fn closing_a_closed_span_fails_closed() {
+        let mut log = enabled();
+        let o = log.origin(1, 0, at(0));
+        log.close(o, at(0));
+        log.close(o, at(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "mark_dropped on span 1, which is closed")]
+    fn marking_a_closed_span_dropped_fails_closed() {
+        let mut log = enabled();
+        let o = log.origin(1, 0, at(0));
+        let h = log.hop(1, o, 1, at(1));
+        log.close(h, at(2));
+        log.mark_dropped(h, "node-lost", at(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "service_start on span 1, which was never recorded (1 were)")]
+    fn starting_service_on_an_unrecorded_span_fails_closed() {
+        let mut log = enabled();
+        log.origin(1, 0, at(0));
+        log.service_start(1, at(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "deliver_from on span 0, which is closed and retired")]
+    fn delivering_from_a_retired_cause_fails_closed() {
+        with_span_0_retired().deliver_from(0, 1, 7, at(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "drop_from on span 0, which is closed and retired")]
+    fn dropping_from_a_retired_cause_fails_closed() {
+        with_span_0_retired().drop_from(0, 1, "queue-full", at(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "expect for lineage 2 after 1 spans were recorded")]
+    fn an_expectation_after_the_first_span_fails_closed() {
+        let mut log = enabled();
+        log.expect(1, at(0), 0, &[5]);
+        log.origin(1, 0, at(0));
+        log.expect(2, at(0), 0, &[5]);
     }
 }

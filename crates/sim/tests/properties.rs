@@ -142,16 +142,15 @@ impl NodeBehavior<u32, u64> for CountedFlood {
     }
 }
 
-/// Packet and byte conservation at the engine, over generated topology ×
-/// fault plan (link flaps, a crash and restart, 0–5 % loss) × overload
-/// config (each policy, priorities on/off, capacity 1–8): at quiescence
-/// every packet injected or sent was either processed by a node or dropped
-/// by the engine for a counted reason, telemetry's `"drop"` counter agrees
-/// with that tally, and the per-link byte sums are the aggregate load.
-#[test]
-fn packets_and_bytes_are_conserved() {
-    let ms = SimTime::from_millis;
-    let input = (
+/// One generated engine case: (topology seed, core routers), (link flaps,
+/// whether a core router crashes, loss in permille), (admission policy,
+/// priorities, queue capacity).
+type FloodCase = ((u64, usize), (usize, bool, u32), (u32, bool, usize));
+
+/// Topology × fault plan (link flaps, a crash and restart, 0–5 % loss) ×
+/// overload config (each policy, priorities on/off, capacity 1–8).
+fn flood_cases() -> impl prop::Strategy<Value = FloodCase> {
+    (
         // Topology seed, core routers.
         (prop::range(0u64..1000), prop::range(4usize..=8)),
         // Link flaps, whether a core router crashes, loss in permille.
@@ -162,71 +161,99 @@ fn packets_and_bytes_are_conserved() {
         ),
         // Admission policy, priorities, queue capacity.
         (prop::range(0u32..3), prop::bools(), prop::range(1usize..=8)),
-    );
-    // How often each drop reason fired over all cases.
-    let fired = Cell::new([0u64; EngineDrop::ALL.len()]);
-    prop::check(0x51309, CASES, &input, |(topo, faults, overload)| {
-        let (&(seed, core_routers), &(flaps, crash, loss)) = (topo, faults);
-        let &(policy, priority, capacity) = overload;
-        let params = generators::BackboneParams {
-            core_routers,
-            edge_per_core: 1,
-        };
-        let mut b = generators::rocketfuel_like(seed, &params);
-        let hosts = generators::attach_hosts(
-            &mut b.topology,
-            &b.edge,
-            4,
-            SimDuration::from_millis(1),
-            "h",
-        );
-        let links: Vec<LinkId> = (0..b.topology.link_count() as u32).map(LinkId).collect();
-        let nodes: Vec<NodeId> = b.topology.node_ids().collect();
+    )
+}
 
-        let mut sim = Simulator::new(b.topology, 0u64);
-        for &n in &nodes {
-            sim.set_behavior(n, Box::new(CountedFlood));
-        }
-        // Odd packets are bulk and supersede each other on two low bits.
-        sim.set_packet_meta(PacketMeta {
-            priority: |p| (p & 1) as u8,
-            supersede_key: |p| (p & 1 == 1).then_some(u64::from(p & 6)),
-            ..PacketMeta::default()
-        });
-        sim.enable_telemetry(TelemetryConfig::counters_only());
-        let mut plan = FaultPlan::new(seed)
-            .with_loss(f64::from(loss) / 1000.0)
-            .random_link_flaps(&links, flaps, ms(2), ms(30), SimDuration::from_millis(4));
-        if crash {
-            plan = plan.node_down(ms(10), b.core[0]).node_up(ms(20), b.core[0]);
-        }
-        sim.install_faults(plan);
-        sim.install_overload(OverloadConfig {
-            queue_capacity: Some(capacity),
-            policy: [
-                AdmissionPolicy::DropTail,
-                AdmissionPolicy::HeadDrop,
-                AdmissionPolicy::CoDel {
-                    target: SimDuration::from_micros(300),
-                    interval: SimDuration::from_millis(2),
-                },
-            ][policy as usize],
-            priority,
-            ..OverloadConfig::default()
-        });
-        // Bursts of six TTL-4 floods from every host, 3 ms apart.
-        let mut injected = 0u64;
-        for burst in 0..6u64 {
-            for (h, &host) in hosts.iter().enumerate() {
-                for i in 0..6u32 {
-                    let id = (burst as u32 * 64 + h as u32 * 8 + i) & 0x00ff_ffff;
-                    sim.inject(ms(burst * 3), host, (4 << 24) | id, 64);
-                    injected += 1;
-                }
+/// Bursts of six TTL-4 [`CountedFlood`]s from every host of `case`, 3 ms
+/// apart, run to quiescence with telemetry counters on and, when
+/// `lineage`, every packet traced (its lineage is its id without the TTL).
+/// Returns the simulator and the packets injected.
+fn flood(case: &FloodCase, lineage: bool) -> (Simulator<u32, u64>, u64) {
+    let ms = SimTime::from_millis;
+    let &((seed, core_routers), (flaps, crash, loss), (policy, priority, capacity)) = case;
+    let params = generators::BackboneParams {
+        core_routers,
+        edge_per_core: 1,
+    };
+    let mut b = generators::rocketfuel_like(seed, &params);
+    let hosts = generators::attach_hosts(
+        &mut b.topology,
+        &b.edge,
+        4,
+        SimDuration::from_millis(1),
+        "h",
+    );
+    let links: Vec<LinkId> = (0..b.topology.link_count() as u32).map(LinkId).collect();
+    let nodes: Vec<NodeId> = b.topology.node_ids().collect();
+
+    let mut sim = Simulator::new(b.topology, 0u64);
+    for &n in &nodes {
+        sim.set_behavior(n, Box::new(CountedFlood));
+    }
+    // Odd packets are bulk and supersede each other on two low bits.
+    sim.set_packet_meta(PacketMeta {
+        priority: |p| (p & 1) as u8,
+        supersede_key: |p| (p & 1 == 1).then_some(u64::from(p & 6)),
+        lineage_id: |p| Some(u64::from(p & 0x00ff_ffff)),
+        ..PacketMeta::default()
+    });
+    sim.enable_telemetry(TelemetryConfig::counters_only());
+    if lineage {
+        sim.enable_lineage(LineageConfig::default());
+    }
+    let mut plan = FaultPlan::new(seed)
+        .with_loss(f64::from(loss) / 1000.0)
+        .random_link_flaps(&links, flaps, ms(2), ms(30), SimDuration::from_millis(4));
+    if crash {
+        plan = plan.node_down(ms(10), b.core[0]).node_up(ms(20), b.core[0]);
+    }
+    sim.install_faults(plan);
+    sim.install_overload(OverloadConfig {
+        queue_capacity: Some(capacity),
+        policy: [
+            AdmissionPolicy::DropTail,
+            AdmissionPolicy::HeadDrop,
+            AdmissionPolicy::CoDel {
+                target: SimDuration::from_micros(300),
+                interval: SimDuration::from_millis(2),
+            },
+        ][policy as usize],
+        priority,
+        ..OverloadConfig::default()
+    });
+    let mut injected = 0u64;
+    for burst in 0..6u64 {
+        for (h, &host) in hosts.iter().enumerate() {
+            for i in 0..6u32 {
+                let id = (burst as u32 * 64 + h as u32 * 8 + i) & 0x00ff_ffff;
+                sim.inject(ms(burst * 3), host, (4 << 24) | id, 64);
+                injected += 1;
             }
         }
-        sim.run();
-        assert!(sim.is_idle());
+    }
+    sim.run();
+    assert!(sim.is_idle());
+    (sim, injected)
+}
+
+/// The seed of the engine laws over [`flood_cases`].
+const FLOOD_SEED: u64 = 0x51309;
+
+/// Packet and byte conservation at the engine, over [`flood_cases`]: at
+/// quiescence every packet injected or sent was either processed by a
+/// node or dropped by the engine for a counted reason, telemetry's
+/// `"drop"` counter agrees with that tally, and the per-link byte sums are
+/// the aggregate load.
+#[test]
+fn packets_and_bytes_are_conserved() {
+    // How often each drop reason fired over all cases.
+    let fired = Cell::new([0u64; EngineDrop::ALL.len()]);
+    prop::check(FLOOD_SEED, CASES, &flood_cases(), |case| {
+        let (sim, injected) = flood(case, false);
+        let nodes: Vec<NodeId> = sim.topology().node_ids().collect();
+        let links: Vec<LinkId> = (0..sim.topology().link_count() as u32)
+            .map(LinkId)
+            .collect();
 
         let sends = *sim.world();
         let processed: u64 = nodes.iter().map(|&n| sim.node_processed(n)).sum();
@@ -252,6 +279,42 @@ fn packets_and_bytes_are_conserved() {
     });
     // The law is not vacuous: every drop reason fired in some case.
     assert!(fired.get().iter().all(|&n| n > 0), "{:?}", fired.get());
+}
+
+/// Every span the engine opens, it closes: over the cases of
+/// [`packets_and_bytes_are_conserved`] — where node crashes flush queues,
+/// links lose copies and overload control sheds, each drop reason firing
+/// in some case — with every packet traced, no origin or hop span is open
+/// at quiescence. The store holds every span from the oldest open one on,
+/// so no held span being open means none is, and the live window is
+/// empty.
+#[test]
+fn every_span_is_closed_at_quiescence() {
+    // Spans recorded, and drop spans among those still held, over all
+    // cases.
+    let totals = Cell::new((0usize, 0usize));
+    prop::check(FLOOD_SEED, CASES, &flood_cases(), |case| {
+        let (sim, _) = flood(case, true);
+        let log = sim.lineage();
+        let open: Vec<_> = log.spans().iter().filter(|s| s.is_open()).collect();
+        assert!(
+            open.is_empty(),
+            "{} open spans, first {:?}",
+            open.len(),
+            open[0]
+        );
+        assert_eq!(log.audit(SimTime::MAX, None).truncated, 0);
+        let drops = log
+            .spans()
+            .iter()
+            .filter(|s| s.event == SpanEvent::Drop)
+            .count();
+        let (n, d) = totals.get();
+        totals.set((n + log.spans().len(), d + drops));
+    });
+    // The law is not vacuous: spans were recorded, and some died.
+    let (spans, drops) = totals.get();
+    assert!(spans > 0 && drops > 0, "{spans} spans, {drops} drops");
 }
 
 /// Shortest-path distances satisfy the triangle inequality and symmetry
@@ -398,17 +461,35 @@ fn path_delay_equals_distance() {
     });
 }
 
-/// One span as the auditor reads it.
+/// One span as the auditors and the fingerprint read it.
 struct ModelSpan {
     lineage: u64,
-    event: SpanEvent,
+    node: u32,
+    cause: u32,
     entity: u32,
     reason: &'static str,
-    open: bool,
+    event: SpanEvent,
+    t_enqueue: SimTime,
+    t_service_start: SimTime,
+    t_done: SimTime,
 }
 
-/// What a [`LineageLog`] records, kept beside it with the reasons as text:
-/// the input of the oracle auditor.
+impl ModelSpan {
+    fn is_open(&self) -> bool {
+        self.t_done == SimTime::MAX
+    }
+
+    /// Service starts at `now` unless it already has; the span is done.
+    fn close(&mut self, now: SimTime) {
+        if self.t_service_start == SimTime::MAX {
+            self.t_service_start = now;
+        }
+        self.t_done = now;
+    }
+}
+
+/// What a [`LineageLog`] records, every span kept, beside it with the
+/// reasons as text: the input of the oracle auditors.
 struct LineageModel {
     sample: u64,
     capacity: usize,
@@ -422,8 +503,21 @@ impl LineageModel {
         self.sample <= 1 || lid.is_multiple_of(self.sample)
     }
 
+    /// The ids of the spans still open, oldest first.
+    fn open(&self) -> Vec<u32> {
+        (0..self.spans.len() as u32)
+            .filter(|&i| self.spans[i as usize].is_open())
+            .collect()
+    }
+
+    /// Records `span` unless the live window — from the oldest open span
+    /// to the newest — already holds `capacity` spans.
     fn push(&mut self, span: ModelSpan) -> u32 {
-        if self.spans.len() >= self.capacity {
+        let oldest_open = self
+            .open()
+            .first()
+            .map_or(self.spans.len(), |&i| i as usize);
+        if self.spans.len() - oldest_open >= self.capacity {
             self.truncated += 1;
             return NO_SPAN;
         }
@@ -438,11 +532,41 @@ impl LineageModel {
     fn lineage_of(&self, span: u32) -> Option<u64> {
         self.spans.get(span as usize).map(|s| s.lineage)
     }
+
+    /// The lineage fingerprint folded over every span, in id order.
+    fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for s in &self.spans {
+            eat(&s.lineage.to_le_bytes());
+            eat(&s.node.to_le_bytes());
+            eat(&s.cause.to_le_bytes());
+            eat(&s.entity.to_le_bytes());
+            eat(s.reason.as_bytes());
+            eat(s.event.as_str().as_bytes());
+            eat(&s.t_enqueue.as_nanos().to_le_bytes());
+            eat(&s.t_service_start.as_nanos().to_le_bytes());
+            eat(&s.t_done.as_nanos().to_le_bytes());
+        }
+        h
+    }
 }
 
 fn push_error(report: &mut AuditReport, msg: String) {
     if report.errors.len() < 32 {
         report.errors.push(msg);
+    }
+}
+
+fn in_window(t: SimTime, damage: Option<(SimTime, SimTime)>) -> bool {
+    match damage {
+        Some((lo, hi)) => t >= lo && t <= hi,
+        None => false,
     }
 }
 
@@ -459,10 +583,6 @@ fn oracle_audit(
         drop_reason: Option<&'static str>,
         open: u64,
     }
-    let in_window = |t: SimTime| match damage {
-        Some((lo, hi)) => t >= lo && t <= hi,
-        None => false,
-    };
 
     let mut per_lineage: BTreeMap<u64, LineageView> = BTreeMap::new();
     for rec in &m.spans {
@@ -477,7 +597,7 @@ fn oracle_audit(
                 }
             }
             SpanEvent::Origin | SpanEvent::Hop => {
-                if rec.open {
+                if rec.is_open() {
                     v.open += 1;
                 }
             }
@@ -527,7 +647,127 @@ fn oracle_audit(
                     *report.dropped.entry(v.drop_reason.unwrap()).or_insert(0) += 1;
                 }
                 Some(v) if v.open > 0 => report.in_flight += 1,
-                _ if in_window(*t_publish) => {
+                _ if in_window(*t_publish, damage) => {
+                    *report.dropped.entry("tree-gap").or_insert(0) += 1;
+                }
+                None if *t_publish >= cutoff => report.unpublished += 1,
+                _ => {
+                    report.unexplained += 1;
+                    push_error(
+                        &mut report,
+                        format!(
+                            "lineage {lid}: loss to entity {entity} is unexplained \
+                             (published {t_publish}, no drop, no open span)"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    report
+}
+
+/// The delivery auditor as it was while the log kept every span: flat
+/// books — one view per lineage, one counter per owed pair at the
+/// lineage's base plus the entity's slot — filled in one pass over the
+/// retained log, kept as the second oracle.
+fn retained_log_audit(
+    m: &LineageModel,
+    cutoff: SimTime,
+    damage: Option<(SimTime, SimTime)>,
+) -> AuditReport {
+    struct LineageView {
+        base: usize,
+        seen: bool,
+        drop_reason: Option<&'static str>,
+        open: u32,
+    }
+    // The slot of `entity` in an owed list: any slot holding it, the same
+    // one every time.
+    let slot = |owed: &[u32], entity: u32| {
+        owed.binary_search(&entity)
+            .ok()
+            .or_else(|| owed.iter().position(|&e| e == entity))
+    };
+
+    let owed: Vec<_> = m.expectations.iter().collect();
+    let mut views = Vec::with_capacity(owed.len());
+    let mut pairs = 0;
+    for (_, (_, _, entities)) in &owed {
+        views.push(LineageView {
+            base: pairs,
+            seen: false,
+            drop_reason: None,
+            open: 0,
+        });
+        pairs += entities.len();
+    }
+    let mut delivered = vec![0u32; pairs];
+    let mut unexpected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
+    for rec in &m.spans {
+        let Ok(i) = owed.binary_search_by_key(&rec.lineage, |&(&lid, _)| lid) else {
+            continue;
+        };
+        let v = &mut views[i];
+        v.seen = true;
+        match rec.event {
+            SpanEvent::Deliver => {
+                let (_, publisher, entities) = owed[i].1;
+                match slot(entities, rec.entity) {
+                    Some(s) => delivered[v.base + s] += 1,
+                    None if rec.entity == *publisher => {}
+                    None => *unexpected.entry((i, rec.entity)).or_insert(0) += 1,
+                }
+            }
+            SpanEvent::Drop => {
+                if v.drop_reason.is_none() && rec.reason != "client-duplicate-dropped" {
+                    v.drop_reason = Some(rec.reason);
+                }
+            }
+            SpanEvent::Origin | SpanEvent::Hop => {
+                if rec.is_open() {
+                    v.open += 1;
+                }
+            }
+        }
+    }
+
+    let mut report = AuditReport {
+        truncated: m.truncated,
+        lineages: owed.len() as u64,
+        ..AuditReport::default()
+    };
+    let mut unexpected = unexpected.into_iter().peekable();
+    for (i, (&(lid, (t_publish, _, entities)), v)) in owed.iter().zip(&views).enumerate() {
+        while let Some(((_, entity), n)) = unexpected.next_if(|&((j, _), _)| j == i) {
+            push_error(
+                &mut report,
+                format!("lineage {lid}: delivered {n}x to unexpected entity {entity}"),
+            );
+        }
+        let view = v.seen.then_some(v);
+        for &entity in entities {
+            report.total_pairs += 1;
+            let n = delivered[v.base + slot(entities, entity).expect("owed")];
+            if n == 1 {
+                report.delivered += 1;
+                continue;
+            }
+            if n > 1 {
+                report.duplicates += 1;
+                push_error(
+                    &mut report,
+                    format!("lineage {lid}: delivered {n}x to entity {entity} (want exactly once)"),
+                );
+                continue;
+            }
+            match view {
+                Some(LineageView {
+                    drop_reason: Some(r),
+                    ..
+                }) => *report.dropped.entry(*r).or_insert(0) += 1,
+                Some(v) if v.open > 0 => report.in_flight += 1,
+                _ if in_window(*t_publish, damage) => {
                     *report.dropped.entry("tree-gap").or_insert(0) += 1;
                 }
                 None if *t_publish >= cutoff => report.unpublished += 1,
@@ -552,13 +792,21 @@ fn oracle_audit(
 const LINEAGES: u32 = 6;
 const ENTITIES: u32 = 6;
 
-/// The flat-books auditor agrees with the ordered-map oracle, byte for byte
-/// in both renderings, over generated span logs: duplicate deliveries,
-/// deliveries off the owed list and to the publisher, duplicate-filter and
-/// `mark_dropped` drops (a reason also arriving as a second, equal string),
-/// open spans, lineages without an expectation and expectations without a
-/// span, unsorted owed lists with repeats, sampling, truncation, and every
-/// cutoff and damage window.
+/// The books the log keeps as spans are recorded agree with two auditors
+/// over the same log with every span kept — the flat one that read the
+/// log at audit time and the ordered-map oracle — byte for byte in both
+/// renderings, and the cursor's fingerprint with a fold over every span.
+/// Over generated logs: duplicate deliveries, deliveries off the owed list
+/// and to the publisher, duplicate-filter and `mark_dropped` drops (a
+/// reason also arriving as a second, equal string), open spans at the end,
+/// lineages without an expectation and expectations without a span, a
+/// lineage registered twice (the last registration wins), unsorted owed
+/// lists with repeats, sampling, truncation of the live window, and every
+/// cutoff and damage window. As the log's contract requires, every
+/// expectation is registered before the first span, and `close`,
+/// `mark_dropped`, `service_start` and the cause of `deliver_from` and
+/// `drop_from` are an open span or none; the unit tests in `lineage.rs`
+/// pin that each other call fails closed.
 #[test]
 fn flat_audit_agrees_with_the_ordered_map_oracle() {
     // The same text at another address: reasons are told apart by content.
@@ -571,14 +819,20 @@ fn flat_audit_agrees_with_the_ordered_map_oracle() {
         link_lost_copy,
         "",
     ];
-    // (operation, a, b, owed list)
-    let op = (
-        prop::range(0u32..9),
+    // (lineage and publisher, publish time, owed list)
+    let expectation = (
         prop::range(0u32..64),
         prop::range(0u32..64),
         prop::vec(prop::range(0u32..ENTITIES), 0..=5),
     );
+    // (operation, a, b)
+    let op = (
+        prop::range(0u32..8),
+        prop::range(0u32..64),
+        prop::range(0u32..64),
+    );
     let input = (
+        prop::vec(expectation, 0..=8),
         prop::vec(op, 0..=80),
         (prop::range(1u64..=2), prop::range(4usize..=96)),
         (
@@ -589,173 +843,198 @@ fn flat_audit_agrees_with_the_ordered_map_oracle() {
         ),
     );
     // Which outcomes some case produced (see `seen` below).
-    let fired = Cell::new([false; 9]);
-    prop::check(0x51310, 128, &input, |(ops, (sample, capacity), window)| {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig {
-            sample: *sample,
-            capacity: *capacity,
-        });
-        let mut m = LineageModel {
-            sample: *sample,
-            capacity: *capacity,
-            spans: Vec::new(),
-            truncated: 0,
-            expectations: BTreeMap::new(),
-        };
-        for (i, (kind, a, b, owed)) in ops.iter().enumerate() {
-            let now = SimTime::from_millis(i as u64);
-            let lid = u64::from(a % LINEAGES);
-            // An existing span, or (one time in len + 1) none at all.
-            let pick = |x: u32, m: &LineageModel| {
-                let n = m.spans.len() as u32 + 1;
-                if x % n == n - 1 {
-                    NO_SPAN
-                } else {
-                    x % n
-                }
+    let fired = Cell::new([false; 10]);
+    prop::check(
+        0x51310,
+        128,
+        &input,
+        |(expectations, ops, (sample, capacity), window)| {
+            let mut log = LineageLog::disabled();
+            log.enable(LineageConfig {
+                sample: *sample,
+                capacity: *capacity,
+            });
+            let mut m = LineageModel {
+                sample: *sample,
+                capacity: *capacity,
+                spans: Vec::new(),
+                truncated: 0,
+                expectations: BTreeMap::new(),
             };
-            let reason = reasons[*b as usize % reasons.len()];
-            let node = b % 4;
-            match kind {
-                0 => {
-                    let want = if m.sampled(lid) {
-                        m.push(open(lid, SpanEvent::Origin))
-                    } else {
+            for (a, b, owed) in expectations {
+                let lid = u64::from(a % LINEAGES);
+                let publisher = (a / LINEAGES) % ENTITIES;
+                let t_publish = SimTime::from_millis(u64::from(*b));
+                let mut owed = owed.clone();
+                if b % 3 == 0 {
+                    owed.sort_unstable();
+                    owed.dedup();
+                }
+                if m.sampled(lid) {
+                    m.expectations
+                        .insert(lid, (t_publish, publisher, owed.clone()));
+                }
+                log.expect(lid, t_publish, publisher, &owed);
+            }
+            for (i, (kind, a, b)) in ops.iter().enumerate() {
+                let now = SimTime::from_millis(i as u64);
+                let lid = u64::from(a % LINEAGES);
+                // A recorded span, or (one time in len + 1) none at all.
+                let any = |x: u32, m: &LineageModel| {
+                    let n = m.spans.len() as u32 + 1;
+                    if x % n == n - 1 {
                         NO_SPAN
-                    };
-                    assert_eq!(log.origin(lid, node, now), want);
-                }
-                1 => {
-                    let cause = pick(*b, &m);
-                    let want = if m.sampled(lid) {
-                        m.push(open(lid, SpanEvent::Hop))
                     } else {
-                        NO_SPAN
-                    };
-                    assert_eq!(log.hop(lid, cause, node, now), want);
-                }
-                2 => log.service_start(pick(*a, &m), now),
-                3 => {
-                    let span = pick(*a, &m);
-                    if let Some(s) = m.get_mut(span) {
-                        s.open = false;
+                        x % n
                     }
-                    log.close(span, now);
-                }
-                4 => {
-                    let cause = pick(*a, &m);
-                    let want = if m.sampled(lid) {
-                        m.push(ModelSpan {
-                            reason,
-                            ..closed(lid, SpanEvent::Drop, NO_ENTITY)
-                        })
+                };
+                // An open span, or (one time in open + 1) none at all.
+                let open = |x: u32, m: &LineageModel| {
+                    let open = m.open();
+                    let n = open.len() as u32 + 1;
+                    if x % n == n - 1 {
+                        NO_SPAN
                     } else {
-                        NO_SPAN
-                    };
-                    assert_eq!(log.drop_at(lid, cause, node, reason, now), want);
-                }
-                5 => {
-                    let span = pick(*a, &m);
-                    if let Some(s) = m.get_mut(span) {
-                        s.event = SpanEvent::Drop;
-                        s.reason = reason;
-                        s.open = false;
+                        open[(x % n) as usize]
                     }
-                    log.mark_dropped(span, reason, now);
-                }
-                6 => {
-                    let cause = pick(*a, &m);
-                    let entity = b % ENTITIES;
-                    let want = match m.lineage_of(cause) {
-                        Some(l) => m.push(closed(l, SpanEvent::Deliver, entity)),
-                        None => NO_SPAN,
-                    };
-                    assert_eq!(log.deliver_from(cause, node, entity, now), want);
-                }
-                7 => {
-                    let cause = pick(*a, &m);
-                    if let Some(l) = m.lineage_of(cause) {
-                        m.push(ModelSpan {
-                            reason,
-                            ..closed(l, SpanEvent::Drop, NO_ENTITY)
-                        });
+                };
+                let reason = reasons[*b as usize % reasons.len()];
+                let node = b % 4;
+                let span = |event, cause, entity, reason, t: [SimTime; 3]| ModelSpan {
+                    lineage: lid,
+                    node,
+                    cause,
+                    entity,
+                    reason,
+                    event,
+                    t_enqueue: t[0],
+                    t_service_start: t[1],
+                    t_done: t[2],
+                };
+                let opened = [now, SimTime::MAX, SimTime::MAX];
+                let done = [now; 3];
+                match kind {
+                    0 => {
+                        let want = if m.sampled(lid) {
+                            m.push(span(SpanEvent::Origin, NO_SPAN, NO_ENTITY, "", opened))
+                        } else {
+                            NO_SPAN
+                        };
+                        assert_eq!(log.origin(lid, node, now), want);
                     }
-                    log.drop_from(cause, node, reason, now);
-                }
-                _ => {
-                    let publisher = (a / LINEAGES) % ENTITIES;
-                    let t_publish = SimTime::from_millis(u64::from(*b));
-                    let mut owed = owed.clone();
-                    if b % 3 == 0 {
-                        owed.sort_unstable();
-                        owed.dedup();
+                    1 => {
+                        let cause = any(*b, &m);
+                        let want = if m.sampled(lid) {
+                            m.push(span(SpanEvent::Hop, cause, NO_ENTITY, "", opened))
+                        } else {
+                            NO_SPAN
+                        };
+                        assert_eq!(log.hop(lid, cause, node, now), want);
                     }
-                    if m.sampled(lid) {
-                        m.expectations
-                            .insert(lid, (t_publish, publisher, owed.clone()));
+                    2 => {
+                        let target = open(*a, &m);
+                        if let Some(s) = m.get_mut(target) {
+                            s.t_service_start = now;
+                        }
+                        log.service_start(target, now);
                     }
-                    log.expect(lid, t_publish, publisher, &owed);
+                    3 => {
+                        let target = open(*a, &m);
+                        if let Some(s) = m.get_mut(target) {
+                            s.close(now);
+                        }
+                        log.close(target, now);
+                    }
+                    4 => {
+                        let cause = any(*a, &m);
+                        let want = if m.sampled(lid) {
+                            m.push(span(SpanEvent::Drop, cause, NO_ENTITY, reason, done))
+                        } else {
+                            NO_SPAN
+                        };
+                        assert_eq!(log.drop_at(lid, cause, node, reason, now), want);
+                    }
+                    5 => {
+                        let target = open(*a, &m);
+                        if let Some(s) = m.get_mut(target) {
+                            s.event = SpanEvent::Drop;
+                            s.reason = reason;
+                            s.close(now);
+                        }
+                        log.mark_dropped(target, reason, now);
+                    }
+                    6 => {
+                        let cause = open(*a, &m);
+                        let entity = b % ENTITIES;
+                        let want = match m.lineage_of(cause) {
+                            Some(l) => m.push(ModelSpan {
+                                lineage: l,
+                                ..span(SpanEvent::Deliver, cause, entity, "", done)
+                            }),
+                            None => NO_SPAN,
+                        };
+                        assert_eq!(log.deliver_from(cause, node, entity, now), want);
+                    }
+                    _ => {
+                        let cause = open(*a, &m);
+                        if let Some(l) = m.lineage_of(cause) {
+                            m.push(ModelSpan {
+                                lineage: l,
+                                ..span(SpanEvent::Drop, cause, NO_ENTITY, reason, done)
+                            });
+                        }
+                        log.drop_from(cause, node, reason, now);
+                    }
                 }
             }
-        }
-        // The model is the log, reasons aside.
-        let recorded: Vec<_> = log
-            .spans()
-            .iter()
-            .map(|s| (s.lineage, s.event, s.entity, s.is_open()))
-            .collect();
-        let modelled: Vec<_> = m
-            .spans
-            .iter()
-            .map(|s| (s.lineage, s.event, s.entity, s.open))
-            .collect();
-        assert_eq!(recorded, modelled);
+            // The model is the log, reasons aside: no span is retired in a
+            // log this short.
+            let recorded: Vec<_> = log
+                .spans()
+                .iter()
+                .map(|s| (s.lineage, s.event, s.entity, s.is_open()))
+                .collect();
+            let modelled: Vec<_> = m
+                .spans
+                .iter()
+                .map(|s| (s.lineage, s.event, s.entity, s.is_open()))
+                .collect();
+            assert_eq!(recorded, modelled);
+            assert_eq!(log.fingerprint(), m.fingerprint());
 
-        let &(cutoff, damaged, lo, len) = window;
-        let cutoff = SimTime::from_millis(cutoff);
-        let damage = damaged.then(|| (SimTime::from_millis(lo), SimTime::from_millis(lo + len)));
-        let got = log.audit(cutoff, damage);
-        let want = oracle_audit(&m, cutoff, damage);
-        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
-        assert_eq!(got.table(), want.table());
+            let &(cutoff, damaged, lo, len) = window;
+            let cutoff = SimTime::from_millis(cutoff);
+            let damage =
+                damaged.then(|| (SimTime::from_millis(lo), SimTime::from_millis(lo + len)));
+            let got = log.audit(cutoff, damage);
+            let want = oracle_audit(&m, cutoff, damage);
+            let retained = retained_log_audit(&m, cutoff, damage);
+            for report in [&got, &retained] {
+                assert_eq!(report.to_json().to_string(), want.to_json().to_string());
+                assert_eq!(report.table(), want.table());
+            }
 
-        let unexpected = want.errors.iter().any(|e| e.contains("unexpected"));
-        let reason_dropped = want.dropped.keys().any(|&r| r != "tree-gap");
-        let seen = [
-            want.duplicates > 0,
-            unexpected,
-            want.in_flight > 0,
-            want.unpublished > 0,
-            want.unexplained > 0,
-            want.dropped.contains_key("tree-gap"),
-            reason_dropped,
-            want.truncated > 0,
-            want.delivered > 0,
-        ];
-        let mut all = fired.get();
-        for (f, s) in all.iter_mut().zip(seen) {
-            *f |= s;
-        }
-        fired.set(all);
-    });
+            let unexpected = want.errors.iter().any(|e| e.contains("unexpected"));
+            let reason_dropped = want.dropped.keys().any(|&r| r != "tree-gap");
+            let seen = [
+                want.duplicates > 0,
+                unexpected,
+                want.in_flight > 0,
+                want.unpublished > 0,
+                want.unexplained > 0,
+                want.dropped.contains_key("tree-gap"),
+                reason_dropped,
+                want.truncated > 0,
+                want.delivered > 0,
+                m.spans.iter().any(ModelSpan::is_open),
+            ];
+            let mut all = fired.get();
+            for (f, s) in all.iter_mut().zip(seen) {
+                *f |= s;
+            }
+            fired.set(all);
+        },
+    );
     // The law is not vacuous: every outcome occurred in some case.
     assert!(fired.get().iter().all(|&f| f), "{:?}", fired.get());
-}
-
-fn open(lineage: u64, event: SpanEvent) -> ModelSpan {
-    ModelSpan {
-        open: true,
-        ..closed(lineage, event, NO_ENTITY)
-    }
-}
-
-fn closed(lineage: u64, event: SpanEvent, entity: u32) -> ModelSpan {
-    ModelSpan {
-        lineage,
-        event,
-        entity,
-        reason: "",
-        open: false,
-    }
 }

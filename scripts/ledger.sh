@@ -2,14 +2,18 @@
 # Heap ledger: one exact row per benchmark workload, printed as the
 # before → after tables of DESIGN.md §3.5 and the *Current ledger* line of
 # ROADMAP.md, so both are pasted from a command instead of transcribed.
+# Beside the three heap metrics each row carries the exact counts a heap
+# claim must leave alone — events, spans, export bytes and the share of
+# failed operations — so "nothing else moved" comes from the same command.
 #
 # Usage: scripts/ledger.sh [<before-checkout>]
 #
 # Runs the benchmark command of BENCHMARK.json once per workload at seed 42
 # with `--reps 1` — the heap counts repeat to the last digit between
 # processes (PR 22), so one repetition is the number. The three heap
-# metrics come from a `--trace 0` run, as the driver measures them;
-# `sim.engine.events_m` from a `--trace 1` run (the tracer's buffers move the
+# metrics and `fail_share` come from a `--trace 0` run, as the benchmark
+# measures them; `sim.engine.events_m`, `sim.lineage.spans_m` and
+# `sim.json.export_mb` from a `--trace 1` run (the tracer's buffers move the
 # peak, so the two are not one run). Given a second checkout — e.g. a
 # `git clone` of the parent commit under /root/scratch — each cell reads
 # `before → after`.
@@ -28,7 +32,8 @@ run() {
     (cd "$dir" && "${cmd[@]}" --workload "$w" --seed 42 --reps 1 --trace 0) \
         | awk -v w="$w" '$1 == w && NF == 4 { print $2, $3 }'
     (cd "$dir" && "${cmd[@]}" --workload "$w" --seed 42 --reps 1 --trace 1) \
-        | awk -v w="$w" '$1 == w && $2 == "sim.engine.events_m" && $3 != 0 { print $2, $3 }'
+        | awk -v w="$w" '$1 == w && $3 != 0 && ($2 == "sim.engine.events_m" ||
+            $2 == "sim.lineage.spans_m" || $2 == "sim.json.export_mb") { print $2, $3 }'
 }
 
 # One cell: metric $1 of the runs in $2 (after) and $3 (before, may be
@@ -40,14 +45,17 @@ cell() {
     if [[ -n "$3" && -n "$a$b" ]]; then echo "${b:-—} → ${a:-—}"; else echo "${a:-—}"; fi
 }
 
-echo "| workload | \`heap_allocs_m\` | \`heap_alloc_gb\` | \`peak_heap_mb\` | \`sim.engine.events_m\` |"
-echo "|---|---|---|---|---|"
+echo "| workload | \`heap_allocs_m\` | \`heap_alloc_gb\` | \`peak_heap_mb\` | \`sim.engine.events_m\`" \
+    "| \`sim.lineage.spans_m\` | \`sim.json.export_mb\` | \`fail_share\` |"
+echo "|---|---|---|---|---|---|---|---|"
 ledger=()
 for w in "${workloads[@]}"; do
     now=$(run "$after" "$w")
     old=${before:+$(run "$before" "$w")}
     echo "| \`$w\` | $(cell heap_allocs_m "$now" "$old" %.6f) | $(cell heap_alloc_gb "$now" "$old" %.6f)" \
-        "| $(cell peak_heap_mb "$now" "$old" %.3f) | $(cell sim.engine.events_m "$now" "$old" %s) |"
+        "| $(cell peak_heap_mb "$now" "$old" %.3f) | $(cell sim.engine.events_m "$now" "$old" %s)" \
+        "| $(cell sim.lineage.spans_m "$now" "$old" %s) | $(cell sim.json.export_mb "$now" "$old" %s)" \
+        "| $(cell fail_share "$now" "$old" %s) |"
     ledger+=("\`$w\` $(cell heap_allocs_m "$now" "" %.6f) / $(cell heap_alloc_gb "$now" "" %.6f) / $(cell peak_heap_mb "$now" "" %.3f)")
 done
 echo
