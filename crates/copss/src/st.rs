@@ -7,6 +7,114 @@ use gcopss_ndn::FaceId;
 
 use crate::RpId;
 
+/// The RP trees one provenance of an entry was joined toward: a sorted set
+/// sized for the common case. An entry is anchored at one or two trees, so
+/// up to two ids live inline in the entry and only a third spills to a heap
+/// vector; a removal that leaves two or fewer moves them back inline.
+#[derive(Debug)]
+enum Anchors {
+    /// `ids[..len]`, ascending; `len <= 2`.
+    Inline { len: u8, ids: [RpId; 2] },
+    /// Three or more ids, ascending.
+    Spilled(Vec<RpId>),
+}
+
+impl Anchors {
+    /// The inline set of `sorted`, which yields at most two ids.
+    fn inline(sorted: impl ExactSizeIterator<Item = RpId>) -> Self {
+        let len = sorted.len() as u8;
+        let mut ids = [RpId(0); 2];
+        for (slot, rp) in ids.iter_mut().zip(sorted) {
+            *slot = rp;
+        }
+        Self::Inline { len, ids }
+    }
+
+    fn as_slice(&self) -> &[RpId] {
+        match self {
+            Self::Inline { len, ids } => &ids[..usize::from(*len)],
+            Self::Spilled(v) => v,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    fn contains(&self, rp: RpId) -> bool {
+        self.as_slice().contains(&rp)
+    }
+
+    fn insert(&mut self, rp: RpId) {
+        let Err(at) = self.as_slice().binary_search(&rp) else {
+            return;
+        };
+        match self {
+            Self::Inline { len: 2, ids } => {
+                let mut v = Vec::with_capacity(3);
+                v.extend_from_slice(ids);
+                v.insert(at, rp);
+                *self = Self::Spilled(v);
+            }
+            Self::Inline { len, ids } => {
+                ids.copy_within(at..usize::from(*len), at + 1);
+                ids[at] = rp;
+                *len += 1;
+            }
+            Self::Spilled(v) => v.insert(at, rp),
+        }
+    }
+
+    fn remove(&mut self, rp: RpId) {
+        let Ok(at) = self.as_slice().binary_search(&rp) else {
+            return;
+        };
+        match self {
+            Self::Inline { len, ids } => {
+                ids.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            Self::Spilled(v) => {
+                v.remove(at);
+                if v.len() <= 2 {
+                    *self = Self::inline(v.iter().copied());
+                }
+            }
+        }
+    }
+}
+
+impl From<BTreeSet<RpId>> for Anchors {
+    fn from(rps: BTreeSet<RpId>) -> Self {
+        if rps.len() > 2 {
+            Self::Spilled(rps.into_iter().collect())
+        } else {
+            Self::inline(rps.into_iter())
+        }
+    }
+}
+
+impl Clone for Anchors {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Inline { len, ids } => Self::Inline {
+                len: *len,
+                ids: *ids,
+            },
+            Self::Spilled(v) => Self::Spilled(v.clone()),
+        }
+    }
+
+    /// Reuses a spilled vector's buffer, so mirroring an entry into the
+    /// index allocates only when the set outgrows it.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Self::Spilled(to), Self::Spilled(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 /// One face's subscription to one CD name.
 ///
 /// The two anchor sets record *who asserted* the anchors — host-derived
@@ -16,14 +124,14 @@ use crate::RpId;
 /// into one set with an `auto` flag (as this table originally did) lets a
 /// host re-subscribe convert a router-join entry, after which the next
 /// retag silently wipes the router's anchors and multicasts skip the face.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 struct SubEntry {
     /// Anchors derived from the RP table for a host subscription (no RP tag
     /// on the wire). `Some` even when empty: a host subscription with no
     /// reachable RP still exists for untagged (host-side) delivery.
-    host: Option<BTreeSet<RpId>>,
+    host: Option<Anchors>,
     /// Anchors asserted by explicit router joins, one per joined RP tree.
-    router: Option<BTreeSet<RpId>>,
+    router: Option<Anchors>,
 }
 
 impl SubEntry {
@@ -44,8 +152,8 @@ impl SubEntry {
         match tree {
             None => true,
             Some(t) => {
-                self.host.as_ref().is_some_and(|s| s.contains(&t))
-                    || self.router.as_ref().is_some_and(|s| s.contains(&t))
+                self.host.as_ref().is_some_and(|s| s.contains(t))
+                    || self.router.as_ref().is_some_and(|s| s.contains(t))
             }
         }
     }
@@ -54,10 +162,28 @@ impl SubEntry {
     fn anchors(&self) -> impl Iterator<Item = &RpId> {
         self.host
             .iter()
-            .flatten()
-            .chain(self.router.iter().flatten())
+            .chain(&self.router)
+            .flat_map(Anchors::as_slice)
     }
 }
+
+impl Clone for SubEntry {
+    fn clone(&self) -> Self {
+        Self {
+            host: self.host.clone(),
+            router: self.router.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.host.clone_from(&source.host);
+        self.router.clone_from(&source.router);
+    }
+}
+
+/// One index value: every face subscribed to exactly this name, sorted by
+/// face. Most names have one face, held in a vector of capacity one.
+type FaceEntries = Vec<(FaceId, SubEntry)>;
 
 /// The COPSS Subscription Table: for every face, the set of CDs subscribed
 /// through that face, each tagged with the RP trees it was joined toward.
@@ -69,11 +195,11 @@ impl SubEntry {
 /// Internally the table keeps two synchronized views:
 ///
 /// * a **shared match index** — one [`NameTreeBitmap`] over all faces'
-///   subscription names, each node holding the per-face anchor entries for
-///   that exact name. [`SubscriptionTable::matching_faces_into`] walks the
-///   packet's CD down this index using the precomputed per-level hashes it
-///   carries (§III-C), so the cost of a match is `O(depth)` regardless of
-///   how many faces or subscriptions the table holds;
+///   subscription names, each node holding the face-sorted anchor entries
+///   for that exact name. [`SubscriptionTable::matching_faces_into`] walks
+///   the packet's CD down this index using the precomputed per-level hashes
+///   it carries (§III-C), so the cost of a match is `O(depth)` regardless
+///   of how many faces or subscriptions the table holds;
 /// * **per-face tables** — each face's exact entry map plus the counting
 ///   Bloom filter of §III-C. The exact maps make `Unsubscribe` and
 ///   [`SubscriptionTable::matching_faces_exact`] (the brute-force oracle the
@@ -98,7 +224,7 @@ impl SubEntry {
 #[derive(Debug, Clone)]
 pub struct SubscriptionTable {
     /// Shared match index: subscription name → per-face anchor entries.
-    index: NameTreeBitmap<BTreeMap<FaceId, SubEntry>>,
+    index: NameTreeBitmap<FaceEntries>,
     faces: BTreeMap<FaceId, FaceTable>,
     bloom_params: BloomParams,
 }
@@ -124,21 +250,25 @@ impl SubscriptionTable {
     /// Mirrors `face`'s entry for `name` into the shared index (or removes
     /// it when the entry is gone).
     fn sync_index(
-        index: &mut NameTreeBitmap<BTreeMap<FaceId, SubEntry>>,
+        index: &mut NameTreeBitmap<FaceEntries>,
         name: &Name,
         face: FaceId,
         entry: Option<&SubEntry>,
     ) {
         match entry {
             Some(e) => {
-                index
-                    .get_or_insert_with(name, BTreeMap::new)
-                    .insert(face, e.clone());
+                let faces = index.get_or_insert_with(name, || Vec::with_capacity(1));
+                match faces.binary_search_by_key(&face, |(f, _)| *f) {
+                    Ok(i) => faces[i].1.clone_from(e),
+                    Err(i) => faces.insert(i, (face, e.clone())),
+                }
             }
             None => {
-                if let Some(m) = index.get_mut(name) {
-                    m.remove(&face);
-                    if m.is_empty() {
+                if let Some(faces) = index.get_mut(name) {
+                    if let Ok(i) = faces.binary_search_by_key(&face, |(f, _)| *f) {
+                        faces.remove(i);
+                    }
+                    if faces.is_empty() {
                         index.remove(name);
                     }
                 }
@@ -169,7 +299,10 @@ impl SubscriptionTable {
             ft.bloom.insert(cd.stable_hash());
         }
         let side = if auto { &mut e.host } else { &mut e.router };
-        side.get_or_insert_with(BTreeSet::new).extend(rps);
+        match side {
+            Some(anchors) => rps.into_iter().for_each(|rp| anchors.insert(rp)),
+            None => *side = Some(rps.into()),
+        }
         Self::sync_index(&mut self.index, &cd, face, Some(e));
         created
     }
@@ -190,7 +323,7 @@ impl SubscriptionTable {
         match rp {
             Some(r) => {
                 if let Some(router) = &mut e.router {
-                    router.remove(&r);
+                    router.remove(r);
                     if router.is_empty() {
                         e.router = None;
                     }
@@ -239,13 +372,12 @@ impl SubscriptionTable {
         for (face, ft) in &mut self.faces {
             for (name, e) in &mut ft.entries {
                 if e.host.is_some() {
-                    e.host = Some(anchors_of(name));
+                    e.host = Some(anchors_of(name).into());
                     Self::sync_index(&mut self.index, name, *face, Some(e));
                 }
             }
         }
     }
-
     /// Writes the faces a multicast with CD `cd` travelling tree `tree` must
     /// be forwarded to, excluding `arrival`, into `out` — sorted, without
     /// duplicates, replacing whatever `out` held. Walks the shared index
@@ -583,7 +715,9 @@ mod tests {
         assert_eq!(cds, vec![n("/a"), n("/b")]);
         assert!(st.is_empty());
         assert!(st.remove_face(FaceId(1)).is_empty());
-        assert!(st.matching_faces(&Cd::parse_lit("/a/x"), None, None).is_empty());
+        assert!(st
+            .matching_faces(&Cd::parse_lit("/a/x"), None, None)
+            .is_empty());
     }
 
     #[test]
@@ -595,5 +729,40 @@ mod tests {
         let tagged = st.all_subscriptions_tagged();
         assert_eq!(tagged[&n("/a")], rps(&[0, 1]));
         assert_eq!(st.len(), 3);
+    }
+
+    #[test]
+    fn an_entry_holds_its_anchors_in_48_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Anchors>>(), 24);
+        assert_eq!(std::mem::size_of::<SubEntry>(), 48);
+        assert_eq!(std::mem::size_of::<(FaceId, SubEntry)>(), 56);
+    }
+
+    #[test]
+    fn anchors_are_a_sorted_set_inline_up_to_two() {
+        // Every sequence of five inserts/removes over four RPs, from every
+        // starting set a subscription can bring: the set stays sorted and
+        // equal to a `BTreeSet` driven alike, inline exactly when it holds
+        // two or fewer.
+        for start in [rps(&[]), rps(&[2]), rps(&[1, 3]), rps(&[0, 1, 3])] {
+            for mut code in 0..8u32.pow(5) {
+                let mut anchors = Anchors::from(start.clone());
+                let mut model = start.clone();
+                for _ in 0..5 {
+                    let rp = RpId(code % 4);
+                    if code / 4 % 2 == 0 {
+                        anchors.insert(rp);
+                        model.insert(rp);
+                    } else {
+                        anchors.remove(rp);
+                        model.remove(&rp);
+                    }
+                    code /= 8;
+                    assert!(anchors.as_slice().iter().eq(&model));
+                    assert_eq!(matches!(anchors, Anchors::Inline { .. }), model.len() <= 2);
+                    assert_eq!(anchors.clone().as_slice(), anchors.as_slice());
+                }
+            }
+        }
     }
 }

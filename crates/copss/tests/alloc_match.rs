@@ -67,3 +67,77 @@ fn warm_st_match_and_fib_lookup_make_no_heap_calls() {
         probes.len() * 5
     );
 }
+
+/// Heap calls `f` makes on this thread.
+fn calls_of(f: impl FnOnce()) -> u64 {
+    let before = counting_alloc::heap_calls();
+    f();
+    counting_alloc::heap_calls() - before
+}
+
+/// What a subscription costs the table, in allocator calls. Anchor sets of
+/// up to two RPs live inline in their entry, and a name with one face holds
+/// it in a one-slot vector, so the costs are those of the name, not of the
+/// sets around it. Each RP set is built before its measurement: the caller
+/// pays for that, and the table moves it in.
+#[test]
+fn subscription_costs_are_pinned() {
+    let mut st = SubscriptionTable::default();
+    for (i, name) in names().into_iter().enumerate() {
+        st.subscribe(FaceId(i as u32 % 16), name, [RpId(0)].into(), true);
+    }
+    let two = || -> std::collections::BTreeSet<RpId> { [RpId(0), RpId(1)].into() };
+    let fresh = Name::root().child_index(3).child_index(5).child_index(9);
+
+    let rps = two();
+    let new_name = calls_of(|| {
+        assert!(st.subscribe(FaceId(1), fresh.clone(), rps, true));
+    });
+    // Two for the name's node in the index trie, one for its face vector;
+    // face 1's few entries fit its map's one B-tree leaf.
+    assert_eq!(new_name, 3, "a host subscription to a new name");
+
+    let rps = two();
+    let again = calls_of(|| {
+        assert!(!st.subscribe(FaceId(1), fresh.clone(), rps, true));
+    });
+    assert_eq!(again, 0, "re-subscribing the same (face, name, RPs)");
+
+    // A router join beside the host entry, then its tagged leave: the entry
+    // lives on through its host anchors.
+    st.subscribe(FaceId(1), fresh.clone(), [RpId(4)].into(), false);
+    let leave = calls_of(|| {
+        assert!(!st.unsubscribe(FaceId(1), &fresh, Some(RpId(4))));
+    });
+    assert_eq!(leave, 0, "a tagged unsubscribe that leaves the entry alive");
+
+    // The same past two RPs: a spilled set shrinks back inline for free, and
+    // an unchanged re-subscribe reuses the index copy's buffer.
+    let three: std::collections::BTreeSet<RpId> = [RpId(5), RpId(6), RpId(7)].into();
+    st.subscribe(FaceId(1), fresh.clone(), three.clone(), false);
+    let spilled_again = calls_of(|| {
+        st.subscribe(FaceId(1), fresh.clone(), three, false);
+    });
+    assert_eq!(spilled_again, 0, "re-subscribing a spilled set");
+    let shrink = calls_of(|| {
+        assert!(!st.unsubscribe(FaceId(1), &fresh, Some(RpId(6))));
+    });
+    assert_eq!(shrink, 0, "a tagged unsubscribe that shrinks a spilled set");
+
+    let rps = two();
+    let second_face = calls_of(|| {
+        assert!(st.subscribe(FaceId(2), fresh.clone(), rps, true));
+    });
+    assert!(
+        second_face <= 1,
+        "a second face on an existing name: {second_face} calls"
+    );
+
+    let cd = Cd::new(fresh.child_index(0));
+    assert_eq!(st.matching_faces(&cd, None, Some(RpId(7))), vec![FaceId(1)]);
+    assert!(st.matching_faces(&cd, None, Some(RpId(6))).is_empty());
+    assert_eq!(
+        st.matching_faces(&cd, None, Some(RpId(1))),
+        vec![FaceId(1), FaceId(2)]
+    );
+}

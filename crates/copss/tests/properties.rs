@@ -1,6 +1,9 @@
 //! Property-based tests for the COPSS layer, on the deterministic
 //! `gcopss_compat::prop` harness.
 
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+
 use gcopss_compat::prop::{self, Strategy};
 use gcopss_copss::{CopssEngine, RpId, RpTable, SubscriptionTable, TrafficWindow};
 use gcopss_names::{Cd, Component, Name};
@@ -23,7 +26,10 @@ fn name(parts: &[u32]) -> Name {
 #[test]
 fn bloom_superset_of_exact_under_churn() {
     let input = (
-        prop::vec((prop::bools(), prop::range(0u32..6), name_strategy()), 1..=59),
+        prop::vec(
+            (prop::bools(), prop::range(0u32..6), name_strategy()),
+            1..=59,
+        ),
         name_strategy(),
     );
     prop::check(0xC0501, CASES, &input, |(ops, probe_parts)| {
@@ -77,65 +83,164 @@ fn tricky_name(parts: &[String]) -> Name {
     )
 }
 
-/// One randomized Subscription Table op: (kind, face, name, rp).
-fn churn_ops() -> impl Strategy<Value = Vec<(u32, u32, Vec<String>, u32)>> {
+/// One randomized Subscription Table op: (kind, face, name, (RPs, again)).
+/// The RP list holds 0–4 draws from five trees, so anchor sets cross the
+/// table's two-inline limit in both directions; `again` sends the op back to
+/// the entry the previous op touched, so joins merge into live sets and
+/// leaves meet the joins they retract.
+type Op = (u32, u32, Vec<String>, (Vec<u32>, bool));
+
+/// A run of 1–59 ops.
+fn churn_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::vec(
         (
             prop::range(0u32..8),
             prop::range(0u32..5),
             tricky_name_strategy(),
-            prop::range(0u32..3),
+            (prop::vec(prop::range(0u32..5), 0..=4), prop::bools()),
         ),
         1..=59,
     )
 }
 
-/// Applies one encoded op to `st`.
-fn apply_op(st: &mut SubscriptionTable, op: &(u32, u32, Vec<String>, u32)) {
-    let (kind, face, parts, rp) = op;
-    let f = FaceId(*face);
-    let nm = tricky_name(parts);
-    let r = RpId(*rp);
+/// The RP trees probed: every tree an op can anchor at.
+const TREES: u32 = 5;
+
+/// The plain model of the table: (face, name) → (host anchors, router
+/// anchors), each `None` when that provenance never subscribed.
+type Model = BTreeMap<(FaceId, Name), (Option<BTreeSet<RpId>>, Option<BTreeSet<RpId>>)>;
+
+/// The RP table a retag reads: deterministic and name-dependent, from no
+/// anchor at the root to four at depth four.
+fn retag_anchors(n: &Name) -> BTreeSet<RpId> {
+    (0..n.len() as u32).map(RpId).collect()
+}
+
+/// Applies op `kind` on entry `key` with RPs `rps` to `st` and to `model`.
+fn apply_op(
+    st: &mut SubscriptionTable,
+    model: &mut Model,
+    kind: u32,
+    key: &(FaceId, Name),
+    rps: &[u32],
+) {
+    let (f, nm) = key.clone();
+    let set: BTreeSet<RpId> = rps.iter().map(|&r| RpId(r)).collect();
     match kind {
-        0 | 1 => {
-            st.subscribe(f, nm, [r].into(), true);
-        }
-        2 | 3 => {
-            st.subscribe(f, nm, [r].into(), false);
+        0..=3 => {
+            let auto = kind < 2;
+            st.subscribe(f, nm, set.clone(), auto);
+            let (host, router) = model.entry(key.clone()).or_default();
+            let side = if auto { host } else { router };
+            side.get_or_insert_with(BTreeSet::new).extend(set);
         }
         4 => {
             st.unsubscribe(f, &nm, None);
+            model.remove(key);
         }
         5 => {
-            st.unsubscribe(f, &nm, Some(r));
+            // Router leaves, one per RP drawn.
+            for r in set {
+                st.unsubscribe(f, &nm, Some(r));
+                let Some((host, router)) = model.get_mut(key) else {
+                    continue;
+                };
+                if let Some(joined) = router {
+                    joined.remove(&r);
+                    if joined.is_empty() {
+                        *router = None;
+                    }
+                }
+                if host.is_none() && router.is_none() {
+                    model.remove(key);
+                }
+            }
         }
         6 => {
-            // RpUpdate settled: host anchors recomputed by a name-dependent
-            // (deterministic) RP table.
-            st.retag_auto(|n| [RpId(n.len() as u32 % 3)].into());
+            // RpUpdate settled: host anchors recomputed from the RP table.
+            st.retag_auto(retag_anchors);
+            for ((_, n), (host, _)) in model.iter_mut() {
+                if host.is_some() {
+                    *host = Some(retag_anchors(n));
+                }
+            }
         }
         _ => {
             st.remove_face(f);
+            model.retain(|(mf, _), _| *mf != f);
         }
     }
+}
+
+/// The faces `model` forwards `probe` on tree `tree` to, excluding
+/// `arrival`: the match rule, read straight off the subscriptions.
+fn model_match(
+    model: &Model,
+    probe: &Name,
+    arrival: Option<FaceId>,
+    tree: Option<RpId>,
+) -> Vec<FaceId> {
+    let holds = |side: &Option<BTreeSet<RpId>>, t| side.as_ref().is_some_and(|s| s.contains(&t));
+    let mut out: Vec<FaceId> = model
+        .iter()
+        .filter(|((f, n), _)| Some(*f) != arrival && n.is_prefix_of(probe))
+        .filter(|(_, (host, router))| tree.is_none_or(|t| holds(host, t) || holds(router, t)))
+        .map(|((f, _), _)| *f)
+        .collect();
+    out.dedup();
+    out
 }
 
 /// Tentpole equivalence proof (ISSUE 6): after any sequence of
 /// subscribe/unsubscribe/retag/remove-face ops, the tree-bitmap index path
 /// is byte-identical to the brute-force per-face scan — for every name seen
 /// in the run, every tree, every arrival face — and so is the paper-literal
-/// Bloom-prefiltered path.
+/// Bloom-prefiltered path. All three share the table's anchor sets, so each
+/// is also checked against a plain model kept in standard sets, as are
+/// `len()` and `all_subscriptions_tagged()`.
 #[test]
 fn index_match_identical_to_exact_under_churn() {
+    // Some run must grow a router set past two RPs and a leave must shrink
+    // it to one or two in place, or the spilled arm went untested.
+    let spilled_then_shrank = Cell::new(false);
     prop::check(
         0xC0505,
         CASES,
         &(churn_ops(), tricky_name_strategy()),
         |(ops, probe_parts)| {
             let mut st = SubscriptionTable::default();
-            for op in ops {
-                apply_op(&mut st, op);
+            let mut model = Model::new();
+            let mut last: Option<(FaceId, Name)> = None;
+            for (kind, face, parts, (rps, again)) in ops {
+                let key = match last.take() {
+                    Some(prev) if *again => prev,
+                    _ => (FaceId(*face), tricky_name(parts)),
+                };
+                let router_len = |m: &Model| {
+                    m.get(&key)
+                        .and_then(|(_, router)| router.as_ref())
+                        .map_or(0, BTreeSet::len)
+                };
+                let before = router_len(&model);
+                apply_op(&mut st, &mut model, *kind, &key, rps);
+                if before > 2 && (1..=2).contains(&router_len(&model)) {
+                    spilled_then_shrank.set(true);
+                }
+                last = Some(key);
             }
+
+            assert_eq!(st.len(), model.len(), "len() diverged from the model");
+            let mut tagged: BTreeMap<Name, BTreeSet<RpId>> = BTreeMap::new();
+            for ((_, n), (host, router)) in &model {
+                let union = tagged.entry(n.clone()).or_default();
+                union.extend(host.iter().chain(router).flatten());
+            }
+            assert_eq!(
+                st.all_subscriptions_tagged(),
+                tagged,
+                "all_subscriptions_tagged() diverged from the model"
+            );
+
             let mut probes: Vec<Name> = ops.iter().map(|(_, _, p, _)| tricky_name(p)).collect();
             probes.push(tricky_name(probe_parts));
             // Also probe below each subscribed name (hierarchical match).
@@ -147,11 +252,17 @@ fn index_match_identical_to_exact_under_churn() {
             // The forwarder's buffer, reused across every probe and dirty on
             // first use: the in-place matcher must replace, not append.
             let mut reused = vec![FaceId(77), FaceId(3), FaceId(77)];
+            let trees = std::iter::once(None).chain((0..TREES).map(|t| Some(RpId(t))));
             for probe in &probes {
                 let cd = Cd::new(probe.clone());
-                for tree in [None, Some(RpId(0)), Some(RpId(1)), Some(RpId(2))] {
+                for tree in trees.clone() {
                     for arrival in [None, Some(FaceId(0)), Some(FaceId(3))] {
                         let exact = st.matching_faces_exact(&cd, arrival, tree);
+                        assert_eq!(
+                            exact,
+                            model_match(&model, probe, arrival, tree),
+                            "exact path diverged from the model at cd={probe} tree={tree:?} arrival={arrival:?}"
+                        );
                         assert_eq!(
                             st.matching_faces(&cd, arrival, tree),
                             exact,
@@ -171,6 +282,10 @@ fn index_match_identical_to_exact_under_churn() {
                 }
             }
         },
+    );
+    assert!(
+        spilled_then_shrank.get(),
+        "no run grew a router set past two RPs and shrank it back in place"
     );
 }
 
