@@ -142,7 +142,7 @@ impl CopssEngine {
         new_rp: RpId,
     ) -> (Vec<JoinRequest>, Vec<PruneRequest>) {
         self.rp_table.apply_move(moved, new_rp);
-        let table = self.rp_table.clone();
+        let table = &self.rp_table;
         self.st
             .retag_auto(|name| table.rps_for_subscription(name).into_iter().collect());
         self.reconcile()

@@ -12,10 +12,10 @@
 //! This crate provides the router-local machinery:
 //!
 //! * [`CopssPacket`] / [`MulticastPacket`] — the wire messages.
-//! * [`SubscriptionTable`] — per-face CD sets stored both exactly and as
-//!   counting Bloom filters (the paper's representation), with the
-//!   hierarchical match rule: a multicast with CD *c* leaves through every
-//!   face subscribed to any prefix of *c*.
+//! * [`SubscriptionTable`] — per-face CD sets, each subscription stored once
+//!   in a shared name index beside a counting Bloom filter per face (the
+//!   paper's representation), with the hierarchical match rule: a multicast
+//!   with CD *c* leaves through every face subscribed to any prefix of *c*.
 //! * [`RpTable`] — the prefix-free CD-prefix → RP assignment (§III-B
 //!   "Rendezvous Point Setup"), with the overlap queries subscription
 //!   propagation needs and the move operation behind hot-spot offloading.

@@ -11,7 +11,7 @@ use crate::RpId;
 /// sized for the common case. An entry is anchored at one or two trees, so
 /// up to two ids live inline in the entry and only a third spills to a heap
 /// vector; a removal that leaves two or fewer moves them back inline.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Anchors {
     /// `ids[..len]`, ascending; `len <= 2`.
     Inline { len: u8, ids: [RpId; 2] },
@@ -94,27 +94,6 @@ impl From<BTreeSet<RpId>> for Anchors {
     }
 }
 
-impl Clone for Anchors {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Inline { len, ids } => Self::Inline {
-                len: *len,
-                ids: *ids,
-            },
-            Self::Spilled(v) => Self::Spilled(v.clone()),
-        }
-    }
-
-    /// Reuses a spilled vector's buffer, so mirroring an entry into the
-    /// index allocates only when the set outgrows it.
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Self::Spilled(to), Self::Spilled(from)) => to.clone_from(from),
-            (to, from) => *to = from.clone(),
-        }
-    }
-}
-
 /// One face's subscription to one CD name.
 ///
 /// The two anchor sets record *who asserted* the anchors — host-derived
@@ -124,7 +103,7 @@ impl Clone for Anchors {
 /// into one set with an `auto` flag (as this table originally did) lets a
 /// host re-subscribe convert a router-join entry, after which the next
 /// retag silently wipes the router's anchors and multicasts skip the face.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SubEntry {
     /// Anchors derived from the RP table for a host subscription (no RP tag
     /// on the wire). `Some` even when empty: a host subscription with no
@@ -167,23 +146,22 @@ impl SubEntry {
     }
 }
 
-impl Clone for SubEntry {
-    fn clone(&self) -> Self {
-        Self {
-            host: self.host.clone(),
-            router: self.router.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.host.clone_from(&source.host);
-        self.router.clone_from(&source.router);
-    }
+/// One index value: every face subscribed to exactly this name.
+#[derive(Debug, Clone)]
+struct Subscribers {
+    /// The name itself, a refcount on the first subscriber's `Name`: a walk
+    /// over the index hands names out without building any.
+    name: Name,
+    /// Sorted by face. Most names have one face, held in a vector of
+    /// capacity one.
+    faces: Vec<(FaceId, SubEntry)>,
 }
 
-/// One index value: every face subscribed to exactly this name, sorted by
-/// face. Most names have one face, held in a vector of capacity one.
-type FaceEntries = Vec<(FaceId, SubEntry)>;
+impl Subscribers {
+    fn position(&self, face: FaceId) -> Result<usize, usize> {
+        self.faces.binary_search_by_key(&face, |(f, _)| *f)
+    }
+}
 
 /// The COPSS Subscription Table: for every face, the set of CDs subscribed
 /// through that face, each tagged with the RP trees it was joined toward.
@@ -192,20 +170,15 @@ type FaceEntries = Vec<(FaceId, SubEntry)>;
 /// forwarded to face `f` iff `f` subscribed to some *prefix* of `c` with
 /// `T` among its anchor RPs.
 ///
-/// Internally the table keeps two synchronized views:
-///
-/// * a **shared match index** — one [`NameTreeBitmap`] over all faces'
-///   subscription names, each node holding the face-sorted anchor entries
-///   for that exact name. [`SubscriptionTable::matching_faces_into`] walks
-///   the packet's CD down this index using the precomputed per-level hashes
-///   it carries (§III-C), so the cost of a match is `O(depth)` regardless
-///   of how many faces or subscriptions the table holds;
-/// * **per-face tables** — each face's exact entry map plus the counting
-///   Bloom filter of §III-C. The exact maps make `Unsubscribe` and
-///   [`SubscriptionTable::matching_faces_exact`] (the brute-force oracle the
-///   differential tests compare against) independent of the index; the
-///   Bloom filters remain the wire-representable per-face CD summary
-///   behind [`SubscriptionTable::matching_faces_bloom`].
+/// Each (face, name) subscription is stored once, in a **shared match
+/// index**: one [`NameTreeBitmap`] over all faces' subscription names, each
+/// node holding the face-sorted anchor entries for that exact name.
+/// [`SubscriptionTable::matching_faces_into`] walks the packet's CD down this
+/// index using the precomputed per-level hashes it carries (§III-C), so the
+/// cost of a match is `O(depth)` regardless of how many faces or
+/// subscriptions the table holds. A face keeps only its subscription count
+/// and the counting Bloom filter of §III-C, the wire-representable per-face
+/// CD summary behind [`SubscriptionTable::matching_faces_bloom`].
 ///
 /// # Example
 ///
@@ -221,61 +194,22 @@ type FaceEntries = Vec<(FaceId, SubEntry)>;
 ///     .matching_faces(&Cd::parse_lit("/sports/football"), None, Some(RpId(9)))
 ///     .is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SubscriptionTable {
     /// Shared match index: subscription name → per-face anchor entries.
-    index: NameTreeBitmap<FaceEntries>,
-    faces: BTreeMap<FaceId, FaceTable>,
-    bloom_params: BloomParams,
+    index: NameTreeBitmap<Subscribers>,
+    faces: BTreeMap<FaceId, Face>,
 }
 
+/// What a face keeps beside the index.
 #[derive(Debug, Clone)]
-struct FaceTable {
-    entries: BTreeMap<Name, SubEntry>,
+struct Face {
+    /// Names this face subscribes to; the face goes when it reaches zero.
+    names: usize,
     bloom: CountingBloomFilter,
 }
 
 impl SubscriptionTable {
-    /// Creates an empty table whose per-face Bloom filters use the given
-    /// sizing.
-    #[must_use]
-    pub fn new(bloom_params: BloomParams) -> Self {
-        Self {
-            index: NameTreeBitmap::new(),
-            faces: BTreeMap::new(),
-            bloom_params,
-        }
-    }
-
-    /// Mirrors `face`'s entry for `name` into the shared index (or removes
-    /// it when the entry is gone).
-    fn sync_index(
-        index: &mut NameTreeBitmap<FaceEntries>,
-        name: &Name,
-        face: FaceId,
-        entry: Option<&SubEntry>,
-    ) {
-        match entry {
-            Some(e) => {
-                let faces = index.get_or_insert_with(name, || Vec::with_capacity(1));
-                match faces.binary_search_by_key(&face, |(f, _)| *f) {
-                    Ok(i) => faces[i].1.clone_from(e),
-                    Err(i) => faces.insert(i, (face, e.clone())),
-                }
-            }
-            None => {
-                if let Some(faces) = index.get_mut(name) {
-                    if let Ok(i) = faces.binary_search_by_key(&face, |(f, _)| *f) {
-                        faces.remove(i);
-                    }
-                    if faces.is_empty() {
-                        index.remove(name);
-                    }
-                }
-            }
-        }
-    }
-
     /// Adds a subscription for `cd` through `face`, anchored at `rps`.
     /// `auto = true` marks a host subscription whose anchors are derived
     /// from the RP table (and recomputed by
@@ -285,25 +219,31 @@ impl SubscriptionTable {
     /// `true` if the face was not already subscribed to exactly `cd`;
     /// re-subscribing merges into the matching provenance's anchor set.
     pub fn subscribe(&mut self, face: FaceId, cd: Name, rps: BTreeSet<RpId>, auto: bool) -> bool {
-        let params = self.bloom_params;
-        let ft = self.faces.entry(face).or_insert_with(|| FaceTable {
-            entries: BTreeMap::new(),
-            bloom: CountingBloomFilter::new(params),
+        let subs = self.index.get_or_insert_with(&cd, || Subscribers {
+            name: cd.clone(),
+            faces: Vec::with_capacity(1),
         });
-        let mut created = false;
-        let e = ft.entries.entry(cd.clone()).or_insert_with(|| {
-            created = true;
-            SubEntry::empty()
-        });
-        if created {
-            ft.bloom.insert(cd.stable_hash());
-        }
+        let (created, i) = match subs.position(face) {
+            Ok(i) => (false, i),
+            Err(i) => {
+                subs.faces.insert(i, (face, SubEntry::empty()));
+                (true, i)
+            }
+        };
+        let e = &mut subs.faces[i].1;
         let side = if auto { &mut e.host } else { &mut e.router };
         match side {
             Some(anchors) => rps.into_iter().for_each(|rp| anchors.insert(rp)),
             None => *side = Some(rps.into()),
         }
-        Self::sync_index(&mut self.index, &cd, face, Some(e));
+        if created {
+            let f = self.faces.entry(face).or_insert_with(|| Face {
+                names: 0,
+                bloom: CountingBloomFilter::new(BloomParams::default()),
+            });
+            f.names += 1;
+            f.bloom.insert(cd.stable_hash());
+        }
         created
     }
 
@@ -314,12 +254,13 @@ impl SubscriptionTable {
     /// provenance remains; with `None` the whole entry goes. Returns `true`
     /// if the entry was fully removed.
     pub fn unsubscribe(&mut self, face: FaceId, cd: &Name, rp: Option<RpId>) -> bool {
-        let Some(ft) = self.faces.get_mut(&face) else {
+        let Some(subs) = self.index.get_mut(cd) else {
             return false;
         };
-        let Some(e) = ft.entries.get_mut(cd) else {
+        let Ok(i) = subs.position(face) else {
             return false;
         };
+        let e = &mut subs.faces[i].1;
         match rp {
             Some(r) => {
                 if let Some(router) = &mut e.router {
@@ -334,30 +275,42 @@ impl SubscriptionTable {
                 e.router = None;
             }
         }
-        let gone = e.is_gone();
-        if gone {
-            ft.entries.remove(cd);
-            ft.bloom.remove(cd.stable_hash());
-            Self::sync_index(&mut self.index, cd, face, None);
-            if ft.entries.is_empty() {
+        if !e.is_gone() {
+            return false;
+        }
+        subs.faces.remove(i);
+        if subs.faces.is_empty() {
+            self.index.remove(cd);
+        }
+        if let Some(f) = self.faces.get_mut(&face) {
+            f.bloom.remove(cd.stable_hash());
+            f.names -= 1;
+            if f.names == 0 {
                 self.faces.remove(&face);
             }
-        } else {
-            Self::sync_index(&mut self.index, cd, face, Some(e));
         }
-        gone
+        true
     }
 
     /// Removes every subscription of `face` (e.g. the face went down),
-    /// returning the removed CDs.
+    /// returning the removed CDs in name order.
     pub fn remove_face(&mut self, face: FaceId) -> Vec<Name> {
-        let Some(ft) = self.faces.remove(&face) else {
+        let Some(f) = self.faces.remove(&face) else {
             return Vec::new();
         };
-        let cds: Vec<Name> = ft.entries.into_keys().collect();
+        let mut cds = Vec::with_capacity(f.names);
+        self.index.for_each_value_mut(|subs| {
+            if let Ok(i) = subs.position(face) {
+                subs.faces.remove(i);
+                cds.push(subs.name.clone());
+            }
+        });
         for cd in &cds {
-            Self::sync_index(&mut self.index, cd, face, None);
+            if self.index.get(cd).is_some_and(|s| s.faces.is_empty()) {
+                self.index.remove(cd);
+            }
         }
+        cds.sort_unstable();
         cds
     }
 
@@ -369,15 +322,15 @@ impl SubscriptionTable {
     /// from draining trees regardless: delivery to host faces is
     /// name-matched without a tree check, since leaves cannot loop.)
     pub fn retag_auto(&mut self, anchors_of: impl Fn(&Name) -> BTreeSet<RpId>) {
-        for (face, ft) in &mut self.faces {
-            for (name, e) in &mut ft.entries {
+        self.index.for_each_value_mut(|subs| {
+            for (_, e) in &mut subs.faces {
                 if e.host.is_some() {
-                    e.host = Some(anchors_of(name).into());
-                    Self::sync_index(&mut self.index, name, *face, Some(e));
+                    e.host = Some(anchors_of(&subs.name).into());
                 }
             }
-        }
+        });
     }
+
     /// Writes the faces a multicast with CD `cd` travelling tree `tree` must
     /// be forwarded to, excluding `arrival`, into `out` — sorted, without
     /// duplicates, replacing whatever `out` held. Walks the shared index
@@ -396,11 +349,11 @@ impl SubscriptionTable {
         out: &mut Vec<FaceId>,
     ) {
         out.clear();
-        for (_, face_map) in self
+        for (_, subs) in self
             .index
             .prefix_values_hashed(cd.name(), cd.hashes().as_slice())
         {
-            for (f, e) in face_map {
+            for (f, e) in &subs.faces {
                 if Some(*f) != arrival && e.matches_tree(tree) {
                     out.push(*f);
                 }
@@ -423,9 +376,9 @@ impl SubscriptionTable {
         out
     }
 
-    /// Like [`SubscriptionTable::matching_faces`] but scanning every face's
-    /// exact entry map, without the shared index (ground truth for the
-    /// differential tests).
+    /// Like [`SubscriptionTable::matching_faces`] but testing every stored
+    /// name with [`Name::is_prefix_of`] instead of descending the packet's
+    /// hashes (ground truth for the differential tests).
     #[must_use]
     pub fn matching_faces_exact(
         &self,
@@ -433,12 +386,20 @@ impl SubscriptionTable {
         arrival: Option<FaceId>,
         tree: Option<RpId>,
     ) -> Vec<FaceId> {
-        self.faces
-            .iter()
-            .filter(|(f, _)| Some(**f) != arrival)
-            .filter(|(_, ft)| Self::face_matches(ft, cd.name(), tree))
-            .map(|(f, _)| *f)
-            .collect()
+        let mut out = Vec::new();
+        self.index.for_each_value(|subs| {
+            if subs.name.is_prefix_of(cd.name()) {
+                out.extend(
+                    subs.faces
+                        .iter()
+                        .filter(|(f, e)| Some(*f) != arrival && e.matches_tree(tree))
+                        .map(|(f, _)| *f),
+                );
+            }
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// The paper-literal per-face path: Bloom prefilter on the packet's
@@ -459,14 +420,16 @@ impl SubscriptionTable {
             .iter()
             .filter(|(f, _)| Some(**f) != arrival)
             .filter(|(_, ft)| ft.bloom.contains_any(hashes))
-            .filter(|(_, ft)| Self::face_matches(ft, cd.name(), tree))
+            .filter(|(f, _)| {
+                cd.name().prefixes().any(|p| {
+                    self.index.get(&p).is_some_and(|subs| {
+                        subs.position(**f)
+                            .is_ok_and(|i| subs.faces[i].1.matches_tree(tree))
+                    })
+                })
+            })
             .map(|(f, _)| *f)
             .collect()
-    }
-
-    fn face_matches(ft: &FaceTable, cd: &Name, tree: Option<RpId>) -> bool {
-        cd.prefixes()
-            .any(|p| ft.entries.get(&p).is_some_and(|e| e.matches_tree(tree)))
     }
 
     /// Every `(name, anchor RPs)` subscription across all faces, merged
@@ -474,30 +437,25 @@ impl SubscriptionTable {
     #[must_use]
     pub fn all_subscriptions_tagged(&self) -> BTreeMap<Name, BTreeSet<RpId>> {
         let mut out: BTreeMap<Name, BTreeSet<RpId>> = BTreeMap::new();
-        for ft in self.faces.values() {
-            for (name, e) in &ft.entries {
-                out.entry(name.clone()).or_default().extend(e.anchors());
+        self.index.for_each_value(|subs| {
+            let union = out.entry(subs.name.clone()).or_default();
+            for (_, e) in &subs.faces {
+                union.extend(e.anchors());
             }
-        }
+        });
         out
     }
 
     /// Total number of (face, CD) subscription pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.faces.values().map(|ft| ft.entries.len()).sum()
+        self.faces.values().map(|f| f.names).sum()
     }
 
     /// Returns `true` if no face has any subscription.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.faces.is_empty()
-    }
-}
-
-impl Default for SubscriptionTable {
-    fn default() -> Self {
-        Self::new(BloomParams::default())
     }
 }
 
@@ -736,6 +694,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Anchors>>(), 24);
         assert_eq!(std::mem::size_of::<SubEntry>(), 48);
         assert_eq!(std::mem::size_of::<(FaceId, SubEntry)>(), 56);
+    }
+
+    #[test]
+    fn an_index_value_is_a_name_and_its_faces() {
+        assert_eq!(std::mem::size_of::<Option<Subscribers>>(), 40);
+        assert_eq!(std::mem::size_of::<SubscriptionTable>(), 104);
     }
 
     #[test]

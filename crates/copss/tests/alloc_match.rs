@@ -141,3 +141,39 @@ fn subscription_costs_are_pinned() {
         vec![FaceId(1), FaceId(2)]
     );
 }
+
+/// The table's walks over its index hand out the names they store and
+/// build none: a retag pays only for the sets its caller's closure returns,
+/// and a face going down only for the vector of names it returns.
+#[test]
+fn index_walks_build_no_names() {
+    let mut st = SubscriptionTable::default();
+    let mut hosts = 0;
+    for (i, name) in names().into_iter().enumerate() {
+        let auto = i % 3 != 0;
+        if st.subscribe(FaceId(i as u32 % 4), name, [RpId(0)].into(), auto) && auto {
+            hosts += 1;
+        }
+    }
+    // Face 7 holds 16 names: eight it shares with another face, eight of
+    // its own.
+    let shared = names().into_iter().take(8);
+    let own = (0..8).map(|z| Name::root().child_index(9).child_index(z));
+    for name in shared.chain(own) {
+        st.subscribe(FaceId(7), name, [RpId(0)].into(), false);
+    }
+    assert_eq!(st.len(), names().len() + 16);
+
+    let retag = calls_of(|| st.retag_auto(|_| [RpId(1), RpId(2)].into()));
+    assert_eq!(retag, hosts, "a retag over {hosts} host entries");
+
+    let mut purged = Vec::new();
+    let down = calls_of(|| purged = st.remove_face(FaceId(7)));
+    assert_eq!(purged.len(), 16);
+    assert_eq!(down, 1, "a face holding 16 names going down");
+    assert_eq!(st.len(), names().len());
+    assert_eq!(
+        calls_of(|| assert!(st.remove_face(FaceId(7)).is_empty())),
+        0
+    );
+}

@@ -116,7 +116,8 @@ fn retag_anchors(n: &Name) -> BTreeSet<RpId> {
     (0..n.len() as u32).map(RpId).collect()
 }
 
-/// Applies op `kind` on entry `key` with RPs `rps` to `st` and to `model`.
+/// Applies op `kind` on entry `key` with RPs `rps` to `st` and to `model`,
+/// checking what the table returns against the model.
 fn apply_op(
     st: &mut SubscriptionTable,
     model: &mut Model,
@@ -129,20 +130,30 @@ fn apply_op(
     match kind {
         0..=3 => {
             let auto = kind < 2;
-            st.subscribe(f, nm, set.clone(), auto);
+            let created = !model.contains_key(key);
+            assert_eq!(
+                st.subscribe(f, nm, set.clone(), auto),
+                created,
+                "subscribe's created"
+            );
             let (host, router) = model.entry(key.clone()).or_default();
             let side = if auto { host } else { router };
             side.get_or_insert_with(BTreeSet::new).extend(set);
         }
         4 => {
-            st.unsubscribe(f, &nm, None);
-            model.remove(key);
+            let gone = model.remove(key).is_some();
+            assert_eq!(
+                st.unsubscribe(f, &nm, None),
+                gone,
+                "untagged unsubscribe's gone"
+            );
         }
         5 => {
             // Router leaves, one per RP drawn.
             for r in set {
-                st.unsubscribe(f, &nm, Some(r));
+                let gone = st.unsubscribe(f, &nm, Some(r));
                 let Some((host, router)) = model.get_mut(key) else {
+                    assert!(!gone, "a leave of an absent entry removed it");
                     continue;
                 };
                 if let Some(joined) = router {
@@ -151,9 +162,11 @@ fn apply_op(
                         *router = None;
                     }
                 }
-                if host.is_none() && router.is_none() {
+                let emptied = host.is_none() && router.is_none();
+                if emptied {
                     model.remove(key);
                 }
+                assert_eq!(gone, emptied, "tagged unsubscribe's gone");
             }
         }
         6 => {
@@ -166,7 +179,14 @@ fn apply_op(
             }
         }
         _ => {
-            st.remove_face(f);
+            // The model's keys sort by face, then name: the face's names in
+            // name order, as `remove_face` returns them.
+            let names: Vec<Name> = model
+                .keys()
+                .filter(|(mf, _)| *mf == f)
+                .map(|(_, n)| n.clone())
+                .collect();
+            assert_eq!(st.remove_face(f), names, "remove_face's names");
             model.retain(|(mf, _), _| *mf != f);
         }
     }
@@ -193,16 +213,20 @@ fn model_match(
 
 /// Tentpole equivalence proof (ISSUE 6): after any sequence of
 /// subscribe/unsubscribe/retag/remove-face ops, the tree-bitmap index path
-/// is byte-identical to the brute-force per-face scan — for every name seen
-/// in the run, every tree, every arrival face — and so is the paper-literal
-/// Bloom-prefiltered path. All three share the table's anchor sets, so each
-/// is also checked against a plain model kept in standard sets, as are
-/// `len()` and `all_subscriptions_tagged()`.
+/// is byte-identical to the brute-force scan over every stored name — for
+/// every name seen in the run, every tree, every arrival face — and so is
+/// the paper-literal Bloom-prefiltered path. All three read the one copy of each subscription
+/// the index holds, so each is also checked against a plain model kept in
+/// standard sets, as are every op's return value, `len()`, `is_empty()` and
+/// `all_subscriptions_tagged()`.
 #[test]
 fn index_match_identical_to_exact_under_churn() {
     // Some run must grow a router set past two RPs and a leave must shrink
     // it to one or two in place, or the spilled arm went untested.
     let spilled_then_shrank = Cell::new(false);
+    // Some `remove_face` must take a face off a name another face keeps, or
+    // the index value outliving one of its faces went untested.
+    let shared_name_survived = Cell::new(false);
     prop::check(
         0xC0505,
         CASES,
@@ -222,6 +246,12 @@ fn index_match_identical_to_exact_under_churn() {
                         .map_or(0, BTreeSet::len)
                 };
                 let before = router_len(&model);
+                let shares = |(g, n): &(FaceId, Name)| {
+                    *g != key.0 && model.contains_key(&(key.0, n.clone()))
+                };
+                if *kind >= 7 && model.keys().any(shares) {
+                    shared_name_survived.set(true);
+                }
                 apply_op(&mut st, &mut model, *kind, &key, rps);
                 if before > 2 && (1..=2).contains(&router_len(&model)) {
                     spilled_then_shrank.set(true);
@@ -230,6 +260,7 @@ fn index_match_identical_to_exact_under_churn() {
             }
 
             assert_eq!(st.len(), model.len(), "len() diverged from the model");
+            assert_eq!(st.is_empty(), model.is_empty(), "is_empty() diverged");
             let mut tagged: BTreeMap<Name, BTreeSet<RpId>> = BTreeMap::new();
             for ((_, n), (host, router)) in &model {
                 let union = tagged.entry(n.clone()).or_default();
@@ -286,6 +317,10 @@ fn index_match_identical_to_exact_under_churn() {
     assert!(
         spilled_then_shrank.get(),
         "no run grew a router set past two RPs and shrank it back in place"
+    );
+    assert!(
+        shared_name_survived.get(),
+        "no remove_face left another face on a shared name"
     );
 }
 

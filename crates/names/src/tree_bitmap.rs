@@ -16,9 +16,9 @@
 //!   [`Component`] next to each child and compares it on the way down, so two
 //!   names that collide in all 64 hash bits still resolve exactly (they share
 //!   a leaf bucket).
-//! * Every name node maintains the number of values stored in its subtree, so
-//!   "any subscriber under this prefix?" is answered on the lookup path
-//!   without walking descendants.
+//! * A name node holds only its value and its children: removal prunes every
+//!   node left with neither, so the tree never carries an empty branch and
+//!   the map keeps a single count of its values.
 //!
 //! A lookup for a name of `d` components costs `O(d)` bitmap descents, each
 //! bounded by `⌈64/6⌉` nodes *independent of the number of entries* — the
@@ -209,14 +209,27 @@ impl<T> AmtNode<T> {
             }
         }
     }
+
+    /// [`AmtNode::for_each`] over the child nodes, mutably.
+    fn for_each_mut(&mut self, f: &mut impl FnMut(&mut Node<T>)) {
+        for slot in &mut self.slots {
+            match slot {
+                AmtSlot::Branch(b) => b.for_each_mut(f),
+                AmtSlot::Leaf(l) => {
+                    for (_, n) in &mut l.entries {
+                        f(n);
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// One name node: the value stored at this exact prefix, the number of
-/// values in this subtree, and the stride-bitmap dispatch to children.
+/// One name node: the value stored at this exact prefix and the
+/// stride-bitmap dispatch to its children.
 #[derive(Debug, Clone)]
 struct Node<T> {
     value: Option<T>,
-    subtree: usize,
     children: AmtNode<T>,
 }
 
@@ -224,9 +237,39 @@ impl<T> Default for Node<T> {
     fn default() -> Self {
         Self {
             value: None,
-            subtree: 0,
             children: AmtNode::default(),
         }
+    }
+}
+
+impl<T> Node<T> {
+    /// The node storing `name` below this one, created with its missing
+    /// ancestors if absent.
+    fn descend_or_insert(&mut self, name: &Name) -> &mut Self {
+        let mut node = self;
+        let mut hash = fnv1a(b"");
+        for c in name.components() {
+            hash = fnv1a_extend(hash, c.as_bytes());
+            node = node.children.child_or_insert(hash, 0, c);
+        }
+        node
+    }
+
+    /// Pre-order visit of every value at or below this node, in hash order.
+    fn for_each_value<'a>(&'a self, f: &mut impl FnMut(&'a T)) {
+        if let Some(v) = &self.value {
+            f(v);
+        }
+        self.children
+            .for_each(&mut |_, child| child.for_each_value(f));
+    }
+
+    fn for_each_value_mut(&mut self, f: &mut impl FnMut(&mut T)) {
+        if let Some(v) = &mut self.value {
+            f(v);
+        }
+        self.children
+            .for_each_mut(&mut |child| child.for_each_value_mut(f));
     }
 }
 
@@ -250,6 +293,8 @@ impl<T> Default for Node<T> {
 #[derive(Debug, Clone)]
 pub struct NameTreeBitmap<T> {
     root: Node<T>,
+    /// Number of names with values.
+    len: usize,
 }
 
 impl<T> Default for NameTreeBitmap<T> {
@@ -264,19 +309,20 @@ impl<T> NameTreeBitmap<T> {
     pub fn new() -> Self {
         Self {
             root: Node::default(),
+            len: 0,
         }
     }
 
     /// Number of names with values.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.root.subtree
+        self.len
     }
 
     /// Returns `true` if no name has a value.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.root.subtree == 0
+        self.len == 0
     }
 
     /// Walks to the node storing `name`, if it exists.
@@ -292,24 +338,11 @@ impl<T> NameTreeBitmap<T> {
 
     /// Inserts a value at `name`, returning the previous value if any.
     pub fn insert(&mut self, name: Name, value: T) -> Option<T> {
-        fn rec<T>(node: &mut Node<T>, name: &Name, depth: usize, hash: u64, value: T) -> Option<T> {
-            if depth == name.len() {
-                let old = node.value.replace(value);
-                if old.is_none() {
-                    node.subtree += 1;
-                }
-                return old;
-            }
-            let comp = &name.components()[depth];
-            let child_hash = fnv1a_extend(hash, comp.as_bytes());
-            let child = node.children.child_or_insert(child_hash, 0, comp);
-            let old = rec(child, name, depth + 1, child_hash, value);
-            if old.is_none() {
-                node.subtree += 1;
-            }
-            old
+        let old = self.root.descend_or_insert(&name).value.replace(value);
+        if old.is_none() {
+            self.len += 1;
         }
-        rec(&mut self.root, &name, 0, fnv1a(b""), value)
+        old
     }
 
     /// Returns the value stored exactly at `name`.
@@ -331,59 +364,45 @@ impl<T> NameTreeBitmap<T> {
 
     /// Returns the value at `name`, inserting `default()` if absent.
     pub fn get_or_insert_with(&mut self, name: &Name, default: impl FnOnce() -> T) -> &mut T {
-        fn rec<'a, T>(
-            node: &'a mut Node<T>,
-            name: &Name,
-            depth: usize,
-            hash: u64,
-            default: impl FnOnce() -> T,
-        ) -> (&'a mut T, bool) {
-            if depth == name.len() {
-                let mut inserted = false;
-                if node.value.is_none() {
-                    node.value = Some(default());
-                    node.subtree += 1;
-                    inserted = true;
-                }
-                return (node.value.as_mut().expect("value just ensured"), inserted);
-            }
-            let comp = &name.components()[depth];
-            let child_hash = fnv1a_extend(hash, comp.as_bytes());
-            let child = node.children.child_or_insert(child_hash, 0, comp);
-            let (value, inserted) = rec(child, name, depth + 1, child_hash, default);
-            if inserted {
-                node.subtree += 1;
-            }
-            (value, inserted)
+        let node = self.root.descend_or_insert(name);
+        if node.value.is_none() {
+            self.len += 1;
         }
-        rec(&mut self.root, name, 0, fnv1a(b""), default).0
+        node.value.get_or_insert_with(default)
     }
 
-    /// Removes and returns the value at `name`, pruning branches that no
-    /// longer hold any value.
+    /// Removes and returns the value at `name`, pruning every node the
+    /// removal leaves with neither a value nor children. Every removal
+    /// prunes, so no such node outlives the call that emptied it.
     pub fn remove(&mut self, name: &Name) -> Option<T> {
-        fn rec<T>(node: &mut Node<T>, name: &Name, depth: usize, hash: u64) -> Option<T> {
-            if depth == name.len() {
-                let old = node.value.take();
-                if old.is_some() {
-                    node.subtree -= 1;
-                }
-                return old;
-            }
-            let comp = &name.components()[depth];
+        fn rec<T>(node: &mut Node<T>, comps: &[Component], hash: u64) -> Option<T> {
+            let Some((comp, rest)) = comps.split_first() else {
+                return node.value.take();
+            };
             let child_hash = fnv1a_extend(hash, comp.as_bytes());
             let child = node.children.child_mut(child_hash, 0, comp)?;
-            let old = rec(child, name, depth + 1, child_hash);
-            if old.is_some() {
-                let prune = child.subtree == 0;
-                node.subtree -= 1;
-                if prune {
-                    node.children.remove_child(child_hash, 0, comp);
-                }
+            let old = rec(child, rest, child_hash)?;
+            if child.value.is_none() && child.children.bitmap == 0 {
+                node.children.remove_child(child_hash, 0, comp);
             }
-            old
+            Some(old)
         }
-        rec(&mut self.root, name, 0, fnv1a(b""))
+        let old = rec(&mut self.root, name.components(), fnv1a(b""));
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
+    }
+
+    /// Visits every stored value, in hash order: deterministic for a given
+    /// set of names, but not name order. Builds no name and no buffer.
+    pub fn for_each_value<'a>(&'a self, mut f: impl FnMut(&'a T)) {
+        self.root.for_each_value(&mut f);
+    }
+
+    /// [`NameTreeBitmap::for_each_value`], mutably.
+    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut T)) {
+        self.root.for_each_value_mut(&mut f);
     }
 
     /// Longest-prefix match: the deepest `(prefix, value)` such that
@@ -689,19 +708,29 @@ mod tests {
     }
 
     #[test]
-    fn subtree_counts_track_churn() {
+    fn len_and_pruning_track_churn() {
         let mut t = NameTreeBitmap::new();
         t.insert(n("/1/2/3"), ());
         t.insert(n("/1/2"), ());
         t.insert(n("/2"), ());
         assert_eq!(t.len(), 3);
-        assert_eq!(t.node(&n("/1")).map(|node| node.subtree), Some(2));
         assert!(t.node(&n("/1/2/3/4")).is_none());
         t.remove(&n("/1/2/3"));
-        assert_eq!(t.node(&n("/1")).map(|node| node.subtree), Some(1));
+        // `/1/2` keeps its value, so the path to it stays.
+        assert!(t.node(&n("/1/2/3")).is_none());
+        assert!(t.node(&n("/1")).is_some());
+        assert_eq!(t.len(), 2);
         t.remove(&n("/1/2"));
         assert!(t.node(&n("/1")).is_none());
         assert_eq!(t.len(), 1);
+        // A missing name under a stored one removes nothing.
+        assert_eq!(t.remove(&n("/2/9")), None);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn a_node_is_its_value_and_its_children() {
+        assert_eq!(std::mem::size_of::<Node<u32>>(), 40);
     }
 
     #[test]

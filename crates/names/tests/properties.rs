@@ -15,7 +15,10 @@ const CASES: u32 = 128;
 
 /// Raw name: up to 6 components over a small alphabet.
 fn name_strategy() -> impl Strategy<Value = Vec<String>> {
-    prop::vec(prop::string("abcdefghijklmnopqrstuvwxyz0123456789", 1..=6), 0..=6)
+    prop::vec(
+        prop::string("abcdefghijklmnopqrstuvwxyz0123456789", 1..=6),
+        0..=6,
+    )
 }
 
 fn name(parts: &[String]) -> Name {
@@ -189,13 +192,18 @@ fn stable_hashes_are_pinned() {
 
 #[test]
 fn prefix_reflexive_and_antisymmetric() {
-    prop::check(0x6f02, CASES, &(name_strategy(), name_strategy()), |(a, b)| {
-        let (a, b) = (name(a), name(b));
-        assert!(a.is_prefix_of(&a));
-        if a.is_prefix_of(&b) && b.is_prefix_of(&a) {
-            assert_eq!(a, b);
-        }
-    });
+    prop::check(
+        0x6f02,
+        CASES,
+        &(name_strategy(), name_strategy()),
+        |(a, b)| {
+            let (a, b) = (name(a), name(b));
+            assert!(a.is_prefix_of(&a));
+            if a.is_prefix_of(&b) && b.is_prefix_of(&a) {
+                assert_eq!(a, b);
+            }
+        },
+    );
 }
 
 #[test]
@@ -324,7 +332,8 @@ fn tree_descendants_agree_with_filter() {
 
 /// The tree-bitmap behaves as a plain sorted map under arbitrary
 /// insert/remove churn: every operation, including the hashed lookup
-/// variants fed by the precomputed per-level chain, agrees with a
+/// variants fed by the precomputed per-level chain, `len()` and
+/// `is_empty()` after each op, and the value walks, agrees with a
 /// `BTreeMap<Name, u32>` scanned by brute force.
 #[test]
 fn tree_bitmap_agrees_with_btreemap_model_under_churn() {
@@ -332,67 +341,82 @@ fn tree_bitmap_agrees_with_btreemap_model_under_churn() {
         (prop::bools(), name_strategy(), prop::range(0u32..=u32::MAX)),
         0..=31,
     );
-    prop::check(0x6f0d, CASES, &(ops, name_strategy()), |(ops, probe_parts)| {
-        let mut model: BTreeMap<Name, u32> = BTreeMap::new();
-        let mut bitmap: NameTreeBitmap<u32> = NameTreeBitmap::new();
-        for (insert, parts, v) in ops {
-            let k = name(parts);
-            if *insert {
-                assert_eq!(model.insert(k.clone(), *v), bitmap.insert(k, *v));
-            } else {
-                assert_eq!(model.remove(&k), bitmap.remove(&k));
+    prop::check(
+        0x6f0d,
+        CASES,
+        &(ops, name_strategy()),
+        |(ops, probe_parts)| {
+            let mut model: BTreeMap<Name, u32> = BTreeMap::new();
+            let mut bitmap: NameTreeBitmap<u32> = NameTreeBitmap::new();
+            for (insert, parts, v) in ops {
+                let k = name(parts);
+                if *insert {
+                    assert_eq!(model.insert(k.clone(), *v), bitmap.insert(k, *v));
+                } else {
+                    assert_eq!(model.remove(&k), bitmap.remove(&k));
+                }
+                assert_eq!(model.len(), bitmap.len());
+                assert_eq!(model.is_empty(), bitmap.is_empty());
             }
-        }
-        assert_eq!(model.len(), bitmap.len());
+            // The value walks visit each stored value once, in hash order.
+            bitmap.for_each_value_mut(|v| *v = v.wrapping_add(1));
+            model.values_mut().for_each(|v| *v = v.wrapping_add(1));
+            let mut walked = Vec::new();
+            bitmap.for_each_value(|v| walked.push(*v));
+            walked.sort_unstable();
+            let mut values: Vec<u32> = model.values().copied().collect();
+            values.sort_unstable();
+            assert_eq!(walked, values, "the value walks diverged from the model");
 
-        let probe = name(probe_parts);
-        let chain = probe.hash_chain();
-        // Stored prefixes of the probe, shallowest first.
-        let ancestors: Vec<(Name, u32)> = (0..=probe.len())
-            .map(|level| probe.prefix(level))
-            .filter_map(|p| model.get(&p).map(|v| (p, *v)))
-            .collect();
-        let owned = |(k, v): (Name, &u32)| (k, *v);
-        assert_eq!(
-            bitmap.longest_prefix(&probe).map(owned),
-            ancestors.last().cloned()
-        );
-        assert_eq!(
-            bitmap.longest_prefix_hashed(&probe, &chain).map(owned),
-            ancestors.last().cloned()
-        );
-        assert_eq!(bitmap.get(&probe), model.get(&probe));
-        assert_eq!(
-            bitmap
-                .all_prefixes(&probe)
-                .into_iter()
-                .map(owned)
-                .collect::<Vec<_>>(),
-            ancestors,
-            "stored ancestors of {probe} diverged"
-        );
-        assert_eq!(
-            bitmap.prefix_values_hashed(&probe, &chain).count(),
-            ancestors.len()
-        );
+            let probe = name(probe_parts);
+            let chain = probe.hash_chain();
+            // Stored prefixes of the probe, shallowest first.
+            let ancestors: Vec<(Name, u32)> = (0..=probe.len())
+                .map(|level| probe.prefix(level))
+                .filter_map(|p| model.get(&p).map(|v| (p, *v)))
+                .collect();
+            let owned = |(k, v): (Name, &u32)| (k, *v);
+            assert_eq!(
+                bitmap.longest_prefix(&probe).map(owned),
+                ancestors.last().cloned()
+            );
+            assert_eq!(
+                bitmap.longest_prefix_hashed(&probe, &chain).map(owned),
+                ancestors.last().cloned()
+            );
+            assert_eq!(bitmap.get(&probe), model.get(&probe));
+            assert_eq!(
+                bitmap
+                    .all_prefixes(&probe)
+                    .into_iter()
+                    .map(owned)
+                    .collect::<Vec<_>>(),
+                ancestors,
+                "stored ancestors of {probe} diverged"
+            );
+            assert_eq!(
+                bitmap.prefix_values_hashed(&probe, &chain).count(),
+                ancestors.len()
+            );
 
-        // `BTreeMap` iterates in `Name` order — the order `descendants`
-        // promises.
-        let below: Vec<(Name, u32)> = model
-            .iter()
-            .filter(|(k, _)| probe.is_prefix_of(k))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        assert_eq!(
-            bitmap
-                .descendants(&probe)
-                .into_iter()
-                .map(owned)
-                .collect::<Vec<_>>(),
-            below,
-            "descendant order of {probe} diverged"
-        );
-    });
+            // `BTreeMap` iterates in `Name` order — the order `descendants`
+            // promises.
+            let below: Vec<(Name, u32)> = model
+                .iter()
+                .filter(|(k, _)| probe.is_prefix_of(k))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect();
+            assert_eq!(
+                bitmap
+                    .descendants(&probe)
+                    .into_iter()
+                    .map(owned)
+                    .collect::<Vec<_>>(),
+                below,
+                "descendant order of {probe} diverged"
+            );
+        },
+    );
 }
 
 /// Raw name of 0–4 one- or two-character components over four symbols, so
@@ -468,19 +492,14 @@ fn first_under_equals_find_over_descendants() {
 
 #[test]
 fn bloom_has_no_false_negatives() {
-    prop::check(
-        0x6f0a,
-        CASES,
-        &prop::vec(name_strategy(), 1..=63),
-        |raw| {
-            let names: std::collections::BTreeSet<Name> = raw.iter().map(|p| name(p)).collect();
-            let mut f = CountingBloomFilter::new(BloomParams::for_items(64, 0.01));
-            for n in &names {
-                f.insert(n.stable_hash());
-            }
-            for n in &names {
-                assert!(f.contains(n.stable_hash()));
-            }
-        },
-    );
+    prop::check(0x6f0a, CASES, &prop::vec(name_strategy(), 1..=63), |raw| {
+        let names: std::collections::BTreeSet<Name> = raw.iter().map(|p| name(p)).collect();
+        let mut f = CountingBloomFilter::new(BloomParams::for_items(64, 0.01));
+        for n in &names {
+            f.insert(n.stable_hash());
+        }
+        for n in &names {
+            assert!(f.contains(n.stable_hash()));
+        }
+    });
 }
