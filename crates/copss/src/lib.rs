@@ -13,8 +13,8 @@
 //!
 //! * [`CopssPacket`] / [`MulticastPacket`] — the wire messages.
 //! * [`SubscriptionTable`] — per-face CD sets, each subscription stored once
-//!   in a shared name index beside a counting Bloom filter per face (the
-//!   paper's representation), with the hierarchical match rule: a multicast
+//!   in a shared name index, from which the paper's per-face Bloom filters
+//!   are built on demand, with the hierarchical match rule: a multicast
 //!   with CD *c* leaves through every face subscribed to any prefix of *c*.
 //! * [`RpTable`] — the prefix-free CD-prefix → RP assignment (§III-B
 //!   "Rendezvous Point Setup"), with the overlap queries subscription

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gcopss_names::{BloomParams, Cd, CountingBloomFilter, Name, NameTreeBitmap};
+use gcopss_names::{BloomFilter, Cd, Name, NameTreeBitmap};
 use gcopss_ndn::FaceId;
 
 use crate::RpId;
@@ -176,9 +176,10 @@ impl Subscribers {
 /// [`SubscriptionTable::matching_faces_into`] walks the packet's CD down this
 /// index using the precomputed per-level hashes it carries (§III-C), so the
 /// cost of a match is `O(depth)` regardless of how many faces or
-/// subscriptions the table holds. A face keeps only its subscription count
-/// and the counting Bloom filter of §III-C, the wire-representable per-face
-/// CD summary behind [`SubscriptionTable::matching_faces_bloom`].
+/// subscriptions the table holds. A face keeps only its subscription count;
+/// the Bloom filters of §III-C, the wire-representable per-face CD summaries
+/// behind [`SubscriptionTable::matching_faces_bloom`], are built from the
+/// index on demand by [`SubscriptionTable::face_blooms`].
 ///
 /// # Example
 ///
@@ -198,15 +199,9 @@ impl Subscribers {
 pub struct SubscriptionTable {
     /// Shared match index: subscription name → per-face anchor entries.
     index: NameTreeBitmap<Subscribers>,
-    faces: BTreeMap<FaceId, Face>,
-}
-
-/// What a face keeps beside the index.
-#[derive(Debug, Clone)]
-struct Face {
-    /// Names this face subscribes to; the face goes when it reaches zero.
-    names: usize,
-    bloom: CountingBloomFilter,
+    /// Names each face subscribes to; a face goes when its count reaches
+    /// zero.
+    faces: BTreeMap<FaceId, usize>,
 }
 
 impl SubscriptionTable {
@@ -237,12 +232,7 @@ impl SubscriptionTable {
             None => *side = Some(rps.into()),
         }
         if created {
-            let f = self.faces.entry(face).or_insert_with(|| Face {
-                names: 0,
-                bloom: CountingBloomFilter::new(BloomParams::default()),
-            });
-            f.names += 1;
-            f.bloom.insert(cd.stable_hash());
+            *self.faces.entry(face).or_default() += 1;
         }
         created
     }
@@ -282,10 +272,9 @@ impl SubscriptionTable {
         if subs.faces.is_empty() {
             self.index.remove(cd);
         }
-        if let Some(f) = self.faces.get_mut(&face) {
-            f.bloom.remove(cd.stable_hash());
-            f.names -= 1;
-            if f.names == 0 {
+        if let Some(names) = self.faces.get_mut(&face) {
+            *names -= 1;
+            if *names == 0 {
                 self.faces.remove(&face);
             }
         }
@@ -295,10 +284,10 @@ impl SubscriptionTable {
     /// Removes every subscription of `face` (e.g. the face went down),
     /// returning the removed CDs in name order.
     pub fn remove_face(&mut self, face: FaceId) -> Vec<Name> {
-        let Some(f) = self.faces.remove(&face) else {
+        let Some(names) = self.faces.remove(&face) else {
             return Vec::new();
         };
-        let mut cds = Vec::with_capacity(f.names);
+        let mut cds = Vec::with_capacity(names);
         self.index.for_each_value_mut(|subs| {
             if let Ok(i) = subs.position(face) {
                 subs.faces.remove(i);
@@ -402,8 +391,24 @@ impl SubscriptionTable {
         out
     }
 
+    /// The §III-C summary of every face: a Bloom filter over the hashes of
+    /// the names it subscribes to, built in one walk over the index. It
+    /// reflects the table as it is now; rebuild it after the table changes.
+    #[must_use]
+    pub fn face_blooms(&self) -> BTreeMap<FaceId, BloomFilter> {
+        let mut blooms: BTreeMap<FaceId, BloomFilter> = BTreeMap::new();
+        self.index.for_each_value(|subs| {
+            let hash = subs.name.stable_hash();
+            for (f, _) in &subs.faces {
+                blooms.entry(*f).or_default().insert(hash);
+            }
+        });
+        blooms
+    }
+
     /// The paper-literal per-face path: Bloom prefilter on the packet's
-    /// per-level hashes ("simple bit comparison", §III-C), then the exact
+    /// per-level hashes ("simple bit comparison", §III-C) against `blooms`,
+    /// this table's [`SubscriptionTable::face_blooms`], then the exact
     /// per-face check. Same result as [`SubscriptionTable::matching_faces`]
     /// (the filter admits no false negatives and the exact check runs
     /// after), but `O(faces)` per packet — kept as the baseline the
@@ -411,15 +416,16 @@ impl SubscriptionTable {
     #[must_use]
     pub fn matching_faces_bloom(
         &self,
+        blooms: &BTreeMap<FaceId, BloomFilter>,
         cd: &Cd,
         arrival: Option<FaceId>,
         tree: Option<RpId>,
     ) -> Vec<FaceId> {
         let hashes = cd.hashes().as_slice();
-        self.faces
+        blooms
             .iter()
             .filter(|(f, _)| Some(**f) != arrival)
-            .filter(|(_, ft)| ft.bloom.contains_any(hashes))
+            .filter(|(_, bloom)| bloom.contains_any(hashes))
             .filter(|(f, _)| {
                 cd.name().prefixes().any(|p| {
                     self.index.get(&p).is_some_and(|subs| {
@@ -449,7 +455,7 @@ impl SubscriptionTable {
     /// Total number of (face, CD) subscription pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.faces.values().map(|f| f.names).sum()
+        self.faces.values().sum()
     }
 
     /// Returns `true` if no face has any subscription.
@@ -523,11 +529,12 @@ mod tests {
                 st.subscribe(FaceId(i), n(&format!("/{i}/{j}")), rps(&[0]), true);
             }
         }
+        let blooms = st.face_blooms();
         for i in 1..=5u32 {
             for j in 1..=5u32 {
                 let cd = Cd::parse_lit(&format!("/{i}/{j}"));
                 let exact = st.matching_faces_exact(&cd, None, Some(RpId(0)));
-                let bloom = st.matching_faces_bloom(&cd, None, Some(RpId(0)));
+                let bloom = st.matching_faces_bloom(&blooms, &cd, None, Some(RpId(0)));
                 assert_eq!(bloom, exact, "bloom path diverged from exact");
             }
         }
@@ -643,13 +650,17 @@ mod tests {
     }
 
     #[test]
-    fn counting_bloom_survives_unsubscribe_of_sibling() {
+    fn bloom_survives_unsubscribe_of_sibling() {
         let mut st = SubscriptionTable::default();
         st.subscribe(FaceId(1), n("/1/1"), rps(&[0]), true);
         st.subscribe(FaceId(1), n("/1/2"), rps(&[0]), true);
         st.unsubscribe(FaceId(1), &n("/1/2"), None);
-        let out = st.matching_faces_bloom(&Cd::parse_lit("/1/1"), None, Some(RpId(0)));
+        let blooms = st.face_blooms();
+        let out = st.matching_faces_bloom(&blooms, &Cd::parse_lit("/1/1"), None, Some(RpId(0)));
         assert_eq!(out, vec![FaceId(1)]);
+        assert!(st
+            .matching_faces_bloom(&blooms, &Cd::parse_lit("/1/2"), None, Some(RpId(0)))
+            .is_empty());
     }
 
     #[test]

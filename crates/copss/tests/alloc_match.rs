@@ -93,9 +93,17 @@ fn subscription_costs_are_pinned() {
     let new_name = calls_of(|| {
         assert!(st.subscribe(FaceId(1), fresh.clone(), rps, true));
     });
-    // Two for the name's node in the index trie, one for its face vector;
-    // face 1's few entries fit its map's one B-tree leaf.
+    // Two for the name's node in the index trie, one for its face vector.
     assert_eq!(new_name, 3, "a host subscription to a new name");
+
+    // A face the table has never seen costs no more: it brings only a name
+    // count, which fits a leaf of the face map.
+    let rps = two();
+    let newcomer = Name::root().child_index(3).child_index(6).child_index(9);
+    let new_face = calls_of(|| {
+        assert!(st.subscribe(FaceId(16), newcomer, rps, true));
+    });
+    assert_eq!(new_face, 3, "a new name through a face never seen");
 
     let rps = two();
     let again = calls_of(|| {

@@ -21,8 +21,9 @@ fn name(parts: &[u32]) -> Name {
     Name::from_components(parts.iter().map(|&c| Component::index(c)))
 }
 
-/// Bloom-filter forwarding is a superset of exact forwarding (no false
-/// negatives) under arbitrary subscribe/unsubscribe churn.
+/// The per-face Bloom filters built after arbitrary subscribe/unsubscribe
+/// churn admit every face that subscribes to a prefix of the probe (no false
+/// negatives), so Bloom-prefiltered forwarding equals exact forwarding.
 #[test]
 fn bloom_superset_of_exact_under_churn() {
     let input = (
@@ -48,7 +49,6 @@ fn bloom_superset_of_exact_under_churn() {
         }
         let cd = Cd::new(probe.clone());
         let exact = st.matching_faces_exact(&cd, None, Some(RpId(0)));
-        let bloom = st.matching_faces(&cd, None, Some(RpId(0)));
         // exact must equal the model...
         let want: Vec<FaceId> = {
             let mut v: Vec<FaceId> = model
@@ -61,10 +61,16 @@ fn bloom_superset_of_exact_under_churn() {
             v
         };
         assert_eq!(exact, want);
-        // ...and bloom must contain every exact face.
-        for f in &exact {
-            assert!(bloom.contains(f));
+        // ...every matched face's filter must admit the probe...
+        let blooms = st.face_blooms();
+        for f in &want {
+            assert!(blooms[f].contains_any(cd.hashes().as_slice()));
         }
+        // ...so the Bloom-prefiltered path loses no face.
+        assert_eq!(
+            st.matching_faces_bloom(&blooms, &cd, None, Some(RpId(0))),
+            exact
+        );
     });
 }
 
@@ -215,8 +221,9 @@ fn model_match(
 /// subscribe/unsubscribe/retag/remove-face ops, the tree-bitmap index path
 /// is byte-identical to the brute-force scan over every stored name — for
 /// every name seen in the run, every tree, every arrival face — and so is
-/// the paper-literal Bloom-prefiltered path. All three read the one copy of each subscription
-/// the index holds, so each is also checked against a plain model kept in
+/// the paper-literal Bloom-prefiltered path over the filters built after the
+/// churn. All three read the one copy of each subscription the index holds,
+/// so each is also checked against a plain model kept in
 /// standard sets, as are every op's return value, `len()`, `is_empty()` and
 /// `all_subscriptions_tagged()`.
 #[test]
@@ -283,6 +290,7 @@ fn index_match_identical_to_exact_under_churn() {
             // The forwarder's buffer, reused across every probe and dirty on
             // first use: the in-place matcher must replace, not append.
             let mut reused = vec![FaceId(77), FaceId(3), FaceId(77)];
+            let blooms = st.face_blooms();
             let trees = std::iter::once(None).chain((0..TREES).map(|t| Some(RpId(t))));
             for probe in &probes {
                 let cd = Cd::new(probe.clone());
@@ -305,7 +313,7 @@ fn index_match_identical_to_exact_under_churn() {
                             "in-place path diverged at cd={probe} tree={tree:?} arrival={arrival:?}"
                         );
                         assert_eq!(
-                            st.matching_faces_bloom(&cd, arrival, tree),
+                            st.matching_faces_bloom(&blooms, &cd, arrival, tree),
                             exact,
                             "bloom path diverged at cd={probe} tree={tree:?} arrival={arrival:?}"
                         );

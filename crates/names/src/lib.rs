@@ -14,8 +14,8 @@
 //!   keyed on the per-level hash chain, under every name-keyed table (FIB
 //!   longest-prefix match, Subscription Table matching, Content Store, RP
 //!   table).
-//! * [`CountingBloomFilter`] — the per-face CD set representation used by
-//!   the COPSS Subscription Table.
+//! * [`BloomFilter`] — the §III-C per-face CD summary, which the COPSS
+//!   Subscription Table builds from its index.
 //!
 //! # Naming convention for hierarchical game maps
 //!
@@ -54,7 +54,7 @@ mod error;
 mod name;
 mod tree_bitmap;
 
-pub use bloom::{BloomParams, CountingBloomFilter};
+pub use bloom::BloomFilter;
 pub use cd::{Cd, CdHashes};
 pub use component::Component;
 pub use error::ParseNameError;

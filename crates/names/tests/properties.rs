@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 
 use gcopss_compat::prop::{self, Strategy};
-use gcopss_names::{BloomParams, Cd, Component, CountingBloomFilter, Name, NameTreeBitmap};
+use gcopss_names::{BloomFilter, Cd, Component, Name, NameTreeBitmap};
 
 const CASES: u32 = 128;
 
@@ -494,7 +494,7 @@ fn first_under_equals_find_over_descendants() {
 fn bloom_has_no_false_negatives() {
     prop::check(0x6f0a, CASES, &prop::vec(name_strategy(), 1..=63), |raw| {
         let names: std::collections::BTreeSet<Name> = raw.iter().map(|p| name(p)).collect();
-        let mut f = CountingBloomFilter::new(BloomParams::for_items(64, 0.01));
+        let mut f = BloomFilter::default();
         for n in &names {
             f.insert(n.stable_hash());
         }
