@@ -77,7 +77,10 @@ pub struct FailoverRow {
     /// The swept loss rate.
     pub loss: f64,
     /// Distinct non-self deliveries, capped per publication at its expected
-    /// fan-out (the run's own `delivered` counts duplicates too).
+    /// fan-out. The run's own `delivered` counts the same distinct
+    /// deliveries — every failover run keeps a delivery log, which stops a
+    /// duplicate before the metrics see it — but without the cap, so it is
+    /// never smaller.
     pub capped_delivered: u64,
     /// Expected deliveries of the publications sent after
     /// `last_repair + settle` (0 means the window was empty and
@@ -346,6 +349,8 @@ mod tests {
         for r in &out.rows {
             let label = &r.run.label;
             assert!(r.capped_delivered > 0, "{label}: nothing delivered");
+            let (capped, all) = (r.capped_delivered, r.run.delivered);
+            assert!(capped <= all, "{label}: {capped} capped > {all} delivered");
             let ratio = r.delivery_ratio();
             assert!((0.0..=1.0).contains(&ratio), "{label}: ratio {ratio}");
             assert!(r.last_repair.is_some(), "{label}: chaos never played");

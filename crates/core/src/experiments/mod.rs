@@ -51,10 +51,11 @@ use crate::{drops, GPacket, GameWorld};
 /// Topology seed of the backbone every large-scale driver runs on.
 pub const NET_SEED: u64 = 7;
 
-/// Span bound of every audited run. The bound only truncates (a truncated
-/// log voids the audit), it does not preallocate, so one bound sized for
-/// the largest audited run serves all of them: the full-scale `adaptive`
-/// RP arm emits ~3.7M spans per run.
+/// Span bound of every audited run: the widest live window — spans from
+/// the oldest still open to the newest — a log may hold. The bound only
+/// truncates (a truncated log voids the audit), it does not preallocate,
+/// so one generous bound serves every run: a window holds the spans in
+/// flight, far fewer than the millions a full-scale run records.
 const LINEAGE_CAPACITY: usize = 1 << 23;
 
 /// The one run path of every driver: hand [`TelemetryCapture::run`] a

@@ -32,20 +32,16 @@
 //! the end would. Reading the fingerprint continues the fold over the
 //! spans from the cursor on, open ones included.
 //!
-//! A span is 48 bytes: its drop reason is a one-byte index into the log's
-//! table of distinct reasons, so at most 255 reasons can be told apart and
-//! a 256th fails closed.
+//! A span is 64 bytes, its drop reason the `&'static str` it was given.
 //!
-//! Spans live in a [`SpanStore`] of fixed segments of `SEGMENT` = 2¹⁴
-//! spans (768 KiB) that never move. The store holds only the *live window*
-//! — the spans from the cursor to the newest — and the closed spans that
-//! share a segment with its start: a segment wholly behind the cursor is
-//! retired onto a free list and reused as the next one, so memory follows
-//! the spans in flight, not the spans ever recorded. The first segment
-//! grows like a `Vec` from 1 024 slots, so a small log stays small; every
-//! later one is allocated once at full size. [`LineageConfig::capacity`]
-//! bounds the live window, and the segment table is sized from it when the
-//! log is enabled, so recording never grows it.
+//! Spans live in a [`SpanStore`]: one ring buffer of `RETAIN` = 2¹⁴ slots
+//! (1 MiB), reserved when the log is enabled. It holds the *live window* —
+//! the spans from the cursor to the newest — and the closed spans behind
+//! the cursor until the buffer fills: a push into a full buffer first
+//! retires those, so memory follows the spans in flight, not the spans ever
+//! recorded, and a log of at most `RETAIN` spans keeps every one. A window
+//! wider than the buffer grows it like a `Vec`. [`LineageConfig::capacity`]
+//! bounds the live window.
 //!
 //! The recording calls fail closed on a span they cannot honour: `close`,
 //! `mark_dropped` and `service_start` want an open span, `deliver_from` and
@@ -63,23 +59,12 @@ pub const NO_SPAN: u32 = u32::MAX;
 /// Sentinel entity meaning "no terminal entity" (non-`Deliver` spans).
 pub const NO_ENTITY: u32 = u32::MAX;
 
-/// How many distinct drop reasons one log can record: a span stores its
-/// reason as a `u8` index, and index 0 is the empty reason of every span
-/// that is not a drop.
-const MAX_DROP_REASONS: usize = u8::MAX as usize;
-
 /// The drop a client's duplicate filter books: it never explains a loss.
 const DUPLICATE_FILTERED: &str = "client-duplicate-dropped";
 
-/// Span `i` lives in the segment of ids `i >> SEGMENT_BITS << SEGMENT_BITS`
-/// onwards.
-const SEGMENT_BITS: u32 = 14;
-
-/// Spans per segment of the span store: 2¹⁴, 768 KiB at 48 bytes a span.
-const SEGMENT: usize = 1 << SEGMENT_BITS;
-
-/// Slots the first segment starts with; it doubles up to [`SEGMENT`].
-const FIRST_SEGMENT: usize = 1 << 10;
+/// Slots the span store reserves when the log is enabled: 2¹⁴, 1 MiB at
+/// 64 bytes a span.
+const RETAIN: usize = 1 << 14;
 
 /// What a span represents in a message's causal tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +107,8 @@ pub struct SpanRecord {
     pub cause: u32,
     /// Terminal entity for `Deliver` spans, else [`NO_ENTITY`].
     pub entity: u32,
-    /// Drop reason for `Drop` spans, as an index into the log's reason
-    /// table; 0 (`""`) otherwise.
-    reason: u8,
+    /// Drop reason for `Drop` spans; `""` otherwise.
+    pub reason: &'static str,
     /// What this span represents.
     pub event: SpanEvent,
     /// When the copy was enqueued (transmit decision for hops).
@@ -143,19 +127,16 @@ impl SpanRecord {
     }
 }
 
-/// The log's spans in creation order, in fixed segments that never move,
-/// holding the live window only (see the module docs). Indexed by span id.
+/// The log's spans in creation order, holding the live window and the
+/// closed spans behind it not yet retired (see the module docs). Indexed by
+/// span id.
 #[derive(Debug, Default)]
 pub struct SpanStore {
-    /// The held segments, oldest first; every one but the last is full.
-    segments: VecDeque<Vec<SpanRecord>>,
-    /// Retired segments, emptied, for the next segments to reuse.
-    free: Vec<Vec<SpanRecord>>,
-    /// Id of the first span of `segments[0]`, a multiple of [`SEGMENT`].
+    /// The held spans, oldest first.
+    held: VecDeque<SpanRecord>,
+    /// Id of `held[0]`.
     first: usize,
-    /// Spans ever recorded.
-    len: usize,
-    /// The oldest span still open, or `len` when none is.
+    /// The oldest span still open, or `len()` when none is.
     cursor: usize,
 }
 
@@ -163,76 +144,50 @@ impl SpanStore {
     /// Number of spans ever recorded, retired ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.first + self.held.len()
     }
 
     /// Whether no span was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The spans still held, in creation order: the live window, after the
-    /// closed spans that share its first segment.
+    /// closed spans not yet retired.
     pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> + '_ {
-        self.segments.iter().flatten()
+        self.held.iter()
     }
 
     /// The live window: every span from the cursor on.
     fn live(&self) -> impl Iterator<Item = &SpanRecord> + '_ {
-        self.iter().skip(self.cursor - self.first)
+        self.held.range(self.cursor - self.first..)
     }
 
     fn get(&self, i: usize) -> Option<&SpanRecord> {
-        let k = i.checked_sub(self.first)?;
-        self.segments.get(k >> SEGMENT_BITS)?.get(k & (SEGMENT - 1))
+        self.held.get(i.checked_sub(self.first)?)
     }
 
     fn get_mut(&mut self, i: usize) -> Option<&mut SpanRecord> {
-        let k = i.checked_sub(self.first)?;
-        self.segments
-            .get_mut(k >> SEGMENT_BITS)?
-            .get_mut(k & (SEGMENT - 1))
+        self.held.get_mut(i.checked_sub(self.first)?)
     }
 
-    /// Room in the segment table for a live window of `capacity` spans: it
-    /// touches at most one segment more than it fills.
-    fn reserve(&mut self, capacity: usize) {
-        let segments = capacity.div_ceil(SEGMENT) + 1;
-        self.segments
-            .reserve_exact(segments.saturating_sub(self.segments.len()));
-    }
-
+    /// Appends `rec`, retiring the closed spans behind the cursor first
+    /// when the buffer is full.
     fn push(&mut self, rec: SpanRecord) {
-        if self.segments.back().is_none_or(|s| s.len() == SEGMENT) {
-            let segment = self.free.pop().unwrap_or_else(|| {
-                Vec::with_capacity(if self.segments.is_empty() {
-                    FIRST_SEGMENT
-                } else {
-                    SEGMENT
-                })
-            });
-            self.segments.push_back(segment);
+        if self.held.len() == self.held.capacity() {
+            self.held.drain(..self.cursor - self.first);
+            self.first = self.cursor;
         }
-        self.segments
-            .back_mut()
-            .expect("a segment with room")
-            .push(rec);
-        self.len += 1;
+        self.held.push_back(rec);
     }
 
     /// Moves the cursor past the closed spans at it, handing each to
-    /// `fold`, then retires every segment wholly behind it but the newest.
+    /// `fold`.
     fn advance(&mut self, mut fold: impl FnMut(&SpanRecord)) {
         while let Some(rec) = self.get(self.cursor).filter(|r| !r.is_open()) {
             fold(rec);
             self.cursor += 1;
-        }
-        while self.segments.len() > 1 && self.cursor - self.first >= SEGMENT {
-            let mut retired = self.segments.pop_front().expect("a held segment");
-            retired.clear();
-            self.free.push(retired);
-            self.first += SEGMENT;
         }
     }
 }
@@ -244,7 +199,8 @@ impl Index<usize> for SpanStore {
         self.get(i).unwrap_or_else(|| {
             panic!(
                 "span {i} is not held: the store holds spans {}..{}",
-                self.first, self.len
+                self.first,
+                self.len()
             )
         })
     }
@@ -289,8 +245,8 @@ struct Owed {
     open: u32,
     /// The oldest drop span that explains a loss, or [`NO_SPAN`].
     first_drop: u32,
-    /// That drop's reason, as a reason-table index.
-    drop_reason: u8,
+    /// That drop's reason.
+    drop_reason: &'static str,
 }
 
 /// The delivery auditor's books, flat and updated as spans are recorded.
@@ -322,7 +278,7 @@ impl Books {
             seen: false,
             open: 0,
             first_drop: NO_SPAN,
-            drop_reason: 0,
+            drop_reason: "",
         };
         match self.lineages.binary_search_by_key(&lineage, |o| o.lineage) {
             Ok(i) => self.lineages[i] = owed,
@@ -368,7 +324,7 @@ impl Books {
 
 impl Owed {
     /// Books drop span `id` as the loss explanation unless an older one is.
-    fn explained_by(&mut self, id: u32, reason: u8) {
+    fn explained_by(&mut self, id: u32, reason: &'static str) {
         if id < self.first_drop {
             self.first_drop = id;
             self.drop_reason = reason;
@@ -383,8 +339,6 @@ pub struct LineageLog {
     enabled: bool,
     cfg: LineageConfig,
     spans: SpanStore,
-    /// The distinct drop reasons seen, in first-use order; index 0 is `""`.
-    reasons: Vec<&'static str>,
     truncated: u64,
     /// The fingerprint fold over every span behind the cursor.
     folded: u64,
@@ -397,7 +351,6 @@ impl Default for LineageLog {
             enabled: false,
             cfg: LineageConfig::default(),
             spans: SpanStore::default(),
-            reasons: Vec::new(),
             truncated: 0,
             folded: FNV1A_OFFSET,
             books: Books::default(),
@@ -417,11 +370,9 @@ impl LineageLog {
         // No live window is wider than the id space.
         cfg.capacity = cfg.capacity.min(NO_SPAN as usize);
         self.enabled = true;
-        self.spans.reserve(cfg.capacity);
+        let held = &mut self.spans.held;
+        held.reserve_exact(RETAIN.saturating_sub(held.len()));
         self.cfg = cfg;
-        if self.reasons.is_empty() {
-            self.reasons.push("");
-        }
     }
 
     /// Whether the log records anything.
@@ -448,7 +399,7 @@ impl LineageLog {
         }
         let id = id as u32;
         if let Some(i) = self.books.find(rec.lineage) {
-            let explains = self.explains(&rec);
+            let explains = Self::explains(&rec);
             self.books.record(i, id, &rec, explains);
         }
         let closed = !rec.is_open();
@@ -461,15 +412,15 @@ impl LineageLog {
 
     /// Whether `rec` is a drop that explains a loss: any but the client's
     /// duplicate filter.
-    fn explains(&self, rec: &SpanRecord) -> bool {
-        rec.event == SpanEvent::Drop && self.reasons[usize::from(rec.reason)] != DUPLICATE_FILTERED
+    fn explains(rec: &SpanRecord) -> bool {
+        rec.event == SpanEvent::Drop && rec.reason != DUPLICATE_FILTERED
     }
 
     /// Advances the cursor over the closed spans at it, folding each into
     /// the fingerprint.
     fn settle(&mut self) {
-        let (folded, reasons) = (&mut self.folded, &self.reasons);
-        self.spans.advance(|rec| fold(folded, reasons, rec));
+        let folded = &mut self.folded;
+        self.spans.advance(|rec| fold(folded, rec));
     }
 
     /// The open span `span` for `op` to act on; `None` for an untraced
@@ -483,7 +434,7 @@ impl LineageLog {
         if span == NO_SPAN {
             return None;
         }
-        let (first, len) = (self.spans.first, self.spans.len);
+        let (first, len) = (self.spans.first, self.spans.len());
         match self.spans.get_mut(span as usize) {
             Some(rec) if rec.is_open() => Some(rec),
             Some(_) => panic!("lineage: {op} on span {span}, which is closed"),
@@ -498,7 +449,7 @@ impl LineageLog {
     /// and advances the cursor.
     fn closed(&mut self, span: u32) {
         let rec = &self.spans[span as usize];
-        let explains = self.explains(rec);
+        let explains = Self::explains(rec);
         if let Some(i) = self.books.find(rec.lineage) {
             let o = &mut self.books.lineages[i];
             o.open -= 1;
@@ -519,7 +470,7 @@ impl LineageLog {
             node,
             cause: NO_SPAN,
             entity: NO_ENTITY,
-            reason: 0,
+            reason: "",
             event: SpanEvent::Origin,
             t_enqueue: now,
             t_service_start: SimTime::MAX,
@@ -538,7 +489,7 @@ impl LineageLog {
             node,
             cause,
             entity: NO_ENTITY,
-            reason: 0,
+            reason: "",
             event: SpanEvent::Hop,
             t_enqueue: arrival,
             t_service_start: SimTime::MAX,
@@ -588,7 +539,6 @@ impl LineageLog {
         if !self.sampled(lid) {
             return NO_SPAN;
         }
-        let reason = self.reason_index(reason);
         self.push(SpanRecord {
             lineage: lid,
             node,
@@ -609,11 +559,9 @@ impl LineageLog {
     ///
     /// Panics when `span` is traced but not open.
     pub fn mark_dropped(&mut self, span: u32, reason: &'static str, now: SimTime) {
-        if self.open_span(span, "mark_dropped").is_none() {
+        let Some(rec) = self.open_span(span, "mark_dropped") else {
             return;
-        }
-        let reason = self.reason_index(reason);
-        let rec = self.spans.get_mut(span as usize).expect("an open span");
+        };
         rec.event = SpanEvent::Drop;
         rec.reason = reason;
         if rec.t_service_start == SimTime::MAX {
@@ -639,7 +587,7 @@ impl LineageLog {
             node,
             cause: cause_span,
             entity,
-            reason: 0,
+            reason: "",
             event: SpanEvent::Deliver,
             t_enqueue: now,
             t_service_start: now,
@@ -658,7 +606,6 @@ impl LineageLog {
             return;
         };
         let lineage = cause.lineage;
-        let reason = self.reason_index(reason);
         self.push(SpanRecord {
             lineage,
             node,
@@ -694,34 +641,6 @@ impl LineageLog {
         self.books.register(lid, t_publish, publisher, entities);
     }
 
-    /// The index of `reason` in the reason table, added on first use (a
-    /// linear scan: a run books a handful of distinct reasons).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a reason past the [`MAX_DROP_REASONS`] the one-byte index
-    /// can tell apart.
-    fn reason_index(&mut self, reason: &'static str) -> u8 {
-        let i = match self
-            .reasons
-            .iter()
-            .position(|&r| std::ptr::eq(r, reason) || r == reason)
-        {
-            Some(i) => i,
-            None => {
-                assert!(
-                    self.reasons.len() <= MAX_DROP_REASONS,
-                    "lineage: drop reason {reason:?} would be distinct reason number {}, \
-                     past the limit of {MAX_DROP_REASONS} a span's u8 index can tell apart",
-                    self.reasons.len()
-                );
-                self.reasons.push(reason);
-                self.reasons.len() - 1
-            }
-        };
-        i as u8
-    }
-
     /// The spans recorded: their count, and the live window still held.
     #[must_use]
     pub fn spans(&self) -> &SpanStore {
@@ -736,7 +655,7 @@ impl LineageLog {
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.folded;
         for rec in self.spans.live() {
-            fold(&mut h, &self.reasons, rec);
+            fold(&mut h, rec);
         }
         h
     }
@@ -784,8 +703,7 @@ impl LineageLog {
                 // Not delivered: find the best explanation, most concrete
                 // first.
                 if o.first_drop != NO_SPAN {
-                    let reason = self.reasons[usize::from(o.drop_reason)];
-                    *report.dropped.entry(reason).or_insert(0) += 1;
+                    *report.dropped.entry(o.drop_reason).or_insert(0) += 1;
                 } else if o.open > 0 {
                     report.in_flight += 1;
                 } else if in_window(o.t_publish, damage) {
@@ -806,15 +724,14 @@ impl LineageLog {
     }
 }
 
-/// Folds every field of `rec` into the FNV-1a state `h`, its drop reason
-/// read through `reasons`.
-fn fold(h: &mut u64, reasons: &[&str], rec: &SpanRecord) {
+/// Folds every field of `rec` into the FNV-1a state `h`.
+fn fold(h: &mut u64, rec: &SpanRecord) {
     let mut eat = |bytes: &[u8]| fnv1a(h, bytes);
     eat(&rec.lineage.to_le_bytes());
     eat(&rec.node.to_le_bytes());
     eat(&rec.cause.to_le_bytes());
     eat(&rec.entity.to_le_bytes());
-    eat(reasons[usize::from(rec.reason)].as_bytes());
+    eat(rec.reason.as_bytes());
     eat(rec.event.as_str().as_bytes());
     eat(&rec.t_enqueue.as_nanos().to_le_bytes());
     eat(&rec.t_service_start.as_nanos().to_le_bytes());
@@ -961,11 +878,11 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    /// The fingerprint fold over `spans`, read through `log`'s reasons.
-    fn fold_all<'a>(log: &LineageLog, spans: impl Iterator<Item = &'a SpanRecord>) -> u64 {
+    /// The fingerprint fold over `spans`.
+    fn fold_all<'a>(spans: impl Iterator<Item = &'a SpanRecord>) -> u64 {
         let mut h = FNV1A_OFFSET;
         for rec in spans {
-            fold(&mut h, &log.reasons, rec);
+            fold(&mut h, rec);
         }
         h
     }
@@ -977,11 +894,11 @@ mod tests {
         log
     }
 
-    /// An enabled log whose span 0 is retired: `SEGMENT` closed origins
-    /// fill segment 0, and one more, closed, moves the cursor past it.
+    /// An enabled log whose span 0 is retired: `RETAIN` closed origins
+    /// fill the store, and one more retires them.
     fn with_span_0_retired() -> LineageLog {
         let mut log = enabled();
-        for _ in 0..=SEGMENT {
+        for _ in 0..=RETAIN {
             let o = log.origin(1, 0, at(0));
             log.close(o, at(0));
         }
@@ -1164,12 +1081,12 @@ mod tests {
     }
 
     #[test]
-    fn spans_across_a_segment_boundary_behave_as_one_vector() {
+    fn a_log_past_retain_reads_as_one_vector() {
         let mut log = enabled();
         log.expect(1, at(1), 0, &[10, 11]);
         log.expect(2, at(1), 0, &[12]);
         log.expect(3, at(1), 0, &[13]);
-        let b = SEGMENT as u32;
+        let b = RETAIN as u32;
         // A model span; `t` is its enqueue time, then service start and
         // done when it is closed.
         let span = |lineage, node, cause, entity, reason, event, t: &[u64]| SpanRecord {
@@ -1183,16 +1100,16 @@ mod tests {
             t_service_start: t.get(1).map_or(SimTime::MAX, |&ms| at(ms)),
             t_done: t.get(2).map_or(SimTime::MAX, |&ms| at(ms)),
         };
-        // Unowed open origins fill segment 0 up to its last four slots.
-        let filler = span(0, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[0]);
-        for _ in 0..SEGMENT - 4 {
+        // Unowed open origins fill the store up to its last four slots.
+        let filler = span(0, 0, NO_SPAN, NO_ENTITY, "", SpanEvent::Origin, &[0]);
+        for _ in 0..RETAIN - 4 {
             log.origin(0, 0, at(0));
         }
         let o = log.origin(1, 0, at(1));
         let h1 = log.hop(1, o, 1, at(2));
         let g = log.origin(2, 0, at(1));
         let y = log.origin(3, 0, at(1));
-        // Segment 1, every cause in segment 0 but `d2`'s.
+        // Past `RETAIN`, with span 0 open: the store grows, retiring nothing.
         let h2 = log.hop(1, h1, 2, at(3));
         let d1 = log.deliver_from(h1, 1, 10, at(4));
         let d2 = log.deliver_from(h2, 2, 11, at(5));
@@ -1208,22 +1125,30 @@ mod tests {
         log.close(h2, at(5));
         log.mark_dropped(x, "link-lost", at(3));
 
-        let mut model = vec![filler; SEGMENT - 4];
+        let mut model = vec![filler; RETAIN - 4];
         model.extend([
-            span(1, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[1, 1, 1]),
-            span(1, 1, o, NO_ENTITY, 0, SpanEvent::Hop, &[2, 3, 4]),
-            span(2, 0, NO_SPAN, NO_ENTITY, 0, SpanEvent::Origin, &[1, 1, 1]),
-            span(3, 0, NO_SPAN, NO_ENTITY, 1, SpanEvent::Drop, &[1, 2, 2]),
-            span(1, 2, h1, NO_ENTITY, 0, SpanEvent::Hop, &[3, 4, 5]),
-            span(1, 1, h1, 10, 0, SpanEvent::Deliver, &[4, 4, 4]),
-            span(1, 2, h2, 11, 0, SpanEvent::Deliver, &[5, 5, 5]),
-            span(2, 3, g, NO_ENTITY, 2, SpanEvent::Drop, &[2, 3, 3]),
+            span(1, 0, NO_SPAN, NO_ENTITY, "", SpanEvent::Origin, &[1, 1, 1]),
+            span(1, 1, o, NO_ENTITY, "", SpanEvent::Hop, &[2, 3, 4]),
+            span(2, 0, NO_SPAN, NO_ENTITY, "", SpanEvent::Origin, &[1, 1, 1]),
+            span(
+                3,
+                0,
+                NO_SPAN,
+                NO_ENTITY,
+                "node-lost",
+                SpanEvent::Drop,
+                &[1, 2, 2],
+            ),
+            span(1, 2, h1, NO_ENTITY, "", SpanEvent::Hop, &[3, 4, 5]),
+            span(1, 1, h1, 10, "", SpanEvent::Deliver, &[4, 4, 4]),
+            span(1, 2, h2, 11, "", SpanEvent::Deliver, &[5, 5, 5]),
+            span(2, 3, g, NO_ENTITY, "link-lost", SpanEvent::Drop, &[2, 3, 3]),
         ]);
         let spans = log.spans();
-        assert_eq!(spans.len(), SEGMENT + 4);
+        assert_eq!(spans.len(), RETAIN + 4);
         assert!(spans.iter().eq(&model));
         assert!((0..model.len()).all(|i| spans[i] == model[i]));
-        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
+        assert_eq!(log.fingerprint(), fold_all(model.iter()));
 
         let report = log.audit(at(100), None);
         assert_eq!(report.delivered, 2);
@@ -1235,48 +1160,31 @@ mod tests {
     #[test]
     fn closed_segments_retire_and_the_fold_is_unchanged() {
         let mut log = enabled();
-        // Segment 0 of open origins, and one more in segment 1.
-        let spans: Vec<u32> = (0..=SEGMENT).map(|_| log.origin(7, 0, at(0))).collect();
+        // A full store, every span closed but the one in the middle.
+        let mid = RETAIN / 2;
+        for i in 0..RETAIN {
+            let o = log.origin(7, 0, at(0));
+            if i != mid {
+                log.close(o, at(1));
+            }
+        }
         let mut model: Vec<SpanRecord> = log.spans().iter().cloned().collect();
-        // Close all but the last: the cursor passes segment 0, which is
-        // retired, while the open span keeps segment 1.
-        for &s in &spans[..SEGMENT] {
-            log.close(s, at(1));
-            model[s as usize].t_service_start = at(1);
-            model[s as usize].t_done = at(1);
-        }
-        assert_eq!(log.spans().len(), SEGMENT + 1);
-        assert!(log.spans().iter().eq(&model[SEGMENT..]));
-        assert!(log.spans().get(SEGMENT - 1).is_none());
-        assert_eq!(log.spans.free.len(), 1);
+        assert_eq!(model.len(), RETAIN);
+        // The next push retires the closed spans behind the open one.
+        let next = log.origin(7, 0, at(2)) as usize;
+        model.push(log.spans()[next].clone());
+        assert_eq!(log.spans().len(), RETAIN + 1);
+        assert!(log.spans().get(0).is_none());
+        assert!(log.spans().get(mid - 1).is_none());
+        assert!(log.spans().iter().eq(&model[mid..]));
         // Open at the end or closed, the fold is the fold of every span.
-        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
-        log.close(spans[SEGMENT], at(2));
-        model[SEGMENT].t_service_start = at(2);
-        model[SEGMENT].t_done = at(2);
-        assert_eq!(log.fingerprint(), fold_all(&log, model.iter()));
-        // The retired segment comes back as the next one.
-        for _ in 0..SEGMENT {
-            log.origin(7, 0, at(3));
+        assert_eq!(log.fingerprint(), fold_all(model.iter()));
+        for (s, t) in [(mid, 3), (next, 4)] {
+            log.close(s as u32, at(t));
+            model[s].t_service_start = at(t);
+            model[s].t_done = at(t);
         }
-        assert!(log.spans.free.is_empty());
-        assert_eq!(log.spans.segments.len(), 2);
-    }
-
-    #[test]
-    fn a_capacity_of_one_segment_truncates_at_the_boundary() {
-        let mut log = LineageLog::disabled();
-        log.enable(LineageConfig {
-            sample: 1,
-            capacity: SEGMENT,
-        });
-        for _ in 0..SEGMENT {
-            log.origin(1, 0, at(0));
-        }
-        assert_eq!(log.origin(1, 0, at(0)), NO_SPAN);
-        assert_eq!(log.spans().len(), SEGMENT);
-        assert_eq!(log.spans.segments.len(), 1);
-        assert_eq!(log.audit(at(100), None).truncated, 1);
+        assert_eq!(log.fingerprint(), fold_all(model.iter()));
     }
 
     #[test]
@@ -1288,15 +1196,14 @@ mod tests {
         });
         assert_eq!(log.cfg.capacity, NO_SPAN as usize);
         // A log one span short of `u32::MAX`, every span closed: the store
-        // holds only the last segment, filled up to that span.
+        // holds only the last of them.
         let held = NO_SPAN as usize - 1;
         let first = log.origin(1, 0, at(0));
         log.close(first, at(0));
         let filler = log.spans()[first as usize].clone();
         let store = &mut log.spans;
-        store.first = held & !(SEGMENT - 1);
-        store.segments = VecDeque::from([vec![filler; held - store.first]]);
-        (store.len, store.cursor) = (held, held);
+        store.held = VecDeque::from([filler]);
+        (store.first, store.cursor) = (held - 1, held);
         assert_eq!(log.origin(1, 0, at(0)), NO_SPAN - 1);
         // The next id would be the sentinel: the log truncates instead.
         assert_eq!(log.origin(1, 0, at(0)), NO_SPAN);
@@ -1315,28 +1222,6 @@ mod tests {
         };
         assert_eq!(build("link-lost"), build("link-lost"));
         assert_ne!(build("link-lost"), build("node-lost"));
-    }
-
-    #[test]
-    #[should_panic(expected = "past the limit of 255")]
-    fn a_256th_distinct_drop_reason_fails_closed() {
-        let mut log = enabled();
-        let o = log.origin(1, 0, at(0));
-        let leaked = |i: usize| -> &'static str { Box::leak(format!("r{i}").into_boxed_str()) };
-        for i in 1..=MAX_DROP_REASONS {
-            log.drop_from(o, 0, leaked(i), at(1));
-        }
-        // All 255 read back, and an equal string at another address is
-        // the same reason, not a 256th.
-        let reasons: Vec<&str> = log
-            .spans()
-            .iter()
-            .map(|s| log.reasons[usize::from(s.reason)])
-            .collect();
-        assert_eq!((reasons[1], reasons[255]), ("r1", "r255"));
-        log.drop_from(o, 0, leaked(1), at(2));
-        log.drop_from(o, 0, "", at(2));
-        log.drop_from(o, 0, leaked(256), at(3));
     }
 
     #[test]
