@@ -51,18 +51,6 @@ impl Bytes {
         Self(Repr::Shared(Arc::from(data)))
     }
 
-    /// Number of bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Returns `true` if the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
     /// The underlying bytes.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {

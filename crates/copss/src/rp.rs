@@ -139,18 +139,6 @@ impl RpTable {
             .collect()
     }
 
-    /// Number of served prefixes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.served.len()
-    }
-
-    /// Returns `true` if nothing is served.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.served.is_empty()
-    }
-
     /// Checks the prefix-free invariant (for tests and debug assertions).
     #[must_use]
     pub fn is_prefix_free(&self) -> bool {
@@ -217,7 +205,7 @@ mod tests {
         t.assign(n("/1"), RpId(0)).unwrap();
         t.assign(n("/1"), RpId(5)).unwrap();
         assert_eq!(t.rp_for(&n("/1/9")), Some(RpId(5)));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.assignments().len(), 1);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use gcopss_names::Name;
 /// let mut w = TrafficWindow::new(100);
 /// for _ in 0..10 { w.record(Name::parse_lit("/1/1")); }
 /// for _ in 0..30 { w.record(Name::parse_lit("/1/2")); }
-/// assert_eq!(w.count(&Name::parse_lit("/1/2")), 30);
+/// let plan = w.plan_split(&[Name::parse_lit("/1")], 0.5, |_| true).unwrap();
+/// assert_eq!(plan.moved, [Name::parse_lit("/1/2")]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrafficWindow {
@@ -61,24 +62,6 @@ impl TrafficWindow {
             }
         }
         self.window.push_back(cd);
-    }
-
-    /// Packets currently remembered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Returns `true` if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Count of packets in the window published exactly to `cd`.
-    #[must_use]
-    pub fn count(&self, cd: &Name) -> u64 {
-        self.counts.get(cd).copied().unwrap_or(0)
     }
 
     /// Plans a load split of the served prefixes: returns the set of
@@ -210,12 +193,12 @@ mod tests {
         w.record(n("/a"));
         w.record(n("/a"));
         w.record(n("/b"));
-        assert_eq!(w.count(&n("/a")), 2);
+        assert_eq!(w.counts[&n("/a")], 2);
         w.record(n("/c")); // evicts the first /a
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.count(&n("/a")), 1);
-        assert_eq!(w.count(&n("/b")), 1);
-        assert_eq!(w.count(&n("/c")), 1);
+        assert_eq!(w.window.len(), 3);
+        assert_eq!(w.counts[&n("/a")], 1);
+        assert_eq!(w.counts[&n("/b")], 1);
+        assert_eq!(w.counts[&n("/c")], 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use gcopss_game::{GameMap, ObjectId, ObjectModel};
 use gcopss_names::chunk::{ChunkId, ChunkStore, Chunker, Manifest};
 use gcopss_names::{Cd, Component, Name};
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration};
+use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SpaceSaving};
 
 use crate::client::DedupWindow;
 use crate::drops;
@@ -370,11 +370,12 @@ impl SnapshotBroker {
     /// mass; exit fires at half that share (hysteresis, so a prefix
     /// straddling the threshold does not flap its cache class every request).
     fn update_hot(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
-        if !self.params.cache_adaptive || !ctx.streams_enabled() {
+        if !self.params.cache_adaptive || !ctx.streams().is_enabled() {
             return;
         }
-        let (monitored, _offered) = ctx.stream_mass("qr-pop");
-        let count = ctx.stream_count("qr-pop", key).map_or(0, |(c, _)| c);
+        let sketch = ctx.streams().sketch("qr-pop");
+        let monitored = sketch.map_or(0, SpaceSaving::monitored_total);
+        let count = sketch.and_then(|s| s.count_of(key)).map_or(0, |(c, _)| c);
         let (num, den) = adaptive_cache::HOT;
         if self.hot.contains(&key) {
             if count * den * 2 < monitored * num {

@@ -5,7 +5,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use gcopss_compat::{Rng, SeedableRng, SmallRng};
-use gcopss_copss::{CopssEngine, CopssPacket, JoinRequest, MulticastPacket, PruneRequest, RpId, TrafficWindow};
+use gcopss_copss::{
+    CopssEngine, CopssPacket, JoinRequest, MulticastPacket, PruneRequest, RpId, TrafficWindow,
+};
 use gcopss_names::{FixedState, Name};
 use gcopss_ndn::{ContentStoreConfig, FaceId, NdnAction, NdnEngine};
 use gcopss_sim::prof;
@@ -380,7 +382,8 @@ impl GCopssRouter {
                 );
             }
             // A prune toward an unknown RP is moot: nothing was joined.
-            self.pending_joins.retain(|j| !(j.rp == p.rp && j.name == p.name));
+            self.pending_joins
+                .retain(|j| !(j.rp == p.rp && j.name == p.name));
         }
     }
 
@@ -409,9 +412,10 @@ impl GCopssRouter {
                 if faces.contains(&face) {
                     continue;
                 }
-                let is_host = self.faces.node_of(face).is_some_and(|n| {
-                    ctx.topology().node_kind(n) == gcopss_sim::NodeKind::Host
-                });
+                let is_host = self
+                    .faces
+                    .node_of(face)
+                    .is_some_and(|n| ctx.topology().node_kind(n) == gcopss_sim::NodeKind::Host);
                 if is_host {
                     faces.push(face);
                 }
@@ -490,16 +494,16 @@ impl GCopssRouter {
     /// balancer from flapping. Evaluated at most once per stream roll;
     /// inert without [`SimParams::rp_adaptive`] or without the stream hub.
     fn maybe_adaptive_split(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        if !self.params.rp_adaptive || !ctx.streams_enabled() {
+        if !self.params.rp_adaptive || !ctx.streams().is_enabled() {
             return;
         }
-        let roll = ctx.stream_rolls();
+        let roll = ctx.streams().rolls();
         if roll == 0 || roll == self.adaptive.last_roll {
             return;
         }
         self.adaptive.last_roll = roll;
         let me = ctx.node();
-        let q8 = ctx.stream_queue_ewma_q8(me);
+        let q8 = ctx.streams().queue_ewma_q8(me.0);
         let floor_q8 = adaptive_rp::MIN_QUEUE_EWMA << 8;
         let pressure = q8 >= floor_q8;
         if !self.adaptive.armed {
@@ -523,17 +527,14 @@ impl GCopssRouter {
             return;
         }
         let skew = {
-            let mut rp_nodes: BTreeSet<u32> =
-                ctx.world().rp_locations.values().copied().collect();
+            let mut rp_nodes: BTreeSet<u32> = ctx.world().rp_locations.values().copied().collect();
             rp_nodes.insert(me.0);
             if rp_nodes.len() <= 1 {
                 true
             } else {
-                let mine = ctx.stream_rate_of("rp-served", me);
-                let sum: u64 = rp_nodes
-                    .iter()
-                    .map(|&n| ctx.stream_rate_of("rp-served", NodeId(n)))
-                    .sum();
+                let rate = |n| ctx.streams().rate("rp-served", n);
+                let mine = rate(me.0);
+                let sum: u64 = rp_nodes.iter().map(|&n| rate(n)).sum();
                 mine * adaptive_rp::SKEW.1 * rp_nodes.len() as u64 >= sum * adaptive_rp::SKEW.0
             }
         };
@@ -642,7 +643,9 @@ impl GCopssRouter {
         // moved goes to the new one. Coarser shadowed entries are resolved
         // by longest-prefix matching.
         for r in &plan.retained {
-            self.copss.rp_table_mut().apply_move(std::slice::from_ref(r), old_rp);
+            self.copss
+                .rp_table_mut()
+                .apply_move(std::slice::from_ref(r), old_rp);
         }
         let (joins, prunes) = self.copss.handle_rp_update(&plan.moved, new_rp);
         self.send_joins(ctx, joins);
@@ -749,7 +752,9 @@ impl GCopssRouter {
         // Learn the route to the new RP from the flood's arrival direction
         // (reverse-path FIB construction).
         if let Some(face) = self.face_of(from) {
-            if self.ndn.fib().exact(&new_rp.ndn_prefix()).is_none() && !self.local_rps.contains(&new_rp) {
+            if self.ndn.fib().exact(&new_rp.ndn_prefix()).is_none()
+                && !self.local_rps.contains(&new_rp)
+            {
                 self.ndn.fib_mut().add(new_rp.ndn_prefix(), face);
             }
         }
@@ -1095,9 +1100,8 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 let _p = prof::scope("copss/multicast");
                 // First hop for a host publication: encapsulate toward the
                 // RP. Otherwise: native ST forwarding.
-                let from_host = from.is_some_and(|n| {
-                    ctx.topology().node_kind(n) == gcopss_sim::NodeKind::Host
-                });
+                let from_host =
+                    from.is_some_and(|n| ctx.topology().node_kind(n) == gcopss_sim::NodeKind::Host);
                 if from_host || from.is_none() {
                     match self.copss.rp_for_publication(m.cd.name()) {
                         Some(rp) if self.local_rps.contains(&rp) => {
@@ -1133,7 +1137,11 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 let _p = prof::scope("copss/rp_update");
                 self.on_rp_update(ctx, from, cds, new_rp);
             }
-            GPacket::Copss(CopssPacket::RpHandoff { cds, new_rp, old_rp }) => {
+            GPacket::Copss(CopssPacket::RpHandoff {
+                cds,
+                new_rp,
+                old_rp,
+            }) => {
                 let _p = prof::scope("copss/rp_handoff");
                 // Bare handoff (not wrapped): treat as addressed to us.
                 self.on_rp_handoff(ctx, cds, new_rp, old_rp);
@@ -1144,7 +1152,12 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                     // `Control` is only ever built around an `RpHandoff`
                     // (by the split above) and re-wrapped unchanged when
                     // forwarded, so nothing else can arrive here.
-                    if let CopssPacket::RpHandoff { cds, new_rp, old_rp } = inner {
+                    if let CopssPacket::RpHandoff {
+                        cds,
+                        new_rp,
+                        old_rp,
+                    } = inner
+                    {
                         self.on_rp_handoff(ctx, cds, new_rp, old_rp);
                     }
                 } else {
@@ -1217,8 +1230,10 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         let c = t.add_node("c");
-        t.try_add_link(b, a, SimDuration::from_millis(1), None).unwrap();
-        t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(b, a, SimDuration::from_millis(1), None)
+            .unwrap();
+        t.try_add_link(b, c, SimDuration::from_millis(1), None)
+            .unwrap();
         let fm = FaceMap::new(&t, b);
         assert_eq!(fm.iter().count(), 2);
         assert_eq!(fm.face_of(a), Some(FaceId(0)));

@@ -12,8 +12,8 @@ use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::generators::{attach_hosts, benchmark_testbed, rocketfuel_like, BackboneParams};
 use gcopss_sim::{
-    FaultPlan, NodeBehavior, NodeId, OverloadConfig, PacketMeta, RoutingTable, SimDuration,
-    SimTime, Simulator, StreamConfig, Topology,
+    FaultPlan, NodeBehavior, NodeId, OverloadConfig, PacketMeta, SimDuration, SimTime, Simulator,
+    StreamConfig, Topology,
 };
 
 use crate::broker::SnapshotMode;
@@ -519,8 +519,6 @@ impl<'a> ScenarioSpec<'a> {
                 .collect(),
             Protocol::Hybrid(_) | Protocol::NdnBaseline(_) => Vec::new(),
         };
-        let routing = RoutingTable::shortest_paths(&topology);
-
         let stage = Stage {
             routers,
             attach_points,
@@ -530,7 +528,7 @@ impl<'a> ScenarioSpec<'a> {
             trace: &trace,
         };
         let mut built = BuiltScenario {
-            sim: new_sim(topology, routing, metrics_mode, delivery_log, overload),
+            sim: new_sim(topology, metrics_mode, delivery_log, overload),
             player_nodes,
             rp_nodes: BTreeMap::new(),
             hosts,
@@ -619,7 +617,6 @@ struct Stage<'s> {
 /// installs nothing).
 fn new_sim(
     topology: Topology,
-    routing: RoutingTable,
     metrics_mode: MetricsMode,
     delivery_log: bool,
     overload: OverloadConfig,
@@ -628,7 +625,7 @@ fn new_sim(
     if delivery_log {
         world = world.with_delivery_log();
     }
-    let mut sim = Simulator::with_routing(topology, routing, world);
+    let mut sim = Simulator::new(topology, world);
     sim.set_packet_meta(PacketMeta {
         kind: GPacket::kind,
         lineage_id: GPacket::lineage_id,

@@ -50,7 +50,6 @@ pub struct UpdateMetrics {
     samples: LatencySamples,
     per_pub: BTreeMap<u64, PubAgg>,
     delivered: u64,
-    self_deliveries: u64,
 }
 
 impl UpdateMetrics {
@@ -80,7 +79,6 @@ impl UpdateMetrics {
             return;
         };
         if receiver == publisher {
-            self.self_deliveries += 1;
             return;
         }
         let lat = at.saturating_duration_since(t0);
@@ -114,12 +112,6 @@ impl UpdateMetrics {
     #[must_use]
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Deliveries back to the publisher (suppressed from latency stats).
-    #[must_use]
-    pub fn self_deliveries(&self) -> u64 {
-        self.self_deliveries
     }
 
     /// Aggregate latency statistics: exact, read off the histogram.
@@ -446,7 +438,6 @@ mod tests {
         m.deliver(0, PlayerId(1), SimTime::from_millis(14)); // self, ignored
         m.deliver(99, PlayerId(3), SimTime::from_millis(20)); // unknown
         assert_eq!(m.delivered(), 1);
-        assert_eq!(m.self_deliveries(), 1);
         assert_eq!(m.stats().mean(), SimDuration::from_millis(4));
         assert_eq!(m.samples_mut().len(), 1);
         assert_eq!(m.publisher_of(0), Some(PlayerId(1)));

@@ -8,9 +8,7 @@ use gcopss_compat::{Rng, SeedableRng};
 use crate::{AreaId, GameMap};
 
 /// Identifier of a player.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlayerId(pub u32);
 
 impl PlayerId {
@@ -122,14 +120,6 @@ impl PlayerPopulation {
             .filter(|p| self.area_of(*p) == area)
             .collect()
     }
-
-    /// Per-area player counts in area-id order (Fig. 3d).
-    #[must_use]
-    pub fn per_area_counts(&self, map: &GameMap) -> Vec<(AreaId, usize)> {
-        map.areas()
-            .map(|a| (a, self.players_in(a).len()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +131,8 @@ mod tests {
         let map = GameMap::paper_map();
         let pop = PlayerPopulation::uniform_per_area(&map, 2);
         assert_eq!(pop.len(), 62);
-        for (_, c) in pop.per_area_counts(&map) {
-            assert_eq!(c, 2);
+        for a in map.areas() {
+            assert_eq!(pop.players_in(a).len(), 2);
         }
     }
 
@@ -152,8 +142,8 @@ mod tests {
         let a = PlayerPopulation::random_per_area(9, &map, (4, 20));
         let b = PlayerPopulation::random_per_area(9, &map, (4, 20));
         assert_eq!(a.len(), b.len());
-        for (_, c) in a.per_area_counts(&map) {
-            assert!((4..=20).contains(&c));
+        for area in map.areas() {
+            assert!((4..=20).contains(&a.players_in(area).len()));
         }
         // 31 areas x 4..20 -> mean 372; resize to the paper's 414.
         let resized = a.resize(414);

@@ -76,21 +76,6 @@ pub fn per_area_stats(
         .collect()
 }
 
-/// Per-layer update counts on each object's area depth: world / regions /
-/// zones, mirroring the paper's observation that the 87 top-layer objects
-/// see 27k+ changes each while bottom-layer objects see far fewer.
-#[must_use]
-pub fn updates_per_layer(map: &GameMap, events: &[TraceEvent]) -> BTreeMap<usize, u64> {
-    let mut out = BTreeMap::new();
-    for e in events {
-        let depth = map
-            .area_of_leaf_cd(&e.cd)
-            .map_or(usize::MAX, |a| map.depth(a));
-        *out.entry(depth).or_insert(0) += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,11 +124,16 @@ mod tests {
 
     #[test]
     fn world_layer_receives_most_updates_per_area() {
+        // The paper's observation: the 87 top-layer objects see 27k+
+        // changes each while bottom-layer objects see far fewer.
         let (map, _, _, events) = setup();
-        let layers = updates_per_layer(&map, &events);
+        let at_depth = |d| {
+            let on = |e: &&TraceEvent| map.area_of_leaf_cd(&e.cd).map(|a| map.depth(a)) == Some(d);
+            events.iter().filter(on).count() as f64
+        };
         // depth 0: 1 area; depth 1: 5; depth 2: 25.
-        let per_area_0 = layers[&0] as f64;
-        let per_area_2 = layers[&2] as f64 / 25.0;
+        let per_area_0 = at_depth(0);
+        let per_area_2 = at_depth(2) / 25.0;
         assert!(per_area_0 > per_area_2);
     }
 }

@@ -249,13 +249,6 @@ pub enum ChunkError {
         /// Sum of chunk lengths.
         actual: u64,
     },
-    /// Chunk bytes hash to a different id than claimed (corruption).
-    HashMismatch {
-        /// Claimed id.
-        expected: ChunkId,
-        /// Hash of the bytes actually presented.
-        actual: ChunkId,
-    },
     /// Reassembly needs a chunk the store does not hold.
     MissingChunk(ChunkId),
     /// A held chunk's length disagrees with the manifest's reference.
@@ -276,9 +269,6 @@ impl fmt::Display for ChunkError {
             Self::BadMagic(m) => write!(f, "bad manifest magic {m:#010x}"),
             Self::LengthMismatch { expected, actual } => {
                 write!(f, "manifest total_len {expected} != chunk sum {actual}")
-            }
-            Self::HashMismatch { expected, actual } => {
-                write!(f, "chunk bytes hash to {actual}, claimed {expected}")
             }
             Self::MissingChunk(id) => write!(f, "missing chunk {id}"),
             Self::WrongLength {
@@ -312,21 +302,6 @@ impl ChunkStore {
         let id = ChunkId::of(bytes);
         self.by_id.insert(id.0, bytes.to_vec());
         id
-    }
-
-    /// Stores `bytes` claimed to be chunk `id`, verifying the hash first —
-    /// the receive-path entry point (a corrupted or forged chunk is
-    /// rejected, never cached).
-    pub fn insert_verified(&mut self, id: ChunkId, bytes: &[u8]) -> Result<(), ChunkError> {
-        let actual = ChunkId::of(bytes);
-        if actual != id {
-            return Err(ChunkError::HashMismatch {
-                expected: id,
-                actual,
-            });
-        }
-        self.insert(bytes);
-        Ok(())
     }
 
     /// Whether the store holds `id`.
@@ -372,9 +347,7 @@ impl ChunkStore {
     pub fn reassemble(&self, manifest: &Manifest) -> Result<Vec<u8>, ChunkError> {
         let mut out = Vec::with_capacity(manifest.total_len as usize);
         for c in &manifest.chunks {
-            let bytes = self
-                .get(c.id)
-                .ok_or(ChunkError::MissingChunk(c.id))?;
+            let bytes = self.get(c.id).ok_or(ChunkError::MissingChunk(c.id))?;
             if bytes.len() as u32 != c.len {
                 return Err(ChunkError::WrongLength {
                     id: c.id,
@@ -514,16 +487,6 @@ mod tests {
         assert_eq!(missing.len(), chunks.len() - half);
         assert!(missing.iter().all(|m| !store.contains(m.id)));
 
-        // Corrupted chunk rejected, store unchanged.
-        let victim = missing[0];
-        let mut corrupt = chunks[half].to_vec();
-        corrupt[0] ^= 0xff;
-        assert!(matches!(
-            store.insert_verified(victim.id, &corrupt),
-            Err(ChunkError::HashMismatch { .. })
-        ));
-        assert!(!store.contains(victim.id));
-
         // Reassembly refuses while chunks are missing.
         assert!(matches!(
             store.reassemble(&manifest),
@@ -567,7 +530,7 @@ mod tests {
                 .find(|c| ChunkId::of(c) == m.id)
                 .unwrap()
                 .to_vec();
-            store.insert_verified(m.id, &c).unwrap();
+            assert_eq!(store.insert(&c), m.id);
         }
         assert_eq!(store.reassemble(&new_manifest).unwrap(), data);
     }
@@ -591,7 +554,7 @@ mod tests {
             );
             let mut store = ChunkStore::new();
             for c in &chunks {
-                store.insert_verified(ChunkId::of(c), c).unwrap();
+                store.insert(c);
             }
             assert_eq!(store.reassemble(&manifest).unwrap(), data, "seed {seed}");
             assert!(
@@ -625,13 +588,12 @@ mod tests {
                 .map(|c| c.id.0)
                 .filter(|id| !held.contains(id))
                 .collect();
-            let got: std::collections::BTreeSet<u64> =
-                missing.iter().map(|c| c.id.0).collect();
+            let got: std::collections::BTreeSet<u64> = missing.iter().map(|c| c.id.0).collect();
             assert_eq!(got, expect, "seed {seed}: exact complement");
             assert_eq!(got.len(), missing.len(), "seed {seed}: no duplicates");
             for c in &chunks {
                 if got.contains(&ChunkId::of(c).0) {
-                    store.insert_verified(ChunkId::of(c), c).unwrap();
+                    store.insert(c);
                 }
             }
             assert_eq!(store.reassemble(&manifest).unwrap(), data, "seed {seed}");
@@ -639,8 +601,8 @@ mod tests {
     }
 
     /// Property sweep: field-sized random edits at random offsets dirty a
-    /// small, bounded fraction of a large blob's chunks, and corrupted
-    /// deliveries of the delta are always rejected.
+    /// small, bounded fraction of a large blob's chunks, and the delta
+    /// alone closes reassembly.
     #[test]
     fn prop_random_edits_stay_local() {
         let chunker = Chunker;
@@ -669,13 +631,7 @@ mod tests {
                     .find(|c| ChunkId::of(c) == m.id)
                     .unwrap()
                     .to_vec();
-                let mut corrupt = c.clone();
-                corrupt[0] ^= 0x80;
-                assert!(
-                    store.insert_verified(m.id, &corrupt).is_err(),
-                    "seed {seed}: corruption must be rejected"
-                );
-                store.insert_verified(m.id, &c).unwrap();
+                assert_eq!(store.insert(&c), m.id, "seed {seed}");
             }
             assert_eq!(store.reassemble(&manifest).unwrap(), data, "seed {seed}");
         }

@@ -96,12 +96,6 @@ impl Name {
         self.components.as_deref().unwrap_or_default()
     }
 
-    /// Returns the component at `level` (0-based), if any.
-    #[must_use]
-    pub fn get(&self, level: usize) -> Option<&Component> {
-        self.components().get(level)
-    }
-
     /// Returns the last component, if any.
     #[must_use]
     pub fn last(&self) -> Option<&Component> {
@@ -507,7 +501,10 @@ mod tests {
     #[test]
     fn encoded_len_counts_components() {
         assert_eq!(Name::root().encoded_len(), 1);
-        assert_eq!(Name::parse_lit("/1/23").encoded_len(), 1 + (1 + 1) + (1 + 2));
+        assert_eq!(
+            Name::parse_lit("/1/23").encoded_len(),
+            1 + (1 + 1) + (1 + 2)
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn copies_and_short_labels_make_no_heap_call() {
     assert_eq!(calls(|| name.join(&Name::root())), 0);
     assert_eq!(calls(|| Name::root().join(&name)), 0);
     assert_eq!(calls(|| name.prefix(0)), 0);
-    assert_eq!(calls(|| name.get(0).cloned()), 0);
+    assert_eq!(calls(|| name.last().cloned()), 0);
     assert_eq!(calls(|| spilled.clone()), 0);
     assert_eq!(calls(|| Component::index(u32::MAX)), 0);
     assert_eq!(calls(Component::own_area), 0);

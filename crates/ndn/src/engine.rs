@@ -43,7 +43,6 @@ pub struct NdnEngine {
     cs: ContentStore,
     /// Reused by `process_data`: the faces one Data goes back out of.
     downstream: Vec<FaceId>,
-    dropped_interests: u64,
     unsolicited_data: u64,
 }
 
@@ -57,7 +56,6 @@ impl NdnEngine {
             pit: Pit::new(),
             cs: ContentStore::new(content_store),
             downstream: Vec::new(),
-            dropped_interests: 0,
             unsolicited_data: 0,
         }
     }
@@ -91,12 +89,6 @@ impl NdnEngine {
         &self.cs
     }
 
-    /// Interests dropped for lack of a FIB route or duplicate nonce.
-    #[must_use]
-    pub fn dropped_interests(&self) -> u64 {
-        self.dropped_interests
-    }
-
     /// Data packets that matched no PIT entry.
     #[must_use]
     pub fn unsolicited_data(&self) -> u64 {
@@ -120,15 +112,10 @@ impl NdnEngine {
         // 2. PIT.
         match self.pit.insert(now_ns, face, &interest) {
             PitInsert::Forward => {}
-            PitInsert::Aggregated => return,
-            PitInsert::DuplicateNonce => {
-                self.dropped_interests += 1;
-                return;
-            }
+            PitInsert::Aggregated | PitInsert::DuplicateNonce => return,
         }
         // 3. FIB.
         let Some(faces) = self.fib.lookup(&interest.name) else {
-            self.dropped_interests += 1;
             return;
         };
         let upstream = faces.iter().copied().filter(|f| *f != face);
@@ -211,7 +198,13 @@ mod tests {
         e.fib_mut().add(n("/a"), FaceId(5));
         let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a/b"), 1));
         assert_eq!(acts.len(), 1);
-        assert!(matches!(&acts[0], NdnAction::SendInterest { face: FaceId(5), .. }));
+        assert!(matches!(
+            &acts[0],
+            NdnAction::SendInterest {
+                face: FaceId(5),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -219,7 +212,6 @@ mod tests {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
         assert!(acts.is_empty());
-        assert_eq!(e.dropped_interests(), 1);
     }
 
     #[test]
@@ -229,7 +221,13 @@ mod tests {
         e.fib_mut().add(n("/a"), FaceId(2));
         let acts = interest(&mut e, 0, FaceId(1), Interest::new(n("/a"), 1));
         assert_eq!(acts.len(), 1);
-        assert!(matches!(&acts[0], NdnAction::SendInterest { face: FaceId(2), .. }));
+        assert!(matches!(
+            &acts[0],
+            NdnAction::SendInterest {
+                face: FaceId(2),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -262,7 +260,13 @@ mod tests {
         // Second consumer hits the cache; no new Interest forwarded.
         let acts = interest(&mut e, 2, FaceId(2), Interest::new(n("/a"), 3));
         assert_eq!(acts.len(), 1);
-        assert!(matches!(&acts[0], NdnAction::SendData { face: FaceId(2), .. }));
+        assert!(matches!(
+            &acts[0],
+            NdnAction::SendData {
+                face: FaceId(2),
+                ..
+            }
+        ));
         assert_eq!(e.content_store().hits(), 1);
     }
 
@@ -282,17 +286,22 @@ mod tests {
         // Producer answers with a more specific name.
         let acts = answer(&mut e, 1, FaceId(5), data("/a/v1"));
         assert_eq!(acts.len(), 1);
-        assert!(matches!(&acts[0], NdnAction::SendData { face: FaceId(1), .. }));
+        assert!(matches!(
+            &acts[0],
+            NdnAction::SendData {
+                face: FaceId(1),
+                ..
+            }
+        ));
     }
 
     #[test]
-    fn duplicate_nonce_counted() {
+    fn duplicate_nonce_dropped() {
         let mut e = NdnEngine::new(ContentStoreConfig::default());
         e.fib_mut().add(n("/a"), FaceId(5));
         let i = Interest::new(n("/a"), 42);
         interest(&mut e, 0, FaceId(1), i.clone());
         let acts = interest(&mut e, 0, FaceId(2), i);
         assert!(acts.is_empty());
-        assert_eq!(e.dropped_interests(), 1);
     }
 }

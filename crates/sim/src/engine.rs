@@ -194,7 +194,6 @@ pub struct Ctx<'a, P, W> {
     sends: Vec<(NodeId, P, u32)>,
     timers: Vec<(SimDuration, u64)>,
     extra_busy: SimDuration,
-    stop: bool,
 }
 
 impl<P, W> Ctx<'_, P, W> {
@@ -287,11 +286,6 @@ impl<P, W> Ctx<'_, P, W> {
         self.extra_busy += d;
     }
 
-    /// Requests that the simulation stop after the current event.
-    pub fn stop(&mut self) {
-        self.stop = true;
-    }
-
     /// Whether telemetry is recording — lets behaviors skip building
     /// anything expensive that only feeds [`Ctx::counter`] and friends.
     #[must_use]
@@ -319,12 +313,15 @@ impl<P, W> Ctx<'_, P, W> {
         self.telemetry.observe(self.node.0, metric, value);
     }
 
-    /// Whether the streaming-metrics hub is recording — adaptive consumers
-    /// gate their policy evaluation on this (no streams, no adaptation).
+    /// Read access to the streaming-metrics hub. It is global, so a
+    /// behavior can compare its own load against its peers' (the skew
+    /// signal of adaptive RP balancing); adaptive consumers gate their
+    /// policy on [`MetricStreams::is_enabled`] (no streams, no adaptation)
+    /// and evaluate it at most once per [`MetricStreams::rolls`].
     #[must_use]
     #[inline]
-    pub fn streams_enabled(&self) -> bool {
-        self.streams.is_enabled()
+    pub fn streams(&self) -> &MetricStreams {
+        self.streams
     }
 
     /// Bumps this node's windowed stream counter `metric` by `delta`.
@@ -339,47 +336,6 @@ impl<P, W> Ctx<'_, P, W> {
     #[inline]
     pub fn stream_offer(&mut self, stream: &'static str, key: u64, weight: u64) {
         self.streams.offer(stream, key, weight);
-    }
-
-    /// A node's sliding-window sum of stream counter `metric` — the hub is
-    /// global, so behaviors can compare their own load against peers'
-    /// (the skew signal of adaptive RP balancing).
-    #[must_use]
-    #[inline]
-    pub fn stream_rate_of(&self, metric: &'static str, node: NodeId) -> u64 {
-        self.streams.rate(metric, node.0)
-    }
-
-    /// A node's service-queue-depth EWMA in Q8 fixed point (0 before the
-    /// first roll or while streams are disabled).
-    #[must_use]
-    #[inline]
-    pub fn stream_queue_ewma_q8(&self, node: NodeId) -> u64 {
-        self.streams.queue_ewma_q8(node.0)
-    }
-
-    /// The named sketch's estimate for `key`, when monitored.
-    #[must_use]
-    #[inline]
-    pub fn stream_count(&self, stream: &'static str, key: u64) -> Option<(u64, u64)> {
-        self.streams.sketch(stream).and_then(|s| s.count_of(key))
-    }
-
-    /// The named sketch's total monitored mass and all-time offered weight
-    /// as `(monitored, offered)` — the denominator of hot-share decisions.
-    #[must_use]
-    pub fn stream_mass(&self, stream: &'static str) -> (u64, u64) {
-        self.streams
-            .sketch(stream)
-            .map_or((0, 0), |s| (s.monitored_total(), s.offered()))
-    }
-
-    /// Stream rolls completed so far — consumers evaluate their policy at
-    /// most once per roll by remembering the last value they acted on.
-    #[must_use]
-    #[inline]
-    pub fn stream_rolls(&self) -> u64 {
-        self.streams.rolls()
     }
 
     /// Records a terminal delivery of the packet currently being serviced
@@ -569,7 +525,6 @@ pub struct Simulator<P, W> {
     /// busy-until per directed link (serialization)
     link_busy: Vec<SimTime>,
     events_processed: u64,
-    stopped: bool,
     on_start_done: bool,
     telemetry: Telemetry,
     /// How telemetry, lineage and overload control read a packet.
@@ -611,13 +566,6 @@ impl<P, W> Simulator<P, W> {
     #[must_use]
     pub fn new(topology: Topology, world: W) -> Self {
         let routing = RoutingTable::shortest_paths(&topology);
-        Self::with_routing(topology, routing, world)
-    }
-
-    /// Creates a simulator with a pre-computed routing table (useful when
-    /// the caller also needs the table to configure behaviors).
-    #[must_use]
-    pub fn with_routing(topology: Topology, routing: RoutingTable, world: W) -> Self {
         let n = topology.node_count();
         let l = topology.link_count();
         Self {
@@ -632,9 +580,8 @@ impl<P, W> Simulator<P, W> {
             link_bytes: vec![0; l * 2],
             link_busy: vec![SimTime::ZERO; l * 2],
             events_processed: 0,
-            stopped: false,
             on_start_done: false,
-            telemetry: Telemetry::disabled(n, l),
+            telemetry: Telemetry::default(),
             meta: PacketMeta::default(),
             lineage: LineageLog::disabled(),
             cur_span: NO_SPAN,
@@ -690,12 +637,6 @@ impl<P, W> Simulator<P, W> {
         for (t, ev) in schedule {
             self.push_event(t, Event::Fault(ev));
         }
-    }
-
-    /// `true` once a non-vacuous fault plan has been installed.
-    #[must_use]
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Installs overload control: bounded per-node service queues with the
@@ -795,7 +736,8 @@ impl<P, W> Simulator<P, W> {
     /// telemetry hook reduces to a single branch (see the `telemetry/`
     /// group in the bench crate for the measured overhead).
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.telemetry.enable(cfg);
+        let (nodes, links) = (self.topology.node_count(), self.topology.link_count());
+        self.telemetry.enable(cfg, nodes, links);
     }
 
     /// Switches per-message lineage tracing on. Only packets the
@@ -856,7 +798,8 @@ impl<P, W> Simulator<P, W> {
 
     /// One stream-hub roll at `at`, fed the live per-node queue depths.
     fn roll_streams(&mut self, at: SimTime) {
-        self.streams.roll(at, self.nodes.iter().map(|n| n.queue.len()));
+        self.streams
+            .roll(at, self.nodes.iter().map(|n| n.queue.len()));
     }
 
     /// Captures one time-series frame at `at`; the frame carries a
@@ -870,7 +813,12 @@ impl<P, W> Simulator<P, W> {
             .streams
             .is_enabled()
             .then(|| self.streams.snapshot_json());
-        ts.capture_with(at, &self.telemetry, self.nodes.iter().map(|n| n.queue.len()), snap);
+        ts.capture_with(
+            at,
+            &self.telemetry,
+            self.nodes.iter().map(|n| n.queue.len()),
+            snap,
+        );
         self.timeseries = Some(ts);
     }
 
@@ -889,9 +837,9 @@ impl<P, W> Simulator<P, W> {
             let st = &self.nodes[id as usize];
             (st.processed, st.max_queue, st.busy_time.as_nanos())
         };
-        let Json::Object(rest) = self
-            .telemetry
-            .summary_json(&self.topology, &engine_node, self.now)
+        let Json::Object(rest) =
+            self.telemetry
+                .summary_json(&self.topology, &engine_node, self.now)
         else {
             unreachable!("summary_json returns an object");
         };
@@ -1013,7 +961,7 @@ impl<P, W> Simulator<P, W> {
     }
 
     /// Runs every node's [`NodeBehavior::on_start`] hook, then processes
-    /// events until the queue drains or a behavior calls [`Ctx::stop`].
+    /// events until the queue drains.
     pub fn run(&mut self) {
         self.run_until(SimTime::MAX);
     }
@@ -1027,7 +975,7 @@ impl<P, W> Simulator<P, W> {
         while let Some(ev) = self.next_event(limit) {
             self.dispatch(ev);
         }
-        if limit < SimTime::MAX && !self.stopped {
+        if limit < SimTime::MAX {
             let _ts = prof::scope("engine/timeseries");
             self.flush_samplers(limit, true);
         }
@@ -1054,11 +1002,10 @@ impl<P, W> Simulator<P, W> {
 
     /// Takes the earliest pending event off the heap and advances the clock
     /// to it, after running every sampler pass due before it. `None` when
-    /// the queue is empty, the event lies beyond `limit`, or a behavior
-    /// called [`Ctx::stop`].
+    /// the queue is empty or the event lies beyond `limit`.
     fn next_event(&mut self, limit: SimTime) -> Option<Event<P>> {
         let &Reverse((t, _, _)) = self.events.peek()?;
-        if t > limit || self.stopped {
+        if t > limit {
             return None;
         }
         if self.timeseries.is_some() || self.streams.is_enabled() {
@@ -1084,7 +1031,12 @@ impl<P, W> Simulator<P, W> {
             return;
         }
         prof::count("engine/events", self.events_processed - events_before);
-        let high = self.nodes.iter().map(|n| n.max_queue as u64).max().unwrap_or(0);
+        let high = self
+            .nodes
+            .iter()
+            .map(|n| n.max_queue as u64)
+            .max()
+            .unwrap_or(0);
         prof::gauge_max("engine/queue_high_watermark", high);
     }
 
@@ -1104,7 +1056,12 @@ impl<P, W> Simulator<P, W> {
     fn dispatch(&mut self, ev: Event<P>) {
         match ev {
             Event::Arrival {
-                node, from, pkt, size, mut span, marked,
+                node,
+                from,
+                pkt,
+                size,
+                mut span,
+                marked,
             } => {
                 let _arr = prof::scope("engine/arrival");
                 if span == NO_SPAN && self.lineage.is_enabled() {
@@ -1136,7 +1093,14 @@ impl<P, W> Simulator<P, W> {
                     self.journal(node, TraceEvent::Enqueue, class, size, u32::MAX, 0);
                 }
                 let st = &mut self.nodes[node.index()];
-                let q = Queued { from, pkt, size, at: self.now, span, marked };
+                let q = Queued {
+                    from,
+                    pkt,
+                    size,
+                    at: self.now,
+                    span,
+                    marked,
+                };
                 match &self.overload {
                     Some(o) => {
                         let pos = o.insert_pos(&st.queue, st.waiting_start(), &q.pkt, &self.meta);
@@ -1156,11 +1120,17 @@ impl<P, W> Simulator<P, W> {
                     self.nodes[node.index()].serving,
                     "live EndService at a node that is not serving"
                 );
-                let Queued { from, pkt, size, at: enq, span, mut marked } =
-                    self.nodes[node.index()]
-                        .queue
-                        .pop_front()
-                        .expect("end of service with empty queue");
+                let Queued {
+                    from,
+                    pkt,
+                    size,
+                    at: enq,
+                    span,
+                    mut marked,
+                } = self.nodes[node.index()]
+                    .queue
+                    .pop_front()
+                    .expect("end of service with empty queue");
                 self.nodes[node.index()].serving = false;
                 self.nodes[node.index()].processed += 1;
                 // Congestion marking: a packet whose total sojourn through
@@ -1373,7 +1343,11 @@ impl<P, W> Simulator<P, W> {
     }
 
     fn try_start_service(&mut self, node: NodeId) {
-        if self.overload.as_ref().is_some_and(OverloadState::sheds_at_dequeue) {
+        if self
+            .overload
+            .as_ref()
+            .is_some_and(OverloadState::sheds_at_dequeue)
+        {
             self.aqm_dequeue(node);
         }
         let st = &self.nodes[node.index()];
@@ -1391,7 +1365,14 @@ impl<P, W> Simulator<P, W> {
             let size = front.size;
             let wait = self.now.saturating_duration_since(front.at);
             self.telemetry.service_started(node.0, wait, service);
-            self.journal(node, TraceEvent::Dequeue, class, size, u32::MAX, service.as_nanos());
+            self.journal(
+                node,
+                TraceEvent::Dequeue,
+                class,
+                size,
+                u32::MAX,
+                service.as_nanos(),
+            );
         }
         self.lineage.service_start(span, self.now);
         self.nodes[node.index()].busy = true;
@@ -1452,20 +1433,15 @@ impl<P, W> Simulator<P, W> {
             sends: std::mem::take(&mut self.send_buf),
             timers: std::mem::take(&mut self.timer_buf),
             extra_busy: SimDuration::ZERO,
-            stop: false,
         };
         f(behavior.as_mut(), &mut ctx);
         let Ctx {
             mut sends,
             mut timers,
             extra_busy,
-            stop,
             ..
         } = ctx;
         self.behaviors[node.index()] = Some(behavior);
-        if stop {
-            self.stopped = true;
-        }
         for (to, pkt, size) in sends.drain(..) {
             self.transmit(node, to, pkt, size);
         }
@@ -1505,7 +1481,8 @@ impl<P, W> Simulator<P, W> {
             // to mark: its lineage gets an already-closed drop record.
             let why = EngineDrop::LinkLost;
             if let Some(l) = lid {
-                self.lineage.drop_at(l, cause, from.0, why.as_str(), self.now);
+                self.lineage
+                    .drop_at(l, cause, from.0, why.as_str(), self.now);
             }
             self.drop_packet(from, Some(to), size, NO_SPAN, why, None);
             return;
@@ -1599,11 +1576,15 @@ mod tests {
         }
     }
 
-    fn two_node_sim(service_b: SimDuration, bw: Option<u64>) -> (Simulator<u32, World>, NodeId, NodeId) {
+    fn two_node_sim(
+        service_b: SimDuration,
+        bw: Option<u64>,
+    ) -> (Simulator<u32, World>, NodeId, NodeId) {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
-        t.try_add_link(a, b, SimDuration::from_millis(1), bw).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), bw)
+            .unwrap();
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(
             a,
@@ -1720,34 +1701,7 @@ mod tests {
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(TimerNode { fired: vec![] }));
         sim.run();
-        assert_eq!(
-            sim.world().arrivals,
-            vec![(1_000_000, 41), (5_000_000, 42)]
-        );
-    }
-
-    struct Stopper;
-    impl NodeBehavior<u32, World> for Stopper {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, pkt: u32) {
-            let now = ctx.now().as_nanos();
-            ctx.world().arrivals.push((now, pkt));
-            if pkt == 2 {
-                ctx.stop();
-            }
-        }
-    }
-
-    #[test]
-    fn ctx_stop_halts_simulation() {
-        let mut t = Topology::new();
-        let a = t.add_node("a");
-        let mut sim = Simulator::new(t, World::default());
-        sim.set_behavior(a, Box::new(Stopper));
-        for (i, ms) in [(1u32, 0u64), (2, 1), (3, 2)] {
-            sim.inject(SimTime::from_millis(ms), a, i, 10);
-        }
-        sim.run();
-        assert_eq!(sim.world().arrivals.len(), 2);
+        assert_eq!(sim.world().arrivals, vec![(1_000_000, 41), (5_000_000, 42)]);
     }
 
     struct Consumer;
@@ -1791,8 +1745,10 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         let c = t.add_node("c");
-        t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
-        t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
+        t.try_add_link(b, c, SimDuration::from_millis(1), None)
+            .unwrap();
         struct Bad(NodeId);
         impl NodeBehavior<u32, World> for Bad {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
@@ -1825,14 +1781,22 @@ mod tests {
         let s = report.summary.to_string();
         // a relays both packets: 2 in (injected), 2 out; b: 2 in, 0 out.
         assert!(s.contains(r#""name":"a","kind":"core","pkts_in":2,"bytes_in":200,"pkts_out":2,"bytes_out":200"#), "{s}");
-        assert!(s.contains(r#""name":"b","kind":"core","pkts_in":2,"bytes_in":200,"pkts_out":0,"bytes_out":0"#), "{s}");
+        assert!(
+            s.contains(
+                r#""name":"b","kind":"core","pkts_in":2,"bytes_in":200,"pkts_out":0,"bytes_out":0"#
+            ),
+            "{s}"
+        );
         // Telemetry's own link accounting reconciles with the engine's.
         assert_eq!(sim.telemetry().link_bytes_total(), sim.total_link_bytes());
         assert!(s.contains(r#""link_bytes_total":200"#), "{s}");
         // b's second packet waited ~10ms behind the first: its queueing
         // histogram has one zero-wait and one ~10ms sample.
         let _ = (a, b);
-        assert!(s.contains(r#""metric""#) || s.contains(r#""counters":[]"#), "{s}");
+        assert!(
+            s.contains(r#""metric""#) || s.contains(r#""counters":[]"#),
+            "{s}"
+        );
     }
 
     #[test]
@@ -1990,8 +1954,11 @@ mod tests {
             for &(_, p) in &sim.world().arrivals {
                 *seen.entry(p).or_insert(0u32) += 1;
             }
-            let mut delivered: Vec<u32> =
-                seen.iter().filter(|&(_, &c)| c == 2).map(|(&p, _)| p).collect();
+            let mut delivered: Vec<u32> = seen
+                .iter()
+                .filter(|&(_, &c)| c == 2)
+                .map(|(&p, _)| p)
+                .collect();
             delivered.sort_unstable();
             (delivered, sim.dropped("link-lost"))
         };
@@ -2046,7 +2013,8 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
-        t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Source(b)));
         sim.set_behavior(b, Box::new(Sink));
@@ -2118,9 +2086,13 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         let c = t.add_node("c");
-        let ab = t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
-        t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
-        t.try_add_link(a, c, SimDuration::from_millis(5), None).unwrap();
+        let ab = t
+            .try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
+        t.try_add_link(b, c, SimDuration::from_millis(1), None)
+            .unwrap();
+        t.try_add_link(a, c, SimDuration::from_millis(5), None)
+            .unwrap();
         struct Fwd(NodeId);
         impl NodeBehavior<u32, World> for Fwd {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
@@ -2157,20 +2129,14 @@ mod tests {
             sim.inject(SimTime::ZERO, a, 2, 100);
             sim.run();
             let r = sim.telemetry_report("t", 0);
-            (
-                r.fingerprint,
-                r.summary.to_string(),
-                sim.events_processed(),
-            )
+            (r.fingerprint, r.summary.to_string(), sim.events_processed())
         };
         let base = run(None);
         let vacuous = run(Some(FaultPlan::new(99).with_loss(0.0)));
         assert_eq!(base, vacuous);
-        assert!(!{
-            let (mut sim, _, _) = two_node_sim(SimDuration::ZERO, None);
-            sim.install_faults(FaultPlan::new(99));
-            sim.faults_active()
-        });
+        let (mut sim, _, _) = two_node_sim(SimDuration::ZERO, None);
+        sim.install_faults(FaultPlan::new(99));
+        assert!(sim.faults.is_none());
     }
 
     struct Deliverer {
@@ -2191,9 +2157,16 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
-        t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
         let mut sim = Simulator::new(t, World::default());
-        sim.set_behavior(a, Box::new(Relay { to: Some(b), service: SimDuration::ZERO }));
+        sim.set_behavior(
+            a,
+            Box::new(Relay {
+                to: Some(b),
+                service: SimDuration::ZERO,
+            }),
+        );
         sim.set_behavior(b, Box::new(Deliverer { entity: 77 }));
         sim.set_packet_meta(PacketMeta {
             lineage_id: |p| (*p < 1000).then(|| u64::from(*p)),
@@ -2257,12 +2230,15 @@ mod tests {
         // a queue-flush instead: b's 2ms service makes a 29.5ms arrival
         // still queued at 30ms).
         sim.inject(SimTime::from_millis(15), a, 1, 100);
-        sim.lineage_mut().expect(1, SimTime::from_millis(15), 0, &[77]);
+        sim.lineage_mut()
+            .expect(1, SimTime::from_millis(15), 0, &[77]);
         sim.inject(SimTime::from_millis(29), a, 2, 100);
-        sim.lineage_mut().expect(2, SimTime::from_millis(29), 0, &[77]);
+        sim.lineage_mut()
+            .expect(2, SimTime::from_millis(29), 0, &[77]);
         // pkt 3 arrives at the dead node: blackholed.
         sim.inject(SimTime::from_millis(40), a, 3, 100);
-        sim.lineage_mut().expect(3, SimTime::from_millis(40), 0, &[77]);
+        sim.lineage_mut()
+            .expect(3, SimTime::from_millis(40), 0, &[77]);
         sim.run();
         let report = sim.lineage().audit(SimTime::from_millis(100), None);
         assert_eq!(report.total_pairs, 3);
@@ -2286,7 +2262,10 @@ mod tests {
 
         // 1-in-2 sampling keeps whole lineages of even ids only.
         let (mut sim, a, _b) = lineage_sim();
-        sim.enable_lineage(crate::lineage::LineageConfig { sample: 2, capacity: 1024 });
+        sim.enable_lineage(crate::lineage::LineageConfig {
+            sample: 2,
+            capacity: 1024,
+        });
         for i in 0..10u32 {
             sim.inject(SimTime::from_millis(u64::from(i)), a, i, 100);
         }
@@ -2369,8 +2348,10 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         let c = t.add_node("c");
-        t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
-        t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
+        t.try_add_link(b, c, SimDuration::from_millis(1), None)
+            .unwrap();
         struct Fwd(NodeId);
         impl NodeBehavior<u32, World> for Fwd {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
@@ -2462,7 +2443,11 @@ mod tests {
         }
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
-        assert_eq!(served, vec![200, 201, 1], "one class: arrival order is service order");
+        assert_eq!(
+            served,
+            vec![200, 201, 1],
+            "one class: arrival order is service order"
+        );
         let journal = sim.telemetry().journal_records();
         assert!(!journal.is_empty() && journal.iter().all(|r| r.class == "pkt"));
         assert!(sim.lineage().spans().is_empty());
@@ -2632,12 +2617,25 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
-        t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
+        t.try_add_link(a, b, SimDuration::from_millis(1), None)
+            .unwrap();
         let mut sim = Simulator::new(t, Vec::new());
         // a is the bottleneck (10 ms); b is fast, so any mark seen at b was
         // inherited from a's queue.
-        sim.set_behavior(a, Box::new(Fwd { to: Some(b), service: SimDuration::from_millis(10) }));
-        sim.set_behavior(b, Box::new(Fwd { to: None, service: SimDuration::ZERO }));
+        sim.set_behavior(
+            a,
+            Box::new(Fwd {
+                to: Some(b),
+                service: SimDuration::from_millis(10),
+            }),
+        );
+        sim.set_behavior(
+            b,
+            Box::new(Fwd {
+                to: None,
+                service: SimDuration::ZERO,
+            }),
+        );
         sim.install_overload(OverloadConfig {
             mark_sojourn: Some(SimDuration::from_millis(15)),
             ..OverloadConfig::default()
@@ -2677,6 +2675,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
-        assert!(a.1.0 + a.1.1 + a.1.2 > 0, "the scenario must shed");
+        assert!(a.1 .0 + a.1 .1 + a.1 .2 > 0, "the scenario must shed");
     }
 }

@@ -1,6 +1,5 @@
 //! Measurement utilities: latency recorders, summary statistics and CDFs.
 
-use crate::json::Json;
 use crate::{LogHistogram, SimDuration};
 
 /// Incremental summary statistics over a stream of durations.
@@ -37,18 +36,6 @@ impl OnlineStats {
         self.max = Some(self.max.map_or(d, |m| m.max(d)));
     }
 
-    /// Merges another statistics object into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        if let Some(m) = other.min {
-            self.min = Some(self.min.map_or(m, |x| x.min(m)));
-        }
-        if let Some(m) = other.max {
-            self.max = Some(self.max.map_or(m, |x| x.max(m)));
-        }
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -65,12 +52,6 @@ impl OnlineStats {
         }
     }
 
-    /// Smallest sample, if any.
-    #[must_use]
-    pub fn min(&self) -> Option<SimDuration> {
-        self.min
-    }
-
     /// Largest sample, if any.
     #[must_use]
     pub fn max(&self) -> Option<SimDuration> {
@@ -83,22 +64,6 @@ impl OnlineStats {
     #[must_use]
     pub fn sum(&self) -> SimDuration {
         SimDuration::from_nanos(u64::try_from(self.sum_ns).unwrap_or(u64::MAX))
-    }
-
-    /// Renders as a JSON object with latencies in milliseconds
-    /// (`min_ms`/`max_ms` are `null` when empty).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let ms = |d: Option<SimDuration>| {
-            d.map_or(Json::Null, |d| Json::from(d.as_millis_f64()))
-        };
-        Json::obj([
-            ("count", Json::from(self.count)),
-            ("mean_ms", Json::from(self.mean().as_millis_f64())),
-            ("min_ms", ms(self.min)),
-            ("max_ms", ms(self.max)),
-            ("sum_ms", Json::from(self.sum().as_millis_f64())),
-        ])
     }
 }
 
@@ -126,12 +91,6 @@ pub struct LatencySamples {
 }
 
 impl LatencySamples {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one sample.
     pub fn record(&mut self, d: SimDuration) {
         self.samples.push(d);
@@ -150,39 +109,6 @@ impl LatencySamples {
         self.samples.is_empty()
     }
 
-    /// Mean of the samples (zero if empty).
-    #[must_use]
-    pub fn mean(&self) -> SimDuration {
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sum: u128 = self.samples.iter().map(|d| u128::from(d.as_nanos())).sum();
-        SimDuration::from_nanos((sum / self.samples.len() as u128) as u64)
-    }
-
-    /// The `q`-quantile (0.0 ≤ q ≤ 1.0), or `None` when empty.
-    ///
-    /// Uses the ceil-rank convention — the `⌈q·n⌉`-th smallest sample
-    /// (clamped to rank 1 so `q = 0` returns the minimum) — the same
-    /// convention as [`LatencySamples::cdf`] and
-    /// [`LogHistogram::quantile`](crate::telemetry::LogHistogram::quantile),
-    /// so `quantile(f)` always equals the CDF point at fraction `f`
-    /// (see the `quantile_agrees_with_cdf` test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<SimDuration> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
-        Some(self.samples[idx])
-    }
-
     /// Fraction of samples that are ≤ `d`.
     #[must_use]
     pub fn fraction_at_most(&self, d: SimDuration) -> f64 {
@@ -194,8 +120,9 @@ impl LatencySamples {
     }
 
     /// `points` evenly spaced CDF points `(latency, cumulative fraction)`,
-    /// suitable for plotting Fig. 4-style curves. Each point uses the same
-    /// ceil-rank convention as [`LatencySamples::quantile`].
+    /// suitable for plotting Fig. 4-style curves. The point at fraction `f`
+    /// is the `⌈f·n⌉`-th smallest sample: the ceil-rank convention of
+    /// [`LogHistogram::quantile`](crate::telemetry::LogHistogram::quantile).
     pub fn cdf(&mut self, points: usize) -> Vec<(SimDuration, f64)> {
         if self.samples.is_empty() || points == 0 {
             return Vec::new();
@@ -209,16 +136,6 @@ impl LatencySamples {
                 (self.samples[idx], frac)
             })
             .collect()
-    }
-
-    /// Converts to [`OnlineStats`].
-    #[must_use]
-    pub fn stats(&self) -> OnlineStats {
-        let mut s = OnlineStats::new();
-        for &d in &self.samples {
-            s.record(d);
-        }
-        s
     }
 
     fn ensure_sorted(&mut self) {
@@ -245,42 +162,8 @@ mod tests {
         s.record(ms(3));
         assert_eq!(s.count(), 2);
         assert_eq!(s.mean(), ms(2));
-        assert_eq!(s.min(), Some(ms(1)));
         assert_eq!(s.max(), Some(ms(3)));
         assert_eq!(s.sum(), ms(4));
-    }
-
-    #[test]
-    fn online_stats_merge() {
-        let mut a = OnlineStats::new();
-        a.record(ms(1));
-        let mut b = OnlineStats::new();
-        b.record(ms(5));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(ms(1)));
-        assert_eq!(a.max(), Some(ms(5)));
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty_sides() {
-        let mut filled = OnlineStats::new();
-        filled.record(ms(2));
-        filled.record(ms(8));
-        // empty.merge(filled) adopts filled's state…
-        let mut empty = OnlineStats::new();
-        empty.merge(&filled);
-        assert_eq!(empty, filled);
-        // …and filled.merge(empty) changes nothing.
-        let before = filled.clone();
-        filled.merge(&OnlineStats::new());
-        assert_eq!(filled, before);
-        // empty ∪ empty stays empty (no phantom min/max).
-        let mut e = OnlineStats::new();
-        e.merge(&OnlineStats::new());
-        assert_eq!(e.count(), 0);
-        assert_eq!(e.min(), None);
-        assert_eq!(e.max(), None);
     }
 
     #[test]
@@ -298,71 +181,37 @@ mod tests {
     }
 
     #[test]
-    fn quantiles() {
-        let mut l = LatencySamples::new();
-        for i in 1..=100 {
-            l.record(ms(i));
-        }
-        assert_eq!(l.quantile(0.0), Some(ms(1)));
-        assert_eq!(l.quantile(1.0), Some(ms(100)));
-        let med = l.quantile(0.5).unwrap();
-        assert!(med >= ms(49) && med <= ms(52));
-    }
-
-    #[test]
-    fn quantile_empty_is_none() {
-        let mut l = LatencySamples::new();
-        assert_eq!(l.quantile(0.5), None);
-    }
-
-    #[test]
-    fn quantile_agrees_with_cdf() {
-        // The satellite fix: quantile() and cdf() share one (ceil-rank)
-        // convention, so the q-quantile equals the CDF point at fraction q
-        // for every q the CDF emits — including awkward sample counts.
+    fn cdf_points_are_ceil_ranks() {
+        // The point at fraction f is the ⌈f·n⌉-th smallest sample, for
+        // awkward sample counts too.
         for n in [1usize, 2, 3, 7, 10, 99, 100] {
-            let mut l = LatencySamples::new();
+            let mut l = LatencySamples::default();
             for i in (1..=n).rev() {
                 l.record(ms(i as u64));
             }
             for points in [1usize, 2, 4, 10] {
-                let cdf = l.cdf(points);
-                for &(lat, frac) in &cdf {
-                    assert_eq!(
-                        l.quantile(frac),
-                        Some(lat),
-                        "n={n} points={points} frac={frac}"
-                    );
+                for (lat, frac) in l.cdf(points) {
+                    let rank = ((n as f64 * frac).ceil() as u64).max(1);
+                    assert_eq!(lat, ms(rank), "n={n} points={points} frac={frac}");
                 }
             }
-            // Endpoints are exact.
-            assert_eq!(l.quantile(0.0), Some(ms(1)));
-            assert_eq!(l.quantile(1.0), Some(ms(n as u64)));
         }
     }
 
     #[test]
     fn cdf_empty_and_zero_points() {
-        let mut empty = LatencySamples::new();
+        let mut empty = LatencySamples::default();
         assert!(empty.cdf(10).is_empty());
         assert!(empty.cdf(0).is_empty());
-        let mut one = LatencySamples::new();
+        let mut one = LatencySamples::default();
         one.record(ms(3));
         assert!(one.cdf(0).is_empty());
         assert_eq!(one.cdf(1), vec![(ms(3), 1.0)]);
     }
 
     #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantile_rejects_out_of_range() {
-        let mut l = LatencySamples::new();
-        l.record(ms(1));
-        let _ = l.quantile(1.5);
-    }
-
-    #[test]
     fn cdf_is_monotonic() {
-        let mut l = LatencySamples::new();
+        let mut l = LatencySamples::default();
         for i in (1..=50).rev() {
             l.record(ms(i));
         }
@@ -378,27 +227,12 @@ mod tests {
 
     #[test]
     fn fraction_at_most() {
-        let mut l = LatencySamples::new();
+        let mut l = LatencySamples::default();
         for i in 1..=10 {
             l.record(ms(i));
         }
         assert_eq!(l.fraction_at_most(ms(5)), 0.5);
         assert_eq!(l.fraction_at_most(ms(0)), 0.0);
         assert_eq!(l.fraction_at_most(ms(10)), 1.0);
-    }
-
-    #[test]
-    fn online_stats_to_json() {
-        let mut s = OnlineStats::new();
-        s.record(ms(2));
-        s.record(ms(4));
-        assert_eq!(
-            s.to_json().to_string(),
-            r#"{"count":2,"mean_ms":3,"min_ms":2,"max_ms":4,"sum_ms":6}"#
-        );
-        assert_eq!(
-            OnlineStats::new().to_json().to_string(),
-            r#"{"count":0,"mean_ms":0,"min_ms":null,"max_ms":null,"sum_ms":0}"#
-        );
     }
 }

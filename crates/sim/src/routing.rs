@@ -137,13 +137,6 @@ impl RoutingTable {
         }
         Vec::new() // cycle guard; cannot happen with consistent tables
     }
-
-    /// Number of hops on the shortest path, or `None` if unreachable.
-    #[must_use]
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        let p = self.path(src, dst);
-        (!p.is_empty()).then(|| p.len() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +163,6 @@ mod tests {
         assert_eq!(rt.next_hop(a, c), Some(b));
         assert_eq!(rt.distance(a, c), Some(ms(2)));
         assert_eq!(rt.path(a, c), vec![a, b, c]);
-        assert_eq!(rt.hop_count(a, c), Some(2));
     }
 
     #[test]
@@ -195,7 +187,6 @@ mod tests {
         assert_eq!(rt.next_hop(a, a), None);
         assert_eq!(rt.distance(a, a), Some(SimDuration::ZERO));
         assert_eq!(rt.path(a, a), vec![a]);
-        assert_eq!(rt.hop_count(a, a), Some(0));
     }
 
     #[test]
@@ -207,7 +198,6 @@ mod tests {
         assert_eq!(rt.next_hop(a, b), None);
         assert_eq!(rt.distance(a, b), None);
         assert!(rt.path(a, b).is_empty());
-        assert_eq!(rt.hop_count(a, b), None);
     }
 
     #[test]
@@ -245,7 +235,8 @@ mod tests {
         let mut t = Topology::new();
         let nodes: Vec<_> = (0..6).map(|i| t.add_node(format!("n{i}"))).collect();
         for i in 0..6 {
-            t.try_add_link(nodes[i], nodes[(i + 1) % 6], ms(1), None).unwrap();
+            t.try_add_link(nodes[i], nodes[(i + 1) % 6], ms(1), None)
+                .unwrap();
         }
         let rt = RoutingTable::shortest_paths(&t);
         for &src in &nodes {
@@ -260,6 +251,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rt.hop_count(nodes[0], nodes[3]), Some(3));
+        assert_eq!(rt.path(nodes[0], nodes[3]).len(), 4);
     }
 }

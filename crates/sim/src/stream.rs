@@ -142,8 +142,6 @@ pub struct SpaceSaving {
     capacity: usize,
     /// key → (estimated count, overestimation bound).
     entries: BTreeMap<u64, (u64, u64)>,
-    /// Total weight offered (the `N` of the `err ≤ N/m` bound).
-    offered: u64,
 }
 
 impl SpaceSaving {
@@ -153,13 +151,11 @@ impl SpaceSaving {
         Self {
             capacity: capacity.max(1),
             entries: BTreeMap::new(),
-            offered: 0,
         }
     }
 
     /// Offers `weight` occurrences of `key` to the sketch.
     pub fn offer(&mut self, key: u64, weight: u64) {
-        self.offered += weight;
         if let Some(e) = self.entries.get_mut(&key) {
             e.0 += weight;
             return;
@@ -196,12 +192,6 @@ impl SpaceSaving {
         all
     }
 
-    /// Total weight offered since creation (survives halving).
-    #[must_use]
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
     /// Sum of the monitored estimates (the sketch's view of recent mass).
     #[must_use]
     pub fn monitored_total(&self) -> u64 {
@@ -217,18 +207,6 @@ impl SpaceSaving {
             .filter_map(|(&k, &(c, e))| (c / 2 > 0).then_some((k, (c / 2, e / 2))))
             .collect();
     }
-
-    /// Number of monitored keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no key is monitored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// The engine-resident streaming-metrics hub.
@@ -238,7 +216,7 @@ impl SpaceSaving {
 /// [`crate::Simulator::install_streams`] with a non-vacuous
 /// [`StreamConfig`]; fed by behaviors through `Ctx::stream_bump` /
 /// `Ctx::stream_offer` and by the engine (queue depths, at each roll);
-/// read back through `Ctx::stream_rate_of` and friends.
+/// read back through `Ctx::streams`.
 #[derive(Debug)]
 pub struct MetricStreams {
     tick: SimDuration,
@@ -394,9 +372,7 @@ impl MetricStreams {
                 let rows = s
                     .top(8)
                     .into_iter()
-                    .map(|(k, c, e)| {
-                        Json::Array(vec![Json::from(k), Json::from(c), Json::from(e)])
-                    })
+                    .map(|(k, c, e)| Json::Array(vec![Json::from(k), Json::from(c), Json::from(e)]))
                     .collect();
                 (name, Json::Array(rows))
             })
@@ -472,7 +448,7 @@ mod tests {
         s.halve();
         assert_eq!(s.count_of(1), Some((4, 0)));
         assert_eq!(s.count_of(2), None); // 1/2 == 0 → dropped
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.entries.len(), 1);
     }
 
     /// The space-saving guarantees against an exact-count oracle, under
@@ -496,7 +472,6 @@ mod tests {
                 *oracle.entry(key).or_default() += 1;
                 offered += 1;
             }
-            assert_eq!(sketch.offered(), offered);
             let bound = offered / capacity as u64;
             for (key, est, err) in sketch.top(capacity) {
                 let truth = oracle.get(&key).copied().unwrap_or(0);
@@ -537,10 +512,16 @@ mod tests {
         s.bump("b", 1, 2);
         s.bump("a", 0, 1);
         s.offer("pop", 7, 3);
-        s.roll(SimTime::ZERO + SimDuration::from_secs(1), [4usize, 0].into_iter());
+        s.roll(
+            SimTime::ZERO + SimDuration::from_secs(1),
+            [4usize, 0].into_iter(),
+        );
         let snap = s.snapshot_json().to_string();
         assert!(snap.contains("\"rolls\":1"), "{snap}");
-        assert!(snap.contains("\"a\":1") && snap.contains("\"b\":2"), "{snap}");
+        assert!(
+            snap.contains("\"a\":1") && snap.contains("\"b\":2"),
+            "{snap}"
+        );
         assert!(snap.contains("\"pop\":[[7,3,0]]"), "{snap}");
         assert_eq!(snap, s.snapshot_json().to_string());
     }

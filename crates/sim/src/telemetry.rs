@@ -128,17 +128,6 @@ impl LogHistogram {
         self.record(d.as_nanos());
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -328,9 +317,10 @@ struct NodeStats {
 /// The telemetry registry + journal owned by a
 /// [`Simulator`](crate::Simulator).
 ///
-/// Created disabled (all record paths reduce to one branch); enabled via
+/// Created disabled and empty (all record paths reduce to one branch);
+/// enabled, and only then sized for the topology, via
 /// [`Simulator::enable_telemetry`](crate::Simulator::enable_telemetry).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     enabled: bool,
     cfg: TelemetryConfig,
@@ -347,29 +337,14 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates a disabled registry sized for `nodes` nodes and `links`
-    /// (bidirectional) links.
-    #[must_use]
-    pub fn disabled(nodes: usize, links: usize) -> Self {
-        Self {
-            enabled: false,
-            cfg: TelemetryConfig::default(),
-            nodes: vec![NodeStats::default(); nodes],
-            link_pkts: vec![0; links * 2],
-            link_bytes: vec![0; links * 2],
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            journal: Vec::new(),
-            journal_seen: 0,
-            journal_dropped: 0,
-        }
-    }
-
-    /// Switches recording on with the given configuration.
-    pub fn enable(&mut self, cfg: TelemetryConfig) {
+    /// Switches recording on with the given configuration, sized for
+    /// `nodes` nodes and `links` (bidirectional) links.
+    pub fn enable(&mut self, cfg: TelemetryConfig, nodes: usize, links: usize) {
         self.enabled = true;
         self.cfg = cfg;
+        self.nodes.resize(nodes, NodeStats::default());
+        self.link_pkts.resize(links * 2, 0);
+        self.link_bytes.resize(links * 2, 0);
     }
 
     /// Whether recording is active.
@@ -524,7 +499,8 @@ impl Telemetry {
     /// `engine_node` supplies `(processed, peak_queue, busy_ns)` per node
     /// from the engine's own accounting; `now` converts busy time into a
     /// busy fraction. Nodes with no traffic at all are omitted to keep
-    /// exports compact.
+    /// exports compact. A registry that was never enabled holds no per-node
+    /// or per-link state and reads as all zeros.
     #[must_use]
     pub fn summary_json(
         &self,
@@ -533,8 +509,10 @@ impl Telemetry {
         now: SimTime,
     ) -> Json {
         let now_ns = now.as_nanos();
+        let idle = NodeStats::default();
         let mut nodes = Vec::new();
-        for (i, st) in self.nodes.iter().enumerate() {
+        for i in 0..topo.node_count() {
+            let st = self.nodes.get(i).unwrap_or(&idle);
             let id = i as u32;
             let (processed, peak_queue, busy_ns) = engine_node(id);
             if st.pkts_in == 0 && st.pkts_out == 0 && processed == 0 {
@@ -564,9 +542,10 @@ impl Telemetry {
             ]));
         }
         let mut links = Vec::new();
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
         for l in 0..topo.link_count() {
-            let (pf, pb) = (self.link_pkts[l * 2], self.link_pkts[l * 2 + 1]);
-            let (bf, bb) = (self.link_bytes[l * 2], self.link_bytes[l * 2 + 1]);
+            let (pf, pb) = (at(&self.link_pkts, l * 2), at(&self.link_pkts, l * 2 + 1));
+            let (bf, bb) = (at(&self.link_bytes, l * 2), at(&self.link_bytes, l * 2 + 1));
             if pf == 0 && pb == 0 {
                 continue;
             }
@@ -639,9 +618,9 @@ impl Telemetry {
     /// record costs two heap calls: its event's pairs and its `args`.
     #[must_use]
     pub fn trace_events_json(&self, topo: &Topology, pid: u64) -> Vec<Json> {
-        let mut out = Vec::with_capacity(self.journal.len() + self.nodes.len());
+        let mut out = Vec::with_capacity(self.journal.len() + topo.node_count());
         // Thread-name metadata so Perfetto shows node names, not bare tids.
-        let mut named = vec![false; self.nodes.len()];
+        let mut named = vec![false; topo.node_count()];
         for r in &self.journal {
             if !named[r.node as usize] {
                 named[r.node as usize] = true;
@@ -652,10 +631,7 @@ impl Telemetry {
                     ("tid", Json::from(r.node)),
                     (
                         "args",
-                        Json::obj([(
-                            "name",
-                            Json::str(topo.node_name(crate::NodeId(r.node))),
-                        )]),
+                        Json::obj([("name", Json::str(topo.node_name(crate::NodeId(r.node))))]),
                     ),
                 ]));
             }
@@ -745,7 +721,11 @@ impl TimeSeries {
     #[must_use]
     pub fn new(cfg: TimeSeriesConfig) -> Self {
         let next = SimTime::ZERO + cfg.tick;
-        Self { cfg, next, frames: Vec::new() }
+        Self {
+            cfg,
+            next,
+            frames: Vec::new(),
+        }
     }
 
     /// When the next frame is due, or `None` once the frame bound is hit.
@@ -872,23 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for v in 0..100u64 {
-            if v % 2 == 0 {
-                a.record(v * 3);
-            } else {
-                b.record(v * 7);
-            }
-            both.record(if v % 2 == 0 { v * 3 } else { v * 7 });
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-    }
-
-    #[test]
     fn histogram_empty_json() {
         let j = LogHistogram::new().to_json().to_string();
         assert!(j.contains("\"count\":0"));
@@ -898,7 +861,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
-        let mut t = Telemetry::disabled(2, 1);
+        let mut t = Telemetry::default();
         t.counter(0, "x", 5);
         t.observe(0, "y", 10);
         t.journal(TraceRecord {
@@ -916,11 +879,15 @@ mod tests {
 
     #[test]
     fn journal_capacity_and_sampling() {
-        let mut t = Telemetry::disabled(1, 0);
-        t.enable(TelemetryConfig {
-            journal_capacity: 3,
-            journal_sample: 2,
-        });
+        let mut t = Telemetry::default();
+        t.enable(
+            TelemetryConfig {
+                journal_capacity: 3,
+                journal_sample: 2,
+            },
+            1,
+            0,
+        );
         for i in 0..10u64 {
             t.journal(TraceRecord {
                 ts: SimTime::from_nanos(i),
@@ -936,7 +903,11 @@ mod tests {
         assert_eq!(t.journal_records().len(), 3);
         assert_eq!(t.journal_pressure(), (10, 2));
         // Sampling keeps candidates 1, 3, 5 (1-indexed), deterministically.
-        let kept: Vec<u64> = t.journal_records().iter().map(|r| r.ts.as_nanos()).collect();
+        let kept: Vec<u64> = t
+            .journal_records()
+            .iter()
+            .map(|r| r.ts.as_nanos())
+            .collect();
         assert_eq!(kept, vec![0, 2, 4]);
     }
 
@@ -951,17 +922,17 @@ mod tests {
             peer: 1,
             dur_ns: 0,
         };
-        let mut a = Telemetry::disabled(2, 1);
-        a.enable(TelemetryConfig::default());
+        let mut a = Telemetry::default();
+        a.enable(TelemetryConfig::default(), 2, 1);
         a.journal(rec(1, "x"));
         a.journal(rec(2, "y"));
-        let mut b = Telemetry::disabled(2, 1);
-        b.enable(TelemetryConfig::default());
+        let mut b = Telemetry::default();
+        b.enable(TelemetryConfig::default(), 2, 1);
         b.journal(rec(1, "x"));
         b.journal(rec(2, "y"));
         assert_eq!(a.journal_fingerprint(), b.journal_fingerprint());
-        let mut c = Telemetry::disabled(2, 1);
-        c.enable(TelemetryConfig::default());
+        let mut c = Telemetry::default();
+        c.enable(TelemetryConfig::default(), 2, 1);
         c.journal(rec(2, "y"));
         c.journal(rec(1, "x"));
         assert_ne!(a.journal_fingerprint(), c.journal_fingerprint());
@@ -969,8 +940,8 @@ mod tests {
 
     #[test]
     fn counters_are_keyed_by_node_and_metric() {
-        let mut t = Telemetry::disabled(3, 0);
-        t.enable(TelemetryConfig::default());
+        let mut t = Telemetry::default();
+        t.enable(TelemetryConfig::default(), 3, 0);
         t.counter(0, "drops", 1);
         t.counter(2, "drops", 4);
         t.counter(0, "drops", 2);

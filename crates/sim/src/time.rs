@@ -4,7 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-
 /// An instant of simulated time, in nanoseconds since the start of the
 /// simulation.
 ///
@@ -13,11 +12,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 /// # use gcopss_sim::{SimTime, SimDuration};
 /// let t = SimTime::ZERO + SimDuration::from_millis(3);
-/// assert_eq!(t.as_millis_f64(), 3.0);
+/// assert_eq!(t.as_nanos(), 3_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -67,23 +64,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds since simulation start.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// The duration elapsed since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `earlier` is later than `self`.
-    #[must_use]
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        debug_assert!(earlier <= self, "duration_since: {earlier:?} > {self:?}");
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Saturating duration since `earlier` (zero if `earlier` is later).
     #[must_use]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
@@ -106,9 +86,7 @@ impl fmt::Display for SimTime {
 /// let d = SimDuration::from_millis(2) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_millis_f64(), 2.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -290,7 +268,7 @@ mod tests {
     fn duration_since() {
         let a = SimTime::from_millis(5);
         let b = SimTime::from_millis(12);
-        assert_eq!(b.duration_since(a), SimDuration::from_millis(7));
+        assert_eq!(b.saturating_duration_since(a), SimDuration::from_millis(7));
         assert_eq!(a.saturating_duration_since(b), SimDuration::ZERO);
     }
 
@@ -298,7 +276,6 @@ mod tests {
     fn conversions_to_float() {
         assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
         assert_eq!(SimDuration::from_micros(2500).as_millis_f64(), 2.5);
-        assert_eq!(SimTime::from_millis(250).as_millis_f64(), 250.0);
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn literal_keys_and_static_values_are_borrowed() {
 fn journal(n: u64) -> (Telemetry, Topology) {
     let mut topo = Topology::new();
     topo.add_node("rp0");
-    let mut t = Telemetry::disabled(1, 0);
-    t.enable(TelemetryConfig::default());
+    let mut t = Telemetry::default();
+    t.enable(TelemetryConfig::default(), 1, 0);
     for i in 0..n {
         let dequeue = i % 2 == 0;
         t.journal(TraceRecord {

@@ -2,8 +2,7 @@
 //! idleness, utilization accounting and bandwidth-constrained links.
 
 use gcopss_sim::{
-    generators, metrics::OnlineStats, Ctx, NodeBehavior, NodeId, SimDuration, SimTime, Simulator,
-    Topology,
+    generators, Ctx, NodeBehavior, NodeId, SimDuration, SimTime, Simulator, Topology,
 };
 
 type World = Vec<u64>;
@@ -108,27 +107,6 @@ fn bandwidth_throttles_throughput() {
     // Arrival spacing equals the serialization time.
     assert_eq!(w[0], 1_000_000);
     assert_eq!(w[9], 10_000_000);
-}
-
-#[test]
-fn online_stats_merging_matches_bulk() {
-    let mut all = OnlineStats::new();
-    let mut a = OnlineStats::new();
-    let mut b = OnlineStats::new();
-    for i in 1..=10u64 {
-        let d = SimDuration::from_millis(i);
-        all.record(d);
-        if i % 2 == 0 {
-            a.record(d);
-        } else {
-            b.record(d);
-        }
-    }
-    a.merge(&b);
-    assert_eq!(a.count(), all.count());
-    assert_eq!(a.mean(), all.mean());
-    assert_eq!(a.min(), all.min());
-    assert_eq!(a.max(), all.max());
 }
 
 /// Every fault-injected drop leaves a journal record whose class names

@@ -386,27 +386,6 @@ fn log_histogram_empty_quantiles_are_zero() {
     });
 }
 
-/// Merging is associative and agrees with bulk recording: the merge
-/// order of per-shard histograms must not affect the aggregate.
-#[test]
-fn log_histogram_merge_is_associative() {
-    let vals = || prop::vec(prop::range(0u64..1 << 40), 0..=24);
-    let input = (vals(), vals(), vals());
-    prop::check(0x51307, CASES, &input, |(a, b, c)| {
-        let (ha, hb, hc) = (hist(a), hist(b), hist(c));
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha;
-        right.merge(&bc);
-        assert_eq!(left, right, "merge order changed the aggregate");
-        let all: Vec<u64> = a.iter().chain(b).chain(c).copied().collect();
-        assert_eq!(left, hist(&all), "merge disagrees with bulk recording");
-    });
-}
-
 /// Quantiles are monotone in `q` and always land inside the observed
 /// `[min, max]` range.
 #[test]
