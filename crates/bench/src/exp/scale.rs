@@ -54,8 +54,14 @@ pub fn run(opts: ExpOptions) {
     };
     let st_ratio = ratio(|p| p.st_match_ns);
     let fib_ratio = ratio(|p| p.fib_lpm_ns);
-    println!("st_match  max/min = {st_ratio:.2}x over {}x size growth", size_growth(&points));
-    println!("fib_lpm   max/min = {fib_ratio:.2}x over {}x size growth", size_growth(&points));
+    println!(
+        "st_match  max/min = {st_ratio:.2}x over {}x size growth",
+        size_growth(&points)
+    );
+    println!(
+        "fib_lpm   max/min = {fib_ratio:.2}x over {}x size growth",
+        size_growth(&points)
+    );
 
     let doc = results_doc(
         "gcopss-scale-v2",
@@ -75,7 +81,8 @@ pub fn run(opts: ExpOptions) {
             })),
         )],
     );
-    let path = write_doc(&h.opts.out_dir, "exp_scale.json", &doc).expect("write scale results");
+    let path = write_doc(&h.opts.out_dir, "exp_scale.json", &doc.to_string())
+        .expect("write scale results");
     println!("\nscale sweep written to {path}");
     h.finish();
 }

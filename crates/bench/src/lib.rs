@@ -14,7 +14,7 @@ use std::slice::Iter;
 
 use gcopss_sim::json::{results_doc, write_results, Json};
 use gcopss_sim::prof::ProfReport;
-use gcopss_sim::TelemetryReport;
+use gcopss_sim::{ChromeEvent, TelemetryReport};
 
 /// Options shared by every experiment.
 ///
@@ -81,8 +81,8 @@ impl ExpOptions {
     }
 }
 
-/// Serializes `doc` to `<dir>/<file>` and returns the path written.
-pub(crate) fn write_doc(dir: &Path, file: &str, doc: &Json) -> std::io::Result<String> {
+/// Writes the rendered `doc` to `<dir>/<file>` and returns the path written.
+pub(crate) fn write_doc(dir: &Path, file: &str, doc: &str) -> std::io::Result<String> {
     let path = dir.join(file).display().to_string();
     write_results(&path, doc)?;
     Ok(path)
@@ -95,34 +95,32 @@ pub fn header(title: &str) {
 
 /// Assembles the unified telemetry document for one experiment: per-run
 /// summaries plus a merged Chrome trace-event stream (one trace "process"
-/// per run, named by its label — open the file directly in Perfetto).
-fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> Json {
-    let mut trace_events: Vec<Json> = Vec::new();
+/// per run, named by its label — open the file directly in Perfetto). The
+/// events are its last field, written straight into the text.
+fn telemetry_json(exp: &str, seed: u64, reports: &[TelemetryReport]) -> String {
+    let runs = Json::arr(reports.iter().map(|r| r.summary.clone()));
+    let mut out = results_doc("gcopss-telemetry-v1", exp, seed, [("runs", runs)]).to_string();
+    out.pop(); // the closing brace: `traceEvents` follows
+    out.push_str(r#","traceEvents":["#);
+    let mut first = true;
     for (pid, r) in reports.iter().enumerate() {
         if r.trace_events.is_empty() {
             continue;
         }
-        trace_events.push(Json::obj([
-            ("name", Json::from("process_name")),
-            ("ph", Json::from("M")),
-            ("pid", Json::UInt(pid as u64)),
-            ("tid", Json::UInt(0)),
-            ("args", Json::obj([("name", Json::str(r.label.clone()))])),
-        ]));
-        trace_events.extend(r.trace_events.iter().cloned());
+        let lane = ChromeEvent::ProcessName {
+            pid: pid as u64,
+            name: r.label.clone().into(),
+        };
+        for e in std::iter::once(&lane).chain(&r.trace_events) {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            e.write_to(&mut out);
+        }
     }
-    results_doc(
-        "gcopss-telemetry-v1",
-        exp,
-        seed,
-        [
-            (
-                "runs",
-                Json::arr(reports.iter().map(|r| r.summary.clone())),
-            ),
-            ("traceEvents", Json::Array(trace_events)),
-        ],
-    )
+    out.push_str("]}");
+    out
 }
 
 /// Writes `results/telemetry_<exp>.json` and prints one line per run with
@@ -138,7 +136,10 @@ pub(crate) fn write_telemetry(
     let path = write_doc(dir, &format!("telemetry_{exp}.json"), &doc)?;
     println!();
     for r in reports {
-        println!("telemetry run {:<14} journal fingerprint {:016x}", r.label, r.fingerprint);
+        println!(
+            "telemetry run {:<14} journal fingerprint {:016x}",
+            r.label, r.fingerprint
+        );
     }
     println!("telemetry written to {path}");
     Ok(())
@@ -163,7 +164,7 @@ pub(crate) fn write_runs(
     let schema = format!("gcopss-{kind}-v1");
     let entries = Json::arr(runs.iter().map(entry));
     let doc = results_doc(&schema, exp, seed, [("runs", entries)]);
-    let path = write_doc(dir, &format!("{kind}_{exp}.json"), &doc)?;
+    let path = write_doc(dir, &format!("{kind}_{exp}.json"), &doc.to_string())?;
     println!("{kind} written to {path} ({} runs)", runs.len());
     Ok(())
 }
@@ -191,7 +192,7 @@ pub(crate) fn write_prof(
     if let (Json::Object(pairs), Json::Object(fields)) = (&mut doc, report.to_json()) {
         pairs.extend(fields);
     }
-    let path = write_doc(dir, &format!("prof_{exp}.json"), &doc)?;
+    let path = write_doc(dir, &format!("prof_{exp}.json"), &doc.to_string())?;
     println!(
         "prof written to {path} ({} phases, count fingerprint {:016x})",
         report.phases.len(),
@@ -211,7 +212,7 @@ pub(crate) fn write_prof(
                     Json::str(format!("{:016x}", report.count_fingerprint())),
                 ),
             ]),
-            trace_events: report.trace_events_json(pid),
+            trace_events: report.trace_events(pid),
             fingerprint: report.count_fingerprint(),
         });
     }

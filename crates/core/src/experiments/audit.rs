@@ -18,6 +18,7 @@
 //! failure sweep tolerates under-delivery; with Bernoulli loss the whole
 //! run is damaged, because loss draws are not confined to a window.
 
+use gcopss_game::trace::TraceEvent;
 use gcopss_sim::{SimDuration, SimTime, Simulator, TimeSeriesConfig};
 
 use crate::scenario::{viewers_by_cd, GcopssConfig, NetworkSpec, WARMUP};
@@ -69,20 +70,33 @@ pub struct AuditOutput {
 /// log: publication id `i` owes one copy to every AoI viewer of its CD
 /// except the publisher. Must be called after [`Simulator::enable_lineage`]
 /// and before the run; [`TelemetryCapture::run_audited`] does both.
+///
+/// The books are reserved first, exactly, for the publications the log
+/// samples, and every owed list is built in one reused buffer.
 pub fn register_expectations(
     sim: &mut Simulator<GPacket, GameWorld>,
     w: &Workload,
     warmup: SimDuration,
 ) {
     let viewers = viewers_by_cd(&w.map, &w.population);
-    for (i, e) in w.trace.iter().enumerate() {
+    let owed = |e: &TraceEvent| {
+        let (who, publisher) = (viewers.get(&e.cd).map_or(&[][..], Vec::as_slice), e.player);
+        who.iter().filter(move |&&p| p != publisher).map(|p| p.0)
+    };
+    let log = sim.lineage_mut();
+    let (lineages, pairs) = (0u64..)
+        .zip(w.trace.iter())
+        .filter(|&(i, _)| log.sampled(i))
+        .fold((0, 0), |(n, pairs), (_, e)| {
+            (n + 1, pairs + owed(e).count())
+        });
+    log.reserve_expectations(lineages, pairs);
+    let mut entities = Vec::with_capacity(viewers.values().map(Vec::len).max().unwrap_or(0));
+    for (i, e) in (0u64..).zip(w.trace.iter()) {
         let t_publish = SimTime::ZERO + warmup + SimDuration::from_nanos(e.time_ns);
-        let entities: Vec<u32> = viewers
-            .get(&e.cd)
-            .map(|v| v.iter().filter(|&&p| p != e.player).map(|p| p.0).collect())
-            .unwrap_or_default();
-        sim.lineage_mut()
-            .expect(i as u64, t_publish, e.player.0, &entities);
+        entities.clear();
+        entities.extend(owed(e));
+        log.expect(i, t_publish, e.player.0, &entities);
     }
 }
 

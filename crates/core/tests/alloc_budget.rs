@@ -5,14 +5,19 @@
 //! creating publications, subscription set-up, table and queue growth.
 //! The engine's per-packet classifiers (`PacketMeta`) may not allocate at
 //! all, and neither may reading a snapshot-plane name (`SnapName::parse`).
+//! Registering a run's delivery expectations costs the same heap calls
+//! however many publications it owes.
 
+use std::sync::Arc;
+
+use gcopss_core::experiments::audit::register_expectations;
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
 use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate, SnapName};
 use gcopss_names::chunk::ChunkId;
 use gcopss_names::Name;
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::{NodeId, SimDuration};
+use gcopss_sim::{LineageConfig, NodeId, SimDuration};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -59,6 +64,40 @@ fn mini_counter_strike_run_stays_within_heap_call_budget() {
         "{calls} heap calls for {delivered} deliveries = {} per 100, budget {BUDGET_PER_100_DELIVERIES}",
         calls * 100 / delivered
     );
+}
+
+/// `register_expectations` sizes the books exactly before it registers and
+/// builds every owed list in one reused buffer, so the trace's length does
+/// not show in its heap calls.
+#[test]
+fn registering_expectations_costs_the_same_for_any_trace_length() {
+    let w = Workload::counter_strike(&WorkloadParams {
+        seed: 23,
+        players: 48,
+        updates: 4_096,
+        mean_interarrival: SimDuration::from_micros(2_400),
+    });
+    let net = NetworkSpec::default_backbone(7);
+    let mut seen = Vec::new();
+    for n in [16, 256, 4_096] {
+        let prefix = Workload {
+            map: Arc::clone(&w.map),
+            objects: w.objects.clone(),
+            population: w.population.clone(),
+            trace: Arc::new(w.trace[..n].to_vec()),
+        };
+        let cfg = GcopssConfig::default();
+        let warmup = cfg.warmup;
+        let mut built = ScenarioSpec::new(&net, &prefix.map, &prefix.population, &prefix.trace)
+            .gcopss(cfg)
+            .build()
+            .into_gcopss();
+        built.sim.enable_lineage(LineageConfig::default());
+        let before = counting_alloc::heap_calls();
+        register_expectations(&mut built.sim, &prefix, warmup);
+        seen.push(counting_alloc::heap_calls() - before);
+    }
+    assert!(seen.iter().all(|&c| c == seen[0]), "heap calls {seen:?}");
 }
 
 /// The classifiers the engine calls on every arriving packet — and, under

@@ -12,7 +12,6 @@
 use gcopss_core::experiments::{TelemetryCapture, Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, WARMUP};
 use gcopss_sim::generators::BackboneParams;
-use gcopss_sim::json::Json;
 use gcopss_sim::{FaultPlan, SimDuration, SimTime, TelemetryConfig};
 
 /// FNV-1a 64 over `bytes`.
@@ -57,10 +56,13 @@ fn exports_keep_their_bytes() {
     assert!(sim.lineage().spans().iter().any(|s| s.is_open()));
     assert_eq!(sim.telemetry().journal_records().len(), 4_096);
 
+    let events: Vec<String> = report
+        .trace_events
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     let hashes = [
-        fnv(Json::arr(report.trace_events.iter().cloned())
-            .to_string()
-            .as_bytes()),
+        fnv(format!("[{}]", events.join(",")).as_bytes()),
         fnv(report.summary.to_string().as_bytes()),
         fnv(books.to_json().to_string().as_bytes()),
         audit.fingerprint,

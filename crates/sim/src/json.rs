@@ -222,19 +222,8 @@ impl Json {
             Json::Int(i) => {
                 let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
             }
-            Json::UInt(u) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{u}"));
-            }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // Rust's shortest-roundtrip Display for f64 is valid JSON
-                    // except that it omits a fraction for whole numbers
-                    // ("3" not "3.0") — still valid JSON.
-                    let _ = fmt::Write::write_fmt(out, format_args!("{f}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::UInt(u) => write_uint(*u, out),
+            Json::Float(f) => write_float(*f, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -262,7 +251,25 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `u` in decimal, as [`Json::UInt`] renders it.
+pub(crate) fn write_uint(u: u64, out: &mut String) {
+    let _ = fmt::Write::write_fmt(out, format_args!("{u}"));
+}
+
+/// Appends `f` as [`Json::Float`] renders it: `null` when not finite.
+pub(crate) fn write_float(f: f64, out: &mut String) {
+    if f.is_finite() {
+        // Rust's shortest-roundtrip Display for f64 is valid JSON
+        // except that it omits a fraction for whole numbers
+        // ("3" not "3.0") — still valid JSON.
+        let _ = fmt::Write::write_fmt(out, format_args!("{f}"));
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -518,18 +525,19 @@ pub fn results_doc(
     Json::obj(head.into_iter().chain(fields))
 }
 
-/// Serializes `doc` to `path`, creating parent directories as needed.
+/// Writes the rendered document `doc` to `path`, creating parent
+/// directories as needed.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (directory not creatable, disk full, …).
-pub fn write_results(path: &str, doc: &Json) -> std::io::Result<()> {
+pub fn write_results(path: &str, doc: &str) -> std::io::Result<()> {
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(path, doc.to_string())
+    std::fs::write(path, doc)
 }
 
 impl From<bool> for Json {

@@ -116,8 +116,8 @@ pub use overload::{AdmissionPolicy, OverloadConfig};
 pub use lineage::{AuditReport, LineageConfig, LineageLog, SpanEvent, SpanRecord, NO_SPAN};
 pub use stream::{MetricStreams, SpaceSaving, StreamConfig};
 pub use telemetry::{
-    LogHistogram, Telemetry, TelemetryConfig, TelemetryReport, TimeSeries, TimeSeriesConfig,
-    TraceEvent, TraceRecord,
+    ChromeEvent, LogHistogram, Telemetry, TelemetryConfig, TelemetryReport, TimeSeries,
+    TimeSeriesConfig, TraceEvent, TraceRecord,
 };
 pub use routing::RoutingTable;
 pub use time::{SimDuration, SimTime};

@@ -641,6 +641,17 @@ impl LineageLog {
         self.books.register(lid, t_publish, publisher, entities);
     }
 
+    /// Reserves the books for `lineages` more [`expect`](Self::expect)
+    /// calls owing `pairs` pairs in all, so registering them grows no
+    /// vector. Sized exactly, the books hold the same bytes whatever the
+    /// length of the first owed list, which amortised doubling would
+    /// otherwise follow.
+    pub fn reserve_expectations(&mut self, lineages: usize, pairs: usize) {
+        self.books.lineages.reserve_exact(lineages);
+        self.books.entities.reserve_exact(pairs);
+        self.books.delivered.reserve_exact(pairs);
+    }
+
     /// The spans recorded: their count, and the live window still held.
     #[must_use]
     pub fn spans(&self) -> &SpanStore {

@@ -68,6 +68,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::telemetry::ChromeEvent;
 use crate::{fnv1a, FNV1A_OFFSET};
 
 thread_local! {
@@ -200,8 +201,16 @@ impl Profiler {
         }
         ProfReport {
             phases,
-            counters: self.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            gauges: self.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
+            counters: self
+                .counters
+                .iter()
+                .map(|(&k, &v)| (k.to_string(), v))
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(&k, &v)| (k.to_string(), v))
+                .collect(),
             wall_ns,
         }
     }
@@ -250,7 +259,10 @@ pub fn reset() {
 #[inline]
 pub fn scope(name: &'static str) -> Scope {
     if !is_enabled() {
-        return Scope { idx: u32::MAX, start: None };
+        return Scope {
+            idx: u32::MAX,
+            start: None,
+        };
     }
     let idx = PROFILER.with(|p| p.borrow_mut().enter(name));
     Scope {
@@ -432,13 +444,19 @@ impl ProfReport {
         Json::obj([
             (
                 "phases",
-                Json::arr(self.phases.iter().map(|p| {
-                    Json::arr([Json::str(p.path.clone()), Json::from(p.calls)])
-                })),
+                Json::arr(
+                    self.phases
+                        .iter()
+                        .map(|p| Json::arr([Json::str(p.path.clone()), Json::from(p.calls)])),
+                ),
             ),
             (
                 "counters",
-                Json::obj(self.counters.iter().map(|(k, v)| (k.clone(), Json::from(*v)))),
+                Json::obj(
+                    self.counters
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::from(*v))),
+                ),
             ),
             (
                 "gauges",
@@ -522,43 +540,29 @@ impl ProfReport {
     }
 
     /// Renders the call-tree as Chrome trace events for the existing
-    /// Perfetto journal: one complete (`ph:"X"`) span per phase, children
-    /// laid out inside their parent's span by cumulative offset, with call
-    /// counts and self times in `args`. `pid` separates the profile lane
-    /// from the packet-trace lanes when merged into one file.
+    /// Perfetto journal: the lane's process name, then one
+    /// [`ChromeEvent::Phase`] span per phase, children laid out inside
+    /// their parent's span by cumulative offset. `pid` separates the
+    /// profile lane from the packet-trace lanes when merged into one file.
     #[must_use]
-    pub fn trace_events_json(&self, pid: u64) -> Vec<Json> {
+    pub fn trace_events(&self, pid: u64) -> Vec<ChromeEvent> {
         let mut out = Vec::with_capacity(self.phases.len() + 1);
-        out.push(Json::obj([
-            ("name", Json::from("process_name")),
-            ("ph", Json::from("M")),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(0u64)),
-            ("args", Json::obj([("name", Json::from("self-profile"))])),
-        ]));
+        out.push(ChromeEvent::ProcessName {
+            pid,
+            name: "self-profile".into(),
+        });
         // start_at[d] = next free offset (ns) at depth d.
         let mut start_at: Vec<u64> = vec![0];
         for p in &self.phases {
             start_at.truncate(p.depth + 1);
             let ts = start_at[p.depth];
-            start_at[p.depth] += p.total_ns;
+            start_at[p.depth] = ts.saturating_add(p.total_ns);
             start_at.push(ts); // children begin at the parent's start
-            out.push(Json::obj([
-                ("name", Json::str(p.path.clone())),
-                ("cat", Json::from("prof")),
-                ("ph", Json::from("X")),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(0u64)),
-                ("ts", Json::from(ts as f64 / 1e3)),
-                ("dur", Json::from(p.total_ns as f64 / 1e3)),
-                (
-                    "args",
-                    Json::obj([
-                        ("calls", Json::from(p.calls)),
-                        ("self_us", Json::from(p.self_ns as f64 / 1e3)),
-                    ]),
-                ),
-            ]));
+            out.push(ChromeEvent::Phase {
+                pid,
+                ts_ns: ts,
+                row: Box::new(p.clone()),
+            });
         }
         out
     }
@@ -635,7 +639,10 @@ mod tests {
         assert!(r.phases.is_empty());
         assert!(r.counters.is_empty());
         assert_eq!(r.wall_ns, 0);
-        assert!((r.coverage() - 1.0).abs() < 1e-12, "empty profile covers trivially");
+        assert!(
+            (r.coverage() - 1.0).abs() < 1e-12,
+            "empty profile covers trivially"
+        );
     }
 
     #[test]
@@ -656,7 +663,10 @@ mod tests {
         assert_eq!(r.gauge("engine/queue_high_watermark"), 9);
         assert!(r.wall_ns >= 2_000_000, "slept 2ms inside the root scope");
         let eps = r.events_per_sec();
-        assert!(eps > 0.0 && eps < 1500.0 / 0.002, "events/s bounded by wall");
+        assert!(
+            eps > 0.0 && eps < 1500.0 / 0.002,
+            "events/s bounded by wall"
+        );
     }
 
     #[test]
@@ -707,13 +717,16 @@ mod tests {
         });
         let j = r.to_json().to_string();
         assert!(j.contains(r#""phases":[{"path":"run""#), "{j}");
-        assert!(j.contains(r#""counts":{"phases":[["run",1],["run/inner",1]]"#), "{j}");
+        assert!(
+            j.contains(r#""counts":{"phases":[["run",1],["run/inner",1]]"#),
+            "{j}"
+        );
         assert!(j.contains(r#""count_fingerprint":""#), "{j}");
         let t = r.table();
         assert!(t.contains("run") && t.contains("self-time coverage"), "{t}");
-        let ev = r.trace_events_json(7);
+        let ev = r.trace_events(7);
         assert_eq!(ev.len(), 3); // process_name + 2 phases
-        let s = Json::Array(ev).to_string();
+        let s: String = ev.iter().map(ToString::to_string).collect();
         assert!(s.contains(r#""ph":"X""#) && s.contains(r#""pid":7"#), "{s}");
     }
 

@@ -28,9 +28,11 @@
 //! [`Telemetry::is_enabled`]; the benchmark's `sim.telemetry.added_s` layer
 //! probe (`benchmark/README.md`) measures what switching it on costs.
 
-use crate::json::{Json, Text};
+use crate::json::{write_escaped, write_float, write_uint, Json, Text};
+use crate::prof::PhaseRow;
 use crate::{fnv1a, SimDuration, SimTime, Topology, FNV1A_OFFSET};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Number of buckets in a [`LogHistogram`]: one for zero plus one per
 /// power of two up to `u64::MAX`.
@@ -607,58 +609,156 @@ impl Telemetry {
         ])
     }
 
-    /// Converts the journal into Chrome trace-event JSON objects
+    /// Converts the journal into Chrome trace events
     /// (<https://ui.perfetto.dev> opens a `{"traceEvents": [...]}` file
     /// directly). `pid` distinguishes runs when several journals are merged
-    /// into one file; node ids become thread ids. Dequeue records become
-    /// complete (`ph:"X"`) spans covering the service time; everything else
-    /// is an instant event.
+    /// into one file; node ids become thread ids, each named by a
+    /// [`ChromeEvent::ThreadName`] before its first record.
     ///
-    /// Every key and every text but a node name is a `&'static str`, so a
-    /// record costs two heap calls: its event's pairs and its `args`.
+    /// An event holds its record by value, so the events cost one heap
+    /// call for the vector, one for the named-node bitmap and one per named
+    /// node for a copy of its name, however long the journal.
     #[must_use]
-    pub fn trace_events_json(&self, topo: &Topology, pid: u64) -> Vec<Json> {
+    pub fn trace_events(&self, topo: &Topology, pid: u64) -> Vec<ChromeEvent> {
         let mut out = Vec::with_capacity(self.journal.len() + topo.node_count());
-        // Thread-name metadata so Perfetto shows node names, not bare tids.
         let mut named = vec![false; topo.node_count()];
-        for r in &self.journal {
-            if !named[r.node as usize] {
-                named[r.node as usize] = true;
-                out.push(Json::obj([
-                    ("name", Json::from("thread_name")),
-                    ("ph", Json::from("M")),
-                    ("pid", Json::from(pid)),
-                    ("tid", Json::from(r.node)),
-                    (
-                        "args",
-                        Json::obj([("name", Json::str(topo.node_name(crate::NodeId(r.node))))]),
-                    ),
-                ]));
+        for &rec in &self.journal {
+            if !named[rec.node as usize] {
+                named[rec.node as usize] = true;
+                out.push(ChromeEvent::ThreadName {
+                    pid,
+                    tid: rec.node,
+                    name: topo.node_name(crate::NodeId(rec.node)).into(),
+                });
             }
-            let mut ev: Vec<(Text, Json)> = Vec::with_capacity(8);
-            ev.extend([
-                ("name".into(), Json::from(r.class)),
-                ("cat".into(), Json::from(r.event.as_str())),
-                ("pid".into(), Json::from(pid)),
-                ("tid".into(), Json::from(r.node)),
-                ("ts".into(), Json::from(r.ts.as_nanos() as f64 / 1e3)),
-            ]);
-            if r.event == TraceEvent::Dequeue {
-                ev.push(("ph".into(), Json::from("X")));
-                ev.push(("dur".into(), Json::from(r.dur_ns as f64 / 1e3)));
-            } else {
-                ev.push(("ph".into(), Json::from("i")));
-                ev.push(("s".into(), Json::from("t")));
-            }
-            let mut args: Vec<(Text, Json)> = Vec::with_capacity(2);
-            args.push(("size".into(), Json::from(r.size)));
-            if r.peer != u32::MAX {
-                args.push(("peer".into(), Json::from(r.peer)));
-            }
-            ev.push(("args".into(), Json::Object(args)));
-            out.push(Json::Object(ev));
+            out.push(ChromeEvent::Record { pid, rec });
         }
         out
+    }
+}
+
+/// One Chrome trace event, held as the values it shows and rendered
+/// straight into the export text by [`ChromeEvent::write_to`]: the one way
+/// a trace event becomes JSON. `pid` is the trace "process" (one per run,
+/// plus the profile lane), `tid` its thread (a node, or 0).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChromeEvent {
+    /// A journal record of node `rec.node`: a complete (`ph:"X"`) span
+    /// covering the service time for a dequeue, an instant event
+    /// otherwise; `args` hold the size and, when there is one, the peer.
+    Record {
+        /// The run's trace process.
+        pid: u64,
+        /// The record.
+        rec: TraceRecord,
+    },
+    /// Thread-name metadata, so Perfetto shows node names, not bare tids.
+    ThreadName {
+        /// The run's trace process.
+        pid: u64,
+        /// The node id.
+        tid: u32,
+        /// The node's name.
+        name: Box<str>,
+    },
+    /// Process-name metadata: the label of a run or of the profile lane.
+    ProcessName {
+        /// The trace process named.
+        pid: u64,
+        /// Its label.
+        name: Text,
+    },
+    /// One profile phase as a complete span on thread 0, laid out inside
+    /// its parent's span, with its call count and self time in `args`.
+    /// The row is boxed so that this arm is no larger than a record's.
+    Phase {
+        /// The profile lane's trace process.
+        pid: u64,
+        /// Start offset, nanoseconds.
+        ts_ns: u64,
+        /// The phase: its path, calls, inclusive and self time.
+        row: Box<PhaseRow>,
+    },
+}
+
+impl ChromeEvent {
+    /// Appends the event as one JSON object to `out`. Keys come in a fixed
+    /// order and times are microseconds; nothing but `out`'s own growth
+    /// calls the allocator.
+    pub fn write_to(&self, out: &mut String) {
+        /// Appends a `ns` count as fractional microseconds.
+        fn micros(ns: u64, out: &mut String) {
+            write_float(ns as f64 / 1e3, out);
+        }
+        match self {
+            ChromeEvent::Record { pid, rec } => {
+                out.push_str(r#"{"name":"#);
+                write_escaped(rec.class, out);
+                out.push_str(r#","cat":"#);
+                write_escaped(rec.event.as_str(), out);
+                out.push_str(r#","pid":"#);
+                write_uint(*pid, out);
+                out.push_str(r#","tid":"#);
+                write_uint(u64::from(rec.node), out);
+                out.push_str(r#","ts":"#);
+                micros(rec.ts.as_nanos(), out);
+                if rec.event == TraceEvent::Dequeue {
+                    out.push_str(r#","ph":"X","dur":"#);
+                    micros(rec.dur_ns, out);
+                } else {
+                    out.push_str(r#","ph":"i","s":"t""#);
+                }
+                out.push_str(r#","args":{"size":"#);
+                write_uint(u64::from(rec.size), out);
+                if rec.peer != u32::MAX {
+                    out.push_str(r#","peer":"#);
+                    write_uint(u64::from(rec.peer), out);
+                }
+                out.push_str("}}");
+            }
+            ChromeEvent::ThreadName { pid, tid, name } => {
+                metadata("thread_name", *pid, u64::from(*tid), name, out);
+            }
+            ChromeEvent::ProcessName { pid, name } => {
+                metadata("process_name", *pid, 0, name, out);
+            }
+            ChromeEvent::Phase { pid, ts_ns, row } => {
+                out.push_str(r#"{"name":"#);
+                write_escaped(&row.path, out);
+                out.push_str(r#","cat":"prof","ph":"X","pid":"#);
+                write_uint(*pid, out);
+                out.push_str(r#","tid":0,"ts":"#);
+                micros(*ts_ns, out);
+                out.push_str(r#","dur":"#);
+                micros(row.total_ns, out);
+                out.push_str(r#","args":{"calls":"#);
+                write_uint(row.calls, out);
+                out.push_str(r#","self_us":"#);
+                micros(row.self_ns, out);
+                out.push_str("}}");
+            }
+        }
+    }
+}
+
+/// Appends a `ph:"M"` metadata event `kind` naming (`pid`, `tid`).
+fn metadata(kind: &str, pid: u64, tid: u64, name: &str, out: &mut String) {
+    out.push_str(r#"{"name":"#);
+    write_escaped(kind, out);
+    out.push_str(r#","ph":"M","pid":"#);
+    write_uint(pid, out);
+    out.push_str(r#","tid":"#);
+    write_uint(tid, out);
+    out.push_str(r#","args":{"name":"#);
+    write_escaped(name, out);
+    out.push_str("}}");
+}
+
+impl fmt::Display for ChromeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = String::new();
+        self.write_to(&mut s);
+        f.write_str(&s)
     }
 }
 
@@ -671,8 +771,10 @@ pub struct TelemetryReport {
     pub label: String,
     /// Output of [`Telemetry::summary_json`].
     pub summary: Json,
-    /// Output of [`Telemetry::trace_events_json`].
-    pub trace_events: Vec<Json>,
+    /// Output of [`Telemetry::trace_events`] (of
+    /// [`ProfReport::trace_events`](crate::prof::ProfReport::trace_events)
+    /// for the profile lane).
+    pub trace_events: Vec<ChromeEvent>,
     /// Output of [`Telemetry::journal_fingerprint`].
     pub fingerprint: u64,
 }

@@ -1,8 +1,10 @@
 //! Allocation regression for the observer layer's exports: literal JSON
-//! text is borrowed, a journal record renders as two heap calls, closing
-//! the delivery audit over books kept as the run went makes no heap call
-//! on a clean run, a span is 64 bytes, and the span store, reserved when
-//! the log is enabled, makes room by retiring the closed spans behind the
+//! text is borrowed, a journal's trace events cost the same heap calls
+//! however long it is and render into reserved text with none, books
+//! reserved for their expectations register them with none, closing the
+//! delivery audit over books kept as the run went makes no heap call on a
+//! clean run, a span is 64 bytes, and the span store, reserved when the
+//! log is enabled, makes room by retiring the closed spans behind the
 //! oldest open one rather than by growing (DESIGN.md, "Allocation
 //! discipline").
 
@@ -71,18 +73,57 @@ fn journal(n: u64) -> (Telemetry, Topology) {
 }
 
 #[test]
-fn a_journal_record_renders_as_two_heap_calls() {
+fn trace_events_cost_the_same_heap_calls_for_any_journal_length() {
+    let mut seen = Vec::new();
     for n in [1u64, 10, 1_000] {
         let (t, topo) = journal(n);
-        let (got, events) = calls(|| t.trace_events_json(&topo, 0));
+        let (got, events) = calls(|| t.trace_events(&topo, 0));
         assert_eq!(
             events.len() as u64,
             n + 1,
             "one thread name, then the records"
         );
-        // Fixed: the event vector, the named-node bitmap, and the node's
-        // thread-name event (its pairs, its args, a copy of the name).
-        assert_eq!(got, 2 * n + 5, "{n} records");
+        seen.push(got);
+    }
+    // The event vector, the named-node bitmap and a copy of the one
+    // node's name: a record is held by value and costs nothing.
+    assert_eq!(seen, [3, 3, 3]);
+}
+
+#[test]
+fn trace_events_render_into_reserved_text_without_heap_calls() {
+    let (t, topo) = journal(1_000);
+    let events = t.trace_events(&topo, 0);
+    let mut out = String::with_capacity(1 << 20);
+    let (got, ()) = calls(|| {
+        for e in &events {
+            e.write_to(&mut out);
+        }
+    });
+    assert_eq!(got, 0, "{} bytes rendered", out.len());
+    assert!(
+        out.starts_with(r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rp0"}}"#)
+    );
+}
+
+#[test]
+fn reserved_books_register_expectations_without_heap_calls() {
+    let owed: Vec<u32> = (0..8).collect();
+    for lineages in [16u64, 256, 4_096] {
+        let mut log = LineageLog::disabled();
+        log.enable(LineageConfig {
+            sample: 1,
+            capacity: 1 << 10,
+        });
+        let (got, ()) = calls(|| {
+            log.reserve_expectations(lineages as usize, lineages as usize * owed.len());
+            for lid in 0..lineages {
+                log.expect(lid, SimTime::from_millis(lid), u32::MAX, &owed);
+            }
+        });
+        // One exact reservation each for the lineages, the owed pairs and
+        // their delivery counters; registering then grows nothing.
+        assert_eq!(got, 3, "{lineages} lineages");
     }
 }
 

@@ -5,12 +5,15 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use gcopss_compat::prop;
+use gcopss_sim::json::{Json, Text};
 use gcopss_sim::lineage::NO_ENTITY;
+use gcopss_sim::prof::{PhaseRow, ProfReport};
 use gcopss_sim::telemetry::LogHistogram;
 use gcopss_sim::{
-    generators, AdmissionPolicy, AuditReport, Ctx, EngineDrop, FaultPlan, LineageConfig,
-    LineageLog, LinkId, NodeBehavior, NodeId, OverloadConfig, PacketMeta, RoutingTable,
-    SimDuration, SimTime, Simulator, SpanEvent, SpanRecord, TelemetryConfig, NO_SPAN,
+    generators, AdmissionPolicy, AuditReport, ChromeEvent, Ctx, EngineDrop, FaultPlan,
+    LineageConfig, LineageLog, LinkId, NodeBehavior, NodeId, OverloadConfig, PacketMeta,
+    RoutingTable, SimDuration, SimTime, Simulator, SpanEvent, SpanRecord, Telemetry,
+    TelemetryConfig, Topology, TraceEvent, TraceRecord, NO_SPAN,
 };
 
 const CASES: u32 = 24;
@@ -988,4 +991,277 @@ fn flat_audit_agrees_with_the_ordered_map_oracle() {
     );
     // The law is not vacuous: every outcome occurred in some case.
     assert!(fired.get().iter().all(|&f| f), "{:?}", fired.get());
+}
+
+// ---------------------------------------------------------------------------
+// Chrome trace events: the renderer against the `Json` builders it replaced
+// ---------------------------------------------------------------------------
+
+/// The journal's trace events as `Json` trees: the builder
+/// `Telemetry::trace_events` replaced, kept as the oracle.
+fn journal_events_oracle(journal: &[TraceRecord], topo: &Topology, pid: u64) -> Vec<Json> {
+    let mut out = Vec::new();
+    let mut named = vec![false; topo.node_count()];
+    for r in journal {
+        if !named[r.node as usize] {
+            named[r.node as usize] = true;
+            out.push(Json::obj([
+                ("name", Json::from("thread_name")),
+                ("ph", Json::from("M")),
+                ("pid", Json::from(pid)),
+                ("tid", Json::from(r.node)),
+                (
+                    "args",
+                    Json::obj([("name", Json::str(topo.node_name(NodeId(r.node))))]),
+                ),
+            ]));
+        }
+        let mut ev: Vec<(Text, Json)> = vec![
+            ("name".into(), Json::from(r.class)),
+            ("cat".into(), Json::from(r.event.as_str())),
+            ("pid".into(), Json::from(pid)),
+            ("tid".into(), Json::from(r.node)),
+            ("ts".into(), Json::from(r.ts.as_nanos() as f64 / 1e3)),
+        ];
+        if r.event == TraceEvent::Dequeue {
+            ev.push(("ph".into(), Json::from("X")));
+            ev.push(("dur".into(), Json::from(r.dur_ns as f64 / 1e3)));
+        } else {
+            ev.push(("ph".into(), Json::from("i")));
+            ev.push(("s".into(), Json::from("t")));
+        }
+        let mut args: Vec<(Text, Json)> = vec![("size".into(), Json::from(r.size))];
+        if r.peer != u32::MAX {
+            args.push(("peer".into(), Json::from(r.peer)));
+        }
+        ev.push(("args".into(), Json::Object(args)));
+        out.push(Json::Object(ev));
+    }
+    out
+}
+
+/// A run's process-name event as the experiment runner built it.
+fn process_name_oracle(pid: u64, label: &str) -> Json {
+    Json::obj([
+        ("name", Json::from("process_name")),
+        ("ph", Json::from("M")),
+        ("pid", Json::UInt(pid)),
+        ("tid", Json::UInt(0)),
+        ("args", Json::obj([("name", Json::str(label))])),
+    ])
+}
+
+/// The profile lane as `Json` trees: the builder
+/// `ProfReport::trace_events` replaced, kept as the oracle.
+fn prof_events_oracle(report: &ProfReport, pid: u64) -> Vec<Json> {
+    let mut out = vec![Json::obj([
+        ("name", Json::from("process_name")),
+        ("ph", Json::from("M")),
+        ("pid", Json::from(pid)),
+        ("tid", Json::from(0u64)),
+        ("args", Json::obj([("name", Json::from("self-profile"))])),
+    ])];
+    let mut start_at: Vec<u64> = vec![0];
+    for p in &report.phases {
+        start_at.truncate(p.depth + 1);
+        let ts = start_at[p.depth];
+        start_at[p.depth] = ts.saturating_add(p.total_ns);
+        start_at.push(ts);
+        out.push(Json::obj([
+            ("name", Json::str(p.path.clone())),
+            ("cat", Json::from("prof")),
+            ("ph", Json::from("X")),
+            ("pid", Json::from(pid)),
+            ("tid", Json::from(0u64)),
+            ("ts", Json::from(ts as f64 / 1e3)),
+            ("dur", Json::from(p.total_ns as f64 / 1e3)),
+            (
+                "args",
+                Json::obj([
+                    ("calls", Json::from(p.calls)),
+                    ("self_us", Json::from(p.self_ns as f64 / 1e3)),
+                ]),
+            ),
+        ]));
+    }
+    out
+}
+
+/// Every character class the escaper treats apart: quote, backslash,
+/// control characters and non-ASCII.
+const AWKWARD: &str = "ab/\"\\\n\t\r\u{0}\u{1f}\u{7f}é中🎮";
+
+/// Packet classes are `&'static str`s, as a classifier returns them.
+const CLASSES: [&str; 5] = ["multicast", "", "q\"uote\\d", "ctl\u{1}\n", "jeu-é中🎮"];
+
+const EVENTS: [TraceEvent; 6] = [
+    TraceEvent::Enqueue,
+    TraceEvent::Dequeue,
+    TraceEvent::Send,
+    TraceEvent::Deliver,
+    TraceEvent::Drop,
+    TraceEvent::Mark,
+];
+
+/// A `u64` picked from 0, 1 and `u64::MAX` half the time, at random
+/// otherwise.
+fn edge_u64() -> impl prop::Strategy<Value = (u32, u64)> {
+    (prop::range(0u32..6), prop::range(0u64..u64::MAX))
+}
+
+fn edge(&(pick, random): &(u32, u64)) -> u64 {
+    match pick {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        _ => random,
+    }
+}
+
+/// The values one event shows: what happened, its class and node; when
+/// and for how long; its size and its peer, if any.
+type RecordCase = (
+    (usize, usize, u32),
+    (u32, u64),
+    (u32, u64),
+    ((u32, u64), bool, (u32, u64)),
+);
+
+fn record_cases() -> impl prop::Strategy<Value = RecordCase> {
+    (
+        (
+            prop::range(0usize..6),
+            prop::range(0usize..5),
+            prop::range(0u32..4),
+        ),
+        edge_u64(),
+        edge_u64(),
+        (edge_u64(), prop::bools(), edge_u64()),
+    )
+}
+
+fn record(case: &RecordCase, nodes: u32) -> TraceRecord {
+    let &((event, class, node), _, _, (ref size, has_peer, ref peer)) = case;
+    // Sizes and peers of 0, 1 and `u32::MAX` too; a peer of `u32::MAX`
+    // is an absent one.
+    let (size, peer) = (edge(size) as u32, edge(peer) as u32);
+    TraceRecord {
+        ts: SimTime::from_nanos(edge(&case.1)),
+        node: node % nodes,
+        event: EVENTS[event],
+        class: CLASSES[class],
+        size,
+        peer: if has_peer { peer } else { u32::MAX },
+        dur_ns: edge(&case.2),
+    }
+}
+
+/// Renders `events` as the JSON array a trace file holds.
+fn rendered(events: &[ChromeEvent]) -> String {
+    let mut out = String::from("[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        e.write_to(&mut out);
+    }
+    out.push(']');
+    out
+}
+
+/// Checks `got` against the oracle's trees, whole and one by one.
+fn assert_renders_as(got: &[ChromeEvent], want: Vec<Json>) {
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.to_string(), w.to_string());
+    }
+    assert_eq!(rendered(got), Json::Array(want).to_string());
+}
+
+/// A trace event renders the bytes its `Json` tree did: journal records of
+/// every kind, with and without a peer, at times and durations of 0, 1 ns
+/// and `u64::MAX` ns, on nodes with awkward names; process names; pids 0
+/// and `u64::MAX`.
+#[test]
+fn journal_events_render_as_their_json_trees() {
+    let input = (
+        prop::vec(prop::string(AWKWARD, 0..=6), 1..=4),
+        prop::vec(record_cases(), 0..=24),
+        edge_u64(),
+        prop::string(AWKWARD, 0..=8),
+    );
+    let seen = Cell::new([false; 9]);
+    prop::check(
+        0x51309,
+        CASES * 4,
+        &input,
+        |(names, records, pid, label)| {
+            let mut topo = Topology::new();
+            for name in names {
+                topo.add_node(name.as_str());
+            }
+            let mut t = Telemetry::default();
+            t.enable(TelemetryConfig::default(), names.len(), 0);
+            for r in records {
+                t.journal(record(r, names.len() as u32));
+            }
+            let pid = edge(pid);
+            let got = t.trace_events(&topo, pid);
+            assert_renders_as(&got, journal_events_oracle(t.journal_records(), &topo, pid));
+
+            let lane = ChromeEvent::ProcessName {
+                pid,
+                name: label.clone().into(),
+            };
+            assert_eq!(
+                lane.to_string(),
+                process_name_oracle(pid, label).to_string()
+            );
+
+            let mut s = seen.get();
+            for r in t.journal_records() {
+                s[EVENTS.iter().position(|&e| e == r.event).unwrap()] = true;
+                s[6 + usize::from(r.peer == u32::MAX)] = true;
+            }
+            s[8] |= pid == u64::MAX;
+            seen.set(s);
+        },
+    );
+    // Not vacuous: every event kind, both peer shapes and the largest pid.
+    assert!(seen.get().iter().all(|&s| s), "{:?}", seen.get());
+}
+
+/// A profile phase renders the bytes its `Json` tree did, over call-trees
+/// of any depth with paths of awkward text and counts and times of 0, 1
+/// and `u64::MAX`.
+#[test]
+fn profile_events_render_as_their_json_trees() {
+    let phase = (
+        prop::range(0usize..=8),
+        prop::string(AWKWARD, 0..=6),
+        edge_u64(),
+        (edge_u64(), edge_u64()),
+    );
+    let input = (prop::vec(phase, 0..=16), edge_u64());
+    let deepest = Cell::new(0);
+    prop::check(0x5130a, CASES * 4, &input, |(phases, pid)| {
+        let mut report = ProfReport::default();
+        for (d, path, calls, (total, self_ns)) in phases {
+            // A depth-first order: at most one level below the last phase.
+            let depth = report.phases.last().map_or(0, |p| (p.depth + 1).min(*d));
+            report.phases.push(PhaseRow {
+                path: path.clone(),
+                name: path.clone(),
+                depth,
+                calls: edge(calls),
+                total_ns: edge(total),
+                self_ns: edge(self_ns),
+                max_ns: 0,
+            });
+            deepest.set(deepest.get().max(depth));
+        }
+        let pid = edge(pid);
+        assert_renders_as(&report.trace_events(pid), prof_events_oracle(&report, pid));
+    });
+    assert!(deepest.get() >= 4, "call-trees {} deep", deepest.get());
 }

@@ -21,6 +21,14 @@
 # not one run). Given a second checkout — e.g. a
 # `git clone` of the parent commit under /root/scratch — each cell reads
 # `before → after`.
+#
+# The heap counts repeat between processes only at one seed: the seed draws
+# the interleaving, and a vector grown by doubling can end at a capacity the
+# interleaving picks. So the script also runs the `--trace 0` heap metrics
+# at seeds 1 and 2 and prints, per workload, each metric's spread over the
+# three seeds (max / min − 1). It exits 1 when a spread exceeds half of that
+# metric's `BENCHMARK.json` bound, where a seed-bimodal value would already
+# decide an A/B comparison between differently seeded runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 after=$PWD
@@ -29,6 +37,10 @@ before=${1:+$(cd "$1" && pwd)}
 # The `"command": [...]` array and the workload names of BENCHMARK.json.
 read -r -a cmd <<<"$(sed -n 's/^ *"command": *\[\(.*\)\],*$/\1/p' BENCHMARK.json | tr -d '",')"
 mapfile -t workloads < <(grep -o '{"name": "[a-z_]*", "why"' BENCHMARK.json | cut -d'"' -f4)
+heap_metrics=(heap_allocs_m heap_alloc_gb peak_heap_mb)
+# `<metric> <bound>` of each heap metric's end-to-end entry.
+bounds=$(sed -n 's/^ *{"name": "\(heap_[a-z_]*\|peak_heap_mb\)".*"bound": *\([0-9.]*\)}.*$/\1 \2/p' BENCHMARK.json)
+spread_seeds=(1 2)
 
 # Prints `<metric> <value>` lines of one workload run in checkout $1.
 run() {
@@ -39,6 +51,32 @@ run() {
         | awk -v w="$w" '$1 == w && $3 != 0 && ($2 == "sim.engine.events_m" ||
             $2 == "sim.lineage.spans_m" || $2 == "sim.json.export_mb" ||
             $2 == "copss.st.match_faces_mean" || $2 == "ndn.cs.hit_ratio") { print $2, $3 }'
+}
+
+# Prints `<metric> <value>` of the heap metrics of one workload run in
+# checkout $1 at seed $3.
+heap() {
+    local dir=$1 w=$2 seed=$3
+    (cd "$dir" && "${cmd[@]}" --workload "$w" --seed "$seed" --reps 1 --trace 0) \
+        | awk -v w="$w" '$1 == w && NF == 4 && ($2 == "heap_allocs_m" ||
+            $2 == "heap_alloc_gb" || $2 == "peak_heap_mb") { print $2, $3 }'
+}
+
+# Prints `<metric> <spread> <min> <max>` for each heap metric of the
+# `<metric> <value>` lines on stdin, the spread as max / min − 1.
+spreads() {
+    awk '{ if (!($1 in lo) || $2 < lo[$1]) lo[$1] = $2; if ($2 > hi[$1]) hi[$1] = $2 }
+        END { for (m in lo) printf "%s %.6f %s %s\n", m, (lo[m] > 0 ? hi[m] / lo[m] - 1 : 0), lo[m], hi[m] }'
+}
+
+# One spread cell: metric $1's `<spread> (<min>–<max>)` from the spreads
+# $2, the values printed with format $3, with `!` appended past half the
+# bound.
+spread_cell() {
+    local bound
+    bound=$(awk -v m="$1" '$1 == m { print $2 }' <<<"$bounds")
+    awk -v m="$1" -v b="$bound" -v f="$3" '$1 == m {
+        printf "%.3f %% (" f "–" f ")%s", 100 * $2, $3, $4, ($2 > b / 2 ? " !" : "") }' <<<"$2"
 }
 
 # One cell: metric $1 of the runs in $2 (after) and $3 (before, may be
@@ -55,9 +93,23 @@ echo "| workload | \`heap_allocs_m\` | \`heap_alloc_gb\` | \`peak_heap_mb\` | \`
     "| \`ndn.cs.hit_ratio\` | \`fail_share\` |"
 echo "|---|---|---|---|---|---|---|---|---|---|"
 ledger=()
+spread_rows=()
+wide=0
 for w in "${workloads[@]}"; do
     now=$(run "$after" "$w")
     old=${before:+$(run "$before" "$w")}
+    seeds=$(grep -E "^($(IFS='|'; echo "${heap_metrics[*]}")) " <<<"$now")
+    for s in "${spread_seeds[@]}"; do seeds+=$'\n'$(heap "$after" "$w" "$s"); done
+    sp=$(spreads <<<"$seeds")
+    row="| \`$w\`"
+    for m in "${heap_metrics[@]}"; do
+        f=%.6f
+        [[ $m == peak_heap_mb ]] && f=%.3f
+        c=$(spread_cell "$m" "$sp" "$f")
+        [[ $c == *'!' ]] && wide=1
+        row+=" | $c"
+    done
+    spread_rows+=("$row |")
     echo "| \`$w\` | $(cell heap_allocs_m "$now" "$old" %.6f) | $(cell heap_alloc_gb "$now" "$old" %.6f)" \
         "| $(cell peak_heap_mb "$now" "$old" %.3f) | $(cell sim.engine.events_m "$now" "$old" %s)" \
         "| $(cell sim.lineage.spans_m "$now" "$old" %s) | $(cell sim.json.export_mb "$now" "$old" %s)" \
@@ -67,3 +119,13 @@ for w in "${workloads[@]}"; do
 done
 echo
 (IFS=';'; echo "ledger (heap_allocs_m / heap_alloc_gb / peak_heap_mb): ${ledger[*]}" | sed 's/;/; /g')
+echo
+echo "Spread over seeds ${spread_seeds[*]} and 42 (max / min − 1, then min–max; \`!\` past half the bound):"
+echo
+echo "| workload | \`heap_allocs_m\` | \`heap_alloc_gb\` | \`peak_heap_mb\` |"
+echo "|---|---|---|---|"
+printf '%s\n' "${spread_rows[@]}"
+if ((wide)); then
+    echo "ledger: a heap metric's spread over seeds exceeds half its bound" >&2
+    exit 1
+fi
