@@ -28,7 +28,9 @@ pub struct TrafficWindow {
 }
 
 impl TrafficWindow {
-    /// Creates a window remembering the last `capacity` packets.
+    /// Creates a window remembering the last `capacity` packets. It
+    /// allocates nothing until the first [`TrafficWindow::record`]: every
+    /// router holds one, but only an RP records into it.
     ///
     /// # Panics
     ///
@@ -38,14 +40,17 @@ impl TrafficWindow {
         assert!(capacity > 0, "window capacity must be positive");
         Self {
             capacity,
-            window: VecDeque::with_capacity(capacity),
+            window: VecDeque::new(),
             counts: BTreeMap::new(),
         }
     }
 
-    /// Records one served packet with publication CD `cd`.
+    /// Records one served packet with publication CD `cd`. The first call
+    /// reserves the whole window at once, so it never grows after.
     pub fn record(&mut self, cd: Name) {
-        if self.window.len() == self.capacity {
+        if self.window.capacity() == 0 {
+            self.window.reserve_exact(self.capacity);
+        } else if self.window.len() == self.capacity {
             let old = self.window.pop_front().expect("window full");
             if let Some(c) = self.counts.get_mut(&old) {
                 *c -= 1;

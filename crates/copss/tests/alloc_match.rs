@@ -1,8 +1,9 @@
 //! Allocation regression: the two table lookups on the forwarding path —
 //! the ST match into a warm caller-owned buffer and the FIB longest-prefix
-//! match — never call the allocator (DESIGN.md, "Allocation discipline").
+//! match — never call the allocator (DESIGN.md, "Allocation discipline");
+//! an RP traffic window costs nothing until it records.
 
-use gcopss_copss::{RpId, SubscriptionTable};
+use gcopss_copss::{RpId, SubscriptionTable, TrafficWindow};
 use gcopss_names::{Cd, Name};
 use gcopss_ndn::{FaceId, Fib};
 
@@ -184,4 +185,23 @@ fn index_walks_build_no_names() {
         calls_of(|| assert!(st.remove_face(FaceId(7)).is_empty())),
         0
     );
+}
+
+/// Every router holds a §IV-B traffic window but only an RP records into
+/// one, so a window allocates nothing until its first packet, which
+/// reserves the whole window at once: three windows' worth of packets cost
+/// that one reservation plus the count map's one node.
+#[test]
+fn a_traffic_window_reserves_once_on_first_record() {
+    let mut w = None;
+    assert_eq!(calls_of(|| w = Some(TrafficWindow::new(2_000))), 0, "new");
+    let mut w = w.unwrap();
+    let cd = Name::root().child_index(1).child_index(2);
+    let first = calls_of(|| w.record(cd.clone()));
+    assert_eq!(
+        first, 2,
+        "the window's reservation and the count map's node"
+    );
+    let rest = calls_of(|| (1..3 * 2_000).for_each(|_| w.record(cd.clone())));
+    assert_eq!(rest, 0, "{rest} heap calls once the window is reserved");
 }

@@ -207,11 +207,13 @@ impl DedupWindow {
         if !self.seen.insert(id) {
             return false;
         }
-        self.order.push_back(id);
-        if self.order.len() > self.capacity {
+        // Evict before pushing, so `order` never outgrows the capacity it
+        // was created with; `id` is new, so it is never the one evicted.
+        if self.order.len() == self.capacity {
             let old = self.order.pop_front().expect("non-empty");
             self.seen.remove(&old);
         }
+        self.order.push_back(id);
         true
     }
 }
@@ -921,8 +923,8 @@ impl GamePlayerClient {
         ctx.world().catchup_ledger.deliver(key, self.player.0);
 
         match (name, &mut self.catch_up) {
-            (Some(SnapName::Chunk(_)), Some(cu)) => {
-                cu.store.insert(&d.payload);
+            (Some(SnapName::Chunk(id)), Some(cu)) => {
+                cu.store.insert_hashed(id, &d.payload);
                 f.chunks_fetched += 1;
             }
             (Some(SnapName::Manifest { .. }), Some(cu)) => {

@@ -6,14 +6,15 @@
 //! The engine's per-packet classifiers (`PacketMeta`) may not allocate at
 //! all, and neither may reading a snapshot-plane name (`SnapName::parse`).
 //! Registering a run's delivery expectations costs the same heap calls
-//! however many publications it owes.
+//! however many publications it owes, and a receiver's duplicate window
+//! never grows past the size it was created with.
 
 use std::sync::Arc;
 
 use gcopss_core::experiments::audit::register_expectations;
 use gcopss_core::experiments::{Workload, WorkloadParams};
 use gcopss_core::scenario::{GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{payload_of, GPacket, IpPacket, IpUpdate, SnapName};
+use gcopss_core::{payload_of, DedupWindow, GPacket, IpPacket, IpUpdate, SnapName};
 use gcopss_names::chunk::ChunkId;
 use gcopss_names::Name;
 use gcopss_ndn::{Data, Interest};
@@ -184,4 +185,20 @@ fn snap_names_parse_without_and_build_with_one_heap_call() {
         let name = x.name();
         assert_eq!(counting_alloc::heap_calls() - before, 1, "building {name}");
     }
+}
+
+/// A full duplicate window evicts its oldest id before it remembers a new
+/// one, so its ring never outgrows the capacity it was created with: ten
+/// windows' worth of fresh ids after construction make no heap call.
+#[test]
+fn a_dedup_window_never_grows() {
+    let mut d = DedupWindow::new(1024);
+    let before = counting_alloc::heap_calls();
+    for id in 0..10 * 1024 {
+        assert!(d.insert(id));
+    }
+    let calls = counting_alloc::heap_calls() - before;
+    assert!(!d.insert(10 * 1024 - 1), "the newest id is remembered");
+    assert!(d.insert(0), "the oldest ids were evicted");
+    assert_eq!(calls, 0, "{calls} heap calls over 10 240 distinct inserts");
 }

@@ -300,8 +300,16 @@ impl ChunkStore {
     /// bytes dedup onto one entry.
     pub fn insert(&mut self, bytes: &[u8]) -> ChunkId {
         let id = ChunkId::of(bytes);
-        self.by_id.insert(id.0, bytes.to_vec());
+        self.insert_hashed(id, bytes);
         id
+    }
+
+    /// Stores `bytes` under `id`, which the caller has already checked to
+    /// be their hash: the receive path verifies a chunk against its name
+    /// before it takes it, so hashing again here would be the same work.
+    pub fn insert_hashed(&mut self, id: ChunkId, bytes: &[u8]) {
+        debug_assert_eq!(ChunkId::of(bytes), id, "chunk bytes must hash to their id");
+        self.by_id.insert(id.0, bytes.to_vec());
     }
 
     /// Whether the store holds `id`.

@@ -8,8 +8,10 @@
 //! * [`Topology`] — nodes and bidirectional links with propagation delay and
 //!   optional bandwidth; generators for the paper's 6-router benchmark
 //!   topology and a Rocketfuel-like backbone (79 core routers).
-//! * [`RoutingTable`] — all-pairs shortest-path next hops (Dijkstra over
-//!   link weights), standing in for the routing underlay.
+//! * [`RoutingTable`] — shortest-path next hops and distances (Dijkstra
+//!   over link weights) for every pair of nodes, standing in for the
+//!   routing underlay: a matrix over the routers, and each single-homed
+//!   host through its one access link.
 //! * [`Simulator`] — the event loop. Every node is a [`NodeBehavior`]: a
 //!   state machine that receives packets and timers and emits sends. Nodes
 //!   are single-server FIFO queues (per-packet service time), links add

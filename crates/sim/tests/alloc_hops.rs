@@ -1,8 +1,11 @@
 //! Allocation regression: once its buffers are warm, the engine forwards a
 //! packet one hop without calling the allocator (DESIGN.md, "Allocation
-//! discipline").
+//! discipline"), and building the routing table costs the same heap calls
+//! however many hosts hang off the backbone.
 
-use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, Simulator, Topology};
+use gcopss_sim::{
+    generators, Ctx, NodeBehavior, NodeId, RoutingTable, SimDuration, Simulator, Topology,
+};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -77,4 +80,36 @@ fn warm_relay_chain_forwards_without_heap_calls() {
     assert_eq!(*sim.world(), 2 * hops, "the measured burst was forwarded");
     assert!(sim.events_processed() - events_before >= 3 * hops);
     assert_eq!(calls, 0, "{calls} heap calls over {hops} warm packet-hops");
+}
+
+/// The routing build runs Dijkstra over the routers alone, with its work
+/// buffers allocated once per build: 100 or 1 000 single-homed hosts on the
+/// same backbone cost the same heap calls, where per-source buffers would
+/// add calls for every host.
+#[test]
+fn routing_build_heap_calls_do_not_grow_with_hosts() {
+    let calls: Vec<u64> = [100, 1_000]
+        .into_iter()
+        .map(|hosts| {
+            let mut b = generators::rocketfuel_like(3, &generators::BackboneParams::default());
+            generators::attach_hosts(
+                &mut b.topology,
+                &b.edge,
+                hosts,
+                SimDuration::from_millis(1),
+                "h",
+            );
+            let before = counting_alloc::heap_calls();
+            let rt = RoutingTable::shortest_paths(&b.topology);
+            let calls = counting_alloc::heap_calls() - before;
+            assert!(rt
+                .distance(NodeId(0), b.topology.node_ids().last().unwrap())
+                .is_some());
+            calls
+        })
+        .collect();
+    assert_eq!(
+        calls[0], calls[1],
+        "heap calls with 100 and with 1 000 hosts"
+    );
 }

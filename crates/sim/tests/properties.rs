@@ -443,6 +443,208 @@ fn path_delay_equals_distance() {
     });
 }
 
+/// The node × node table the two-level [`RoutingTable`] replaced:
+/// Dijkstra from every live node over every node, with the same heap
+/// order and tie-break. It is the oracle of
+/// `two_level_routing_equals_all_pairs_dijkstra`.
+struct AllPairs {
+    n: usize,
+    next: Vec<Vec<Option<NodeId>>>,
+    dist: Vec<Vec<SimDuration>>,
+}
+
+impl AllPairs {
+    fn build(
+        t: &Topology,
+        link_up: impl Fn(LinkId) -> bool,
+        node_up: impl Fn(NodeId) -> bool,
+    ) -> Self {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = t.node_count();
+        let mut next = vec![vec![None; n]; n];
+        let mut dist = vec![vec![SimDuration::from_nanos(u64::MAX); n]; n];
+        for src in t.node_ids() {
+            if !node_up(src) {
+                continue;
+            }
+            let s = src.index();
+            let mut done = vec![false; n];
+            dist[s][s] = SimDuration::ZERO;
+            let mut heap = BinaryHeap::new();
+            heap.push(Reverse((SimDuration::ZERO, src, None::<NodeId>)));
+            while let Some(Reverse((d, u, via))) = heap.pop() {
+                if done[u.index()] {
+                    continue;
+                }
+                done[u.index()] = true;
+                next[s][u.index()] = via;
+                for (v, link) in t.neighbors(u) {
+                    if done[v.index()] || !link_up(link) || !node_up(v) {
+                        continue;
+                    }
+                    let nd = d + t.link_delay(link);
+                    if nd < dist[s][v.index()] {
+                        dist[s][v.index()] = nd;
+                        heap.push(Reverse((nd, v, Some(via.unwrap_or(v)))));
+                    }
+                }
+            }
+        }
+        Self { n, next, dist }
+    }
+
+    fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        self.next[src.index()][dst.index()]
+    }
+
+    fn distance(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
+        let d = self.dist[src.index()][dst.index()];
+        (d != SimDuration::from_nanos(u64::MAX)).then_some(d)
+    }
+
+    fn path(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        if src == dst {
+            return vec![src];
+        }
+        let mut out = vec![src];
+        let mut cur = src;
+        for _ in 0..self.n {
+            let Some(hop) = self.next_hop(cur, dst) else {
+                return Vec::new();
+            };
+            out.push(hop);
+            if hop == dst {
+                return out;
+            }
+            cur = hop;
+        }
+        Vec::new()
+    }
+}
+
+/// A backbone with every kind of host the two-level table must tell
+/// apart: single-homed stubs, multi-homed hosts and a pair of one-link
+/// hosts joined only to each other (both core), and — when `late_router`
+/// is set — a router added after some stubs, so stubs precede the last
+/// core node. Returns the topology and its single-homed hosts.
+fn backbone_with_hosts(seed: u64, late_router: bool) -> (Topology, Vec<NodeId>) {
+    use gcopss_compat::{Rng, SeedableRng, StdRng};
+    use gcopss_sim::NodeKind;
+    fn ms(rng: &mut StdRng) -> SimDuration {
+        SimDuration::from_millis(rng.gen_range(1..4))
+    }
+    fn attach(t: &mut Topology, rng: &mut StdRng, routers: &[NodeId], stubs: &mut Vec<NodeId>) {
+        for _ in 0..rng.gen_range(1..6) {
+            let h = t.add_node_kind(format!("h{}", t.node_count()), NodeKind::Host);
+            let r = routers[rng.gen_range(0..routers.len())];
+            let d = ms(rng);
+            t.try_add_link(h, r, d, None).unwrap();
+            stubs.push(h);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let params = generators::BackboneParams {
+        core_routers: rng.gen_range(2..8),
+        edge_per_core: 1,
+    };
+    let mut t = generators::rocketfuel_like(seed, &params).topology;
+    let mut routers: Vec<NodeId> = t.node_ids().collect();
+    let mut stubs = Vec::new();
+    attach(&mut t, &mut rng, &routers, &mut stubs);
+    if late_router {
+        let late = t.add_node("late");
+        let r = routers[rng.gen_range(0..routers.len())];
+        let d = ms(&mut rng);
+        t.try_add_link(late, r, d, None).unwrap();
+        routers.push(late);
+    }
+    let multi = t.add_node_kind("multi", NodeKind::Host);
+    for _ in 0..2 {
+        let r = routers[rng.gen_range(0..routers.len())];
+        if t.link_between(multi, r).is_none() {
+            let d = ms(&mut rng);
+            t.try_add_link(multi, r, d, None).unwrap();
+        }
+    }
+    let (p, q) = (
+        t.add_node_kind("p", NodeKind::Host),
+        t.add_node_kind("q", NodeKind::Host),
+    );
+    t.try_add_link(p, q, SimDuration::from_millis(1), None)
+        .unwrap();
+    attach(&mut t, &mut rng, &routers, &mut stubs);
+    (t, stubs)
+}
+
+/// The two-level routing table (a core × core matrix plus each stub's
+/// access link) answers `next_hop`, `distance` and `path` exactly as a
+/// node × node Dijkstra does, for every pair — `src == dst` and dead nodes
+/// included — under crashed routers, cut access links and dead hosts.
+#[test]
+fn two_level_routing_equals_all_pairs_dijkstra() {
+    use gcopss_compat::{Rng, SeedableRng, StdRng};
+    let checked = Cell::new((0usize, 0usize));
+    let input = (prop::range(0u64..1_000), prop::bools());
+    prop::check(0x51309, CASES, &input, |(seed, late_router)| {
+        let (t, stubs) = backbone_with_hosts(*seed, *late_router);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa17);
+        let mut links_down: Vec<LinkId> = (0..t.link_count() as u32)
+            .map(LinkId)
+            .filter(|_| rng.gen_range(0..8) == 0)
+            .collect();
+        let mut nodes_down: Vec<NodeId> =
+            t.node_ids().filter(|_| rng.gen_range(0..8) == 0).collect();
+        // Always at least one cut access link and one dead stub.
+        let a = stubs[rng.gen_range(0..stubs.len())];
+        links_down.push(t.neighbors(a).next().unwrap().1);
+        nodes_down.push(stubs[rng.gen_range(0..stubs.len())]);
+        let link_up = |l: LinkId| !links_down.contains(&l);
+        let node_up = |n: NodeId| !nodes_down.contains(&n);
+        for (rt, oracle) in [
+            (
+                RoutingTable::shortest_paths(&t),
+                AllPairs::build(&t, |_| true, |_| true),
+            ),
+            (
+                RoutingTable::shortest_paths_filtered(&t, link_up, node_up),
+                AllPairs::build(&t, link_up, node_up),
+            ),
+        ] {
+            for src in t.node_ids() {
+                for dst in t.node_ids() {
+                    assert_eq!(
+                        rt.next_hop(src, dst),
+                        oracle.next_hop(src, dst),
+                        "next_hop({src}, {dst})"
+                    );
+                    assert_eq!(
+                        rt.distance(src, dst),
+                        oracle.distance(src, dst),
+                        "distance({src}, {dst})"
+                    );
+                    assert_eq!(
+                        rt.path(src, dst),
+                        oracle.path(src, dst),
+                        "path({src}, {dst})"
+                    );
+                    let (pairs, unreachable) = checked.get();
+                    checked.set((
+                        pairs + 1,
+                        unreachable + usize::from(oracle.distance(src, dst).is_none()),
+                    ));
+                }
+            }
+        }
+    });
+    // The law is not vacuous: the faults cut some pairs off.
+    let (pairs, unreachable) = checked.get();
+    assert!(
+        unreachable > 0 && unreachable < pairs,
+        "{unreachable} of {pairs} pairs unreachable"
+    );
+}
+
 /// Service on span `s` starts at `now` unless it already has; the span is
 /// done.
 fn close(s: &mut SpanRecord, now: SimTime) {
